@@ -306,7 +306,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     client.add_argument(
         "--stream-pairs", action="store_true",
-        help="stream the joined pairs back (counted, not printed)",
+        help="stream the joined pairs back and verify them: count and "
+             "checksum are recomputed from the delivered pairs and must "
+             "match the result frame (exit 1 otherwise); not retried",
     )
     client.add_argument(
         "--stats-out", default=None, metavar="FILE",
@@ -909,6 +911,7 @@ def _cmd_client(args) -> int:
                     write_stats_document(args.stats_out, document)
                     print(f"service stats document written to {args.stats_out}")
                 return 0
+            tally = _StreamTally() if args.stream_pairs else None
             reply = client.join(
                 args.algorithm,
                 tenant=args.tenant,
@@ -919,8 +922,11 @@ def _cmd_client(args) -> int:
                 kernels=args.kernels,
                 stream_pairs=args.stream_pairs,
                 with_stats=bool(args.stats_out),
-                # Count the streamed pairs without holding them all.
-                on_pairs=(lambda batch: None) if args.stream_pairs else None,
+                # Tally the streamed pairs without holding them all.  A
+                # retried attempt would re-stream into the same tally, so
+                # a verifying stream gets exactly one attempt.
+                on_pairs=tally,
+                **({"retries": 0} if tally is not None else {}),
             )
     except ClientError as error:
         print(f"join service: {error}", file=sys.stderr)
@@ -937,14 +943,41 @@ def _cmd_client(args) -> int:
         line += f", admission {reply.admission}"
     line += ")"
     print(line)
-    if args.stream_pairs:
-        print(f"streamed {reply.streamed_pairs:,} pairs")
+    if tally is not None:
+        print(
+            f"streamed {reply.streamed_pairs:,} pairs in "
+            f"{reply.stream_ms:,.1f} ms; received {tally.count:,} pairs, "
+            f"checksum {tally.checksum}"
+        )
+        if (tally.count, tally.checksum) != (reply.pair_count, reply.checksum):
+            print(
+                f"join service: delivered pairs do not match the result "
+                f"frame ({reply.pair_count:,} pairs, checksum "
+                f"{reply.checksum})",
+                file=sys.stderr,
+            )
+            return 1
     if args.stats_out and reply.stats_document is not None:
         from repro.obs import write_stats_document
 
         write_stats_document(args.stats_out, reply.stats_document)
         print(f"stats document written to {args.stats_out}")
     return 0
+
+
+class _StreamTally:
+    """Counts and checksums delivered pair batches like the result frame."""
+
+    def __init__(self) -> None:
+        self.count = 0
+        self.checksum = 0
+
+    def __call__(self, batch) -> None:
+        self.count += len(batch)
+        self.checksum = (self.checksum + sum(
+            rid * 1_000_003 + sid * 7919 + s_value
+            for rid, sid, _r_payload, s_value in batch
+        )) % (1 << 61)
 
 
 def _cmd_report(args) -> int:

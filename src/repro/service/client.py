@@ -1,6 +1,6 @@
 """The caller side of the join service: a thin blocking client.
 
-:class:`JoinServiceClient` speaks the length-prefixed JSON protocol of
+:class:`JoinServiceClient` speaks the length-prefixed framing of
 :mod:`repro.service.protocol` over a unix socket and nothing else — it
 imports no storage, engine or numpy code, so any process on the host can
 submit joins to a running daemon.  One client holds one connection;
@@ -10,6 +10,10 @@ connections, one thread each).
 ``join`` returns a :class:`JoinReply`; with ``stream_pairs=True`` the
 reply's ``pairs`` accumulates the streamed batches (or flow through the
 caller's ``on_pairs`` callback instead, for joins too big to hold).
+Pairs arrive as binary blocks of packed records in one reusable buffer
+and are unpacked a block at a time into the ``list`` of 4-int tuples a
+batch has always been; a block whose size disagrees with the count its
+frame announced raises ``bad-frame`` rather than yield a short batch.
 
 Every join carries an idempotent request id (client-generated unless the
 caller supplies one) and retries *transport* failures — a connection
@@ -29,7 +33,12 @@ import uuid
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
-from repro.service.protocol import ProtocolError, recv_frame, send_frame
+from repro.service.protocol import (
+    PAIR_RECORD,
+    ProtocolError,
+    recv_frame,
+    send_frame,
+)
 
 
 class ClientError(RuntimeError):
@@ -53,6 +62,9 @@ class JoinReply:
     request_ms: float
     kernel_mode: str
     streamed_pairs: int = 0
+    #: Server-side time spent delivering ``pairs`` frames; ``request_ms
+    #: - wall_ms - stream_ms`` is admission, lease and journal.
+    stream_ms: float = 0.0
     reused_store: bool = False
     admission: Optional[str] = None
     queued_ms: float = 0.0
@@ -74,6 +86,8 @@ class JoinServiceClient:
     def __init__(self, socket_path: str, timeout: Optional[float] = None) -> None:
         self.socket_path = socket_path
         self._timeout = timeout
+        #: The one receive buffer every ``pairs`` block lands in.
+        self._block = bytearray()
         self._sock = self._connect()
 
     def _connect(self) -> socket.socket:
@@ -246,7 +260,18 @@ class JoinServiceClient:
             frame = self._recv()
             kind = frame.get("kind")
             if kind == "pairs":
-                batch = [tuple(p) for p in frame["pairs"]]
+                count = frame.get("count")
+                if (
+                    not isinstance(count, int)
+                    or len(self._block) != count * PAIR_RECORD.size
+                ):
+                    raise ClientError(
+                        f"pairs frame announces {count!r} pairs but carries "
+                        f"{len(self._block)} bytes "
+                        f"({PAIR_RECORD.size} per pair)",
+                        code="bad-frame",
+                    )
+                batch = list(PAIR_RECORD.iter_unpack(self._block))
                 if on_pairs is not None:
                     on_pairs(batch)
                 else:
@@ -262,6 +287,7 @@ class JoinServiceClient:
                     request_ms=(time.perf_counter() - started) * 1000.0,
                     kernel_mode=frame["kernel_mode"],
                     streamed_pairs=frame.get("streamed_pairs", 0),
+                    stream_ms=frame.get("stream_ms", 0.0),
                     reused_store=frame.get("reused_store", False),
                     admission=frame.get("admission"),
                     queued_ms=frame.get("queued_ms", 0.0),
@@ -288,7 +314,7 @@ class JoinServiceClient:
 
     def _recv(self) -> dict:
         try:
-            frame = recv_frame(self._sock)
+            frame = recv_frame(self._sock, self._block)
         except (ProtocolError, OSError) as error:
             raise ClientError(f"conversation with the daemon broke: {error}")
         if frame is None:

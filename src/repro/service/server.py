@@ -17,9 +17,9 @@ One :class:`JoinService` owns what a per-run invocation of
   latency histogram that become the schema-v5 ``service`` section.
 
 Requests arrive over a unix socket as length-prefixed JSON frames
-(:mod:`repro.service.protocol`); pair output streams back in bounded
-batches read straight from the run's mapped PAIRS segments, never
-materialized whole on either side.
+(:mod:`repro.service.protocol`); pair output streams back as bounded
+blocks of the run's mapped PAIRS segments — the stored records, sent
+undecoded as frame attachments — never materialized whole on either side.
 
 On startup — before the socket accepts anything — the daemon sweeps the
 whole service root for orphans of dead predecessors: unpublished
@@ -72,9 +72,14 @@ from repro.parallel.engine.task import (
 from repro.parallel.faults import FAULTS_FILE
 from repro.parallel.runner import REAL_ALGORITHMS, run_real_join
 from repro.service.journal import RequestJournal, valid_request_id
-from repro.service.protocol import ProtocolError, recv_frame, send_frame
+from repro.service.protocol import (
+    PAIR_RECORD,
+    ProtocolError,
+    recv_frame,
+    send_frame,
+)
 from repro.service.tenants import TenantConfig, TenantError, TenantPolicy
-from repro.storage.relation import iter_pairs_file
+from repro.storage.relation import PairsFile
 from repro.storage.segment import StorageError, scrub_segment
 from repro.storage.store import Store, _tmp_writer_alive
 from repro.workload.generator import Workload, WorkloadSpec, generate_workload
@@ -288,23 +293,21 @@ class JoinService:
         receives its terminal frame before the daemon exits.
         """
         self._shutdown.set()
-        if self._listener is not None:
+        listener, self._listener = self._listener, None
+        if listener is not None:
+            # close() alone does not wake a thread blocked in accept() on
+            # Linux; shutdown() does (accept fails with EINVAL).
             try:
-                self._listener.close()
+                listener.shutdown(socket.SHUT_RDWR)
             except OSError:
                 pass
+            listener.close()
 
     def close(self) -> None:
         """Stop accepting, drain request threads, retire the pool."""
-        self._shutdown.set()
-        if self._listener is not None:
-            try:
-                self._listener.close()
-            except OSError:
-                pass
-            self._listener = None
+        self.request_shutdown()
         if self._accept_thread is not None:
-            self._accept_thread.join(timeout=5)
+            self._accept_thread.join()
             self._accept_thread = None
         for thread in list(self._conn_threads):
             thread.join(timeout=30)
@@ -729,44 +732,37 @@ class JoinService:
     def _stream_result(self, conn, request, request_id, policy,
                        result, entry, reused: bool) -> dict:
         """Stream pair frames (if asked); return the final result frame."""
-        stream = bool(request.get("stream_pairs"))
         streamed = 0
-        if stream:
-            batch_size = self.config.stream_batch
-            batch: List[list] = []
-            try:
-                for pair_file in result.pair_files:
-                    for pair in iter_pairs_file(pair_file.path, batch_size):
-                        batch.append(list(pair))
-                        if len(batch) >= batch_size:
-                            send_frame(conn, {
-                                "kind": "pairs",
-                                "request_id": request_id,
-                                "count": len(batch),
-                                "pairs": batch,
-                            })
-                            streamed += len(batch)
-                            batch = []
-            except StorageError as error:
-                # A published PAIRS segment failed its payload checksum
-                # between the barrier and the read — the client gets a
-                # classified error, never silently-wrong pairs.
-                self._sweep_temps(entry, result)
-                self._count("service.corrupt_total", tenant=policy.name)
-                return _error(
-                    "corrupt-data", str(error), request_id=request_id
+        stream_ms = 0.0
+        try:
+            if request.get("stream_pairs"):
+                started = time.perf_counter()
+                streamed = self._send_pairs(conn, request_id, result)
+                stream_ms = (time.perf_counter() - started) * 1000.0
+        except StorageError as error:
+            # A published PAIRS segment failed its payload checksum
+            # between the barrier and the read — the client gets a
+            # classified error, never silently-wrong pairs.
+            self._count("service.corrupt_total", tenant=policy.name)
+            return _error("corrupt-data", str(error), request_id=request_id)
+        finally:
+            # The segments are spent — streamed, rotten, or orphaned by a
+            # client that hung up mid-stream (the send's OSError passes
+            # through here).  Drop every temp so the warm store holds only
+            # R/S for the next lease.
+            self._sweep_temps(entry, result)
+        if streamed:
+            with self._metrics_lock:
+                self.registry.count(
+                    "service.stream_pairs_total", streamed, tenant=policy.name
                 )
-            if batch:
-                send_frame(conn, {
-                    "kind": "pairs",
-                    "request_id": request_id,
-                    "count": len(batch),
-                    "pairs": batch,
-                })
-                streamed += len(batch)
-        # The streamed segments are spent; drop every temp so the warm
-        # store holds only R/S for the next lease.
-        self._sweep_temps(entry, result)
+                self.registry.count(
+                    "service.stream_bytes_total",
+                    streamed * PAIR_RECORD.size, tenant=policy.name,
+                )
+                self.registry.observe(
+                    "service.stream_ms", stream_ms, tenant=policy.name
+                )
         governor_doc = result.governor or {}
         self._count("service.pairs_total", result.pair_count,
                     algo=result.algorithm)
@@ -780,6 +776,7 @@ class JoinService:
             "wall_ms": result.wall_ms,
             "kernel_mode": result.kernel_mode,
             "streamed_pairs": streamed,
+            "stream_ms": stream_ms,
             "reused_store": reused,
             "admission": governor_doc.get("admission"),
             "queued_ms": governor_doc.get("queued_ms", 0.0),
@@ -797,6 +794,29 @@ class JoinService:
                 else {}
             ),
         }
+
+    def _send_pairs(self, conn, request_id: str, result) -> int:
+        """Send every published PAIRS segment as binary ``pairs`` frames.
+
+        Each segment is opened the verified way (payload CRC, so a rotten
+        one raises before any of its bytes are sent) and then goes to the
+        socket a block of ``stream_batch`` stored records at a time,
+        straight from the mapping: nothing is decoded on this side.
+        """
+        streamed = 0
+        header = {"kind": "pairs", "request_id": request_id}
+        batch = self.config.stream_batch
+        for pair_file in result.pair_files:
+            with PairsFile.open(pair_file.path) as relation:
+                for block in relation.segment.iter_batches(batch):
+                    # Released here, not by a generator: a send that
+                    # raises must not leave a view pinning the mapping
+                    # while the ``with`` tries to unmap it.
+                    with block:
+                        header["count"] = len(block) // PAIR_RECORD.size
+                        send_frame(conn, header, block)
+                    streamed += header["count"]
+        return streamed
 
     def _sweep_temps(self, entry: _StoreEntry, result) -> None:
         for pair_file in result.pair_files:

@@ -9,7 +9,9 @@ workload — the service must be a transport, never a transformation.
 
 from __future__ import annotations
 
+import socket
 import threading
+import time
 
 import pytest
 
@@ -23,7 +25,10 @@ from repro.service import (
     ServiceConfig,
     TenantConfig,
 )
+from repro.service.journal import RequestJournal
+from repro.service.protocol import PAIR_RECORD, recv_frame, send_frame
 from repro.service.server import sweep_service_root
+from repro.storage.relation import read_pairs
 from repro.storage.segment import MappedSegment
 from repro.workload.generator import WorkloadSpec, generate_workload
 
@@ -97,6 +102,54 @@ def test_streamed_pairs_match_collected_pairs(make_service, tmp_path):
     assert reply.streamed_pairs == reply.pair_count
     direct = direct_result("grace", tmp_path, collect_pairs=True)
     assert sorted(reply.pairs) == sorted(tuple(p) for p in direct.pairs)
+
+
+BENCHMARK_PLANS = ("nested-loops", "sort-merge", "grace", "hybrid-hash")
+
+
+def pair_checksum(pairs):
+    """The result frame's checksum formula, recomputed from pairs."""
+    return sum(
+        rid * 1_000_003 + sid * 7919 + s_value
+        for rid, sid, _payload, s_value in pairs
+    ) % (1 << 61)
+
+
+@pytest.mark.parametrize("algorithm", BENCHMARK_PLANS)
+def test_streamed_blocks_are_the_published_segments_pair_for_pair(
+    make_service, monkeypatch, algorithm
+):
+    """The wire carries the PAIRS segments' own records: what the client
+    unpacks equals ``read_pairs`` of the same files, in the same order."""
+    import repro.service.server as server_module
+
+    real_run = run_real_join
+    stored = []
+
+    def run_and_read(*args, **kwargs):
+        result = real_run(*args, **kwargs)
+        for pair_file in result.pair_files:
+            stored.extend(read_pairs(pair_file.path))
+        return result
+
+    monkeypatch.setattr(server_module, "run_real_join", run_and_read)
+    # A batch that divides no segment evenly: every file ends on a short
+    # block, and blocks never span two files.
+    service = make_service(stream_batch=100)
+    batches = []
+    with JoinServiceClient(service.config.socket_path) as client:
+        reply = client.join(
+            algorithm, stream_pairs=True, on_pairs=batches.append,
+            **join_args(),
+        )
+    streamed = [pair for batch in batches for pair in batch]
+    assert all(type(batch) is list for batch in batches)
+    assert all(type(pair) is tuple and len(pair) == 4 for pair in streamed)
+    assert all(0 < len(batch) <= 100 for batch in batches)
+    assert streamed == stored  # element for element (JoinedPair == tuple)
+    assert reply.pairs == []  # on_pairs consumed them
+    assert reply.streamed_pairs == reply.pair_count == len(streamed)
+    assert pair_checksum(streamed) == reply.checksum
 
 
 def test_second_request_reuses_the_warm_store(make_service):
@@ -362,3 +415,223 @@ def test_connection_survives_a_protocol_error_frame(make_service):
     # The daemon is still serving.
     with JoinServiceClient(service.config.socket_path) as client:
         assert client.ping()["algorithms"]
+
+
+def test_close_wakes_the_accept_thread_instead_of_timing_out(make_service):
+    service = make_service()
+    with JoinServiceClient(service.config.socket_path) as client:
+        client.ping()
+    accept_thread = service._accept_thread
+    assert accept_thread.is_alive()  # parked in accept()
+    started = time.perf_counter()
+    service.close()
+    elapsed = time.perf_counter() - started
+    assert not accept_thread.is_alive()
+    assert service._accept_thread is None
+    assert elapsed < 1.0, f"close() took {elapsed:.2f}s"
+
+
+# ------------------------------------------------------- binary pair frames
+
+class ScriptedServer(threading.Thread):
+    """Accepts one join and answers it with hand-built frames."""
+
+    def __init__(self, socket_path, *frames):
+        super().__init__(daemon=True)
+        self.frames = frames  # (message, attachment-or-None) after accepted
+        self._listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        self._listener.bind(socket_path)
+        self._listener.listen(1)
+
+    def run(self):
+        conn, _ = self._listener.accept()
+        request = recv_frame(conn)
+        send_frame(conn, {
+            "kind": "accepted", "request_id": request["request_id"],
+            "tenant": "default", "algorithm": request["algorithm"],
+        })
+        for message, block in self.frames:
+            send_frame(conn, message, block)
+        recv_frame(conn)  # hold the line until the client hangs up
+        conn.close()
+        self._listener.close()
+
+
+@pytest.mark.parametrize("header, nbytes", [
+    ({"kind": "pairs", "count": 3}, 95),   # not a whole number of records
+    ({"kind": "pairs", "count": 3}, 64),   # whole records, fewer than said
+    ({"kind": "pairs", "count": 1}, 64),   # whole records, more than said
+    ({"kind": "pairs", "count": 2}, None),  # no attachment at all
+    ({"kind": "pairs"}, 64),               # no count to check against
+    ({"kind": "pairs", "count": 2.0}, 64),  # count is not an integer
+])
+def test_a_pairs_block_that_disagrees_with_its_count_is_refused(
+    tmp_path, header, nbytes
+):
+    path = str(tmp_path / "liar.sock")
+    block = None if nbytes is None else bytes(nbytes)
+    server = ScriptedServer(path, (header, block))
+    server.start()
+    delivered = []
+    with JoinServiceClient(path, timeout=10) as client:
+        with pytest.raises(ClientError, match="pairs frame") as excinfo:
+            client.join(
+                "grace", stream_pairs=True, on_pairs=delivered.append,
+                backoff_s=0.01, **join_args(),
+            )
+    server.join(timeout=10)
+    assert not server.is_alive()
+    assert excinfo.value.code == "bad-frame"  # classified: not retried
+    assert delivered == []  # never a silently short (or padded) batch
+
+
+def test_cli_stream_pairs_recomputes_count_and_checksum(make_service, capsys):
+    from repro.cli import main
+
+    service = make_service()
+    direct_args = [
+        "client", "--socket", service.config.socket_path, "join", "grace",
+        "--scale", str(SCALE), "--seed", str(SEED), "--disks", str(DISKS),
+        "--stream-pairs",
+    ]
+    assert main(direct_args) == 0
+    out = capsys.readouterr().out
+    with JoinServiceClient(service.config.socket_path) as client:
+        reply = client.join("grace", **join_args())
+    assert (
+        f"received {reply.pair_count:,} pairs, checksum {reply.checksum}"
+        in out
+    )
+
+
+def test_cli_stream_pairs_exits_nonzero_when_delivery_disagrees(
+    tmp_path, capsys
+):
+    from repro.cli import main
+
+    path = str(tmp_path / "short.sock")
+    pairs = [(1, 2, 3, 4), (5, 6, 7, 8)]
+    block = b"".join(PAIR_RECORD.pack(*pair) for pair in pairs)
+    result = {
+        "kind": "result", "request_id": "x", "tenant": "default",
+        "algorithm": "grace", "wall_ms": 1.0, "kernel_mode": "scalar",
+        "streamed_pairs": 3,
+        # The daemon claims a third pair the stream never carried.
+        "pair_count": 3, "checksum": pair_checksum(pairs + [(9, 9, 9, 9)]),
+    }
+    server = ScriptedServer(
+        path, ({"kind": "pairs", "count": 2}, block), (result, None)
+    )
+    server.start()
+    status = main(
+        ["client", "--socket", path, "join", "grace", "--stream-pairs"]
+    )
+    server.join(timeout=10)
+    assert not server.is_alive()
+    captured = capsys.readouterr()
+    assert status == 1
+    assert f"received 2 pairs, checksum {pair_checksum(pairs)}" in captured.out
+    assert "do not match the result frame" in captured.err
+
+
+def test_client_hang_up_mid_stream_sweeps_the_store_and_frees_the_lease(
+    make_service, tmp_path
+):
+    # Enough pairs (20,480 x 32 B = 640 KiB) that the daemon is still
+    # sending when the client walks away: the kernel's socket buffer
+    # cannot swallow the stream whole.
+    big = dict(scale=0.2, seed=SEED, disks=DISKS)
+    service = make_service(stream_batch=512)
+    raw = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    raw.connect(service.config.socket_path)
+    try:
+        send_frame(raw, {
+            "op": "join", "algorithm": "grace", "request_id": "req-hangup",
+            "stream_pairs": True, **big,
+        })
+        block = bytearray()
+        assert recv_frame(raw, block)["kind"] == "accepted"
+        first = recv_frame(raw, block)
+        assert first["kind"] == "pairs"
+        assert len(block) == first["count"] * PAIR_RECORD.size
+    finally:
+        raw.close()
+    deadline = time.monotonic() + 30
+    while service._active_requests or service._inflight:
+        assert time.monotonic() < deadline, "request never unwound"
+        time.sleep(0.01)
+    # The run's temps are gone although the stream died on an OSError...
+    root = tmp_path / "svc-root"
+    leftovers = {p.stem.split("_")[0] for p in root.rglob("*.seg")}
+    assert leftovers == {"R", "S"}
+    assert list(root.rglob("*.seg.tmp")) == []
+    # ...the request is still ``running`` in the journal (a retry of the
+    # same id resumes; nothing was answered, so nothing is replayable)...
+    assert RequestJournal(root).get("req-hangup")["state"] == "running"
+    assert not service.registry.counters_named("service.stream_pairs_total")
+    # ...and the lease was released: the next request on the signature
+    # gets the same store, warm, and a full stream.
+    with JoinServiceClient(service.config.socket_path) as client:
+        reply = client.join("grace", stream_pairs=True, **big)
+    assert reply.reused_store
+    assert reply.streamed_pairs == reply.pair_count == len(reply.pairs)
+    assert pair_checksum(reply.pairs) == reply.checksum
+    assert len(list((root / "stores").iterdir())) == 1
+
+
+def test_rotten_segment_sends_none_of_its_blocks_and_the_store_is_swept(
+    make_service, monkeypatch, tmp_path
+):
+    """Bit-flip the *last* published PAIRS segment between barrier and
+    stream: the sound segments before it arrive intact, the rotten one
+    contributes no frame at all, and the error is ``corrupt-data``."""
+    import repro.service.server as server_module
+
+    real_run = run_real_join
+    sound = []
+
+    def run_and_rot(*args, **kwargs):
+        result = real_run(*args, **kwargs)
+        nonempty = [p for p in result.pair_files if p.count > 0]
+        assert len(nonempty) >= 2
+        for pair_file in nonempty[:-1]:
+            sound.extend(read_pairs(pair_file.path))
+        flip_payload_bit(nonempty[-1].path, record=0, bit=4)
+        return result
+
+    monkeypatch.setattr(server_module, "run_real_join", run_and_rot)
+    service = make_service(stream_batch=64)
+    delivered = []
+    with JoinServiceClient(service.config.socket_path) as client:
+        with pytest.raises(ClientError) as excinfo:
+            client.join(
+                "grace", stream_pairs=True, on_pairs=delivered.extend,
+                **join_args(),
+            )
+    assert excinfo.value.code == "corrupt-data"
+    assert delivered == sound
+    leftovers = {
+        p.stem.split("_")[0] for p in (tmp_path / "svc-root").rglob("*.seg")
+    }
+    assert leftovers == {"R", "S"}
+
+
+def test_stream_delivery_is_metered_per_tenant(make_service):
+    service = make_service()
+    with JoinServiceClient(service.config.socket_path) as client:
+        quiet = client.join("grace", tenant="quiet", **join_args())
+        loud = client.join(
+            "grace", tenant="loud", stream_pairs=True, **join_args()
+        )
+        document = client.stats()
+    assert quiet.streamed_pairs == 0 and quiet.stream_ms == 0.0
+    assert loud.streamed_pairs == loud.pair_count
+    assert 0.0 < loud.stream_ms < loud.request_ms
+    counters = document["totals"]["counters"]
+    assert counters["service.stream_pairs_total{tenant=loud}"] == loud.pair_count
+    assert counters["service.stream_bytes_total{tenant=loud}"] == (
+        loud.pair_count * PAIR_RECORD.size
+    )
+    timer = document["totals"]["histograms"]["service.stream_ms{tenant=loud}"]
+    assert timer["count"] == 1
+    assert not any("stream" in key and "quiet" in key for key in counters)
