@@ -253,7 +253,7 @@ def test_ext_real_mmap_joins(benchmark, record, record_stats):
         "workload": {
             "scale": scale,
             "r_objects": workload.r_objects_total,
-            "s_objects": len(workload.s_objects),
+            "s_objects": workload.s_objects_total,
             "disks": workload.disks,
         },
         "storage_read_path": micro,
@@ -376,7 +376,7 @@ def test_ext_real_mmap_kernel_scales(record):
         scale_entry = {
             "workload": {
                 "r_objects": workload.r_objects_total,
-                "s_objects": len(workload.s_objects),
+                "s_objects": workload.s_objects_total,
                 "disks": workload.disks,
             },
             "algorithms": per_algorithm,

@@ -31,7 +31,7 @@ def main() -> None:
     )
     print(
         f"Workload: {workload.r_objects_total:,} R-objects, "
-        f"{len(workload.s_objects):,} S-objects, 4 partitions, "
+        f"{workload.s_objects_total:,} S-objects, 4 partitions, "
         "one worker process each\n"
     )
 

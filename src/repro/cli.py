@@ -685,7 +685,7 @@ def _cmd_workload(args) -> int:
         save_workload(workload, args.path)
         print(
             f"saved {workload.r_objects_total:,} R-objects / "
-            f"{len(workload.s_objects):,} S-objects "
+            f"{workload.s_objects_total:,} S-objects "
             f"({args.distribution}, {args.disks} partitions) to {args.path}"
         )
         return 0

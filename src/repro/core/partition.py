@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from typing import Iterable, List, Sequence
 
+import numpy as np
+
 from repro.core.pointer import PointerMap
 from repro.core.records import RObject
 
@@ -55,20 +57,37 @@ def workload_skew(
     return worst
 
 
-def split_evenly(objects: Sequence[RObject], partitions: int) -> List[List[RObject]]:
+def column_skew(sptr_columns: Sequence[np.ndarray], pointer_map: PointerMap) -> float:
+    """:func:`workload_skew` over per-partition u64 pointer columns.
+
+    One ``locate_array`` + ``bincount`` per partition instead of a Python
+    call per object; the counts go through the same :func:`partition_skew`
+    arithmetic, so the two agree exactly (``workload_skew`` stays as the
+    simulator's scalar reference).
+    """
+    worst = 1.0
+    for sptr in sptr_columns:
+        targets = pointer_map.locate_array(sptr)[0].astype(np.int64)
+        counts = np.bincount(targets, minlength=pointer_map.partitions)
+        worst = max(worst, partition_skew(counts.tolist()))
+    return worst
+
+
+def split_evenly(objects: Sequence, partitions: int) -> List:
     """Divide R into equal-sized partitions (within one object).
 
     The paper assumes R "is also divided into equal-sized partitions"; the
     split is by position, which for a randomly-generated R is equivalent to
-    a random assignment.
+    a random assignment.  Each partition is a slice of ``objects``: a new
+    list for a list, a view for a column array.
     """
     if partitions <= 0:
         raise ValueError("need at least one partition")
     base, remainder = divmod(len(objects), partitions)
-    out: List[List[RObject]] = []
+    out = []
     cursor = 0
     for i in range(partitions):
         size = base + (1 if i < remainder else 0)
-        out.append(list(objects[cursor : cursor + size]))
+        out.append(objects[cursor : cursor + size])
         cursor += size
     return out

@@ -13,7 +13,9 @@ from __future__ import annotations
 from collections import Counter
 from typing import Iterable, List
 
-from repro.core.records import JoinedPair, join_pair
+import numpy as np
+
+from repro.core.records import JoinedPair
 from repro.workload.generator import Workload
 
 
@@ -21,14 +23,18 @@ class JoinVerificationError(AssertionError):
     """Raised when a join produced wrong output."""
 
 
+def _joined_columns(workload: Workload):
+    """The correct output as (rid, sid, r_payload, s_value) u64 columns."""
+    rid, sptr, payload = workload.r_flat()
+    return rid, sptr, payload, workload.s_value[sptr]
+
+
 def reference_join(workload: Workload) -> List[JoinedPair]:
     """The correct join output, computed directly (no simulation)."""
-    s_objects = workload.s_objects
-    return [
-        join_pair(r, s_objects[r.sptr])
-        for partition in workload.r_partitions
-        for r in partition
-    ]
+    return list(map(
+        JoinedPair._make,
+        zip(*(column.tolist() for column in _joined_columns(workload))),
+    ))
 
 
 def verify_pairs(workload: Workload, pairs: Iterable[JoinedPair]) -> int:
@@ -57,9 +63,8 @@ def verify_pairs(workload: Workload, pairs: Iterable[JoinedPair]) -> int:
 
 def expected_checksum(workload: Workload) -> int:
     """The PairCollector checksum the correct output must produce."""
-    checksum = 0
-    for pair in reference_join(workload):
-        checksum = (
-            checksum + (pair.rid * 1_000_003 + pair.sid * 7919 + pair.s_value)
-        ) % (1 << 61)
-    return checksum
+    rid, sid, _payload, s_value = _joined_columns(workload)
+    # u64 arithmetic wraps modulo 2**64, of which 2**61 is a divisor, so
+    # the wrapped sum reduces to exactly what the unbounded one would.
+    terms = rid * np.uint64(1_000_003) + sid * np.uint64(7919) + s_value
+    return int(terms.sum(dtype=np.uint64)) % (1 << 61)

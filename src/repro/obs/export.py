@@ -468,7 +468,7 @@ def build_real_stats_document(result, workload=None) -> dict:
         meta.update(
             disks=workload.disks,
             r_objects=workload.r_objects_total,
-            s_objects=len(workload.s_objects),
+            s_objects=workload.s_objects_total,
             r_bytes=spec.r_bytes if spec else None,
             skew=round(workload.measured_skew(), 4),
         )
@@ -550,7 +550,7 @@ def build_sim_stats_document(result, workload=None) -> dict:
         meta.update(
             disks=workload.disks,
             r_objects=workload.r_objects_total,
-            s_objects=len(workload.s_objects),
+            s_objects=workload.s_objects_total,
         )
     return {
         "schema_version": SCHEMA_VERSION,

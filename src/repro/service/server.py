@@ -53,6 +53,7 @@ import os
 import socket
 import threading
 import time
+from concurrent.futures import Future
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -193,7 +194,7 @@ class _StoreEntry:
 class _Caches:
     """Workloads and warm stores, keyed by workload signature."""
 
-    workloads: Dict[str, Workload] = field(default_factory=dict)
+    workloads: Dict[str, "Future[Workload]"] = field(default_factory=dict)
     stores: Dict[str, List[_StoreEntry]] = field(default_factory=dict)
 
 
@@ -598,23 +599,38 @@ class JoinService:
         return algorithm, spec_args, policy, priority, deadline_s
 
     def _workload_for(self, spec_args: dict):
+        """The cached workload for a request, generated at most once.
+
+        Single-flight per signature: the first request to name a workload
+        generates it; any request arriving meanwhile waits for that result
+        and shares the instance, not a copy it burned a core (and the
+        GIL its sibling needs) to rebuild.
+        """
         signature = "wl-" + hashlib.sha1(
             json.dumps(spec_args, sort_keys=True).encode()
         ).hexdigest()[:16]
         with self._cache_lock:
-            workload = self._caches.workloads.get(signature)
-        if workload is None:
-            objects = max(64, int(102_400 * spec_args["scale"]))
-            spec = WorkloadSpec(
-                r_objects=objects,
-                s_objects=objects,
-                distribution=spec_args["distribution"],
-                seed=spec_args["seed"],
-            )
-            workload = generate_workload(spec, spec_args["disks"])
-            with self._cache_lock:
-                self._caches.workloads.setdefault(signature, workload)
-        return workload, signature
+            future = self._caches.workloads.get(signature)
+            first = future is None
+            if first:
+                future = self._caches.workloads[signature] = Future()
+        if first:
+            try:
+                objects = max(64, int(102_400 * spec_args["scale"]))
+                spec = WorkloadSpec(
+                    r_objects=objects,
+                    s_objects=objects,
+                    distribution=spec_args["distribution"],
+                    seed=spec_args["seed"],
+                )
+                future.set_result(generate_workload(spec, spec_args["disks"]))
+            except BaseException as error:
+                # Waiters see the failure; the next request starts afresh.
+                with self._cache_lock:
+                    del self._caches.workloads[signature]
+                future.set_exception(error)
+                raise
+        return future.result(), signature
 
     @contextmanager
     def _lease_store(self, signature: str, disks: int):

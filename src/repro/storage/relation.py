@@ -543,32 +543,31 @@ def read_pairs(
 
 # ---------------------------------------------------------- partition files
 
-def _append_partition(relation: _RelationFile, objects: List) -> None:
-    """Append a whole partition, vectorized when numpy is available.
+def write_columns(
+    path: str | os.PathLike, a, b, c, record_bytes: int = 128
+) -> None:
+    """Materialize one partition from its three u64 header columns.
 
-    Materialization is driver-side setup shared by both kernel modes
-    (never part of a measured kernel), so the fast path is uncondition-
-    al: ``np.asarray`` of the tuple list and one structured-array pack —
-    byte-identical to ``pack_batch`` of the same tuples.
+    One ``pack_columns`` into the stored record format and one append —
+    byte-identical to ``pack_batch`` of the same tuples — published by the
+    segment's usual close (streamed CRC footer, atomic rename).
     """
-    if _np is None or not objects:
-        relation.append_many(objects)
-        return
-    matrix = _np.asarray(objects, dtype=_np.uint64)
-    relation.segment.append_batch(
-        relation.segment.layout.pack_columns(
-            matrix[:, 0], matrix[:, 1], matrix[:, 2]
-        )
-    )
+    segment = MappedSegment.create(path, max(1, len(a)), record_bytes)
+    try:
+        segment.append_batch(segment.layout.pack_columns(a, b, c))
+    except BaseException:
+        segment.discard()
+        raise
+    segment.close()
 
 
 def write_r_partition(
     path: str | os.PathLike, objects: List[RObject], record_bytes: int = 128
 ) -> None:
-    """Materialize an R partition file."""
+    """Write an R partition file from objects (the scalar packer)."""
     relation = RRelationFile.create(path, max(1, len(objects)), record_bytes)
     try:
-        _append_partition(relation, objects)
+        relation.append_many(objects)
     except BaseException:
         relation.abort()
         raise
@@ -578,10 +577,10 @@ def write_r_partition(
 def write_s_partition(
     path: str | os.PathLike, objects: List[SObject], record_bytes: int = 128
 ) -> None:
-    """Materialize an S partition file (objects at their offsets)."""
+    """Write an S partition file from objects (objects at their offsets)."""
     relation = SRelationFile.create(path, max(1, len(objects)), record_bytes)
     try:
-        _append_partition(relation, objects)
+        relation.append_many(objects)
     except BaseException:
         relation.abort()
         raise

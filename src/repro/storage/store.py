@@ -18,12 +18,7 @@ except ImportError:  # pragma: no cover
     _fcntl = None
 
 from repro.governor.budget import store_usage_bytes
-from repro.storage.relation import (
-    RRelationFile,
-    SRelationFile,
-    write_r_partition,
-    write_s_partition,
-)
+from repro.storage.relation import RRelationFile, SRelationFile, write_columns
 from repro.storage.segment import MappedSegment, StorageError, scrub_segment
 from repro.workload.generator import Workload
 
@@ -68,11 +63,11 @@ class Store:
                 f"{self.disks} disks"
             )
         for i in range(self.disks):
-            write_r_partition(
-                self.path(i, "R"), workload.r_partitions[i], workload.spec.r_bytes
+            write_columns(
+                self.path(i, "R"), *workload.r_columns[i], workload.spec.r_bytes
             )
-            write_s_partition(
-                self.path(i, "S"), workload.s_partition(i), workload.spec.s_bytes
+            write_columns(
+                self.path(i, "S"), *workload.s_columns(i), workload.spec.s_bytes
             )
 
     def open_r(self, disk: int) -> RRelationFile:

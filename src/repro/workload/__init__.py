@@ -12,12 +12,18 @@ from repro.workload.distributions import (
     validate_distribution_args,
     zipf_pointers,
 )
-from repro.workload.generator import Workload, WorkloadSpec, generate_workload
+from repro.workload.generator import (
+    RColumns,
+    Workload,
+    WorkloadSpec,
+    generate_workload,
+)
 from repro.workload.io import WorkloadIOError, load_workload, save_workload
 
 __all__ = [
     "DISTRIBUTIONS",
     "DistributionError",
+    "RColumns",
     "Workload",
     "WorkloadIOError",
     "WorkloadSpec",

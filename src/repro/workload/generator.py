@@ -6,15 +6,23 @@ bytes each, partitioned over 4 disks, with uniformly random join pointers.
 from a seed, and the resulting :class:`Workload` knows how to describe
 itself to the analytical model (:meth:`Workload.relation_parameters`),
 including its *measured* partition skew.
+
+A workload is held the way the store holds it: the three u64 header fields
+of every record as column arrays, so materializing, measuring skew and
+computing the oracle checksum are array hand-offs.  ``RObject`` /
+``SObject`` lists exist only as views the simulator asks for.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from functools import cached_property
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
-from repro.core.partition import split_evenly, workload_skew
+import numpy as np
+
+from repro.core import partition as _partition
 from repro.core.pointer import PointerMap
 from repro.core.records import RObject, SObject
 from repro.model.parameters import RelationParameters
@@ -54,34 +62,98 @@ class WorkloadSpec:
         return cls(r_objects=objects, s_objects=objects, seed=seed)
 
 
-@dataclass
+class RColumns(NamedTuple):
+    """One R partition in store order: three parallel u64 arrays."""
+
+    rid: np.ndarray
+    sptr: np.ndarray
+    payload: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
 class Workload:
-    """A fully-materialized workload, partitioned for ``D`` processes."""
+    """A fully-materialized workload, partitioned for ``D`` processes.
+
+    S is positional — ``s_value[j]`` / ``s_payload[j]`` belong to the object
+    whose ``sid`` is ``j`` — and every array is read-only, so what is
+    measured once about a workload (its skew) stays true.
+    """
 
     spec: WorkloadSpec
     disks: int
-    s_objects: List[SObject]
-    r_partitions: List[List[RObject]]
+    r_columns: Tuple[RColumns, ...]
+    s_value: np.ndarray
+    s_payload: np.ndarray
     pointer_map: PointerMap
+
+    def __post_init__(self) -> None:
+        for array in (self.s_value, self.s_payload, *sum(self.r_columns, ())):
+            array.flags.writeable = False
 
     @property
     def r_objects_total(self) -> int:
-        return sum(len(p) for p in self.r_partitions)
+        return sum(len(columns.rid) for columns in self.r_columns)
+
+    @property
+    def s_objects_total(self) -> int:
+        return len(self.s_value)
+
+    def r_flat(self) -> RColumns:
+        """All of R as one (rid, sptr, payload) triple, in partition order."""
+        return RColumns(*(np.concatenate(column) for column in zip(*self.r_columns)))
+
+    def s_columns(self, partition: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Partition ``partition`` of S as (sid, value, payload) columns."""
+        start = self.pointer_map.partition_start(partition)
+        stop = start + self.pointer_map.partition_size(partition)
+        return (
+            np.arange(start, stop, dtype=np.uint64),
+            self.s_value[start:stop],
+            self.s_payload[start:stop],
+        )
+
+    # ---------------------------------------------------------- object views
+    #
+    # Built on first access and kept: the simulator and the scalar oracle
+    # want objects; the real backend, the governor and the daemon never ask.
+
+    @cached_property
+    def s_objects(self) -> List[SObject]:
+        return list(map(
+            SObject._make,
+            zip(range(len(self.s_value)), self.s_value.tolist(),
+                self.s_payload.tolist()),
+        ))
+
+    @cached_property
+    def r_partitions(self) -> List[List[RObject]]:
+        return [
+            list(map(RObject._make, zip(*(column.tolist() for column in columns))))
+            for columns in self.r_columns
+        ]
 
     def s_partition(self, partition: int) -> List[SObject]:
         start = self.pointer_map.partition_start(partition)
         size = self.pointer_map.partition_size(partition)
         return self.s_objects[start : start + size]
 
+    # ------------------------------------------------------------ the model
+
+    @cached_property
+    def _skew(self) -> float:
+        return _partition.column_skew(
+            [columns.sptr for columns in self.r_columns], self.pointer_map
+        )
+
     def measured_skew(self) -> float:
-        """The paper's skew statistic, measured on the actual pointers."""
-        return workload_skew(self.r_partitions, self.pointer_map)
+        """The paper's skew statistic, measured (once) on the actual pointers."""
+        return self._skew
 
     def relation_parameters(self, measured_skew: bool = True) -> RelationParameters:
         """Describe this workload to the analytical model."""
         return RelationParameters(
             r_objects=self.r_objects_total,
-            s_objects=len(self.s_objects),
+            s_objects=self.s_objects_total,
             r_bytes=self.spec.r_bytes,
             s_bytes=self.spec.s_bytes,
             sptr_bytes=self.spec.sptr_bytes,
@@ -94,43 +166,62 @@ class Workload:
         Every R-object joins exactly the S-object its pointer names, so the
         oracle is immediate from the workload itself.
         """
-        return [
-            (obj.rid, obj.sptr)
-            for partition in self.r_partitions
-            for obj in partition
-        ]
+        rid, sptr, _payload = self.r_flat()
+        return list(zip(rid.tolist(), sptr.tolist()))
 
 
 def generate_workload(spec: WorkloadSpec, disks: int) -> Workload:
-    """Materialize a workload for a ``disks``-way parallel join."""
+    """Materialize a workload for a ``disks``-way parallel join.
+
+    The draw order from ``random.Random(spec.seed)`` is part of the format
+    (a seed names the same objects on every version): S's value then
+    payload per object, the sampler's pointers, one payload per pointer,
+    then the shuffle.
+    """
     if disks <= 0:
         raise ValueError("disks must be positive")
     rng = random.Random(spec.seed)
+    randrange = rng.randrange
 
-    s_objects = [
-        SObject(sid=i, value=rng.randrange(1_000_000), payload=rng.randrange(1 << 30))
-        for i in range(spec.s_objects)
-    ]
+    s_fields = np.array(
+        [
+            randrange(bound)
+            for _ in range(spec.s_objects)
+            for bound in (1_000_000, 1 << 30)
+        ],
+        dtype=np.uint64,
+    ).reshape(spec.s_objects, 2)
 
     sample = sampler(spec.distribution)
     pointers: Sequence[int] = sample(
         rng, spec.r_objects, spec.s_objects, **spec.distribution_args
     )
-    r_objects = [
-        RObject(rid=i, sptr=ptr, payload=rng.randrange(1 << 30))
-        for i, ptr in enumerate(pointers)
-    ]
+    rid = np.arange(len(pointers), dtype=np.uint64)
+    sptr = np.array(pointers, dtype=np.uint64)
+    payload = np.array(
+        [randrange(1 << 30) for _ in range(len(pointers))], dtype=np.uint64
+    )
     # Shuffle before splitting so positional partitioning is random
     # assignment, matching the paper's "randomly distributed" premise —
     # unless the sampler declares that R's order is part of the
     # distribution (clustered runs would be destroyed by a shuffle).
+    # Shuffling an index list draws exactly what shuffling the objects did.
     if not getattr(sample, "order_matters", False):
-        rng.shuffle(r_objects)
+        order = list(range(len(pointers)))
+        rng.shuffle(order)
+        rid = np.array(order, dtype=np.uint64)
+        sptr, payload = sptr[rid], payload[rid]
 
     return Workload(
         spec=spec,
         disks=disks,
-        s_objects=s_objects,
-        r_partitions=split_evenly(r_objects, disks),
+        r_columns=tuple(
+            RColumns(*columns)
+            for columns in zip(
+                *(_partition.split_evenly(c, disks) for c in (rid, sptr, payload))
+            )
+        ),
+        s_value=s_fields[:, 0].copy(),
+        s_payload=s_fields[:, 1].copy(),
         pointer_map=PointerMap(s_objects=spec.s_objects, partitions=disks),
     )

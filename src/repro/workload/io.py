@@ -16,8 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.pointer import PointerMap
-from repro.core.records import RObject, SObject
-from repro.workload.generator import Workload, WorkloadSpec
+from repro.workload.generator import RColumns, Workload, WorkloadSpec
 
 FORMAT_VERSION = 1
 
@@ -28,10 +27,6 @@ class WorkloadIOError(RuntimeError):
 
 def save_workload(workload: Workload, path: str | os.PathLike) -> None:
     """Write a workload to an ``.npz`` archive."""
-    r_objects = [obj for partition in workload.r_partitions for obj in partition]
-    partition_sizes = np.array(
-        [len(p) for p in workload.r_partitions], dtype=np.int64
-    )
     header = {
         "format_version": FORMAT_VERSION,
         "disks": workload.disks,
@@ -46,18 +41,21 @@ def save_workload(workload: Workload, path: str | os.PathLike) -> None:
             "seed": workload.spec.seed,
         },
     }
+    r_rid, r_sptr, r_payload = (
+        column.astype(np.int64) for column in workload.r_flat()
+    )
     np.savez_compressed(
         path,
         header=np.frombuffer(json.dumps(header).encode(), dtype=np.uint8),
-        partition_sizes=partition_sizes,
-        r_rid=np.array([o.rid for o in r_objects], dtype=np.int64),
-        r_sptr=np.array([o.sptr for o in r_objects], dtype=np.int64),
-        r_payload=np.array([o.payload for o in r_objects], dtype=np.int64),
-        s_sid=np.array([o.sid for o in workload.s_objects], dtype=np.int64),
-        s_value=np.array([o.value for o in workload.s_objects], dtype=np.int64),
-        s_payload=np.array(
-            [o.payload for o in workload.s_objects], dtype=np.int64
+        partition_sizes=np.array(
+            [len(columns.rid) for columns in workload.r_columns], dtype=np.int64
         ),
+        r_rid=r_rid,
+        r_sptr=r_sptr,
+        r_payload=r_payload,
+        s_sid=np.arange(workload.s_objects_total, dtype=np.int64),
+        s_value=workload.s_value.astype(np.int64),
+        s_payload=workload.s_payload.astype(np.int64),
     )
 
 
@@ -82,53 +80,55 @@ def load_workload(path: str | os.PathLike) -> Workload:
 
     spec = WorkloadSpec(**header["spec"])
     disks = int(header["disks"])
+    try:
+        fields = {
+            name: archive[name]
+            for name in ("r_rid", "r_sptr", "r_payload",
+                         "s_sid", "s_value", "s_payload", "partition_sizes")
+        }
+    except KeyError as exc:
+        raise WorkloadIOError(f"{path} is missing array {exc}") from exc
+    _validate(fields, disks, path)
 
-    s_objects = [
-        SObject(sid=int(sid), value=int(value), payload=int(payload))
-        for sid, value, payload in zip(
-            archive["s_sid"], archive["s_value"], archive["s_payload"]
-        )
-    ]
-    r_flat = [
-        RObject(rid=int(rid), sptr=int(sptr), payload=int(payload))
-        for rid, sptr, payload in zip(
-            archive["r_rid"], archive["r_sptr"], archive["r_payload"]
-        )
-    ]
-
-    partition_sizes = [int(n) for n in archive["partition_sizes"]]
-    if len(partition_sizes) != disks:
-        raise WorkloadIOError(
-            f"{path}: partition count {len(partition_sizes)} does not match "
-            f"disks {disks}"
-        )
-    if sum(partition_sizes) != len(r_flat):
-        raise WorkloadIOError(f"{path}: partition sizes do not cover R")
-
-    partitions = []
-    cursor = 0
-    for size in partition_sizes:
-        partitions.append(r_flat[cursor : cursor + size])
-        cursor += size
-
-    workload = Workload(
+    r_flat = [fields[name].astype(np.uint64)
+              for name in ("r_rid", "r_sptr", "r_payload")]
+    bounds = np.cumsum(fields["partition_sizes"])[:-1]
+    return Workload(
         spec=spec,
         disks=disks,
-        s_objects=s_objects,
-        r_partitions=partitions,
-        pointer_map=PointerMap(s_objects=len(s_objects), partitions=disks),
+        r_columns=tuple(
+            RColumns(*columns)
+            for columns in zip(*(np.split(column, bounds) for column in r_flat))
+        ),
+        s_value=fields["s_value"].astype(np.uint64),
+        s_payload=fields["s_payload"].astype(np.uint64),
+        pointer_map=PointerMap(s_objects=len(fields["s_sid"]), partitions=disks),
     )
-    _validate(workload, path)
-    return workload
 
 
-def _validate(workload: Workload, path: Path) -> None:
-    """Sanity-check pointer ranges so corrupt files fail loudly."""
-    n_s = len(workload.s_objects)
-    for partition in workload.r_partitions:
-        for obj in partition:
-            if not 0 <= obj.sptr < n_s:
-                raise WorkloadIOError(
-                    f"{path}: R object {obj.rid} has out-of-range pointer "
-                    f"{obj.sptr} (|S| = {n_s})"
-                )
+def _validate(fields: dict, disks: int, path: Path) -> None:
+    """Sanity-check shapes and pointer ranges so corrupt files fail loudly."""
+    for name, array in fields.items():
+        if array.ndim != 1 or array.dtype.kind not in "iu":
+            raise WorkloadIOError(f"{path}: {name} is not a 1-d integer array")
+        # A negative pointer is reported below, as the out-of-range one it is.
+        if name != "r_sptr" and array.size and int(array.min()) < 0:
+            raise WorkloadIOError(f"{path}: {name} holds a negative value")
+    sizes, rid, sptr = fields["partition_sizes"], fields["r_rid"], fields["r_sptr"]
+    if len(sizes) != disks:
+        raise WorkloadIOError(
+            f"{path}: partition count {len(sizes)} does not match disks {disks}"
+        )
+    if not len(rid) == len(sptr) == len(fields["r_payload"]) == int(sizes.sum()):
+        raise WorkloadIOError(f"{path}: partition sizes do not cover R")
+    n_s = len(fields["s_sid"])
+    if not n_s == len(fields["s_value"]) == len(fields["s_payload"]) or (
+        fields["s_sid"] != np.arange(n_s)
+    ).any():
+        raise WorkloadIOError(f"{path}: S columns are not indexed by sid")
+    bad = np.flatnonzero((sptr < 0) | (sptr >= n_s))
+    if bad.size:
+        raise WorkloadIOError(
+            f"{path}: R object {int(rid[bad[0]])} has out-of-range pointer "
+            f"{int(sptr[bad[0]])} (|S| = {n_s})"
+        )

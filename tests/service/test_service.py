@@ -164,6 +164,60 @@ def test_second_request_reuses_the_warm_store(make_service):
     assert service.registry.counters["service.store_reuses_total"] == 1
 
 
+def test_concurrent_first_requests_generate_the_workload_once(
+    make_service, monkeypatch
+):
+    """Two first sights of one signature: one generate, one shared instance."""
+    from repro.service import server
+
+    generated = []
+
+    def slow_generate(spec, disks):
+        generated.append(spec)
+        time.sleep(0.3)  # hold the window in which a sibling request arrives
+        return generate_workload(spec, disks)
+
+    monkeypatch.setattr(server, "generate_workload", slow_generate)
+    service = make_service()
+    spec_args = {"scale": SCALE, "seed": SEED, "disks": DISKS,
+                 "distribution": "uniform"}
+    gate = threading.Barrier(2)
+    seen = []
+
+    def first_sight():
+        gate.wait(timeout=5)
+        seen.append(service._workload_for(dict(spec_args)))
+
+    threads = [threading.Thread(target=first_sight) for _ in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+    assert len(generated) == 1
+    (one, sig_one), (two, sig_two) = seen
+    assert one is two and sig_one == sig_two
+    assert service._workload_for(dict(spec_args))[0] is one
+
+
+def test_a_failed_generate_is_not_cached(make_service, monkeypatch):
+    from repro.service import server
+
+    service = make_service()
+    spec_args = {"scale": SCALE, "seed": SEED, "disks": DISKS,
+                 "distribution": "uniform"}
+
+    def broken(spec, disks):
+        raise MemoryError("no room for the columns")
+
+    monkeypatch.setattr(server, "generate_workload", broken)
+    with pytest.raises(MemoryError):
+        service._workload_for(dict(spec_args))
+    monkeypatch.undo()
+    workload, _ = service._workload_for(dict(spec_args))
+    assert workload.r_objects_total == int(102_400 * SCALE)
+
+
 def test_shared_worker_pool_serves_bit_identically(make_service, tmp_path):
     service = make_service(use_processes=True, pool_workers=2)
     with JoinServiceClient(service.config.socket_path) as client:

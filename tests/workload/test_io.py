@@ -1,5 +1,7 @@
 """Tests for workload persistence."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -81,4 +83,61 @@ class TestErrors:
         archive["r_sptr"] = bad_sptr
         np.savez(path, **archive)
         with pytest.raises(WorkloadIOError, match="out-of-range"):
+            load_workload(path)
+
+
+class TestParentWrittenArchive:
+    """``data/parent_scale001.npz`` was saved by the object-list
+    implementation (scale 0.01, seed 96, 4 disks); the format did not
+    change when the workload became columnar."""
+
+    ARCHIVE = Path(__file__).parent / "data" / "parent_scale001.npz"
+
+    def test_loads_to_the_generated_columns(self):
+        loaded = load_workload(self.ARCHIVE)
+        fresh = generate_workload(
+            WorkloadSpec.paper_validation(scale=0.01, seed=96), disks=4
+        )
+        assert loaded.spec == fresh.spec and loaded.disks == fresh.disks
+        for mine, theirs in zip(loaded.r_columns, fresh.r_columns, strict=True):
+            for a, b in zip(mine, theirs, strict=True):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert np.array_equal(loaded.s_value, fresh.s_value)
+        assert np.array_equal(loaded.s_payload, fresh.s_payload)
+
+    def test_resaving_reproduces_every_array(self, tmp_path):
+        save_workload(load_workload(self.ARCHIVE), tmp_path / "again.npz")
+        parent, again = np.load(self.ARCHIVE), np.load(tmp_path / "again.npz")
+        assert sorted(parent.files) == sorted(again.files)
+        for name in parent.files:
+            assert parent[name].dtype == again[name].dtype
+            assert np.array_equal(parent[name], again[name]), name
+
+
+class TestRejectsWhatColumnsCannotHold:
+    def _rewrite(self, workload, path, **changes):
+        save_workload(workload, path)
+        archive = dict(np.load(path))
+        for name, edit in changes.items():
+            array = archive[name].copy()
+            edit(array)
+            archive[name] = array
+        np.savez(path, **archive)
+
+    def test_negative_pointer_reported_as_out_of_range(self, workload, tmp_path):
+        path = tmp_path / "wl.npz"
+        self._rewrite(workload, path, r_sptr=lambda a: a.__setitem__(3, -1))
+        with pytest.raises(WorkloadIOError, match="out-of-range pointer -1"):
+            load_workload(path)
+
+    def test_negative_field_rejected(self, workload, tmp_path):
+        path = tmp_path / "wl.npz"
+        self._rewrite(workload, path, s_value=lambda a: a.__setitem__(0, -5))
+        with pytest.raises(WorkloadIOError, match="negative"):
+            load_workload(path)
+
+    def test_non_positional_sid_rejected(self, workload, tmp_path):
+        path = tmp_path / "wl.npz"
+        self._rewrite(workload, path, s_sid=lambda a: a.__setitem__(0, 7))
+        with pytest.raises(WorkloadIOError, match="indexed by sid"):
             load_workload(path)
