@@ -143,9 +143,8 @@ def build_parser() -> argparse.ArgumentParser:
     join.add_argument(
         "--kernels", choices=("scalar", "vector"), default=None,
         help="stage-kernel implementation: numpy-vectorized inner loops "
-             "(vector, the default when numpy is importable) or the "
-             "per-record scalar path (debugging/equivalence baselines); "
-             "also settable via REPRO_KERNELS",
+             "(vector, the default) or the per-record scalar path "
+             "(debugging/equivalence baselines)",
     )
     join.add_argument(
         "--partitioner", choices=PARTITIONER_NAMES, default=None,
@@ -153,8 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
              "the paper's order-preserving hash, the cache-budgeted "
              "radix scatter, or the learned equal-depth CDF model; "
              "default is the plan's declared strategy (grace-radix/"
-             "grace-learned differ from grace only there); also "
-             "settable via REPRO_PARTITIONER",
+             "grace-learned differ from grace only there)",
     )
     join.add_argument(
         "--resume", action="store_true",

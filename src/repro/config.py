@@ -1,24 +1,13 @@
 """The repo's runtime knobs, registered in one place.
 
 Every ``REPRO_*`` environment variable the code base consults is declared
-here as a :class:`Knob`, so a new knob gets a name, a documented default
-and a validated value set exactly once — instead of one ad-hoc
-``os.environ.get`` per module.  The accessors below are the *environment
-layer* of a fixed precedence order that every knob follows:
-
-1. **CLI flag / explicit argument** — a caller passing a value wins
-   outright (``repro join --kernels scalar``, ``run_real_join(
-   partitioner="radix")``);
-2. **marker file** — run-scoped state installed into the store root by
-   the driver (``kernels.mode``, ``partitioner.json``), which reaches
-   pool workers that forked before the run began and can change between
-   degradation rounds — an env var can do neither;
-3. **environment** — the ``REPRO_*`` variable, read through this module;
-4. **default** — the knob's declared default.
-
-Modules therefore call this layer only *after* their flag and marker
-checks fail (see :func:`repro.parallel.engine.task.resolve_kernel_mode`
-for the canonical chain).
+here as a :class:`Knob`, so a new knob gets a name and a documented
+default exactly once — instead of one ad-hoc ``os.environ.get`` per
+module.  Precedence is: an explicit argument wins, else the default;
+the environment only supplies process-wide settings that have no
+argument to travel in (integrity, bench and test switches).  Per-run
+state — kernel mode, partitioner, budgets — never comes from here: it
+travels to the workers inside each task.
 
 This module is import-light on purpose — stdlib only — so the storage
 layer, the engine, and the benches can all depend on it without cycles.
@@ -28,7 +17,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 
 @dataclass(frozen=True)
@@ -37,8 +26,6 @@ class Knob:
 
     name: str
     env: str
-    #: Legal values for choice knobs; ``None`` for free-form/flag knobs.
-    choices: Optional[Tuple[str, ...]]
     default: Optional[str]
     description: str
 
@@ -48,31 +35,8 @@ KNOBS: Dict[str, Knob] = {
     knob.name: knob
     for knob in (
         Knob(
-            name="kernels",
-            env="REPRO_KERNELS",
-            choices=("scalar", "vector"),
-            default=None,
-            description=(
-                "stage-kernel implementation fallback for direct kernel "
-                "calls and un-marked stores; the run-scoped kernels.mode "
-                "marker and the --kernels flag take precedence"
-            ),
-        ),
-        Knob(
-            name="partitioner",
-            env="REPRO_PARTITIONER",
-            choices=("hash", "radix", "learned"),
-            default=None,
-            description=(
-                "partitioning strategy override for the bucketed plans; "
-                "an explicit partitioner argument (--partitioner) wins, "
-                "and unset leaves each plan's declared strategy"
-            ),
-        ),
-        Knob(
             name="integrity",
             env="REPRO_INTEGRITY",
-            choices=None,
             default="on",
             description=(
                 "segment payload checksums: 'off'/'0'/'none' disables "
@@ -84,7 +48,6 @@ KNOBS: Dict[str, Knob] = {
         Knob(
             name="bench_full",
             env="REPRO_BENCH_FULL",
-            choices=None,
             default=None,
             description=(
                 "set to 1 to run the full-paper-scale benchmark variants "
@@ -94,28 +57,24 @@ KNOBS: Dict[str, Knob] = {
         Knob(
             name="bench_scale",
             env="REPRO_BENCH_SCALE",
-            choices=None,
             default=None,
             description="workload scale factor for the benchmark suites",
         ),
         Knob(
             name="bench_skew_repeats",
             env="REPRO_BENCH_SKEW_REPEATS",
-            choices=None,
             default=None,
             description="repeat count for the skew-matrix bench timings",
         ),
         Knob(
             name="smoke_out",
             env="REPRO_SMOKE_OUT",
-            choices=None,
             default=None,
             description="write the smoke benches' JSON report to this path",
         ),
         Knob(
             name="regen_golden",
             env="REPRO_REGEN_GOLDEN",
-            choices=None,
             default=None,
             description="set to 1 to regenerate golden test fixtures",
         ),
@@ -135,23 +94,6 @@ def env_value(name: str) -> Optional[str]:
     """The knob's raw environment value, stripped; None when unset/empty."""
     raw = os.environ.get(knob(name).env, "").strip()
     return raw or None
-
-
-def env_choice(name: str) -> Optional[str]:
-    """The knob's environment value validated against its choices.
-
-    Returns None when unset — or when the value is not a legal choice,
-    so a stray environment variable degrades to the default instead of
-    breaking every run in the shell that exported it.
-    """
-    entry = knob(name)
-    raw = env_value(name)
-    if raw is None:
-        return None
-    value = raw.lower()
-    if entry.choices is not None and value not in entry.choices:
-        return None
-    return value
 
 
 def env_flag(name: str) -> bool:

@@ -15,10 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-try:  # pragma: no cover - numpy ships with the toolchain; guarded anyway
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
+import numpy as _np
 
 
 class PointerError(ValueError):

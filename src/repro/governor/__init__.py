@@ -11,15 +11,7 @@ The package depends only on :mod:`repro.model` and the standard library,
 so the storage and parallel layers can import it without cycles.
 """
 
-from repro.governor.budget import (
-    GOVERNOR_FILE,
-    BudgetFile,
-    disk_preflight,
-    install_budgets,
-    load_budgets,
-    store_usage_bytes,
-    sweep_budgets,
-)
+from repro.governor.budget import disk_preflight, store_usage_bytes
 from repro.governor.errors import (
     DISK_FULL_ERRNOS,
     AdmissionRejected,
@@ -50,13 +42,8 @@ from repro.governor.watchdog import (
 )
 
 __all__ = [
-    "GOVERNOR_FILE",
-    "BudgetFile",
     "disk_preflight",
-    "install_budgets",
-    "load_budgets",
     "store_usage_bytes",
-    "sweep_budgets",
     "DISK_FULL_ERRNOS",
     "AdmissionRejected",
     "DiskExhausted",

@@ -1,10 +1,9 @@
-"""Budget propagation and disk reservation accounting.
+"""Disk reservation accounting and the pre-creation budget check.
 
-Budgets follow the same files-only protocol as the metrics marker and the
-fault plan: the driver writes a small ``governor.json`` into the store
-root, and every worker (including pool processes forked before the join
-began) reads it at task entry.  Nothing is widened in any worker argument
-or return type.
+Budgets travel to a worker in its task and live on the worker's active
+:class:`~repro.governor.watchdog.MemoryMeter` for the duration of the
+task (the driver activates one around the run, so materialization is
+checked too).  Nothing about a budget is ever written to the store.
 
 Disk accounting exploits a property the storage layer already has:
 :meth:`MappedSegment.create` truncates the file to its *full* capacity up
@@ -19,79 +18,15 @@ mid-write, and raises the classified
 
 from __future__ import annotations
 
-import json
 import os
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
 
 from repro.governor.errors import DiskExhausted
-
-#: Presence of this file in the store root arms budget enforcement.
-GOVERNOR_FILE = "governor.json"
+from repro.governor.watchdog import active_meter
 
 #: Suffixes of the files whose sizes constitute the store's disk usage
-#: (segments and their unpublished tmp siblings; control files are noise).
+#: (segments and their unpublished tmp siblings; anything else is noise).
 _SEGMENT_SUFFIXES = (".seg", ".seg.tmp")
-
-
-@dataclass(frozen=True)
-class BudgetFile:
-    """The per-run budgets the driver hands its workers."""
-
-    worker_mem_budget_bytes: Optional[int] = None
-    disk_budget_bytes: Optional[int] = None
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "worker_mem_budget_bytes": self.worker_mem_budget_bytes,
-                "disk_budget_bytes": self.disk_budget_bytes,
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "BudgetFile":
-        data = json.loads(text)
-        return cls(
-            worker_mem_budget_bytes=data.get("worker_mem_budget_bytes"),
-            disk_budget_bytes=data.get("disk_budget_bytes"),
-        )
-
-
-def install_budgets(
-    root: str | os.PathLike,
-    worker_mem_budget_bytes: Optional[int] = None,
-    disk_budget_bytes: Optional[int] = None,
-) -> Path:
-    """Arm budgets for every worker that opens ``root``."""
-    path = Path(root) / GOVERNOR_FILE
-    path.write_text(
-        BudgetFile(worker_mem_budget_bytes, disk_budget_bytes).to_json()
-    )
-    return path
-
-
-def load_budgets(root: str | os.PathLike) -> Optional[BudgetFile]:
-    """The armed budgets, or ``None``.  Costs one ``stat`` when unarmed."""
-    path = Path(root) / GOVERNOR_FILE
-    try:
-        text = path.read_text()
-    except OSError:
-        return None
-    try:
-        return BudgetFile.from_json(text)
-    except (ValueError, TypeError):
-        # A torn/garbage budget file must not take the whole run down;
-        # treat it as unarmed (the driver rewrites it every run anyway).
-        return None
-
-
-def sweep_budgets(root: str | os.PathLike) -> None:
-    """Remove the budget file (called on every run-exit path)."""
-    root = Path(root)
-    if root.exists():
-        (root / GOVERNOR_FILE).unlink(missing_ok=True)
 
 
 def store_usage_bytes(root: str | os.PathLike) -> int:
@@ -112,21 +47,20 @@ def store_usage_bytes(root: str | os.PathLike) -> int:
 
 
 def disk_preflight(segment_path: str | os.PathLike, nbytes: int) -> None:
-    """Refuse a segment creation that would cross the store's disk budget.
+    """Refuse a segment creation that would cross the armed disk budget.
 
-    ``segment_path`` lives at ``<root>/disk<N>/<name>.seg``, so the store
-    root (where ``governor.json`` lives) is two levels up.  Without an
-    armed budget this is one failed ``stat``.
+    The budget and the store root it is summed over come from the active
+    meter; with none armed this is one attribute read.
     """
-    root = Path(segment_path).parent.parent
-    budgets = load_budgets(root)
-    if budgets is None or budgets.disk_budget_bytes is None:
+    meter = active_meter()
+    limit = meter.disk_limit_bytes
+    if limit is None:
         return
-    used = store_usage_bytes(root)
-    if used + nbytes > budgets.disk_budget_bytes:
+    used = store_usage_bytes(meter.store_root)
+    if used + nbytes > limit:
         raise DiskExhausted(
             f"disk budget exceeded creating {Path(segment_path).name}",
             requested=nbytes,
-            limit=budgets.disk_budget_bytes,
+            limit=limit,
             used=used,
         )

@@ -14,12 +14,16 @@ separately (:meth:`MemoryMeter.map_bytes`) but never limited — the OS
 pager reclaims clean mapped pages under pressure, so mapping a large
 segment is not the same hazard as materializing it.
 
-Activation mirrors :mod:`repro.obs.registry`: a process-local stack, a
+Activation mirrors :mod:`repro.obs.registry`: a per-thread stack, a
 shared no-op :class:`NullMeter` when nothing is active, and a ``metering``
 context manager.  A charge that would cross the limit raises
 :class:`~repro.governor.errors.MemoryExhausted` *before* allocating, which
 the runner's degradation loop turns into a smaller plan instead of a dead
 worker.
+
+The meter also carries the run's disk budget and the store root it
+applies to, so :func:`repro.governor.budget.disk_preflight` asks the
+active meter instead of looking anything up on disk.
 
 RSS is sampled once per task from ``getrusage`` — a lifetime high-water
 mark per process, reported as a coarse cross-check gauge next to the
@@ -28,6 +32,7 @@ precise record-byte meter.
 
 from __future__ import annotations
 
+import threading
 from typing import List, Optional
 
 from repro.governor.errors import MemoryExhausted
@@ -54,10 +59,19 @@ class MemoryMeter:
 
     enabled = True
 
-    def __init__(self, limit_bytes: Optional[int] = None) -> None:
+    def __init__(
+        self,
+        limit_bytes: Optional[int] = None,
+        disk_limit_bytes: Optional[int] = None,
+        store_root: Optional[str] = None,
+    ) -> None:
         if limit_bytes is not None and limit_bytes <= 0:
             raise ValueError(f"limit_bytes must be positive: {limit_bytes}")
         self.limit_bytes = limit_bytes
+        #: Whole-store disk budget and the root it is summed over; read by
+        #: ``disk_preflight`` before every segment creation.
+        self.disk_limit_bytes = disk_limit_bytes
+        self.store_root = store_root
         self.charged_bytes = 0
         self.high_water_bytes = 0
         self.mapped_bytes = 0
@@ -124,23 +138,39 @@ class NullMeter(MemoryMeter):
 
 
 _NULL = NullMeter()
-_ACTIVE: List[MemoryMeter] = []
+
+
+class _ActiveStacks(threading.local):
+    """Per-thread activation stacks (same shape as ``obs.registry``).
+
+    The join-service daemon runs inline tasks on its connection threads;
+    a process-global stack would let one request's task charge — and
+    trip — a sibling request's meter.
+    """
+
+    def __init__(self) -> None:
+        self.stack: List[MemoryMeter] = []
+
+
+_ACTIVE = _ActiveStacks()
 
 
 def active_meter() -> MemoryMeter:
     """The meter instrumented code should charge right now."""
-    return _ACTIVE[-1] if _ACTIVE else _NULL
+    stack = _ACTIVE.stack
+    return stack[-1] if stack else _NULL
 
 
 def activate_meter(meter: MemoryMeter) -> MemoryMeter:
-    """Push a meter; storage and worker code in this process charges it."""
-    _ACTIVE.append(meter)
+    """Push a meter; storage and worker code in this thread charges it."""
+    _ACTIVE.stack.append(meter)
     return meter
 
 
 def deactivate_meter() -> Optional[MemoryMeter]:
     """Pop the innermost active meter (no-op when none is active)."""
-    return _ACTIVE.pop() if _ACTIVE else None
+    stack = _ACTIVE.stack
+    return stack.pop() if stack else None
 
 
 class metering:
@@ -150,8 +180,15 @@ class metering:
         self,
         limit_bytes: Optional[int] = None,
         meter: Optional[MemoryMeter] = None,
+        *,
+        disk_limit_bytes: Optional[int] = None,
+        store_root: Optional[str] = None,
     ) -> None:
-        self.meter = meter if meter is not None else MemoryMeter(limit_bytes)
+        self.meter = (
+            meter
+            if meter is not None
+            else MemoryMeter(limit_bytes, disk_limit_bytes, store_root)
+        )
 
     def __enter__(self) -> MemoryMeter:
         return activate_meter(self.meter)

@@ -9,7 +9,6 @@ admission/governance facade.
 from repro.parallel.engine.stages import PassPlan, PassPlanError, plan_for
 from repro.parallel.faults import (
     ALGORITHM_TASKS,
-    FAULTS_FILE,
     FaultPlan,
     FaultPlanError,
     FaultSpec,
@@ -32,7 +31,6 @@ from repro.parallel.workers import PairResult
 
 __all__ = [
     "ALGORITHM_TASKS",
-    "FAULTS_FILE",
     "FaultPlan",
     "FaultPlanError",
     "FaultSpec",

@@ -18,7 +18,6 @@ from repro.parallel.engine.stages import (
     ScanJoinStage,
     SortRunStage,
     Stage,
-    StageContext,
     algorithms,
     plan_for,
     register_plan,
@@ -27,13 +26,12 @@ from repro.parallel.engine import plans  # noqa: F401  (registers built-ins)
 from repro.parallel.engine.task import (
     BATCH_RECORDS,
     CHECKSUM_MOD,
-    OBS_MARKER,
     PairResult,
     PairSink,
     StageOutput,
+    TaskSpec,
     bucket_spill_name,
     bucket_spill_paths,
-    metrics_sidecar,
     pairs_name,
     rebatch,
     register_kernel,
@@ -49,7 +47,6 @@ __all__ = [
     "CHECKSUM_MOD",
     "ConservationRule",
     "MergeStage",
-    "OBS_MARKER",
     "PairResult",
     "PairSink",
     "PartitionStage",
@@ -59,12 +56,11 @@ __all__ = [
     "ScanJoinStage",
     "SortRunStage",
     "Stage",
-    "StageContext",
     "StageOutput",
+    "TaskSpec",
     "algorithms",
     "bucket_spill_name",
     "bucket_spill_paths",
-    "metrics_sidecar",
     "pairs_name",
     "plan_for",
     "rebatch",

@@ -4,19 +4,20 @@ One function, :func:`execute_plan`, runs *any* registered
 :class:`~repro.parallel.engine.stages.PassPlan` and owns everything the
 old per-algorithm runner duplicated per pass:
 
-* store lifecycle — orphan sweep, budget install, metrics marker, fault
-  plan install, workload materialization, final artifact sweep/destroy;
-* task fan-out — one :func:`~repro.parallel.engine.task.run_task` payload
-  per partition per stage, dispatched to a shared
-  :class:`multiprocessing.Pool` (or inline), futures drained with an
-  optional timeout;
+* store lifecycle — orphan sweep, workload materialization, final
+  orphan sweep/destroy;
+* task fan-out — one :class:`~repro.parallel.engine.task.TaskSpec` per
+  partition per stage carrying the whole of the task's run state (plan,
+  budgets, metrics flag, partitioner state, the attempt's fault),
+  dispatched to a shared :class:`multiprocessing.Pool` (or inline),
+  futures drained with an optional timeout;
 * recovery — a retry budget with exponential backoff, inline fallback
   when the pool is unrecoverable, and dirty-pool termination;
 * governance — classified :class:`ResourceExhausted` failures end the
   round (drained, never retried) and descend one rung of the plan's
   degradation ladder before the round re-executes from clean temps;
-* observability — per-stage spans, driver counters, worker sidecar
-  harvest, disk high-water sampling;
+* observability — per-stage spans, driver counters, the worker registry
+  snapshots each task returns, disk high-water sampling;
 * invariants — the plan's :class:`ConservationRule` set, each rule
   checked the moment every stage it references has completed.
 
@@ -42,18 +43,21 @@ round (temps cleared; stages are idempotent), and re-executes.
 
 from __future__ import annotations
 
-import json
 import multiprocessing
 import multiprocessing.pool
 import time
-from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.core.records import JoinedPair
-from repro.governor.budget import install_budgets, store_usage_bytes
+from repro.governor.budget import store_usage_bytes
 from repro.governor.errors import ResourceExhausted
 from repro.governor.predict import JoinPlan
+from repro.governor.watchdog import (
+    MemoryMeter,
+    activate_meter,
+    deactivate_meter,
+)
 from repro.obs.registry import MetricsRegistry, activate, active, deactivate
 from repro.obs.spans import span
 from repro.parallel.engine.checkpoint import (
@@ -65,34 +69,22 @@ from repro.parallel.engine.checkpoint import (
 )
 from repro.parallel.engine.partition import (
     fit_learned_state,
-    install_partitioner_state,
     partitioner_class,
-    sweep_partitioner_state,
 )
 from repro.parallel.engine.rebalance import plan_stage_rebalance
-from repro.parallel.engine.stages import PassPlan, Stage, StageContext
+from repro.parallel.engine.stages import PassPlan, Stage
 from repro.parallel.engine.task import (
     CHECKSUM_MOD,
-    OBS_MARKER,
     PairResult,
     StageOutput,
-    install_kernel_mode,
-    metrics_sidecar,
+    TaskSpec,
     run_paths,
     run_task,
-    sweep_kernel_mode,
-    task_slot,
 )
-from repro.parallel.faults import (
-    FaultPlan,
-    InjectedHang,
-    RetryPolicy,
-    sweep_fault_state,
-)
-from repro.governor.budget import sweep_budgets
+from repro.parallel.faults import FaultPlan, InjectedHang, RetryPolicy
 from repro.storage.relation import iter_pairs_file
 from repro.storage.store import Store
-from repro.workload.generator import Workload
+from repro.workload.generator import Workload, WorkloadSpec
 
 #: Backoff between retry rounds never sleeps longer than this.
 _BACKOFF_CAP_S = 2.0
@@ -137,35 +129,18 @@ class ExecutionOutcome:
     pair_files: List[PairResult] = field(default_factory=list)
 
 
-def sweep_run_artifacts(store_root: str, store: Store) -> None:
-    """Remove every run-scoped control file from the store root.
-
-    Called before a run (stale state from a previous dead driver) and on
-    every exit path (nothing of a finished run may leak): the metrics
-    marker, metrics sidecars, the fault plan and its attempt counters,
-    the budget file, and unpublished ``*.seg.tmp`` segments.
-    """
-    root = Path(store_root)
-    if not root.exists():
-        return
-    (root / OBS_MARKER).unlink(missing_ok=True)
-    for sidecar in root.glob("metrics_*.json"):
-        sidecar.unlink(missing_ok=True)
-    sweep_fault_state(root)
-    sweep_budgets(root)
-    sweep_kernel_mode(root)
-    sweep_partitioner_state(root)
-    store.cleanup_orphans()
-
-
 def plan_stage_units(
     store: Store,
-    ctx: StageContext,
+    spec: WorkloadSpec,
     stage: Stage,
     plan: JoinPlan,
     outcome: "ExecutionOutcome",
-) -> List[tuple]:
-    """One ``(slot, kernel_args)`` dispatch unit per task of ``stage``.
+    *,
+    worker_mem_budget: Optional[int] = None,
+    disk_budget: Optional[int] = None,
+    metrics: bool = False,
+) -> List[TaskSpec]:
+    """One :class:`TaskSpec` per task of ``stage`` — the only place built.
 
     The default is one unit per partition.  For a rebalance-capable
     stage under a plan whose ``rebalance`` mode allows it, the inbound
@@ -173,19 +148,46 @@ def plan_stage_units(
     barrier's published artifacts) and oversized partitions split into
     shard units along the stage's axis; the decision lands in
     ``outcome.rebalance[stage.label]``.
+
+    A partition stage's specs carry the resolved strategy and, when it
+    needs one, a model fit here from the warm store — deterministic
+    stride sampling, so every round, retry and resume refits the
+    identical model.
     """
+    disks = store.disks
     mode = getattr(plan, "rebalance", "off") or "off"
     decision = None
     if stage.rebalance is not None and mode != "off":
         decision = plan_stage_rebalance(
-            store, stage, ctx.disks, mode, plan.buckets
+            store, stage, disks, mode, plan.buckets
         )
-    units: List[tuple] = []
-    for partition in range(ctx.disks):
-        args = stage.args_for(ctx, plan, partition)
+    strategy: Dict[str, object] = {}
+    declared = getattr(stage, "partitioner", None)
+    if declared is not None:
+        name = plan.partitioner or declared
+        strategy["partitioner"] = name
+        if partitioner_class(name).requires_fit:
+            strategy["partitioner_state"] = fit_learned_state(
+                store, disks, spec.s_objects, plan.buckets
+            )
+    units: List[TaskSpec] = []
+    for partition in range(disks):
+        unit = TaskSpec(
+            store_root=str(store.root),
+            disks=disks,
+            partition=partition,
+            s_objects=spec.s_objects,
+            r_bytes=spec.r_bytes,
+            kernel=stage.kernel,
+            plan=plan,
+            worker_mem_budget=worker_mem_budget,
+            disk_budget=disk_budget,
+            metrics=metrics,
+            **strategy,
+        )
         shards = decision.shards[partition] if decision is not None else None
         if not shards:
-            units.append((partition, args))
+            units.append(unit)
             continue
         if stage.kind == "sort-run":
             # Sharded run cutters must not sweep stale runs themselves —
@@ -194,8 +196,7 @@ def plan_stage_units(
             # runs once, before any shard is dispatched.
             for stale in run_paths(store, partition):
                 stale.unlink(missing_ok=True)
-        for shard in shards:
-            units.append((task_slot(partition, shard), args + (shard,)))
+        units.extend(replace(unit, shard=shard) for shard in shards)
     if decision is not None:
         outcome.rebalance[stage.label] = decision.report()
     return units
@@ -240,18 +241,10 @@ def execute_plan(
     policy = policy or RetryPolicy()
     algorithm = pass_plan.algorithm
     disks = workload.disks
-    spec = workload.spec
-    ctx = StageContext(
-        store_root=store_root,
-        disks=disks,
-        s_objects=spec.s_objects,
-        r_bytes=spec.r_bytes,
-    )
     # clean_orphans: this is the driver, the one place where no sibling
     # writer can be mid-publish, so stale *.seg.tmp from a previous dead
     # run are safe to sweep (live tmps are flock-protected regardless).
     store = Store(store_root, disks, clean_orphans=True)
-    sweep_run_artifacts(store_root, store)
 
     # ---------------------------------------------------------- checkpoint
     # Resolve the resume request against the store's manifest before
@@ -305,17 +298,13 @@ def execute_plan(
         replayed=resume_state.records if resume_state is not None else None,
     )
 
-    if worker_mem_budget is not None or disk_budget is not None:
-        install_budgets(store_root, worker_mem_budget, disk_budget)
-    # The marker, not an env var, carries the mode: pool workers fork
-    # with a stale environment, and a degradation round may switch it.
-    install_kernel_mode(store_root, plan.kernel_mode)
     recovery: Dict[str, object] = {
         "retries": 0, "timeouts": 0, "inline_fallbacks": 0,
         "pool_dirty": False,
     }
     outcome.recovery = recovery
     driver_registry: Optional[MetricsRegistry] = None
+    driver_meter: Optional[MemoryMeter] = None
     owns_pool = False
     pair_results: List[PairResult] = []
     # Per-round stage outcomes feeding the conservation rules:
@@ -324,24 +313,36 @@ def execute_plan(
     checked_rules: set = set()
     # Stage labels replayed from the checkpoint manifest this round.
     replayed: set = set()
+    # Dispatches so far per (kernel, partition) — the fault plan's attempt
+    # coordinate.  Deliberately outlives reset_round: a one-shot injected
+    # fault must not re-fire in the degraded round.
+    attempts: Dict[tuple, int] = {}
+
+    def arm(unit: TaskSpec) -> TaskSpec:
+        """Stamp one dispatch with its attempt number and matching fault.
+
+        When the rebalancer split a partition, only shard 0 counts and
+        carries the fault: coordinates are ``(task, partition, attempt)``
+        and must fire exactly once per attempt however the work was
+        sliced.
+        """
+        if unit.shard is not None and unit.shard.index:
+            return unit
+        key = (unit.kernel, unit.partition)
+        attempt = attempts.get(key, 0)
+        attempts[key] = attempt + 1
+        fault = (
+            fault_plan.spec_for(unit.kernel, unit.partition, attempt)
+            if fault_plan is not None
+            else None
+        )
+        return replace(unit, attempt=attempt, fault=fault)
 
     def sample_disk() -> None:
         if governed:
             outcome.disk_peak_bytes = max(
                 outcome.disk_peak_bytes, store_usage_bytes(store_root)
             )
-
-    def harvest_metrics(stage: Stage, slots: Sequence) -> None:
-        """Merge the stage's worker registry sidecars into the outcome."""
-        if not collect_metrics:
-            return
-        snapshots: Dict[object, dict] = {}
-        for slot in slots:
-            sidecar = metrics_sidecar(store_root, stage.kernel, slot)
-            if sidecar.exists():
-                snapshots[slot] = json.loads(sidecar.read_text())
-                sidecar.unlink()
-        outcome.worker_metrics[stage.label] = snapshots
 
     def conserved(ref) -> int:
         label, fld = ref
@@ -372,13 +373,23 @@ def execute_plan(
 
     def run_stage(stage: Stage, current: JoinPlan) -> None:
         checkpoint.begin_stage(store)
-        units = plan_stage_units(store, ctx, stage, current, outcome)
+        units = plan_stage_units(
+            store, workload.spec, stage, current, outcome,
+            worker_mem_budget=worker_mem_budget,
+            disk_budget=disk_budget,
+            metrics=collect_metrics,
+        )
         with span("stage", algo=algorithm, label=stage.label, kind=stage.kind):
-            results = _dispatch_stage(
-                pool, stage, units, outcome.pass_wall_ms,
-                policy, store_root, algorithm, recovery,
+            returned = _dispatch_stage(
+                pool, stage, units, arm, outcome.pass_wall_ms,
+                policy, algorithm, recovery,
             )
-        harvest_metrics(stage, [slot for slot, _args in units])
+        results = [result for result, _snapshot in returned]
+        if collect_metrics:
+            outcome.worker_metrics[stage.label] = {
+                unit.slot: snapshot
+                for unit, (_result, snapshot) in zip(units, returned)
+            }
         sample_disk()
         moved = 0
         stage_pairs: List[PairResult] = []
@@ -431,9 +442,7 @@ def execute_plan(
 
         Temps (spills, runs, chunks, pairs) are re-created from R/S, so
         clearing them keeps a re-planned round from double-counting stale
-        files written under the previous plan's knobs.  Fault attempt
-        counters are deliberately *kept*: a one-shot injected fault must
-        not re-fire in the degraded round.
+        files written under the previous plan's knobs.
         """
         outcome.pass_wall_ms.clear()
         outcome.pass_counts.clear()
@@ -448,41 +457,18 @@ def execute_plan(
         # The manifest describes temps this reset is about to delete; a
         # crash between here and the next barrier must find no manifest.
         checkpoint.reset()
-        for sidecar in Path(store_root).glob("metrics_*.json"):
-            sidecar.unlink(missing_ok=True)
         store.cleanup_temps()
         store.cleanup_orphans()
 
-    def install_partitioners(current: JoinPlan) -> None:
-        """Fit and publish run-scoped partitioner state for this round.
-
-        The learned strategy's CDF model is fit driver-side from the
-        warm store (deterministic stride sampling, so a resumed or
-        retried run refits the identical model) and installed as a
-        marker file — like the kernel mode, an env var could neither
-        reach forked pool workers nor change between degradation
-        rounds.  Stateless strategies sweep any stale model instead.
-        """
-        # Walk the pass plan directly (not the registry): execute_plan
-        # also runs ad-hoc unregistered plans in tests.
-        name = None
-        for stage in pass_plan.stages:
-            declared = getattr(stage, "partitioner", None)
-            if declared is not None:
-                name = current.partitioner or declared
-                break
-        if name is not None and partitioner_class(name).requires_fit:
-            install_partitioner_state(
-                store_root,
-                fit_learned_state(store, disks, spec.s_objects, current.buckets),
-            )
-        else:
-            sweep_partitioner_state(store_root)
-
     try:
         if collect_metrics:
-            (Path(store_root) / OBS_MARKER).touch()
             driver_registry = activate(MetricsRegistry())
+        if disk_budget is not None:
+            # The driver creates segments too (materialize); the meter is
+            # what disk_preflight consults, so arm one for this thread.
+            driver_meter = activate_meter(
+                MemoryMeter(None, disk_budget, store_root)
+            )
         if resume_state is not None:
             # The manifest's scrub already proved R/S and every recorded
             # artifact byte-good; replay the completed stages' outcomes
@@ -538,9 +524,6 @@ def execute_plan(
                         )
             store.cleanup_temps()
         sample_disk()
-        install_partitioners(plan)
-        if fault_plan is not None:
-            fault_plan.install(store_root)
         if pool is None and use_processes and disks > 1:
             owns_pool = True
             pool = multiprocessing.Pool(processes=disks)
@@ -576,8 +559,6 @@ def execute_plan(
                     "runner.degradations_total", 1, algo=algorithm
                 )
                 reset_round()
-                install_kernel_mode(store_root, current.kernel_mode)
-                install_partitioners(current)
         outcome.plan = current
         # A completed run needs no resume; a surviving manifest on a
         # warm store would wrongly skip the *next* join's passes.
@@ -592,6 +573,8 @@ def execute_plan(
                 pairs.extend(iter_pairs_file(result.path, current.batch_records))
             outcome.pairs = pairs
     finally:
+        if driver_meter is not None:
+            deactivate_meter()
         if driver_registry is not None:
             deactivate()
         if owns_pool and pool is not None:
@@ -602,10 +585,9 @@ def execute_plan(
             else:
                 pool.close()
             pool.join()
-        # The run's control files must not outlive the run — success or
-        # failure.  Order matters: only after the pool is gone is no
-        # worker left that could still be writing a sidecar or a .tmp.
-        sweep_run_artifacts(store_root, store)
+        # Only after the pool is gone is no worker left that could still
+        # be writing a .tmp; whatever remains unpublished is an orphan.
+        store.cleanup_orphans()
         if not keep_store:
             store.destroy()
 
@@ -623,18 +605,20 @@ def execute_plan(
 def _dispatch_stage(
     pool,
     stage: Stage,
-    units: Sequence[tuple],
+    units: Sequence[TaskSpec],
+    arm: Callable[[TaskSpec], TaskSpec],
     pass_wall: Dict[str, float],
     policy: RetryPolicy,
-    store_root: str,
     algorithm: str,
     recovery: dict,
 ) -> list:
     """Dispatch one stage's units (tasks), retrying failed ones.
 
-    ``units`` is the ``(slot, kernel_args)`` list from
-    :func:`plan_stage_units` — one per partition, or one per shard where
-    the rebalancer split a partition.  Every task gets ``1 +
+    ``units`` is the spec list from :func:`plan_stage_units` — one per
+    partition, or one per shard where the rebalancer split a partition;
+    ``arm`` stamps each dispatch of a unit with its attempt number and
+    fault.  Returns each unit's ``(kernel_result, registry_snapshot)``
+    from the attempt that finished.  Every task gets ``1 +
     policy.retries`` attempts (plus one optional inline-fallback attempt
     in the parent).  Between rounds the dispatcher backs off
     exponentially.  Retrying is safe because kernel outputs are only
@@ -660,8 +644,8 @@ def _dispatch_stage(
                 min(policy.backoff_s * (2 ** (attempt - 1)), _BACKOFF_CAP_S)
             )
         pending = _run_round(
-            pool, stage, units, pending, results,
-            policy, store_root, recovery, errors, labels,
+            pool, units, arm, pending, results,
+            policy, recovery, errors, labels,
         )
     if pending and pool is not None and policy.fallback_inline:
         # Graceful degradation: the pool could not finish these tasks
@@ -669,11 +653,11 @@ def _dispatch_stage(
         recovery["inline_fallbacks"] += len(pending)
         active().count("runner.inline_fallbacks_total", len(pending), **labels)
         pending = _run_round(
-            None, stage, units, pending, results,
-            policy, store_root, recovery, errors, labels,
+            None, units, arm, pending, results,
+            policy, recovery, errors, labels,
         )
     if pending:
-        slots = [units[idx][0] for idx in pending]
+        slots = [units[idx].slot for idx in pending]
         raise RealJoinError(
             f"{algorithm} {stage.label}: tasks {slots} failed "
             f"{stage.kernel} after {policy.retries + 1} attempt(s)"
@@ -684,12 +668,11 @@ def _dispatch_stage(
 
 def _run_round(
     pool,
-    stage: Stage,
-    units: Sequence[tuple],
+    units: Sequence[TaskSpec],
+    arm: Callable[[TaskSpec], TaskSpec],
     indices: List[int],
     results: list,
     policy: RetryPolicy,
-    store_root: str,
     recovery: dict,
     errors: List[BaseException],
     labels: Dict[str, str],
@@ -703,18 +686,10 @@ def _run_round(
     would corrupt the degraded round) and the first classified error is
     then raised.
     """
-    task = stage.kernel
-    for idx in indices:
-        # A dead attempt may have left a sidecar snapshotted before its
-        # fault fired (or a stale one from a previous run); drop it so
-        # the harvest only ever sees the attempt that actually finished.
-        metrics_sidecar(store_root, task, units[idx][0]).unlink(
-            missing_ok=True
-        )
     still: List[int] = []
     if pool is not None:
         futures = [
-            (idx, pool.apply_async(run_task, ((task, units[idx][1]),)))
+            (idx, pool.apply_async(run_task, (arm(units[idx]),)))
             for idx in indices
         ]
         resource_error: Optional[ResourceExhausted] = None
@@ -730,7 +705,7 @@ def _run_round(
                 active().count("runner.timeouts_total", 1, **labels)
                 errors.append(
                     TimeoutError(
-                        f"{task} task {units[idx][0]} exceeded "
+                        f"{units[idx].kernel} task {units[idx].slot} exceeded "
                         f"{policy.task_timeout}s"
                     )
                 )
@@ -747,7 +722,7 @@ def _run_round(
     else:
         for idx in indices:
             try:
-                results[idx] = run_task((task, units[idx][1]))
+                results[idx] = run_task(arm(units[idx]))
             except ResourceExhausted:
                 raise
             except InjectedHang as error:

@@ -42,28 +42,21 @@ Three strategies are registered:
     never depends on bucket assignment (every bucket's records are
     probed against the same S partition).
 
-The learned model is *state*: the driver fits it once per run
-(:func:`fit_learned_state`) and installs it into the store root as
-``partitioner.json`` (:func:`install_partitioner_state`) — the same
-files-only protocol as ``kernels.mode`` — so pool workers that forked
-before the run began, and retried tasks after a fault, all see the
-identical model.
+The learned model is *state*: the driver fits it once per round
+(:func:`fit_learned_state`) and attaches it to every partition-stage
+task it dispatches, so pool workers that forked before the run began,
+and retried tasks after a fault, all see the identical model.
 
-Module-level imports stay light (stdlib + guarded numpy + stages), so
+Module-level imports stay light (stdlib + numpy + stages), so
 the governor can price partitioner scratch without dragging in storage.
 """
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_left, bisect_right
-from pathlib import Path
 from typing import ClassVar, Dict, List, Optional, Sequence, Type
 
-try:  # pragma: no cover - numpy ships with the toolchain; guarded anyway
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
+import numpy as _np
 
 from repro.parallel.engine.stages import PARTITIONER_NAMES
 
@@ -76,10 +69,6 @@ RADIX_FANOUT = 1 << RADIX_BITS
 #: Per-R-partition cap on pointer keys sampled when fitting the learned
 #: CDF model (stride-sampled, so the sample spans the whole partition).
 LEARNED_SAMPLES_PER_PARTITION = 2048
-
-#: Store-root marker file carrying the fitted partitioner state across
-#: process boundaries (same files-only protocol as ``kernels.mode``).
-PARTITIONER_STATE = "partitioner.json"
 
 
 class PartitionerError(ValueError):
@@ -192,7 +181,7 @@ class Partitioner:
     """
 
     name: ClassVar[str] = ""
-    #: Whether :func:`resolve_partitioner` requires installed fit state.
+    #: Whether :func:`resolve_partitioner` requires fitted state.
     requires_fit: ClassVar[bool] = False
 
     def __init__(
@@ -321,13 +310,10 @@ class LearnedPartitioner(Partitioner):
         for values, cdf in zip(self._values, self._cdf):
             if len(cdf) != len(values) + 1:
                 raise PartitionerError("learned: malformed CDF model")
-        if _np is not None:
-            self._values_np = [
-                _np.asarray(v, dtype=_np.uint64) for v in self._values
-            ]
-            self._cdf_np = [
-                _np.asarray(c, dtype=_np.uint64) for c in self._cdf
-            ]
+        self._values_np = [
+            _np.asarray(v, dtype=_np.uint64) for v in self._values
+        ]
+        self._cdf_np = [_np.asarray(c, dtype=_np.uint64) for c in self._cdf]
 
     def _rank_to_bucket(self, rank: int, total: int) -> int:
         if not total:
@@ -425,60 +411,30 @@ def partitioner_class(name: str) -> Type[Partitioner]:
         ) from None
 
 
-# ----------------------------------------------- run-scoped state files
-
-
-def install_partitioner_state(store_root, state: dict) -> Path:
-    """Publish fitted state into the store root for workers to load."""
-    path = Path(store_root) / PARTITIONER_STATE
-    path.write_text(json.dumps(state))
-    return path
-
-
-def load_partitioner_state(store_root) -> Optional[dict]:
-    """The installed state, or None when no partitioner was fit."""
-    path = Path(store_root) / PARTITIONER_STATE
-    if not path.exists():
-        return None
-    try:
-        state = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError):
-        return None
-    return state if isinstance(state, dict) else None
-
-
-def sweep_partitioner_state(store_root) -> None:
-    """Remove installed state (run teardown; idempotent)."""
-    path = Path(store_root) / PARTITIONER_STATE
-    try:
-        path.unlink()
-    except FileNotFoundError:
-        pass
-
-
 def resolve_partitioner(
-    store_root, name: str, part_sizes: Sequence[int], buckets: int
+    name: str,
+    part_sizes: Sequence[int],
+    buckets: int,
+    state: Optional[dict] = None,
 ) -> Partitioner:
-    """Build the named strategy for a kernel, loading fit state if needed.
+    """Build the named strategy for a kernel from the state it was sent.
 
-    Kernels call this once per task; a fitted strategy whose installed
-    state is missing or was fit for a different geometry fails loudly —
-    silently falling back to another strategy would break the
-    scalar-vs-vector bit-identity contract mid-run.
+    Kernels call this once per task; a fitted strategy whose state is
+    missing or was fit for a different geometry fails loudly — silently
+    falling back to another strategy would break the scalar-vs-vector
+    bit-identity contract mid-run.
     """
     cls = partitioner_class(name)
     if not cls.requires_fit:
         return cls(part_sizes, buckets)
-    state = load_partitioner_state(store_root)
     if (
         state is None
         or state.get("name") != name
         or int(state.get("buckets", -1)) != buckets
     ):
         raise PartitionerError(
-            f"partitioner {name!r} needs fitted state for buckets={buckets} "
-            f"installed at <store>/{PARTITIONER_STATE}; found "
-            f"{state and state.get('name')!r}"
+            f"partitioner {name!r} needs state fitted for buckets={buckets}; "
+            f"got {state and state.get('name')!r}"
         )
     return cls(part_sizes, buckets, state)
 

@@ -8,10 +8,9 @@ plan.  Hybrid hash is the proof: it is the grace plan with the partition
 stage swapped for the resident-joining kernel — no new orchestration, no
 new probe code.
 
-Worker argument tuples always start ``(store_root, disks, partition)``;
-the remaining fields come from the :class:`~repro.governor.predict.
-JoinPlan` knobs so a degraded re-plan changes worker behaviour with no
-stage rewiring.
+Stages carry no knobs: every kernel reads what it needs from the
+:class:`~repro.governor.predict.JoinPlan` inside its task spec, so a
+degraded re-plan changes worker behaviour with no stage rewiring.
 """
 
 from __future__ import annotations
@@ -34,20 +33,12 @@ NESTED_LOOPS = register_plan(PassPlan(
             label="pass0",
             kernel="nested_loops_pass0",
             emits="pairs",
-            build_args=lambda ctx, plan, i: (
-                ctx.store_root, ctx.disks, i, ctx.s_objects, ctx.r_bytes,
-                plan.batch_records,
-            ),
             spills=True,
         ),
         ScanJoinStage(
             label="pass1",
             kernel="nested_loops_pass1",
             emits="pairs",
-            build_args=lambda ctx, plan, i: (
-                ctx.store_root, ctx.disks, i, ctx.s_objects,
-                plan.batch_records,
-            ),
             rebalance="records",
         ),
     ),
@@ -66,29 +57,17 @@ SORT_MERGE = register_plan(PassPlan(
             label="partition",
             kernel="sort_merge_partition",
             emits="moved",
-            build_args=lambda ctx, plan, i: (
-                ctx.store_root, ctx.disks, i, ctx.s_objects, ctx.r_bytes,
-                plan.batch_records,
-            ),
         ),
         SortRunStage(
             label="sort-runs",
             kernel="sort_merge_runs",
             emits="moved",
-            build_args=lambda ctx, plan, i: (
-                ctx.store_root, ctx.disks, i, ctx.r_bytes, plan.irun,
-                plan.batch_records,
-            ),
             rebalance="records",
         ),
         MergeStage(
             label="merge-join",
             kernel="sort_merge_merge_join",
             emits="pairs",
-            build_args=lambda ctx, plan, i: (
-                ctx.store_root, ctx.disks, i, ctx.s_objects, ctx.r_bytes,
-                plan.batch_records,
-            ),
             rebalance="keys",
         ),
     ),
@@ -112,8 +91,8 @@ def _grace_plan(algorithm: str, partitioner: str) -> PassPlan:
 
     The three registered variants differ *only* in the partition stage's
     declared strategy — the proof that a new partitioner is a pure
-    registration.  A ``plan.partitioner`` knob override (CLI/env/ladder)
-    beats the declared default at args-build time.
+    registration.  A ``plan.partitioner`` knob override (CLI/ladder)
+    beats the declared default when the executor builds the task spec.
     """
     return PassPlan(
         algorithm=algorithm,
@@ -122,11 +101,6 @@ def _grace_plan(algorithm: str, partitioner: str) -> PassPlan:
                 label="partition",
                 kernel="grace_partition",
                 emits="moved",
-                build_args=lambda ctx, plan, i: (
-                    ctx.store_root, ctx.disks, i, ctx.s_objects, ctx.r_bytes,
-                    plan.buckets, plan.spill_threshold, plan.batch_records,
-                    plan.partitioner or partitioner,
-                ),
                 buffered=True,
                 partitioner=partitioner,
             ),
@@ -134,10 +108,6 @@ def _grace_plan(algorithm: str, partitioner: str) -> PassPlan:
                 label="probe",
                 kernel="grace_probe",
                 emits="pairs",
-                build_args=lambda ctx, plan, i: (
-                    ctx.store_root, ctx.disks, i, ctx.s_objects, plan.buckets,
-                    plan.tsize, plan.batch_records,
-                ),
                 rebalance="buckets",
             ),
         ),
@@ -163,12 +133,6 @@ HYBRID_HASH = register_plan(PassPlan(
             label="partition",
             kernel="hybrid_hash_partition",
             emits="both",
-            build_args=lambda ctx, plan, i: (
-                ctx.store_root, ctx.disks, i, ctx.s_objects, ctx.r_bytes,
-                plan.buckets, plan.effective_resident_buckets(),
-                plan.spill_threshold, plan.batch_records,
-                plan.partitioner or "hash",
-            ),
             buffered=True,
             resident_join=True,
         ),
@@ -176,10 +140,6 @@ HYBRID_HASH = register_plan(PassPlan(
             label="probe",
             kernel="grace_probe",
             emits="pairs",
-            build_args=lambda ctx, plan, i: (
-                ctx.store_root, ctx.disks, i, ctx.s_objects, plan.buckets,
-                plan.tsize, plan.batch_records,
-            ),
             rebalance="buckets",
         ),
     ),

@@ -17,9 +17,9 @@ physical operators:
 * :class:`ProbeStage` — per-bucket hash-table probe against S.
 
 The executor (:mod:`repro.parallel.engine.executor`) never looks at the
-algorithm name: it walks the stages, builds each worker's argument tuple
-via :meth:`Stage.build_args`, and enforces the plan's
-:class:`ConservationRule` set.  The governor's footprint model
+algorithm name: it walks the stages, hands each worker one
+:class:`~repro.parallel.engine.task.TaskSpec` naming the stage's kernel,
+and enforces the plan's :class:`ConservationRule` set.  The governor's footprint model
 (:mod:`repro.governor.predict`) walks the same stages, so prediction and
 the degradation ladder extend to a new algorithm automatically when its
 plan is registered.
@@ -31,8 +31,8 @@ without cycles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, ClassVar, Dict, Optional, Tuple, Union
+from dataclasses import dataclass
+from typing import ClassVar, Dict, Optional, Tuple, Union
 
 #: How a stage's per-partition worker return value is interpreted.
 #: ``"moved"`` — an int count of redistributed records; ``"pairs"`` — a
@@ -61,29 +61,13 @@ class PassPlanError(ValueError):
 
 
 @dataclass(frozen=True)
-class StageContext:
-    """Everything a stage needs to build worker argument tuples.
-
-    One context per run; stages combine it with the current
-    :class:`~repro.governor.predict.JoinPlan` (whose knobs change under
-    degradation) and a partition index.
-    """
-
-    store_root: str
-    disks: int
-    s_objects: int
-    r_bytes: int
-
-
-@dataclass(frozen=True)
 class Stage:
     """One pass of a join plan, executed once per partition.
 
     ``kernel`` names a worker function registered with
-    :func:`repro.parallel.engine.task.register_kernel`; ``build_args``
-    produces the positional argument tuple that kernel receives.  Every
-    tuple must start ``(store_root, disks, partition, ...)`` — the engine
-    task wrapper and the fault injector key off those three.
+    :func:`repro.parallel.engine.task.register_kernel`; it receives one
+    :class:`~repro.parallel.engine.task.TaskSpec` and reads the knobs it
+    needs from the spec's plan by name.
     """
 
     kind: ClassVar[str] = "stage"
@@ -91,7 +75,6 @@ class Stage:
     label: str
     kernel: str
     emits: str
-    build_args: Callable = field(compare=False)
     #: The axis the executor may split this stage's per-partition work
     #: along when the inbound sizes are skewed (None — not splittable;
     #: the stage's kernel must understand the attached
@@ -109,15 +92,6 @@ class Stage:
                 f"stage {self.label!r} rebalances along "
                 f"{self.rebalance!r}; choices: {REBALANCE_AXES}"
             )
-
-    def args_for(self, ctx: StageContext, plan, partition: int) -> tuple:
-        args = self.build_args(ctx, plan, partition)
-        if args[:3] != (ctx.store_root, ctx.disks, partition):
-            raise PassPlanError(
-                f"stage {self.label!r} built a malformed arg tuple; it "
-                "must start (store_root, disks, partition)"
-            )
-        return args
 
 
 @dataclass(frozen=True)

@@ -3,10 +3,13 @@
 Everything cross-cutting that every stage kernel used to re-implement
 lives here exactly once:
 
+* :class:`TaskSpec` — the one frozen, picklable value a worker is handed.
+  Run state travels in the task; observations return in the result; the
+  store holds data and the checkpoint, nothing else;
 * :func:`run_task` — the module-level (hence picklable) wrapper the
-  executor dispatches to the pool.  It fires armed faults, loads budgets,
-  activates the memory meter and a process-local metrics registry,
-  snapshots the registry to the task's JSON sidecar, and classifies any
+  executor dispatches to the pool.  It fires the fault the spec carries,
+  activates the memory meter and a task-local metrics registry, returns
+  the registry's snapshot beside the kernel's result, and classifies any
   raw ``OSError``/``MemoryError`` escaping a kernel into the governor's
   :class:`~repro.governor.errors.ResourceExhausted` hierarchy (which
   pickles intact through the pool);
@@ -19,29 +22,27 @@ lives here exactly once:
   agree on names through one module instead of duplicated string logic.
 
 Kernels are plain functions registered by name
-(:func:`register_kernel`); the executor ships only the *name* plus the
-argument tuple across the pool, and :func:`run_task` resolves it in the
-worker process — keeping the pickled payload tiny and the kernels
+(:func:`register_kernel`); the spec names its kernel and
+:func:`run_task` resolves it in the worker process — keeping the kernels
 decorator-free (directly callable in tests).
 """
 
 from __future__ import annotations
 
 import importlib
-import json
 import time
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple
+from typing import (
+    Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple,
+)
 
-try:  # pragma: no cover - numpy ships with the toolchain; guarded anyway
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
+import numpy as _np
 
-from repro import config
+from repro.core.pointer import PointerMap
 from repro.core.records import RObject
-from repro.governor.budget import load_budgets
 from repro.governor.errors import ResourceExhausted, classify_os_error
+from repro.governor.predict import JoinPlan
 from repro.obs.registry import MetricsRegistry, activate, active, deactivate
 from repro.obs.spans import span
 from repro.governor.watchdog import (
@@ -50,38 +51,14 @@ from repro.governor.watchdog import (
     deactivate_meter,
     rss_high_water_bytes,
 )
-from repro.parallel.faults import maybe_inject
+from repro.parallel.faults import FaultSpec, fire_fault
 from repro.storage.relation import PairsFile, RRelationFile
 from repro.storage.store import Store
 
 BATCH_RECORDS = 4096
 CHECKSUM_MOD = 1 << 61
 
-#: Presence of this file in the store root switches worker metrics on.
-OBS_MARKER = "metrics.on"
-
-#: The store-root marker carrying the run's kernel mode to the workers.
-#: Pool workers inherit their environment at fork time, so an env var
-#: cannot switch modes mid-run (a degradation round may flip vector →
-#: scalar); a file in the store root follows the same files-only
-#: cross-process protocol as the metrics marker and the budget file.
-KERNEL_MODE_MARKER = "kernels.mode"
-
 KERNEL_MODES = ("scalar", "vector")
-
-#: Environment fallback for direct kernel calls and un-marked stores
-#: (registered, with the rest of the REPRO_* knobs, in repro.config).
-KERNELS_ENV = config.knob("kernels").env
-
-
-def metrics_sidecar(root: str | Path, task: str, slot: int | str) -> Path:
-    """Where one worker snapshots its registry for the parent to merge.
-
-    ``slot`` is the partition index for an ordinary task, or the string
-    ``"{partition}s{shard}"`` when the rebalancer split the partition's
-    work across shard tasks (each shard snapshots its own sidecar).
-    """
-    return Path(root) / f"metrics_{task}_{slot}.json"
 
 
 # ---------------------------------------------------------------- sharding
@@ -92,10 +69,7 @@ class Shard(NamedTuple):
     ``index``/``count`` place the shard among its siblings for the same
     partition; ``lo``/``hi`` bound the half-open input range along the
     stage's declared axis (record positions, sorted pointer keys, or
-    bucket numbers — the kernel knows which).  The executor appends the
-    shard as the *last* element of the kernel argument tuple so the
-    ``(store_root, disks, partition)`` prefix every kernel and fault
-    coordinate relies on is untouched.
+    bucket numbers — the kernel knows which).
     """
 
     index: int
@@ -111,68 +85,58 @@ class Shard(NamedTuple):
 RUN_SHARD_STRIDE = 1 << 20
 
 
-def shard_of(args) -> Shard | None:
-    """The shard attached to a kernel argument tuple, if any."""
-    tail = args[-1] if len(args) > 3 else None
-    return tail if isinstance(tail, Shard) else None
-
-
 def task_slot(partition: int, shard: Shard | None) -> int | str:
-    """The sidecar/label slot for a task: partition, or partition+shard."""
+    """The metrics/label slot for a task: partition, or partition+shard."""
     return partition if shard is None else f"{partition}s{shard.index}"
 
 
-# ------------------------------------------------------------- kernel mode
+# ---------------------------------------------------------------- the task
 
-def vector_kernels_available() -> bool:
-    """Whether the numpy-backed kernel implementations can run here."""
-    try:
-        from repro.parallel import vectorized
-    except Exception:  # pragma: no cover - import damage counts as absent
-        return False
-    return vectorized.HAVE_NUMPY
+@dataclass(frozen=True)
+class TaskSpec:
+    """Everything one worker task is told — the whole of its run state.
 
-
-def default_kernel_mode() -> str:
-    """Mode when nothing chose one: env override, else vector if possible."""
-    env = config.env_choice("kernels")
-    if env is not None:
-        return env
-    return "vector" if vector_kernels_available() else "scalar"
-
-
-def resolve_kernel_mode(root: str | Path) -> str:
-    """The mode a kernel should run in for the store at ``root``.
-
-    Marker file first (the executor installs one per round, so a degraded
-    re-plan switches every worker), then the environment, then the
-    default.  A vector request degrades to scalar when numpy is missing —
-    the knob selects an implementation, never breaks a join.
+    The executor builds one per task (``plan_stage_units``) and ships it
+    as the pool payload; a kernel called directly (tests) needs only the
+    five store coordinates, every knob defaulting to the ungoverned
+    :class:`~repro.governor.predict.JoinPlan`.
     """
-    try:
-        text = (
-            Path(root, KERNEL_MODE_MARKER).read_text().strip().lower()
-        )
-    except OSError:
-        text = ""
-    mode = text if text in KERNEL_MODES else default_kernel_mode()
-    if mode == "vector" and not vector_kernels_available():
-        mode = "scalar"
-    return mode
 
+    store_root: str
+    disks: int
+    partition: int
+    s_objects: int
+    r_bytes: int
+    #: Registered kernel name; :func:`run_task` resolves it.
+    kernel: str = ""
+    #: The round's plan — a degradation round dispatches specs built from
+    #: the lowered plan, which is how every knob (kernel mode included)
+    #: changes under workers that forked long before the run.
+    plan: JoinPlan = JoinPlan()
+    #: The slice of this partition's input, when the rebalancer split it.
+    shard: Optional[Shard] = None
+    #: Resolved partitioning strategy, and its fitted state when the
+    #: strategy needs one (partition-stage specs only).
+    partitioner: str = "hash"
+    partitioner_state: Optional[dict] = None
+    worker_mem_budget: Optional[int] = None
+    disk_budget: Optional[int] = None
+    #: Collect a task-local metrics registry and return its snapshot.
+    metrics: bool = False
+    #: 0-based count of earlier dispatches of this (kernel, partition),
+    #: and the one fault pinned to that coordinate, if any.
+    attempt: int = 0
+    fault: Optional[FaultSpec] = None
 
-def install_kernel_mode(root: str | Path, mode: str) -> None:
-    """Publish the run's kernel mode for the workers (driver-side)."""
-    if mode not in KERNEL_MODES:
-        raise ValueError(
-            f"unknown kernel mode {mode!r}; choices: {KERNEL_MODES}"
-        )
-    Path(root, KERNEL_MODE_MARKER).write_text(mode + "\n")
+    @property
+    def slot(self) -> int | str:
+        return task_slot(self.partition, self.shard)
 
+    def open_store(self) -> Store:
+        return Store(self.store_root, self.disks)
 
-def sweep_kernel_mode(root: str | Path) -> None:
-    """Remove the kernel-mode marker (run teardown)."""
-    Path(root, KERNEL_MODE_MARKER).unlink(missing_ok=True)
+    def pointer_map(self) -> PointerMap:
+        return PointerMap(s_objects=self.s_objects, partitions=self.disks)
 
 
 # ---------------------------------------------------------- kernel registry
@@ -184,7 +148,7 @@ def register_kernel(func: Callable) -> Callable:
     """Register a stage kernel under its function name.
 
     Returns ``func`` unchanged — kernels stay plain callables (tests
-    invoke them directly with a raw argument tuple; the null-object
+    invoke them directly with a :class:`TaskSpec`; the null-object
     fallbacks of :func:`~repro.governor.watchdog.active_meter` and
     :func:`~repro.obs.registry.active` make that legal).
     """
@@ -206,8 +170,8 @@ def resolve_kernel(name: str) -> Callable:
         raise LookupError(f"no registered kernel {name!r}") from None
 
 
-def run_task(payload):
-    """Execute one ``(kernel_name, args)`` task under the armed hooks.
+def run_task(spec: TaskSpec) -> Tuple[object, Optional[dict]]:
+    """Execute one task; return ``(kernel_result, registry_snapshot)``.
 
     This is the backend's single instrumentation point *and* its
     classification boundary: any raw ``OSError``/``MemoryError`` that
@@ -215,51 +179,48 @@ def run_task(payload):
     injected ``disk-full``, an allocator failure — leaves here as a
     classified :class:`ResourceExhausted` subtype, so the executor can
     tell "this join needs a smaller plan" apart from "the code is
-    broken".  Uninstrumented dispatch (no marker, no budget file, no
-    fault plan) costs three ``stat`` calls.
+    broken".  The snapshot is ``None`` unless ``spec.metrics``.
     """
-    task, args = payload
-    root, partition = args[0], args[2]
-    func = resolve_kernel(task)
+    func = resolve_kernel(spec.kernel)
     try:
-        return _governed(func, task, args, root, partition)
+        return _governed(func, spec)
     except ResourceExhausted:
         raise
     except (MemoryError, OSError) as error:
-        classified = classify_os_error(error, f"{task} partition {partition}")
+        classified = classify_os_error(
+            error, f"{spec.kernel} partition {spec.partition}"
+        )
         if classified is not None:
             raise classified from error
         raise
 
 
-def _governed(func: Callable, task: str, args, root, partition):
-    """Run one kernel under the armed budgets/metrics, if any.
+def _governed(func: Callable, spec: TaskSpec):
+    """Run one kernel under the budgets/metrics its spec arms, if any.
 
-    The fault hook fires first — before any registry or file handle is
+    The fault fires first — before any registry or file handle is
     acquired — because a real crash would also strike before the task
-    produced anything.  When the rebalancer split a partition into
-    shards, only shard 0 consults the fault plan: fault coordinates are
-    ``(task, partition, attempt)`` and must keep firing exactly once per
-    attempt regardless of how the work was sliced.
+    produced anything.
     """
-    shard = shard_of(args)
-    slot = task_slot(partition, shard)
-    if shard is None or shard.index == 0:
-        maybe_inject(root, task, partition)
-    budgets = load_budgets(root)
-    metrics_on = Path(root, OBS_MARKER).exists()
-    if budgets is None and not metrics_on:
-        return func(args)
-    limit = budgets.worker_mem_budget_bytes if budgets is not None else None
-    meter = activate_meter(MemoryMeter(limit))
+    if spec.fault is not None:
+        fire_fault(spec.fault, spec.store_root)
+    governed = (
+        spec.worker_mem_budget is not None or spec.disk_budget is not None
+    )
+    if not governed and not spec.metrics:
+        return func(spec), None
+    meter = activate_meter(
+        MemoryMeter(spec.worker_mem_budget, spec.disk_budget, spec.store_root)
+    )
     try:
-        if not metrics_on:
-            return func(args)
+        if not spec.metrics:
+            return func(spec), None
+        task, slot = spec.kernel, spec.slot
         registry = activate(MetricsRegistry())
         started = time.perf_counter()
         try:
             with span("task", task=task, worker=slot):
-                result = func(args)
+                result = func(spec)
         finally:
             deactivate()
         wall_ms = (time.perf_counter() - started) * 1000.0
@@ -277,10 +238,7 @@ def _governed(func: Callable, task: str, args, root, partition):
         if rss is not None:
             registry.gauge("worker.rss_max_bytes", float(rss), **labels)
         registry.count("worker.tasks", 1, task=task)
-        metrics_sidecar(root, task, slot).write_text(
-            json.dumps(registry.snapshot())
-        )
-        return result
+        return result, registry.snapshot()
     finally:
         deactivate_meter()
 

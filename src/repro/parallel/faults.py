@@ -8,14 +8,12 @@ worker *reproducible*:
   mid-task), ``hang`` (the process stops making progress) or ``torn-write``
   (a partially written output segment is left behind at the moment of
   death) — pinned to a ``(task, partition, attempt)`` coordinate;
-* a :class:`FaultPlan` is a set of specs, serialized as JSON into the
-  store root (``faults.json``, the same files-only protocol as the
-  metrics marker) so faults reach pool processes that were forked before
-  the join began;
-* :func:`maybe_inject`, called by every worker at task entry, fires the
-  matching spec exactly once per attempt — attempts are counted in small
-  per-``(task, partition)`` state files in the store root, so the count
-  survives the very process deaths it is instrumenting.
+* a :class:`FaultPlan` is a set of specs held by the driver, which counts
+  every dispatch of a ``(task, partition)`` and attaches the one spec
+  matching that attempt to the task it sends — the count lives in the
+  driver, so it survives the very process deaths it is instrumenting;
+* :func:`fire_fault`, called by the task wrapper at task entry, fires the
+  spec the task arrived with.
 
 Recovery is safe because passes are idempotent: a worker's outputs become
 visible only through the storage layer's atomic tmp-write/rename protocol
@@ -43,9 +41,6 @@ import errno as _errno
 
 from repro.governor.errors import MemoryExhausted
 from repro.storage.segment import HEADER, MAGIC, PAGE_SIZE, MappedSegment
-
-#: Presence of this file in the store root arms fault injection.
-FAULTS_FILE = "faults.json"
 
 #: ``crash``/``hang``/``torn-write`` exercise the PR-3 recovery layer;
 #: ``disk-full`` and ``mem-pressure`` exercise the governor — they raise
@@ -274,21 +269,6 @@ class FaultPlan:
             ]
         )
 
-    # ----------------------------------------------------------- store side
-
-    def install(self, root: str | os.PathLike) -> Path:
-        """Arm this plan for every worker that opens ``root``."""
-        path = Path(root) / FAULTS_FILE
-        path.write_text(self.to_json())
-        return path
-
-    @staticmethod
-    def load(root: str | os.PathLike) -> Optional["FaultPlan"]:
-        path = Path(root) / FAULTS_FILE
-        if not path.exists():
-            return None
-        return FaultPlan.from_json(path.read_text())
-
 
 @dataclass
 class RetryPolicy:
@@ -316,24 +296,6 @@ class RetryPolicy:
 
 
 # ------------------------------------------------------------ worker hooks
-
-def attempt_state_path(
-    root: str | os.PathLike, task: str, partition: int
-) -> Path:
-    """Where one (task, partition)'s execution count is persisted."""
-    return Path(root) / f"fault_attempt_{task}_{partition}"
-
-
-def _bump_attempt(root: str, task: str, partition: int) -> int:
-    """Count this execution; returns the 0-based attempt number."""
-    path = attempt_state_path(root, task, partition)
-    try:
-        attempt = int(path.read_text())
-    except (OSError, ValueError):
-        attempt = 0
-    path.write_text(str(attempt + 1))
-    return attempt
-
 
 def _disk_path(root: str, partition: int, name: str) -> Path:
     # Mirrors Store.path without constructing a Store (no mkdir side effects).
@@ -409,7 +371,9 @@ def _write_corrupt_segment(path: Path, kind: str) -> None:
         truncate_payload(path)
 
 
-def _fire(spec: FaultSpec, root: str, task: str, partition: int) -> None:
+def fire_fault(spec: FaultSpec, root: str) -> None:
+    """Fire ``spec`` against the store at ``root`` (never returns normally)."""
+    task, partition = spec.task, spec.partition
     in_pool = multiprocessing.current_process().daemon
     if spec.kind == "disk-full":
         # Raised (not exited) in both modes: resource pressure is an error
@@ -464,31 +428,3 @@ def _fire(spec: FaultSpec, root: str, task: str, partition: int) -> None:
     raise InjectedTornWrite(
         f"injected torn write in {task} partition {partition}"
     )
-
-
-def maybe_inject(root: str, task: str, partition: int) -> None:
-    """Fire the armed fault for this (task, partition, attempt), if any.
-
-    Costs one ``stat`` when no plan is installed.  Every execution bumps
-    the persistent attempt counter, so a retried task sees attempt 1, 2,
-    ... and a spec pinned to attempt 0 fires exactly once.
-    """
-    if not Path(root, FAULTS_FILE).exists():
-        return
-    plan = FaultPlan.load(root)
-    if plan is None or not plan.faults:
-        return
-    attempt = _bump_attempt(root, task, partition)
-    spec = plan.spec_for(task, partition, attempt)
-    if spec is not None:
-        _fire(spec, root, task, partition)
-
-
-def sweep_fault_state(root: str | os.PathLike) -> None:
-    """Remove the plan and attempt counters (every run-exit path)."""
-    root = Path(root)
-    if not root.exists():
-        return
-    (root / FAULTS_FILE).unlink(missing_ok=True)
-    for path in root.glob("fault_attempt_*"):
-        path.unlink(missing_ok=True)

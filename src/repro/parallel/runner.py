@@ -27,7 +27,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro import config
 from repro.core.records import JoinedPair
 from repro.governor.errors import DiskExhausted, MemoryExhausted
 from repro.governor.governor import ResourceGovernor
@@ -159,10 +158,11 @@ def run_real_join(
     pool worker never delivers its result, so crash *detection* in pool
     mode requires a ``task_timeout``.
 
-    ``fault_plan`` installs a deterministic
-    :class:`~repro.parallel.faults.FaultPlan` into the store root before
-    the first pass, so chosen ``(task, partition, attempt)`` coordinates
-    crash, hang, tear their output, or hit resource pressure on cue.
+    ``fault_plan`` is a deterministic
+    :class:`~repro.parallel.faults.FaultPlan`: the executor attaches the
+    matching spec to the task it dispatches at each chosen ``(task,
+    partition, attempt)`` coordinate, which then crashes, hangs, tears
+    its output, or hits resource pressure on cue.
 
     ``mem_budget`` (total, split evenly across the ``disks`` workers) and
     ``disk_budget`` (whole store) arm the governor; ``on_pressure``
@@ -177,10 +177,8 @@ def run_real_join(
     hybrid degenerates to grace.
 
     ``kernels`` selects the stage-kernel implementation: ``"vector"``
-    (numpy columnar — the default when numpy is importable) or
-    ``"scalar"`` (the per-record reference path).  Output is
-    bit-identical either way; a vector request silently degrades to
-    scalar on a numpy-less host.
+    (numpy columnar — the default) or ``"scalar"`` (the per-record
+    reference path).  Output is bit-identical either way.
 
     ``rebalance`` selects per-partition size rebalancing in the executor:
     ``"auto"`` (the default) shards a stage's oversized partitions into
@@ -190,8 +188,7 @@ def run_real_join(
     bit-identical in every mode.
 
     ``partitioner`` overrides the bucketed plans' partitioning strategy
-    (``"hash"``, ``"radix"``, ``"learned"``); unset falls back to the
-    ``REPRO_PARTITIONER`` environment knob and then to each plan's
+    (``"hash"``, ``"radix"``, ``"learned"``); unset leaves each plan's
     declared strategy (``grace-radix``/``grace-learned`` are the
     ``grace`` plan with a different declaration).  Join *pairs* are
     identical under every strategy — only the bucket layout of the
@@ -230,21 +227,14 @@ def run_real_join(
             f"resident_buckets must satisfy 0 <= resident < buckets: "
             f"{resident_buckets} vs {buckets} buckets"
         )
-    if kernels is None:
-        kernel_mode = engine_task.default_kernel_mode()
-    elif kernels in engine_task.KERNEL_MODES:
-        kernel_mode = kernels
-    else:
+    kernel_mode = kernels if kernels is not None else "vector"
+    if kernel_mode not in engine_task.KERNEL_MODES:
         raise RealJoinError(
             f"unknown kernel mode {kernels!r}; "
             f"choices: {engine_task.KERNEL_MODES}"
         )
-    if kernel_mode == "vector" and not engine_task.vector_kernels_available():
-        kernel_mode = "scalar"
     validate_rebalance_mode(rebalance)
-    if partitioner is None:
-        partitioner = config.env_choice("partitioner")
-    elif partitioner not in PARTITIONER_NAMES:
+    if partitioner is not None and partitioner not in PARTITIONER_NAMES:
         raise RealJoinError(
             f"unknown partitioner {partitioner!r}; "
             f"choices: {PARTITIONER_NAMES}"

@@ -1,7 +1,7 @@
 """Vectorized stage-kernel bodies for the real-mmap parallel joins.
 
 One numpy implementation per :mod:`repro.parallel.workers` kernel, with
-identical signatures (the raw argument tuple) and bit-identical output:
+identical signatures (one ``TaskSpec``) and bit-identical output:
 same pair counts, same checksums, same segment bytes.  The scalar kernels
 stay the semantic reference — every body here is a whole-array transcription
 of its scalar twin, preserving
@@ -17,10 +17,9 @@ of its scalar twin, preserving
   names, capacities and record content, so a pass can crash in one mode
   and be retried in the other.
 
-The kernels in :mod:`~repro.parallel.workers` dispatch here when the
-store's kernel mode resolves to ``"vector"`` (see
-:func:`repro.parallel.engine.task.resolve_kernel_mode`); nothing in this
-module is registered directly.
+The kernels in :mod:`~repro.parallel.workers` dispatch here when their
+spec's ``plan.kernel_mode`` is ``"vector"``; nothing in this module is
+registered directly.
 
 The data movement idiom throughout: mapped batches decode to three
 compact u64 column copies (:meth:`RecordLayout.decode_columns`), pointers
@@ -32,26 +31,19 @@ fancy-indexed gather over a single dtype view
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
-try:  # pragma: no cover - numpy ships with the toolchain; guarded anyway
-    import numpy as np
+import numpy as np
 
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover
-    np = None
-    HAVE_NUMPY = False
-
-from repro.core.pointer import PointerMap
 from repro.governor.watchdog import active_meter
 from repro.obs.registry import active as _metrics
 from repro.parallel.engine.partition import resolve_partitioner
 from repro.parallel.engine.task import (
-    BATCH_RECORDS,
     RUN_SHARD_STRIDE,
     PairResult,
     PairSink,
     StageOutput,
+    TaskSpec,
     bucket_spill_name,
     bucket_spill_paths,
     nl_spill_name,
@@ -60,14 +52,12 @@ from repro.parallel.engine.task import (
     run_lower_bound,
     run_name,
     run_paths,
-    shard_of,
 )
 from repro.storage.relation import BucketedRFile, RRelationFile
 from repro.storage.segment import MappedSegment
 from repro.storage.store import Store
 
 __all__ = [
-    "HAVE_NUMPY",
     "grace_partition",
     "grace_probe",
     "hybrid_hash_partition",
@@ -77,14 +67,6 @@ __all__ = [
     "sort_merge_partition",
     "sort_merge_runs",
 ]
-
-
-def _store(root: str, disks: int) -> Store:
-    return Store(root, disks)
-
-
-def _pmap(s_objects: int, disks: int) -> PointerMap:
-    return PointerMap(s_objects=s_objects, partitions=disks)
 
 
 def _phase_partner(i: int, t: int, disks: int) -> int:
@@ -103,12 +85,12 @@ def _targets_in_encounter_order(parts):
 
 # ------------------------------------------------------------ nested loops
 
-def nested_loops_pass0(args: Tuple[str, int, int, int, int]) -> PairResult:
+def nested_loops_pass0(spec: TaskSpec) -> PairResult:
     """Scan R_i: join local references, spill the rest to the RP_i_j."""
-    root, disks, i, s_objects, record_bytes = args[:5]
-    batch_records = args[5] if len(args) > 5 else BATCH_RECORDS
-    store = _store(root, disks)
-    pmap = _pmap(s_objects, disks)
+    disks, i, record_bytes = spec.disks, spec.partition, spec.r_bytes
+    batch_records = spec.plan.batch_records
+    store = spec.open_store()
+    pmap = spec.pointer_map()
     meter = active_meter()
     with store.open_r(i) as r_rel, store.open_s(i) as s_rel:
         s_bytes = s_rel.segment.layout.record_bytes
@@ -151,14 +133,12 @@ def nested_loops_pass0(args: Tuple[str, int, int, int, int]) -> PairResult:
             raise
 
 
-def nested_loops_pass1(args: Tuple[str, int, int, int]) -> PairResult:
+def nested_loops_pass1(spec: TaskSpec) -> PairResult:
     """Phases t = 1..D-1: join RP_i,offset(i,t) against that S partition."""
-    shard = shard_of(args)
-    core = args[:-1] if shard is not None else args
-    root, disks, i, s_objects = core[:4]
-    batch_records = core[4] if len(core) > 4 else BATCH_RECORDS
-    store = _store(root, disks)
-    pmap = _pmap(s_objects, disks)
+    disks, i, shard = spec.disks, spec.partition, spec.shard
+    batch_records = spec.plan.batch_records
+    store = spec.open_store()
+    pmap = spec.pointer_map()
     meter = active_meter()
     partners = [_phase_partner(i, t, disks) for t in range(1, disks)]
     spill_paths = [store.path(i, nl_spill_name(i, j)) for j in partners]
@@ -195,12 +175,12 @@ def nested_loops_pass1(args: Tuple[str, int, int, int]) -> PairResult:
 
 # --------------------------------------------------------------- sort-merge
 
-def sort_merge_partition(args: Tuple[str, int, int, int, int]) -> int:
+def sort_merge_partition(spec: TaskSpec) -> int:
     """Passes 0 and 1 for one contributor: write the RS_j_from_i files."""
-    root, disks, i, s_objects, record_bytes = args[:5]
-    batch_records = args[5] if len(args) > 5 else BATCH_RECORDS
-    store = _store(root, disks)
-    pmap = _pmap(s_objects, disks)
+    disks, i, record_bytes = spec.disks, spec.partition, spec.r_bytes
+    batch_records = spec.plan.batch_records
+    store = spec.open_store()
+    pmap = spec.pointer_map()
     meter = active_meter()
     with store.open_r(i) as r_rel:
         outputs = {
@@ -272,15 +252,14 @@ class _ColumnBuffer:
         )
 
 
-def sort_merge_runs(args: Tuple[str, int, int, int, int]) -> int:
+def sort_merge_runs(spec: TaskSpec) -> int:
     """Cut one partition's inbound RS files into sorted runs on disk."""
-    shard = shard_of(args)
-    core = args[:-1] if shard is not None else args
-    root, disks, i, record_bytes, irun = core[:5]
-    batch_records = core[5] if len(core) > 5 else BATCH_RECORDS
-    store = _store(root, disks)
+    disks, i, shard = spec.disks, spec.partition, spec.shard
+    record_bytes = spec.r_bytes
+    batch_records = spec.plan.batch_records
+    store = spec.open_store()
     meter = active_meter()
-    irun = max(1, irun)
+    irun = max(1, spec.plan.irun)
     # Sharded cutters must not sweep stale runs (they would race each
     # other); the executor pre-cleans the partition before dispatch.
     if shard is None:
@@ -417,7 +396,7 @@ class _RunCursor:
         return out
 
 
-def sort_merge_merge_join(args: Tuple[str, int, int, int, int]) -> PairResult:
+def sort_merge_merge_join(spec: TaskSpec) -> PairResult:
     """Merge one partition's sorted runs and join against sequential S_i.
 
     Multi-run merge is chunked k-way: each round computes the *bound* —
@@ -426,12 +405,10 @@ def sort_merge_merge_join(args: Tuple[str, int, int, int, int]) -> PairResult:
     one stable argsort of those slices (concatenated in run order)
     reproduces ``heapq.merge``'s output order exactly, ties included.
     """
-    shard = shard_of(args)
-    core = args[:-1] if shard is not None else args
-    root, disks, i, s_objects, record_bytes = core[:5]
-    batch_records = core[5] if len(core) > 5 else BATCH_RECORDS
-    store = _store(root, disks)
-    pmap = _pmap(s_objects, disks)
+    i, shard, record_bytes = spec.partition, spec.shard, spec.r_bytes
+    batch_records = spec.plan.batch_records
+    store = spec.open_store()
+    pmap = spec.pointer_map()
     meter = active_meter()
     paths = run_paths(store, i)
     capacity = sum(MappedSegment.record_count(path) for path in paths)
@@ -590,17 +567,19 @@ def _flush_bucket_chunks(
     return flushed
 
 
-def grace_partition(args: Tuple[str, int, int, int, int, int]) -> int:
+def grace_partition(spec: TaskSpec) -> int:
     """Passes 0 and 1 for one contributor: hash into the BS_j_from_i files."""
-    root, disks, i, s_objects, record_bytes, buckets = args[:6]
-    spill_threshold = args[6] if len(args) > 6 else None
-    batch_records = args[7] if len(args) > 7 else BATCH_RECORDS
-    partitioner = args[8] if len(args) > 8 else "hash"
-    store = _store(root, disks)
-    pmap = _pmap(s_objects, disks)
+    disks, i, record_bytes = spec.disks, spec.partition, spec.r_bytes
+    buckets = spec.plan.buckets
+    spill_threshold = spec.plan.spill_threshold
+    batch_records = spec.plan.batch_records
+    store = spec.open_store()
+    pmap = spec.pointer_map()
     meter = active_meter()
     part_sizes = [pmap.partition_size(j) for j in range(disks)]
-    part = resolve_partitioner(root, partitioner, part_sizes, buckets)
+    part = resolve_partitioner(
+        spec.partitioner, part_sizes, buckets, spec.partitioner_state
+    )
     grouped: Dict[int, List[tuple]] = {}
     moved = 0
     retained = 0
@@ -636,19 +615,20 @@ def grace_partition(args: Tuple[str, int, int, int, int, int]) -> int:
     return moved
 
 
-def hybrid_hash_partition(
-    args: Tuple[str, int, int, int, int, int, int, int]
-) -> StageOutput:
+def hybrid_hash_partition(spec: TaskSpec) -> StageOutput:
     """Hybrid hash partitioning: join resident buckets on the fly."""
-    root, disks, i, s_objects, record_bytes, buckets, resident = args[:7]
-    spill_threshold = args[7] if len(args) > 7 else None
-    batch_records = args[8] if len(args) > 8 else BATCH_RECORDS
-    partitioner = args[9] if len(args) > 9 else "hash"
-    store = _store(root, disks)
-    pmap = _pmap(s_objects, disks)
+    disks, i, record_bytes = spec.disks, spec.partition, spec.r_bytes
+    buckets = spec.plan.buckets
+    resident = spec.plan.effective_resident_buckets()
+    spill_threshold = spec.plan.spill_threshold
+    batch_records = spec.plan.batch_records
+    store = spec.open_store()
+    pmap = spec.pointer_map()
     meter = active_meter()
     part_sizes = [pmap.partition_size(j) for j in range(disks)]
-    part = resolve_partitioner(root, partitioner, part_sizes, buckets)
+    part = resolve_partitioner(
+        spec.partitioner, part_sizes, buckets, spec.partitioner_state
+    )
     grouped: Dict[int, List[tuple]] = {}
     moved = 0
     retained = 0
@@ -714,19 +694,18 @@ def hybrid_hash_partition(
     return StageOutput(moved, result)
 
 
-def grace_probe(args: Tuple[str, int, int, int, int, int]) -> PairResult:
+def grace_probe(spec: TaskSpec) -> PairResult:
     """Probe passes for one partition: bucket table, ordered S access.
 
     The scalar kernel's ``TSIZE`` chain table is one stable argsort by
     refining chain: chains fill in inbound order and flatten in chain
     order, which is exactly the sorted-by-chain permutation.
     """
-    shard = shard_of(args)
-    core = args[:-1] if shard is not None else args
-    root, disks, i, s_objects, buckets, tsize = core[:6]
-    batch_records = core[6] if len(core) > 6 else BATCH_RECORDS
-    store = _store(root, disks)
-    pmap = _pmap(s_objects, disks)
+    disks, i, shard = spec.disks, spec.partition, spec.shard
+    buckets, tsize = spec.plan.buckets, spec.plan.tsize
+    batch_records = spec.plan.batch_records
+    store = spec.open_store()
+    pmap = spec.pointer_map()
     meter = active_meter()
     part_size = pmap.partition_size(i)
     bucket_lo = 0 if shard is None else shard.lo

@@ -3,7 +3,7 @@
 Each kernel is one partition's share of one :class:`~repro.parallel.
 engine.stages.Stage`, operating purely on memory-mapped segment files.
 Kernels are *thin*: every cross-cutting concern — fault injection, memory
-metering, metrics registries and sidecars, error classification — lives
+metering, metrics registries, error classification — lives
 once in the engine task wrapper (:func:`repro.parallel.engine.task.
 run_task`); a kernel only moves records.  :func:`~repro.parallel.engine.
 task.register_kernel` records each function under its name so the
@@ -40,32 +40,29 @@ from typing import Dict, List, Tuple
 
 from repro.governor.watchdog import active_meter
 
-from repro.core.pointer import PointerMap
 from repro.core.records import RObject
 from repro.joins.grace import refining_chain
+from repro.parallel import vectorized
 from repro.parallel.engine.partition import resolve_partitioner
 from repro.parallel.engine.task import (
     BATCH_RECORDS,
     CHECKSUM_MOD,
-    OBS_MARKER,
     RUN_SHARD_STRIDE,
     PairResult,
     PairSink,
     StageOutput,
+    TaskSpec,
     bucket_spill_name,
     bucket_spill_paths,
-    metrics_sidecar,
     nl_spill_name,
     pairs_name,
     rebatch,
     register_kernel,
-    resolve_kernel_mode,
     rs_name,
     run_lower_bound,
     run_name,
     run_paths,
     run_stream,
-    shard_of,
 )
 from repro.storage.relation import BucketedRFile, RRelationFile
 from repro.storage.segment import MappedSegment
@@ -74,13 +71,11 @@ from repro.storage.store import Store
 __all__ = [
     "BATCH_RECORDS",
     "CHECKSUM_MOD",
-    "OBS_MARKER",
     "PairResult",
     "StageOutput",
     "grace_partition",
     "grace_probe",
     "hybrid_hash_partition",
-    "metrics_sidecar",
     "nested_loops_pass0",
     "nested_loops_pass1",
     "pairs_name",
@@ -90,30 +85,6 @@ __all__ = [
 ]
 
 
-def _vectorized(root: str):
-    """The numpy kernel module when this store runs in vector mode.
-
-    Each registered kernel dispatches through this first: the mode
-    resolves from the store root (marker file → env → default), so one
-    kernel name serves both implementations and the executor, tests, and
-    retried passes never need to know which one ran.  Returns ``None``
-    in scalar mode; the scalar body below is the fallback.
-    """
-    if resolve_kernel_mode(root) == "vector":
-        from repro.parallel import vectorized
-
-        return vectorized
-    return None
-
-
-def _store(root: str, disks: int) -> Store:
-    return Store(root, disks)
-
-
-def _pmap(s_objects: int, disks: int) -> PointerMap:
-    return PointerMap(s_objects=s_objects, partitions=disks)
-
-
 def _phase_partner(i: int, t: int, disks: int) -> int:
     return (i + t) % disks
 
@@ -121,21 +92,18 @@ def _phase_partner(i: int, t: int, disks: int) -> int:
 # ------------------------------------------------------------ nested loops
 
 @register_kernel
-def nested_loops_pass0(
-    args: Tuple[str, int, int, int, int]
-) -> PairResult:
+def nested_loops_pass0(spec: TaskSpec) -> PairResult:
     """Scan R_i: join local references, spill the rest to the RP_i_j.
 
-    The trailing optional arg throttles the batch size — the governor's
+    ``plan.batch_records`` throttles the batch size — the governor's
     nested-loops degradation knob.
     """
-    vec = _vectorized(args[0])
-    if vec is not None:
-        return vec.nested_loops_pass0(args)
-    root, disks, i, s_objects, record_bytes = args[:5]
-    batch_records = args[5] if len(args) > 5 else BATCH_RECORDS
-    store = _store(root, disks)
-    pmap = _pmap(s_objects, disks)
+    if spec.plan.kernel_mode == "vector":
+        return vectorized.nested_loops_pass0(spec)
+    disks, i, record_bytes = spec.disks, spec.partition, spec.r_bytes
+    batch_records = spec.plan.batch_records
+    store = spec.open_store()
+    pmap = spec.pointer_map()
     meter = active_meter()
     with store.open_r(i) as r_rel, store.open_s(i) as s_rel:
         s_bytes = s_rel.segment.layout.record_bytes
@@ -181,26 +149,21 @@ def nested_loops_pass0(
 
 
 @register_kernel
-def nested_loops_pass1(
-    args: Tuple[str, int, int, int]
-) -> PairResult:
+def nested_loops_pass1(spec: TaskSpec) -> PairResult:
     """Phases t = 1..D-1: join RP_i,offset(i,t) against that S partition.
 
-    Rebalance axis ``records``: a trailing :class:`Shard` restricts the
+    Rebalance axis ``records``: ``spec.shard`` restricts the
     kernel to the record range ``[lo, hi)`` of the phase spill files
     concatenated in phase order — every shard walks the same file list
     with the same global indexing, so the shard union is exactly the
     unsharded scan.
     """
-    vec = _vectorized(args[0])
-    if vec is not None:
-        return vec.nested_loops_pass1(args)
-    shard = shard_of(args)
-    core = args[:-1] if shard is not None else args
-    root, disks, i, s_objects = core[:4]
-    batch_records = core[4] if len(core) > 4 else BATCH_RECORDS
-    store = _store(root, disks)
-    pmap = _pmap(s_objects, disks)
+    if spec.plan.kernel_mode == "vector":
+        return vectorized.nested_loops_pass1(spec)
+    disks, i, shard = spec.disks, spec.partition, spec.shard
+    batch_records = spec.plan.batch_records
+    store = spec.open_store()
+    pmap = spec.pointer_map()
     meter = active_meter()
     partners = [_phase_partner(i, t, disks) for t in range(1, disks)]
     spill_paths = [store.path(i, nl_spill_name(i, j)) for j in partners]
@@ -236,17 +199,14 @@ def nested_loops_pass1(
 # --------------------------------------------------------------- sort-merge
 
 @register_kernel
-def sort_merge_partition(
-    args: Tuple[str, int, int, int, int]
-) -> int:
+def sort_merge_partition(spec: TaskSpec) -> int:
     """Passes 0 and 1 for one contributor: write the RS_j_from_i files."""
-    vec = _vectorized(args[0])
-    if vec is not None:
-        return vec.sort_merge_partition(args)
-    root, disks, i, s_objects, record_bytes = args[:5]
-    batch_records = args[5] if len(args) > 5 else BATCH_RECORDS
-    store = _store(root, disks)
-    pmap = _pmap(s_objects, disks)
+    if spec.plan.kernel_mode == "vector":
+        return vectorized.sort_merge_partition(spec)
+    disks, i, record_bytes = spec.disks, spec.partition, spec.r_bytes
+    batch_records = spec.plan.batch_records
+    store = spec.open_store()
+    pmap = spec.pointer_map()
     meter = active_meter()
     with store.open_r(i) as r_rel:
         outputs = {
@@ -280,9 +240,7 @@ def sort_merge_partition(
 
 
 @register_kernel
-def sort_merge_runs(
-    args: Tuple[str, int, int, int, int]
-) -> int:
+def sort_merge_runs(spec: TaskSpec) -> int:
     """Cut one partition's inbound RS files into sorted runs on disk.
 
     The meter's charge always equals len(buffer) * record_bytes: extends
@@ -290,16 +248,14 @@ def sort_merge_runs(
     ``irun`` (the governor's sort-merge knob) directly lowers the
     high-water mark at the cost of more runs for the merge stage.
     """
-    vec = _vectorized(args[0])
-    if vec is not None:
-        return vec.sort_merge_runs(args)
-    shard = shard_of(args)
-    core = args[:-1] if shard is not None else args
-    root, disks, i, record_bytes, irun = core[:5]
-    batch_records = core[5] if len(core) > 5 else BATCH_RECORDS
-    store = _store(root, disks)
+    if spec.plan.kernel_mode == "vector":
+        return vectorized.sort_merge_runs(spec)
+    disks, i, shard = spec.disks, spec.partition, spec.shard
+    record_bytes = spec.r_bytes
+    batch_records = spec.plan.batch_records
+    store = spec.open_store()
     meter = active_meter()
-    irun = max(1, irun)
+    irun = max(1, spec.plan.irun)
     # Stale runs are poison: the merge stage discovers runs by glob, so
     # leftovers from a previous attempt or plan (including torn-write
     # garbage at a run's final path) must be gone before this attempt
@@ -381,9 +337,7 @@ def _clipped_run_stream(path, klo: int, khi: int, batch_records: int):
 
 
 @register_kernel
-def sort_merge_merge_join(
-    args: Tuple[str, int, int, int, int]
-) -> PairResult:
+def sort_merge_merge_join(spec: TaskSpec) -> PairResult:
     """Merge one partition's sorted runs and join against sequential S_i.
 
     A single run needs no heap: its batches are already in sptr order, so
@@ -391,20 +345,17 @@ def sort_merge_merge_join(
     skipped entirely — the common case whenever a partition's inbound fits
     one initial run.
 
-    Rebalance axis ``keys``: a trailing :class:`Shard` carries an sptr
+    Rebalance axis ``keys``: ``spec.shard`` carries an sptr
     key range ``[lo, hi)``.  Each shard merges *all* runs clipped to its
     range; the ranges tile the key space, so the shard union is the full
     merge (runs are sorted, so clipping preserves merge order).
     """
-    vec = _vectorized(args[0])
-    if vec is not None:
-        return vec.sort_merge_merge_join(args)
-    shard = shard_of(args)
-    core = args[:-1] if shard is not None else args
-    root, disks, i, s_objects, record_bytes = core[:5]
-    batch_records = core[5] if len(core) > 5 else BATCH_RECORDS
-    store = _store(root, disks)
-    pmap = _pmap(s_objects, disks)
+    if spec.plan.kernel_mode == "vector":
+        return vectorized.sort_merge_merge_join(spec)
+    i, shard, record_bytes = spec.partition, spec.shard, spec.r_bytes
+    batch_records = spec.plan.batch_records
+    store = spec.open_store()
+    pmap = spec.pointer_map()
     meter = active_meter()
     paths = run_paths(store, i)
     capacity = sum(MappedSegment.record_count(path) for path in paths)
@@ -496,9 +447,7 @@ def _spill_bucket_groups(
 
 
 @register_kernel
-def grace_partition(
-    args: Tuple[str, int, int, int, int, int]
-) -> int:
+def grace_partition(spec: TaskSpec) -> int:
     """Passes 0 and 1 for one contributor: hash into the BS_j_from_i files.
 
     All of one contributor's spill for one target lands in a single
@@ -512,18 +461,19 @@ def grace_partition(
     bounding the partition pass at threshold + one batch.  The probe side
     reads base and chunk files alike, so the join output is identical.
     """
-    vec = _vectorized(args[0])
-    if vec is not None:
-        return vec.grace_partition(args)
-    root, disks, i, s_objects, record_bytes, buckets = args[:6]
-    spill_threshold = args[6] if len(args) > 6 else None
-    batch_records = args[7] if len(args) > 7 else BATCH_RECORDS
-    partitioner = args[8] if len(args) > 8 else "hash"
-    store = _store(root, disks)
-    pmap = _pmap(s_objects, disks)
+    if spec.plan.kernel_mode == "vector":
+        return vectorized.grace_partition(spec)
+    disks, i, record_bytes = spec.disks, spec.partition, spec.r_bytes
+    buckets = spec.plan.buckets
+    spill_threshold = spec.plan.spill_threshold
+    batch_records = spec.plan.batch_records
+    store = spec.open_store()
+    pmap = spec.pointer_map()
     meter = active_meter()
     part_sizes = [pmap.partition_size(j) for j in range(disks)]
-    part = resolve_partitioner(root, partitioner, part_sizes, buckets)
+    part = resolve_partitioner(
+        spec.partitioner, part_sizes, buckets, spec.partitioner_state
+    )
     grouped: Dict[int, Dict[int, List[RObject]]] = {}
     moved = 0
     retained = 0
@@ -557,9 +507,7 @@ def grace_partition(
 
 
 @register_kernel
-def hybrid_hash_partition(
-    args: Tuple[str, int, int, int, int, int, int, int]
-) -> StageOutput:
+def hybrid_hash_partition(spec: TaskSpec) -> StageOutput:
     """Hybrid hash partitioning: join resident buckets on the fly.
 
     Like :func:`grace_partition`, but references hashing to the plan's
@@ -572,18 +520,20 @@ def hybrid_hash_partition(
     == 0`` this degenerates to grace partitioning — the governor's final
     memory rung.
     """
-    vec = _vectorized(args[0])
-    if vec is not None:
-        return vec.hybrid_hash_partition(args)
-    root, disks, i, s_objects, record_bytes, buckets, resident = args[:7]
-    spill_threshold = args[7] if len(args) > 7 else None
-    batch_records = args[8] if len(args) > 8 else BATCH_RECORDS
-    partitioner = args[9] if len(args) > 9 else "hash"
-    store = _store(root, disks)
-    pmap = _pmap(s_objects, disks)
+    if spec.plan.kernel_mode == "vector":
+        return vectorized.hybrid_hash_partition(spec)
+    disks, i, record_bytes = spec.disks, spec.partition, spec.r_bytes
+    buckets = spec.plan.buckets
+    resident = spec.plan.effective_resident_buckets()
+    spill_threshold = spec.plan.spill_threshold
+    batch_records = spec.plan.batch_records
+    store = spec.open_store()
+    pmap = spec.pointer_map()
     meter = active_meter()
     part_sizes = [pmap.partition_size(j) for j in range(disks)]
-    part = resolve_partitioner(root, partitioner, part_sizes, buckets)
+    part = resolve_partitioner(
+        spec.partitioner, part_sizes, buckets, spec.partitioner_state
+    )
     grouped: Dict[int, Dict[int, List[RObject]]] = {}
     moved = 0
     retained = 0
@@ -652,25 +602,21 @@ def hybrid_hash_partition(
 
 
 @register_kernel
-def grace_probe(
-    args: Tuple[str, int, int, int, int, int]
-) -> PairResult:
+def grace_probe(spec: TaskSpec) -> PairResult:
     """Probe passes for one partition: bucket table, ordered S access.
 
-    Rebalance axis ``buckets``: a trailing :class:`Shard` restricts the
+    Rebalance axis ``buckets``: ``spec.shard`` restricts the
     probe to the contiguous bucket range ``[lo, hi)``.  Buckets are
     independent units of work, so the shard union probes exactly the
     unsharded bucket sequence.
     """
-    vec = _vectorized(args[0])
-    if vec is not None:
-        return vec.grace_probe(args)
-    shard = shard_of(args)
-    core = args[:-1] if shard is not None else args
-    root, disks, i, s_objects, buckets, tsize = core[:6]
-    batch_records = core[6] if len(core) > 6 else BATCH_RECORDS
-    store = _store(root, disks)
-    pmap = _pmap(s_objects, disks)
+    if spec.plan.kernel_mode == "vector":
+        return vectorized.grace_probe(spec)
+    disks, i, shard = spec.disks, spec.partition, spec.shard
+    buckets, tsize = spec.plan.buckets, spec.plan.tsize
+    batch_records = spec.plan.batch_records
+    store = spec.open_store()
+    pmap = spec.pointer_map()
     meter = active_meter()
     part_size = pmap.partition_size(i)
     bucket_lo = 0 if shard is None else shard.lo

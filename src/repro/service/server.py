@@ -59,18 +59,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional
 
-from repro.governor.budget import GOVERNOR_FILE
 from repro.governor.errors import ResourceExhausted
 from repro.governor.governor import ResourceGovernor
 from repro.obs.export import build_service_stats_document
 from repro.obs.registry import MetricsRegistry
 from repro.parallel.engine.executor import RealJoinError
-from repro.parallel.engine.task import (
-    KERNEL_MODE_MARKER,
-    KERNEL_MODES,
-    OBS_MARKER,
-)
-from repro.parallel.faults import FAULTS_FILE
+from repro.parallel.engine.task import KERNEL_MODES
 from repro.parallel.runner import REAL_ALGORITHMS, run_real_join
 from repro.service.journal import RequestJournal, valid_request_id
 from repro.service.protocol import (
@@ -90,18 +84,13 @@ class ServiceError(RuntimeError):
     """The daemon cannot start or serve (not a per-request failure)."""
 
 
-#: Control files a dead run may leave in a store root; all run-scoped.
-_CONTROL_FILES = (OBS_MARKER, KERNEL_MODE_MARKER, FAULTS_FILE, GOVERNOR_FILE)
-
-
 def sweep_service_root(root: str | Path) -> Dict[str, int]:
     """Sweep and scrub every store under ``root`` after a daemon death.
 
     Returns what was removed or verified, by category: ``seg_tmp``
     (unpublished segments whose writer no longer holds its create-time
-    flock), ``sidecars`` (worker metrics snapshots), ``control_files``
-    (metrics/kernel-mode markers, fault plans and attempt counters,
-    budget files), ``scrubbed`` (published segments whose payload
+    flock), ``sidecars`` and ``control_files`` (run-state files only a
+    pre-upgrade daemon wrote — see below), ``scrubbed`` (published segments whose payload
     checksum was fully verified), ``corrupt`` (segments that failed the
     scrub — deleted), and ``evicted`` (intact base segments dropped
     because a sibling R/S in the same store rotted: half a warm store is
@@ -125,18 +114,21 @@ def sweep_service_root(root: str | Path) -> Dict[str, int]:
             continue
         path.unlink(missing_ok=True)
         counts["seg_tmp"] += 1
+    # Retired names from here to the scrub: nothing writes sidecars or
+    # control files any more (run state travels in the task), but a
+    # --root last served by an older daemon may hold them.
     for path in root.rglob("metrics_*.json"):
         if path.parent.name == "journal":
             continue  # journal entries are durable state, not debris
         path.unlink(missing_ok=True)
         counts["sidecars"] += 1
-    for name in _CONTROL_FILES:
+    for name in (
+        "metrics.on", "kernels.mode", "faults.json", "governor.json",
+        "partitioner.json", "fault_attempt_*",
+    ):
         for path in root.rglob(name):
             path.unlink(missing_ok=True)
             counts["control_files"] += 1
-    for path in root.rglob("fault_attempt_*"):
-        path.unlink(missing_ok=True)
-        counts["control_files"] += 1
     # Scrub what survived the sweep: the warm cache is only warm if its
     # bytes still match the checksums they were published with.
     rotten_bases: set = set()
@@ -223,6 +215,11 @@ class JoinService:
         self._listener: Optional[socket.socket] = None
         self._accept_thread: Optional[threading.Thread] = None
         self._conn_threads: List[threading.Thread] = []
+        #: Connections blocked in ``recv`` between requests; ``close()``
+        #: shuts their read side so the threads exit instead of being
+        #: waited out.
+        self._idle_conns: set = set()
+        self._idle_lock = threading.Lock()
         self._shutdown = threading.Event()
         self._started = False
         self._started_at = 0.0
@@ -310,6 +307,12 @@ class JoinService:
         if self._accept_thread is not None:
             self._accept_thread.join()
             self._accept_thread = None
+        with self._idle_lock:
+            for conn in self._idle_conns:
+                try:
+                    conn.shutdown(socket.SHUT_RD)
+                except OSError:
+                    pass
         for thread in list(self._conn_threads):
             thread.join(timeout=30)
         self._conn_threads.clear()
@@ -345,7 +348,14 @@ class JoinService:
 
     def _serve_connection(self, conn: socket.socket) -> None:
         try:
-            while not self._shutdown.is_set():
+            while True:
+                # Checked under the lock close() sweeps idle sockets
+                # under: either this connection is in the set when the
+                # sweep runs, or it sees the shutdown flag here.
+                with self._idle_lock:
+                    if self._shutdown.is_set():
+                        return
+                    self._idle_conns.add(conn)
                 try:
                     request = recv_frame(conn)
                 except ProtocolError as error:
@@ -355,6 +365,9 @@ class JoinService:
                     except OSError:
                         pass
                     return
+                finally:
+                    with self._idle_lock:
+                        self._idle_conns.discard(conn)
                 if request is None:
                     return  # clean EOF
                 if not self._dispatch(conn, request):

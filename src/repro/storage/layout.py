@@ -14,10 +14,7 @@ import struct
 from dataclasses import dataclass
 from typing import Iterator, List, Sequence, Tuple
 
-try:  # pragma: no cover - numpy ships with the toolchain; guarded anyway
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
+import numpy as _np
 
 from repro.core.records import RObject, SObject
 
@@ -63,9 +60,7 @@ class RecordLayout:
                     "offsets": (0, 8, 16),
                     "itemsize": self.record_bytes,
                 }
-            )
-            if _np is not None
-            else None,
+            ),
         )
 
     @property
@@ -147,8 +142,6 @@ class RecordLayout:
     @property
     def np_dtype(self):
         """The numpy structured dtype spanning one full record."""
-        if self._np_dtype is None:  # pragma: no cover - numpy-less host
-            raise LayoutError("numpy is not available for columnar access")
         return self._np_dtype
 
     def decode_columns(

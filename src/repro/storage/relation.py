@@ -13,10 +13,7 @@ import os
 import struct
 from typing import Iterator, List, Sequence, Tuple
 
-try:  # pragma: no cover - numpy ships with the toolchain; guarded anyway
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
+import numpy as _np
 
 from repro.core.records import JoinedPair, RObject, SObject
 from repro.obs.registry import active as _metrics

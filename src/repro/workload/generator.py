@@ -177,39 +177,52 @@ def generate_workload(spec: WorkloadSpec, disks: int) -> Workload:
     (a seed names the same objects on every version): S's value then
     payload per object, the sampler's pointers, one payload per pointer,
     then the shuffle.
+
+    Draws stream straight into their arrays and every intermediate is
+    dropped as soon as its array exists, so the peak stays near the size
+    of the result.  The daemon generates on a connection thread, and what
+    a thread's allocator arena peaked at stays resident after the thread
+    is gone — and is inherited by every pool worker forked later.
     """
     if disks <= 0:
         raise ValueError("disks must be positive")
     rng = random.Random(spec.seed)
     randrange = rng.randrange
 
-    s_fields = np.array(
-        [
+    s_fields = np.fromiter(
+        (
             randrange(bound)
             for _ in range(spec.s_objects)
             for bound in (1_000_000, 1 << 30)
-        ],
+        ),
         dtype=np.uint64,
-    ).reshape(spec.s_objects, 2)
+        count=2 * spec.s_objects,
+    )
+    s_value, s_payload = s_fields[0::2].copy(), s_fields[1::2].copy()
+    del s_fields
 
     sample = sampler(spec.distribution)
     pointers: Sequence[int] = sample(
         rng, spec.r_objects, spec.s_objects, **spec.distribution_args
     )
-    rid = np.arange(len(pointers), dtype=np.uint64)
+    count = len(pointers)
     sptr = np.array(pointers, dtype=np.uint64)
-    payload = np.array(
-        [randrange(1 << 30) for _ in range(len(pointers))], dtype=np.uint64
+    del pointers
+    payload = np.fromiter(
+        (randrange(1 << 30) for _ in range(count)), dtype=np.uint64, count=count
     )
     # Shuffle before splitting so positional partitioning is random
     # assignment, matching the paper's "randomly distributed" premise —
     # unless the sampler declares that R's order is part of the
     # distribution (clustered runs would be destroyed by a shuffle).
     # Shuffling an index list draws exactly what shuffling the objects did.
-    if not getattr(sample, "order_matters", False):
-        order = list(range(len(pointers)))
+    if getattr(sample, "order_matters", False):
+        rid = np.arange(count, dtype=np.uint64)
+    else:
+        order = list(range(count))
         rng.shuffle(order)
         rid = np.array(order, dtype=np.uint64)
+        del order
         sptr, payload = sptr[rid], payload[rid]
 
     return Workload(
@@ -221,7 +234,7 @@ def generate_workload(spec: WorkloadSpec, disks: int) -> Workload:
                 *(_partition.split_evenly(c, disks) for c in (rid, sptr, payload))
             )
         ),
-        s_value=s_fields[:, 0].copy(),
-        s_payload=s_fields[:, 1].copy(),
+        s_value=s_value,
+        s_payload=s_payload,
         pointer_map=PointerMap(s_objects=spec.s_objects, partitions=disks),
     )

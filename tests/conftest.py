@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from repro.harness.calibrate import calibrated_machine_parameters
@@ -50,3 +52,27 @@ def memory_for(workload, fraction: float, g_bytes: int = 4096) -> MemoryParamete
 @pytest.fixture
 def memory_factory():
     return memory_for
+
+
+def store_tree_problems(root) -> list:
+    """Files under a store root that are neither data nor the checkpoint.
+
+    The store-root invariant: run state travels in the task and
+    observations return in the result, so at any instant a store holds
+    only ``disk*/*.seg[.tmp]`` and — while a run is live —
+    ``checkpoint.json``.
+    """
+    root = Path(root)
+    problems = []
+    for path in root.rglob("*"):
+        if path.is_dir():
+            continue
+        parts = path.relative_to(root).parts
+        is_segment = (
+            len(parts) == 2
+            and parts[0].startswith("disk")
+            and parts[1].endswith((".seg", ".seg.tmp"))
+        )
+        if not is_segment and parts != ("checkpoint.json",):
+            problems.append("/".join(parts))
+    return sorted(problems)

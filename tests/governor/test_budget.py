@@ -1,39 +1,55 @@
-"""The files-only budget protocol and the store disk preflight."""
+"""Meter-carried budgets and the store disk preflight."""
 
 import pytest
 
 from repro.governor import (
-    GOVERNOR_FILE,
-    BudgetFile,
     DiskExhausted,
+    MemoryExhausted,
+    active_meter,
     disk_preflight,
-    install_budgets,
-    load_budgets,
+    metering,
     store_usage_bytes,
-    sweep_budgets,
 )
 
 
 class TestBudgetFile:
-    def test_roundtrip(self, tmp_path):
-        install_budgets(tmp_path, 4096, 1 << 20)
-        budgets = load_budgets(tmp_path)
-        assert budgets == BudgetFile(
-            worker_mem_budget_bytes=4096, disk_budget_bytes=1 << 20
-        )
+    """Budgets ride on the active meter; no file in the store says so."""
 
-    def test_absent_means_none(self, tmp_path):
-        assert load_budgets(tmp_path) is None
+    def test_roundtrip(self, tmp_path):
+        with metering(
+            4096, disk_limit_bytes=1 << 20, store_root=str(tmp_path)
+        ):
+            meter = active_meter()
+            assert meter.limit_bytes == 4096
+            assert meter.disk_limit_bytes == 1 << 20
+            assert meter.store_root == str(tmp_path)
+            with pytest.raises(MemoryExhausted):
+                meter.charge(4097)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_absent_means_none(self):
+        meter = active_meter()
+        assert meter.limit_bytes is None
+        assert meter.disk_limit_bytes is None
 
     def test_garbage_means_none(self, tmp_path):
-        (tmp_path / GOVERNOR_FILE).write_text("{not json")
-        assert load_budgets(tmp_path) is None
+        """A budget file in the store — torn, stale, or left by an older
+        release — arms nothing: only the meter does."""
+        disk = tmp_path / "disk0"
+        disk.mkdir()
+        (tmp_path / "governor.json").write_text("{not json")
+        disk_preflight(disk / "big.seg", 1 << 40)
+        (tmp_path / "governor.json").write_text('{"disk_budget_bytes": 1}')
+        disk_preflight(disk / "big.seg", 1 << 40)
 
     def test_sweep(self, tmp_path):
-        install_budgets(tmp_path, None, 123)
-        sweep_budgets(tmp_path)
-        assert load_budgets(tmp_path) is None
-        sweep_budgets(tmp_path)  # idempotent
+        disk = tmp_path / "disk0"
+        disk.mkdir()
+        with metering(disk_limit_bytes=100, store_root=str(tmp_path)):
+            with pytest.raises(DiskExhausted):
+                disk_preflight(disk / "new.seg", 101)
+        # Leaving the scope disarms the budget; there is nothing to sweep.
+        disk_preflight(disk / "new.seg", 101)
 
 
 class TestStoreUsage:
@@ -50,15 +66,15 @@ class TestDiskPreflight:
     def test_no_budget_no_limit(self, tmp_path):
         disk = tmp_path / "disk0"
         disk.mkdir()
-        disk_preflight(disk / "big.seg", 1 << 40)  # no budget file: passes
+        disk_preflight(disk / "big.seg", 1 << 40)  # no budget armed: passes
 
     def test_over_budget_raises_classified(self, tmp_path):
         disk = tmp_path / "disk0"
         disk.mkdir()
         (disk / "existing.seg").write_bytes(b"x" * 600)
-        install_budgets(tmp_path, None, 1000)
-        with pytest.raises(DiskExhausted) as info:
-            disk_preflight(disk / "new.seg", 500)
+        with metering(disk_limit_bytes=1000, store_root=str(tmp_path)):
+            with pytest.raises(DiskExhausted) as info:
+                disk_preflight(disk / "new.seg", 500)
         error = info.value
         assert error.requested == 500
         assert error.limit == 1000
@@ -67,5 +83,5 @@ class TestDiskPreflight:
     def test_under_budget_passes(self, tmp_path):
         disk = tmp_path / "disk0"
         disk.mkdir()
-        install_budgets(tmp_path, None, 1000)
-        disk_preflight(disk / "new.seg", 999)
+        with metering(disk_limit_bytes=1000, store_root=str(tmp_path)):
+            disk_preflight(disk / "new.seg", 999)

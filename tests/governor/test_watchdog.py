@@ -1,5 +1,7 @@
 """The per-worker memory meter: charging, limits, the activation stack."""
 
+import threading
+
 import pytest
 
 from repro.governor import (
@@ -81,6 +83,36 @@ class TestActivationStack:
             assert active_meter() is outer
         finally:
             deactivate_meter()
+
+    def test_concurrent_threads_do_not_share_a_stack(self):
+        """Two daemon connection threads running inline tasks: each must
+        charge — and trip — only its own meter."""
+        both_active = threading.Barrier(2)
+        seen = {}
+
+        def task(name, limit, charge):
+            with metering(limit) as mine:
+                both_active.wait(timeout=10)
+                meter = active_meter()
+                try:
+                    meter.charge(charge, name)
+                    outcome = "fits"
+                except MemoryExhausted:
+                    outcome = "over"
+                # Hold the scope open until the sibling has charged too.
+                both_active.wait(timeout=10)
+                seen[name] = (meter is mine, outcome, mine.charged_bytes)
+
+        threads = [
+            threading.Thread(target=task, args=("a", 100, 150)),
+            threading.Thread(target=task, args=("b", 1000, 150)),
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+        assert seen == {"a": (True, "over", 0), "b": (True, "fits", 150)}
+        assert isinstance(active_meter(), NullMeter)
 
 
 def test_rss_high_water_is_plausible():

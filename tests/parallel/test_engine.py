@@ -2,14 +2,22 @@
 
 These tests pin the engine's contracts rather than any one algorithm:
 plans are validated declaratively, degenerate geometries (empty
-partitions, a single disk) flow through the same executor path, and a
+partitions, a single disk) flow through the same executor path, a
 stage that faults on every attempt exhausts the retry budget, classifies
-the failure, and leaves the store swept clean.
+the failure, and leaves the store swept clean — and the one carrier of
+run state, the :class:`TaskSpec`, is all a worker ever needs: nothing
+but data and the checkpoint is ever written under a store root.
 """
+
+import multiprocessing
+import multiprocessing.pool
+import pickle
 
 import pytest
 
+from repro.governor.predict import JoinPlan
 from repro.joins import verify_pairs
+from repro.joins.reference import expected_checksum
 from repro.parallel import (
     ALGORITHM_TASKS,
     FaultPlan,
@@ -18,6 +26,8 @@ from repro.parallel import (
     RealJoinError,
     run_real_join,
 )
+from repro.parallel.engine import task as engine_task
+from repro.parallel.engine.partition import LearnedPartitioner
 from repro.parallel.engine.stages import (
     ConservationRule,
     PassPlan,
@@ -26,16 +36,13 @@ from repro.parallel.engine.stages import (
     algorithms,
     plan_for,
 )
+from repro.parallel.engine.task import Shard, TaskSpec
 from repro.workload import WorkloadSpec, generate_workload
+from tests.conftest import store_tree_problems
 
 
 def _stage(label="scan", kernel="nested_loops_pass0", emits="pairs"):
-    return ScanJoinStage(
-        label=label,
-        kernel=kernel,
-        emits=emits,
-        build_args=lambda ctx, plan, i: (ctx.store_root, ctx.disks, i),
-    )
+    return ScanJoinStage(label=label, kernel=kernel, emits=emits)
 
 
 class TestPlanRegistry:
@@ -84,33 +91,6 @@ class TestPlanValidation:
                 conservation=(
                     ConservationRule("pairs", (("ghost", "pairs"),)),
                 ),
-            )
-
-    def test_build_args_must_lead_with_store_coordinates(self, tmp_path):
-        """The (store_root, disks, partition) prefix is what lets the
-        engine fan any kernel out by partition; a plan that breaks it is
-        a bug caught at dispatch time, not a worker crash."""
-        workload = generate_workload(
-            WorkloadSpec(r_objects=40, s_objects=40, seed=3), disks=2
-        )
-        bad = PassPlan(
-            "bad-args",
-            (
-                ScanJoinStage(
-                    label="scan",
-                    kernel="nested_loops_pass0",
-                    emits="pairs",
-                    build_args=lambda ctx, plan, i: (ctx.disks, i),
-                ),
-            ),
-        )
-        from repro.governor.predict import JoinPlan
-        from repro.parallel.engine.executor import execute_plan
-
-        with pytest.raises(PassPlanError, match="store_root, disks, partition"):
-            execute_plan(
-                bad, workload, str(tmp_path / "db"), JoinPlan(),
-                use_processes=False,
             )
 
 
@@ -188,3 +168,226 @@ class TestRetryExhaustion:
         )
         assert result.retries_total >= 2
         assert verify_pairs(workload, result.pairs) == 60
+
+
+class TestTaskSpecCarrier:
+    def test_default_spec_is_small(self):
+        spec = TaskSpec("/srv/stores/wl-0123456789abcdef", 4, 3, 102_400, 128,
+                        kernel="sort_merge_merge_join")
+        assert len(pickle.dumps(spec)) < 1024
+
+    def test_round_trips_through_a_spawned_process(self):
+        """A spawned interpreter shares nothing with the driver: whatever
+        the worker needs must be inside the pickled spec."""
+        spec = TaskSpec(
+            "/tmp/db", 2, 1, 300, 128,
+            kernel="grace_partition",
+            plan=JoinPlan(batch_records=64, kernel_mode="scalar"),
+            shard=Shard(index=1, count=2, lo=10, hi=20),
+            partitioner="learned",
+            partitioner_state=LearnedPartitioner.fit([[1, 2, 2], [5]], 16),
+            worker_mem_budget=1 << 20,
+            disk_budget=1 << 30,
+            metrics=True,
+            attempt=2,
+            fault=FaultSpec("hang", "grace_partition", 1, attempt=2),
+        )
+        with multiprocessing.get_context("spawn").Pool(1) as pool:
+            echoed = pool.apply(pickle.loads, (pickle.dumps(spec),))
+        assert echoed == spec
+        assert echoed.slot == "1s1"
+
+
+#: Every way a run used to publish state into the store root.
+STORE_ARMS = {
+    "ungoverned": dict(collect_metrics=False),
+    "budget": dict(
+        collect_metrics=False, mem_budget=32 * 1024, disk_budget=1 << 30
+    ),
+    "metrics": dict(collect_metrics=True),
+    "faults": dict(collect_metrics=False),
+    "fitted": dict(collect_metrics=False, partitioner="learned"),
+}
+
+
+class TestStoreRootInvariant:
+    """Run state travels in the task; observations return in the result;
+    the store holds data and the checkpoint."""
+
+    @pytest.fixture(scope="class")
+    def workload(self):
+        return generate_workload(
+            WorkloadSpec(r_objects=300, s_objects=300, seed=7), disks=2
+        )
+
+    @pytest.mark.parametrize("arm", sorted(STORE_ARMS))
+    @pytest.mark.parametrize("algorithm", sorted(REAL_ALGORITHMS))
+    def test_store_holds_only_segments_and_checkpoint(
+        self, workload, algorithm, arm, tmp_path, monkeypatch
+    ):
+        root = tmp_path / "db"
+        seen_at_entry = []
+
+        def checked(kernel):
+            def entry(spec):
+                seen_at_entry.append(store_tree_problems(root))
+                return kernel(spec)
+            return entry
+
+        for task in ALGORITHM_TASKS[algorithm]:
+            monkeypatch.setitem(
+                engine_task._KERNELS, task,
+                checked(engine_task.resolve_kernel(task)),
+            )
+        options = dict(STORE_ARMS[arm])
+        if arm == "faults":
+            options["fault_plan"] = FaultPlan.crash_every_pass(algorithm)
+        result = run_real_join(
+            algorithm, workload, str(root), use_processes=False,
+            keep_store=True, **options,
+        )
+        assert result.checksum == expected_checksum(workload)
+        if arm == "budget":
+            assert result.degradations_total >= 1
+        if arm == "metrics":
+            assert all(result.worker_metrics.values())
+        assert seen_at_entry and not any(seen_at_entry)
+        assert store_tree_problems(root) == []
+        # A finished run needs no resume: even the checkpoint is gone.
+        assert not (root / "checkpoint.json").exists()
+
+
+class TestPoolCreatedBeforeTheRun:
+    """The daemon's and the bench's shape: workers forked long before the
+    run see every mid-run change, because it arrives inside the task."""
+
+    def test_degradation_rounds_reach_preforked_workers(self, tmp_path):
+        workload = generate_workload(
+            WorkloadSpec(r_objects=300, s_objects=300, seed=7), disks=2
+        )
+
+        def pressure(rounds):
+            return FaultPlan([
+                FaultSpec("mem-pressure", "grace_partition", 0, attempt=a)
+                for a in range(rounds)
+            ])
+
+        # Start at the ladder's floor so few rungs remain: spill threshold
+        # (x3), learned -> hash, vector -> scalar.
+        floor = dict(
+            batch_records=64, buckets=248, mem_budget=1 << 30,
+            collect_metrics=False,
+        )
+        pool = multiprocessing.Pool(2)
+        try:
+            refit = run_real_join(
+                "grace-learned", workload, str(tmp_path / "a"), pool=pool,
+                fault_plan=pressure(2), **floor,
+            )
+            bottom = run_real_join(
+                "grace-learned", workload, str(tmp_path / "b"), pool=pool,
+                fault_plan=pressure(5), **floor,
+            )
+        finally:
+            pool.close()
+            pool.join()
+        oracle = expected_checksum(workload)
+        # Two rounds re-planned and re-dispatched, each refitting the
+        # learned model for workers that never saw the first fit.
+        assert refit.checksum == oracle
+        assert refit.governor["runtime_degradations"] == 2
+        assert refit.governor["plan"]["spill_threshold"] == 128
+        assert refit.partitioner == "learned"
+        assert refit.kernel_mode == "vector"
+        # Five rounds reach the last rung: the same workers switch
+        # strategy, then kernel implementation, mid-run.
+        assert bottom.checksum == oracle
+        assert bottom.governor["runtime_degradations"] == 5
+        assert bottom.governor["plan"]["partitioner"] == "hash"
+        assert bottom.governor["plan"]["kernel_mode"] == "scalar"
+        assert bottom.kernel_mode == "scalar"
+
+
+class TestFaultFiresOncePerCoordinate:
+    """The driver counts attempts per (task, partition); a fault pinned
+    to attempt 0 fires exactly once however the work is re-dispatched."""
+
+    @pytest.fixture()
+    def dispatched(self, monkeypatch):
+        """Every TaskSpec that reached a worker, in arrival order."""
+        specs = []
+
+        def recording(func, spec):
+            specs.append(spec)
+            return governed(func, spec)
+
+        governed = engine_task._governed
+        monkeypatch.setattr(engine_task, "_governed", recording)
+        return specs
+
+    @staticmethod
+    def fired(dispatched):
+        return [spec.fault.kind for spec in dispatched if spec.fault]
+
+    @pytest.fixture(scope="class")
+    def workload(self):
+        return generate_workload(
+            WorkloadSpec(r_objects=300, s_objects=300, seed=7), disks=2
+        )
+
+    def test_across_retry(self, workload, dispatched, tmp_path):
+        result = run_real_join(
+            "grace", workload, str(tmp_path / "db"), use_processes=False,
+            fault_plan=FaultPlan.single("crash", "grace_probe", 0),
+        )
+        assert result.checksum == expected_checksum(workload)
+        assert self.fired(dispatched) == ["crash"]
+        assert result.retries_total == 1
+
+    def test_across_inline_fallback(self, workload, dispatched, tmp_path):
+        # Threads stand in for pool workers: same dispatch path, and the
+        # injected crash raises instead of killing the test process.
+        with multiprocessing.pool.ThreadPool(2) as pool:
+            result = run_real_join(
+                "grace", workload, str(tmp_path / "db"), pool=pool,
+                retries=0,
+                fault_plan=FaultPlan.single("crash", "grace_probe", 0),
+            )
+        assert result.checksum == expected_checksum(workload)
+        assert self.fired(dispatched) == ["crash"]
+        assert result.inline_fallbacks == 1
+
+    def test_across_degradation_round(self, workload, dispatched, tmp_path):
+        plan = FaultPlan([
+            FaultSpec("crash", "grace_partition", 0, attempt=0),
+            FaultSpec("mem-pressure", "grace_partition", 0, attempt=1),
+        ])
+        result = run_real_join(
+            "grace", workload, str(tmp_path / "db"), use_processes=False,
+            fault_plan=plan,
+        )
+        assert result.checksum == expected_checksum(workload)
+        # Attempt 2 ran the degraded round; a count reset by the round
+        # would have crashed it again.
+        assert self.fired(dispatched) == ["crash", "mem-pressure"]
+        assert result.retries_total == 1
+        assert result.degradations_total == 1
+
+    def test_across_shards(self, workload, dispatched, tmp_path):
+        result = run_real_join(
+            "grace", workload, str(tmp_path / "db"), use_processes=False,
+            rebalance="on",
+            fault_plan=FaultPlan.single("crash", "grace_probe", 0),
+        )
+        assert result.checksum == expected_checksum(workload)
+        assert result.rebalance["probe"]["splits"] >= 1
+        assert self.fired(dispatched) == ["crash"]
+        assert result.retries_total == 1
+        # Only shard 0 counts attempts and carries the fault, so slicing
+        # the partition does not shift the plan's attempt coordinates.
+        probes = [
+            (spec.slot, spec.attempt) for spec in dispatched
+            if spec.kernel == "grace_probe" and spec.partition == 0
+        ]
+        assert probes[:2] == [("0s0", 0), ("0s1", 0)]
+        assert ("0s0", 1) in probes and ("0s1", 1) not in probes

@@ -5,8 +5,8 @@ inject one crash, one hang, and one torn write, and require the recovered
 run to be bit-identical to a fault-free run — same pair count, same
 checksum, same per-pass record counts — while still verifying against the
 workload's ground-truth oracle.  Plus the failure-budget contract: when
-retries are exhausted the run must raise and leave no control file, no
-metrics sidecar, and no unpublished segment behind.
+retries are exhausted the run must raise and leave nothing but published
+data behind.
 """
 
 import itertools
@@ -19,13 +19,13 @@ from repro.parallel import RealJoinError, run_real_join
 from repro.parallel.faults import (
     ALGORITHM_TASKS,
     FAULT_KINDS,
-    FAULTS_FILE,
     FaultPlan,
     FaultPlanError,
     FaultSpec,
     RetryPolicy,
 )
 from repro.workload import WorkloadSpec, generate_workload
+from tests.conftest import store_tree_problems
 
 R_OBJECTS = 300
 
@@ -61,16 +61,9 @@ def baselines(workload, tmp_path_factory):
 
 def assert_no_run_artifacts(root):
     """Nothing run-scoped may outlive a join — success or failure."""
-    leftovers = [
-        p for p in root.rglob("*")
-        if p.name == "metrics.on"
-        or p.name == FAULTS_FILE
-        or p.name.startswith("fault_attempt_")
-        or p.name.startswith("metrics_")
-        or p.name == "governor.json"
-        or p.name.endswith(".seg.tmp")
-    ]
-    assert leftovers == [], f"run artifacts leaked: {leftovers}"
+    assert store_tree_problems(root) == []
+    leftovers = list(root.rglob("*.seg.tmp"))
+    assert leftovers == [], f"unpublished segments leaked: {leftovers}"
 
 
 def assert_matches_baseline(result, baseline, workload):

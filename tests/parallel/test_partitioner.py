@@ -19,15 +19,12 @@ from repro.parallel.engine.partition import (
     PartitionerError,
     cdf_quantiles,
     equal_depth_cuts,
-    install_partitioner_state,
-    load_partitioner_state,
     partition_scratch_bytes,
     partitioner_class,
     partitioner_names,
     radix_order,
     radix_shift,
     resolve_partitioner,
-    sweep_partitioner_state,
 )
 from repro.parallel.engine.stages import PARTITIONER_NAMES, algorithms
 from repro.workload import WorkloadSpec, generate_workload
@@ -209,32 +206,25 @@ class TestLearnedSkew:
 
 
 class TestStateLifecycle:
-    def test_stateless_resolve_needs_no_file(self, tmp_path):
+    def test_stateless_resolve_needs_no_file(self):
         for name in ("hash", "radix"):
-            part = resolve_partitioner(tmp_path, name, [100, 100], 8)
+            part = resolve_partitioner(name, [100, 100], 8)
             assert part.name == name
 
-    def test_learned_without_state_fails_loudly(self, tmp_path):
+    def test_learned_without_state_fails_loudly(self):
         with pytest.raises(PartitionerError):
-            resolve_partitioner(tmp_path, "learned", [100, 100], 8)
+            resolve_partitioner("learned", [100, 100], 8)
 
-    def test_install_resolve_sweep_roundtrip(self, tmp_path):
+    def test_learned_resolves_from_the_state_it_is_handed(self):
         state = LearnedPartitioner.fit([[1, 2, 3], [4, 5, 6]], 8)
-        install_partitioner_state(tmp_path, state)
-        assert load_partitioner_state(tmp_path) == state
-        part = resolve_partitioner(tmp_path, "learned", [100, 100], 8)
+        part = resolve_partitioner("learned", [100, 100], 8, state)
         assert part.name == "learned"
-        sweep_partitioner_state(tmp_path)
-        assert load_partitioner_state(tmp_path) is None
-        with pytest.raises(PartitionerError):
-            resolve_partitioner(tmp_path, "learned", [100, 100], 8)
+        assert part.state == state
 
-    def test_mismatched_geometry_rejected(self, tmp_path):
-        install_partitioner_state(
-            tmp_path, LearnedPartitioner.fit([[1], [2]], 16)
-        )
+    def test_mismatched_geometry_rejected(self):
+        state = LearnedPartitioner.fit([[1], [2]], 16)
         with pytest.raises(PartitionerError):
-            resolve_partitioner(tmp_path, "learned", [100, 100], 8)
+            resolve_partitioner("learned", [100, 100], 8, state)
 
 
 class TestGovernorPricing:
@@ -307,26 +297,3 @@ class TestEndToEnd:
         )
         assert result.checksum == expected_checksum(workload)
         assert result.partitioner == "radix"
-
-    def test_state_file_swept_after_run(self, workload, tmp_path):
-        # Nothing of a finished run may leak: the fitted model is a
-        # run-scoped control file, swept with the fault/budget markers.
-        root = tmp_path / "learned"
-        run_real_join(
-            "grace-learned", workload, str(root), use_processes=False
-        )
-        assert load_partitioner_state(root) is None
-
-    def test_stale_state_swept_at_run_start(self, workload, tmp_path):
-        # A dead driver's leftover model must not leak into a stateless
-        # run on the same root.
-        root = tmp_path / "stale"
-        root.mkdir()
-        install_partitioner_state(
-            root, {"name": "learned", "buckets": 31, "boundaries": []}
-        )
-        result = run_real_join(
-            "grace", workload, str(root), use_processes=False
-        )
-        assert result.partitioner == "hash"
-        assert load_partitioner_state(root) is None

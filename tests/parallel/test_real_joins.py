@@ -79,14 +79,15 @@ class TestInlineExecution:
     def test_workers_return_scalars_not_pairs(self, workload, tmp_path):
         """The zero-pickle protocol: a worker's return value is a
         (count, checksum, path) triple, never a list of pairs."""
+        from repro.parallel.engine.task import TaskSpec
         from repro.parallel.workers import PairResult, nested_loops_pass0
         from repro.storage.store import Store
 
         root = str(tmp_path / "db")
         Store(root, workload.disks).materialize(workload)
         result = nested_loops_pass0(
-            (root, workload.disks, 0, workload.spec.s_objects,
-             workload.spec.r_bytes)
+            TaskSpec(root, workload.disks, 0, workload.spec.s_objects,
+                     workload.spec.r_bytes)
         )
         assert isinstance(result, PairResult)
         count, checksum, path = result

@@ -485,6 +485,26 @@ def test_close_wakes_the_accept_thread_instead_of_timing_out(make_service):
     assert elapsed < 1.0, f"close() took {elapsed:.2f}s"
 
 
+def test_close_wakes_idle_connections_instead_of_waiting_them_out(
+    make_service,
+):
+    service = make_service()
+    with JoinServiceClient(service.config.socket_path) as idle, \
+            socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as silent:
+        idle.ping()  # one request served, now parked in recv again
+        silent.connect(service.config.socket_path)  # never sends a byte
+        deadline = time.monotonic() + 5
+        while len(service._idle_conns) < 2:
+            assert time.monotonic() < deadline, "connections never parked"
+            time.sleep(0.01)
+        threads = list(service._conn_threads)
+        started = time.perf_counter()
+        service.close()
+        elapsed = time.perf_counter() - started
+        assert elapsed < 1.0, f"close() took {elapsed:.2f}s"
+        assert not any(thread.is_alive() for thread in threads)
+
+
 # ------------------------------------------------------- binary pair frames
 
 class ScriptedServer(threading.Thread):

@@ -8,7 +8,7 @@ writer, so the sweeper skips them; only lock-free (dead-writer) tmps go.
 
 import pytest
 
-from repro.governor import DiskExhausted, install_budgets
+from repro.governor import DiskExhausted, metering
 from repro.storage import MappedSegment, Store
 
 
@@ -53,12 +53,13 @@ class TestCleanupOrphansLiveWriterGuard:
 class TestDiskPreflightOnCreate:
     def test_create_over_budget_raises_classified(self, tmp_path):
         store = Store(str(tmp_path), disks=2)
-        install_budgets(tmp_path, None, 8192)  # one small segment fits, not two
         path0 = store.path(0, "A0")
-        segment = MappedSegment.create(str(path0), capacity=4)
-        segment.close()
-        with pytest.raises(DiskExhausted) as info:
-            MappedSegment.create(str(store.path(1, "B1")), capacity=4)
+        # One small segment fits the budget, not two.
+        with metering(disk_limit_bytes=8192, store_root=str(tmp_path)):
+            segment = MappedSegment.create(str(path0), capacity=4)
+            segment.close()
+            with pytest.raises(DiskExhausted) as info:
+                MappedSegment.create(str(store.path(1, "B1")), capacity=4)
         error = info.value
         assert error.limit == 8192
         assert error.used == path0.stat().st_size
@@ -67,9 +68,11 @@ class TestDiskPreflightOnCreate:
 
     def test_create_under_budget_passes(self, tmp_path):
         store = Store(str(tmp_path), disks=2)
-        install_budgets(tmp_path, None, 1 << 20)
-        segment = MappedSegment.create(str(store.path(0, "A0")), capacity=4)
-        segment.close()
+        with metering(disk_limit_bytes=1 << 20, store_root=str(tmp_path)):
+            segment = MappedSegment.create(
+                str(store.path(0, "A0")), capacity=4
+            )
+            segment.close()
 
     def test_usage_bytes_tracks_reservation(self, tmp_path):
         store = Store(str(tmp_path), disks=2)
