@@ -54,8 +54,6 @@ ALGORITHMS = (
     "nested-loops",
     "sort-merge",
     "grace",
-    "grace-radix",
-    "grace-learned",
     "hybrid-hash",
 )
 ROUNDS = 5

@@ -32,8 +32,6 @@ REAL_ALGORITHMS = (
     "nested-loops",
     "sort-merge",
     "grace",
-    "grace-radix",
-    "grace-learned",
     "hybrid-hash",
 )
 BENCH_PATH = RESULTS_DIR / "BENCH_skew.json"
@@ -345,164 +343,6 @@ def test_ext_skew_rebalance_matrix(record, tmp_path):
     ))
     _append_bench_run({
         "kind": "skew-rebalance-matrix",
-        "timestamp": time.time(),
-        "scale": scale,
-        "objects": objects,
-        "cells": cells,
-    })
-
-
-# ---------------------------------------------------------------------------
-# Partitioner skew matrix: neutralize skew at partition time
-# ---------------------------------------------------------------------------
-
-
-def partitioner_specs(objects: int) -> dict:
-    """Skew families for the partitioner study.
-
-    ``partition_hot`` here deliberately crosses a partition boundary
-    (``hot_span=0.375`` with 4 disks: all of partition 0 plus half of
-    partition 1), because a hot span aligned to partition boundaries is
-    pure *partition* skew — invisible to any bucket-assignment strategy,
-    which can only move records between buckets of the same target.
-    """
-    return {
-        "zipf": WorkloadSpec(
-            r_objects=objects,
-            s_objects=objects,
-            distribution="zipf",
-            distribution_args={"theta": 1.0},
-            seed=96,
-        ),
-        "partition_hot": WorkloadSpec(
-            r_objects=objects,
-            s_objects=objects,
-            distribution="partition_hot",
-            distribution_args={"hot_fraction": 0.6, "hot_span": 0.375},
-            seed=96,
-        ),
-    }
-
-
-def _post_partition_ratios(store_root, disks, buckets):
-    """Per-partition max/mean bucket depth read from the kept store.
-
-    The exact histogram every probe task is about to process, straight
-    from the published bucket directories — the same measurement the
-    rebalancer makes.
-    """
-    from repro.parallel.engine.rebalance import _bucket_histogram
-    from repro.storage.store import Store
-
-    store = Store(str(store_root), disks)
-    out = []
-    for partition in range(disks):
-        histogram = _bucket_histogram(store, partition, disks, buckets)
-        total = sum(histogram)
-        mean = total / buckets if buckets else 0
-        out.append({
-            "partition": partition,
-            "records": total,
-            "ratio": round(max(histogram) / mean, 4) if mean else None,
-        })
-    return out
-
-
-def _gating_ratio(ratios, disks):
-    """Worst bucket imbalance over the partitions that gate the pass.
-
-    A pass ends when its most loaded partition does, so bucket lumpiness
-    inside a partition carrying less than the mean partition load never
-    gates — and at bench depths the light partitions' ratios are mostly
-    sampling noise.  Only partitions at or above the mean load count.
-    """
-    total = sum(entry["records"] for entry in ratios)
-    threshold = total / disks
-    gating = [
-        entry["ratio"]
-        for entry in ratios
-        if entry["ratio"] is not None and entry["records"] >= threshold
-    ]
-    return max(gating) if gating else 1.0
-
-
-def test_ext_skew_partitioner_matrix(record, tmp_path):
-    """Partitioner strategies against skewed pointers, rebalance off.
-
-    The learned CDF partitioner must neutralize zipf(theta=1) and
-    boundary-crossing partition_hot skew *at partition time*: its
-    post-partition gating max/mean bucket depth stays at or below 1.25
-    with no rebalance shards at all, and beats the order-preserving hash
-    on both families.  All strategies must agree with the oracle
-    checksum — bucket assignment never affects join output.
-    """
-    from repro.governor.predict import JoinPlan
-
-    scale = bench_scale(0.2)
-    objects = max(int(BASE_OBJECTS * scale), 2_048)
-    buckets = JoinPlan().buckets
-    algorithms = ("grace", "grace-radix", "grace-learned")
-    cells = []
-    for wname, spec in partitioner_specs(objects).items():
-        workload = generate_workload(spec, 4)
-        oracle = expected_checksum(workload)
-        checksums = set()
-        by_algorithm = {}
-        for algorithm in algorithms:
-            store = tmp_path / f"{wname}-{algorithm}"
-            result = run_real_join(
-                algorithm,
-                workload,
-                str(store),
-                use_processes=False,
-                collect_pairs=False,
-                keep_store=True,
-                rebalance="off",
-            )
-            assert result.checksum == oracle, (wname, algorithm)
-            assert not result.rebalance, (wname, algorithm)
-            checksums.add(result.checksum)
-            ratios = _post_partition_ratios(store, 4, buckets)
-            by_algorithm[algorithm] = {
-                "partitioner": result.partitioner,
-                "wall_ms": result.wall_ms,
-                "per_partition": ratios,
-                "gating_ratio": round(_gating_ratio(ratios, 4), 4),
-            }
-        assert len(checksums) == 1, (wname, checksums)
-        learned = by_algorithm["grace-learned"]["gating_ratio"]
-        hashed = by_algorithm["grace"]["gating_ratio"]
-        # The acceptance bar: skew neutralized at partition time, no
-        # rebalance shards involved.
-        assert learned <= 1.25, (wname, by_algorithm["grace-learned"])
-        assert learned < hashed, (wname, learned, hashed)
-        cells.append({
-            "workload": wname,
-            "skew": round(workload.measured_skew(), 4),
-            "checksum": oracle,
-            "buckets": buckets,
-            "algorithms": by_algorithm,
-        })
-
-    rows = [
-        [
-            cell["workload"],
-            algorithm,
-            cell["algorithms"][algorithm]["partitioner"],
-            cell["algorithms"][algorithm]["gating_ratio"],
-        ]
-        for cell in cells
-        for algorithm in algorithms
-    ]
-    record("ext_skew_partitioner", "\n".join([
-        f"== Extension: partitioner matrix (scale={scale}, "
-        f"objects={objects}, buckets={buckets}, rebalance=off) ==",
-        format_table(
-            ["workload", "algorithm", "partitioner", "gating_ratio"], rows
-        ),
-    ]))
-    _append_bench_run({
-        "kind": "skew-partitioner-matrix",
         "timestamp": time.time(),
         "scale": scale,
         "objects": objects,

@@ -2,8 +2,8 @@
 regression gate.
 
 Standalone (no pytest): ``PYTHONPATH=src python benchmarks/vector_smoke.py``.
-Runs the six registered plans (including the radix/learned partitioner
-variants of grace) at 1/5th of the paper's validation geometry under both
+Runs the four registered plans at 1/5th of the paper's validation
+geometry under both
 kernel modes, asserts the modes agree bit-for-bit (pair count + checksum),
 and gates on the vectorized throughput: per-algorithm the vector kernels
 must not be slower than scalar, and the suite-aggregate speedup must hold
@@ -29,8 +29,6 @@ ALGORITHMS = (
     "nested-loops",
     "sort-merge",
     "grace",
-    "grace-radix",
-    "grace-learned",
     "hybrid-hash",
 )
 SCALE = 0.2

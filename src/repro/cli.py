@@ -38,7 +38,6 @@ from repro.harness.figures import all_figures, figure_1a, figure_1b, figure_5a, 
 from repro.harness.report import format_table, shape_summary
 from repro.joins import JoinEnvironment, make_algorithm, verify_pairs
 from repro.model import MemoryParameters
-from repro.parallel.engine.stages import PARTITIONER_NAMES
 from repro.parallel.engine.stages import algorithms as real_algorithms
 from repro.workload import (
     DISTRIBUTIONS,
@@ -81,9 +80,8 @@ def build_parser() -> argparse.ArgumentParser:
     join = sub.add_parser("join", help="run one verified join")
     _common_workload_args(join)
     # The union of both backends' registries: the simulator's model
-    # functions plus every registered real-backend pass plan (the
-    # partitioner variants exist only there); _cmd_join rejects the
-    # combinations a backend does not implement.
+    # functions plus every registered real-backend pass plan;
+    # _cmd_join rejects the combinations a backend does not implement.
     join.add_argument(
         "algorithm",
         choices=sorted(set(MODEL_FUNCTIONS) | set(real_algorithms())),
@@ -145,14 +143,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="stage-kernel implementation: numpy-vectorized inner loops "
              "(vector, the default) or the per-record scalar path "
              "(debugging/equivalence baselines)",
-    )
-    join.add_argument(
-        "--partitioner", choices=PARTITIONER_NAMES, default=None,
-        help="real-backend partitioning strategy for the bucketed plans: "
-             "the paper's order-preserving hash, the cache-budgeted "
-             "radix scatter, or the learned equal-depth CDF model; "
-             "default is the plan's declared strategy (grace-radix/"
-             "grace-learned differ from grace only there)",
     )
     join.add_argument(
         "--resume", action="store_true",
@@ -502,7 +492,6 @@ def _cmd_join(args) -> int:
                     governor=governor,
                     kernels=args.kernels,
                     rebalance=args.rebalance,
-                    partitioner=args.partitioner,
                 )
             except ResourceExhausted as error:
                 # Classified exhaustion is an orderly refusal, not a crash:

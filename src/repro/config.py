@@ -6,7 +6,7 @@ default exactly once — instead of one ad-hoc ``os.environ.get`` per
 module.  Precedence is: an explicit argument wins, else the default;
 the environment only supplies process-wide settings that have no
 argument to travel in (integrity, bench and test switches).  Per-run
-state — kernel mode, partitioner, budgets — never comes from here: it
+state — kernel mode, budgets — never comes from here: it
 travels to the workers inside each task.
 
 This module is import-light on purpose — stdlib only — so the storage

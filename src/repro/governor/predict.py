@@ -114,23 +114,9 @@ class JoinPlan:
     #: the executor's threshold), ``"on"`` (force-shard every non-empty
     #: partition of the shardable stages — the bit-identity proof mode).
     rebalance: str = "auto"
-    #: Partitioning strategy override for bucketed plans (``"hash"``,
-    #: ``"radix"``, ``"learned"``).  ``None`` leaves each plan's declared
-    #: strategy; the ladder's strategy→hash rung sets it explicitly.
-    partitioner: Optional[str] = None
 
     def effective_resident_buckets(self) -> int:
         return max(0, min(self.resident_buckets, self.buckets - 1))
-
-    def effective_partitioner(self, algorithm: str) -> Optional[str]:
-        """The strategy the partition stage will actually run, or None
-        when the plan has no partitioner-bearing stage."""
-        pass_plan = _pass_plan(algorithm)
-        for stage in pass_plan.stages:
-            declared = getattr(stage, "partitioner", None)
-            if declared is not None:
-                return self.partitioner or declared
-        return None
 
     def as_dict(self) -> dict:
         return {
@@ -142,7 +128,6 @@ class JoinPlan:
             "resident_buckets": self.resident_buckets,
             "kernel_mode": self.kernel_mode,
             "rebalance": self.rebalance,
-            "partitioner": self.partitioner,
         }
 
     def degraded(self, algorithm: str, resource: str = "memory") -> "JoinPlan":
@@ -172,13 +157,8 @@ class JoinPlan:
             # without shrinking any knob.  Never fires for default plans,
             # which already start at "auto".
             return replace(self, rebalance="auto")
-        buffered = any(
-            getattr(stage, "buffered", False) for stage in pass_plan.stages
-        )
-        resident_join = any(
-            getattr(stage, "resident_join", False)
-            for stage in pass_plan.stages
-        )
+        buffered = any(stage.buffered for stage in pass_plan.stages)
+        resident_join = any(stage.resident_join for stage in pass_plan.stages)
         if pass_plan.has_kind("sort-run") and self.irun > MIN_IRUN:
             return replace(self, irun=max(MIN_IRUN, self.irun // 2))
         if buffered:
@@ -198,14 +178,6 @@ class JoinPlan:
                 )
         if self.batch_records > MIN_BATCH_RECORDS:
             return self._with_batch(self.batch_records // 2)
-        strategy = self.effective_partitioner(algorithm)
-        if strategy is not None and strategy != "hash":
-            # Partitioner scratch (radix digit lanes, the learned CDF
-            # tables and per-batch span lanes) is pure overhead beyond
-            # the hash baseline: falling back reclaims it, at the cost
-            # of the cache-budgeted scatter or of re-exposing pointer
-            # skew to the probe-side rebalancer.
-            return replace(self, partitioner="hash")
         if resident_join and self.effective_resident_buckets() > 0:
             return replace(
                 self, resident_buckets=self.effective_resident_buckets() // 2
@@ -364,24 +336,6 @@ def predict_footprint(
                 # the scan: one chunk of S objects rides on top of the
                 # retained R buffer.
                 estimate += batch * s
-            strategy = plan.partitioner or getattr(
-                stage, "partitioner", "hash"
-            )
-            if strategy != "hash":
-                # Strategy-specific scratch (radix pass lanes, learned
-                # boundary tables) priced by the partitioner layer
-                # itself; lazy import keeps this module storage-free.
-                from repro.parallel.engine.partition import (
-                    partition_scratch_bytes,
-                )
-
-                estimate += partition_scratch_bytes(
-                    strategy,
-                    disks=disks,
-                    buckets=plan.buckets,
-                    batch=batch,
-                    retained=max(retained, batch),
-                )
             per_pass[stage.label] = estimate
             per_contributor = r_i / disks  # one contributor's share/target
             chunks = (

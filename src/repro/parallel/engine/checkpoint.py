@@ -39,6 +39,7 @@ import time
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.governor.predict import JoinPlan
 from repro.parallel.engine.task import PairResult
 from repro.storage.segment import (
     MappedSegment,
@@ -201,7 +202,7 @@ class ResumeState:
     """What a validated manifest lets the executor skip."""
 
     records: List[dict]
-    plan: dict
+    plan: JoinPlan
     runtime_degradations: int
     manifest_age_s: float
     segments_scrubbed: int
@@ -223,8 +224,10 @@ def validate_manifest(
 
     Returns ``(state, problem, scrub_failures)``.  ``state`` is None
     whenever the whole manifest is untrustworthy — wrong identity, a
-    stage sequence that is not a prefix of the current plan, or a base
-    relation failing its payload scrub.  A corrupt or missing *stage
+    stage sequence that is not a prefix of the current plan, plan knobs
+    other than this build's :class:`JoinPlan` fields (a manifest an
+    older or newer build wrote), or a base relation failing its payload
+    scrub.  A corrupt or missing *stage
     artifact* only costs the stages from its producer onward: the
     records are truncated to the longest clean prefix (``problem`` then
     reports what was dropped while ``state`` still replays the prefix).
@@ -252,6 +255,12 @@ def validate_manifest(
     plan = manifest.get("plan")
     if not isinstance(plan, dict):
         return None, "manifest carries no plan", 0
+    differing = set(plan) ^ {knob.name for knob in dataclasses.fields(JoinPlan)}
+    if differing:
+        return None, (
+            "manifest plan was recorded by a build with other knobs "
+            f"(differing: {', '.join(sorted(differing))})"
+        ), 0
     # The base relations first: a warm store whose R/S rotted must be
     # re-materialized, not trusted.
     for disk in range(store.disks):
@@ -314,7 +323,7 @@ def validate_manifest(
     return (
         ResumeState(
             records=records,
-            plan=plan,
+            plan=JoinPlan(**plan),
             runtime_degradations=int(
                 manifest.get("runtime_degradations", 0)
             ),

@@ -8,7 +8,7 @@ old per-algorithm runner duplicated per pass:
   orphan sweep/destroy;
 * task fan-out — one :class:`~repro.parallel.engine.task.TaskSpec` per
   partition per stage carrying the whole of the task's run state (plan,
-  budgets, metrics flag, partitioner state, the attempt's fault),
+  budgets, metrics flag, the attempt's fault),
   dispatched to a shared :class:`multiprocessing.Pool` (or inline),
   futures drained with an optional timeout;
 * recovery — a retry budget with exponential backoff, inline fallback
@@ -66,10 +66,6 @@ from repro.parallel.engine.checkpoint import (
     load_manifest,
     validate_manifest,
     workload_signature,
-)
-from repro.parallel.engine.partition import (
-    fit_learned_state,
-    partitioner_class,
 )
 from repro.parallel.engine.rebalance import plan_stage_rebalance
 from repro.parallel.engine.stages import PassPlan, Stage
@@ -148,28 +144,11 @@ def plan_stage_units(
     barrier's published artifacts) and oversized partitions split into
     shard units along the stage's axis; the decision lands in
     ``outcome.rebalance[stage.label]``.
-
-    A partition stage's specs carry the resolved strategy and, when it
-    needs one, a model fit here from the warm store — deterministic
-    stride sampling, so every round, retry and resume refits the
-    identical model.
     """
     disks = store.disks
-    mode = getattr(plan, "rebalance", "off") or "off"
-    decision = None
-    if stage.rebalance is not None and mode != "off":
-        decision = plan_stage_rebalance(
-            store, stage, disks, mode, plan.buckets
-        )
-    strategy: Dict[str, object] = {}
-    declared = getattr(stage, "partitioner", None)
-    if declared is not None:
-        name = plan.partitioner or declared
-        strategy["partitioner"] = name
-        if partitioner_class(name).requires_fit:
-            strategy["partitioner_state"] = fit_learned_state(
-                store, disks, spec.s_objects, plan.buckets
-            )
+    decision = plan_stage_rebalance(
+        store, stage, disks, plan.rebalance, plan.buckets
+    )
     units: List[TaskSpec] = []
     for partition in range(disks):
         unit = TaskSpec(
@@ -183,7 +162,6 @@ def plan_stage_units(
             worker_mem_budget=worker_mem_budget,
             disk_budget=disk_budget,
             metrics=metrics,
-            **strategy,
         )
         shards = decision.shards[partition] if decision is not None else None
         if not shards:
@@ -272,7 +250,7 @@ def execute_plan(
         # The recorded stages ran under the manifest's (possibly
         # degraded) plan; resuming under the caller's knobs instead
         # would break bit-identity with the uninterrupted run.
-        plan = JoinPlan(**resume_state.plan)
+        plan = resume_state.plan
     outcome = ExecutionOutcome(plan=plan)
     outcome.integrity = {
         "segments_scrubbed": (

@@ -86,45 +86,31 @@ SORT_MERGE = register_plan(PassPlan(
     ),
 ))
 
-def _grace_plan(algorithm: str, partitioner: str) -> PassPlan:
-    """The Grace plan family: one probe stage, a pluggable partitioner.
-
-    The three registered variants differ *only* in the partition stage's
-    declared strategy — the proof that a new partitioner is a pure
-    registration.  A ``plan.partitioner`` knob override (CLI/ladder)
-    beats the declared default when the executor builds the task spec.
-    """
-    return PassPlan(
-        algorithm=algorithm,
-        stages=(
-            PartitionStage(
-                label="partition",
-                kernel="grace_partition",
-                emits="moved",
-                buffered=True,
-                partitioner=partitioner,
-            ),
-            ProbeStage(
-                label="probe",
-                kernel="grace_probe",
-                emits="pairs",
-                rebalance="buckets",
-            ),
+GRACE = register_plan(PassPlan(
+    algorithm="grace",
+    stages=(
+        PartitionStage(
+            label="partition",
+            kernel="grace_partition",
+            emits="moved",
+            buffered=True,
         ),
-        conservation=(
-            ConservationRule(
-                "partitioned records", (("partition", "moved"),), "input"
-            ),
-            ConservationRule(
-                "probed records", (("probe", "pairs"),), ("partition", "moved")
-            ),
+        ProbeStage(
+            label="probe",
+            kernel="grace_probe",
+            emits="pairs",
+            rebalance="buckets",
         ),
-    )
-
-
-GRACE = register_plan(_grace_plan("grace", "hash"))
-GRACE_RADIX = register_plan(_grace_plan("grace-radix", "radix"))
-GRACE_LEARNED = register_plan(_grace_plan("grace-learned", "learned"))
+    ),
+    conservation=(
+        ConservationRule(
+            "partitioned records", (("partition", "moved"),), "input"
+        ),
+        ConservationRule(
+            "probed records", (("probe", "pairs"),), ("partition", "moved")
+        ),
+    ),
+))
 
 HYBRID_HASH = register_plan(PassPlan(
     algorithm="hybrid-hash",

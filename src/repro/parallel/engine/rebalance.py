@@ -14,9 +14,9 @@ declared axis:
 * ``"records"`` — positional ranges over the inbound record stream
   (sort-merge's run-formation pass, nested loops' spill-join pass);
 * ``"keys"`` — sorted-pointer key ranges, equal-depth over a cheap CDF
-  fitted to keys sampled from the partition's sorted runs (the
-  learned-index trick: quantiles of a key sample are the range
-  boundaries that make every shard the same depth);
+  fitted to keys sampled from the partition's sorted runs (quantiles
+  of a key sample are the range boundaries that make every shard the
+  same depth);
 * ``"buckets"`` — contiguous hash-bucket ranges, equal-depth over the
   *exact* per-bucket histogram read from the bucket directories (small
   "dustbin" buckets coalesce into shared ranges; hot buckets isolate).
@@ -35,9 +35,9 @@ same artifacts and lands on the same shards.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from repro.parallel.engine.partition import cdf_quantiles, equal_depth_cuts
+from repro.parallel.engine.stages import Stage
 from repro.parallel.engine.task import (
     Shard,
     bucket_spill_paths,
@@ -156,7 +156,7 @@ def _shard_counts(
 
 def plan_stage_rebalance(
     store: Store,
-    stage,
+    stage: Stage,
     disks: int,
     mode: str,
     buckets: int,
@@ -168,7 +168,7 @@ def plan_stage_rebalance(
     ``"off"``; otherwise a :class:`StageRebalance` (possibly with zero
     splits — the stats document still records the measured ratio).
     """
-    axis = getattr(stage, "rebalance", None)
+    axis = stage.rebalance
     if axis is None or mode == "off":
         return None
     validate_rebalance_mode(mode)
@@ -270,20 +270,68 @@ def _record_inbound_sizes(store: Store, kernel: str, disks: int) -> List[int]:
 def _bucket_histogram(
     store: Store, partition: int, disks: int, buckets: int
 ) -> List[int]:
-    """Exact per-bucket inbound counts from the bucket directories."""
+    """Exact per-bucket inbound counts from the bucket directories.
+
+    Header-page reads only: the probe tasks verify the payloads they
+    map, so a driver-side CRC of every spill here would be a second,
+    serial pass over bytes no worker shares a verified-file memo for.
+    """
     histogram = [0] * buckets
     for contributor in range(disks):
         for path in bucket_spill_paths(store, partition, contributor):
-            rel = BucketedRFile.open(path)
-            try:
-                for bucket in range(min(buckets, rel.buckets)):
-                    histogram[bucket] += rel.bucket_len(bucket)
-            finally:
-                rel.close()
+            counts = BucketedRFile.bucket_counts(path)
+            for bucket, count in enumerate(counts[:buckets]):
+                histogram[bucket] += count
     return histogram
 
 
 # -------------------------------------------------------- shard geometry
+
+def cdf_quantiles(sorted_samples: Sequence[int], count: int) -> List[int]:
+    """``count - 1`` equal-depth boundaries over a sorted sample.
+
+    Boundary ``k`` is the sample at rank ``k·n // count`` — an empirical
+    CDF inverse at the equal-depth quantiles.  Duplicate boundaries are
+    *kept*: a value spanning several quantiles encodes a heavy hitter
+    (:func:`_key_shards` dedupes the returned list itself, since record
+    ranges cannot share a boundary).
+    """
+    if count <= 1 or not sorted_samples:
+        return []
+    n = len(sorted_samples)
+    return [sorted_samples[min(n - 1, k * n // count)] for k in range(1, count)]
+
+
+def equal_depth_cuts(weights: Sequence[int], count: int) -> List[int]:
+    """Cut positions splitting ``weights`` into ≤ ``count`` equal-depth ranges.
+
+    Returns ``[0, ..., len(weights)]`` — contiguous half-open ranges over
+    the weight indices, cutting after index ``i`` once the cumulative
+    weight crosses the next ``k/count`` fraction of the total.  A single
+    index heavy enough to cross several fractions is never split (a
+    bucket is atomic); the walk just swallows the crossed fractions and
+    keeps cutting for the remainder, so a hot bucket costs one wide
+    range rather than starving the tail.
+    """
+    total = sum(weights)
+    if count <= 1 or total <= 0 or len(weights) < 2:
+        return [0, len(weights)]
+    cuts = [0]
+    cum = 0
+    k = 1
+    for index, weight in enumerate(weights[:-1]):
+        cum += weight
+        crossed = False
+        while k < count and cum * count >= k * total:
+            k += 1
+            crossed = True
+        if crossed and index + 1 > cuts[-1]:
+            cuts.append(index + 1)
+        if k >= count:
+            break
+    cuts.append(len(weights))
+    return cuts
+
 
 def _record_shards(size: int, count: int) -> List[Shard]:
     """Equal positional slices of ``size`` records."""
@@ -346,12 +394,9 @@ def _key_shards(store: Store, partition: int, count: int) -> List[Shard]:
 def _bucket_shards(histogram: List[int], count: int) -> List[Shard]:
     """Equal-depth contiguous bucket ranges over the exact histogram.
 
-    Cut placement is delegated to the shared global-CDF walk in
-    :func:`repro.parallel.engine.partition.equal_depth_cuts` — the same
-    helper the learned partitioner uses — so bucket sharding and key
-    sharding round their tails identically.  Trailing empty buckets ride
-    along with the final range; dustbin buckets (far below target depth)
-    naturally coalesce into one shard.
+    Cut placement is the global-CDF walk of :func:`equal_depth_cuts`.
+    Trailing empty buckets ride along with the final range; dustbin
+    buckets (far below target depth) naturally coalesce into one shard.
     """
     total = sum(histogram)
     if not total or len(histogram) < 2:

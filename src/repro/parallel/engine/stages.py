@@ -46,15 +46,6 @@ EMIT_KINDS = ("moved", "pairs", "both")
 #: (equal-depth over the exact per-bucket histogram).
 REBALANCE_AXES = ("records", "keys", "buckets")
 
-#: Legal partitioning strategies a :class:`PartitionStage` may declare.
-#: The implementations live in :mod:`repro.parallel.engine.partition`
-#: (which imports this module, never the reverse — the names are
-#: mirrored here so plan validation stays import-light); a test pins the
-#: tuple against that module's registry.  ``"hash"`` is the paper's
-#: order-preserving range hash, ``"radix"`` the cache-budgeted multi-pass
-#: radix scatter, ``"learned"`` the equal-depth CDF model fit per run.
-PARTITIONER_NAMES = ("hash", "radix", "learned")
-
 
 class PassPlanError(ValueError):
     """Raised for malformed pass plans or stage wiring."""
@@ -80,6 +71,14 @@ class Stage:
     #: the stage's kernel must understand the attached
     #: :class:`~repro.parallel.engine.task.Shard` for its axis).
     rebalance: Optional[str] = None
+    #: The kernel retains hash-bucket groups in memory across its scan
+    #: (Grace/hybrid partitioning), so the governor's ``spill_threshold``
+    #: knob applies.
+    buffered: bool = False
+    #: The kernel joins the plan's resident buckets during its scan
+    #: (hybrid hash): the stage emits pairs as well as moved records and
+    #: the ``resident_buckets`` knob applies.
+    resident_join: bool = False
 
     def __post_init__(self) -> None:
         if self.emits not in EMIT_KINDS:
@@ -112,29 +111,12 @@ class ScanJoinStage(Stage):
 class PartitionStage(Stage):
     """Redistribute R records to their pointer-target partitions.
 
-    ``buffered`` — the kernel retains bucket groups in memory across the
-    scan (Grace/hybrid hash partitioning), so the governor's
-    ``spill_threshold`` knob applies.  ``resident_join`` — the kernel
-    joins its plan-designated resident buckets during the scan (hybrid
-    hash), so the stage emits pairs as well as moved records and the
-    ``resident_buckets`` knob applies.  ``partitioner`` — the strategy
-    the kernel scatters buckets with (the plan's declared default; the
-    governor's ``partitioner`` knob overrides it at run time).
+    Unbuffered (sort-merge) it is a pure range partition; ``buffered``
+    (Grace/hybrid) it also scatters each target's records into the
+    order-preserving hash buckets of the paper's section 7.1.
     """
 
     kind: ClassVar[str] = "partition"
-
-    buffered: bool = False
-    resident_join: bool = False
-    partitioner: str = "hash"
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if self.partitioner not in PARTITIONER_NAMES:
-            raise PassPlanError(
-                f"stage {self.label!r} partitions via "
-                f"{self.partitioner!r}; choices: {PARTITIONER_NAMES}"
-            )
 
 
 @dataclass(frozen=True)

@@ -115,10 +115,6 @@ class TaskSpec:
     plan: JoinPlan = JoinPlan()
     #: The slice of this partition's input, when the rebalancer split it.
     shard: Optional[Shard] = None
-    #: Resolved partitioning strategy, and its fitted state when the
-    #: strategy needs one (partition-stage specs only).
-    partitioner: str = "hash"
-    partitioner_state: Optional[dict] = None
     worker_mem_budget: Optional[int] = None
     disk_budget: Optional[int] = None
     #: Collect a task-local metrics registry and return its snapshot.

@@ -66,8 +66,6 @@ ALGORITHM_TASKS: Dict[str, tuple] = {
         "sort_merge_merge_join",
     ),
     "grace": ("grace_partition", "grace_probe"),
-    "grace-radix": ("grace_partition", "grace_probe"),
-    "grace-learned": ("grace_partition", "grace_probe"),
     "hybrid-hash": ("hybrid_hash_partition", "grace_probe"),
 }
 

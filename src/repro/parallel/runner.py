@@ -38,7 +38,6 @@ from repro.parallel.engine.executor import (
     execute_plan,
 )
 from repro.parallel.engine.rebalance import validate_rebalance_mode
-from repro.parallel.engine.stages import PARTITIONER_NAMES
 from repro.parallel.engine.stages import algorithms as registered_algorithms
 from repro.parallel.engine.stages import plan_for
 from repro.parallel.faults import FaultPlan, RetryPolicy
@@ -88,8 +87,9 @@ class RealJoinResult:
     #: numpy kernels or "scalar" per-record structs) — the mode of the
     #: plan that actually ran, after any admission/runtime degradation.
     kernel_mode: str = "vector"
-    #: The partitioning strategy the run's partition stage actually used
-    #: (after any ladder fallback); None for plans without one.
+    #: The stats document's ``meta.partitioner``: ``"hash"`` (the
+    #: order-preserving bucket function) when the plan's partition stage
+    #: buckets, None otherwise.
     partitioner: Optional[str] = None
     #: Per-stage rebalance decisions from the executor's final round:
     #: stage label -> {axis, splits, tasks, moved_records, pre_ratio,
@@ -139,7 +139,6 @@ def run_real_join(
     tenant: Optional[str] = None,
     priority: int = 0,
     rebalance: str = "auto",
-    partitioner: Optional[str] = None,
     resume: bool = False,
 ) -> RealJoinResult:
     """Execute one pointer-based join on real mmap-backed files.
@@ -187,13 +186,6 @@ def run_real_join(
     of the shardable stages, ``"off"`` never shards.  Join output is
     bit-identical in every mode.
 
-    ``partitioner`` overrides the bucketed plans' partitioning strategy
-    (``"hash"``, ``"radix"``, ``"learned"``); unset leaves each plan's
-    declared strategy (``grace-radix``/``grace-learned`` are the
-    ``grace`` plan with a different declaration).  Join *pairs* are
-    identical under every strategy — only the bucket layout of the
-    spill files differs.
-
     ``reuse_store`` promises ``store_root`` already holds this exact
     workload (a warm store a previous ``keep_store=True`` run left
     behind) and skips re-materializing R/S — the join-service daemon's
@@ -234,11 +226,6 @@ def run_real_join(
             f"choices: {engine_task.KERNEL_MODES}"
         )
     validate_rebalance_mode(rebalance)
-    if partitioner is not None and partitioner not in PARTITIONER_NAMES:
-        raise RealJoinError(
-            f"unknown partitioner {partitioner!r}; "
-            f"choices: {PARTITIONER_NAMES}"
-        )
     pass_plan = plan_for(algorithm)
     policy = RetryPolicy(
         retries=retries,
@@ -259,7 +246,6 @@ def run_real_join(
         resident_buckets=resident_buckets,
         kernel_mode=kernel_mode,
         rebalance=rebalance,
-        partitioner=partitioner,
     )
     governed = (
         mem_budget is not None or disk_budget is not None or governor is not None
@@ -273,15 +259,21 @@ def run_real_join(
     admission_degradations = 0
     predicted = None
     if governed:
-        predicted = predict_footprint(algorithm, workload, plan, worker_budget)
-        if worker_budget is not None:
-            if on_pressure == "degrade":
-                plan, admission_degradations, predicted = fit_plan(
-                    algorithm, workload, plan, worker_budget
-                )
-                if admission_degradations:
-                    admission = "degraded"
-            elif predicted.mem_high_water_bytes > worker_budget:
+        if worker_budget is not None and on_pressure == "degrade":
+            # fit_plan prices every plan it visits, the admitted one last.
+            plan, admission_degradations, predicted = fit_plan(
+                algorithm, workload, plan, worker_budget
+            )
+            if admission_degradations:
+                admission = "degraded"
+        else:
+            predicted = predict_footprint(
+                algorithm, workload, plan, worker_budget
+            )
+            if (
+                worker_budget is not None
+                and predicted.mem_high_water_bytes > worker_budget
+            ):
                 raise MemoryExhausted(
                     f"{algorithm}: predicted per-worker high-water mark "
                     "exceeds the memory budget",
@@ -394,7 +386,11 @@ def run_real_join(
         ),
         governor=governor_doc,
         kernel_mode=outcome.plan.kernel_mode,
-        partitioner=outcome.plan.effective_partitioner(algorithm),
+        partitioner=(
+            "hash"
+            if any(stage.buffered for stage in pass_plan.stages)
+            else None
+        ),
         rebalance=dict(outcome.rebalance),
         resume=dict(outcome.resume),
         integrity=dict(outcome.integrity),

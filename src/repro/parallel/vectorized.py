@@ -37,7 +37,6 @@ import numpy as np
 
 from repro.governor.watchdog import active_meter
 from repro.obs.registry import active as _metrics
-from repro.parallel.engine.partition import resolve_partitioner
 from repro.parallel.engine.task import (
     RUN_SHARD_STRIDE,
     PairResult,
@@ -523,16 +522,12 @@ def _flush_bucket_chunks(
     record_bytes: int,
     contributor: int,
     chunk: int | None,
-    order_fn=None,
 ) -> int:
     """Write accumulated per-target column chunks as bucketed spill files.
 
     The vector twin of the scalar ``_spill_bucket_groups``: one stable
-    bucket-contiguous permutation (the partitioner's ``order`` — for the
-    hash strategy, exactly the pre-refactor stable argsort; for
-    radix/learned, bounded-fan-out radix passes) groups each target's
-    records bucket-contiguously (encounter order within a bucket
-    preserved), and the whole blob lands in one
+    argsort groups each target's records bucket-contiguously (encounter
+    order within a bucket preserved), and the whole blob lands in one
     :meth:`BucketedRFile.append_buckets_packed` — byte-identical segment
     and directory, one slice write instead of one per bucket.
     """
@@ -542,10 +537,7 @@ def _flush_bucket_chunks(
         sptr = np.concatenate([c[1] for c in chunks])
         payload = np.concatenate([c[2] for c in chunks])
         bucket = np.concatenate([c[3] for c in chunks])
-        if order_fn is None:
-            order = np.argsort(bucket, kind="stable")
-        else:
-            order = order_fn(bucket)
+        order = np.argsort(bucket, kind="stable")
         counts = np.bincount(bucket.astype(np.int64), minlength=buckets)
         spill = BucketedRFile.create(
             store.path(target, bucket_spill_name(target, contributor, chunk)),
@@ -567,6 +559,19 @@ def _flush_bucket_chunks(
     return flushed
 
 
+def _hash_buckets(part_sizes, buckets: int, parts, offs):
+    """:func:`repro.joins.grace.order_preserving_bucket` over u64 columns.
+
+    ``part_sizes`` is the u64 array of S-partition sizes ``parts``
+    indexes; the result is monotone in ``offs`` within a target, which
+    is what lets the probe read S sequentially.
+    """
+    return np.minimum(
+        offs * np.uint64(buckets) // part_sizes[parts],
+        np.uint64(buckets - 1),
+    )
+
+
 def grace_partition(spec: TaskSpec) -> int:
     """Passes 0 and 1 for one contributor: hash into the BS_j_from_i files."""
     disks, i, record_bytes = spec.disks, spec.partition, spec.r_bytes
@@ -576,9 +581,8 @@ def grace_partition(spec: TaskSpec) -> int:
     store = spec.open_store()
     pmap = spec.pointer_map()
     meter = active_meter()
-    part_sizes = [pmap.partition_size(j) for j in range(disks)]
-    part = resolve_partitioner(
-        spec.partitioner, part_sizes, buckets, spec.partitioner_state
+    part_sizes = np.asarray(
+        [pmap.partition_size(j) for j in range(disks)], dtype=np.uint64
     )
     grouped: Dict[int, List[tuple]] = {}
     moved = 0
@@ -588,7 +592,7 @@ def grace_partition(spec: TaskSpec) -> int:
     def flush_groups(chunk: int | None) -> int:
         nonlocal retained
         flushed = _flush_bucket_chunks(
-            store, grouped, buckets, record_bytes, i, chunk, part.order
+            store, grouped, buckets, record_bytes, i, chunk
         )
         meter.release(retained * record_bytes)
         retained = 0
@@ -599,7 +603,7 @@ def grace_partition(spec: TaskSpec) -> int:
             meter.charge(len(rid) * record_bytes, "grace bucket groups")
             retained += len(rid)
             parts, offs = pmap.locate_array(sptr)
-            bucket = part.bucket_array(parts, offs, rid)
+            bucket = _hash_buckets(part_sizes, buckets, parts, offs)
             for target in _targets_in_encounter_order(parts):
                 mask = parts == target
                 grouped.setdefault(target, []).append(
@@ -625,9 +629,8 @@ def hybrid_hash_partition(spec: TaskSpec) -> StageOutput:
     store = spec.open_store()
     pmap = spec.pointer_map()
     meter = active_meter()
-    part_sizes = [pmap.partition_size(j) for j in range(disks)]
-    part = resolve_partitioner(
-        spec.partitioner, part_sizes, buckets, spec.partitioner_state
+    part_sizes = np.asarray(
+        [pmap.partition_size(j) for j in range(disks)], dtype=np.uint64
     )
     grouped: Dict[int, List[tuple]] = {}
     moved = 0
@@ -643,7 +646,7 @@ def hybrid_hash_partition(spec: TaskSpec) -> StageOutput:
     def flush_groups(chunk: int | None) -> int:
         nonlocal retained
         flushed = _flush_bucket_chunks(
-            store, grouped, buckets, record_bytes, i, chunk, part.order
+            store, grouped, buckets, record_bytes, i, chunk
         )
         meter.release(retained * record_bytes)
         retained = 0
@@ -655,7 +658,7 @@ def hybrid_hash_partition(spec: TaskSpec) -> StageOutput:
             for rid, sptr, payload in r_rel.iter_column_batches(batch_records):
                 meter.charge(len(rid) * record_bytes, "hybrid bucket groups")
                 parts, offs = pmap.locate_array(sptr)
-                bucket = part.bucket_array(parts, offs, rid)
+                bucket = _hash_buckets(part_sizes, buckets, parts, offs)
                 home = bucket < resident
                 resident_count = int(home.sum())
                 if resident_count:

@@ -41,9 +41,8 @@ from typing import Dict, List, Tuple
 from repro.governor.watchdog import active_meter
 
 from repro.core.records import RObject
-from repro.joins.grace import refining_chain
+from repro.joins.grace import order_preserving_bucket, refining_chain
 from repro.parallel import vectorized
-from repro.parallel.engine.partition import resolve_partitioner
 from repro.parallel.engine.task import (
     BATCH_RECORDS,
     CHECKSUM_MOD,
@@ -471,9 +470,6 @@ def grace_partition(spec: TaskSpec) -> int:
     pmap = spec.pointer_map()
     meter = active_meter()
     part_sizes = [pmap.partition_size(j) for j in range(disks)]
-    part = resolve_partitioner(
-        spec.partitioner, part_sizes, buckets, spec.partitioner_state
-    )
     grouped: Dict[int, Dict[int, List[RObject]]] = {}
     moved = 0
     retained = 0
@@ -494,7 +490,9 @@ def grace_partition(spec: TaskSpec) -> int:
             retained += len(batch)
             located = pmap.locate_many([obj[1] for obj in batch])
             for obj, (target, offset) in zip(batch, located):
-                bucket = part.bucket_of(target, offset, obj[0])
+                bucket = order_preserving_bucket(
+                    offset, part_sizes[target], buckets
+                )
                 grouped.setdefault(target, {}).setdefault(bucket, []).append(obj)
             if spill_threshold is not None and retained >= spill_threshold:
                 moved += flush_groups(chunk_id)
@@ -531,9 +529,6 @@ def hybrid_hash_partition(spec: TaskSpec) -> StageOutput:
     pmap = spec.pointer_map()
     meter = active_meter()
     part_sizes = [pmap.partition_size(j) for j in range(disks)]
-    part = resolve_partitioner(
-        spec.partitioner, part_sizes, buckets, spec.partitioner_state
-    )
     grouped: Dict[int, Dict[int, List[RObject]]] = {}
     moved = 0
     retained = 0
@@ -563,7 +558,9 @@ def hybrid_hash_partition(spec: TaskSpec) -> StageOutput:
                 by_target: Dict[int, Tuple[List[RObject], List[int]]] = {}
                 resident_count = 0
                 for obj, (target, offset) in zip(batch, located):
-                    bucket = part.bucket_of(target, offset, obj[0])
+                    bucket = order_preserving_bucket(
+                        offset, part_sizes[target], buckets
+                    )
                     if bucket < resident:
                         objs, offsets = by_target.setdefault(
                             target, ([], [])

@@ -17,7 +17,12 @@ import numpy as _np
 
 from repro.core.records import JoinedPair, RObject, SObject
 from repro.obs.registry import active as _metrics
-from repro.storage.segment import META_CAPACITY, MappedSegment, StorageError
+from repro.storage.segment import (
+    META_CAPACITY,
+    MappedSegment,
+    StorageError,
+    _read_header,
+)
 
 DEFAULT_BATCH_RECORDS = 4096
 
@@ -272,6 +277,17 @@ _DIR_COUNT = struct.Struct("<Q")
 _DIR_ENTRY = struct.Struct("<QQ")  # start, count
 
 
+def _directory_of(meta: bytes, path) -> List[tuple]:
+    """The ``(start, count)`` bucket directory stored in a meta blob."""
+    if len(meta) < _DIR_COUNT.size:
+        raise StorageError(f"{path} has no bucket directory")
+    (buckets,) = _DIR_COUNT.unpack_from(meta)
+    return [
+        _DIR_ENTRY.unpack_from(meta, _DIR_COUNT.size + b * _DIR_ENTRY.size)
+        for b in range(buckets)
+    ]
+
+
 class BucketedRFile(_RelationFile):
     """R records grouped by hash bucket inside one mapped segment.
 
@@ -320,16 +336,23 @@ class BucketedRFile(_RelationFile):
     @classmethod
     def open(cls, path: str | os.PathLike) -> "BucketedRFile":
         segment = MappedSegment.open(path)
-        meta = segment.read_meta()
-        if len(meta) < _DIR_COUNT.size:
+        try:
+            directory = _directory_of(segment.read_meta(), path)
+        except StorageError:
             segment.close()
-            raise StorageError(f"{path} has no bucket directory")
-        (buckets,) = _DIR_COUNT.unpack_from(meta)
-        directory = [
-            _DIR_ENTRY.unpack_from(meta, _DIR_COUNT.size + b * _DIR_ENTRY.size)
-            for b in range(buckets)
-        ]
+            raise
         return cls(segment, directory)
+
+    @staticmethod
+    def bucket_counts(path: str | os.PathLike) -> List[int]:
+        """Per-bucket record counts from the header page, without mapping.
+
+        The bucketed twin of :meth:`MappedSegment.record_count`: one page
+        read, header sanity, no payload verification — for sizing work
+        from a published spill whose readers verify it themselves.
+        """
+        _count, meta = _read_header(path)
+        return [count for _start, count in _directory_of(meta, path)]
 
     @property
     def buckets(self) -> int:

@@ -472,32 +472,10 @@ class MappedSegment:
         """Read a segment's record count from its header without mapping it.
 
         Sizing a pass's output (e.g. a PAIRS segment) needs only the counts
-        of its input files; a plain 32-byte read is far cheaper than
+        of its input files; one header-page read is far cheaper than
         building and tearing down a whole mapping per file.
         """
-        path = Path(path)
-        try:
-            with open(path, "rb") as file_obj:
-                header = file_obj.read(HEADER.size)
-                file_obj.seek(FOOTER_OFFSET)
-                footer = file_obj.read(_FOOTER.size)
-        except FileNotFoundError:
-            raise StorageError(f"no segment file at {path}") from None
-        if len(header) < HEADER.size:
-            raise StorageError(f"{path} is not a segment file")
-        magic, record_bytes, capacity, count = HEADER.unpack_from(header)
-        problem = _header_problem(
-            magic, record_bytes, capacity, count, os.path.getsize(path)
-        )
-        if problem is not None:
-            raise StorageError(f"{path} {problem}")
-        stored = _parse_footer(footer, 0)
-        if stored is not None and stored[1] != count:
-            raise StorageError(
-                f"{path} is corrupt: integrity footer covers {stored[1]} "
-                f"records but the header claims {count}"
-            )
-        return count
+        return _read_header(path)[0]
 
     @staticmethod
     def delete(path: str | os.PathLike) -> None:
@@ -875,6 +853,40 @@ def _header_problem(
             f"declared {capacity}-record data area"
         )
     return None
+
+
+def _read_header(path: str | os.PathLike) -> Tuple[int, bytes]:
+    """``(record count, meta blob)`` of a segment, without mapping it.
+
+    Applies the header and footer-count sanity of :meth:`MappedSegment.
+    open` but never touches the payload: callers size work from what a
+    publisher wrote into the header page, and whoever later maps the
+    segment verifies its bytes.
+    """
+    path = Path(path)
+    try:
+        with open(path, "rb") as file_obj:
+            page = file_obj.read(PAGE_SIZE)
+            file_bytes = os.fstat(file_obj.fileno()).st_size
+    except FileNotFoundError:
+        raise StorageError(f"no segment file at {path}") from None
+    if len(page) < HEADER.size:
+        raise StorageError(f"{path} is not a segment file")
+    magic, record_bytes, capacity, count = HEADER.unpack_from(page)
+    problem = _header_problem(magic, record_bytes, capacity, count, file_bytes)
+    if problem is not None:
+        raise StorageError(f"{path} {problem}")
+    stored = _parse_footer(page)
+    if stored is not None and stored[1] != count:
+        raise StorageError(
+            f"{path} is corrupt: integrity footer covers {stored[1]} "
+            f"records but the header claims {count}"
+        )
+    (length,) = _META_LEN.unpack_from(page, HEADER.size)
+    if length > META_CAPACITY:
+        raise StorageError(f"corrupt meta length {length} in {path.name}")
+    start = HEADER.size + _META_LEN.size
+    return count, page[start : start + length]
 
 
 # ------------------------------------------------------- timed map helpers

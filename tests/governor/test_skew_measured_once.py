@@ -2,14 +2,16 @@
 
 ``fit_plan`` calls ``predict_footprint`` once per ladder rung, the runner
 re-predicts after a run that degraded, and the stats document reports the
-skew again; all of them share the one measurement a ``Workload`` makes.
+skew again; all of them share the one measurement a ``Workload`` makes —
+and admission prices each plan it visits exactly once.
 """
 
 import pytest
 
 from repro.core import partition
-from repro.governor import JoinPlan, fit_plan, predict_footprint
-from repro.parallel import run_real_join
+from repro.governor import JoinPlan, fit_plan, predict, predict_footprint
+from repro.parallel import FaultPlan, FaultSpec, run_real_join
+from repro.parallel import runner
 from repro.workload import WorkloadSpec, generate_workload
 
 ALGORITHMS = ("nested-loops", "sort-merge", "grace", "hybrid-hash")
@@ -57,3 +59,52 @@ def test_ladder_walk_is_arithmetic(skew_calls):
     other = generate_workload(WorkloadSpec(r_objects=64, s_objects=64), disks=2)
     other.measured_skew()
     assert skew_calls == [4, 2]
+
+
+@pytest.fixture
+def predictions(monkeypatch):
+    """Every plan priced, whether by the runner or inside ``fit_plan``."""
+    priced = []
+    kernel = predict.predict_footprint
+
+    def counting(algorithm, workload, plan, worker_mem_budget_bytes=None):
+        priced.append(plan)
+        return kernel(algorithm, workload, plan, worker_mem_budget_bytes)
+
+    monkeypatch.setattr(predict, "predict_footprint", counting)
+    monkeypatch.setattr(runner, "predict_footprint", counting)
+    return priced
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_admission_prices_each_plan_once(algorithm, predictions, tmp_path):
+    workload = generate_workload(
+        WorkloadSpec.paper_validation(scale=SCALE, seed=11), disks=4)
+    result = run_real_join(
+        algorithm, workload, str(tmp_path / "db"), use_processes=False,
+        mem_budget=BUDGET, on_pressure="degrade", collect_pairs=False,
+    )
+    rungs = result.governor["admission_degradations"]
+    assert rungs >= 2 and result.governor["runtime_degradations"] == 0
+    assert len(predictions) == rungs + 1
+    assert len(set(predictions)) == len(predictions)
+
+
+def test_runtime_degradation_reprices_only_the_final_plan(predictions, tmp_path):
+    workload = generate_workload(
+        WorkloadSpec.paper_validation(scale=SCALE, seed=11), disks=4)
+    result = run_real_join(
+        "grace", workload, str(tmp_path / "db"), use_processes=False,
+        mem_budget=BUDGET, on_pressure="degrade", collect_pairs=False,
+        fault_plan=FaultPlan(
+            [FaultSpec("mem-pressure", "grace_probe", 0, attempt=0)]),
+    )
+    assert result.governor["runtime_degradations"] == 1
+    assert len(predictions) == result.governor["admission_degradations"] + 2
+    # Without a ladder to walk, the one prediction is the runner's own.
+    predictions.clear()
+    run_real_join(
+        "grace", workload, str(tmp_path / "db2"), use_processes=False,
+        mem_budget=1 << 30, on_pressure="fail", collect_pairs=False,
+    )
+    assert len(predictions) == 1

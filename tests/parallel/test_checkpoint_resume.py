@@ -153,3 +153,39 @@ def test_manifest_for_another_algorithm_is_declined(workload, tmp_path):
     assert "algorithm" in (resumed.resume["reason"] or "")
     assert resumed.pair_count == baseline.pair_count
     assert resumed.checksum == baseline.checksum
+
+
+@pytest.mark.parametrize(
+    "edit, knob",
+    [
+        # What the build before the partitioner cut recorded.
+        (lambda plan: plan.update(partitioner=None), "partitioner"),
+        (lambda plan: plan.pop("tsize"), "tsize"),
+    ],
+    ids=["extra-knob", "missing-knob"],
+)
+def test_manifest_from_another_build_is_declined(
+    edit, knob, workload, tmp_path
+):
+    """A manifest whose plan is not exactly this build's JoinPlan knobs
+    (the daemon resumes journaled requests across an upgrade) costs a
+    fresh run, never a crash."""
+    baseline = run_real_join(
+        "grace", workload, str(tmp_path / "baseline"),
+        use_processes=False, collect_pairs=False,
+    )
+    store = tmp_path / "crashed"
+    run_to_crash("grace", workload, store)
+    document = json.loads(manifest_path(store).read_text())
+    edit(document["plan"])
+    manifest_path(store).write_text(json.dumps(document))
+    resumed = run_real_join(
+        "grace", workload, str(store),
+        use_processes=False, keep_store=True, collect_pairs=False,
+        resume=True,
+    )
+    assert resumed.resume["resumed"] is False
+    assert knob in resumed.resume["reason"]
+    assert resumed.pair_count == baseline.pair_count
+    assert resumed.checksum == baseline.checksum
+    assert resumed.pass_checksums == baseline.pass_checksums

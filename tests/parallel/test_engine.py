@@ -27,7 +27,6 @@ from repro.parallel import (
     run_real_join,
 )
 from repro.parallel.engine import task as engine_task
-from repro.parallel.engine.partition import LearnedPartitioner
 from repro.parallel.engine.stages import (
     ConservationRule,
     PassPlan,
@@ -184,8 +183,6 @@ class TestTaskSpecCarrier:
             kernel="grace_partition",
             plan=JoinPlan(batch_records=64, kernel_mode="scalar"),
             shard=Shard(index=1, count=2, lo=10, hi=20),
-            partitioner="learned",
-            partitioner_state=LearnedPartitioner.fit([[1, 2, 2], [5]], 16),
             worker_mem_budget=1 << 20,
             disk_budget=1 << 30,
             metrics=True,
@@ -196,6 +193,7 @@ class TestTaskSpecCarrier:
             echoed = pool.apply(pickle.loads, (pickle.dumps(spec),))
         assert echoed == spec
         assert echoed.slot == "1s1"
+        assert len(pickle.dumps(spec)) < 1024
 
 
 #: Every way a run used to publish state into the store root.
@@ -206,7 +204,7 @@ STORE_ARMS = {
     ),
     "metrics": dict(collect_metrics=True),
     "faults": dict(collect_metrics=False),
-    "fitted": dict(collect_metrics=False, partitioner="learned"),
+    "scalar": dict(collect_metrics=False, kernels="scalar"),
 }
 
 
@@ -273,37 +271,35 @@ class TestPoolCreatedBeforeTheRun:
             ])
 
         # Start at the ladder's floor so few rungs remain: spill threshold
-        # (x3), learned -> hash, vector -> scalar.
+        # (x3), vector -> scalar.
         floor = dict(
             batch_records=64, buckets=248, mem_budget=1 << 30,
             collect_metrics=False,
         )
         pool = multiprocessing.Pool(2)
         try:
-            refit = run_real_join(
-                "grace-learned", workload, str(tmp_path / "a"), pool=pool,
+            midway = run_real_join(
+                "grace", workload, str(tmp_path / "a"), pool=pool,
                 fault_plan=pressure(2), **floor,
             )
             bottom = run_real_join(
-                "grace-learned", workload, str(tmp_path / "b"), pool=pool,
-                fault_plan=pressure(5), **floor,
+                "grace", workload, str(tmp_path / "b"), pool=pool,
+                fault_plan=pressure(4), **floor,
             )
         finally:
             pool.close()
             pool.join()
         oracle = expected_checksum(workload)
-        # Two rounds re-planned and re-dispatched, each refitting the
-        # learned model for workers that never saw the first fit.
-        assert refit.checksum == oracle
-        assert refit.governor["runtime_degradations"] == 2
-        assert refit.governor["plan"]["spill_threshold"] == 128
-        assert refit.partitioner == "learned"
-        assert refit.kernel_mode == "vector"
-        # Five rounds reach the last rung: the same workers switch
-        # strategy, then kernel implementation, mid-run.
+        # Two rounds re-planned and re-dispatched to workers that never
+        # saw the first plan.
+        assert midway.checksum == oracle
+        assert midway.governor["runtime_degradations"] == 2
+        assert midway.governor["plan"]["spill_threshold"] == 128
+        assert midway.kernel_mode == "vector"
+        # Four rounds reach the last rung: the same workers switch
+        # kernel implementation mid-run.
         assert bottom.checksum == oracle
-        assert bottom.governor["runtime_degradations"] == 5
-        assert bottom.governor["plan"]["partitioner"] == "hash"
+        assert bottom.governor["runtime_degradations"] == 4
         assert bottom.governor["plan"]["kernel_mode"] == "scalar"
         assert bottom.kernel_mode == "scalar"
 

@@ -2,10 +2,12 @@
 integration, governor interplay, and the stats-document report."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.governor.predict import JoinPlan, predict_footprint
 from repro.joins.reference import expected_checksum
 from repro.obs.export import schema_problems
+from repro.obs.registry import MetricsRegistry, activate, deactivate
 from repro.parallel import run_real_join
 from repro.parallel.engine.rebalance import (
     REBALANCE_MAX_SHARDS,
@@ -13,9 +15,23 @@ from repro.parallel.engine.rebalance import (
     _bucket_shards,
     _record_shards,
     _shard_counts,
+    cdf_quantiles,
+    equal_depth_cuts,
+    plan_stage_rebalance,
     validate_rebalance_mode,
 )
-from repro.parallel.engine.task import Shard, task_slot
+from repro.parallel.engine.stages import plan_for
+from repro.parallel.engine.task import (
+    Shard,
+    TaskSpec,
+    bucket_spill_paths,
+    task_slot,
+)
+from repro.parallel.faults import flip_payload_bit
+from repro.parallel.workers import grace_partition, grace_probe
+from repro.storage.relation import BucketedRFile
+from repro.storage.segment import StorageError
+from repro.storage.store import Store
 from repro.workload import WorkloadSpec, generate_workload
 
 ALGORITHMS = ("nested-loops", "sort-merge", "grace", "hybrid-hash")
@@ -87,11 +103,8 @@ class TestShardGeometry:
         assert depths == [400, 200, 200]
 
     def test_bucket_and_key_sharding_share_one_cdf(self):
-        # Both shard kinds must round tails identically: the bucket walk
-        # delegates to the same equal_depth_cuts helper the learned
-        # partitioner uses, so a pinned histogram yields pinned cuts.
-        from repro.parallel.engine.partition import equal_depth_cuts
-
+        # The bucket walk is exactly equal_depth_cuts: a pinned histogram
+        # yields pinned cuts.
         histogram = [1000] + [10] * 15
         cuts = equal_depth_cuts(histogram, 4)
         shards = _bucket_shards(histogram, 4)
@@ -116,6 +129,83 @@ class TestShardGeometry:
     def test_task_slots(self):
         assert task_slot(2, None) == 2
         assert task_slot(2, Shard(index=1, count=3, lo=0, hi=10)) == "2s1"
+
+
+class TestCdfHelpers:
+    @settings(max_examples=50, deadline=None)
+    @given(
+        weights=st.lists(st.integers(min_value=0, max_value=1_000),
+                         min_size=2, max_size=64),
+        count=st.integers(min_value=2, max_value=8),
+    )
+    def test_cuts_cover_and_increase(self, weights, count):
+        cuts = equal_depth_cuts(weights, count)
+        assert cuts[0] == 0 and cuts[-1] == len(weights)
+        assert all(a < b for a, b in zip(cuts, cuts[1:]))
+        assert len(cuts) <= count + 1
+
+    def test_quantiles_keep_duplicates(self):
+        # A heavy hitter spanning several quantiles must repeat; the
+        # key-shard planner collapses the repeats into one wide shard.
+        samples = sorted([5] * 80 + list(range(20)))
+        bounds = cdf_quantiles(samples, 10)
+        assert bounds.count(5) >= 6
+
+
+class TestProbePlanningReadsHeadersOnly:
+    """The driver sizes a probe stage between two barriers; the probe
+    tasks, not the driver, verify the spilled bytes they map."""
+
+    @pytest.fixture()
+    def partitioned(self, tmp_path):
+        """A store at the partition barrier: every BS spill published."""
+        workload = skewed_workload()
+        store = Store(tmp_path / "db", workload.disks)
+        store.materialize(workload)
+        specs = [
+            TaskSpec(
+                str(store.root), workload.disks, i,
+                workload.spec.s_objects, workload.spec.r_bytes,
+            )
+            for i in range(workload.disks)
+        ]
+        assert sum(grace_partition(spec) for spec in specs) == 2_000
+        return store, specs
+
+    def test_planning_neither_maps_nor_verifies(self, partitioned):
+        store, _specs = partitioned
+        probe = plan_for("grace").stage("probe")
+        registry = activate(MetricsRegistry())
+        try:
+            decision = plan_stage_rebalance(store, probe, store.disks, "on", 16)
+        finally:
+            deactivate()
+        assert decision.sharded
+        assert not registry.counters_named("storage.integrity.verify")
+        assert not registry.counters_named("storage.map.open")
+        # ...and it measured exactly what a mapped read would have.
+        for i in range(store.disks):
+            mapped = 0
+            for contributor in range(store.disks):
+                for path in bucket_spill_paths(store, i, contributor):
+                    with BucketedRFile.open(path) as rel:
+                        mapped += len(rel)
+            assert decision.sizes[i] == mapped
+
+    def test_spill_rotted_after_the_barrier_is_refused_by_its_probe(
+        self, partitioned
+    ):
+        store, specs = partitioned
+        victim = bucket_spill_paths(store, 1, 0)[0]
+        flip_payload_bit(victim, record=0, bit=3)
+        probe = plan_for("grace").stage("probe")
+        assert plan_stage_rebalance(
+            store, probe, store.disks, "auto", 16
+        ) is not None  # planning reads no payload, so it cannot notice
+        with pytest.raises(StorageError, match="checksum mismatch"):
+            grace_probe(specs[1])
+        assert not list(store.root.glob("disk1/PAIRS*"))
+        assert grace_probe(specs[0]).count > 0  # clean partitions still join
 
 
 class TestBitIdentity:

@@ -15,7 +15,12 @@ import pytest
 
 np = pytest.importorskip("numpy")
 
+from hypothesis import given, settings, strategies as st
+
+from repro.governor.predict import MAX_BUCKETS
+from repro.joins.grace import order_preserving_bucket
 from repro.parallel import FaultPlan, run_real_join
+from repro.parallel.vectorized import _hash_buckets
 from repro.workload import WorkloadSpec, generate_workload
 
 ALGORITHMS = ("nested-loops", "sort-merge", "grace", "hybrid-hash")
@@ -61,6 +66,45 @@ def assert_equivalent(scalar, vector):
     assert vector.pass_checksums == scalar.pass_checksums
     # Emission order, not just content: the pairs lists line up 1:1.
     assert vector.pairs == scalar.pairs
+
+
+class TestBucketFunction:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        part_sizes=st.lists(
+            st.integers(min_value=1, max_value=5_000), min_size=1, max_size=4
+        ),
+        buckets=st.integers(min_value=1, max_value=MAX_BUCKETS),
+        data=st.data(),
+    )
+    def test_scalar_bucket_equals_vector_helper(
+        self, part_sizes, buckets, data
+    ):
+        """Element-wise agreement, edges forced: every target's first and
+        last offset, one-object partitions, more buckets than objects."""
+        located = [
+            (target, offset)
+            for target, size in enumerate(part_sizes)
+            for offset in {0, size // 2, size - 1}
+        ]
+        for _ in range(64):
+            target = data.draw(st.integers(0, len(part_sizes) - 1))
+            located.append(
+                (target, data.draw(st.integers(0, part_sizes[target] - 1)))
+            )
+        scalar = [
+            order_preserving_bucket(offset, part_sizes[target], buckets)
+            for target, offset in located
+        ]
+        assert all(0 <= bucket < buckets for bucket in scalar)
+        vector = _hash_buckets(
+            np.asarray(part_sizes, dtype=np.uint64),
+            buckets,
+            np.asarray([t for t, _ in located], dtype=np.int64),
+            np.asarray([o for _, o in located], dtype=np.uint64),
+        )
+        assert vector.dtype == np.uint64
+        assert vector.tolist() == scalar
 
 
 class TestKernelEquivalence:

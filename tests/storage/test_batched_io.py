@@ -252,6 +252,8 @@ class TestBucketedRFile:
                 ]
                 assert got == expected
                 assert reader.bucket_len(bucket) == len(expected)
+        # The header-only read agrees with the mapped directory.
+        assert BucketedRFile.bucket_counts(path) == [1, 0, 2, 1, 0]
 
     def test_out_of_order_bucket_rejected(self, tmp_path):
         writer = BucketedRFile.create(tmp_path / "b.seg", 4, buckets=4)
@@ -275,6 +277,8 @@ class TestBucketedRFile:
         RRelationFile.create(path, 2).close()
         with pytest.raises(StorageError):
             BucketedRFile.open(path)
+        with pytest.raises(StorageError, match="no bucket directory"):
+            BucketedRFile.bucket_counts(path)
 
     def test_too_many_buckets_for_directory_rejected(self, tmp_path):
         with pytest.raises(StorageError):
