@@ -25,12 +25,17 @@ admission model and degradation ladder for free — hybrid hash added a
 resident-join flag and one ladder rung, nothing else.
 
 A :class:`JoinPlan` is the knob set the prediction is a function of, and
-:meth:`JoinPlan.degraded` is one rung of the degradation ladder: smaller
-batches for scan joins, a smaller sort heap (more, smaller runs) for
-sort-runs, chunked spilling and more/smaller buckets for the bucketed
-plans, fewer resident buckets for hybrid hash.  :func:`fit_plan` walks
-the ladder until the predicted high-water mark fits the budget — the
-"re-plan instead of thrash" admission decision.
+:meth:`JoinPlan.degraded` is one rung of the degradation ladder — the
+knob that shrinks the *binding* stage (the one whose footprint is the
+high-water mark): smaller batches for scans and merges, a smaller sort
+heap only while run cutting binds, chunked spilling for the partition
+buffer, finer buckets for the probe tables.  :func:`fit_plan` walks the
+ladder until the predicted high-water mark fits the budget and stops at
+the first plan that does — the "re-plan instead of thrash" admission
+decision.  The sort-merge merge stage is priced the way the paper draws
+Fig. 5(b): a fan-in bounded by memory (:func:`merge_fanin`) and
+``ceil(log_F(runs))`` passes (:func:`merge_passes`), so less memory buys
+more passes, not a different algorithm.
 
 Deliberately import-light at module level: only :mod:`repro.model`
 (itself pure math); the engine's plan registry is imported lazily at
@@ -42,7 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.model.buffer import ylru
 from repro.model.geometry import nested_loops_geometry, synchronized_geometry
@@ -65,6 +70,11 @@ MAX_BUCKETS = 248
 #: model, and landing exactly on the limit would turn every small
 #: mis-estimate into a runtime degradation round.
 FIT_MARGIN = 0.75
+
+#: A rung earns its place by lowering the predicted high-water mark by at
+#: least this share.  Stages within this share of the mark are all
+#: *binding*: shrinking one of them alone cannot pay.
+RUNG_MIN_GAIN = 0.10
 
 #: Mirror of :data:`repro.parallel.engine.rebalance.REBALANCE_RATIO`
 #: (not imported — that module pulls in the storage layer).  With
@@ -106,8 +116,10 @@ class JoinPlan:
     resident_buckets: int = 4
     #: Which stage-kernel implementation the run executes: ``"vector"``
     #: (numpy columnar) or ``"scalar"`` (per-record structs).  Output is
-    #: bit-identical either way; the vector multi-run merge holds one
-    #: chunk per run, so dropping to scalar is the ladder's last rung.
+    #: bit-identical either way.  The vector merge holds one chunk per
+    #: merged run, at least two runs at a time, so the scalar heap is the
+    #: ladder's floor: the rung taken when the merge stage binds with
+    #: ``batch_records`` already at its minimum.
     kernel_mode: str = "vector"
     #: Per-partition size rebalancing in the executor: ``"off"`` (never
     #: shard), ``"auto"`` (shard when the partition-size ratio crosses
@@ -130,15 +142,24 @@ class JoinPlan:
             "rebalance": self.rebalance,
         }
 
-    def degraded(self, algorithm: str, resource: str = "memory") -> "JoinPlan":
+    def degraded(
+        self,
+        algorithm: str,
+        resource: str = "memory",
+        binding: Sequence[str] = (),
+    ) -> "JoinPlan":
         """One rung down the ladder; returns ``self`` when exhausted.
 
-        The rungs are chosen by the stage kinds in the algorithm's pass
-        plan, cheapest-loss first: shrink the sort heap (more, smaller
-        runs), bound then shrink the partition buffer (chunked spilling),
-        shrink the batches, evict resident buckets (hybrid degenerates
-        toward grace), and finally split buckets finer so the probe-side
-        tables shrink too.
+        A memory rung shrinks one stage of the algorithm's pass plan.
+        ``binding`` holds the labels of the stages to shrink first — those
+        whose footprint sets the predicted high-water mark
+        (:func:`fit_plan`) or whose worker just ran out of memory (the
+        executor) — so a rung is only taken where it lowers the mark;
+        when several stages bind at once, the rung is the one knob they
+        share, ``batch_records``.  Without a binding stage, or once it
+        sits at its floor, stages are tried in plan order, so repeated
+        calls walk every knob to the ladder's floor; giving up the vector
+        kernels is the last rung of all.
 
         Disk pressure has no plan-level remedy beyond throttling batch
         sizes (spill capacities are workload-determined), so every
@@ -157,39 +178,84 @@ class JoinPlan:
             # without shrinking any knob.  Never fires for default plans,
             # which already start at "auto".
             return replace(self, rebalance="auto")
-        buffered = any(stage.buffered for stage in pass_plan.stages)
-        resident_join = any(stage.resident_join for stage in pass_plan.stages)
-        if pass_plan.has_kind("sort-run") and self.irun > MIN_IRUN:
-            return replace(self, irun=max(MIN_IRUN, self.irun // 2))
-        if buffered:
-            if self.spill_threshold is None:
-                return replace(
-                    self,
-                    spill_threshold=max(
-                        MIN_BATCH_RECORDS, 4 * self.batch_records
-                    ),
-                )
-            if self.spill_threshold > self.batch_records:
-                return replace(
-                    self,
-                    spill_threshold=max(
-                        self.batch_records, self.spill_threshold // 2
-                    ),
-                )
-        if self.batch_records > MIN_BATCH_RECORDS:
+        if len(binding) > 1 and self.batch_records > MIN_BATCH_RECORDS:
             return self._with_batch(self.batch_records // 2)
-        if resident_join and self.effective_resident_buckets() > 0:
-            return replace(
-                self, resident_buckets=self.effective_resident_buckets() // 2
-            )
-        if pass_plan.has_kind("probe") and self.buckets < MAX_BUCKETS:
-            return replace(self, buckets=min(MAX_BUCKETS, self.buckets * 2))
+        for stage in sorted(
+            pass_plan.stages, key=lambda stage: stage.label not in binding
+        ):
+            lowered = self._shrunk(stage)
+            if lowered is not None:
+                return lowered
         if self.kernel_mode == "vector":
-            # Last resort: give up the columnar kernels' per-run merge
-            # chunks and column staging.  Output is unchanged, so this
-            # rung trades only speed for the final slice of memory.
             return replace(self, kernel_mode="scalar")
         return self
+
+    def _shrunk(self, stage) -> Optional["JoinPlan"]:
+        """The rung that lowers ``stage``'s footprint; None at its floor.
+
+        Each branch mirrors the stage's price in :func:`predict_footprint`
+        and moves the knob the larger term hangs on, cheapest loss first.
+        """
+        batch = self.batch_records
+        halved_batch = (
+            self._with_batch(batch // 2) if batch > MIN_BATCH_RECORDS else None
+        )
+        if stage.kind == "sort-run":
+            # The cutter holds irun + one trailing batch.  Batches shrink
+            # the other stages too, so they go first; the sort heap only
+            # once it is the larger term (more, smaller runs cost the
+            # merge stage extra passes).
+            if self.irun > MIN_IRUN and (
+                self.irun > batch or halved_batch is None
+            ):
+                return replace(self, irun=max(MIN_IRUN, self.irun // 2))
+            return halved_batch
+        if stage.kind == "partition" and stage.buffered:
+            # Retains spill_threshold + one batch: bound the buffer
+            # (chunked spilling), shrink it down to the batch size, then
+            # shrink both; a hybrid plan finally evicts resident buckets.
+            if self.spill_threshold is None:
+                return replace(
+                    self, spill_threshold=max(MIN_BATCH_RECORDS, 4 * batch)
+                )
+            if self.spill_threshold > batch:
+                return replace(
+                    self, spill_threshold=max(batch, self.spill_threshold // 2)
+                )
+            if halved_batch is not None:
+                return halved_batch
+            if stage.resident_join and self.effective_resident_buckets() > 0:
+                return replace(
+                    self,
+                    resident_buckets=self.effective_resident_buckets() // 2,
+                )
+            return None
+        if stage.kind == "probe":
+            # One bucket's table plus a dereference chunk carved from it:
+            # finer buckets shrink both, batches only the chunk.  The
+            # resident count scales along (inert without a resident
+            # join), so a hybrid plan keeps the same key range — and the
+            # same pairs — in its partition pass.
+            if self.buckets < MAX_BUCKETS:
+                buckets = min(MAX_BUCKETS, self.buckets * 2)
+                return replace(
+                    self,
+                    buckets=buckets,
+                    resident_buckets=(
+                        self.resident_buckets * buckets // self.buckets
+                    ),
+                )
+            return halved_batch
+        if (
+            stage.kind == "merge"
+            and halved_batch is None
+            and self.kernel_mode == "vector"
+        ):
+            # The vector merge cannot hold fewer than two run chunks; the
+            # scalar heap streams records instead.  Output is unchanged,
+            # so this rung trades only speed for the last slice of memory.
+            return replace(self, kernel_mode="scalar")
+        return halved_batch
 
     def _with_batch(self, batch_records: int) -> "JoinPlan":
         batch_records = max(MIN_BATCH_RECORDS, batch_records)
@@ -240,6 +306,43 @@ def _segment_bytes(capacity: float, record_bytes: int) -> float:
     return PAGE_SIZE + math.ceil(data / PAGE_SIZE) * PAGE_SIZE
 
 
+def merge_fanin(
+    worker_mem_budget_bytes: Optional[int],
+    batch_records: int,
+    r_bytes: int,
+    s_bytes: int,
+) -> Optional[int]:
+    """How many sorted runs the vector merge holds open at once.
+
+    The merge buffers one ``batch_records`` chunk per open run on top of
+    one joined output batch, so the fan-in is whatever the fit target
+    (``FIT_MARGIN`` x budget) leaves after that batch — never below two,
+    or the merge could not make progress.  ``None`` (no budget) means
+    unbounded: every run in one pass.  The kernel and the footprint model
+    both call this, so the merge that runs is the merge that was priced.
+    """
+    if worker_mem_budget_bytes is None:
+        return None
+    spare = FIT_MARGIN * worker_mem_budget_bytes - batch_records * (
+        r_bytes + s_bytes
+    )
+    return max(2, int(spare // (batch_records * r_bytes)))
+
+
+def merge_passes(n_runs: int, fanin: Optional[int]) -> int:
+    """Passes over the data to merge ``n_runs`` at ``fanin`` runs a time.
+
+    ``ceil(log_fanin(n_runs))``, counted the way the kernel merges:
+    groups of ``fanin`` consecutive runs become one run each until a
+    single group is left for the final, joining pass.
+    """
+    passes = 1
+    while fanin is not None and n_runs > fanin:
+        n_runs = math.ceil(n_runs / fanin)
+        passes += 1
+    return passes
+
+
 def predict_footprint(
     algorithm: str,
     workload,
@@ -286,6 +389,7 @@ def predict_footprint(
     )
     inbound_balanced = max(1.0, geometry.rs_i * skew_eff)
     batch = max(1, min(plan.batch_records, math.ceil(r_i)))
+    irun_eff = max(1, min(plan.irun, math.ceil(inbound)))
     per_pass: Dict[str, float] = {}
     details: Dict[str, float] = {}
     spill_bytes = 0.0
@@ -347,7 +451,6 @@ def predict_footprint(
                 _segment_bytes(per_contributor, r) + (chunks - 1) * PAGE_SIZE
             )
         elif stage.kind == "sort-run":
-            irun_eff = max(1, min(plan.irun, math.ceil(inbound)))
             n_runs = max(1, math.ceil(inbound / irun_eff))
             # Run building holds at most irun + one trailing batch before
             # a flush.
@@ -365,15 +468,27 @@ def predict_footprint(
                 1, min(plan.batch_records, math.ceil(inbound_balanced))
             )
             per_pass[stage.label] = merge_batch * (r + s)
-            n_runs = details.get("merge_runs", 1.0)
+            n_runs = int(details.get("merge_runs", 1.0))
+            # The scalar heap streams every run at once, and so does a
+            # vector merge without a budget to bound it.
+            fanin = (
+                merge_fanin(worker_mem_budget_bytes, plan.batch_records, r, s)
+                if plan.kernel_mode == "vector"
+                else None
+            ) or n_runs
+            passes = merge_passes(n_runs, fanin)
+            details["merge_fanin"] = float(fanin)
+            details["merge_passes"] = float(passes)
             if plan.kernel_mode == "vector" and n_runs > 1:
-                # The vector k-way merge buffers one chunk per run
-                # (chunks never exceed the run length, so clamp by the
-                # effective run size too).
-                irun_eff = max(1, min(plan.irun, math.ceil(inbound)))
-                per_pass[stage.label] += (
-                    n_runs * min(merge_batch, irun_eff) * r
-                )
+                # The vector merge buffers one chunk per open run.  A
+                # chunk never exceeds its run, and only intermediate
+                # (merged) runs outgrow irun.
+                chunk = merge_batch if passes > 1 else min(merge_batch, irun_eff)
+                per_pass[stage.label] += min(n_runs, fanin) * chunk * r
+            # Every extra pass rewrites the partition's inbound as
+            # intermediate runs; a level is deleted once merged, so at
+            # most two are on disk together.
+            spill_bytes += disks * min(passes - 1, 2) * _segment_bytes(inbound, r)
         elif stage.kind == "probe":
             # Range bucketing splits near-evenly; allow 3 sigma of
             # multinomial wobble over the mean bucket population.  The
@@ -422,18 +537,59 @@ def predict_footprint(
     )
 
 
+def descend(
+    algorithm: str,
+    workload,
+    plan: JoinPlan,
+    worker_mem_budget_bytes: Optional[int],
+    binding: Sequence[str],
+    resource: str = "memory",
+) -> Optional[Tuple[JoinPlan, FootprintEstimate, dict]]:
+    """Take one ladder rung: ``(lowered, its estimate, rung record)``.
+
+    ``None`` at the ladder's floor.  The record is the
+    ``totals.governor.rungs`` entry: which knob moved, from what to what,
+    and the predicted high-water mark after it.  Admission
+    (:func:`fit_plan`) and the executor's runtime degradation both
+    descend through here, so every plan a run visits is priced once.
+    """
+    lowered = plan.degraded(algorithm, resource, binding)
+    if lowered == plan:
+        return None
+    estimate = predict_footprint(
+        algorithm, workload, lowered, worker_mem_budget_bytes
+    )
+    before = plan.as_dict()
+    knob, after = next(
+        (knob, value)
+        for knob, value in lowered.as_dict().items()
+        if value != before[knob]
+    )
+    record = {
+        "knob": knob,
+        "from": before[knob],
+        "to": after,
+        "predicted_high_water_bytes": int(estimate.mem_high_water_bytes),
+    }
+    return lowered, estimate, record
+
+
 def fit_plan(
     algorithm: str,
     workload,
     plan: JoinPlan,
     worker_mem_budget_bytes: int,
+    rungs: Optional[List[dict]] = None,
 ) -> Tuple[JoinPlan, int, FootprintEstimate]:
     """Walk the ladder until the predicted high-water mark fits the budget.
 
-    Returns ``(plan, rungs_descended, estimate)``.  If even the ladder's
-    floor does not fit, the floored plan is returned — the runtime meter
-    will then catch any true overrun and the runner decides whether to
-    keep degrading or raise.
+    Each rung shrinks the stage that currently sets the high-water mark,
+    and the walk stops at the first plan that fits.  Returns ``(plan,
+    rungs_descended, estimate)``; the rung records are appended to
+    ``rungs`` when a list is passed.  If even the ladder's floor does not
+    fit, the floored plan is returned — the runtime meter will then catch
+    any true overrun and the runner decides whether to keep degrading or
+    raise.
     """
     target = FIT_MARGIN * worker_mem_budget_bytes
     steps = 0
@@ -441,12 +597,18 @@ def fit_plan(
         algorithm, workload, plan, worker_mem_budget_bytes
     )
     while estimate.mem_high_water_bytes > target:
-        lowered = plan.degraded(algorithm, "memory")
-        if lowered == plan:
-            break
-        plan = lowered
-        steps += 1
-        estimate = predict_footprint(
-            algorithm, workload, plan, worker_mem_budget_bytes
+        binding = [
+            label
+            for label, footprint in estimate.per_pass_mem_bytes.items()
+            if footprint > (1 - RUNG_MIN_GAIN) * estimate.mem_high_water_bytes
+        ]
+        step = descend(
+            algorithm, workload, plan, worker_mem_budget_bytes, binding
         )
+        if step is None:
+            break
+        plan, estimate, record = step
+        steps += 1
+        if rungs is not None:
+            rungs.append(record)
     return plan, steps, estimate

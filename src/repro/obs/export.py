@@ -49,7 +49,7 @@ DOCUMENT_KIND = "repro-join-stats"
 
 #: Spill segment kinds — temporaries redistributed between partitions, as
 #: opposed to base relations (R, S) and join output (PAIRS).
-SPILL_KINDS = frozenset({"RP", "RS", "RUN", "BS"})
+SPILL_KINDS = frozenset({"RP", "RS", "RUN", "MRG", "BS"})
 
 _REQUIRED_SECTIONS = {
     "meta": dict,
@@ -207,6 +207,19 @@ def _governor_problems(governor: object) -> List[str]:
                   "plan"):
         if not isinstance(governor.get(field), Mapping):
             problems.append(f"totals.governor.{field} must be an object")
+    # Optional: documents written before the ladder reported its rungs.
+    rungs = governor.get("rungs", [])
+    if not isinstance(rungs, list) or not all(
+        isinstance(rung, Mapping)
+        and isinstance(rung.get("knob"), str)
+        and {"from", "to"} <= set(rung)
+        and isinstance(rung.get("predicted_high_water_bytes"), (int, float))
+        for rung in rungs
+    ):
+        problems.append(
+            "totals.governor.rungs must be a list of "
+            "{knob, from, to, predicted_high_water_bytes} objects"
+        )
     return problems
 
 

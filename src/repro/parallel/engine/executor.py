@@ -52,7 +52,8 @@ from typing import Callable, Dict, List, Optional, Sequence
 from repro.core.records import JoinedPair
 from repro.governor.budget import store_usage_bytes
 from repro.governor.errors import ResourceExhausted
-from repro.governor.predict import JoinPlan
+from repro.governor import predict
+from repro.governor.predict import FootprintEstimate, JoinPlan
 from repro.governor.watchdog import (
     MemoryMeter,
     activate_meter,
@@ -109,6 +110,11 @@ class ExecutionOutcome:
     #: pre/post max-partition ratio) for the run's *final* round.
     rebalance: Dict[str, dict] = field(default_factory=dict)
     runtime_degradations: int = 0
+    #: One ``totals.governor.rungs`` record per runtime degradation this
+    #: driver took, and the footprint predicted for the plan the last of
+    #: them left (``None`` when the admitted plan ran to the end).
+    rungs: List[dict] = field(default_factory=list)
+    predicted: Optional[FootprintEstimate] = None
     resource_errors: Dict[str, int] = field(default_factory=dict)
     disk_peak_bytes: int = 0
     #: Resume accounting (stats ``totals.resume``): whether a checkpoint
@@ -524,14 +530,21 @@ def execute_plan(
                     "runner.resource_errors_total", 1,
                     algo=algorithm, resource=error.resource,
                 )
-                lowered = current.degraded(algorithm, error.resource)
                 if (
                     on_pressure != "degrade"
                     or outcome.runtime_degradations >= max_degradations
-                    or lowered == current
                 ):
                     raise
-                current = lowered
+                # The stage that ran out is the one to shrink: whatever
+                # the model predicted, it is the stage that binds.
+                step = predict.descend(
+                    algorithm, workload, current, worker_mem_budget,
+                    (stage.label,), error.resource,
+                )
+                if step is None:
+                    raise
+                current, outcome.predicted, rung = step
+                outcome.rungs.append(rung)
                 outcome.runtime_degradations += 1
                 active().count(
                     "runner.degradations_total", 1, algo=algorithm

@@ -17,7 +17,8 @@ lives here exactly once:
   mapped segment, returning only ``(count, checksum, path)``;
 * batch utilities (:func:`rebatch`, :func:`run_stream`) and the
   stage-owned artifact naming scheme (:func:`pairs_name`,
-  :func:`run_name` / :func:`run_paths`, :func:`bucket_spill_name` /
+  :func:`run_name` / :func:`run_paths`, :func:`merge_run_name` /
+  :func:`sweep_merge_runs`, :func:`bucket_spill_name` /
   :func:`bucket_spill_paths`) — so producers and consumers of spill files
   agree on names through one module instead of duplicated string logic.
 
@@ -364,6 +365,38 @@ def run_paths(store: Store, partition: int) -> List[Path]:
     ]
     paths.sort(key=lambda path: int(path.name[len(prefix):-len(".seg")]))
     return paths
+
+
+def _merge_run_prefix(partition: int, shard: Shard | None) -> str:
+    base = f"MRG{partition}"
+    return f"{base}_" if shard is None else f"{base}s{shard.index}_"
+
+
+def merge_run_name(
+    partition: int, shard: Shard | None, level: int, index: int
+) -> str:
+    """One intermediate run of the bounded-fan-in merge.
+
+    Its own family — never ``RUN<i>_<digits>`` — so :func:`run_paths`
+    (and through it the rebalancer's key sampling and the sort-run
+    stage's checkpointed artifacts) cannot mistake a merge task's scratch
+    for a sorted run.  Key-range shards of one partition merge
+    concurrently, so each shard owns a sub-family.
+    """
+    return f"{_merge_run_prefix(partition, shard)}{level}_{index}"
+
+
+def sweep_merge_runs(store: Store, partition: int, shard: Shard | None) -> None:
+    """Delete every published intermediate run of one merge task.
+
+    Called by the task before it merges (a killed attempt's leftovers)
+    and when it ends, however it ends: intermediates never outlive the
+    task that wrote them.  Unpublished ``.seg.tmp`` files are discarded
+    by their writer, or by the driver's orphan sweep if it died.
+    """
+    prefix = _merge_run_prefix(partition, shard)
+    for path in store.disk_dir(partition).glob(f"{prefix}*.seg"):
+        path.unlink(missing_ok=True)
 
 
 def bucket_spill_name(

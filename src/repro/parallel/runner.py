@@ -172,8 +172,8 @@ def run_real_join(
 
     ``resident_buckets`` (hybrid hash only) is how many buckets stay
     home — joined during the partition scan instead of spilled; the
-    governor's final memory rung shrinks it to zero, at which point
-    hybrid degenerates to grace.
+    partition stage's deepest memory rung shrinks it to zero, at which
+    point hybrid degenerates to grace.
 
     ``kernels`` selects the stage-kernel implementation: ``"vector"``
     (numpy columnar — the default) or ``"scalar"`` (the per-record
@@ -257,12 +257,13 @@ def run_real_join(
     # fit (degrade) or refuse it (queue/fail) *before* creating anything.
     admission = "admitted"
     admission_degradations = 0
+    rungs: List[dict] = []
     predicted = None
     if governed:
         if worker_budget is not None and on_pressure == "degrade":
             # fit_plan prices every plan it visits, the admitted one last.
             plan, admission_degradations, predicted = fit_plan(
-                algorithm, workload, plan, worker_budget
+                algorithm, workload, plan, worker_budget, rungs
             )
             if admission_degradations:
                 admission = "degraded"
@@ -326,9 +327,12 @@ def run_real_join(
 
     governor_doc: Optional[dict] = None
     if governed:
-        if outcome.runtime_degradations:
-            # The plan changed mid-run; report the prediction for the plan
-            # that actually produced the result.
+        # Report the prediction for the plan that actually produced the
+        # result: the executor priced it if the plan changed mid-run, and
+        # a resumed run inherits its manifest's degraded plan unpriced.
+        if outcome.predicted is not None:
+            predicted = outcome.predicted
+        elif outcome.runtime_degradations:
             predicted = predict_footprint(
                 algorithm, workload, outcome.plan, worker_budget
             )
@@ -341,6 +345,7 @@ def run_real_join(
             "degradations_total": (
                 admission_degradations + outcome.runtime_degradations
             ),
+            "rungs": rungs + outcome.rungs,
             "resource_errors": dict(outcome.resource_errors),
             "budgets": {
                 "mem_budget_bytes": mem_budget,

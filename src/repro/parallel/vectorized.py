@@ -31,10 +31,12 @@ fancy-indexed gather over a single dtype view
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from typing import Dict, List
 
 import numpy as np
 
+from repro.governor.predict import merge_fanin
 from repro.governor.watchdog import active_meter
 from repro.obs.registry import active as _metrics
 from repro.parallel.engine.task import (
@@ -45,12 +47,14 @@ from repro.parallel.engine.task import (
     TaskSpec,
     bucket_spill_name,
     bucket_spill_paths,
+    merge_run_name,
     nl_spill_name,
     pairs_name,
     rs_name,
     run_lower_bound,
     run_name,
     run_paths,
+    sweep_merge_runs,
 )
 from repro.storage.relation import BucketedRFile, RRelationFile
 from repro.storage.segment import MappedSegment
@@ -403,6 +407,15 @@ def sort_merge_merge_join(spec: TaskSpec) -> PairResult:
     everything strictly below it is provably complete in the buffers, so
     one stable argsort of those slices (concatenated in run order)
     reproduces ``heapq.merge``'s output order exactly, ties included.
+
+    Under a memory budget the fan-in is bounded
+    (:func:`~repro.governor.predict.merge_fanin`): while more runs remain
+    than may be open at once, every ``fanin`` *consecutive* runs are
+    merged into one intermediate run — the paper's multi-pass merge
+    (§6.2).  Each merge is stable with ties going to the earlier run, and
+    groups are consecutive, so the final pass sees the records in exactly
+    the single-pass order.  The sort-run stage's runs are only ever read;
+    intermediates are deleted once merged and swept however the task ends.
     """
     i, shard, record_bytes = spec.partition, spec.shard, spec.r_bytes
     batch_records = spec.plan.batch_records
@@ -411,11 +424,37 @@ def sort_merge_merge_join(spec: TaskSpec) -> PairResult:
     meter = active_meter()
     paths = run_paths(store, i)
     capacity = sum(MappedSegment.record_count(path) for path in paths)
+    klo, khi = (None, None) if shard is None else (shard.lo, shard.hi)
     sink = PairSink(store.path(i, pairs_name("sm", i, shard)), capacity)
+    sweep_merge_runs(store, i, shard)
     try:
         with store.open_s(i) as s_rel:
             s_bytes = s_rel.segment.layout.record_bytes
             batch_cost = record_bytes + s_bytes
+            fanin = merge_fanin(
+                spec.worker_mem_budget, batch_records, record_bytes, s_bytes
+            )
+            scratch: set = set()
+            level = 0
+            while fanin is not None and len(paths) > fanin:
+                merged = []
+                for lo in range(0, len(paths), fanin):
+                    group = paths[lo:lo + fanin]
+                    if len(group) == 1:
+                        merged.extend(group)  # the odd run out rides along
+                        continue
+                    out = store.path(
+                        i, merge_run_name(i, shard, level, len(merged))
+                    )
+                    _merge_group(
+                        out, group, klo, khi, batch_records, record_bytes, meter
+                    )
+                    scratch.add(out)
+                    merged.append(out)
+                    for path in scratch.intersection(group):
+                        path.unlink()
+                paths = merged
+                level += 1
 
             def emit(rid, sptr, payload) -> None:
                 sid, value = s_rel.dereference_columns(
@@ -423,20 +462,7 @@ def sort_merge_merge_join(spec: TaskSpec) -> PairResult:
                 )
                 sink.emit_arrays(rid, sid, payload, value)
 
-            if shard is not None and paths:
-                cursors = [
-                    _RunCursor(RRelationFile.open(path), shard.lo, shard.hi)
-                    for path in paths
-                ]
-                try:
-                    _merge_runs(
-                        cursors, batch_records, record_bytes, s_bytes,
-                        meter, emit,
-                    )
-                finally:
-                    for cursor in cursors:
-                        cursor.rel.close()
-            elif len(paths) == 1:
+            if shard is None and len(paths) == 1:
                 with RRelationFile.open(paths[0]) as rel:
                     for rid, sptr, payload in rel.iter_column_batches(
                         batch_records
@@ -445,21 +471,57 @@ def sort_merge_merge_join(spec: TaskSpec) -> PairResult:
                         emit(rid, sptr, payload)
                         meter.release(len(rid) * batch_cost)
             elif paths:
-                cursors = [
-                    _RunCursor(RRelationFile.open(path)) for path in paths
-                ]
-                try:
+                with _open_cursors(paths, klo, khi) as cursors:
                     _merge_runs(
                         cursors, batch_records, record_bytes, s_bytes,
                         meter, emit,
                     )
-                finally:
-                    for cursor in cursors:
-                        cursor.rel.close()
         return sink.close()
     except BaseException:
         sink.abort()
         raise
+    finally:
+        sweep_merge_runs(store, i, shard)
+
+
+@contextmanager
+def _open_cursors(paths, klo: int | None, khi: int | None):
+    """Open one :class:`_RunCursor` per run; close them all on exit."""
+    cursors: List[_RunCursor] = []
+    try:
+        for path in paths:
+            cursors.append(_RunCursor(RRelationFile.open(path), klo, khi))
+        yield cursors
+    finally:
+        for cursor in cursors:
+            cursor.rel.close()
+
+
+def _merge_group(
+    out_path,
+    group,
+    klo: int | None,
+    khi: int | None,
+    batch_records: int,
+    record_bytes: int,
+    meter,
+) -> None:
+    """Merge ``group``'s runs into one published run at ``out_path``."""
+    out = RRelationFile.create(
+        out_path,
+        max(1, sum(MappedSegment.record_count(path) for path in group)),
+        record_bytes, overwrite=True,
+    )
+    try:
+        with _open_cursors(group, klo, khi) as cursors:
+            _merge_runs(
+                cursors, batch_records, record_bytes, 0, meter,
+                out.append_columns,
+            )
+    except BaseException:
+        out.abort()
+        raise
+    out.close()
 
 
 def _merge_runs(

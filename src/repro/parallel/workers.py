@@ -244,8 +244,8 @@ def sort_merge_runs(spec: TaskSpec) -> int:
 
     The meter's charge always equals len(buffer) * record_bytes: extends
     charge, flushes release exactly what they wrote — so a shrunken
-    ``irun`` (the governor's sort-merge knob) directly lowers the
-    high-water mark at the cost of more runs for the merge stage.
+    ``irun`` directly lowers this stage's high-water mark at the cost of
+    more runs (and, under a budget, more passes) for the merge stage.
     """
     if spec.plan.kernel_mode == "vector":
         return vectorized.sort_merge_runs(spec)
@@ -515,8 +515,8 @@ def hybrid_hash_partition(spec: TaskSpec) -> StageOutput:
     hybrid hash (``joins/hybrid_hash.py``).  Non-resident buckets spill
     with the *full* bucket count, so the unchanged probe kernel reads
     them; the resident buckets are simply empty there.  With ``resident
-    == 0`` this degenerates to grace partitioning — the governor's final
-    memory rung.
+    == 0`` this degenerates to grace partitioning — the partition stage's
+    deepest memory rung.
     """
     if spec.plan.kernel_mode == "vector":
         return vectorized.hybrid_hash_partition(spec)

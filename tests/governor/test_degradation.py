@@ -187,6 +187,29 @@ class TestGovernorDocument:
             for key in list(counters) + ["sentinel"]
         )
 
+    def test_rungs_list_every_degradation_and_validate(
+        self, workload, tmp_path
+    ):
+        result = run_real_join(
+            "sort-merge", workload, str(tmp_path / "db"), use_processes=False,
+            mem_budget=2 * TIGHT_MEM, on_pressure="degrade",
+            fault_plan=FaultPlan.single(
+                "mem-pressure", "sort_merge_merge_join", 0
+            ),
+        )
+        document = result.stats_document(workload)
+        assert schema_problems(document) == []
+        governor = document["totals"]["governor"]
+        assert governor["runtime_degradations"] == 1
+        assert governor["admission_degradations"] >= 1
+        rungs = governor["rungs"]
+        assert len(rungs) == governor["degradations_total"]
+        marks = [rung["predicted_high_water_bytes"] for rung in rungs]
+        assert marks == sorted(marks, reverse=True)
+        assert marks[-1] == governor["predicted"]["mem_high_water_bytes"]
+        del rungs[0]["knob"]
+        assert any("rungs" in problem for problem in schema_problems(document))
+
     def test_ungoverned_document_has_no_governor(self, workload, tmp_path):
         result = run_real_join(
             "grace", workload, str(tmp_path / "db"), use_processes=False

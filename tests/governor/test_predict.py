@@ -10,11 +10,15 @@ import pytest
 
 from repro.governor import JoinPlan, fit_plan, predict_footprint
 from repro.governor.predict import (
+    FIT_MARGIN,
     MAX_BUCKETS,
     MIN_BATCH_RECORDS,
     MIN_IRUN,
     PAGE_SIZE,
     PAIR_RECORD_BYTES,
+    RUNG_MIN_GAIN,
+    merge_fanin,
+    merge_passes,
 )
 from repro.parallel import REAL_ALGORITHMS, run_real_join
 from repro.storage.relation import PAIR_RECORD_BYTES as REAL_PAIR_BYTES
@@ -54,13 +58,36 @@ class TestLadder:
         assert plan.batch_records == MIN_BATCH_RECORDS
         assert plan.degraded("nested-loops") == plan  # floor: no change
 
-    def test_sort_merge_shrinks_runs_before_batches(self):
+    def test_sort_merge_shrinks_batches_before_runs(self):
+        """Batches shrink the cutter *and* the merge; the sort heap only
+        goes once it is the larger term of the run-cutting stage."""
         plan = JoinPlan(batch_records=128, irun=128, kernel_mode="scalar")
         plan = plan.degraded("sort-merge")
-        assert (plan.irun, plan.batch_records) == (MIN_IRUN, 128)
+        assert (plan.irun, plan.batch_records) == (128, MIN_BATCH_RECORDS)
         plan = plan.degraded("sort-merge")
-        assert plan.batch_records == MIN_BATCH_RECORDS
+        assert plan.irun == MIN_IRUN
         assert plan.degraded("sort-merge") == plan
+
+    def test_binding_stage_picks_the_knob(self):
+        """The same plan descends differently depending on which stage
+        sets the high-water mark; several at once share the batch knob."""
+        plan = JoinPlan(batch_records=512, irun=4096)
+        assert plan.degraded("sort-merge", binding=["sort-runs"]).irun == 2048
+        assert plan.degraded(
+            "sort-merge", binding=["merge-join"]
+        ).batch_records == 256
+        floor = JoinPlan(batch_records=MIN_BATCH_RECORDS)
+        assert floor.degraded(
+            "sort-merge", binding=["merge-join"]
+        ).kernel_mode == "scalar"
+        grace = JoinPlan(batch_records=512, spill_threshold=1024)
+        assert grace.degraded("grace", binding=["probe"]).buckets == 32
+        assert grace.degraded(
+            "grace", binding=["partition"]
+        ).spill_threshold == 512
+        assert grace.degraded(
+            "grace", binding=["partition", "probe"]
+        ).batch_records == 256
 
     def test_vector_kernels_are_the_last_memory_rung(self):
         """Vector buffers are the final thing sacrificed under pressure:
@@ -101,6 +128,64 @@ class TestLadder:
         for algorithm in REAL_ALGORITHMS:
             lowered = plan.degraded(algorithm, resource="disk")
             assert lowered.batch_records == 128
+
+
+class TestLadderHonesty:
+    """Every rung fit_plan takes must pay, on the paper's own geometry."""
+
+    WORKER_BUDGETS = [4 << 20, 1 << 20, 256 << 10, 64 << 10]
+
+    @pytest.fixture(scope="class")
+    def paper_workload(self):
+        return generate_workload(
+            WorkloadSpec.paper_validation(scale=1.0), disks=4
+        )
+
+    @pytest.mark.parametrize("budget", WORKER_BUDGETS)
+    @pytest.mark.parametrize("algorithm", sorted(REAL_ALGORITHMS))
+    def test_every_rung_lowers_the_high_water_mark(
+        self, paper_workload, algorithm, budget
+    ):
+        mark = predict_footprint(
+            algorithm, paper_workload, JoinPlan(), budget
+        ).mem_high_water_bytes
+        rungs = []
+        plan, steps, estimate = fit_plan(
+            algorithm, paper_workload, JoinPlan(), budget, rungs
+        )
+        assert steps == len(rungs)
+        for rung in rungs:
+            after = rung["predicted_high_water_bytes"]
+            assert after <= (1 - RUNG_MIN_GAIN) * mark, (algorithm, rung, mark)
+            mark = after
+        assert estimate.mem_high_water_bytes <= FIT_MARGIN * budget
+        assert plan.kernel_mode == "vector"
+
+    def test_sort_merge_fits_a_1mib_worker_in_few_rungs(self, paper_workload):
+        """The bench's 4 MiB / 4 workers: two batch halvings buy a
+        fan-in of four and a second merge pass — not the scalar floor."""
+        plan, steps, estimate = fit_plan(
+            "sort-merge", paper_workload, JoinPlan(), 1 << 20
+        )
+        assert steps <= 4
+        assert plan.kernel_mode == "vector"
+        assert plan.irun == JoinPlan().irun
+        runs = estimate.details["merge_runs"]
+        fanin = estimate.details["merge_fanin"]
+        assert estimate.details["merge_passes"] == merge_passes(
+            int(runs), int(fanin)
+        ) >= 2
+
+    def test_merge_fanin_and_passes(self):
+        assert merge_fanin(None, 4096, 128, 128) is None
+        # 768 KiB target - one 256 KiB joined batch = four 128 KiB chunks.
+        assert merge_fanin(1 << 20, 1024, 128, 128) == 4
+        assert merge_fanin(1 << 10, 4096, 128, 128) == 2  # never below two
+        assert merge_passes(7, None) == 1
+        assert merge_passes(4, 4) == 1
+        assert merge_passes(7, 4) == 2
+        assert merge_passes(17, 4) == 3
+        assert merge_passes(410, 2) == 9
 
 
 class TestFitPlan:
