@@ -18,6 +18,9 @@ Quickstart::
     result = make_algorithm("grace").run(JoinEnvironment(workload, memory))
     verify_pairs(workload, result.pairs)
     print(result.describe())
+
+On the real backend (``repro.parallel.run_real_join``) ``result.pairs`` is a
+columnar sequence of ``JoinedPair``; its ``.columns`` is the (n, 4) u64 array.
 """
 
 from repro.harness import (

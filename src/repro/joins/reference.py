@@ -15,7 +15,7 @@ from typing import Iterable, List
 
 import numpy as np
 
-from repro.core.records import JoinedPair
+from repro.core.records import JoinedPair, JoinedPairs
 from repro.workload.generator import Workload
 
 
@@ -37,13 +37,26 @@ def reference_join(workload: Workload) -> List[JoinedPair]:
     ))
 
 
+def _row_sorted(block: np.ndarray) -> np.ndarray:
+    """The rows of an ``(n, 4)`` block in lexicographic order."""
+    return block[np.lexsort(block.T[::-1])]
+
+
 def verify_pairs(workload: Workload, pairs: Iterable[JoinedPair]) -> int:
     """Check a join's output against the oracle; returns the pair count.
 
     Output order is immaterial (the paper: "nor do we assume that the join
     results are generated in any particular order"), so comparison is by
-    multiset.
+    multiset: a columnar :class:`JoinedPairs` is row-sorted and compared
+    with the oracle's columns; any other iterable is counted, as is a
+    wrong ``JoinedPairs``, to word the error.
     """
+    if isinstance(pairs, JoinedPairs):
+        oracle = np.stack(_joined_columns(workload), axis=1)
+        if pairs.columns.shape == oracle.shape and np.array_equal(
+            _row_sorted(pairs.columns), _row_sorted(oracle)
+        ):
+            return len(pairs)
     expected = Counter(reference_join(workload))
     produced = Counter(pairs)
     if expected == produced:

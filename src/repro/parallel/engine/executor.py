@@ -49,7 +49,9 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.core.records import JoinedPair
+import numpy as np
+
+from repro.core.records import JoinedPairs
 from repro.governor.budget import store_usage_bytes
 from repro.governor.errors import ResourceExhausted
 from repro.governor import predict
@@ -79,7 +81,7 @@ from repro.parallel.engine.task import (
     run_task,
 )
 from repro.parallel.faults import FaultPlan, InjectedHang, RetryPolicy
-from repro.storage.relation import iter_pairs_file
+from repro.storage.relation import read_pair_block
 from repro.storage.store import Store
 from repro.workload.generator import Workload, WorkloadSpec
 
@@ -98,7 +100,7 @@ class ExecutionOutcome:
     plan: JoinPlan
     pair_count: int = 0
     checksum: int = 0
-    pairs: Optional[List[JoinedPair]] = None
+    pairs: Optional[JoinedPairs] = None
     pass_wall_ms: Dict[str, float] = field(default_factory=dict)
     pass_counts: Dict[str, int] = field(default_factory=dict)
     pass_checksums: Dict[str, int] = field(default_factory=dict)
@@ -556,13 +558,22 @@ def execute_plan(
         discard_manifest(store_root)
 
         if collect_pairs:
-            pairs: List[JoinedPair] = []
+            # Stored form, file order: each PAIRS segment's packed block is
+            # copied into its slice of the one whole-output allocation.
+            block = np.empty(
+                (sum(result.count for result in pair_results), 4), dtype="<u8"
+            )
+            filled = 0
             for result in pair_results:
-                # Streamed a batch at a time: only the final list (which
-                # the caller asked for) is whole-output, never a second
-                # per-file materialization on top of it.
-                pairs.extend(iter_pairs_file(result.path, current.batch_records))
-            outcome.pairs = pairs
+                part = read_pair_block(result.path)
+                if len(part) != result.count:
+                    raise RealJoinError(
+                        f"{result.path} holds {len(part)} pairs; its worker "
+                        f"reported {result.count}"
+                    )
+                block[filled : filled + len(part)] = part
+                filled += len(part)
+            outcome.pairs = JoinedPairs(block)
     finally:
         if driver_meter is not None:
             deactivate_meter()

@@ -27,7 +27,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.core.records import JoinedPair
+from repro.core.records import JoinedPairs
 from repro.governor.errors import DiskExhausted, MemoryExhausted
 from repro.governor.governor import ResourceGovernor
 from repro.governor.predict import JoinPlan, fit_plan, predict_footprint
@@ -58,7 +58,8 @@ class RealJoinResult:
     pair_count: int
     checksum: int
     wall_ms: float
-    pairs: Optional[List[JoinedPair]] = None
+    #: The whole output, columnar; None under ``collect_pairs=False``.
+    pairs: Optional[JoinedPairs] = None
     #: The published PAIRS segments as (count, checksum, path) tuples.
     #: Paths outlive the run only under ``keep_store=True``; the join
     #: service streams client deliveries straight from these mapped
@@ -147,6 +148,12 @@ def run_real_join(
     across them (workers are stateless — they open stores by path per
     task); a shared pool is left open for the caller to close, and is
     never terminated even when a fault leaves it with abandoned tasks.
+
+    ``collect_pairs`` hands the output back as ``RealJoinResult.pairs``, a
+    :class:`~repro.core.records.JoinedPairs`: the published PAIRS segments'
+    packed blocks (CRC-verified) copied in file order into one ``(n, 4)``
+    u64 array, ``.columns`` — a sequence of ``JoinedPair`` that boxes a pair
+    only when one is indexed or iterated.
 
     ``retries`` / ``task_timeout`` / ``backoff_s`` / ``fallback_inline``
     configure the :class:`~repro.parallel.faults.RetryPolicy`: each

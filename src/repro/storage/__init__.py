@@ -8,6 +8,7 @@ from repro.storage.relation import (
     RRelationFile,
     SRelationFile,
     iter_pairs_file,
+    read_pair_block,
     read_pairs,
     write_r_partition,
     write_s_partition,
@@ -35,6 +36,7 @@ __all__ = [
     "StorageError",
     "Store",
     "iter_pairs_file",
+    "read_pair_block",
     "read_pairs",
     "timed_delete_map",
     "timed_new_map",

@@ -15,7 +15,7 @@ from typing import Iterator, List, Sequence, Tuple
 
 import numpy as _np
 
-from repro.core.records import JoinedPair, RObject, SObject
+from repro.core.records import JoinedPair, JoinedPairs, RObject, SObject
 from repro.obs.registry import active as _metrics
 from repro.storage.segment import (
     META_CAPACITY,
@@ -481,9 +481,9 @@ class PairsFile(_RelationFile):
 
     Each worker writes exactly one pairs file and returns only its
     ``(count, checksum, path)``, so no ``JoinedPair`` ever crosses a
-    process boundary; the parent maps the files back in and decodes them
-    lazily.  Pair records are exactly the packed 4×u64 tuple — no padding,
-    so ``iter_unpack`` strides the data area directly.
+    process boundary; the parent maps the files back in and copies the
+    packed blocks out undecoded.  Pair records are exactly the packed
+    4×u64 tuple — no padding, so the data area *is* the ``(n, 4)`` block.
     """
 
     @classmethod
@@ -537,28 +537,36 @@ class PairsFile(_RelationFile):
 def iter_pairs_file(
     path: str | os.PathLike, batch_records: int = DEFAULT_BATCH_RECORDS
 ) -> Iterator[JoinedPair]:
-    """Stream one worker's pairs file a batch at a time (bounded memory).
+    """Stream one worker's pairs file as objects (bounded memory).
 
     The generator owns the mapping for its lifetime and decodes
-    ``batch_records`` pairs per step, so a driver collecting a huge join
-    result holds one batch of ``JoinedPair`` objects per file, not the
-    whole output — the difference between respecting a memory budget and
-    blowing it at the finish line.
+    ``batch_records`` pairs per step.  The engine's own collection boxes
+    nothing — it uses :func:`read_pair_block`.
     """
     with PairsFile.open(path) as relation:
         yield from relation.iter_pairs(batch_records)
 
 
-def read_pairs(
-    path: str | os.PathLike, batch_records: int = DEFAULT_BATCH_RECORDS
-) -> List[JoinedPair]:
-    """Materialize one worker's pairs file (in the parent, no pickling).
+def read_pair_block(path: str | os.PathLike) -> _np.ndarray:
+    """One worker's pairs file as an owned ``(n, 4)`` u64 block.
 
-    Decoding still happens batch-at-a-time via :func:`iter_pairs_file`;
-    only the returned list is whole-file.  Callers that can consume pairs
-    incrementally should use :func:`iter_pairs_file` directly.
+    Opened (header and payload CRC verified) like any reader, read as one
+    batch and copied out: no view of the mapping outlives the call.
     """
-    return list(iter_pairs_file(path, batch_records))
+    with PairsFile.open(path) as relation:
+        block = _np.empty((len(relation), 4), dtype="<u8")
+        # max(1, …): an empty segment yields no batch; a zero size raises.
+        for view in relation.segment.iter_batches(max(1, len(relation))):
+            try:
+                block[:] = _np.frombuffer(view, dtype="<u8").reshape(-1, 4)
+            finally:
+                view.release()
+    return block
+
+
+def read_pairs(path: str | os.PathLike) -> JoinedPairs:
+    """One worker's pairs file as a columnar sequence of ``JoinedPair``."""
+    return JoinedPairs(read_pair_block(path))
 
 
 # ---------------------------------------------------------- partition files

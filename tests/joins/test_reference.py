@@ -1,8 +1,9 @@
 """Tests for the oracle join and verification."""
 
+import numpy as np
 import pytest
 
-from repro.core.records import JoinedPair
+from repro.core.records import JoinedPair, JoinedPairs
 from repro.joins.reference import (
     JoinVerificationError,
     expected_checksum,
@@ -53,6 +54,42 @@ class TestVerifyPairs:
         )
         with pytest.raises(JoinVerificationError):
             verify_pairs(workload, [bad] + pairs[1:])
+
+
+S_VALUE_BIT_OF_ROW_3 = np.zeros((100, 4), np.uint64)
+S_VALUE_BIT_OF_ROW_3[3, 3] = 1
+
+
+class TestVerifyPairsColumnar:
+    """A ``JoinedPairs`` is checked as arrays, and judged exactly as the
+    list of the same pairs is."""
+
+    def test_accepts_a_permuted_correct_block(self, workload):
+        block = JoinedPairs(reference_join(workload)).columns
+        shuffled = block[np.random.default_rng(5).permutation(len(block))]
+        assert verify_pairs(workload, JoinedPairs(shuffled)) == 100
+
+    @pytest.mark.parametrize("damage, match", [
+        (lambda block: block[:-1], r"^join output incorrect: 1 missing"),
+        (lambda block: np.concatenate([block, block[:1]]),
+         r"^join output incorrect: 1 unexpected"),
+        (lambda block: block ^ S_VALUE_BIT_OF_ROW_3,
+         r"^join output incorrect: 1 missing \(e\.g\. .*; 1 unexpected \(e\.g\. "),
+    ], ids=["dropped-row", "duplicated-row", "flipped-s_value"])
+    def test_rejects_wrong_output_in_the_list_paths_words(
+        self, workload, damage, match
+    ):
+        wrong = JoinedPairs(damage(JoinedPairs(reference_join(workload)).columns))
+        with pytest.raises(JoinVerificationError, match=match) as columnar:
+            verify_pairs(workload, wrong)
+        with pytest.raises(JoinVerificationError) as boxed:
+            verify_pairs(workload, list(wrong))
+        assert str(columnar.value) == str(boxed.value)
+
+    def test_still_accepts_a_generator_of_plain_tuples(self, workload):
+        assert verify_pairs(
+            workload, (tuple(pair) for pair in reference_join(workload))
+        ) == 100
 
 
 class TestExpectedChecksum:

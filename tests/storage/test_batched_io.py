@@ -209,7 +209,7 @@ class TestPairsFile:
 
     def test_iter_pairs_file_streams_batched(self, tmp_path):
         """The generator form: same pairs as read_pairs, never the whole
-        file materialized at once (the governor's pair-collection path)."""
+        file materialized at once."""
         import types
 
         from repro.storage import iter_pairs_file
@@ -223,7 +223,8 @@ class TestPairsFile:
         assert list(stream) == pairs
         # Odd batch sizes must not drop the tail.
         assert list(iter_pairs_file(path, batch_records=33)) == pairs
-        assert read_pairs(path, batch_records=7) == pairs
+        # The whole-file form reads the segment in one step, same pairs.
+        assert read_pairs(path) == pairs
 
 
 class TestBucketedRFile:
