@@ -13,6 +13,7 @@ hold one extra object, keeping partition sizes within one of each other.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as _np
@@ -123,36 +124,25 @@ class PointerMap:
 
     # ------------------------------------------------------------- arrays
     #
-    # The vectorized kernel path: same geometry, computed over whole u64
-    # arrays.  Both branches of the partition split are evaluated on their
-    # masked subsets only, so no discarded lane ever wraps around.
+    # The vectorized kernel path: same geometry over whole u64 arrays.  A
+    # pointer's partition is the last one starting at or before it — one
+    # binary search over the D partition starts per pointer.
+
+    @cached_property
+    def _starts(self):
+        return _np.array(
+            [self.partition_start(p) for p in range(self.partitions)],
+            dtype=_np.uint64,
+        )
 
     def locate_array(self, sptrs) -> tuple:
-        """(partitions, offsets) u64 arrays for a batch of pointers."""
-        n = len(sptrs)
-        if n == 0:
-            empty = _np.empty(0, dtype=_np.uint64)
-            return empty, empty.copy()
-        if int(sptrs.max()) >= self.s_objects:
+        """(partitions, offsets) for a u64 pointer array: intp and u64."""
+        if len(sptrs) and int(sptrs.max()) >= self.s_objects:
             raise PointerError(
                 f"pointer outside [0, {self.s_objects}) in batch"
             )
-        base, rem = self._base, self._remainder
-        boundary = (base + 1) * rem
-        parts = _np.empty(n, dtype=_np.uint64)
-        offs = _np.empty(n, dtype=_np.uint64)
-        small = sptrs < boundary
-        a = sptrs[small]
-        p = a // (base + 1)
-        parts[small] = p
-        offs[small] = a - p * (base + 1)
-        big = ~small
-        if base and big.any():
-            b = sptrs[big] - boundary
-            q = b // base
-            parts[big] = rem + q
-            offs[big] = b - q * base
-        return parts, offs
+        parts = _np.searchsorted(self._starts, sptrs, side="right") - 1
+        return parts, sptrs - self._starts[parts]
 
     def offset_array(self, sptrs):
         """Local offsets (u64 array) for a batch of pointers."""

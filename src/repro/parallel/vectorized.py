@@ -6,10 +6,10 @@ same pair counts, same checksums, same segment bytes.  The scalar kernels
 stay the semantic reference — every body here is a whole-array transcription
 of its scalar twin, preserving
 
-* **record order** everywhere it is observable: boolean-mask selection
-  keeps encounter order, ``np.argsort(kind="stable")`` matches
-  ``list.sort(key=...)``, and the chunked k-way merge reproduces
-  ``heapq.merge`` stability (earlier run wins ties);
+* **record order** everywhere it is observable: grouping keeps encounter
+  order within a group and visits groups by first appearance, the stable
+  orders match ``list.sort(key=...)``, and the chunked k-way merge
+  reproduces ``heapq.merge`` stability (earlier run wins ties);
 * **meter charges**: the same ``record_bytes``-denominated amounts at the
   same points, so the governor's predicted-vs-observed tolerance holds in
   either mode;
@@ -21,12 +21,20 @@ The kernels in :mod:`~repro.parallel.workers` dispatch here when their
 spec's ``plan.kernel_mode`` is ``"vector"``; nothing in this module is
 registered directly.
 
-The data movement idiom throughout: mapped batches decode to three
-compact u64 column copies (:meth:`RecordLayout.decode_columns`), pointers
-resolve via :meth:`PointerMap.locate_array`, S dereferences are one
-fancy-indexed gather over a single dtype view
-(:meth:`SRelationFile.dereference_columns`), and pair emission writes one
-``(n, 4)`` u64 block per batch (:meth:`PairSink.emit_arrays`).
+The data movement idiom throughout: a batch is one O(n) grouping plus one
+gather.  Pointers resolve with one ``searchsorted``
+(:meth:`PointerMap.locate_array`); a batch groups by destination with one
+radix sort (:func:`_group`); stable sorts on ``sptr`` are one SIMD sort
+of composite keys (:func:`_stable_order`).  A record that only passes
+through — the nested-loops spill, the sort-merge partition, the sort-run
+cut — moves as its stored bytes (:meth:`RRelationFile.
+iter_record_batches` in, one gather, ``append_batch`` out), never decoded
+and re-packed.  Records joined in the batch, or held for a later flush
+(the grace/hybrid bucket groups), are compact u64 columns
+(:meth:`RecordLayout.decode_columns`, 32 B/record held); S dereferences
+are one fancy-indexed gather (:meth:`SRelationFile.dereference_columns`),
+and pair emission writes one ``(n, 4)`` u64 block per batch
+(:meth:`PairSink.emit_arrays`).
 """
 
 from __future__ import annotations
@@ -56,6 +64,7 @@ from repro.parallel.engine.task import (
     run_paths,
     sweep_merge_runs,
 )
+from repro.storage.layout import RecordLayout
 from repro.storage.relation import BucketedRFile, RRelationFile
 from repro.storage.segment import MappedSegment
 from repro.storage.store import Store
@@ -76,14 +85,42 @@ def _phase_partner(i: int, t: int, disks: int) -> int:
     return (i + t) % disks
 
 
-def _targets_in_encounter_order(parts):
-    """Distinct partition ids of ``parts``, ordered by first appearance.
+def _group(keys, n: int):
+    """Group a batch by its integer ``keys`` in ``[0, n)``, stably.
 
-    Matches the iteration order of the scalar kernels' ``dict.setdefault``
-    grouping, which is observable wherever per-target work emits pairs.
+    One radix sort — numpy's stable sort of keys narrowed to
+    ``np.min_scalar_type(n - 1)``, 8 or 16 bits for every caller — plus
+    one ``bincount``.  Returns ``(order, bounds, groups)``: group ``g``'s
+    rows, in encounter order, are ``order[bounds[g]:bounds[g + 1]]``, and
+    ``groups`` lists the non-empty groups by first appearance — the
+    scalar kernels' ``dict.setdefault`` order, observable wherever
+    per-group work emits pairs.
     """
-    uniq, first = np.unique(parts, return_index=True)
-    return [int(t) for t in uniq[np.argsort(first, kind="stable")]]
+    narrow = keys.astype(np.min_scalar_type(n - 1))
+    order = np.argsort(narrow, kind="stable")
+    bounds = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(narrow, minlength=n), out=bounds[1:])
+    present = np.flatnonzero(np.diff(bounds))
+    groups = present[np.argsort(order[bounds[present]])]
+    return order, bounds, groups.tolist()
+
+
+def _stable_order(keys):
+    """``np.argsort(keys, kind="stable")`` of u64 keys, as one SIMD sort.
+
+    Each key is shifted left by ``bits``, the width of a row index, and
+    tagged with its row.  The tagged keys are distinct, so numpy's
+    unstable vectorized sort has exactly one answer — the stable
+    permutation.  Keys too wide to spare ``bits`` take the stable argsort.
+    """
+    n = len(keys)
+    bits = max(n - 1, 0).bit_length()
+    if n < 2 or int(keys.max()).bit_length() + bits > 64:
+        return np.argsort(keys, kind="stable")
+    tagged = keys << np.uint64(bits)
+    tagged |= np.arange(n, dtype=np.uint64)
+    tagged.sort()
+    return (tagged & np.uint64((1 << bits) - 1)).astype(np.intp)
 
 
 # ------------------------------------------------------------ nested loops
@@ -96,6 +133,7 @@ def nested_loops_pass0(spec: TaskSpec) -> PairResult:
     pmap = spec.pointer_map()
     meter = active_meter()
     with store.open_r(i) as r_rel, store.open_s(i) as s_rel:
+        fields = r_rel.segment.layout.np_dtype
         s_bytes = s_rel.segment.layout.record_bytes
         sink = PairSink(store.path(i, pairs_name("p0", i)), len(r_rel))
         spill = {
@@ -107,24 +145,24 @@ def nested_loops_pass0(spec: TaskSpec) -> PairResult:
             if j != i
         }
         try:
-            for rid, sptr, payload in r_rel.iter_column_batches(batch_records):
-                charged = len(rid) * record_bytes
+            for records in r_rel.iter_record_batches(batch_records):
+                charged = len(records) * record_bytes
                 meter.charge(charged, "nested-loops R batch")
-                parts, offs = pmap.locate_array(sptr)
-                local = parts == i
-                n_local = int(local.sum())
+                header = records.view(fields)
+                parts, offs = pmap.locate_array(header["f1"])
+                order, bounds, targets = _group(parts, disks)
+                n_local = int(bounds[i + 1] - bounds[i])
                 meter.charge(n_local * s_bytes, "dereferenced S batch")
                 charged += n_local * s_bytes
-                if n_local:
-                    sid, value = s_rel.dereference_columns(offs[local])
-                    sink.emit_arrays(rid[local], sid, payload[local], value)
-                if n_local < len(rid):
-                    remote = ~local
-                    for target in _targets_in_encounter_order(parts[remote]):
-                        mask = remote & (parts == target)
-                        spill[target].append_columns(
-                            rid[mask], sptr[mask], payload[mask]
+                for target in targets:
+                    rows = order[bounds[target]:bounds[target + 1]]
+                    if target == i:
+                        sid, value = s_rel.dereference_columns(offs[rows])
+                        sink.emit_arrays(
+                            header["f0"][rows], sid, header["f2"][rows], value
                         )
+                    else:
+                        spill[target].segment.append_batch(records[rows])
                 meter.release(charged)
             for rel in spill.values():
                 rel.close()
@@ -186,6 +224,7 @@ def sort_merge_partition(spec: TaskSpec) -> int:
     pmap = spec.pointer_map()
     meter = active_meter()
     with store.open_r(i) as r_rel:
+        fields = r_rel.segment.layout.np_dtype
         outputs = {
             j: RRelationFile.create(
                 store.path(j, rs_name(j, i)), max(1, len(r_rel)),
@@ -195,18 +234,19 @@ def sort_merge_partition(spec: TaskSpec) -> int:
         }
         moved = 0
         try:
-            for rid, sptr, payload in r_rel.iter_column_batches(batch_records):
+            for records in r_rel.iter_record_batches(batch_records):
                 meter.charge(
-                    len(rid) * record_bytes, "sort-merge partition batch"
+                    len(records) * record_bytes, "sort-merge partition batch"
                 )
-                parts, _offs = pmap.locate_array(sptr)
-                for target in _targets_in_encounter_order(parts):
-                    mask = parts == target
-                    outputs[target].append_columns(
-                        rid[mask], sptr[mask], payload[mask]
+                parts, _offs = pmap.locate_array(records.view(fields)["f1"])
+                order, bounds, targets = _group(parts, disks)
+                routed = records[order]
+                for target in targets:
+                    outputs[target].segment.append_batch(
+                        routed[bounds[target]:bounds[target + 1]]
                     )
-                    moved += int(mask.sum())
-                meter.release(len(rid) * record_bytes)
+                moved += len(records)
+                meter.release(len(records) * record_bytes)
             for rel in outputs.values():
                 rel.close()
         except BaseException:
@@ -216,47 +256,13 @@ def sort_merge_partition(spec: TaskSpec) -> int:
     return moved
 
 
-class _ColumnBuffer:
-    """FIFO of (rid, sptr, payload) column chunks with exact-size takes.
-
-    The vector stand-in for the sort-run stage's ``List[RObject]`` buffer:
-    chunks queue up as they arrive and :meth:`take` cuts exactly ``n``
-    records off the front (splitting a chunk when the boundary lands
-    inside one), so runs are the same contiguous prefixes of the inbound
-    stream the scalar kernel cuts.
-    """
-
-    def __init__(self) -> None:
-        self._chunks: List[tuple] = []
-        self.total = 0
-
-    def extend(self, rid, sptr, payload) -> None:
-        if len(rid):
-            self._chunks.append((rid, sptr, payload))
-            self.total += len(rid)
-
-    def take(self, n: int) -> tuple:
-        taken: List[tuple] = []
-        need = n
-        while need:
-            rid, sptr, payload = self._chunks[0]
-            if len(rid) <= need:
-                taken.append(self._chunks.pop(0))
-                need -= len(rid)
-            else:
-                taken.append((rid[:need], sptr[:need], payload[:need]))
-                self._chunks[0] = (rid[need:], sptr[need:], payload[need:])
-                need = 0
-        self.total -= n
-        return (
-            np.concatenate([c[0] for c in taken]),
-            np.concatenate([c[1] for c in taken]),
-            np.concatenate([c[2] for c in taken]),
-        )
-
-
 def sort_merge_runs(spec: TaskSpec) -> int:
-    """Cut one partition's inbound RS files into sorted runs on disk."""
+    """Cut one partition's inbound RS files into sorted runs on disk.
+
+    Inbound records are copied whole into one run buffer of ``irun``
+    slots; each full buffer — the same contiguous prefix of the inbound
+    stream the scalar kernel cuts — is written in stable ``sptr`` order.
+    """
     disks, i, shard = spec.disks, spec.partition, spec.shard
     record_bytes = spec.r_bytes
     batch_records = spec.plan.batch_records
@@ -269,31 +275,9 @@ def sort_merge_runs(spec: TaskSpec) -> int:
         for stale in run_paths(store, i):
             stale.unlink(missing_ok=True)
     run_base = 0 if shard is None else shard.index * RUN_SHARD_STRIDE
-    buffer = _ColumnBuffer()
-    run_id = 0
-    inbound = 0
-
-    def flush_run(count: int) -> None:
-        nonlocal run_id
-        if not count:
-            return
-        rid, sptr, payload = buffer.take(count)
-        order = np.argsort(sptr, kind="stable")
-        rel = RRelationFile.create(
-            store.path(i, run_name(i, run_base + run_id)), count,
-            record_bytes, overwrite=True,
-        )
-        try:
-            rel.append_columns(rid[order], sptr[order], payload[order])
-        except BaseException:
-            rel.abort()
-            raise
-        rel.close()
-        run_id += 1
-        meter.release(count * record_bytes)
-
     lo = 0 if shard is None else shard.lo
     hi = None if shard is None else shard.hi
+    spans = []
     base = 0
     for contributor in range(disks):
         path = store.path(i, rs_name(i, contributor))
@@ -301,18 +285,48 @@ def sort_merge_runs(spec: TaskSpec) -> int:
         start = max(0, lo - base)
         stop = count if hi is None else min(count, hi - base)
         base += count
-        if shard is not None and start >= stop:
-            continue
+        if shard is None or start < stop:
+            spans.append((path, start, stop))
+    run = np.empty(
+        min(irun, sum(stop - start for _path, start, stop in spans)),
+        dtype=(np.void, record_bytes),
+    )
+    fields = RecordLayout(record_bytes).np_dtype
+    fill = run_id = inbound = 0
+
+    def flush_run() -> None:
+        nonlocal fill, run_id
+        if not fill:
+            return
+        records = run[:fill]
+        order = _stable_order(records.view(fields)["f1"])
+        rel = RRelationFile.create(
+            store.path(i, run_name(i, run_base + run_id)), fill,
+            record_bytes, overwrite=True,
+        )
+        try:
+            rel.segment.append_batch(records[order])
+        except BaseException:
+            rel.abort()
+            raise
+        rel.close()
+        run_id += 1
+        meter.release(fill * record_bytes)
+        fill = 0
+
+    for path, start, stop in spans:
         with RRelationFile.open(path) as rel:
-            for rid, sptr, payload in rel.iter_column_batches(
-                batch_records, start, stop
-            ):
-                inbound += len(rid)
-                meter.charge(len(rid) * record_bytes, "sort-run buffer")
-                buffer.extend(rid, sptr, payload)
-                while buffer.total >= irun:
-                    flush_run(irun)
-    flush_run(buffer.total)
+            for records in rel.iter_record_batches(batch_records, start, stop):
+                inbound += len(records)
+                meter.charge(len(records) * record_bytes, "sort-run buffer")
+                while len(records):
+                    take = min(irun - fill, len(records))
+                    run[fill:fill + take] = records[:take]
+                    fill += take
+                    records = records[take:]
+                    if fill == irun:
+                        flush_run()
+    flush_run()
     return inbound
 
 
@@ -405,7 +419,7 @@ def sort_merge_merge_join(spec: TaskSpec) -> PairResult:
     Multi-run merge is chunked k-way: each round computes the *bound* —
     the smallest last-buffered key among runs with unread file data — and
     everything strictly below it is provably complete in the buffers, so
-    one stable argsort of those slices (concatenated in run order)
+    one stable sort of those slices (concatenated in run order)
     reproduces ``heapq.merge``'s output order exactly, ties included.
 
     Under a memory budget the fan-in is bounded
@@ -567,7 +581,7 @@ def _merge_runs(
         rid = np.concatenate([t[0] for t in taken])
         sptr = np.concatenate([t[1] for t in taken])
         payload = np.concatenate([t[2] for t in taken])
-        order = np.argsort(sptr, kind="stable")
+        order = _stable_order(sptr)
         for lo in range(0, len(order), batch_records):
             block = order[lo:lo + batch_records]
             meter.charge(len(block) * s_bytes, "merge batch")
@@ -587,20 +601,21 @@ def _flush_bucket_chunks(
 ) -> int:
     """Write accumulated per-target column chunks as bucketed spill files.
 
-    The vector twin of the scalar ``_spill_bucket_groups``: one stable
-    argsort groups each target's records bucket-contiguously (encounter
-    order within a bucket preserved), and the whole blob lands in one
-    :meth:`BucketedRFile.append_buckets_packed` — byte-identical segment
-    and directory, one slice write instead of one per bucket.
+    The vector twin of the scalar ``_spill_bucket_groups``: one
+    :func:`_group` by bucket lays each target's records out
+    bucket-contiguously (encounter order within a bucket preserved), and
+    the whole blob lands in one :meth:`BucketedRFile.append_buckets_packed`
+    — byte-identical segment and directory, one slice write instead of
+    one per bucket.
     """
     flushed = 0
     for target, chunks in grouped.items():
         rid = np.concatenate([c[0] for c in chunks])
         sptr = np.concatenate([c[1] for c in chunks])
         payload = np.concatenate([c[2] for c in chunks])
-        bucket = np.concatenate([c[3] for c in chunks])
-        order = np.argsort(bucket, kind="stable")
-        counts = np.bincount(bucket.astype(np.int64), minlength=buckets)
+        order, bounds, _ = _group(
+            np.concatenate([c[3] for c in chunks]), buckets
+        )
         spill = BucketedRFile.create(
             store.path(target, bucket_spill_name(target, contributor, chunk)),
             len(rid), buckets, record_bytes, overwrite=True,
@@ -610,7 +625,7 @@ def _flush_bucket_chunks(
                 spill.segment.layout.pack_columns(
                     rid[order], sptr[order], payload[order]
                 ),
-                [int(c) for c in counts],
+                np.diff(bounds).tolist(),
             )
         except BaseException:
             spill.abort()
@@ -666,10 +681,11 @@ def grace_partition(spec: TaskSpec) -> int:
             retained += len(rid)
             parts, offs = pmap.locate_array(sptr)
             bucket = _hash_buckets(part_sizes, buckets, parts, offs)
-            for target in _targets_in_encounter_order(parts):
-                mask = parts == target
+            order, bounds, targets = _group(parts, disks)
+            for target in targets:
+                rows = order[bounds[target]:bounds[target + 1]]
                 grouped.setdefault(target, []).append(
-                    (rid[mask], sptr[mask], payload[mask], bucket[mask])
+                    (rid[rows], sptr[rows], payload[rows], bucket[rows])
                 )
             if spill_threshold is not None and retained >= spill_threshold:
                 moved += flush_groups(chunk_id)
@@ -721,27 +737,30 @@ def hybrid_hash_partition(spec: TaskSpec) -> StageOutput:
                 meter.charge(len(rid) * record_bytes, "hybrid bucket groups")
                 parts, offs = pmap.locate_array(sptr)
                 bucket = _hash_buckets(part_sizes, buckets, parts, offs)
-                home = bucket < resident
-                resident_count = int(home.sum())
-                if resident_count:
-                    for target in _targets_in_encounter_order(parts[home]):
-                        mask = home & (parts == target)
-                        s_rel = open_s(target)
-                        s_bytes = s_rel.segment.layout.record_bytes
-                        charged = int(mask.sum()) * s_bytes
-                        meter.charge(charged, "resident S batch")
-                        sid, value = s_rel.dereference_columns(offs[mask])
-                        sink.emit_arrays(rid[mask], sid, payload[mask], value)
-                        meter.release(charged)
-                if resident_count < len(rid):
-                    out = ~home
-                    for target in _targets_in_encounter_order(parts[out]):
-                        mask = out & (parts == target)
+                # Key 2·target + spilled: one grouping splits resident
+                # from spilled rows and orders each kind's targets by
+                # their first appearance among that kind.
+                order, bounds, groups = _group(
+                    2 * parts + (bucket >= resident), 2 * disks
+                )
+                spilled = 0
+                for group in groups:
+                    target = group >> 1
+                    rows = order[bounds[group]:bounds[group + 1]]
+                    if group & 1:
                         grouped.setdefault(target, []).append(
-                            (rid[mask], sptr[mask], payload[mask], bucket[mask])
+                            (rid[rows], sptr[rows], payload[rows], bucket[rows])
                         )
-                    retained += len(rid) - resident_count
-                meter.release(resident_count * record_bytes)
+                        spilled += len(rows)
+                        continue
+                    s_rel = open_s(target)
+                    charged = len(rows) * s_rel.segment.layout.record_bytes
+                    meter.charge(charged, "resident S batch")
+                    sid, value = s_rel.dereference_columns(offs[rows])
+                    sink.emit_arrays(rid[rows], sid, payload[rows], value)
+                    meter.release(charged)
+                retained += spilled
+                meter.release((len(rid) - spilled) * record_bytes)
                 if spill_threshold is not None and retained >= spill_threshold:
                     moved += flush_groups(chunk_id)
                     chunk_id += 1
@@ -762,9 +781,9 @@ def hybrid_hash_partition(spec: TaskSpec) -> StageOutput:
 def grace_probe(spec: TaskSpec) -> PairResult:
     """Probe passes for one partition: bucket table, ordered S access.
 
-    The scalar kernel's ``TSIZE`` chain table is one stable argsort by
+    The scalar kernel's ``TSIZE`` chain table is one :func:`_group` by
     refining chain: chains fill in inbound order and flatten in chain
-    order, which is exactly the sorted-by-chain permutation.
+    order, which is exactly the stably-sorted-by-chain permutation.
     """
     disks, i, shard = spec.disks, spec.partition, spec.shard
     buckets, tsize = spec.plan.buckets, spec.plan.tsize
@@ -804,7 +823,7 @@ def grace_probe(spec: TaskSpec) -> PairResult:
                     chain = (
                         offs * np.uint64(buckets * tsize) // part_size
                     ) % np.uint64(tsize)
-                    order = np.argsort(chain, kind="stable")
+                    order = _group(chain, tsize)[0]
                     for lo in range(0, len(order), batch_records):
                         block = order[lo:lo + batch_records]
                         meter.charge(len(block) * s_bytes, "dereferenced S batch")

@@ -27,7 +27,14 @@ class LayoutError(ValueError):
 
 @dataclass(frozen=True)
 class RecordLayout:
-    """Fixed-size record encoding for R and S objects."""
+    """Fixed-size record encoding for R and S objects.
+
+    Invariant: bytes 24 to ``record_bytes`` of every stored record are
+    zero.  Every packer here zero-fills them, and the only other writer —
+    a kernel routing records verbatim (``iter_record_batches``) — copies
+    records that already hold it.  That is what makes a verbatim move
+    byte-identical to decoding the three fields and re-packing them.
+    """
 
     record_bytes: int = 128
 

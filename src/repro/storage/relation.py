@@ -136,6 +136,29 @@ class RRelationFile(_RelationFile):
             finally:
                 view.release()
 
+    def iter_record_batches(
+        self,
+        batch_records: int = DEFAULT_BATCH_RECORDS,
+        start: int = 0,
+        stop: int | None = None,
+    ) -> Iterator[_np.ndarray]:
+        """Iterate whole records: owned ``(n,)`` arrays of ``V<record_bytes>``.
+
+        The shape for kernels that only route records.  Gathering void
+        items moves every byte, padding included, so a routed record is
+        appended (``segment.append_batch``) exactly as stored; gathering
+        the structured ``np_dtype`` would not — numpy copies only its named
+        fields.  ``batch.view(layout.np_dtype)`` reads the header fields.
+        Each batch is one copy out of the mapping, made before the yield,
+        so no view outlives the step.  ``start``/``stop`` as in
+        :meth:`iter_object_batches`.
+        """
+        item = _np.dtype((_np.void, self.segment.layout.record_bytes))
+        for view in self.segment.iter_batches(batch_records, start, stop):
+            with view:
+                batch = _np.frombuffer(view, dtype=item).copy()
+            yield batch
+
     def append_columns(self, rid, sptr, payload) -> int:
         """Append records given as three u64 column arrays."""
         return self.segment.append_batch(
