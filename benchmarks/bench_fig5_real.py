@@ -11,6 +11,11 @@ One warm kept store at the paper's geometry (scale 1.0, 4 disks), every
 budget in ``BUDGETS`` x the four plans, ``REPS`` interleaved repetitions,
 medians; once inline and once over a shared two-worker pool.  Wall-clock
 numbers are of the *host*.  Every run is checked against the oracle.
+
+Grace and hybrid hash also report, per budget, the bucket-spill files one
+join creates (``storage.map.new{kind=BS}``, from one extra metered join)
+and the urn model's ``grace_premature_replacements`` — the paper's
+explanation of the Grace low-memory knee — beside their walls.
 """
 
 import multiprocessing
@@ -28,6 +33,7 @@ from repro.workload import WorkloadSpec, generate_workload
 MIB = 1 << 20
 BUDGETS = (None, 16 * MIB, 8 * MIB, 4 * MIB, 2 * MIB, MIB, MIB // 2)
 CONTEXT = ("nested-loops", "grace", "hybrid-hash")
+BUCKETED = ("grace", "hybrid-hash")
 REPS = 5
 POOL_WORKERS = 2
 
@@ -70,11 +76,30 @@ def _sweep(workload, root: str, pool) -> dict:
                 cells.setdefault((algorithm, budget), []).append(
                     (wall_ms, result)
                 )
+    options["collect_metrics"] = True
+    for budget in BUDGETS:
+        for algorithm in BUCKETED:
+            result = run_real_join(
+                algorithm, workload, root, reuse_store=True,
+                mem_budget=budget, on_pressure="degrade", **options,
+            )
+            counters = result.stats_document(workload)["totals"]["counters"]
+            cells[("BS", algorithm, budget)] = counters.get(
+                "storage.map.new{kind=BS}", 0
+            )
     return cells
 
 
 def _wall(cells, algorithm, budget) -> float:
     return statistics.median(wall for wall, _ in cells[(algorithm, budget)])
+
+
+def _urn(cells, algorithm, budget):
+    """The urn model's premature replacements for the admitted plan."""
+    governor = cells[(algorithm, budget)][-1][1].governor or {}
+    details = governor.get("predicted", {}).get("details", {})
+    value = details.get("grace_premature_replacements")
+    return "-" if value is None else round(value)
 
 
 def _rows(cells) -> list:
@@ -99,6 +124,8 @@ def _rows(cells) -> list:
             ),
             "kernels": last.kernel_mode,
             **{a: _wall(cells, a, budget) for a in CONTEXT},
+            **{f"{a} BS": cells[("BS", a, budget)] for a in BUCKETED},
+            **{f"{a} urn": _urn(cells, a, budget) for a in BUCKETED},
         })
     return rows
 
@@ -113,6 +140,9 @@ def _check_curve(rows) -> None:
     assert any(row["passes"] != "-" and row["passes"] >= 2 for row in rows)
     for row in rows[:-1]:  # every budget >= 1 MiB
         assert row["kernels"] == "vector", row
+    for algorithm in BUCKETED:
+        # One spill file per (target, contributor), whatever the budget.
+        assert len({row[f"{algorithm} BS"] for row in rows}) == 1, algorithm
     for wider, tighter in zip(rows, rows[1:]):
         # Less memory never buys speed beyond the host's noise ...
         assert tighter["wall_ms"] >= (1 - STEP_TOLERANCE) * wider["wall_ms"], (
@@ -133,14 +163,16 @@ def _check_curve(rows) -> None:
 def _render(title: str, rows) -> str:
     headers = [
         "budget", "sort-merge ms", "batch", "irun", "runs", "fanin",
-        "passes", "rungs", "kernels", "NL ms", "grace ms", "hybrid ms",
+        "passes", "rungs", "kernels", "NL ms", "grace ms", "BS", "urn",
+        "hybrid ms", "BS", "urn",
     ]
     table = format_table(headers, [
         [
             row["budget"], row["wall_ms"], row["batch"], row["irun"],
             row["runs"], row["fanin"], row["passes"], row["rungs"],
-            row["kernels"], row["nested-loops"], row["grace"],
-            row["hybrid-hash"],
+            row["kernels"], row["nested-loops"],
+            *(row[f"{a}{suffix}"] for a in BUCKETED
+              for suffix in ("", " BS", " urn")),
         ]
         for row in rows
     ])
@@ -171,7 +203,9 @@ def test_fig5_real(benchmark, record):
         f"total memory budget\nscale {scale}, 4 disks, warm kept store, "
         f"{REPS} interleaved reps; runs / fanin / passes are the merge "
         "stage's,\nrungs the ladder rungs admission took; steps within "
-        f"{STEP_TOLERANCE:.0%} count as level.",
+        f"{STEP_TOLERANCE:.0%} count as level.\nBS = bucket-spill files "
+        "created per join (storage.map.new{kind=BS}); urn = the urn "
+        "model's\ngrace_premature_replacements for the admitted plan.",
         _render("inline (driver process runs every task)", inline),
         _render(f"shared pool of {POOL_WORKERS} spawned workers", pooled),
     ]))

@@ -28,7 +28,7 @@ A :class:`JoinPlan` is the knob set the prediction is a function of, and
 :meth:`JoinPlan.degraded` is one rung of the degradation ladder — the
 knob that shrinks the *binding* stage (the one whose footprint is the
 high-water mark): smaller batches for scans and merges, a smaller sort
-heap only while run cutting binds, chunked spilling for the partition
+heap only while run cutting binds, a spill threshold for the partition
 buffer, finer buckets for the probe tables.  :func:`fit_plan` walks the
 ladder until the predicted high-water mark fits the budget and stops at
 the first plan that does — the "re-plan instead of thrash" admission
@@ -45,6 +45,7 @@ cycles.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -105,10 +106,10 @@ class JoinPlan:
     irun: int = 4096
     buckets: int = 16
     tsize: int = 64
-    #: Bucketed plans only: flush bucket groups to chunked spill files
-    #: whenever this many objects are retained.  ``None`` = single flush
-    #: at end of scan (the fast path, byte-identical to the ungoverned
-    #: backend).
+    #: Bucketed plans only: flush bucket groups into their laid-out spill
+    #: files whenever this many objects are retained (a count scan of R
+    #: sizes the files first).  ``None`` = single flush at end of scan.
+    #: The spill files are byte-identical either way.
     spill_threshold: Optional[int] = None
     #: Hybrid hash only: buckets joined in place during the partition
     #: scan instead of spilled.  Clamped to ``buckets - 1`` so at least
@@ -212,7 +213,7 @@ class JoinPlan:
             return halved_batch
         if stage.kind == "partition" and stage.buffered:
             # Retains spill_threshold + one batch: bound the buffer
-            # (chunked spilling), shrink it down to the batch size, then
+            # (a spill threshold), shrink it down to the batch size, then
             # shrink both; a hybrid plan finally evicts resident buckets.
             if self.spill_threshold is None:
                 return replace(
@@ -304,6 +305,31 @@ def _segment_bytes(capacity: float, record_bytes: int) -> float:
     records = max(1, math.ceil(capacity))
     data = records * record_bytes
     return PAGE_SIZE + math.ceil(data / PAGE_SIZE) * PAGE_SIZE
+
+
+@functools.lru_cache(maxsize=256)
+def _premature_replacements(
+    hashed_objects: int,
+    buckets: int,
+    frames: int,
+    disks: int,
+    objects_per_block: int,
+) -> float:
+    """The urn model's Grace estimate, memoised on its five integers.
+
+    A ladder walk re-prices the plan at every rung, but these inputs move
+    only when a rung doubles ``buckets``.
+    """
+    try:
+        return grace_thrashing_estimate(
+            hashed_objects=hashed_objects,
+            buckets=buckets,
+            frames=frames,
+            disks=disks,
+            objects_per_block=objects_per_block,
+        ).premature_replacements
+    except ValueError:
+        return 0.0
 
 
 def merge_fanin(
@@ -441,15 +467,10 @@ def predict_footprint(
                 # retained R buffer.
                 estimate += batch * s
             per_pass[stage.label] = estimate
+            # One laid-out file per (target, contributor), whatever the
+            # spill threshold: flushes fill it in place.
             per_contributor = r_i / disks  # one contributor's share/target
-            chunks = (
-                1
-                if plan.spill_threshold is None
-                else max(1, math.ceil(r_i / plan.spill_threshold))
-            )
-            spill_bytes += disks * disks * (
-                _segment_bytes(per_contributor, r) + (chunks - 1) * PAGE_SIZE
-            )
+            spill_bytes += disks * disks * _segment_bytes(per_contributor, r)
         elif stage.kind == "sort-run":
             n_runs = max(1, math.ceil(inbound / irun_eff))
             # Run building holds at most irun + one trailing batch before
@@ -505,19 +526,15 @@ def predict_footprint(
             )
             per_pass[stage.label] = bucket_high * r + probe_chunk * s
             if "grace_premature_replacements" not in details:
-                try:
-                    objects_per_block = max(1, machine.page_size // r)
-                    details["grace_premature_replacements"] = (
-                        grace_thrashing_estimate(
-                            hashed_objects=int(geometry.r_ii) or 1,
-                            buckets=plan.buckets,
-                            frames=max(1, int(frames)),
-                            disks=disks,
-                            objects_per_block=objects_per_block,
-                        ).premature_replacements
+                details["grace_premature_replacements"] = (
+                    _premature_replacements(
+                        int(geometry.r_ii) or 1,
+                        plan.buckets,
+                        max(1, int(frames)),
+                        disks,
+                        max(1, machine.page_size // r),
                     )
-                except ValueError:
-                    details["grace_premature_replacements"] = 0.0
+                )
         else:  # pragma: no cover - registry validates stage kinds
             raise ValueError(f"no footprint model for stage kind {stage.kind!r}")
 

@@ -399,39 +399,17 @@ def sweep_merge_runs(store: Store, partition: int, shard: Shard | None) -> None:
         path.unlink(missing_ok=True)
 
 
-def bucket_spill_name(
-    target: int, contributor: int, chunk: int | None = None
-) -> str:
-    """One contributor's bucketed spill file for one target partition.
-
-    ``chunk`` is set when the partition pass ran under a spill threshold
-    and flushed its groups incrementally.
-    """
-    base = f"BS{target}_from{contributor}"
-    return base if chunk is None else f"{base}_c{chunk}"
+def bucket_spill_name(target: int, contributor: int) -> str:
+    """One contributor's bucketed spill file for one target partition."""
+    return f"BS{target}_from{contributor}"
 
 
 def bucket_spill_paths(
     store: Store, partition: int, contributor: int
 ) -> List[Path]:
-    """One contributor's spill files for ``partition``, chunks included.
-
-    The unchunked base file and any ``_c<n>`` chunks are all valid
-    inputs; chunks are ordered numerically so probe input order is
-    deterministic.
-    """
-    paths: List[Path] = []
-    base = store.path(partition, bucket_spill_name(partition, contributor))
-    if base.exists():
-        paths.append(base)
-    prefix = f"BS{partition}_from{contributor}_c"
-    chunks = [
-        path for path in store.disk_dir(partition).glob(f"{prefix}*.seg")
-        if path.name[len(prefix):-len(".seg")].isdigit()
-    ]
-    chunks.sort(key=lambda path: int(path.name[len(prefix):-len(".seg")]))
-    paths.extend(chunks)
-    return paths
+    """One contributor's spill file for ``partition``, if it wrote one."""
+    path = store.path(partition, bucket_spill_name(partition, contributor))
+    return [path] if path.exists() else []
 
 
 # ----------------------------------------------------------- batch utilities

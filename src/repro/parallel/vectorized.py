@@ -591,22 +591,95 @@ def _merge_runs(
 
 # ------------------------------------------------------- grace / hybrid hash
 
-def _flush_bucket_chunks(
-    store: Store,
-    grouped: Dict[int, List[tuple]],
-    buckets: int,
-    record_bytes: int,
-    contributor: int,
-    chunk: int | None,
-) -> int:
-    """Write accumulated per-target column chunks as bucketed spill files.
+class BucketSpills:
+    """One partition task's bucketed spill files, one per target.
 
-    The vector twin of the scalar ``_spill_bucket_groups``: one
-    :func:`_group` by bucket lays each target's records out
-    bucket-contiguously (encounter order within a bucket preserved), and
-    the whole blob lands in one :meth:`BucketedRFile.append_buckets_packed`
-    — byte-identical segment and directory, one slice write instead of
-    one per bucket.
+    A target's file is created at its first flush with its final bucket
+    extents and every flush fills each bucket's extent at its cursor
+    (:meth:`BucketedRFile.write_buckets`).  Under a spill threshold the
+    extents come from a count scan of ``R_i`` (:func:`_spill_extents`),
+    run here before the kernel's own scan; without one the single
+    end-of-scan flush brings its own counts.  Flushes arrive in scan
+    order, so however many there are, each file is byte-identical to the
+    one a single flush writes.  Both kernel modes write through this, so
+    a pass can crash in one mode and be retried in the other.
+    """
+
+    def __init__(
+        self,
+        spec: TaskSpec,
+        store: Store,
+        r_rel: RRelationFile,
+        resident: int = 0,
+    ) -> None:
+        self.store = store
+        self.contributor = spec.partition
+        self.record_layout = RecordLayout(spec.r_bytes)
+        self.extents = (
+            None if spec.plan.spill_threshold is None
+            else _spill_extents(spec, r_rel, resident)
+        )
+        self.files: Dict[int, BucketedRFile] = {}
+
+    def write(self, target: int, data, counts) -> None:
+        """Write one target's flushed records, ``counts[b]`` per bucket."""
+        spill = self.files.get(target)
+        if spill is None:
+            spill = self.files[target] = BucketedRFile.create_laid_out(
+                self.store.path(
+                    target, bucket_spill_name(target, self.contributor)
+                ),
+                counts if self.extents is None else self.extents[target],
+                self.record_layout.record_bytes, overwrite=True,
+            )
+        spill.write_buckets(data, counts)
+
+    def close(self) -> None:
+        """Publish every file (each refuses unless exactly filled)."""
+        for spill in self.files.values():
+            spill.close()
+
+    def abort(self) -> None:
+        for spill in self.files.values():
+            spill.abort()
+
+
+def _spill_extents(spec: TaskSpec, r_rel: RRelationFile, resident: int):
+    """The count scan: records per (target, bucket) this task will spill.
+
+    One arithmetic pass over ``R_i``'s pointer column — locate, bucket,
+    ``bincount`` — holding one batch and a ``disks x buckets`` array.
+    Buckets below ``resident`` are joined in place, not spilled.
+    """
+    disks, buckets = spec.disks, spec.plan.buckets
+    pmap = spec.pointer_map()
+    meter = active_meter()
+    part_sizes = np.asarray(
+        [pmap.partition_size(j) for j in range(disks)], dtype=np.uint64
+    )
+    counts = np.zeros(disks * buckets, dtype=np.int64)
+    for _rid, sptr, _payload in r_rel.iter_column_batches(
+        spec.plan.batch_records
+    ):
+        meter.charge(len(sptr) * spec.r_bytes, "bucket count batch")
+        parts, offs = pmap.locate_array(sptr)
+        bucket = _hash_buckets(part_sizes, buckets, parts, offs).astype(
+            np.intp
+        )
+        keys = (parts * buckets + bucket)[bucket >= resident]
+        counts += np.bincount(keys, minlength=disks * buckets)
+        meter.release(len(sptr) * spec.r_bytes)
+    return counts.reshape(disks, buckets)
+
+
+def _flush_bucket_chunks(
+    spills: BucketSpills, grouped: Dict[int, List[tuple]], buckets: int
+) -> int:
+    """Write accumulated per-target column chunks into their spill files.
+
+    One :func:`_group` by bucket lays each target's records out in bucket
+    order (encounter order within a bucket preserved) for one
+    :meth:`BucketSpills.write`.
     """
     flushed = 0
     for target, chunks in grouped.items():
@@ -616,21 +689,13 @@ def _flush_bucket_chunks(
         order, bounds, _ = _group(
             np.concatenate([c[3] for c in chunks]), buckets
         )
-        spill = BucketedRFile.create(
-            store.path(target, bucket_spill_name(target, contributor, chunk)),
-            len(rid), buckets, record_bytes, overwrite=True,
+        spills.write(
+            target,
+            spills.record_layout.pack_columns(
+                rid[order], sptr[order], payload[order]
+            ),
+            np.diff(bounds).tolist(),
         )
-        try:
-            spill.append_buckets_packed(
-                spill.segment.layout.pack_columns(
-                    rid[order], sptr[order], payload[order]
-                ),
-                np.diff(bounds).tolist(),
-            )
-        except BaseException:
-            spill.abort()
-            raise
-        spill.close()
         flushed += len(rid)
     grouped.clear()
     return flushed
@@ -664,36 +729,35 @@ def grace_partition(spec: TaskSpec) -> int:
     grouped: Dict[int, List[tuple]] = {}
     moved = 0
     retained = 0
-    chunk_id = 0
 
-    def flush_groups(chunk: int | None) -> int:
+    def flush_groups() -> int:
         nonlocal retained
-        flushed = _flush_bucket_chunks(
-            store, grouped, buckets, record_bytes, i, chunk
-        )
+        flushed = _flush_bucket_chunks(spills, grouped, buckets)
         meter.release(retained * record_bytes)
         retained = 0
         return flushed
 
     with store.open_r(i) as r_rel:
-        for rid, sptr, payload in r_rel.iter_column_batches(batch_records):
-            meter.charge(len(rid) * record_bytes, "grace bucket groups")
-            retained += len(rid)
-            parts, offs = pmap.locate_array(sptr)
-            bucket = _hash_buckets(part_sizes, buckets, parts, offs)
-            order, bounds, targets = _group(parts, disks)
-            for target in targets:
-                rows = order[bounds[target]:bounds[target + 1]]
-                grouped.setdefault(target, []).append(
-                    (rid[rows], sptr[rows], payload[rows], bucket[rows])
-                )
-            if spill_threshold is not None and retained >= spill_threshold:
-                moved += flush_groups(chunk_id)
-                chunk_id += 1
-    if spill_threshold is None:
-        moved += flush_groups(None)
-    elif grouped:
-        moved += flush_groups(chunk_id)
+        spills = BucketSpills(spec, store, r_rel)
+        try:
+            for rid, sptr, payload in r_rel.iter_column_batches(batch_records):
+                meter.charge(len(rid) * record_bytes, "grace bucket groups")
+                retained += len(rid)
+                parts, offs = pmap.locate_array(sptr)
+                bucket = _hash_buckets(part_sizes, buckets, parts, offs)
+                order, bounds, targets = _group(parts, disks)
+                for target in targets:
+                    rows = order[bounds[target]:bounds[target + 1]]
+                    grouped.setdefault(target, []).append(
+                        (rid[rows], sptr[rows], payload[rows], bucket[rows])
+                    )
+                if spill_threshold is not None and retained >= spill_threshold:
+                    moved += flush_groups()
+            moved += flush_groups()
+            spills.close()
+        except BaseException:
+            spills.abort()
+            raise
     return moved
 
 
@@ -713,7 +777,6 @@ def hybrid_hash_partition(spec: TaskSpec) -> StageOutput:
     grouped: Dict[int, List[tuple]] = {}
     moved = 0
     retained = 0
-    chunk_id = 0
     s_rels: Dict[int, object] = {}
 
     def open_s(target: int):
@@ -721,16 +784,15 @@ def hybrid_hash_partition(spec: TaskSpec) -> StageOutput:
             s_rels[target] = store.open_s(target)
         return s_rels[target]
 
-    def flush_groups(chunk: int | None) -> int:
+    def flush_groups() -> int:
         nonlocal retained
-        flushed = _flush_bucket_chunks(
-            store, grouped, buckets, record_bytes, i, chunk
-        )
+        flushed = _flush_bucket_chunks(spills, grouped, buckets)
         meter.release(retained * record_bytes)
         retained = 0
         return flushed
 
     with store.open_r(i) as r_rel:
+        spills = BucketSpills(spec, store, r_rel, resident)
         sink = PairSink(store.path(i, pairs_name("hh", i)), len(r_rel))
         try:
             for rid, sptr, payload in r_rel.iter_column_batches(batch_records):
@@ -762,14 +824,12 @@ def hybrid_hash_partition(spec: TaskSpec) -> StageOutput:
                 retained += spilled
                 meter.release((len(rid) - spilled) * record_bytes)
                 if spill_threshold is not None and retained >= spill_threshold:
-                    moved += flush_groups(chunk_id)
-                    chunk_id += 1
-            if spill_threshold is None:
-                moved += flush_groups(None)
-            elif grouped:
-                moved += flush_groups(chunk_id)
+                    moved += flush_groups()
+            moved += flush_groups()
+            spills.close()
             result = sink.close()
         except BaseException:
+            spills.abort()
             sink.abort()
             raise
         finally:

@@ -15,8 +15,10 @@ per partition).
 All record movement is block-at-a-time: kernels consume decoded batches
 (`iter_object_batches`), resolve pointers with the batched
 :meth:`PointerMap.locate_many` / :meth:`offset_many`, dereference S through
-:meth:`SRelationFile.dereference_many`, and append spills/runs/buckets via
-``append_many`` — no per-record ``bytes()`` copies or struct calls.
+:meth:`SRelationFile.dereference_many`, append spills/runs via
+``append_many`` and fill bucket files through the vector kernels' shared
+:class:`~repro.parallel.vectorized.BucketSpills` — no per-record
+``bytes()`` copies or struct calls.
 
 Join output never crosses a process boundary.  Every pair-producing
 kernel streams its pairs into its own mapped ``PAIRS`` segment (one
@@ -51,7 +53,6 @@ from repro.parallel.engine.task import (
     PairSink,
     StageOutput,
     TaskSpec,
-    bucket_spill_name,
     bucket_spill_paths,
     nl_spill_name,
     pairs_name,
@@ -65,7 +66,6 @@ from repro.parallel.engine.task import (
 )
 from repro.storage.relation import BucketedRFile, RRelationFile
 from repro.storage.segment import MappedSegment
-from repro.storage.store import Store
 
 __all__ = [
     "BATCH_RECORDS",
@@ -412,14 +412,11 @@ def sort_merge_merge_join(spec: TaskSpec) -> PairResult:
 # ------------------------------------------------------- grace / hybrid hash
 
 def _spill_bucket_groups(
-    store: Store,
+    spills: vectorized.BucketSpills,
     grouped: Dict[int, Dict[int, List[RObject]]],
     buckets: int,
-    record_bytes: int,
-    contributor: int,
-    chunk: int | None,
 ) -> int:
-    """Write accumulated bucket groups to one spill file per target.
+    """Write accumulated bucket groups into their targets' spill files.
 
     Shared by the grace and hybrid-hash partition kernels; the files are
     named by :func:`~repro.parallel.engine.task.bucket_spill_name`, which
@@ -428,19 +425,16 @@ def _spill_bucket_groups(
     """
     flushed = 0
     for target, bucket_groups in grouped.items():
-        capacity = sum(len(objs) for objs in bucket_groups.values())
-        spill = BucketedRFile.create(
-            store.path(target, bucket_spill_name(target, contributor, chunk)),
-            capacity, buckets, record_bytes, overwrite=True,
+        objects = [
+            obj for bucket in sorted(bucket_groups)
+            for obj in bucket_groups[bucket]
+        ]
+        spills.write(
+            target,
+            spills.record_layout.pack_r_batch(objects),
+            [len(bucket_groups.get(bucket, ())) for bucket in range(buckets)],
         )
-        try:
-            for bucket in sorted(bucket_groups):
-                spill.append_bucket(bucket, bucket_groups[bucket])
-                flushed += len(bucket_groups[bucket])
-        except BaseException:
-            spill.abort()
-            raise
-        spill.close()
+        flushed += len(objects)
     grouped.clear()
     return flushed
 
@@ -455,10 +449,10 @@ def grace_partition(spec: TaskSpec) -> int:
     the bucket groups are accumulated in memory over the whole scan — the
     probe side, where grace's memory bound actually lives, stays
     bucket-at-a-time.  Under a memory budget the governor passes a
-    ``spill_threshold``: whenever that many objects are retained the
-    groups are flushed to *chunked* spill files (``BS<j>_from<i>_c<n>``),
-    bounding the partition pass at threshold + one batch.  The probe side
-    reads base and chunk files alike, so the join output is identical.
+    ``spill_threshold``: a count scan of ``R_i`` first lays every file out
+    at its final size, and whenever that many objects are retained the
+    groups are flushed into place, bounding the partition pass at
+    threshold + one batch.  The files are byte-identical either way.
     """
     if spec.plan.kernel_mode == "vector":
         return vectorized.grace_partition(spec)
@@ -473,34 +467,35 @@ def grace_partition(spec: TaskSpec) -> int:
     grouped: Dict[int, Dict[int, List[RObject]]] = {}
     moved = 0
     retained = 0
-    chunk_id = 0
 
-    def flush_groups(chunk: int | None) -> int:
+    def flush_groups() -> int:
         nonlocal retained
-        flushed = _spill_bucket_groups(
-            store, grouped, buckets, record_bytes, i, chunk
-        )
+        flushed = _spill_bucket_groups(spills, grouped, buckets)
         meter.release(retained * record_bytes)
         retained = 0
         return flushed
 
     with store.open_r(i) as r_rel:
-        for batch in r_rel.iter_object_batches(batch_records):
-            meter.charge(len(batch) * record_bytes, "grace bucket groups")
-            retained += len(batch)
-            located = pmap.locate_many([obj[1] for obj in batch])
-            for obj, (target, offset) in zip(batch, located):
-                bucket = order_preserving_bucket(
-                    offset, part_sizes[target], buckets
-                )
-                grouped.setdefault(target, {}).setdefault(bucket, []).append(obj)
-            if spill_threshold is not None and retained >= spill_threshold:
-                moved += flush_groups(chunk_id)
-                chunk_id += 1
-    if spill_threshold is None:
-        moved += flush_groups(None)
-    elif grouped:
-        moved += flush_groups(chunk_id)
+        spills = vectorized.BucketSpills(spec, store, r_rel)
+        try:
+            for batch in r_rel.iter_object_batches(batch_records):
+                meter.charge(len(batch) * record_bytes, "grace bucket groups")
+                retained += len(batch)
+                located = pmap.locate_many([obj[1] for obj in batch])
+                for obj, (target, offset) in zip(batch, located):
+                    bucket = order_preserving_bucket(
+                        offset, part_sizes[target], buckets
+                    )
+                    grouped.setdefault(target, {}).setdefault(
+                        bucket, []
+                    ).append(obj)
+                if spill_threshold is not None and retained >= spill_threshold:
+                    moved += flush_groups()
+            moved += flush_groups()
+            spills.close()
+        except BaseException:
+            spills.abort()
+            raise
     return moved
 
 
@@ -532,7 +527,6 @@ def hybrid_hash_partition(spec: TaskSpec) -> StageOutput:
     grouped: Dict[int, Dict[int, List[RObject]]] = {}
     moved = 0
     retained = 0
-    chunk_id = 0
     s_rels: Dict[int, object] = {}
 
     def open_s(target: int):
@@ -540,16 +534,15 @@ def hybrid_hash_partition(spec: TaskSpec) -> StageOutput:
             s_rels[target] = store.open_s(target)
         return s_rels[target]
 
-    def flush_groups(chunk: int | None) -> int:
+    def flush_groups() -> int:
         nonlocal retained
-        flushed = _spill_bucket_groups(
-            store, grouped, buckets, record_bytes, i, chunk
-        )
+        flushed = _spill_bucket_groups(spills, grouped, buckets)
         meter.release(retained * record_bytes)
         retained = 0
         return flushed
 
     with store.open_r(i) as r_rel:
+        spills = vectorized.BucketSpills(spec, store, r_rel, resident)
         sink = PairSink(store.path(i, pairs_name("hh", i)), len(r_rel))
         try:
             for batch in r_rel.iter_object_batches(batch_records):
@@ -582,14 +575,12 @@ def hybrid_hash_partition(spec: TaskSpec) -> StageOutput:
                     meter.release(charged)
                 meter.release(resident_count * record_bytes)
                 if spill_threshold is not None and retained >= spill_threshold:
-                    moved += flush_groups(chunk_id)
-                    chunk_id += 1
-            if spill_threshold is None:
-                moved += flush_groups(None)
-            elif grouped:
-                moved += flush_groups(chunk_id)
+                    moved += flush_groups()
+            moved += flush_groups()
+            spills.close()
             result = sink.close()
         except BaseException:
+            spills.abort()
             sink.abort()
             raise
         finally:

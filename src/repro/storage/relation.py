@@ -314,14 +314,16 @@ def _directory_of(meta: bytes, path) -> List[tuple]:
 class BucketedRFile(_RelationFile):
     """R records grouped by hash bucket inside one mapped segment.
 
-    The grace algorithm's redistribution used to write one file per
-    (target, bucket, contributor); file creation is the dominant cost of
-    that pass on a real filesystem, so this packs all of one contributor's
-    buckets for one target into a single segment, bucket-contiguous, with
-    the per-bucket ``(start, count)`` directory stored in the segment's
-    spare header-page space.  The probe side still reads bucket-at-a-time
-    (its memory bound is unchanged); only the file fan-out shrinks from
-    ``D·K·D`` to ``D·D``.
+    One file holds all of one contributor's buckets for one target,
+    bucket-contiguous, with the per-bucket ``(start, count)`` directory
+    stored in the segment's spare header-page space — a file fan-out of
+    ``D·D`` per partition pass, not ``D·K·D``, whatever the memory budget.
+    The writer lays the file out once from known per-bucket counts
+    (:meth:`create_laid_out`) and fills each bucket's extent front to back
+    as records arrive (:meth:`write_buckets`), so any number of flushes
+    produce the bytes one flush would; it refuses to publish unless every
+    extent is exactly full.  The probe side reads bucket-at-a-time (its
+    memory bound is unchanged).
     """
 
     def __init__(
@@ -333,28 +335,36 @@ class BucketedRFile(_RelationFile):
         super().__init__(segment)
         self._directory = directory
         self._writer = writer
-        self._next_bucket = 0
+        # Next free slot of each bucket's extent (writers only).
+        self._cursors = [start for start, _count in directory]
 
     @classmethod
-    def create(
+    def create_laid_out(
         cls,
         path: str | os.PathLike,
-        capacity: int,
-        buckets: int,
+        counts: Sequence[int],
         record_bytes: int = 128,
         overwrite: bool = False,
     ) -> "BucketedRFile":
-        needed = _DIR_COUNT.size + buckets * _DIR_ENTRY.size
+        """newMap a file whose bucket ``b`` holds exactly ``counts[b]``.
+
+        Extents are packed in bucket order (empty buckets keep the
+        ``(0, 0)`` entry) and the whole count is reserved up front.
+        """
+        needed = _DIR_COUNT.size + len(counts) * _DIR_ENTRY.size
         if needed > META_CAPACITY:
             raise StorageError(
-                f"{buckets} buckets need a {needed}-byte directory; the "
+                f"{len(counts)} buckets need a {needed}-byte directory; the "
                 f"header page holds {META_CAPACITY}"
             )
-        return cls(
-            MappedSegment.create(path, capacity, record_bytes, overwrite),
-            [(0, 0)] * buckets,
-            writer=True,
-        )
+        directory = []
+        total = 0
+        for count in map(int, counts):
+            directory.append((total, count) if count else (0, 0))
+            total += count
+        segment = MappedSegment.create(path, total, record_bytes, overwrite)
+        segment.reserve(total)
+        return cls(segment, directory, writer=True)
 
     @classmethod
     def open(cls, path: str | os.PathLike) -> "BucketedRFile":
@@ -381,55 +391,54 @@ class BucketedRFile(_RelationFile):
     def buckets(self) -> int:
         return len(self._directory)
 
-    def append_bucket(self, bucket: int, objects: Sequence[RObject]) -> None:
-        """Append one bucket's records; buckets must arrive in order."""
-        if bucket < self._next_bucket:
-            raise StorageError(
-                f"bucket {bucket} appended after bucket {self._next_bucket - 1}; "
-                "buckets must be written in increasing order"
-            )
-        if bucket >= len(self._directory):
-            raise StorageError(
-                f"bucket {bucket} outside [0, {len(self._directory)})"
-            )
-        start = self.segment.append_batch(
-            self.segment.layout.pack_r_batch(objects)
-        )
-        self._directory[bucket] = (start, len(objects))
-        self._next_bucket = bucket + 1
+    def write_buckets(self, data, counts: Sequence[int]) -> None:
+        """Write the next records of many buckets at their cursors.
 
-    def append_buckets_packed(self, data, counts: Sequence[int]) -> None:
-        """Append pre-packed records for many buckets in one slice write.
-
-        ``data`` holds the records of every bucket back-to-back in
-        ascending bucket order; ``counts[b]`` is bucket ``b``'s record
-        count (zero for absent buckets).  Directory entries land exactly
-        where per-bucket :meth:`append_bucket` calls would have put them —
-        empty buckets keep ``(0, 0)`` — so the published segment is
-        byte-identical to the scalar path's.
+        ``data`` holds each bucket's records back-to-back in ascending
+        bucket order; ``counts[b]`` is how many belong to bucket ``b``.
+        Each bucket's share lands at the front of its unfilled extent;
+        shares that land end to end go out as one
+        :meth:`MappedSegment.write_batch`, so filling a fresh layout in
+        one call is one contiguous write.  A share that would overrun its
+        extent is refused before anything is written.
         """
         if len(counts) > len(self._directory):
             raise StorageError(
                 f"{len(counts)} bucket counts for a "
                 f"{len(self._directory)}-bucket directory"
             )
-        total = int(sum(counts))
-        record_bytes = self.segment.layout.record_bytes
-        if total * record_bytes != len(data):
-            raise StorageError(
-                f"bucket counts claim {total} records but the packed blob "
-                f"holds {len(data) // record_bytes}"
-            )
-        if self._next_bucket:
-            raise StorageError(
-                "append_buckets_packed must write a fresh bucketed file"
-            )
-        pos = self.segment.append_batch(data)
+        cursors = self._cursors
+        runs: List[list] = []  # [segment index, first record of data, n]
+        taken = 0
         for bucket, count in enumerate(counts):
-            if count:
-                self._directory[bucket] = (pos, int(count))
-                self._next_bucket = bucket + 1
-            pos += int(count)
+            if not count:
+                continue
+            start, extent = self._directory[bucket]
+            cursor = cursors[bucket]
+            if cursor + count > start + extent:
+                raise StorageError(
+                    f"{count} records overfill bucket {bucket} of "
+                    f"{self.segment.path.name} "
+                    f"({cursor - start} of {extent} written)"
+                )
+            if runs and runs[-1][0] + runs[-1][2] == cursor:
+                runs[-1][2] += count
+            else:
+                runs.append([cursor, taken, count])
+            taken += count
+        record_bytes = self.segment.layout.record_bytes
+        if taken * record_bytes != len(data):
+            raise StorageError(
+                f"bucket counts claim {taken} records but the packed "
+                f"blob holds {len(data) // record_bytes}"
+            )
+        for bucket, count in enumerate(counts):
+            cursors[bucket] += count
+        data = memoryview(data).cast("B")
+        for index, first, n in runs:
+            self.segment.write_batch(
+                index, data[first * record_bytes:(first + n) * record_bytes]
+            )
 
     def bucket_len(self, bucket: int) -> int:
         return self._directory[bucket][1]
@@ -478,8 +487,24 @@ class BucketedRFile(_RelationFile):
                 view.release()
 
     def close(self) -> None:
+        """Publish; a writer first proves every extent exactly full.
+
+        A short extent would publish zero records as data, so the file is
+        discarded instead and :class:`StorageError` raised.
+        """
         if self._writer:
             self._writer = False
+            unfilled = [
+                bucket
+                for bucket, (start, count) in enumerate(self._directory)
+                if self._cursors[bucket] != start + count
+            ]
+            if unfilled:
+                self.abort()
+                raise StorageError(
+                    f"{self.segment.path.name}: bucket extents {unfilled} "
+                    "are not exactly filled; nothing published"
+                )
             blob = bytearray(
                 _DIR_COUNT.size + len(self._directory) * _DIR_ENTRY.size
             )

@@ -247,10 +247,11 @@ def _pwrite_all(fd: int, data, offset: int) -> None:
     — the unified page cache keeps both views coherent.
     """
     view = memoryview(data).cast("B")
-    while len(view):
-        written = os.pwrite(fd, view, offset)
+    written = os.pwrite(fd, view, offset)
+    while written < len(view):
         view = view[written:]
         offset += written
+        written = os.pwrite(fd, view, offset)
 
 
 def tmp_segment_path(path: str | os.PathLike) -> Path:
@@ -303,13 +304,13 @@ class MappedSegment:
         # stored checksum was valid; created segments are born dirty so
         # close() always stamps a fresh footer.
         self._dirty = self._pending
-        # Streaming checksum over strictly-sequential appends.  While
-        # every write lands at the next free slot the payload CRC is
-        # already known when the footer is stamped — no second read of
-        # bytes this process just wrote.  ``None`` means the stream no
-        # longer covers the payload (in-place rewrite, reserve(), or a
-        # segment opened with pre-existing records) and the footer falls
-        # back to the full pread scan.
+        # Streaming checksum over the written prefix [0, _stream_count).
+        # While every write lands at the end of that prefix the payload
+        # CRC is already known when the footer is stamped — no second
+        # read of bytes this process just wrote.  A prefix short of the
+        # count (reserved or positionally written slots), or ``None``
+        # (an in-place rewrite, or a segment opened with pre-existing
+        # records), makes the footer fall back to the full pread scan.
         self._stream_crc: Optional[int] = 0 if count == 0 else None
         self._stream_count = 0
         # Header count as last persisted; lets a read-only open close
@@ -672,10 +673,10 @@ class MappedSegment:
                 f"(capacity {self.capacity})"
             )
         if count > self._count:
+            # The streamed prefix is untouched: the footer re-reads the
+            # payload unless later writes stream over the reserved slots.
             self._count = count
             self._dirty = True
-            # The reserved slots were never streamed through the CRC.
-            self._stream_crc = None
 
     def append_record(self, data: bytes) -> int:
         """Append one record; returns its index."""
@@ -744,41 +745,59 @@ class MappedSegment:
 
         Returns the index of the first appended record.
         """
-        self._check_open()
-        record_bytes = self.layout.record_bytes
-        # Normalize to a flat byte view: callers hand over bytes, packed
-        # scratch arrays, or (n, k) u64 blocks alike.
-        data = memoryview(data).cast("B")
-        nbytes = len(data)
-        if nbytes % record_bytes:
-            raise StorageError(
-                f"batch of {nbytes} bytes is not a whole number of "
-                f"{record_bytes}-byte records"
-            )
-        count = nbytes // record_bytes
-        if self._count + count > self.capacity:
-            raise StorageError(
-                f"appending {count} records overflows {self.path.name} "
-                f"({self._count} of {self.capacity} used)"
-            )
         start = self._count
-        if count:
-            lo = PAGE_SIZE + start * record_bytes
-            _pwrite_all(self._file.fileno(), data, lo)
-            self._count = start + count
-            self._dirty = True
-            if self._stream_crc is not None:
-                if start == self._stream_count:
-                    self._stream_crc = zlib.crc32(data, self._stream_crc)
-                    self._stream_count = self._count
-                else:
-                    self._stream_crc = None
-            metrics = _metrics()
-            if metrics.enabled:
-                metrics.count("storage.write.batches", 1, kind=self.kind)
-                metrics.count("storage.write.records", count, kind=self.kind)
-                metrics.count("storage.write.bytes", nbytes, kind=self.kind)
+        self._count = start + self._write_at(start, data, self.capacity)
         return start
+
+    def write_batch(
+        self, index: int, data: bytes | bytearray | memoryview
+    ) -> None:
+        """Write packed records at ``index`` inside the reserved count.
+
+        The positional twin of :meth:`append_batch` for writers that lay a
+        segment out first (:meth:`reserve`) and fill it in place.  A write
+        at the end of the streamed prefix extends the streaming CRC; any
+        other leaves the footer to one payload re-read at close.
+        """
+        self._write_at(index, data, self._count)
+
+    def _write_at(self, index: int, data, limit: int) -> int:
+        """pwrite whole records at ``index``, ending by ``limit``.
+
+        Callers hand over bytes, packed scratch arrays, or (n, k) u64
+        blocks alike.  Returns the record count written.
+        """
+        self._check_open()
+        data = memoryview(data).cast("B")
+        count, partial = divmod(len(data), self.layout.record_bytes)
+        if partial:
+            raise StorageError(
+                f"batch of {len(data)} bytes is not a whole number of "
+                f"{self.layout.record_bytes}-byte records"
+            )
+        if index < 0 or index + count > limit:
+            raise StorageError(
+                f"batch [{index}, {index + count}) outside [0, {limit}) in "
+                f"{self.path.name} ({self._count} of {self.capacity} "
+                "records in use)"
+            )
+        if not count:
+            return 0
+        lo = PAGE_SIZE + index * self.layout.record_bytes
+        _pwrite_all(self._file.fileno(), data, lo)
+        self._dirty = True
+        if self._stream_crc is not None:
+            if index == self._stream_count:
+                self._stream_crc = zlib.crc32(data, self._stream_crc)
+                self._stream_count = index + count
+            elif index < self._stream_count:
+                self._stream_crc = None  # rewrote streamed bytes
+        metrics = _metrics()
+        if metrics.enabled:
+            metrics.count("storage.write.batches", 1, kind=self.kind)
+            metrics.count("storage.write.records", count, kind=self.kind)
+            metrics.count("storage.write.bytes", len(data), kind=self.kind)
+        return count
 
     # ------------------------------------------------------------ internal
 

@@ -8,7 +8,7 @@ uselessly loose — within ``TOLERANCE``× of what was observed.
 
 import pytest
 
-from repro.governor import JoinPlan, fit_plan, predict_footprint
+from repro.governor import JoinPlan, fit_plan, predict, predict_footprint
 from repro.governor.predict import (
     FIT_MARGIN,
     MAX_BUCKETS,
@@ -175,6 +175,32 @@ class TestLadderHonesty:
         assert estimate.details["merge_passes"] == merge_passes(
             int(runs), int(fanin)
         ) >= 2
+
+    @pytest.mark.parametrize("total", [4 << 20, 1 << 20])
+    def test_urn_model_runs_once_per_bucket_count(
+        self, paper_workload, total, monkeypatch
+    ):
+        """Every rung re-prices the plan, but the urn model's inputs move
+        only when a rung doubles ``buckets``: one evaluation each."""
+        calls = []
+        real = predict.grace_thrashing_estimate
+
+        def counting(**kwargs):
+            calls.append(kwargs["buckets"])
+            return real(**kwargs)
+
+        monkeypatch.setattr(predict, "grace_thrashing_estimate", counting)
+        predict._premature_replacements.cache_clear()
+        try:
+            rungs = []
+            fit_plan("grace", paper_workload, JoinPlan(), total // 4, rungs)
+        finally:
+            predict._premature_replacements.cache_clear()
+        visited = [JoinPlan().buckets] + [
+            rung["to"] for rung in rungs if rung["knob"] == "buckets"
+        ]
+        assert len(rungs) + 1 > len(visited)  # the memo had work to save
+        assert calls == visited
 
     def test_merge_fanin_and_passes(self):
         assert merge_fanin(None, 4096, 128, 128) is None

@@ -5,7 +5,7 @@ them (``RecordLayout``).  The vector kernels move routed records as
 their stored bytes instead of decoding and re-packing the three fields;
 that is byte-identical only while every writer keeps the padding zero.
 This walks the stores the four plans leave behind, under both kernel
-modes and a budget that forces bucket-spill chunks and a multi-pass
+modes and a budget that forces in-place bucket-spill flushes and a multi-pass
 sort-merge merge, and checks the padding of every record-layout segment
 — R and S partitions, RS, nested-loops spills, sorted runs, merge
 intermediates and bucket spills.

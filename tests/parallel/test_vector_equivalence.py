@@ -70,12 +70,6 @@ def assert_equivalent(scalar, vector):
     assert vector.pairs == scalar.pairs
 
 
-#: The one storage counter that differs by design: the vector bucket
-#: flush writes a whole spill file in one packed append, the scalar
-#: kernel one append per bucket.
-PACKED_BY_DESIGN = "storage.write.batches{kind=BS}"
-
-
 def storage_traffic(result) -> Counter:
     """Every worker's ``storage.read.*``/``storage.write.*`` counters,
     summed per flat key (so per segment kind)."""
@@ -86,7 +80,6 @@ def storage_traffic(result) -> Counter:
                 name, _labels = parse_metric_key(key)
                 if name.startswith(("storage.read.", "storage.write.")):
                     totals[key] += value
-    del totals[PACKED_BY_DESIGN]
     return totals
 
 

@@ -227,6 +227,21 @@ class TestPairsFile:
         assert read_pairs(path) == pairs
 
 
+def write_groups(writer, groups, buckets):
+    """One ``write_buckets`` call carrying ``groups`` (bucket -> objects)."""
+    writer.write_buckets(
+        RecordLayout(128).pack_r_batch(
+            [obj for bucket in sorted(groups) for obj in groups[bucket]]
+        ),
+        [len(groups.get(bucket, ())) for bucket in range(buckets)],
+    )
+
+
+def assert_nothing_published(path):
+    assert not path.exists()
+    assert not path.with_name(path.name + ".tmp").exists()
+
+
 class TestBucketedRFile:
     def test_bucket_roundtrip(self, tmp_path):
         path = tmp_path / "b.seg"
@@ -235,10 +250,9 @@ class TestBucketedRFile:
             2: [RObject(2, 2, 2), RObject(3, 3, 3)],
             3: [RObject(4, 4, 4)],
         }
-        writer = BucketedRFile.create(path, capacity=4, buckets=5)
+        writer = BucketedRFile.create_laid_out(path, [1, 0, 2, 1, 0])
         try:
-            for bucket in sorted(groups):
-                writer.append_bucket(bucket, groups[bucket])
+            write_groups(writer, groups, 5)
         finally:
             writer.close()
         with BucketedRFile.open(path) as reader:
@@ -256,22 +270,56 @@ class TestBucketedRFile:
         # The header-only read agrees with the mapped directory.
         assert BucketedRFile.bucket_counts(path) == [1, 0, 2, 1, 0]
 
-    def test_out_of_order_bucket_rejected(self, tmp_path):
-        writer = BucketedRFile.create(tmp_path / "b.seg", 4, buckets=4)
-        try:
-            writer.append_bucket(2, [RObject(1, 1, 1)])
-            with pytest.raises(StorageError):
-                writer.append_bucket(1, [RObject(2, 2, 2)])
-        finally:
+    def test_buckets_fill_front_to_back_across_writes(self, tmp_path):
+        """Writes may arrive in any bucket order; each lands at its
+        bucket's cursor, so two flushes publish what one would."""
+        path = tmp_path / "b.seg"
+        writer = BucketedRFile.create_laid_out(path, [2, 0, 1])
+        write_groups(writer, {2: [RObject(5, 5, 5)], 0: [RObject(1, 1, 1)]}, 3)
+        write_groups(writer, {0: [RObject(2, 2, 2)]}, 3)
+        writer.close()
+        with BucketedRFile.open(path) as reader:
+            assert reader.read_bucket_columns(0)[0].tolist() == [1, 2]
+            assert reader.read_bucket_columns(2)[0].tolist() == [5]
+
+    def test_overfilled_bucket_rejected(self, tmp_path):
+        """A share larger than its extent is refused before any byte is
+        written, and the file then refuses to publish."""
+        path = tmp_path / "b.seg"
+        writer = BucketedRFile.create_laid_out(path, [0, 0, 1, 0])
+        with pytest.raises(StorageError, match="overfill"):
+            write_groups(writer, {2: [RObject(1, 1, 1)] * 2}, 4)
+        with pytest.raises(StorageError, match="not exactly filled"):
             writer.close()
+        assert_nothing_published(path)
+
+    def test_underfilled_extent_refuses_to_publish(self, tmp_path):
+        path = tmp_path / "b.seg"
+        writer = BucketedRFile.create_laid_out(path, [2, 1])
+        write_groups(writer, {0: [RObject(1, 1, 1)], 1: [RObject(2, 2, 2)]}, 2)
+        with pytest.raises(StorageError, match=r"extents \[0\]"):
+            writer.close()
+        assert_nothing_published(path)
 
     def test_bucket_out_of_range_rejected(self, tmp_path):
-        writer = BucketedRFile.create(tmp_path / "b.seg", 4, buckets=2)
+        writer = BucketedRFile.create_laid_out(tmp_path / "b.seg", [1, 1])
         try:
             with pytest.raises(StorageError):
-                writer.append_bucket(2, [RObject(1, 1, 1)])
+                write_groups(writer, {2: [RObject(1, 1, 1)]}, 3)
         finally:
-            writer.close()
+            writer.abort()
+
+    def test_write_batch_outside_reserved_count_rejected(self, tmp_path):
+        segment = MappedSegment.create(tmp_path / "r.seg", 4, 128)
+        segment.reserve(2)
+        records = RecordLayout(128).pack_r_batch([RObject(1, 1, 1)] * 2)
+        try:
+            segment.write_batch(0, records)  # exactly the reserved slots
+            for index in (-1, 1, 2):
+                with pytest.raises(StorageError, match=r"outside \[0, 2\)"):
+                    segment.write_batch(index, records)
+        finally:
+            segment.discard()
 
     def test_open_plain_segment_rejected(self, tmp_path):
         path = tmp_path / "r.seg"
@@ -283,4 +331,5 @@ class TestBucketedRFile:
 
     def test_too_many_buckets_for_directory_rejected(self, tmp_path):
         with pytest.raises(StorageError):
-            BucketedRFile.create(tmp_path / "b.seg", 4, buckets=100_000)
+            BucketedRFile.create_laid_out(tmp_path / "b.seg", [0] * 100_000)
+        assert_nothing_published(tmp_path / "b.seg")

@@ -98,51 +98,60 @@ class TestRelationColumns:
         ] == [(o.sid, o.value) for o in expected]
         rel.close()
 
-    def test_append_buckets_packed_matches_append_bucket(self, tmp_path):
+    def test_flushes_in_pieces_match_one_packed_write(self, tmp_path):
+        """Scalar-packed records written over several flushes publish the
+        bytes of one columnar write of the whole layout — which is a
+        single contiguous write that keeps the streaming CRC."""
         buckets = 7
         by_bucket = {
             b: [RObject(*r) for r in RECORDS if r[0] % buckets == b]
             for b in range(buckets)
         }
         by_bucket[3] = []  # an empty bucket keeps its (0, 0) entry
-
-        scalar = BucketedRFile.create(
-            tmp_path / "scalar.seg", len(RECORDS), buckets, 128
-        )
-        for b in range(buckets):
-            if by_bucket[b]:
-                scalar.append_bucket(b, by_bucket[b])
-        scalar.close()
-
+        counts = [len(by_bucket[b]) for b in range(buckets)]
         layout = RecordLayout(128)
+
+        pieces = BucketedRFile.create_laid_out(tmp_path / "pieces.seg", counts)
+        for lo in range(0, len(RECORDS), 10):  # ten records per flush
+            flush = {
+                b: [o for o in objs if lo <= RECORDS.index(tuple(o)) < lo + 10]
+                for b, objs in by_bucket.items()
+            }
+            pieces.write_buckets(
+                layout.pack_r_batch([o for b in range(buckets) for o in flush[b]]),
+                [len(flush[b]) for b in range(buckets)],
+            )
+        pieces.close()
+
         ordered = [o for b in range(buckets) for o in by_bucket[b]]
         cols = np.asarray(ordered, dtype=np.uint64).reshape(-1, 3)
-        vector = BucketedRFile.create(
-            tmp_path / "vector.seg", len(RECORDS), buckets, 128
+        whole = BucketedRFile.create_laid_out(tmp_path / "whole.seg", counts)
+        whole.write_buckets(
+            layout.pack_columns(cols[:, 0], cols[:, 1], cols[:, 2]), counts
         )
-        vector.append_buckets_packed(
-            layout.pack_columns(cols[:, 0], cols[:, 1], cols[:, 2]),
-            [len(by_bucket[b]) for b in range(buckets)],
-        )
-        vector.close()
+        assert whole.segment._stream_count == len(RECORDS)
+        whole.close()
 
         assert (
-            (tmp_path / "scalar.seg").read_bytes()
-            == (tmp_path / "vector.seg").read_bytes()
+            (tmp_path / "pieces.seg").read_bytes()
+            == (tmp_path / "whole.seg").read_bytes()
         )
 
     def test_read_bucket_columns_matches_scalar_iteration(self, tmp_path):
         buckets = 5
-        rel = BucketedRFile.create(
-            tmp_path / "b.seg", len(RECORDS), buckets, 128
-        )
         groups = {
             b: [RObject(*r) for r in RECORDS if r[2] % buckets == b]
             for b in range(buckets)
         }
-        for b in range(buckets):
-            if groups[b]:
-                rel.append_bucket(b, groups[b])
+        rel = BucketedRFile.create_laid_out(
+            tmp_path / "b.seg", [len(groups[b]) for b in range(buckets)]
+        )
+        rel.write_buckets(
+            RecordLayout(128).pack_r_batch(
+                [o for b in range(buckets) for o in groups[b]]
+            ),
+            [len(groups[b]) for b in range(buckets)],
+        )
         for b in range(buckets):
             rid, sptr, payload = rel.read_bucket_columns(b)
             assert [
