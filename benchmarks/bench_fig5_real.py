@@ -12,9 +12,11 @@ budget in ``BUDGETS`` x the four plans, ``REPS`` interleaved repetitions,
 medians; once inline and once over a shared two-worker pool.  Wall-clock
 numbers are of the *host*.  Every run is checked against the oracle.
 
-Grace and hybrid hash also report, per budget, the bucket-spill files one
-join creates (``storage.map.new{kind=BS}``, from one extra metered join)
-and the urn model's ``grace_premature_replacements`` — the paper's
+Sort-merge reports, per budget, the RUN segments one join creates
+(``storage.map.new{kind=RUN}``: one per sort-run task, its runs are
+extents), and grace and hybrid hash the bucket-spill files
+(``storage.map.new{kind=BS}``) — both from one extra metered join — and
+the urn model's ``grace_premature_replacements`` — the paper's
 explanation of the Grace low-memory knee — beside their walls.
 """
 
@@ -34,6 +36,9 @@ MIB = 1 << 20
 BUDGETS = (None, 16 * MIB, 8 * MIB, 4 * MIB, 2 * MIB, MIB, MIB // 2)
 CONTEXT = ("nested-loops", "grace", "hybrid-hash")
 BUCKETED = ("grace", "hybrid-hash")
+#: The spill segments each plan's metered join counts: one per task or
+#: (target, contributor), whatever the budget.
+SPILL_FILES = {"sort-merge": "RUN", "grace": "BS", "hybrid-hash": "BS"}
 REPS = 5
 POOL_WORKERS = 2
 
@@ -78,14 +83,14 @@ def _sweep(workload, root: str, pool) -> dict:
                 )
     options["collect_metrics"] = True
     for budget in BUDGETS:
-        for algorithm in BUCKETED:
+        for algorithm, kind in SPILL_FILES.items():
             result = run_real_join(
                 algorithm, workload, root, reuse_store=True,
                 mem_budget=budget, on_pressure="degrade", **options,
             )
             counters = result.stats_document(workload)["totals"]["counters"]
-            cells[("BS", algorithm, budget)] = counters.get(
-                "storage.map.new{kind=BS}", 0
+            cells[(kind, algorithm, budget)] = counters.get(
+                f"storage.map.new{{kind={kind}}}", 0
             )
     return cells
 
@@ -117,6 +122,7 @@ def _rows(cells) -> list:
             "runs": int(details.get("merge_runs", 0)) or "-",
             "fanin": int(details.get("merge_fanin", 0)) or "-",
             "passes": int(details.get("merge_passes", 0)) or "-",
+            "RUN": cells[("RUN", "sort-merge", budget)],
             "rungs": governor.get("degradations_total", "-"),
             "runtime": max(
                 (result.governor or {}).get("runtime_degradations", 0)
@@ -140,8 +146,10 @@ def _check_curve(rows) -> None:
     assert any(row["passes"] != "-" and row["passes"] >= 2 for row in rows)
     for row in rows[:-1]:  # every budget >= 1 MiB
         assert row["kernels"] == "vector", row
+    # One run segment per sort-run task and one spill file per (target,
+    # contributor), whatever the budget.
+    assert len({row["RUN"] for row in rows}) == 1, [r["RUN"] for r in rows]
     for algorithm in BUCKETED:
-        # One spill file per (target, contributor), whatever the budget.
         assert len({row[f"{algorithm} BS"] for row in rows}) == 1, algorithm
     for wider, tighter in zip(rows, rows[1:]):
         # Less memory never buys speed beyond the host's noise ...
@@ -163,13 +171,14 @@ def _check_curve(rows) -> None:
 def _render(title: str, rows) -> str:
     headers = [
         "budget", "sort-merge ms", "batch", "irun", "runs", "fanin",
-        "passes", "rungs", "kernels", "NL ms", "grace ms", "BS", "urn",
+        "passes", "RUN", "rungs", "kernels", "NL ms", "grace ms", "BS", "urn",
         "hybrid ms", "BS", "urn",
     ]
     table = format_table(headers, [
         [
             row["budget"], row["wall_ms"], row["batch"], row["irun"],
-            row["runs"], row["fanin"], row["passes"], row["rungs"],
+            row["runs"], row["fanin"], row["passes"], row["RUN"],
+            row["rungs"],
             row["kernels"], row["nested-loops"],
             *(row[f"{a}{suffix}"] for a in BUCKETED
               for suffix in ("", " BS", " urn")),
@@ -203,9 +212,10 @@ def test_fig5_real(benchmark, record):
         f"total memory budget\nscale {scale}, 4 disks, warm kept store, "
         f"{REPS} interleaved reps; runs / fanin / passes are the merge "
         "stage's,\nrungs the ladder rungs admission took; steps within "
-        f"{STEP_TOLERANCE:.0%} count as level.\nBS = bucket-spill files "
-        "created per join (storage.map.new{kind=BS}); urn = the urn "
-        "model's\ngrace_premature_replacements for the admitted plan.",
+        f"{STEP_TOLERANCE:.0%} count as level.\nRUN = sorted-run segments "
+        "created per join (storage.map.new{kind=RUN}); BS = bucket-spill "
+        "files\n(storage.map.new{kind=BS}); urn = the urn model's "
+        "grace_premature_replacements for the admitted plan.",
         _render("inline (driver process runs every task)", inline),
         _render(f"shared pool of {POOL_WORKERS} spawned workers", pooled),
     ]))

@@ -38,7 +38,6 @@ from repro.parallel.engine.task import (
     resolve_kernel,
     run_name,
     run_paths,
-    run_stream,
     run_task,
 )
 
@@ -69,6 +68,5 @@ __all__ = [
     "resolve_kernel",
     "run_name",
     "run_paths",
-    "run_stream",
     "run_task",
 ]

@@ -5,28 +5,37 @@ mapped files — which means after a process crash the OS has usually
 already persisted every *completed* pass.  This module makes that
 surviving work reusable instead of discarding it:
 
-* after each stage barrier the executor records the stage's published,
-  checksum-verified artifacts into a manifest (``checkpoint.json`` in
-  the store root), written with the same tmp-write/atomic-rename idiom
-  as segment publication — a reader can only ever see a complete
-  manifest, never a torn one;
+* after each stage barrier but the last the executor records the
+  stage's published artifacts — path, record count and footer CRC, all
+  from one header-page read per new segment — into a manifest
+  (``checkpoint.json`` in the store root, compact JSON), written with
+  the same tmp-write/atomic-rename idiom as segment publication — a
+  reader can only ever see a complete manifest, never a torn one.  A
+  stage writes O(partitions) artifacts (one RUN segment per sort-run
+  task, one bucket file per contributor), so a barrier's bookkeeping
+  does not grow with the run or flush count.  The final barrier records
+  nothing: the run's end deletes the manifest with no work in between,
+  so a crash there costs only the final pass, which is all a record
+  would have saved;
 * ``execute_plan(resume=True)`` validates the manifest against the
   on-disk segments (full payload scrub, not just existence — a bit
   flipped while the driver was dead must send the producing stage back
   to work) and replays the completed stages' outcomes, restarting from
   the first incomplete stage;
 * the manifest carries the *exact* plan knobs and degradation count the
-  recorded stages ran under, so the resumed run re-derives every
-  rebalance/degradation decision deterministically and its output is
-  bit-identical to an uninterrupted run.
+  recorded stages ran under — and the sort-run tasks' key samples — so
+  the resumed run re-derives every rebalance/degradation decision
+  deterministically and its output is bit-identical to an uninterrupted
+  run.
 
 A manifest only ever describes work under one ``(algorithm, workload,
-plan)`` identity; an identity mismatch — or a base relation that fails
-its scrub — invalidates the whole manifest and the run starts fresh.  A
-corrupt *stage artifact* is cheaper: the manifest is truncated to the
-longest clean prefix of stages, so only the producing stage (and what
-follows it) re-runs.  Losing a checkpoint costs recomputation; trusting
-a wrong one costs correctness.
+plan)`` identity and one manifest version; a mismatch of either (a
+version-1 manifest names one file per sorted run) — or a base relation
+that fails its scrub — invalidates the whole manifest and the run
+starts fresh.  A corrupt *stage artifact* is cheaper: the manifest is
+truncated to the longest clean prefix of stages, so only the producing
+stage (and what follows it) re-runs.  Losing a checkpoint costs
+recomputation; trusting a wrong one costs correctness.
 """
 
 from __future__ import annotations
@@ -41,16 +50,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.governor.predict import JoinPlan
 from repro.parallel.engine.task import PairResult
-from repro.storage.segment import (
-    MappedSegment,
-    StorageError,
-    scrub_segment,
-    segment_footer,
-)
+from repro.storage.segment import StorageError, _read_header, scrub_segment
 from repro.storage.store import Store
 
 MANIFEST_NAME = "checkpoint.json"
-MANIFEST_VERSION = 1
+MANIFEST_VERSION = 2
 
 
 def manifest_path(root: str | os.PathLike) -> Path:
@@ -72,11 +76,18 @@ def workload_signature(workload) -> str:
 
 
 def _temp_snapshot(store: Store) -> set:
-    """Every published temp segment, as store-root-relative paths."""
+    """Every published temp segment, as store-root-relative paths.
+
+    Names only — one ``scandir`` per disk directory, no path objects.
+    """
     seen = set()
     for disk in range(store.disks):
-        for path in store.temp_paths(disk):
-            seen.add(str(path.relative_to(store.root)))
+        directory = store.disk_dir(disk)
+        with os.scandir(directory) as entries:
+            for entry in entries:
+                name = entry.name
+                if name.endswith(".seg") and name not in ("R.seg", "S.seg"):
+                    seen.add(f"{directory.name}/{name}")
     return seen
 
 
@@ -116,18 +127,14 @@ class CheckpointWriter:
         rebalance: Optional[dict],
         plan: dict,
         runtime_degradations: int,
+        run_keys: Optional[list] = None,
     ) -> None:
         """Record one completed stage barrier and publish the manifest."""
         artifacts = []
         for rel in sorted(_temp_snapshot(store) - self._before):
-            path = self._root / rel
-            footer = segment_footer(path)
+            header = _read_header(self._root / rel)
             artifacts.append(
-                {
-                    "path": rel,
-                    "count": MappedSegment.record_count(path),
-                    "crc": footer[0] if footer is not None else None,
-                }
+                {"path": rel, "count": header.count, "crc": header.crc}
             )
         self._records.append(
             {
@@ -149,6 +156,7 @@ class CheckpointWriter:
                 ],
                 "rebalance": rebalance,
                 "artifacts": artifacts,
+                "run_keys": run_keys,
             }
         )
         document = {
@@ -164,7 +172,7 @@ class CheckpointWriter:
         # the previous manifest intact, never a torn JSON.
         target = manifest_path(self._root)
         tmp = target.with_name(target.name + ".tmp")
-        tmp.write_text(json.dumps(document, indent=1))
+        tmp.write_text(json.dumps(document, separators=(",", ":")))
         os.replace(tmp, target)
 
     def reset(self) -> None:
@@ -182,16 +190,18 @@ def discard_manifest(root: str | os.PathLike) -> None:
 
 
 def load_manifest(root: str | os.PathLike) -> Optional[dict]:
-    """The store's manifest, or None when absent/unreadable/wrong-version."""
+    """The store's manifest, or None when absent or unreadable.
+
+    Any version loads; :func:`validate_manifest` declines another
+    build's with a reason.
+    """
     path = manifest_path(root)
     try:
         document = json.loads(path.read_text())
     except (OSError, ValueError):
         return None
-    if (
-        not isinstance(document, dict)
-        or document.get("version") != MANIFEST_VERSION
-        or not isinstance(document.get("stages"), list)
+    if not isinstance(document, dict) or not isinstance(
+        document.get("stages"), list
     ):
         return None
     return document
@@ -223,12 +233,12 @@ def validate_manifest(
     """Prove a manifest against the on-disk store.
 
     Returns ``(state, problem, scrub_failures)``.  ``state`` is None
-    whenever the whole manifest is untrustworthy — wrong identity, a
-    stage sequence that is not a prefix of the current plan, plan knobs
-    other than this build's :class:`JoinPlan` fields (a manifest an
-    older or newer build wrote), or a base relation failing its payload
-    scrub.  A corrupt or missing *stage
-    artifact* only costs the stages from its producer onward: the
+    whenever the whole manifest is untrustworthy — another manifest
+    version, wrong identity, a stage sequence that is not a prefix of
+    the current plan, plan knobs other than this build's
+    :class:`JoinPlan` fields (a manifest an older or newer build wrote),
+    or a base relation failing its payload scrub.  A corrupt or missing
+    *stage artifact* only costs the stages from its producer onward: the
     records are truncated to the longest clean prefix (``problem`` then
     reports what was dropped while ``state`` still replays the prefix).
     The caller falls back to a fresh run on None; resume is an
@@ -236,6 +246,11 @@ def validate_manifest(
     """
     scrubbed = 0
     failures = 0
+    if manifest.get("version") != MANIFEST_VERSION:
+        return None, (
+            f"manifest version {manifest.get('version')!r} is not this "
+            f"build's {MANIFEST_VERSION}"
+        ), 0
     if manifest.get("algorithm") != algorithm:
         return None, (
             f"manifest records algorithm {manifest.get('algorithm')!r}, "
@@ -287,9 +302,9 @@ def validate_manifest(
                 failures += 1
                 stage_problem = f"artifact failed scrub: {error}"
                 break
-            footer = segment_footer(path)
+            header = _read_header(path)
             if artifact.get("crc") is not None and (
-                footer is None or footer[0] != artifact["crc"]
+                header.crc != artifact["crc"]
             ):
                 failures += 1
                 stage_problem = (
@@ -297,7 +312,7 @@ def validate_manifest(
                     "recorded (the file was replaced since the barrier)"
                 )
                 break
-            if MappedSegment.record_count(path) != artifact.get("count"):
+            if header.count != artifact.get("count"):
                 failures += 1
                 stage_problem = (
                     f"{rel} does not hold the {artifact.get('count')} "

@@ -70,7 +70,11 @@ from repro.parallel.engine.checkpoint import (
     validate_manifest,
     workload_signature,
 )
-from repro.parallel.engine.rebalance import plan_stage_rebalance
+from repro.parallel.engine.rebalance import (
+    RunKeys,
+    gather_run_keys,
+    plan_stage_rebalance,
+)
 from repro.parallel.engine.stages import PassPlan, Stage
 from repro.parallel.engine.task import (
     CHECKSUM_MOD,
@@ -143,19 +147,21 @@ def plan_stage_units(
     worker_mem_budget: Optional[int] = None,
     disk_budget: Optional[int] = None,
     metrics: bool = False,
+    run_keys: Optional[List[RunKeys]] = None,
 ) -> List[TaskSpec]:
     """One :class:`TaskSpec` per task of ``stage`` — the only place built.
 
     The default is one unit per partition.  For a rebalance-capable
     stage under a plan whose ``rebalance`` mode allows it, the inbound
-    sizes are measured (cheap header/directory reads of the previous
-    barrier's published artifacts) and oversized partitions split into
-    shard units along the stage's axis; the decision lands in
+    sizes are measured (header/directory reads of the previous barrier's
+    published artifacts, or — for the merge — ``run_keys``, what the
+    sort-run tasks returned) and oversized partitions split into shard
+    units along the stage's axis; the decision lands in
     ``outcome.rebalance[stage.label]``.
     """
     disks = store.disks
     decision = plan_stage_rebalance(
-        store, stage, disks, plan.rebalance, plan.buckets
+        store, stage, disks, plan.rebalance, plan.buckets, run_keys=run_keys
     )
     units: List[TaskSpec] = []
     for partition in range(disks):
@@ -299,6 +305,8 @@ def execute_plan(
     checked_rules: set = set()
     # Stage labels replayed from the checkpoint manifest this round.
     replayed: set = set()
+    # What the sort-run tasks returned for the merge's key-range planning.
+    run_keys: List[RunKeys] = []
     # Dispatches so far per (kernel, partition) — the fault plan's attempt
     # coordinate.  Deliberately outlives reset_round: a one-shot injected
     # fault must not re-fire in the degraded round.
@@ -358,12 +366,17 @@ def execute_plan(
                 )
 
     def run_stage(stage: Stage, current: JoinPlan) -> None:
-        checkpoint.begin_stage(store)
+        # The last barrier is followed only by the manifest's deletion,
+        # so it is not checkpointed: no snapshot, no artifact reads.
+        checkpointed = stage is not pass_plan.stages[-1]
+        if checkpointed:
+            checkpoint.begin_stage(store)
         units = plan_stage_units(
             store, workload.spec, stage, current, outcome,
             worker_mem_budget=worker_mem_budget,
             disk_budget=disk_budget,
             metrics=collect_metrics,
+            run_keys=run_keys,
         )
         with span("stage", algo=algorithm, label=stage.label, kind=stage.kind):
             returned = _dispatch_stage(
@@ -371,6 +384,11 @@ def execute_plan(
                 policy, algorithm, recovery,
             )
         results = [result for result, _snapshot in returned]
+        if stage.kind == "sort-run":
+            run_keys[:] = gather_run_keys(
+                [unit.partition for unit in units], results, disks
+            )
+            results = [cut.moved for cut in results]
         if collect_metrics:
             outcome.worker_metrics[stage.label] = {
                 unit.slot: snapshot
@@ -406,6 +424,8 @@ def execute_plan(
             )
             pair_results.extend(stage_pairs)
         check_conservation()
+        if not checkpointed:
+            return
         # The stage barrier held and its invariants passed: checkpoint
         # the published artifacts so a crash from here on costs only the
         # passes that have not run yet.
@@ -421,6 +441,7 @@ def execute_plan(
             rebalance=outcome.rebalance.get(stage.label),
             plan=current.as_dict(),
             runtime_degradations=outcome.runtime_degradations,
+            run_keys=list(run_keys) if stage.kind == "sort-run" else None,
         )
 
     def reset_round() -> None:
@@ -440,6 +461,7 @@ def execute_plan(
         stage_totals.clear()
         checked_rules.clear()
         replayed.clear()
+        run_keys.clear()
         # The manifest describes temps this reset is about to delete; a
         # crash between here and the next barrier must find no manifest.
         checkpoint.reset()
@@ -476,6 +498,11 @@ def execute_plan(
                     outcome.pass_checksums[label] = int(record["checksum"])
                 if record.get("rebalance"):
                     outcome.rebalance[label] = record["rebalance"]
+                if record.get("run_keys") is not None:
+                    run_keys[:] = [
+                        RunKeys(int(records), [int(key) for key in samples])
+                        for records, samples in record["run_keys"]
+                    ]
                 stage_totals[label] = {
                     key: int(value)
                     for key, value in record["totals"].items()

@@ -4,10 +4,10 @@ The paper's cost model makes *skew* — the largest partition relative to
 the mean — the gating term of every synchronized algorithm: a pass ends
 when its slowest task does.  This module is the executor's answer.  Just
 before a rebalance-capable stage is dispatched, the inbound sizes every
-partition is about to process are *measured* from the published
-artifacts of the previous barrier (RS spill files, sorted runs, bucket
-directories — all sized by a 32-byte header read or a directory scan,
-never a data scan), and oversized partitions are split into
+partition is about to process are *measured* from the previous barrier
+(RS spill and bucket files sized by a header-page read, sorted runs by
+what their sort-run tasks returned — never a data scan), and oversized
+partitions are split into
 :class:`~repro.parallel.engine.task.Shard` tasks along the stage's
 declared axis:
 
@@ -16,36 +16,38 @@ declared axis:
 * ``"keys"`` — sorted-pointer key ranges, equal-depth over a cheap CDF
   fitted to keys sampled from the partition's sorted runs (quantiles
   of a key sample are the range boundaries that make every shard the
-  same depth);
+  same depth).  Each cutter samples its own runs as it writes them and
+  returns the keys with its result, so the driver opens no run;
 * ``"buckets"`` — contiguous hash-bucket ranges, equal-depth over the
   *exact* per-bucket histogram read from the bucket directories (small
   "dustbin" buckets coalesce into shared ranges; hot buckets isolate).
 
 Splitting never rewrites a file: shards read disjoint slices of the same
 published inputs and publish disjoint outputs (``_s<k>``-suffixed PAIRS
-segments, stride-namespaced run ids), so the union of shard outputs is
+and RUN segments), so the union of shard outputs is
 record-identical to the unsharded task's — the order-independent pair
 checksum makes bit-identity checkable per pass.
 
 The decision is a pure function of measured sizes and the plan's
 ``rebalance`` mode, so a retried or degraded round re-plans from the
-same artifacts and lands on the same shards.
+same artifacts and lands on the same shards (a resumed one from the key
+samples its checkpoint recorded).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.parallel.engine.stages import Stage
 from repro.parallel.engine.task import (
+    RunCut,
     Shard,
     bucket_spill_paths,
     nl_spill_name,
     rs_name,
-    run_paths,
 )
-from repro.storage.relation import BucketedRFile, RRelationFile
+from repro.storage.relation import BucketedRFile
 from repro.storage.segment import MappedSegment
 from repro.storage.store import Store
 
@@ -70,6 +72,52 @@ KEY_SAMPLES_PER_RUN = 64
 #: Open upper bound for the last key-range shard (sptrs are S indices,
 #: always far below this).
 KEY_SENTINEL = 1 << 63
+
+
+def key_sample_positions(n: int) -> List[int]:
+    """Where a sorted run of ``n`` records is sampled: evenly spaced ranks.
+
+    Positionally-even samples of a sorted run are a stratified sample of
+    its key distribution.  Cutters read the keys at these ranks out of
+    each run they write and return them in their :class:`RunCut`.
+    """
+    take = min(KEY_SAMPLES_PER_RUN, n)
+    return [j * n // take for j in range(take)]
+
+
+class RunKeys(NamedTuple):
+    """One partition's sorted runs as the ``keys`` axis sees them."""
+
+    #: Records across the partition's runs — its merge stage's size.
+    records: int
+    #: The pooled, sorted key sample the equal-depth cuts are taken from.
+    samples: List[int]
+
+
+def gather_run_keys(
+    partitions: Sequence[int], cuts: Sequence[RunCut], disks: int
+) -> List[RunKeys]:
+    """Each partition's :class:`RunKeys` from its sort-run tasks' results.
+
+    ``cuts[k]`` came from a task of ``partitions[k]``; a partition's tasks
+    arrive in shard order, so its runs line up in inbound order.  At most
+    :data:`KEY_SAMPLE_RUNS` evenly spaced runs are pooled.
+    """
+    records = [0] * disks
+    runs: List[List[List[int]]] = [[] for _ in range(disks)]
+    for partition, cut in zip(partitions, cuts):
+        records[partition] += cut.moved
+        runs[partition].extend(cut.samples)
+    keys = []
+    for partition in range(disks):
+        step = max(1, len(runs[partition]) // KEY_SAMPLE_RUNS)
+        pooled = [
+            key
+            for run in runs[partition][::step][:KEY_SAMPLE_RUNS]
+            for key in run
+        ]
+        keys.append(RunKeys(records[partition], sorted(pooled)))
+    return keys
 
 
 class RebalanceError(ValueError):
@@ -161,12 +209,16 @@ def plan_stage_rebalance(
     mode: str,
     buckets: int,
     max_shards: int = REBALANCE_MAX_SHARDS,
+    *,
+    run_keys: Optional[Sequence[RunKeys]] = None,
 ) -> Optional[StageRebalance]:
     """Measure a stage's inbound sizes and decide its shards.
 
     Returns None when the stage is not rebalance-capable or the mode is
     ``"off"``; otherwise a :class:`StageRebalance` (possibly with zero
-    splits — the stats document still records the measured ratio).
+    splits — the stats document still records the measured ratio).  A
+    ``keys``-axis stage plans from ``run_keys``, what the sort-run tasks
+    before it returned (:func:`gather_run_keys`).
     """
     axis = stage.rebalance
     if axis is None or mode == "off":
@@ -176,10 +228,12 @@ def plan_stage_rebalance(
         sizes = _record_inbound_sizes(store, stage.kernel, disks)
         histograms = None
     elif axis == "keys":
-        sizes = [
-            sum(MappedSegment.record_count(p) for p in run_paths(store, i))
-            for i in range(disks)
-        ]
+        if run_keys is None:
+            raise RebalanceError(
+                f"stage {stage.label!r} splits by keys but no sort-run "
+                "key samples were gathered"
+            )
+        sizes = [keys.records for keys in run_keys]
         histograms = None
     else:  # buckets
         histograms = [
@@ -207,7 +261,7 @@ def plan_stage_rebalance(
             if axis == "records":
                 part = _record_shards(sizes[i], counts[i])
             elif axis == "keys":
-                part = _key_shards(store, i, counts[i])
+                part = _key_shards(run_keys[i].samples, counts[i])
             else:
                 part = _bucket_shards(histograms[i], counts[i])
             if not part or len(part) < 2:
@@ -347,34 +401,15 @@ def _record_shards(size: int, count: int) -> List[Shard]:
     ]
 
 
-def _key_shards(store: Store, partition: int, count: int) -> List[Shard]:
-    """Equal-depth key ranges from a CDF sampled over the sorted runs.
+def _key_shards(samples: Sequence[int], count: int) -> List[Shard]:
+    """Equal-depth key ranges from a sorted, pooled run-key sample.
 
-    Each run is already sorted by pointer key, so positionally-even
-    samples per run are a stratified sample of the partition's key
-    distribution; the pooled sample's quantiles are the equal-depth
-    boundaries.  Duplicate boundaries (a single hot key spanning a
-    quantile) collapse into fewer, wider shards rather than empty ones.
+    The pooled sample's quantiles are the equal-depth boundaries.
+    Duplicate boundaries (a single hot key spanning a quantile) collapse
+    into fewer, wider shards rather than empty ones.
     """
-    paths = run_paths(store, partition)
-    if not paths:
-        return []
-    step = max(1, len(paths) // KEY_SAMPLE_RUNS)
-    samples: List[int] = []
-    for path in paths[::step][:KEY_SAMPLE_RUNS]:
-        rel = RRelationFile.open(path)
-        try:
-            n = len(rel)
-            if not n:
-                continue
-            take = min(KEY_SAMPLES_PER_RUN, n)
-            for j in range(take):
-                samples.append(rel.get(j * n // take).sptr)
-        finally:
-            rel.close()
     if not samples:
         return []
-    samples.sort()
     boundaries = [0]
     for boundary in cdf_quantiles(samples, count):
         if boundary > boundaries[-1]:

@@ -121,7 +121,12 @@ class PartitionStage(Stage):
 
 @dataclass(frozen=True)
 class SortRunStage(Stage):
-    """Cut one partition's inbound records into sorted runs on disk."""
+    """Cut one partition's inbound records into sorted runs on disk.
+
+    Its kernel returns a :class:`~repro.parallel.engine.task.RunCut`:
+    the ``moved`` count plus each run's key samples, which the executor
+    keeps for the merge stage's key-range planning.
+    """
 
     kind: ClassVar[str] = "sort-run"
 

@@ -15,9 +15,9 @@ lives here exactly once:
   pickles intact through the pool);
 * :class:`PairSink` / :class:`PairResult` — streaming pair output into a
   mapped segment, returning only ``(count, checksum, path)``;
-* batch utilities (:func:`rebatch`, :func:`run_stream`) and the
-  stage-owned artifact naming scheme (:func:`pairs_name`,
-  :func:`run_name` / :func:`run_paths`, :func:`merge_run_name` /
+* :func:`rebatch` and the stage-owned artifact naming scheme
+  (:func:`pairs_name`, :func:`run_name` / :func:`run_paths` /
+  :func:`sort_run_spans`, :func:`merge_run_name` /
   :func:`sweep_merge_runs`, :func:`bucket_spill_name` /
   :func:`bucket_spill_paths`) — so producers and consumers of spill files
   agree on names through one module instead of duplicated string logic.
@@ -54,6 +54,7 @@ from repro.governor.watchdog import (
 )
 from repro.parallel.faults import FaultSpec, fire_fault
 from repro.storage.relation import PairsFile, RRelationFile
+from repro.storage.segment import MappedSegment
 from repro.storage.store import Store
 
 BATCH_RECORDS = 4096
@@ -77,13 +78,6 @@ class Shard(NamedTuple):
     count: int
     lo: int
     hi: int
-
-
-#: Run-id namespace per shard: sorted runs cut by shard ``k`` are numbered
-#: ``k * RUN_SHARD_STRIDE + local_id`` so the numeric run-id sort used by
-#: :func:`run_paths` yields shard order, then cut order — i.e. exactly the
-#: concatenated inbound order an unsharded sort-run pass would produce.
-RUN_SHARD_STRIDE = 1 << 20
 
 
 def task_slot(partition: int, shard: Shard | None) -> int | str:
@@ -257,6 +251,18 @@ class StageOutput(NamedTuple):
     pairs: PairResult
 
 
+class RunCut(NamedTuple):
+    """Return value of a sort-run task: what the merge stage plans from.
+
+    ``samples`` holds, per run in cut order, the keys at
+    :func:`~repro.parallel.engine.rebalance.key_sample_positions` — the
+    records the driver would otherwise open the runs to read.
+    """
+
+    moved: int
+    samples: List[List[int]]
+
+
 class PairSink:
     """Stream joined pairs into one mapped segment, checksumming as we go.
 
@@ -351,20 +357,71 @@ def nl_spill_name(owner: int, partner: int) -> str:
     return f"RP{owner}_{partner}"
 
 
-def run_name(partition: int, run_id: int) -> str:
-    """One sorted run cut by the sort-run stage."""
-    return f"RUN{partition}_{run_id}"
+def run_name(partition: int, shard: Shard | None = None) -> str:
+    """The one segment a sort-run task writes: all of its sorted runs.
+
+    ``RUN<i>`` when the partition is cut whole, ``RUN<i>_s<k>`` per shard
+    when the rebalancer split it.  Runs are extents inside the segment
+    (:class:`~repro.storage.relation.SortedRunsFile`), not files.
+    """
+    base = f"RUN{partition}"
+    return base if shard is None else f"{base}_s{shard.index}"
 
 
 def run_paths(store: Store, partition: int) -> List[Path]:
-    """Every published run for ``partition``, in run-id order."""
-    prefix = f"RUN{partition}_"
-    paths = [
-        path for path in store.disk_dir(partition).glob(f"{prefix}*.seg")
-        if path.name[len(prefix):-len(".seg")].isdigit()
-    ]
-    paths.sort(key=lambda path: int(path.name[len(prefix):-len(".seg")]))
-    return paths
+    """Every published run segment of ``partition``, in shard order.
+
+    Shard order, then each segment's extents in cut order, is the
+    partition's inbound order — the order the merge breaks ties in.
+    """
+    base = run_name(partition)
+    ranked = []
+    for path in store.disk_dir(partition).glob(f"{base}*.seg"):
+        tail = path.name[len(base):-len(".seg")]
+        if not tail:
+            ranked.append((-1, path))
+        elif tail.startswith("_s") and tail[2:].isdigit():
+            ranked.append((int(tail[2:]), path))
+    return [path for _rank, path in sorted(ranked)]
+
+
+def clear_stale_runs(store: Store, partition: int, shard: Shard | None) -> None:
+    """Delete the run segments a sort-run task's siblings do not write.
+
+    The merge finds runs by listing, so a previous attempt's or plan's
+    segments (or torn-write garbage at a final path) must go before a
+    cutter publishes.  A whole-partition cutter owns every name; a shard
+    owns only the unsharded name — the driver clears the rest once,
+    before any shard is dispatched, so no shard deletes a sibling's.
+    """
+    if shard is None:
+        for stale in run_paths(store, partition):
+            stale.unlink(missing_ok=True)
+    else:
+        store.path(partition, run_name(partition)).unlink(missing_ok=True)
+
+
+def sort_run_spans(store: Store, spec: TaskSpec) -> List[Tuple[Path, int, int]]:
+    """The ``(RS file, start, stop)`` ranges one sort-run task cuts.
+
+    The partition's inbound stream is its RS files in contributor order;
+    a records-axis shard keeps its ``[lo, hi)`` slice of that stream.
+    Sizes come from header reads; the cutter maps only what it reads.
+    """
+    i, shard = spec.partition, spec.shard
+    lo = 0 if shard is None else shard.lo
+    hi = None if shard is None else shard.hi
+    spans = []
+    base = 0
+    for contributor in range(spec.disks):
+        path = store.path(i, rs_name(i, contributor))
+        count = MappedSegment.record_count(path)
+        start = max(0, lo - base)
+        stop = count if hi is None else min(count, hi - base)
+        base += count
+        if shard is None or start < stop:
+            spans.append((path, start, stop))
+    return spans
 
 
 def _merge_run_prefix(partition: int, shard: Shard | None) -> str:
@@ -377,10 +434,10 @@ def merge_run_name(
 ) -> str:
     """One intermediate run of the bounded-fan-in merge.
 
-    Its own family — never ``RUN<i>_<digits>`` — so :func:`run_paths`
-    (and through it the rebalancer's key sampling and the sort-run
+    One file per merged group, holding one run.  Its own family, never
+    a ``RUN`` name, so :func:`run_paths` (and through it the sort-run
     stage's checkpointed artifacts) cannot mistake a merge task's scratch
-    for a sorted run.  Key-range shards of one partition merge
+    for a sort-run segment.  Key-range shards of one partition merge
     concurrently, so each shard owns a sub-family.
     """
     return f"{_merge_run_prefix(partition, shard)}{level}_{index}"
@@ -426,23 +483,16 @@ def rebatch(iterable: Iterable, size: int) -> Iterator[List]:
         yield batch
 
 
-def run_stream(path: Path) -> Iterator[RObject]:
-    """Lazily stream one run file's objects (closable generator)."""
-    rel = RRelationFile.open(path)
-    try:
-        yield from rel.iter_objects(BATCH_RECORDS)
-    finally:
-        rel.close()
+def run_lower_bound(
+    rel: RRelationFile, key: int, lo: int = 0, hi: int | None = None
+) -> int:
+    """Index of the first record in sorted ``[lo, hi)`` with ``sptr >= key``.
 
-
-def run_lower_bound(rel: RRelationFile, key: int) -> int:
-    """Index of the first record in a sorted run with ``sptr >= key``.
-
-    Binary search over the mapped records — O(log n) point reads — so a
-    key-range shard starts reading at its own range instead of scanning
-    (and discarding) the prefix owned by lower shards.
+    Binary search over the mapped records of one run extent — O(log n)
+    point reads — so a key-range shard starts reading at its own range
+    instead of scanning (and discarding) the prefix owned by lower shards.
     """
-    lo, hi = 0, len(rel)
+    hi = len(rel) if hi is None else hi
     while lo < hi:
         mid = (lo + hi) // 2
         if rel.get(mid).sptr < key:

@@ -80,7 +80,7 @@ _TORN_VICTIMS: Dict[str, Optional[str]] = {
     "nested_loops_pass0": "PAIRS_p0_{i}",
     "nested_loops_pass1": "PAIRS_p1_{i}",
     "sort_merge_partition": "RS{i}_from{i}",
-    "sort_merge_runs": "RUN{i}_0",
+    "sort_merge_runs": "RUN{i}",
     "sort_merge_merge_join": "PAIRS_sm_{i}",
     "grace_partition": None,
     "hybrid_hash_partition": "PAIRS_hh_{i}",

@@ -39,22 +39,24 @@ and pair emission writes one ``(n, 4)`` u64 block per batch
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Dict, List
+from contextlib import ExitStack
+from typing import Dict, List, NamedTuple
 
 import numpy as np
 
 from repro.governor.predict import merge_fanin
 from repro.governor.watchdog import active_meter
 from repro.obs.registry import active as _metrics
+from repro.parallel.engine.rebalance import key_sample_positions
 from repro.parallel.engine.task import (
-    RUN_SHARD_STRIDE,
     PairResult,
     PairSink,
+    RunCut,
     StageOutput,
     TaskSpec,
     bucket_spill_name,
     bucket_spill_paths,
+    clear_stale_runs,
     merge_run_name,
     nl_spill_name,
     pairs_name,
@@ -62,10 +64,11 @@ from repro.parallel.engine.task import (
     run_lower_bound,
     run_name,
     run_paths,
+    sort_run_spans,
     sweep_merge_runs,
 )
 from repro.storage.layout import RecordLayout
-from repro.storage.relation import BucketedRFile, RRelationFile
+from repro.storage.relation import BucketedRFile, RRelationFile, SortedRunsFile
 from repro.storage.segment import MappedSegment
 from repro.storage.store import Store
 
@@ -256,111 +259,127 @@ def sort_merge_partition(spec: TaskSpec) -> int:
     return moved
 
 
-def sort_merge_runs(spec: TaskSpec) -> int:
+def sort_merge_runs(spec: TaskSpec) -> RunCut:
     """Cut one partition's inbound RS files into sorted runs on disk.
 
     Inbound records are copied whole into one run buffer of ``irun``
     slots; each full buffer — the same contiguous prefix of the inbound
-    stream the scalar kernel cuts — is written in stable ``sptr`` order.
+    stream the scalar kernel cuts — is appended in stable ``sptr`` order
+    as the next extent of this task's one RUN segment, and its keys at
+    :func:`key_sample_positions` go back to the driver.
     """
-    disks, i, shard = spec.disks, spec.partition, spec.shard
-    record_bytes = spec.r_bytes
+    i, shard, record_bytes = spec.partition, spec.shard, spec.r_bytes
     batch_records = spec.plan.batch_records
     store = spec.open_store()
     meter = active_meter()
     irun = max(1, spec.plan.irun)
-    # Sharded cutters must not sweep stale runs (they would race each
-    # other); the executor pre-cleans the partition before dispatch.
-    if shard is None:
-        for stale in run_paths(store, i):
-            stale.unlink(missing_ok=True)
-    run_base = 0 if shard is None else shard.index * RUN_SHARD_STRIDE
-    lo = 0 if shard is None else shard.lo
-    hi = None if shard is None else shard.hi
-    spans = []
-    base = 0
-    for contributor in range(disks):
-        path = store.path(i, rs_name(i, contributor))
-        count = MappedSegment.record_count(path)
-        start = max(0, lo - base)
-        stop = count if hi is None else min(count, hi - base)
-        base += count
-        if shard is None or start < stop:
-            spans.append((path, start, stop))
-    run = np.empty(
-        min(irun, sum(stop - start for _path, start, stop in spans)),
-        dtype=(np.void, record_bytes),
+    clear_stale_runs(store, i, shard)
+    spans = sort_run_spans(store, spec)
+    total = sum(stop - start for _path, start, stop in spans)
+    out = SortedRunsFile.create(
+        store.path(i, run_name(i, shard)), max(1, total), irun,
+        record_bytes, overwrite=True,
     )
+    run = np.empty(min(irun, total), dtype=(np.void, record_bytes))
     fields = RecordLayout(record_bytes).np_dtype
-    fill = run_id = inbound = 0
+    samples: List[List[int]] = []
+    fill = inbound = 0
 
     def flush_run() -> None:
-        nonlocal fill, run_id
+        nonlocal fill
         if not fill:
             return
         records = run[:fill]
-        order = _stable_order(records.view(fields)["f1"])
-        rel = RRelationFile.create(
-            store.path(i, run_name(i, run_base + run_id)), fill,
-            record_bytes, overwrite=True,
-        )
-        try:
-            rel.segment.append_batch(records[order])
-        except BaseException:
-            rel.abort()
-            raise
-        rel.close()
-        run_id += 1
+        keys = records.view(fields)["f1"]
+        order = _stable_order(keys)
+        out.append_run(records[order])
+        samples.append(keys[order[key_sample_positions(fill)]].tolist())
         meter.release(fill * record_bytes)
         fill = 0
 
-    for path, start, stop in spans:
-        with RRelationFile.open(path) as rel:
-            for records in rel.iter_record_batches(batch_records, start, stop):
-                inbound += len(records)
-                meter.charge(len(records) * record_bytes, "sort-run buffer")
-                while len(records):
-                    take = min(irun - fill, len(records))
-                    run[fill:fill + take] = records[:take]
-                    fill += take
-                    records = records[take:]
-                    if fill == irun:
-                        flush_run()
-    flush_run()
-    return inbound
+    try:
+        for path, start, stop in spans:
+            with RRelationFile.open(path) as rel:
+                for records in rel.iter_record_batches(
+                    batch_records, start, stop
+                ):
+                    inbound += len(records)
+                    meter.charge(
+                        len(records) * record_bytes, "sort-run buffer"
+                    )
+                    while len(records):
+                        take = min(irun - fill, len(records))
+                        run[fill:fill + take] = records[:take]
+                        fill += take
+                        records = records[take:]
+                        if fill == irun:
+                            flush_run()
+        flush_run()
+    except BaseException:
+        out.abort()
+        raise
+    out.close()
+    return RunCut(inbound, samples)
+
+
+class Run(NamedTuple):
+    """One sorted run: records ``[lo, hi)`` of an open relation."""
+
+    rel: RRelationFile
+    lo: int
+    hi: int
+
+
+def _segment_runs(rel: RRelationFile) -> List[Run]:
+    """A run file's runs: a sort-run segment's extents, or one MRG run."""
+    if isinstance(rel, SortedRunsFile):
+        return [Run(rel, lo, hi) for lo, hi in rel.extents()]
+    return [Run(rel, 0, len(rel))]
+
+
+def open_runs(store: Store, partition: int, opened: ExitStack) -> List[Run]:
+    """Open each of a partition's RUN segments once, into ``opened``;
+    return every run they hold, in inbound order."""
+    return [
+        run
+        for path in run_paths(store, partition)
+        for run in _segment_runs(
+            opened.enter_context(SortedRunsFile.open(path))
+        )
+    ]
 
 
 class _RunCursor:
     """One sorted run's read cursor for the chunked k-way merge.
 
     Buffers at most one chunk of undelivered records (more only while
-    this run is the tie on the merge bound); the file side is read with
+    this run is the tie on the merge bound); the run is read with
     :meth:`RRelationFile.read_columns` so memory stays bounded by the
     chunk size, not the run length.
 
     With a key range ``[klo, khi)`` (the ``keys`` rebalance axis) each
     loaded chunk is masked to the range; because runs are sptr-sorted,
-    once a chunk's tail reaches ``khi`` the rest of the file is out of
+    once a chunk's tail reaches ``khi`` the rest of the run is out of
     range and the cursor reports exhausted.
     """
 
     def __init__(
         self,
-        rel: RRelationFile,
+        run: Run,
         klo: int | None = None,
         khi: int | None = None,
     ) -> None:
-        self.rel = rel
-        self.length = len(rel)
-        self.pos = 0  # file records loaded so far
+        self.rel = run.rel
+        self.pos = run.lo  # records loaded so far end here
+        self.end = run.hi
         self.klo = klo
         self.khi = khi
-        self.range_done = False  # key range exhausted before file end
+        self.range_done = False  # key range exhausted before run end
         self.rid = self.sptr = self.payload = None
         if klo is not None:
             # Seek past lower shards' records instead of reading and
             # masking them away chunk by chunk.
-            self.pos = run_lower_bound(rel, klo)
+            self.pos = run_lower_bound(run.rel, klo, run.lo, run.hi)
 
     @property
     def buffered(self) -> int:
@@ -368,12 +387,12 @@ class _RunCursor:
 
     @property
     def file_exhausted(self) -> bool:
-        return self.range_done or self.pos >= self.length
+        return self.range_done or self.pos >= self.end
 
     def load(self, chunk_records: int, meter, record_bytes: int) -> int:
         delivered = 0
         while not delivered and not self.file_exhausted:
-            n = min(chunk_records, self.length - self.pos)
+            n = min(chunk_records, self.end - self.pos)
             rid, sptr, payload = self.rel.read_columns(self.pos, n)
             self.pos += n
             metrics = _metrics()
@@ -416,11 +435,13 @@ class _RunCursor:
 def sort_merge_merge_join(spec: TaskSpec) -> PairResult:
     """Merge one partition's sorted runs and join against sequential S_i.
 
-    Multi-run merge is chunked k-way: each round computes the *bound* —
-    the smallest last-buffered key among runs with unread file data — and
-    everything strictly below it is provably complete in the buffers, so
-    one stable sort of those slices (concatenated in run order)
-    reproduces ``heapq.merge``'s output order exactly, ties included.
+    Each RUN segment is opened once; its runs are extents, one cursor
+    each.  Multi-run merge is chunked k-way: each round computes the
+    *bound* — the smallest last-buffered key among runs with unread data
+    — and everything strictly below it is provably complete in the
+    buffers, so one stable sort of those slices (concatenated in run
+    order) reproduces ``heapq.merge``'s output order exactly, ties
+    included.
 
     Under a memory budget the fan-in is bounded
     (:func:`~repro.governor.predict.merge_fanin`): while more runs remain
@@ -428,92 +449,91 @@ def sort_merge_merge_join(spec: TaskSpec) -> PairResult:
     merged into one intermediate run — the paper's multi-pass merge
     (§6.2).  Each merge is stable with ties going to the earlier run, and
     groups are consecutive, so the final pass sees the records in exactly
-    the single-pass order.  The sort-run stage's runs are only ever read;
-    intermediates are deleted once merged and swept however the task ends.
+    the single-pass order.  The sort-run stage's segments are only ever
+    read; intermediates are deleted once merged and swept however the
+    task ends.
     """
-    i, shard, record_bytes = spec.partition, spec.shard, spec.r_bytes
-    batch_records = spec.plan.batch_records
+    i, shard = spec.partition, spec.shard
     store = spec.open_store()
-    pmap = spec.pointer_map()
-    meter = active_meter()
-    paths = run_paths(store, i)
-    capacity = sum(MappedSegment.record_count(path) for path in paths)
-    klo, khi = (None, None) if shard is None else (shard.lo, shard.hi)
-    sink = PairSink(store.path(i, pairs_name("sm", i, shard)), capacity)
     sweep_merge_runs(store, i, shard)
     try:
-        with store.open_s(i) as s_rel:
-            s_bytes = s_rel.segment.layout.record_bytes
-            batch_cost = record_bytes + s_bytes
-            fanin = merge_fanin(
-                spec.worker_mem_budget, batch_records, record_bytes, s_bytes
+        with ExitStack() as opened:
+            runs = open_runs(store, i, opened)
+            sink = PairSink(
+                store.path(i, pairs_name("sm", i, shard)),
+                sum(run.hi - run.lo for run in runs),
             )
-            scratch: set = set()
-            level = 0
-            while fanin is not None and len(paths) > fanin:
-                merged = []
-                for lo in range(0, len(paths), fanin):
-                    group = paths[lo:lo + fanin]
-                    if len(group) == 1:
-                        merged.extend(group)  # the odd run out rides along
-                        continue
-                    out = store.path(
-                        i, merge_run_name(i, shard, level, len(merged))
-                    )
-                    _merge_group(
-                        out, group, klo, khi, batch_records, record_bytes, meter
-                    )
-                    scratch.add(out)
-                    merged.append(out)
-                    for path in scratch.intersection(group):
-                        path.unlink()
-                paths = merged
-                level += 1
-
-            def emit(rid, sptr, payload) -> None:
-                sid, value = s_rel.dereference_columns(
-                    pmap.offset_array(sptr)
-                )
-                sink.emit_arrays(rid, sid, payload, value)
-
-            if shard is None and len(paths) == 1:
-                with RRelationFile.open(paths[0]) as rel:
-                    for rid, sptr, payload in rel.iter_column_batches(
-                        batch_records
-                    ):
-                        meter.charge(len(rid) * batch_cost, "merge batch")
-                        emit(rid, sptr, payload)
-                        meter.release(len(rid) * batch_cost)
-            elif paths:
-                with _open_cursors(paths, klo, khi) as cursors:
-                    _merge_runs(
-                        cursors, batch_records, record_bytes, s_bytes,
-                        meter, emit,
-                    )
-        return sink.close()
-    except BaseException:
-        sink.abort()
-        raise
+            try:
+                with store.open_s(i) as s_rel:
+                    _merge_join(spec, store, opened, runs, s_rel, sink)
+                return sink.close()
+            except BaseException:
+                sink.abort()
+                raise
     finally:
         sweep_merge_runs(store, i, shard)
 
 
-@contextmanager
-def _open_cursors(paths, klo: int | None, khi: int | None):
-    """Open one :class:`_RunCursor` per run; close them all on exit."""
-    cursors: List[_RunCursor] = []
-    try:
-        for path in paths:
-            cursors.append(_RunCursor(RRelationFile.open(path), klo, khi))
-        yield cursors
-    finally:
-        for cursor in cursors:
-            cursor.rel.close()
+def _merge_join(spec, store, opened, runs, s_rel, sink) -> None:
+    """The merge task's body: bounded-fan-in levels, then the final pass.
+
+    Intermediates are opened into ``opened`` (the task's one exit stack)
+    and closed and deleted as soon as the next level has merged them.
+    """
+    i, shard, record_bytes = spec.partition, spec.shard, spec.r_bytes
+    batch_records = spec.plan.batch_records
+    pmap = spec.pointer_map()
+    meter = active_meter()
+    klo, khi = (None, None) if shard is None else (shard.lo, shard.hi)
+    s_bytes = s_rel.segment.layout.record_bytes
+    batch_cost = record_bytes + s_bytes
+    fanin = merge_fanin(
+        spec.worker_mem_budget, batch_records, record_bytes, s_bytes
+    )
+    level = 0
+    while fanin is not None and len(runs) > fanin:
+        merged: List[Run] = []
+        for lo in range(0, len(runs), fanin):
+            group = runs[lo:lo + fanin]
+            if len(group) == 1:
+                merged.extend(group)  # the odd run out rides along
+                continue
+            out = store.path(i, merge_run_name(i, shard, level, len(merged)))
+            _merge_group(
+                out, group, klo, khi, batch_records, record_bytes, meter
+            )
+            for run in group:
+                if not isinstance(run.rel, SortedRunsFile):
+                    run.rel.close()  # an intermediate, now merged
+                    run.rel.segment.path.unlink()
+            merged.extend(
+                _segment_runs(opened.enter_context(RRelationFile.open(out)))
+            )
+        runs = merged
+        level += 1
+
+    def emit(rid, sptr, payload) -> None:
+        sid, value = s_rel.dereference_columns(pmap.offset_array(sptr))
+        sink.emit_arrays(rid, sid, payload, value)
+
+    if shard is None and len(runs) == 1:
+        run = runs[0]
+        for rid, sptr, payload in run.rel.iter_column_batches(
+            batch_records, run.lo, run.hi
+        ):
+            meter.charge(len(rid) * batch_cost, "merge batch")
+            emit(rid, sptr, payload)
+            meter.release(len(rid) * batch_cost)
+    elif runs:
+        _merge_runs(
+            [_RunCursor(run, klo, khi) for run in runs],
+            batch_records, record_bytes, s_bytes, meter, emit,
+        )
 
 
 def _merge_group(
     out_path,
-    group,
+    group: List[Run],
     klo: int | None,
     khi: int | None,
     batch_records: int,
@@ -523,15 +543,14 @@ def _merge_group(
     """Merge ``group``'s runs into one published run at ``out_path``."""
     out = RRelationFile.create(
         out_path,
-        max(1, sum(MappedSegment.record_count(path) for path in group)),
+        max(1, sum(run.hi - run.lo for run in group)),
         record_bytes, overwrite=True,
     )
     try:
-        with _open_cursors(group, klo, khi) as cursors:
-            _merge_runs(
-                cursors, batch_records, record_bytes, 0, meter,
-                out.append_columns,
-            )
+        _merge_runs(
+            [_RunCursor(run, klo, khi) for run in group],
+            batch_records, record_bytes, 0, meter, out.append_columns,
+        )
     except BaseException:
         out.abort()
         raise

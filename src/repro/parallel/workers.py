@@ -15,8 +15,9 @@ per partition).
 All record movement is block-at-a-time: kernels consume decoded batches
 (`iter_object_batches`), resolve pointers with the batched
 :meth:`PointerMap.locate_many` / :meth:`offset_many`, dereference S through
-:meth:`SRelationFile.dereference_many`, append spills/runs via
-``append_many`` and fill bucket files through the vector kernels' shared
+:meth:`SRelationFile.dereference_many`, append spills via ``append_many``
+and sorted runs via ``append_run``, and fill bucket files through the
+vector kernels' shared
 :class:`~repro.parallel.vectorized.BucketSpills` — no per-record
 ``bytes()`` copies or struct calls.
 
@@ -38,6 +39,7 @@ True`` on every create makes that legal).
 from __future__ import annotations
 
 import heapq
+from contextlib import ExitStack
 from typing import Dict, List, Tuple
 
 from repro.governor.watchdog import active_meter
@@ -45,15 +47,17 @@ from repro.governor.watchdog import active_meter
 from repro.core.records import RObject
 from repro.joins.grace import order_preserving_bucket, refining_chain
 from repro.parallel import vectorized
+from repro.parallel.engine.rebalance import key_sample_positions
 from repro.parallel.engine.task import (
     BATCH_RECORDS,
     CHECKSUM_MOD,
-    RUN_SHARD_STRIDE,
     PairResult,
     PairSink,
+    RunCut,
     StageOutput,
     TaskSpec,
     bucket_spill_paths,
+    clear_stale_runs,
     nl_spill_name,
     pairs_name,
     rebatch,
@@ -61,10 +65,9 @@ from repro.parallel.engine.task import (
     rs_name,
     run_lower_bound,
     run_name,
-    run_paths,
-    run_stream,
+    sort_run_spans,
 )
-from repro.storage.relation import BucketedRFile, RRelationFile
+from repro.storage.relation import BucketedRFile, RRelationFile, SortedRunsFile
 from repro.storage.segment import MappedSegment
 
 __all__ = [
@@ -239,110 +242,93 @@ def sort_merge_partition(spec: TaskSpec) -> int:
 
 
 @register_kernel
-def sort_merge_runs(spec: TaskSpec) -> int:
+def sort_merge_runs(spec: TaskSpec) -> RunCut:
     """Cut one partition's inbound RS files into sorted runs on disk.
 
-    The meter's charge always equals len(buffer) * record_bytes: extends
-    charge, flushes release exactly what they wrote — so a shrunken
-    ``irun`` directly lowers this stage's high-water mark at the cost of
-    more runs (and, under a budget, more passes) for the merge stage.
+    The runs are consecutive ``irun``-record extents of the task's one
+    RUN segment (only the last is short), and each run's keys at
+    :func:`key_sample_positions` return with the result so the driver
+    can plan key-range shards without opening a run.  The meter's charge
+    always equals len(buffer) * record_bytes: extends charge, flushes
+    release exactly what they wrote — so a shrunken ``irun`` directly
+    lowers this stage's high-water mark at the cost of more runs (and,
+    under a budget, more passes) for the merge stage.
     """
     if spec.plan.kernel_mode == "vector":
         return vectorized.sort_merge_runs(spec)
-    disks, i, shard = spec.disks, spec.partition, spec.shard
-    record_bytes = spec.r_bytes
+    i, shard, record_bytes = spec.partition, spec.shard, spec.r_bytes
     batch_records = spec.plan.batch_records
     store = spec.open_store()
     meter = active_meter()
     irun = max(1, spec.plan.irun)
-    # Stale runs are poison: the merge stage discovers runs by glob, so
-    # leftovers from a previous attempt or plan (including torn-write
-    # garbage at a run's final path) must be gone before this attempt
-    # cuts its own.  Sharded cutters must NOT sweep — they would race
-    # each other's fresh runs; the executor pre-cleans the partition
-    # once before dispatching the shard tasks.
-    if shard is None:
-        for stale in run_paths(store, i):
-            stale.unlink(missing_ok=True)
-    # Shards namespace their run ids so every shard writes disjoint run
-    # files; numeric sort over the combined ids reproduces shard order
-    # then local order, i.e. the concatenated inbound order.
-    run_base = 0 if shard is None else shard.index * RUN_SHARD_STRIDE
+    clear_stale_runs(store, i, shard)
+    spans = sort_run_spans(store, spec)
+    out = SortedRunsFile.create(
+        store.path(i, run_name(i, shard)),
+        max(1, sum(stop - start for _path, start, stop in spans)),
+        irun, record_bytes, overwrite=True,
+    )
     buffer: List[RObject] = []
-    run_id = 0
+    samples: List[List[int]] = []
     inbound = 0
 
     def flush_run() -> None:
-        nonlocal run_id
         if not buffer:
             return
         buffer.sort(key=lambda obj: obj.sptr)
-        rel = RRelationFile.create(
-            store.path(i, run_name(i, run_base + run_id)), len(buffer),
-            record_bytes, overwrite=True,
+        out.append_run(out.segment.layout.pack_r_batch(buffer))
+        samples.append(
+            [buffer[k].sptr for k in key_sample_positions(len(buffer))]
         )
-        try:
-            rel.append_many(buffer)
-        except BaseException:
-            rel.abort()
-            raise
-        rel.close()
-        run_id += 1
         meter.release(len(buffer) * record_bytes)
         buffer.clear()
 
-    lo = 0 if shard is None else shard.lo
-    hi = None if shard is None else shard.hi
-    base = 0
-    for contributor in range(disks):
-        path = store.path(i, rs_name(i, contributor))
-        count = MappedSegment.record_count(path)
-        start = max(0, lo - base)
-        stop = count if hi is None else min(count, hi - base)
-        base += count
-        if shard is not None and start >= stop:
-            continue
-        with RRelationFile.open(path) as rel:
-            for batch in rel.iter_object_batches(batch_records, start, stop):
-                inbound += len(batch)
-                meter.charge(len(batch) * record_bytes, "sort-run buffer")
-                buffer.extend(batch)
-                while len(buffer) >= irun:
-                    tail = buffer[irun:]
-                    del buffer[irun:]
-                    flush_run()
-                    buffer.extend(tail)
-    flush_run()
-    return inbound
-
-
-def _clipped_run_stream(path, klo: int, khi: int, batch_records: int):
-    """Stream a sorted run's records with ``sptr`` in ``[klo, khi)``.
-
-    Binary-seeks to the range start and stops at the first record past
-    it, so a key-range shard's cost is proportional to its own range —
-    never to the prefix owned by lower shards.
-    """
-    rel = RRelationFile.open(path)
     try:
-        start = run_lower_bound(rel, klo)
-        for batch in rel.iter_object_batches(batch_records, start):
-            for obj in batch:
-                if obj.sptr >= khi:
-                    return
-                yield obj
-    finally:
-        rel.close()
+        for path, start, stop in spans:
+            with RRelationFile.open(path) as rel:
+                for batch in rel.iter_object_batches(
+                    batch_records, start, stop
+                ):
+                    inbound += len(batch)
+                    meter.charge(len(batch) * record_bytes, "sort-run buffer")
+                    buffer.extend(batch)
+                    while len(buffer) >= irun:
+                        tail = buffer[irun:]
+                        del buffer[irun:]
+                        flush_run()
+                        buffer.extend(tail)
+        flush_run()
+    except BaseException:
+        out.abort()
+        raise
+    out.close()
+    return RunCut(inbound, samples)
+
+
+def _run_stream(run, batch_records: int, klo=None, khi=None):
+    """Stream one run extent's objects, clipped to ``sptr in [klo, khi)``.
+
+    A key-range shard binary-seeks to its range start inside the extent
+    and stops at the first record past it, so its cost is proportional
+    to its own range — never to the prefix owned by lower shards.
+    """
+    rel, lo, hi = run
+    start = lo if klo is None else run_lower_bound(rel, klo, lo, hi)
+    for batch in rel.iter_object_batches(batch_records, start, hi):
+        for obj in batch:
+            if khi is not None and obj.sptr >= khi:
+                return
+            yield obj
 
 
 @register_kernel
 def sort_merge_merge_join(spec: TaskSpec) -> PairResult:
     """Merge one partition's sorted runs and join against sequential S_i.
 
-    A single run needs no heap: its batches are already in sptr order, so
-    the per-record merge machinery (generator hops + key calls) is
-    skipped entirely — the common case whenever a partition's inbound fits
-    one initial run.
+    Each RUN segment is opened once and each of its extents is one
+    stream.  A single run needs no heap: its records are already in sptr
+    order — the common case whenever a partition's inbound fits one
+    initial run.
 
     Rebalance axis ``keys``: ``spec.shard`` carries an sptr
     key range ``[lo, hi)``.  Each shard merges *all* runs clipped to its
@@ -356,57 +342,33 @@ def sort_merge_merge_join(spec: TaskSpec) -> PairResult:
     store = spec.open_store()
     pmap = spec.pointer_map()
     meter = active_meter()
-    paths = run_paths(store, i)
-    capacity = sum(MappedSegment.record_count(path) for path in paths)
-    sink = PairSink(store.path(i, pairs_name("sm", i, shard)), capacity)
-    try:
-        with store.open_s(i) as s_rel:
-            s_bytes = s_rel.segment.layout.record_bytes
-            batch_cost = record_bytes + s_bytes
-            if shard is not None and paths:
+    klo, khi = (None, None) if shard is None else (shard.lo, shard.hi)
+    with ExitStack() as opened:
+        runs = vectorized.open_runs(store, i, opened)
+        sink = PairSink(
+            store.path(i, pairs_name("sm", i, shard)),
+            sum(run.hi - run.lo for run in runs),
+        )
+        try:
+            with store.open_s(i) as s_rel:
+                batch_cost = record_bytes + s_rel.segment.layout.record_bytes
                 streams = [
-                    _clipped_run_stream(
-                        path, shard.lo, shard.hi, batch_records
-                    )
-                    for path in paths
+                    _run_stream(run, batch_records, klo, khi) for run in runs
                 ]
-                try:
-                    merged = (
-                        streams[0]
-                        if len(streams) == 1
-                        else heapq.merge(*streams, key=lambda o: o.sptr)
-                    )
-                    for batch in rebatch(merged, batch_records):
-                        meter.charge(len(batch) * batch_cost, "merge batch")
-                        offsets = pmap.offset_many([obj[1] for obj in batch])
-                        sink.emit_joined(batch, s_rel.dereference_many(offsets))
-                        meter.release(len(batch) * batch_cost)
-                finally:
-                    for stream in streams:
-                        stream.close()
-            elif len(paths) == 1:
-                with RRelationFile.open(paths[0]) as rel:
-                    for batch in rel.iter_object_batches(batch_records):
-                        meter.charge(len(batch) * batch_cost, "merge batch")
-                        offsets = pmap.offset_many([obj[1] for obj in batch])
-                        sink.emit_joined(batch, s_rel.dereference_many(offsets))
-                        meter.release(len(batch) * batch_cost)
-            elif paths:
-                streams = [run_stream(path) for path in paths]
-                try:
-                    merged = heapq.merge(*streams, key=lambda o: o.sptr)
-                    for batch in rebatch(merged, batch_records):
-                        meter.charge(len(batch) * batch_cost, "merge batch")
-                        offsets = pmap.offset_many([obj[1] for obj in batch])
-                        sink.emit_joined(batch, s_rel.dereference_many(offsets))
-                        meter.release(len(batch) * batch_cost)
-                finally:
-                    for stream in streams:
-                        stream.close()
-        return sink.close()
-    except BaseException:
-        sink.abort()
-        raise
+                merged = (
+                    streams[0]
+                    if len(streams) == 1
+                    else heapq.merge(*streams, key=lambda o: o.sptr)
+                )
+                for batch in rebatch(merged, batch_records):
+                    meter.charge(len(batch) * batch_cost, "merge batch")
+                    offsets = pmap.offset_many([obj[1] for obj in batch])
+                    sink.emit_joined(batch, s_rel.dereference_many(offsets))
+                    meter.release(len(batch) * batch_cost)
+            return sink.close()
+        except BaseException:
+            sink.abort()
+            raise
 
 
 # ------------------------------------------------------- grace / hybrid hash

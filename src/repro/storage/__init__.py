@@ -7,6 +7,7 @@ from repro.storage.relation import (
     PairsFile,
     RRelationFile,
     SRelationFile,
+    SortedRunsFile,
     iter_pairs_file,
     read_pair_block,
     read_pairs,
@@ -33,6 +34,7 @@ __all__ = [
     "RRelationFile",
     "RecordLayout",
     "SRelationFile",
+    "SortedRunsFile",
     "StorageError",
     "Store",
     "iter_pairs_file",

@@ -177,6 +177,65 @@ class RRelationFile(_RelationFile):
         return self.iter_objects()
 
 
+_IRUN = struct.Struct("<Q")
+
+
+class SortedRunsFile(RRelationFile):
+    """One sort-run task's sorted runs, back to back in one segment.
+
+    Run ``k`` is records ``[k * irun, min((k + 1) * irun, n))``: every run
+    but the last holds exactly ``irun`` records, so the whole run
+    directory is one number, kept in the header page's meta blob.  The
+    cutter appends its runs in cut order (:meth:`append_run`) and
+    publishes once; the merge opens the segment once and reads each run
+    as an extent (:meth:`extents`).
+    """
+
+    def __init__(self, segment: MappedSegment, irun: int) -> None:
+        super().__init__(segment)
+        self.irun = irun
+
+    @classmethod
+    def create(
+        cls, path: str | os.PathLike, capacity: int, irun: int,
+        record_bytes: int = 128, overwrite: bool = False,
+    ) -> "SortedRunsFile":
+        if irun < 1:
+            raise StorageError(f"a run holds at least one record, not {irun}")
+        segment = MappedSegment.create(path, capacity, record_bytes, overwrite)
+        segment.write_meta(_IRUN.pack(irun))
+        return cls(segment, irun)
+
+    @classmethod
+    def open(cls, path: str | os.PathLike) -> "SortedRunsFile":
+        segment = MappedSegment.open(path)
+        meta = segment.read_meta()
+        irun = _IRUN.unpack(meta)[0] if len(meta) == _IRUN.size else 0
+        if not irun:
+            segment.close()
+            raise StorageError(f"{path} records no run length")
+        return cls(segment, irun)
+
+    def extents(self) -> List[Tuple[int, int]]:
+        """Each run's ``[start, stop)`` record range, in cut order."""
+        n, irun = len(self), self.irun
+        return [(lo, min(lo + irun, n)) for lo in range(0, n, irun)]
+
+    def append_run(self, data) -> int:
+        """Append one sorted run of packed records; returns its start.
+
+        Refused if the previous run was short or this one is longer than
+        ``irun``: either would break the extents every reader derives.
+        """
+        records = memoryview(data).nbytes // self.segment.layout.record_bytes
+        if len(self) % self.irun or records > self.irun:
+            raise StorageError(
+                f"{self.segment.path.name}: a {records}-record run after "
+                f"{len(self)} records breaks the {self.irun}-record extents"
+            )
+        return self.segment.append_batch(data)
+
+
 class SRelationFile(_RelationFile):
     """An S partition stored in one mapped segment.
 
@@ -384,7 +443,7 @@ class BucketedRFile(_RelationFile):
         read, header sanity, no payload verification — for sizing work
         from a published spill whose readers verify it themselves.
         """
-        _count, meta = _read_header(path)
+        meta = _read_header(path).meta
         return [count for _start, count in _directory_of(meta, path)]
 
     @property

@@ -46,7 +46,7 @@ import struct
 import time
 import zlib
 from pathlib import Path
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, NamedTuple, Optional, Tuple
 
 try:  # pragma: no cover - POSIX-only; the flock guard degrades gracefully
     import fcntl as _fcntl
@@ -161,20 +161,6 @@ def _verify_payload(
         _VERIFIED_CACHE.clear()
     _VERIFIED_CACHE[key] = stored_crc
     _metrics().count("storage.integrity.verify", 1, kind=kind)
-
-
-def segment_footer(path: str | os.PathLike) -> Optional[Tuple[int, int]]:
-    """A published segment's stored (payload crc, record count).
-
-    ``None`` for pre-checksum segments (or ones closed with integrity
-    writing off).  Cheap — one small pread, no mapping, no payload scan.
-    """
-    try:
-        with open(path, "rb") as file_obj:
-            file_obj.seek(FOOTER_OFFSET)
-            return _parse_footer(file_obj.read(_FOOTER.size), 0)
-    except FileNotFoundError:
-        raise StorageError(f"no segment file at {path}") from None
 
 
 def scrub_segment(path: str | os.PathLike) -> str:
@@ -476,7 +462,7 @@ class MappedSegment:
         of its input files; one header-page read is far cheaper than
         building and tearing down a whole mapping per file.
         """
-        return _read_header(path)[0]
+        return _read_header(path).count
 
     @staticmethod
     def delete(path: str | os.PathLike) -> None:
@@ -874,8 +860,17 @@ def _header_problem(
     return None
 
 
-def _read_header(path: str | os.PathLike) -> Tuple[int, bytes]:
-    """``(record count, meta blob)`` of a segment, without mapping it.
+class SegmentHeader(NamedTuple):
+    """What one header-page read says about a published segment."""
+
+    count: int
+    meta: bytes
+    #: The integrity footer's payload CRC (None: written without one).
+    crc: Optional[int]
+
+
+def _read_header(path: str | os.PathLike) -> SegmentHeader:
+    """Count, meta blob and footer CRC of a segment, without mapping it.
 
     Applies the header and footer-count sanity of :meth:`MappedSegment.
     open` but never touches the payload: callers size work from what a
@@ -905,7 +900,11 @@ def _read_header(path: str | os.PathLike) -> Tuple[int, bytes]:
     if length > META_CAPACITY:
         raise StorageError(f"corrupt meta length {length} in {path.name}")
     start = HEADER.size + _META_LEN.size
-    return count, page[start : start + length]
+    return SegmentHeader(
+        count,
+        page[start : start + length],
+        stored[0] if stored is not None else None,
+    )
 
 
 # ------------------------------------------------------- timed map helpers

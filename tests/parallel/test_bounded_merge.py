@@ -25,8 +25,8 @@ from hypothesis import given, settings, strategies as st
 from repro.governor import JoinPlan
 from repro.governor.predict import FIT_MARGIN, merge_fanin
 from repro.parallel import FaultPlan, run_real_join, vectorized
-from repro.parallel.engine.task import TaskSpec, run_name, run_paths
-from repro.storage.relation import RRelationFile, read_pairs
+from repro.parallel.engine.task import Shard, TaskSpec, run_name, run_paths
+from repro.storage.relation import SortedRunsFile, read_pairs
 from repro.storage.store import Store
 from repro.workload import WorkloadSpec, generate_workload
 from tests.conftest import store_tree_problems
@@ -50,40 +50,53 @@ def merge_scratch(root) -> list:
 class TestMergeProperty:
     @settings(max_examples=60, deadline=None)
     @given(
-        lengths=st.lists(st.integers(0, 12), min_size=1, max_size=40),
+        lengths=st.lists(st.integers(0, 30), min_size=1, max_size=3),
+        irun=st.integers(1, 12),
         keys=st.integers(1, 8),
         fanin=st.integers(2, 8),
         chunk=st.sampled_from([1, 3, 64]),
         seed=st.integers(0, 2**16),
     )
     def test_multi_pass_merge_is_one_stable_sort(
-        self, lengths, keys, fanin, chunk, seed
+        self, lengths, irun, keys, fanin, chunk, seed
     ):
         rng = np.random.default_rng(seed)
         # One disk, ``keys`` S objects: every run draws its pointers from
-        # the same handful of keys, so ties span runs and passes.
+        # the same handful of keys, so ties span runs, segments and passes.
         workload = generate_workload(
             WorkloadSpec(r_objects=keys, s_objects=keys, seed=3), disks=1
         )
-        runs = []
+        # One RUN segment per sort-run task (a shard each when there are
+        # several), cut into ``irun``-record sorted extents.
+        segments = []
         next_rid = 0
         for length in lengths:
-            sptr = np.sort(rng.integers(0, keys, length).astype(np.uint64))
-            rid = np.arange(next_rid, next_rid + length, dtype=np.uint64)
-            payload = rng.integers(0, 2**32, length).astype(np.uint64)
-            next_rid += length
-            runs.append((rid, sptr, payload))
+            runs = []
+            for lo in range(0, length, irun):
+                n = min(irun, length - lo)
+                sptr = np.sort(rng.integers(0, keys, n).astype(np.uint64))
+                rid = np.arange(next_rid, next_rid + n, dtype=np.uint64)
+                payload = rng.integers(0, 2**32, n).astype(np.uint64)
+                next_rid += n
+                runs.append((rid, sptr, payload))
+            segments.append(runs)
         with tempfile.TemporaryDirectory() as root:
             store = Store(root, 1)
             store.materialize(workload)
-            for run_id, (rid, sptr, payload) in enumerate(runs):
-                rel = RRelationFile.create(
-                    store.path(0, run_name(0, run_id)), max(1, len(rid)),
-                    R_BYTES,
+            for index, runs in enumerate(segments):
+                shard = (
+                    None if len(segments) == 1
+                    else Shard(index, len(segments), 0, 0)
                 )
-                rel.append_columns(rid, sptr, payload)
+                rel = SortedRunsFile.create(
+                    store.path(0, run_name(0, shard)),
+                    max(1, sum(len(run[0]) for run in runs)), irun, R_BYTES,
+                )
+                for run in runs:
+                    rel.append_run(rel.segment.layout.pack_columns(*run))
                 rel.close()
             before = [path.read_bytes() for path in run_paths(store, 0)]
+            assert len(before) == len(segments)
             result = vectorized.sort_merge_merge_join(
                 TaskSpec(
                     store_root=root, disks=1, partition=0, s_objects=keys,
@@ -93,12 +106,14 @@ class TestMergeProperty:
                 )
             )
             emitted = read_pairs(result.path)
-            # The sort-run stage's runs are read, never rewritten.
+            # The sort-run stage's segments are read, never rewritten.
             assert [p.read_bytes() for p in run_paths(store, 0)] == before
             assert merge_scratch(store.root) == []
-        rid = np.concatenate([run[0] for run in runs])
-        sptr = np.concatenate([run[1] for run in runs])
-        payload = np.concatenate([run[2] for run in runs])
+        runs = [run for segment in segments for run in segment]
+        rid, sptr, payload = (
+            np.concatenate([run[k] for run in runs] + [np.empty(0, np.uint64)])
+            for k in range(3)
+        )
         order = np.argsort(sptr, kind="stable")
         assert result.count == len(order)
         assert [(p.rid, p.sid, p.r_payload) for p in emitted] == list(
@@ -144,7 +159,7 @@ def assert_store_clean(root):
     assert store_tree_problems(root) == []
     assert merge_scratch(root) == []
     assert list(root.rglob("*.seg.tmp")) == []
-    # The merge only ever read the sort-run stage's checkpointed runs.
+    # The merge only ever read the sort-run stage's checkpointed segments.
     assert list(root.rglob("RUN*.seg"))
 
 

@@ -17,8 +17,8 @@ from repro.parallel.faults import flip_payload_bit, truncate_payload
 from repro.storage.segment import (
     MappedSegment,
     StorageError,
+    _read_header,
     scrub_segment,
-    segment_footer,
 )
 
 RECORD_BYTES = 128
@@ -53,8 +53,8 @@ def test_checksum_round_trip(tmp_path, records):
     path.unlink(missing_ok=True)
     publish(path, records)
     assert scrub_segment(path) == "verified"
-    footer = segment_footer(path)
-    assert footer is not None and footer[1] == len(records)
+    header = _read_header(path)
+    assert header.crc is not None and header.count == len(records)
     with MappedSegment.open(path) as seg:
         assert [seg.read_record(i) for i in range(len(seg))] == records
     assert MappedSegment.record_count(path) == len(records)
