@@ -4,7 +4,7 @@ The paper's Fig. 5(b) is a stepped curve: elapsed time rises once per
 extra merge pass as ``MRproc`` shrinks.  ``bench_fig5b_sort_merge.py``
 reproduces it on the simulator; this bench draws the same axis on the
 mmap backend, where the budget arms the governor: ``fit_plan`` shrinks
-``batch_records`` / ``irun`` until the plan fits, and the vector merge's
+``batch_records`` / ``irun`` until the plan fits, and the merge's
 fan-in — and so its pass count — is whatever the budget leaves room for.
 
 One warm kept store at the paper's geometry (scale 1.0, 4 disks), every
@@ -128,7 +128,6 @@ def _rows(cells) -> list:
                 (result.governor or {}).get("runtime_degradations", 0)
                 for _, result in cells[("sort-merge", budget)]
             ),
-            "kernels": last.kernel_mode,
             **{a: _wall(cells, a, budget) for a in CONTEXT},
             **{f"{a} BS": cells[("BS", a, budget)] for a in BUCKETED},
             **{f"{a} urn": _urn(cells, a, budget) for a in BUCKETED},
@@ -144,8 +143,6 @@ def _check_curve(rows) -> None:
     )
     assert by_budget["4 MiB"]["runtime"] == 0
     assert any(row["passes"] != "-" and row["passes"] >= 2 for row in rows)
-    for row in rows[:-1]:  # every budget >= 1 MiB
-        assert row["kernels"] == "vector", row
     # One run segment per sort-run task and one spill file per (target,
     # contributor), whatever the budget.
     assert len({row["RUN"] for row in rows}) == 1, [r["RUN"] for r in rows]
@@ -171,15 +168,14 @@ def _check_curve(rows) -> None:
 def _render(title: str, rows) -> str:
     headers = [
         "budget", "sort-merge ms", "batch", "irun", "runs", "fanin",
-        "passes", "RUN", "rungs", "kernels", "NL ms", "grace ms", "BS", "urn",
+        "passes", "RUN", "rungs", "NL ms", "grace ms", "BS", "urn",
         "hybrid ms", "BS", "urn",
     ]
     table = format_table(headers, [
         [
             row["budget"], row["wall_ms"], row["batch"], row["irun"],
             row["runs"], row["fanin"], row["passes"], row["RUN"],
-            row["rungs"],
-            row["kernels"], row["nested-loops"],
+            row["rungs"], row["nested-loops"],
             *(row[f"{a}{suffix}"] for a in BUCKETED
               for suffix in ("", " BS", " urn")),
         ]

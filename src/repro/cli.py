@@ -139,12 +139,6 @@ def build_parser() -> argparse.ArgumentParser:
              "of a throwaway temporary directory",
     )
     join.add_argument(
-        "--kernels", choices=("scalar", "vector"), default=None,
-        help="stage-kernel implementation: numpy-vectorized inner loops "
-             "(vector, the default) or the per-record scalar path "
-             "(debugging/equivalence baselines)",
-    )
-    join.add_argument(
         "--resume", action="store_true",
         help="real backend: resume from the store's pass-level checkpoint "
              "manifest (requires --store); completed, checksum-verified "
@@ -289,9 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
     client.add_argument("--seed", type=int, default=None)
     client.add_argument("--disks", type=int, default=None)
     client.add_argument("--priority", type=int, default=None)
-    client.add_argument(
-        "--kernels", choices=("scalar", "vector"), default=None
-    )
     client.add_argument(
         "--stream-pairs", action="store_true",
         help="stream the joined pairs back and verify them: count and "
@@ -490,7 +481,6 @@ def _cmd_join(args) -> int:
                     disk_budget=disk_budget,
                     on_pressure=args.on_pressure,
                     governor=governor,
-                    kernels=args.kernels,
                     rebalance=args.rebalance,
                 )
             except ResourceExhausted as error:
@@ -500,8 +490,7 @@ def _cmd_join(args) -> int:
                 return 3
         pairs = verify_pairs(workload, result.pairs)
         print(f"{args.algorithm}: {pairs:,} pairs verified, "
-              f"{result.wall_ms:,.0f} ms wall clock (real mmap backend, "
-              f"{result.kernel_mode} kernels)")
+              f"{result.wall_ms:,.0f} ms wall clock (real mmap backend)")
         if result.retries_total or result.timeouts_total or result.inline_fallbacks:
             print(
                 f"recovery: {result.retries_total} retries, "
@@ -906,7 +895,6 @@ def _cmd_client(args) -> int:
                 seed=args.seed,
                 disks=args.disks,
                 priority=args.priority,
-                kernels=args.kernels,
                 stream_pairs=args.stream_pairs,
                 with_stats=bool(args.stats_out),
                 # Tally the streamed pairs without holding them all.  A
@@ -918,18 +906,15 @@ def _cmd_client(args) -> int:
     except ClientError as error:
         print(f"join service: {error}", file=sys.stderr)
         return 3 if error.code in ("rejected", "exhausted") else 1
+    notes = ["warm store"] if reply.reused_store else []
+    if reply.admission:
+        notes.append(f"admission {reply.admission}")
     line = (
         f"{reply.algorithm} for tenant {reply.tenant}: "
         f"{reply.pair_count:,} pairs, checksum {reply.checksum}, "
-        f"{reply.wall_ms:,.0f} ms join / {reply.request_ms:,.0f} ms "
-        f"request ({reply.kernel_mode} kernels"
+        f"{reply.wall_ms:,.0f} ms join / {reply.request_ms:,.0f} ms request"
     )
-    if reply.reused_store:
-        line += ", warm store"
-    if reply.admission:
-        line += f", admission {reply.admission}"
-    line += ")"
-    print(line)
+    print(line + (f" ({', '.join(notes)})" if notes else ""))
     if tally is not None:
         print(
             f"streamed {reply.streamed_pairs:,} pairs in "

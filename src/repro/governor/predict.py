@@ -115,13 +115,6 @@ class JoinPlan:
     #: scan instead of spilled.  Clamped to ``buckets - 1`` so at least
     #: one bucket always flows through the probe pass.
     resident_buckets: int = 4
-    #: Which stage-kernel implementation the run executes: ``"vector"``
-    #: (numpy columnar) or ``"scalar"`` (per-record structs).  Output is
-    #: bit-identical either way.  The vector merge holds one chunk per
-    #: merged run, at least two runs at a time, so the scalar heap is the
-    #: ladder's floor: the rung taken when the merge stage binds with
-    #: ``batch_records`` already at its minimum.
-    kernel_mode: str = "vector"
     #: Per-partition size rebalancing in the executor: ``"off"`` (never
     #: shard), ``"auto"`` (shard when the partition-size ratio crosses
     #: the executor's threshold), ``"on"`` (force-shard every non-empty
@@ -139,7 +132,6 @@ class JoinPlan:
             "tsize": self.tsize,
             "spill_threshold": self.spill_threshold,
             "resident_buckets": self.resident_buckets,
-            "kernel_mode": self.kernel_mode,
             "rebalance": self.rebalance,
         }
 
@@ -159,8 +151,7 @@ class JoinPlan:
         when several stages bind at once, the rung is the one knob they
         share, ``batch_records``.  Without a binding stage, or once it
         sits at its floor, stages are tried in plan order, so repeated
-        calls walk every knob to the ladder's floor; giving up the vector
-        kernels is the last rung of all.
+        calls walk every knob to the ladder's floor.
 
         Disk pressure has no plan-level remedy beyond throttling batch
         sizes (spill capacities are workload-determined), so every
@@ -187,8 +178,6 @@ class JoinPlan:
             lowered = self._shrunk(stage)
             if lowered is not None:
                 return lowered
-        if self.kernel_mode == "vector":
-            return replace(self, kernel_mode="scalar")
         return self
 
     def _shrunk(self, stage) -> Optional["JoinPlan"]:
@@ -246,16 +235,8 @@ class JoinPlan:
                         self.resident_buckets * buckets // self.buckets
                     ),
                 )
-            return halved_batch
-        if (
-            stage.kind == "merge"
-            and halved_batch is None
-            and self.kernel_mode == "vector"
-        ):
-            # The vector merge cannot hold fewer than two run chunks; the
-            # scalar heap streams records instead.  Output is unchanged,
-            # so this rung trades only speed for the last slice of memory.
-            return replace(self, kernel_mode="scalar")
+        # Scan-join, unbuffered partition and merge stages — and a probe
+        # at its finest buckets — hang on the batch alone.
         return halved_batch
 
     def _with_batch(self, batch_records: int) -> "JoinPlan":
@@ -338,7 +319,7 @@ def merge_fanin(
     r_bytes: int,
     s_bytes: int,
 ) -> Optional[int]:
-    """How many sorted runs the vector merge holds open at once.
+    """How many sorted runs the merge holds open at once.
 
     The merge buffers one ``batch_records`` chunk per open run on top of
     one joined output batch, so the fan-in is whatever the fit target
@@ -490,20 +471,19 @@ def predict_footprint(
             )
             per_pass[stage.label] = merge_batch * (r + s)
             n_runs = int(details.get("merge_runs", 1.0))
-            # The scalar heap streams every run at once, and so does a
-            # vector merge without a budget to bound it.
+            # Without a budget to bound it, every run is open at once.
             fanin = (
                 merge_fanin(worker_mem_budget_bytes, plan.batch_records, r, s)
-                if plan.kernel_mode == "vector"
-                else None
-            ) or n_runs
+                or n_runs
+            )
             passes = merge_passes(n_runs, fanin)
             details["merge_fanin"] = float(fanin)
             details["merge_passes"] = float(passes)
-            if plan.kernel_mode == "vector" and n_runs > 1:
-                # The vector merge buffers one chunk per open run.  A
-                # chunk never exceeds its run, and only intermediate
-                # (merged) runs outgrow irun.
+            if n_runs > 1:
+                # The merge buffers one chunk per open run — ties
+                # included, since a tie group streams through one run's
+                # chunk.  A chunk never exceeds its run, and only
+                # intermediate (merged) runs outgrow irun.
                 chunk = merge_batch if passes > 1 else min(merge_batch, irun_eff)
                 per_pass[stage.label] += min(n_runs, fanin) * chunk * r
             # Every extra pass rewrites the partition's inbound as

@@ -44,7 +44,9 @@ from repro.obs.registry import MetricsRegistry, parse_metric_key
 #: pass-level checkpoint manifest, how many passes it skipped, the
 #: manifest's age, and why a requested resume was declined).  Both are
 #: optional — the simulator and the service document carry neither.
-SCHEMA_VERSION = 5
+#: Version 6 drops ``meta.kernel_mode`` and ``governor.plan.kernel_mode``:
+#: there is one kernel implementation, so neither could vary.
+SCHEMA_VERSION = 6
 DOCUMENT_KIND = "repro-join-stats"
 
 #: Spill segment kinds — temporaries redistributed between partitions, as
@@ -474,7 +476,6 @@ def build_real_stats_document(result, workload=None) -> dict:
         "algorithm": result.algorithm,
         "backend": "real-mmap",
         "used_processes": result.used_processes,
-        "kernel_mode": getattr(result, "kernel_mode", "scalar"),
         "partitioner": getattr(result, "partitioner", None),
     }
     if workload is not None:

@@ -1,12 +1,13 @@
 """Real-mmap parallel join backend (multiprocessing over mapped files).
 
 Algorithms are declarative pass plans (:mod:`repro.parallel.engine`)
-executed by one generic engine; :mod:`repro.parallel.workers` holds the
-per-partition stage kernels and :mod:`repro.parallel.runner` the
+executed by one generic engine; :mod:`repro.parallel.vectorized` holds
+the per-partition stage kernels and :mod:`repro.parallel.runner` the
 admission/governance facade.
 """
 
 from repro.parallel.engine.stages import PassPlan, PassPlanError, plan_for
+from repro.parallel.engine.task import PairResult
 from repro.parallel.faults import (
     ALGORITHM_TASKS,
     FaultPlan,
@@ -20,6 +21,7 @@ from repro.parallel.faults import (
     InjectedTornWrite,
     RetryPolicy,
 )
+from repro.parallel import vectorized  # noqa: F401  (registers the kernels)
 from repro.parallel.runner import (
     ON_PRESSURE_MODES,
     REAL_ALGORITHMS,
@@ -27,7 +29,6 @@ from repro.parallel.runner import (
     RealJoinResult,
     run_real_join,
 )
-from repro.parallel.workers import PairResult
 
 __all__ = [
     "ALGORITHM_TASKS",

@@ -33,7 +33,6 @@ from repro.parallel.engine.task import (
     bucket_spill_name,
     bucket_spill_paths,
     pairs_name,
-    rebatch,
     register_kernel,
     resolve_kernel,
     run_name,
@@ -62,7 +61,6 @@ __all__ = [
     "bucket_spill_paths",
     "pairs_name",
     "plan_for",
-    "rebatch",
     "register_kernel",
     "register_plan",
     "resolve_kernel",

@@ -15,17 +15,16 @@ lives here exactly once:
   pickles intact through the pool);
 * :class:`PairSink` / :class:`PairResult` — streaming pair output into a
   mapped segment, returning only ``(count, checksum, path)``;
-* :func:`rebatch` and the stage-owned artifact naming scheme
-  (:func:`pairs_name`, :func:`run_name` / :func:`run_paths` /
+* the stage-owned artifact naming scheme (:func:`pairs_name`, :func:`run_name` / :func:`run_paths` /
   :func:`sort_run_spans`, :func:`merge_run_name` /
   :func:`sweep_merge_runs`, :func:`bucket_spill_name` /
   :func:`bucket_spill_paths`) — so producers and consumers of spill files
   agree on names through one module instead of duplicated string logic.
 
 Kernels are plain functions registered by name
-(:func:`register_kernel`); the spec names its kernel and
-:func:`run_task` resolves it in the worker process — keeping the kernels
-decorator-free (directly callable in tests).
+(:func:`register_kernel`, which returns them unchanged, so tests call
+them directly); the spec names its kernel and :func:`run_task` resolves
+it in the worker process.
 """
 
 from __future__ import annotations
@@ -34,9 +33,7 @@ import importlib
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import (
-    Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple,
-)
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as _np
 
@@ -59,8 +56,6 @@ from repro.storage.store import Store
 
 BATCH_RECORDS = 4096
 CHECKSUM_MOD = 1 << 61
-
-KERNEL_MODES = ("scalar", "vector")
 
 
 # ---------------------------------------------------------------- sharding
@@ -105,8 +100,8 @@ class TaskSpec:
     #: Registered kernel name; :func:`run_task` resolves it.
     kernel: str = ""
     #: The round's plan — a degradation round dispatches specs built from
-    #: the lowered plan, which is how every knob (kernel mode included)
-    #: changes under workers that forked long before the run.
+    #: the lowered plan, which is how every knob changes under workers
+    #: that forked long before the run.
     plan: JoinPlan = JoinPlan()
     #: The slice of this partition's input, when the rebalancer split it.
     shard: Optional[Shard] = None
@@ -151,10 +146,10 @@ def resolve_kernel(name: str) -> Callable:
     """Look up a kernel by name, importing the kernel module on demand.
 
     A fresh pool process may run :func:`run_task` before anything imported
-    :mod:`repro.parallel.workers`; the lazy import fills the registry.
+    :mod:`repro.parallel.vectorized`; the lazy import fills the registry.
     """
     if name not in _KERNELS:
-        importlib.import_module("repro.parallel.workers")
+        importlib.import_module("repro.parallel.vectorized")
     try:
         return _KERNELS[name]
     except KeyError:
@@ -469,19 +464,7 @@ def bucket_spill_paths(
     return [path] if path.exists() else []
 
 
-# ----------------------------------------------------------- batch utilities
-
-def rebatch(iterable: Iterable, size: int) -> Iterator[List]:
-    """Chunk any iterable into lists of at most ``size`` items."""
-    batch: List = []
-    for item in iterable:
-        batch.append(item)
-        if len(batch) >= size:
-            yield batch
-            batch = []
-    if batch:
-        yield batch
-
+# ----------------------------------------------------------- run utilities
 
 def run_lower_bound(
     rel: RRelationFile, key: int, lo: int = 0, hi: int | None = None

@@ -84,9 +84,7 @@ class RealJoinResult:
     # governor's full decision record (None on ungoverned runs).
     degradations_total: int = 0
     governor: Optional[dict] = None
-    #: Which stage-kernel implementation produced the result ("vector"
-    #: numpy kernels or "scalar" per-record structs) — the mode of the
-    #: plan that actually ran, after any admission/runtime degradation.
+    #: Always "vector"; kept only because bench/rigs.py and bench/run.py read it.
     kernel_mode: str = "vector"
     #: The stats document's ``meta.partitioner``: ``"hash"`` (the
     #: order-preserving bucket function) when the plan's partition stage
@@ -135,7 +133,6 @@ def run_real_join(
     max_degradations: int = 8,
     batch_records: Optional[int] = None,
     resident_buckets: int = 4,
-    kernels: Optional[str] = None,
     reuse_store: bool = False,
     tenant: Optional[str] = None,
     priority: int = 0,
@@ -182,10 +179,6 @@ def run_real_join(
     partition stage's deepest memory rung shrinks it to zero, at which
     point hybrid degenerates to grace.
 
-    ``kernels`` selects the stage-kernel implementation: ``"vector"``
-    (numpy columnar — the default) or ``"scalar"`` (the per-record
-    reference path).  Output is bit-identical either way.
-
     ``rebalance`` selects per-partition size rebalancing in the executor:
     ``"auto"`` (the default) shards a stage's oversized partitions into
     parallel sub-tasks only when the partition-size ratio crosses the
@@ -226,12 +219,6 @@ def run_real_join(
             f"resident_buckets must satisfy 0 <= resident < buckets: "
             f"{resident_buckets} vs {buckets} buckets"
         )
-    kernel_mode = kernels if kernels is not None else "vector"
-    if kernel_mode not in engine_task.KERNEL_MODES:
-        raise RealJoinError(
-            f"unknown kernel mode {kernels!r}; "
-            f"choices: {engine_task.KERNEL_MODES}"
-        )
     validate_rebalance_mode(rebalance)
     pass_plan = plan_for(algorithm)
     policy = RetryPolicy(
@@ -251,7 +238,6 @@ def run_real_join(
         buckets=buckets,
         tsize=tsize,
         resident_buckets=resident_buckets,
-        kernel_mode=kernel_mode,
         rebalance=rebalance,
     )
     governed = (
@@ -397,7 +383,6 @@ def run_real_join(
             admission_degradations + outcome.runtime_degradations
         ),
         governor=governor_doc,
-        kernel_mode=outcome.plan.kernel_mode,
         partitioner=(
             "hash"
             if any(stage.buffered for stage in pass_plan.stages)

@@ -1,25 +1,25 @@
-"""Vectorized stage-kernel bodies for the real-mmap parallel joins.
+"""Stage kernels for the real-mmap parallel joins.
 
-One numpy implementation per :mod:`repro.parallel.workers` kernel, with
-identical signatures (one ``TaskSpec``) and bit-identical output:
-same pair counts, same checksums, same segment bytes.  The scalar kernels
-stay the semantic reference — every body here is a whole-array transcription
-of its scalar twin, preserving
+Each kernel is one partition's share of one :class:`~repro.parallel.
+engine.stages.Stage`, operating purely on memory-mapped segment files,
+and is registered by name (:func:`~repro.parallel.engine.task.
+register_kernel`) so the executor can dispatch it through a
+:mod:`multiprocessing` pool — CPython's GIL rules out thread parallelism
+for this workload, so, like the paper's Rproc/Sproc design, parallelism
+is process-level, one worker per partition.  Kernels are *thin*: fault
+injection, memory metering, metrics and error classification live once
+in :func:`~repro.parallel.engine.task.run_task`; a kernel only moves
+records.  What a kernel preserves is observable and pinned by tests:
 
-* **record order** everywhere it is observable: grouping keeps encounter
-  order within a group and visits groups by first appearance, the stable
-  orders match ``list.sort(key=...)``, and the chunked k-way merge
-  reproduces ``heapq.merge`` stability (earlier run wins ties);
-* **meter charges**: the same ``record_bytes``-denominated amounts at the
-  same points, so the governor's predicted-vs-observed tolerance holds in
-  either mode;
-* **artifact layout**: spill/run/bucket files are created with the same
-  names, capacities and record content, so a pass can crash in one mode
-  and be retried in the other.
-
-The kernels in :mod:`~repro.parallel.workers` dispatch here when their
-spec's ``plan.kernel_mode`` is ``"vector"``; nothing in this module is
-registered directly.
+* **record order**: grouping keeps encounter order within a group and
+  visits groups by first appearance, the stable orders match
+  ``list.sort(key=...)``, and the chunked k-way merge reproduces
+  ``heapq.merge`` stability (earlier run wins ties);
+* **meter charges**: ``record_bytes``-denominated amounts at the points
+  :func:`~repro.governor.predict.predict_footprint` prices;
+* **artifact layout**: spill/run/bucket files have fixed names,
+  capacities and record content, so a retried pass re-creates exactly
+  what a crashed attempt would have published.
 
 The data movement idiom throughout: a batch is one O(n) grouping plus one
 gather.  Pointers resolve with one ``searchsorted``
@@ -35,6 +35,13 @@ and re-packed.  Records joined in the batch, or held for a later flush
 are one fancy-indexed gather (:meth:`SRelationFile.dereference_columns`),
 and pair emission writes one ``(n, 4)`` u64 block per batch
 (:meth:`PairSink.emit_arrays`).
+
+Join output never crosses a process boundary: every pair-producing
+kernel streams into its own mapped ``PAIRS`` segment and returns only a
+:class:`~repro.parallel.engine.task.PairResult`.  Every kernel is
+failure-safe: outputs are published only by the atomic rename in their
+``close()``, and every exception path aborts the partial outputs before
+re-raising, so a retried attempt re-creates them from scratch.
 """
 
 from __future__ import annotations
@@ -60,6 +67,7 @@ from repro.parallel.engine.task import (
     merge_run_name,
     nl_spill_name,
     pairs_name,
+    register_kernel,
     rs_name,
     run_lower_bound,
     run_name,
@@ -95,9 +103,9 @@ def _group(keys, n: int):
     ``np.min_scalar_type(n - 1)``, 8 or 16 bits for every caller — plus
     one ``bincount``.  Returns ``(order, bounds, groups)``: group ``g``'s
     rows, in encounter order, are ``order[bounds[g]:bounds[g + 1]]``, and
-    ``groups`` lists the non-empty groups by first appearance — the
-    scalar kernels' ``dict.setdefault`` order, observable wherever
-    per-group work emits pairs.
+    ``groups`` lists the non-empty groups by first appearance — a
+    ``dict.setdefault`` grouping's order, observable wherever per-group
+    work emits pairs.
     """
     narrow = keys.astype(np.min_scalar_type(n - 1))
     order = np.argsort(narrow, kind="stable")
@@ -128,8 +136,13 @@ def _stable_order(keys):
 
 # ------------------------------------------------------------ nested loops
 
+@register_kernel
 def nested_loops_pass0(spec: TaskSpec) -> PairResult:
-    """Scan R_i: join local references, spill the rest to the RP_i_j."""
+    """Scan R_i: join local references, spill the rest to the RP_i_j.
+
+    ``plan.batch_records`` throttles the batch size — the governor's
+    nested-loops degradation knob.
+    """
     disks, i, record_bytes = spec.disks, spec.partition, spec.r_bytes
     batch_records = spec.plan.batch_records
     store = spec.open_store()
@@ -177,8 +190,15 @@ def nested_loops_pass0(spec: TaskSpec) -> PairResult:
             raise
 
 
+@register_kernel
 def nested_loops_pass1(spec: TaskSpec) -> PairResult:
-    """Phases t = 1..D-1: join RP_i,offset(i,t) against that S partition."""
+    """Phases t = 1..D-1: join RP_i,offset(i,t) against that S partition.
+
+    Rebalance axis ``records``: ``spec.shard`` restricts the kernel to
+    the record range ``[lo, hi)`` of the phase spill files concatenated
+    in phase order — every shard walks the same file list with the same
+    global indexing, so the shard union is exactly the unsharded scan.
+    """
     disks, i, shard = spec.disks, spec.partition, spec.shard
     batch_records = spec.plan.batch_records
     store = spec.open_store()
@@ -219,6 +239,7 @@ def nested_loops_pass1(spec: TaskSpec) -> PairResult:
 
 # --------------------------------------------------------------- sort-merge
 
+@register_kernel
 def sort_merge_partition(spec: TaskSpec) -> int:
     """Passes 0 and 1 for one contributor: write the RS_j_from_i files."""
     disks, i, record_bytes = spec.disks, spec.partition, spec.r_bytes
@@ -259,14 +280,19 @@ def sort_merge_partition(spec: TaskSpec) -> int:
     return moved
 
 
+@register_kernel
 def sort_merge_runs(spec: TaskSpec) -> RunCut:
     """Cut one partition's inbound RS files into sorted runs on disk.
 
     Inbound records are copied whole into one run buffer of ``irun``
-    slots; each full buffer — the same contiguous prefix of the inbound
-    stream the scalar kernel cuts — is appended in stable ``sptr`` order
-    as the next extent of this task's one RUN segment, and its keys at
-    :func:`key_sample_positions` go back to the driver.
+    slots; each full buffer — the next contiguous ``irun`` records of the
+    inbound stream — is appended in stable ``sptr`` order as the next
+    extent of this task's one RUN segment (only the last is short), and
+    its keys at :func:`key_sample_positions` go back to the driver, which
+    plans key-range shards without opening a run.  The meter holds
+    exactly the buffered records, so a shrunken ``irun`` directly lowers
+    this stage's high-water mark at the cost of more runs (and, under a
+    budget, more passes) for the merge stage.
     """
     i, shard, record_bytes = spec.partition, spec.shard, spec.r_bytes
     batch_records = spec.plan.batch_records
@@ -352,8 +378,8 @@ def open_runs(store: Store, partition: int, opened: ExitStack) -> List[Run]:
 class _RunCursor:
     """One sorted run's read cursor for the chunked k-way merge.
 
-    Buffers at most one chunk of undelivered records (more only while
-    this run is the tie on the merge bound); the run is read with
+    Buffers at most one chunk of undelivered records, loaded only once
+    the previous one is spent; the run is read with
     :meth:`RRelationFile.read_columns` so memory stays bounded by the
     chunk size, not the run length.
 
@@ -411,12 +437,7 @@ class _RunCursor:
                     rid, sptr, payload = rid[keep], sptr[keep], payload[keep]
                 if not len(rid):
                     continue
-            if self.buffered:
-                self.rid = np.concatenate([self.rid, rid])
-                self.sptr = np.concatenate([self.sptr, sptr])
-                self.payload = np.concatenate([self.payload, payload])
-            else:
-                self.rid, self.sptr, self.payload = rid, sptr, payload
+            self.rid, self.sptr, self.payload = rid, sptr, payload
             meter.charge(len(rid) * record_bytes, "merge run chunk")
             delivered = len(rid)
         return delivered
@@ -432,6 +453,7 @@ class _RunCursor:
         return out
 
 
+@register_kernel
 def sort_merge_merge_join(spec: TaskSpec) -> PairResult:
     """Merge one partition's sorted runs and join against sequential S_i.
 
@@ -441,7 +463,13 @@ def sort_merge_merge_join(spec: TaskSpec) -> PairResult:
     — and everything strictly below it is provably complete in the
     buffers, so one stable sort of those slices (concatenated in run
     order) reproduces ``heapq.merge``'s output order exactly, ties
-    included.
+    included.  When every buffered key ties the bound, the earliest run
+    holding it streams its tied prefix alone (:func:`_merge_runs`), so a
+    hot key never pulls its whole tie group into memory.
+
+    Rebalance axis ``keys``: ``spec.shard`` carries an sptr key range
+    ``[lo, hi)``.  Each shard merges *all* runs clipped to its range; the
+    ranges tile the key space, so the shard union is the full merge.
 
     Under a memory budget the fan-in is bounded
     (:func:`~repro.governor.predict.merge_fanin`): while more runs remain
@@ -589,14 +617,15 @@ def _merge_runs(
             if n:
                 taken.append(cursor.take(n))
         if not taken:
-            # Every buffered key ties the bound; deepen the tying runs so
-            # all equal keys are in memory before they are ordered.
-            for cursor in cursors:
-                if not cursor.file_exhausted and (
-                    not cursor.buffered or int(cursor.sptr[-1]) == bound
-                ):
-                    cursor.load(batch_records, meter, record_bytes)
-            continue
+            # Every buffered key ties the bound.  heapq.merge hands a tie
+            # to the earliest run holding it, so that run streams its
+            # tied prefix now and the others wait: a hot key's tie group
+            # passes through one chunk at a time, never all at once.
+            cursor = next(
+                c for c in cursors if c.buffered and int(c.sptr[0]) == bound
+            )
+            tied = int(np.searchsorted(cursor.sptr, bound, side="right"))
+            taken.append(cursor.take(tied))
         rid = np.concatenate([t[0] for t in taken])
         sptr = np.concatenate([t[1] for t in taken])
         payload = np.concatenate([t[2] for t in taken])
@@ -620,8 +649,7 @@ class BucketSpills:
     run here before the kernel's own scan; without one the single
     end-of-scan flush brings its own counts.  Flushes arrive in scan
     order, so however many there are, each file is byte-identical to the
-    one a single flush writes.  Both kernel modes write through this, so
-    a pass can crash in one mode and be retried in the other.
+    one a single flush writes.
     """
 
     def __init__(
@@ -733,8 +761,19 @@ def _hash_buckets(part_sizes, buckets: int, parts, offs):
     )
 
 
+@register_kernel
 def grace_partition(spec: TaskSpec) -> int:
-    """Passes 0 and 1 for one contributor: hash into the BS_j_from_i files."""
+    """Passes 0 and 1 for one contributor: hash into the BS_j_from_i files.
+
+    All of one contributor's spill for one target lands in a single
+    bucket-grouped :class:`BucketedRFile`.  By default the bucket groups
+    are accumulated over the whole scan — the probe side, where grace's
+    memory bound lives, stays bucket-at-a-time.  Under a memory budget
+    the governor passes a ``spill_threshold``: whenever that many records
+    are retained the groups are flushed into their laid-out extents,
+    bounding the pass at threshold + one batch.  The files are
+    byte-identical either way.
+    """
     disks, i, record_bytes = spec.disks, spec.partition, spec.r_bytes
     buckets = spec.plan.buckets
     spill_threshold = spec.plan.spill_threshold
@@ -780,8 +819,18 @@ def grace_partition(spec: TaskSpec) -> int:
     return moved
 
 
+@register_kernel
 def hybrid_hash_partition(spec: TaskSpec) -> StageOutput:
-    """Hybrid hash partitioning: join resident buckets on the fly."""
+    """Hybrid hash partitioning: join resident buckets on the fly.
+
+    Like :func:`grace_partition`, but references hashing to the plan's
+    *resident* buckets (``bucket < resident``) are dereferenced against
+    the target S partition and joined during the scan — the paper's
+    r0-buckets-stay-home structure.  Non-resident buckets spill with the
+    full bucket count, so the probe kernel reads them unchanged.  With
+    ``resident == 0`` this is grace partitioning, the partition stage's
+    deepest memory rung.
+    """
     disks, i, record_bytes = spec.disks, spec.partition, spec.r_bytes
     buckets = spec.plan.buckets
     resident = spec.plan.effective_resident_buckets()
@@ -857,12 +906,17 @@ def hybrid_hash_partition(spec: TaskSpec) -> StageOutput:
     return StageOutput(moved, result)
 
 
+@register_kernel
 def grace_probe(spec: TaskSpec) -> PairResult:
     """Probe passes for one partition: bucket table, ordered S access.
 
-    The scalar kernel's ``TSIZE`` chain table is one :func:`_group` by
-    refining chain: chains fill in inbound order and flatten in chain
-    order, which is exactly the stably-sorted-by-chain permutation.
+    The paper's ``TSIZE`` chain table is one :func:`_group` by refining
+    chain: chains fill in inbound order and flatten in chain order, which
+    is exactly the stably-sorted-by-chain permutation.
+
+    Rebalance axis ``buckets``: ``spec.shard`` restricts the probe to the
+    contiguous bucket range ``[lo, hi)``; buckets are independent units
+    of work, so the shard union probes exactly the unsharded sequence.
     """
     disks, i, shard = spec.disks, spec.partition, spec.shard
     buckets, tsize = spec.plan.buckets, spec.plan.tsize

@@ -128,7 +128,7 @@ class JoinServiceClient:
         return self._expect("pong")
 
     def stats(self) -> dict:
-        """The daemon's current schema-v5 service stats document."""
+        """The daemon's current schema-v6 service stats document."""
         send_frame(self._sock, {"op": "stats"})
         return self._expect("stats")["document"]
 
@@ -146,7 +146,6 @@ class JoinServiceClient:
         seed: Optional[int] = None,
         disks: Optional[int] = None,
         distribution: Optional[str] = None,
-        kernels: Optional[str] = None,
         priority: Optional[int] = None,
         stream_pairs: bool = False,
         with_stats: bool = False,
@@ -193,8 +192,7 @@ class JoinServiceClient:
                 reply = self._attempt_join(
                     algorithm,
                     tenant=tenant, scale=scale, seed=seed, disks=disks,
-                    distribution=distribution, kernels=kernels,
-                    priority=priority, stream_pairs=stream_pairs,
+                    distribution=distribution, priority=priority, stream_pairs=stream_pairs,
                     with_stats=with_stats, on_pairs=on_pairs,
                     request_id=request_id, deadline_s=remaining,
                     started=started,
@@ -225,7 +223,7 @@ class JoinServiceClient:
         self,
         algorithm: str,
         *,
-        tenant, scale, seed, disks, distribution, kernels, priority,
+        tenant, scale, seed, disks, distribution, priority,
         stream_pairs: bool, with_stats: bool, on_pairs,
         request_id: str, deadline_s: Optional[float], started: float,
     ) -> JoinReply:
@@ -240,7 +238,6 @@ class JoinServiceClient:
             ("seed", seed),
             ("disks", disks),
             ("distribution", distribution),
-            ("kernels", kernels),
             ("priority", priority),
             ("deadline_s", deadline_s),
         ):

@@ -14,7 +14,7 @@ One :class:`JoinService` owns what a per-run invocation of
   tenant policy table's per-tenant budgets, priorities and concurrency
   caps (``docs/serving.md``);
 * the **service registry** — ``service.*`` counters and the request
-  latency histogram that become the schema-v5 ``service`` section.
+  latency histogram that become the schema-v6 ``service`` section.
 
 Requests arrive over a unix socket as length-prefixed JSON frames
 (:mod:`repro.service.protocol`); pair output streams back as bounded
@@ -64,7 +64,6 @@ from repro.governor.governor import ResourceGovernor
 from repro.obs.export import build_service_stats_document
 from repro.obs.registry import MetricsRegistry
 from repro.parallel.engine.executor import RealJoinError
-from repro.parallel.engine.task import KERNEL_MODES
 from repro.parallel.runner import REAL_ALGORITHMS, run_real_join
 from repro.service.journal import RequestJournal, valid_request_id
 from repro.service.protocol import (
@@ -507,7 +506,7 @@ class JoinService:
         try:
             with self._lease_store(signature, spec_args["disks"]) as entry:
                 result, reused = self._execute(
-                    algorithm, workload, entry, policy, priority, request,
+                    algorithm, workload, entry, policy, priority,
                     resume=resume, deadline_s=deadline_s,
                 )
                 self.governor.note_degraded(
@@ -586,11 +585,6 @@ class JoinService:
         disks = request.get("disks", self.config.disks)
         if not isinstance(disks, int) or isinstance(disks, bool) or disks < 1:
             raise ServiceError(f"disks must be a positive integer: {disks!r}")
-        kernels = request.get("kernels")
-        if kernels is not None and kernels not in KERNEL_MODES:
-            raise ServiceError(
-                f"unknown kernel mode {kernels!r}; choices: {KERNEL_MODES}"
-            )
         distribution = request.get("distribution", "uniform")
         if not isinstance(distribution, str):
             raise ServiceError("distribution must be a string")
@@ -681,7 +675,7 @@ class JoinService:
                 entry.busy = False
 
     def _execute(self, algorithm, workload, entry, policy: TenantPolicy,
-                 priority: int, request: dict, *,
+                 priority: int, *,
                  resume: bool = False, deadline_s: Optional[float] = None):
         reused = entry.materialized
         if reused:
@@ -713,7 +707,6 @@ class JoinService:
                 deadline_s=effective_deadline,
                 tenant=policy.name,
                 priority=priority,
-                kernels=request.get("kernels"),
             )
         entry.materialized = True
         if result.timeouts_total:
@@ -803,6 +796,7 @@ class JoinService:
             "pair_count": result.pair_count,
             "checksum": result.checksum,
             "wall_ms": result.wall_ms,
+            # Always "vector"; kept only because bench/rigs.py reads it.
             "kernel_mode": result.kernel_mode,
             "streamed_pairs": streamed,
             "stream_ms": stream_ms,
@@ -875,7 +869,7 @@ class JoinService:
             return f"r{self._requests_seen}-{os.getpid()}"
 
     def stats_document(self) -> dict:
-        """The schema-v5 service stats document, as of right now."""
+        """The schema-v6 service stats document, as of right now."""
         governor_snapshot = self.governor.snapshot()
         tenants = governor_snapshot["tenants"]
         # Configured-but-idle tenants still appear, with zero counts.

@@ -21,6 +21,17 @@ from repro.workload import WorkloadSpec, generate_workload
 
 R_OBJECTS = 300
 TIGHT_MEM = 32 * 1024
+#: The merge holds one run chunk per open run, at least two, beside the
+#: joined batch, so sort-merge's floor sits 1.5x above the others'.
+TIGHT_MEM_SORT_MERGE = TIGHT_MEM * 3 // 2
+
+#: Total budgets just under each plan's ladder floor on this workload.
+BELOW_FLOOR = {
+    "nested-loops": 24 * 1024,
+    "sort-merge": 24 * 1024,
+    "grace": 8 * 1024,
+    "hybrid-hash": 8 * 1024,
+}
 
 ALGORITHMS = ("nested-loops", "sort-merge", "grace", "hybrid-hash")
 
@@ -51,7 +62,10 @@ class TestBitIdenticalUnderPressure:
     ):
         result = run_real_join(
             algorithm, workload, str(tmp_path / "db"), use_processes=False,
-            mem_budget=TIGHT_MEM, on_pressure="degrade",
+            mem_budget=(
+                TIGHT_MEM_SORT_MERGE if algorithm == "sort-merge" else TIGHT_MEM
+            ),
+            on_pressure="degrade",
         )
         baseline = baselines[algorithm]
         assert result.pair_count == baseline.pair_count
@@ -154,6 +168,21 @@ class TestClassifiedRefusals:
                 fault_plan=FaultPlan.single("disk-full", "grace_partition", 0),
             )
         assert info.value.resource == "disk"
+        assert not (tmp_path / "db").exists()
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_below_the_floor_refuses_with_memory_exhausted(
+        self, workload, algorithm, tmp_path
+    ):
+        """Once the ladder is spent, the meter's refusal leaves the run
+        classified — never as an unclassified ``RealJoinError``, and
+        never masked by a kernel's cleanup failing on the way out."""
+        with pytest.raises(MemoryExhausted):
+            run_real_join(
+                algorithm, workload, str(tmp_path / "db"),
+                use_processes=False, mem_budget=BELOW_FLOOR[algorithm],
+                on_pressure="degrade",
+            )
         assert not (tmp_path / "db").exists()
 
     def test_invalid_on_pressure_rejected(self, workload, tmp_path):

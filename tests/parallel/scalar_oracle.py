@@ -1,56 +1,31 @@
-"""Stage kernels for the real-mmap parallel joins.
+"""Per-record stage kernels: the test oracle for the vector kernels.
 
-Each kernel is one partition's share of one :class:`~repro.parallel.
-engine.stages.Stage`, operating purely on memory-mapped segment files.
-Kernels are *thin*: every cross-cutting concern — fault injection, memory
-metering, metrics registries, error classification — lives
-once in the engine task wrapper (:func:`repro.parallel.engine.task.
-run_task`); a kernel only moves records.  :func:`~repro.parallel.engine.
-task.register_kernel` records each function under its name so the
-executor can dispatch it by name through a :mod:`multiprocessing` pool
-(CPython's GIL rules out thread parallelism for this workload, so — like
-the paper's Rproc/Sproc design — parallelism is process-level, one worker
-per partition).
+One plain-Python implementation of each of the eight stage kernels in
+:mod:`repro.parallel.vectorized`, written record by record — decoded
+``RObject`` batches, ``dict.setdefault`` grouping, ``list.sort``,
+``heapq.merge`` — so the vector kernels' record order, meter charges and
+artifact bytes can be checked against an independent transcription.
 
-All record movement is block-at-a-time: kernels consume decoded batches
-(`iter_object_batches`), resolve pointers with the batched
-:meth:`PointerMap.locate_many` / :meth:`offset_many`, dereference S through
-:meth:`SRelationFile.dereference_many`, append spills via ``append_many``
-and sorted runs via ``append_run``, and fill bucket files through the
-vector kernels' shared
-:class:`~repro.parallel.vectorized.BucketSpills` — no per-record
-``bytes()`` copies or struct calls.
-
-Join output never crosses a process boundary.  Every pair-producing
-kernel streams its pairs into its own mapped ``PAIRS`` segment (one
-writer per file, so passes stay race-free by construction) and returns
-only a :class:`~repro.parallel.engine.task.PairResult`
-``(count, checksum, path)``; the parent maps the files back in and
-materializes pairs lazily, if at all.
-
-Every kernel is failure-safe: output segments are published only by the
-atomic rename in their ``close()``, and every exception path *aborts*
-(discards) the partially written outputs and releases the mmap/file
-handles before re-raising — so a pass that dies mid-stream leaks nothing
-and a retried attempt re-creates its outputs from scratch (``overwrite=
-True`` on every create makes that legal).
+Nothing here is registered.  :func:`scalar_kernels` swaps these
+functions into the engine's kernel registry for the duration of a
+``with`` block, so an inline run (``use_processes=False``) executes them
+through the same executor, governor and checkpoint paths as production.
 """
 
 from __future__ import annotations
 
 import heapq
-from contextlib import ExitStack
-from typing import Dict, List, Tuple
+from contextlib import ExitStack, contextmanager
+from typing import Dict, Iterable, Iterator, List, Tuple
 
 from repro.governor.watchdog import active_meter
 
 from repro.core.records import RObject
 from repro.joins.grace import order_preserving_bucket, refining_chain
 from repro.parallel import vectorized
+from repro.parallel.engine import task as engine_task
 from repro.parallel.engine.rebalance import key_sample_positions
 from repro.parallel.engine.task import (
-    BATCH_RECORDS,
-    CHECKSUM_MOD,
     PairResult,
     PairSink,
     RunCut,
@@ -60,8 +35,6 @@ from repro.parallel.engine.task import (
     clear_stale_runs,
     nl_spill_name,
     pairs_name,
-    rebatch,
-    register_kernel,
     rs_name,
     run_lower_bound,
     run_name,
@@ -70,21 +43,33 @@ from repro.parallel.engine.task import (
 from repro.storage.relation import BucketedRFile, RRelationFile, SortedRunsFile
 from repro.storage.segment import MappedSegment
 
-__all__ = [
-    "BATCH_RECORDS",
-    "CHECKSUM_MOD",
-    "PairResult",
-    "StageOutput",
-    "grace_partition",
-    "grace_probe",
-    "hybrid_hash_partition",
-    "nested_loops_pass0",
-    "nested_loops_pass1",
-    "pairs_name",
-    "sort_merge_merge_join",
-    "sort_merge_partition",
-    "sort_merge_runs",
-]
+
+@contextmanager
+def scalar_kernels():
+    """Run every stage kernel from this module inside the block.
+
+    Only inline runs see the swap: pool workers resolve kernels in their
+    own registry.
+    """
+    registry = engine_task._KERNELS
+    saved = {name: engine_task.resolve_kernel(name) for name in KERNELS}
+    registry.update(KERNELS)
+    try:
+        yield
+    finally:
+        registry.update(saved)
+
+
+def rebatch(iterable: Iterable, size: int) -> Iterator[List]:
+    """Chunk any iterable into lists of at most ``size`` items."""
+    batch: List = []
+    for item in iterable:
+        batch.append(item)
+        if len(batch) >= size:
+            yield batch
+            batch = []
+    if batch:
+        yield batch
 
 
 def _phase_partner(i: int, t: int, disks: int) -> int:
@@ -93,15 +78,12 @@ def _phase_partner(i: int, t: int, disks: int) -> int:
 
 # ------------------------------------------------------------ nested loops
 
-@register_kernel
 def nested_loops_pass0(spec: TaskSpec) -> PairResult:
     """Scan R_i: join local references, spill the rest to the RP_i_j.
 
     ``plan.batch_records`` throttles the batch size — the governor's
     nested-loops degradation knob.
     """
-    if spec.plan.kernel_mode == "vector":
-        return vectorized.nested_loops_pass0(spec)
     disks, i, record_bytes = spec.disks, spec.partition, spec.r_bytes
     batch_records = spec.plan.batch_records
     store = spec.open_store()
@@ -150,7 +132,6 @@ def nested_loops_pass0(spec: TaskSpec) -> PairResult:
             raise
 
 
-@register_kernel
 def nested_loops_pass1(spec: TaskSpec) -> PairResult:
     """Phases t = 1..D-1: join RP_i,offset(i,t) against that S partition.
 
@@ -160,8 +141,6 @@ def nested_loops_pass1(spec: TaskSpec) -> PairResult:
     with the same global indexing, so the shard union is exactly the
     unsharded scan.
     """
-    if spec.plan.kernel_mode == "vector":
-        return vectorized.nested_loops_pass1(spec)
     disks, i, shard = spec.disks, spec.partition, spec.shard
     batch_records = spec.plan.batch_records
     store = spec.open_store()
@@ -200,11 +179,8 @@ def nested_loops_pass1(spec: TaskSpec) -> PairResult:
 
 # --------------------------------------------------------------- sort-merge
 
-@register_kernel
 def sort_merge_partition(spec: TaskSpec) -> int:
     """Passes 0 and 1 for one contributor: write the RS_j_from_i files."""
-    if spec.plan.kernel_mode == "vector":
-        return vectorized.sort_merge_partition(spec)
     disks, i, record_bytes = spec.disks, spec.partition, spec.r_bytes
     batch_records = spec.plan.batch_records
     store = spec.open_store()
@@ -241,7 +217,6 @@ def sort_merge_partition(spec: TaskSpec) -> int:
     return moved
 
 
-@register_kernel
 def sort_merge_runs(spec: TaskSpec) -> RunCut:
     """Cut one partition's inbound RS files into sorted runs on disk.
 
@@ -254,8 +229,6 @@ def sort_merge_runs(spec: TaskSpec) -> RunCut:
     lowers this stage's high-water mark at the cost of more runs (and,
     under a budget, more passes) for the merge stage.
     """
-    if spec.plan.kernel_mode == "vector":
-        return vectorized.sort_merge_runs(spec)
     i, shard, record_bytes = spec.partition, spec.shard, spec.r_bytes
     batch_records = spec.plan.batch_records
     store = spec.open_store()
@@ -321,7 +294,6 @@ def _run_stream(run, batch_records: int, klo=None, khi=None):
             yield obj
 
 
-@register_kernel
 def sort_merge_merge_join(spec: TaskSpec) -> PairResult:
     """Merge one partition's sorted runs and join against sequential S_i.
 
@@ -335,8 +307,6 @@ def sort_merge_merge_join(spec: TaskSpec) -> PairResult:
     range; the ranges tile the key space, so the shard union is the full
     merge (runs are sorted, so clipping preserves merge order).
     """
-    if spec.plan.kernel_mode == "vector":
-        return vectorized.sort_merge_merge_join(spec)
     i, shard, record_bytes = spec.partition, spec.shard, spec.r_bytes
     batch_records = spec.plan.batch_records
     store = spec.open_store()
@@ -401,7 +371,6 @@ def _spill_bucket_groups(
     return flushed
 
 
-@register_kernel
 def grace_partition(spec: TaskSpec) -> int:
     """Passes 0 and 1 for one contributor: hash into the BS_j_from_i files.
 
@@ -416,8 +385,6 @@ def grace_partition(spec: TaskSpec) -> int:
     groups are flushed into place, bounding the partition pass at
     threshold + one batch.  The files are byte-identical either way.
     """
-    if spec.plan.kernel_mode == "vector":
-        return vectorized.grace_partition(spec)
     disks, i, record_bytes = spec.disks, spec.partition, spec.r_bytes
     buckets = spec.plan.buckets
     spill_threshold = spec.plan.spill_threshold
@@ -461,7 +428,6 @@ def grace_partition(spec: TaskSpec) -> int:
     return moved
 
 
-@register_kernel
 def hybrid_hash_partition(spec: TaskSpec) -> StageOutput:
     """Hybrid hash partitioning: join resident buckets on the fly.
 
@@ -475,8 +441,6 @@ def hybrid_hash_partition(spec: TaskSpec) -> StageOutput:
     == 0`` this degenerates to grace partitioning — the partition stage's
     deepest memory rung.
     """
-    if spec.plan.kernel_mode == "vector":
-        return vectorized.hybrid_hash_partition(spec)
     disks, i, record_bytes = spec.disks, spec.partition, spec.r_bytes
     buckets = spec.plan.buckets
     resident = spec.plan.effective_resident_buckets()
@@ -551,7 +515,6 @@ def hybrid_hash_partition(spec: TaskSpec) -> StageOutput:
     return StageOutput(moved, result)
 
 
-@register_kernel
 def grace_probe(spec: TaskSpec) -> PairResult:
     """Probe passes for one partition: bucket table, ordered S access.
 
@@ -560,8 +523,6 @@ def grace_probe(spec: TaskSpec) -> PairResult:
     independent units of work, so the shard union probes exactly the
     unsharded bucket sequence.
     """
-    if spec.plan.kernel_mode == "vector":
-        return vectorized.grace_probe(spec)
     disks, i, shard = spec.disks, spec.partition, spec.shard
     buckets, tsize = spec.plan.buckets, spec.plan.tsize
     batch_records = spec.plan.batch_records
@@ -619,3 +580,18 @@ def grace_probe(spec: TaskSpec) -> PairResult:
     finally:
         for rel in inbound:
             rel.close()
+
+
+KERNELS = {
+    func.__name__: func
+    for func in (
+        nested_loops_pass0,
+        nested_loops_pass1,
+        sort_merge_partition,
+        sort_merge_runs,
+        sort_merge_merge_join,
+        grace_partition,
+        hybrid_hash_partition,
+        grace_probe,
+    )
+}

@@ -8,11 +8,12 @@ the same merge as opening every run at once:
   runs, fan-ins and chunk sizes — whose emitted ``(rid, sptr, payload)``
   stream must equal one stable sort of the concatenated runs; and
 * engine-level runs under a budget that forces at least two merge passes,
-  bit-identical to the unbudgeted run and to the scalar kernels, leaving
+  bit-identical to the unbudgeted run and to the per-record oracle, leaving
   no intermediate behind on success, on a crash, under memory pressure,
   or when a merge dies half way.
 """
 
+import dataclasses
 import math
 import tempfile
 
@@ -20,10 +21,15 @@ import pytest
 
 np = pytest.importorskip("numpy")
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.governor import JoinPlan
 from repro.governor.predict import FIT_MARGIN, merge_fanin
+from repro.governor.watchdog import (
+    MemoryMeter,
+    activate_meter,
+    deactivate_meter,
+)
 from repro.parallel import FaultPlan, run_real_join, vectorized
 from repro.parallel.engine.task import Shard, TaskSpec, run_name, run_paths
 from repro.storage.relation import SortedRunsFile, read_pairs
@@ -47,6 +53,65 @@ def merge_scratch(root) -> list:
     return sorted(str(p.relative_to(root)) for p in root.rglob("MRG*"))
 
 
+def merge_segments(segments, keys, irun, fanin, chunk):
+    """Write ``segments`` (per sort-run task, a list of sorted ``(rid,
+    sptr, payload)`` runs) as RUN segments, run the merge kernel on them
+    under a ``fanin``-run budget with ``chunk``-record batches, and return
+    ``(emitted pairs, the meter's high-water bytes)``."""
+    # One disk, ``keys`` S objects: every run draws its pointers from the
+    # same handful of keys, so ties span runs, segments and passes.
+    workload = generate_workload(
+        WorkloadSpec(r_objects=keys, s_objects=keys, seed=3), disks=1
+    )
+    with tempfile.TemporaryDirectory() as root:
+        store = Store(root, 1)
+        store.materialize(workload)
+        for index, runs in enumerate(segments):
+            shard = (
+                None if len(segments) == 1
+                else Shard(index, len(segments), 0, 0)
+            )
+            rel = SortedRunsFile.create(
+                store.path(0, run_name(0, shard)),
+                max(1, sum(len(run[0]) for run in runs)), irun, R_BYTES,
+            )
+            for run in runs:
+                rel.append_run(rel.segment.layout.pack_columns(*run))
+            rel.close()
+        before = [path.read_bytes() for path in run_paths(store, 0)]
+        assert len(before) == len(segments)
+        meter = activate_meter(MemoryMeter())
+        try:
+            result = vectorized.sort_merge_merge_join(
+                TaskSpec(
+                    store_root=root, disks=1, partition=0, s_objects=keys,
+                    r_bytes=R_BYTES,
+                    plan=JoinPlan(batch_records=chunk),
+                    worker_mem_budget=budget_for(fanin, chunk),
+                )
+            )
+        finally:
+            deactivate_meter()
+        emitted = read_pairs(result.path)
+        assert result.count == len(emitted)
+        # The sort-run stage's segments are read, never rewritten.
+        assert [p.read_bytes() for p in run_paths(store, 0)] == before
+        assert merge_scratch(store.root) == []
+    return emitted, meter.high_water_bytes
+
+
+def assert_one_stable_sort(emitted, runs):
+    rid, sptr, payload = (
+        np.concatenate([run[k] for run in runs] + [np.empty(0, np.uint64)])
+        for k in range(3)
+    )
+    order = np.argsort(sptr, kind="stable")
+    assert [(p.rid, p.sid, p.r_payload) for p in emitted] == list(
+        zip(rid[order].tolist(), sptr[order].tolist(),
+            payload[order].tolist())
+    )
+
+
 class TestMergeProperty:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -61,11 +126,6 @@ class TestMergeProperty:
         self, lengths, irun, keys, fanin, chunk, seed
     ):
         rng = np.random.default_rng(seed)
-        # One disk, ``keys`` S objects: every run draws its pointers from
-        # the same handful of keys, so ties span runs, segments and passes.
-        workload = generate_workload(
-            WorkloadSpec(r_objects=keys, s_objects=keys, seed=3), disks=1
-        )
         # One RUN segment per sort-run task (a shard each when there are
         # several), cut into ``irun``-record sorted extents.
         segments = []
@@ -80,45 +140,47 @@ class TestMergeProperty:
                 next_rid += n
                 runs.append((rid, sptr, payload))
             segments.append(runs)
-        with tempfile.TemporaryDirectory() as root:
-            store = Store(root, 1)
-            store.materialize(workload)
-            for index, runs in enumerate(segments):
-                shard = (
-                    None if len(segments) == 1
-                    else Shard(index, len(segments), 0, 0)
-                )
-                rel = SortedRunsFile.create(
-                    store.path(0, run_name(0, shard)),
-                    max(1, sum(len(run[0]) for run in runs)), irun, R_BYTES,
-                )
-                for run in runs:
-                    rel.append_run(rel.segment.layout.pack_columns(*run))
-                rel.close()
-            before = [path.read_bytes() for path in run_paths(store, 0)]
-            assert len(before) == len(segments)
-            result = vectorized.sort_merge_merge_join(
-                TaskSpec(
-                    store_root=root, disks=1, partition=0, s_objects=keys,
-                    r_bytes=R_BYTES,
-                    plan=JoinPlan(batch_records=chunk),
-                    worker_mem_budget=budget_for(fanin, chunk),
-                )
-            )
-            emitted = read_pairs(result.path)
-            # The sort-run stage's segments are read, never rewritten.
-            assert [p.read_bytes() for p in run_paths(store, 0)] == before
-            assert merge_scratch(store.root) == []
-        runs = [run for segment in segments for run in segment]
-        rid, sptr, payload = (
-            np.concatenate([run[k] for run in runs] + [np.empty(0, np.uint64)])
-            for k in range(3)
+        emitted, _ = merge_segments(segments, keys, irun, fanin, chunk)
+        assert_one_stable_sort(
+            emitted, [run for segment in segments for run in segment]
         )
-        order = np.argsort(sptr, kind="stable")
-        assert result.count == len(order)
-        assert [(p.rid, p.sid, p.r_payload) for p in emitted] == list(
-            zip(rid[order].tolist(), sptr[order].tolist(),
-                payload[order].tolist())
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        hot=st.lists(st.integers(0, 12), min_size=2, max_size=5),
+        irun=st.integers(1, 12),
+        fanin=st.integers(2, 4),
+        chunk=st.sampled_from([1, 2, 3]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_hot_key_tie_group_streams_in_bounded_memory(
+        self, hot, irun, fanin, chunk, seed
+    ):
+        """A hot key whose tie group spans several runs and outgrows every
+        open run's chunk together: the output is still one stable sort,
+        and the merge never holds more than one chunk per open run plus
+        one joined batch."""
+        hot = [min(n, irun) for n in hot]
+        assume(sum(hot) > fanin * chunk and sum(1 for n in hot if n) >= 2)
+        rng = np.random.default_rng(seed)
+        keys, hot_key = 5, 2
+        # One cutter's segment of ``irun``-record runs, ``n`` hot each.
+        runs = []
+        for index, n in enumerate(hot):
+            sptr = np.sort(np.concatenate([
+                np.full(n, hot_key, dtype=np.uint64),
+                rng.integers(0, keys, irun - n).astype(np.uint64),
+            ]))
+            rid = np.arange(index * irun, (index + 1) * irun, dtype=np.uint64)
+            payload = rng.integers(0, 2**32, irun).astype(np.uint64)
+            runs.append((rid, sptr, payload))
+        emitted, high_water = merge_segments(
+            [runs], keys, irun, fanin, chunk
+        )
+        assert_one_stable_sort(emitted, runs)
+        assert high_water <= (
+            min(len(runs), fanin) * chunk * R_BYTES
+            + chunk * (R_BYTES + S_BYTES)
         )
 
 
@@ -136,6 +198,25 @@ def workload():
 def unbudgeted(workload, tmp_path_factory):
     return run_real_join(
         "sort-merge", workload, str(tmp_path_factory.mktemp("plain") / "db"),
+        use_processes=False, collect_pairs=False,
+    )
+
+
+@pytest.fixture(scope="module")
+def zipf():
+    return generate_workload(
+        dataclasses.replace(
+            WorkloadSpec.paper_validation(scale=SCALE, seed=7),
+            distribution="zipf",
+        ),
+        disks=4,
+    )
+
+
+@pytest.fixture(scope="module")
+def zipf_unbudgeted(zipf, tmp_path_factory):
+    return run_real_join(
+        "sort-merge", zipf, str(tmp_path_factory.mktemp("zipf") / "db"),
         use_processes=False, collect_pairs=False,
     )
 
@@ -164,20 +245,41 @@ def assert_store_clean(root):
 
 
 class TestBudgetedEngine:
-    def test_two_passes_bit_identical(self, workload, unbudgeted, tmp_path):
+    def test_two_passes_bit_identical(
+        self, workload, unbudgeted, tmp_path, scalar_kernels
+    ):
         result = budgeted(workload, tmp_path / "db")
         details = result.governor["predicted"]["details"]
         assert details["merge_passes"] >= 2
         assert details["merge_runs"] > details["merge_fanin"]
-        assert result.kernel_mode == "vector"
         assert result.governor["runtime_degradations"] == 0
         assert_same_answer(result, unbudgeted)
         assert_store_clean(tmp_path / "db")
-        scalar = run_real_join(
-            "sort-merge", workload, str(tmp_path / "scalar"),
-            use_processes=False, collect_pairs=False, kernels="scalar",
-        )
+        with scalar_kernels():
+            scalar = run_real_join(
+                "sort-merge", workload, str(tmp_path / "scalar"),
+                use_processes=False, collect_pairs=False,
+            )
         assert_same_answer(result, scalar)
+
+    @pytest.mark.parametrize(
+        "budget", [1 << 20, 512 << 10], ids=["1MiB", "512KiB"]
+    )
+    def test_zipf_hot_key_takes_no_runtime_rung(
+        self, zipf, zipf_unbudgeted, budget, tmp_path
+    ):
+        """A zipf hot key ties across every run.  Its tie group streams
+        through the merge one chunk at a time, so the admitted plan's
+        prediction holds and the meter never trips."""
+        result = run_real_join(
+            "sort-merge", zipf, str(tmp_path / "db"), use_processes=False,
+            collect_pairs=False, mem_budget=budget, on_pressure="degrade",
+        )
+        governor = result.governor
+        assert governor["runtime_degradations"] == 0
+        observed = governor["observed"]["worker_mem_high_water_bytes"]
+        assert observed <= governor["predicted"]["mem_high_water_bytes"]
+        assert_same_answer(result, zipf_unbudgeted)
 
     def test_rungs_are_reported(self, workload, tmp_path):
         result = budgeted(workload, tmp_path / "db")
@@ -212,7 +314,6 @@ class TestBudgetedEngine:
         governor = result.governor
         assert governor["runtime_degradations"] == 1
         assert governor["rungs"][-1]["knob"] == "batch_records"
-        assert result.kernel_mode == "vector"
         assert_same_answer(result, unbudgeted)
         assert_store_clean(tmp_path / "db")
 

@@ -161,8 +161,10 @@ def test_manifest_for_another_algorithm_is_declined(workload, tmp_path):
         # What the build before the partitioner cut recorded.
         (lambda plan: plan.update(partitioner=None), "partitioner"),
         (lambda plan: plan.pop("tsize"), "tsize"),
+        # What a build that still had the kernel_mode knob recorded.
+        (lambda plan: plan.update(kernel_mode="vector"), "kernel_mode"),
     ],
-    ids=["extra-knob", "missing-knob"],
+    ids=["extra-knob", "missing-knob", "kernel-mode-knob"],
 )
 def test_manifest_from_another_build_is_declined(
     edit, knob, workload, tmp_path

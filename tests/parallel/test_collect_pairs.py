@@ -7,6 +7,7 @@ per-object ``iter_pairs_file`` would decode, at 32 bytes a pair.
 
 import dataclasses
 import tracemalloc
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -31,12 +32,13 @@ def workload():
 @pytest.mark.parametrize("kernels", ["vector", "scalar"])
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_pairs_are_the_published_segments_in_file_order(
-    workload, algorithm, kernels, tmp_path
+    workload, algorithm, kernels, tmp_path, scalar_kernels
 ):
-    result = run_real_join(
-        algorithm, workload, str(tmp_path / "db"), use_processes=False,
-        kernels=kernels, keep_store=True,
-    )
+    with scalar_kernels() if kernels == "scalar" else nullcontext():
+        result = run_real_join(
+            algorithm, workload, str(tmp_path / "db"), use_processes=False,
+            keep_store=True,
+        )
     assert isinstance(result.pairs, JoinedPairs)
     assert len(result.pairs) == result.pair_count == 1021
     assert list(result.pairs) == [

@@ -38,6 +38,7 @@ from repro.parallel.engine.stages import (
 from repro.parallel.engine.task import Shard, TaskSpec
 from repro.workload import WorkloadSpec, generate_workload
 from tests.conftest import store_tree_problems
+from tests.parallel import scalar_oracle
 
 
 def _stage(label="scan", kernel="nested_loops_pass0", emits="pairs"):
@@ -181,7 +182,7 @@ class TestTaskSpecCarrier:
         spec = TaskSpec(
             "/tmp/db", 2, 1, 300, 128,
             kernel="grace_partition",
-            plan=JoinPlan(batch_records=64, kernel_mode="scalar"),
+            plan=JoinPlan(batch_records=64, rebalance="on"),
             shard=Shard(index=1, count=2, lo=10, hi=20),
             worker_mem_budget=1 << 20,
             disk_budget=1 << 30,
@@ -200,11 +201,12 @@ class TestTaskSpecCarrier:
 STORE_ARMS = {
     "ungoverned": dict(collect_metrics=False),
     "budget": dict(
-        collect_metrics=False, mem_budget=32 * 1024, disk_budget=1 << 30
+        collect_metrics=False, mem_budget=48 * 1024, disk_budget=1 << 30
     ),
     "metrics": dict(collect_metrics=True),
     "faults": dict(collect_metrics=False),
-    "scalar": dict(collect_metrics=False, kernels="scalar"),
+    # The per-record oracle kernels: they must keep the invariant too.
+    "scalar": dict(collect_metrics=False),
 }
 
 
@@ -233,10 +235,11 @@ class TestStoreRootInvariant:
             return entry
 
         for task in ALGORITHM_TASKS[algorithm]:
-            monkeypatch.setitem(
-                engine_task._KERNELS, task,
-                checked(engine_task.resolve_kernel(task)),
+            kernel = (
+                scalar_oracle.KERNELS[task] if arm == "scalar"
+                else engine_task.resolve_kernel(task)
             )
+            monkeypatch.setitem(engine_task._KERNELS, task, checked(kernel))
         options = dict(STORE_ARMS[arm])
         if arm == "faults":
             options["fault_plan"] = FaultPlan.crash_every_pass(algorithm)
@@ -270,8 +273,8 @@ class TestPoolCreatedBeforeTheRun:
                 for a in range(rounds)
             ])
 
-        # Start at the ladder's floor so few rungs remain: spill threshold
-        # (x3), vector -> scalar.
+        # Start at the ladder's floor so few rungs remain: the spill
+        # threshold's three.
         floor = dict(
             batch_records=64, buckets=248, mem_budget=1 << 30,
             collect_metrics=False,
@@ -284,7 +287,7 @@ class TestPoolCreatedBeforeTheRun:
             )
             bottom = run_real_join(
                 "grace", workload, str(tmp_path / "b"), pool=pool,
-                fault_plan=pressure(4), **floor,
+                fault_plan=pressure(3), **floor,
             )
         finally:
             pool.close()
@@ -295,13 +298,12 @@ class TestPoolCreatedBeforeTheRun:
         assert midway.checksum == oracle
         assert midway.governor["runtime_degradations"] == 2
         assert midway.governor["plan"]["spill_threshold"] == 128
-        assert midway.kernel_mode == "vector"
-        # Four rounds reach the last rung: the same workers switch
-        # kernel implementation mid-run.
+        # Three rounds reach the last rung, run by the same workers.
         assert bottom.checksum == oracle
-        assert bottom.governor["runtime_degradations"] == 4
-        assert bottom.governor["plan"]["kernel_mode"] == "scalar"
-        assert bottom.kernel_mode == "scalar"
+        assert bottom.governor["runtime_degradations"] == 3
+        plan = JoinPlan(**bottom.governor["plan"])
+        assert plan.spill_threshold == plan.batch_records
+        assert plan.degraded("grace", binding=["partition"]) == plan
 
 
 class TestFaultFiresOncePerCoordinate:

@@ -6,10 +6,11 @@ their records per (target, bucket) first, create one spill file per
 front to back at every flush.  These tests pin what that buys:
 
 * the files are byte-identical to the unbudgeted plan's at the same
-  ``buckets`` / ``resident_buckets``, in both kernel modes;
+  ``buckets`` / ``resident_buckets``, from the vector kernels and the
+  per-record oracle alike;
 * a partition task killed after several flushes leaves only unpublished
-  ``.seg.tmp`` files, which the orphan sweep removes, and its retry — in
-  either kernel mode — writes the clean run's bytes;
+  ``.seg.tmp`` files, which the orphan sweep removes, and its retry — by
+  either implementation — writes the clean run's bytes;
 * a partition pass creates exactly one file per non-empty (target,
   contributor) pair, whatever the budget.
 """
@@ -17,17 +18,22 @@ front to back at every flush.  These tests pin what that buys:
 import dataclasses
 import multiprocessing
 import os
+from contextlib import nullcontext
 
 import pytest
 
 np = pytest.importorskip("numpy")
 
 from repro.governor import JoinPlan
-from repro.parallel import run_real_join, vectorized, workers
+from repro.parallel import run_real_join, vectorized
 from repro.parallel.engine.task import TaskSpec
 from repro.storage.relation import BucketedRFile
 from repro.storage.store import Store
 from repro.workload import WorkloadSpec, generate_workload
+from tests.parallel import scalar_oracle
+
+#: The two implementations of every kernel, by the names the ids use.
+KERNELS = {"vector": vectorized, "scalar": scalar_oracle}
 
 BUCKETED = ("grace", "hybrid-hash")
 MIB = 1 << 20
@@ -80,16 +86,17 @@ class TestByteIdentity:
     @pytest.mark.parametrize("kernels", ["vector", "scalar"])
     @pytest.mark.parametrize("algorithm", BUCKETED)
     def test_budgeted_spills_equal_the_unbudgeted_ones(
-        self, workload, algorithm, kernels, budget, unbudgeted, tmp_path
+        self, workload, algorithm, kernels, budget, unbudgeted, tmp_path,
+        scalar_kernels,
     ):
-        result = run_real_join(
-            algorithm, workload, str(tmp_path), use_processes=False,
-            collect_pairs=False, collect_metrics=False, keep_store=True,
-            kernels=kernels, mem_budget=budget, on_pressure="degrade",
-        )
+        with scalar_kernels() if kernels == "scalar" else nullcontext():
+            result = run_real_join(
+                algorithm, workload, str(tmp_path), use_processes=False,
+                collect_pairs=False, collect_metrics=False, keep_store=True,
+                mem_budget=budget, on_pressure="degrade",
+            )
         plan = result.governor["plan"]
         assert plan["spill_threshold"] is not None  # flushed in pieces
-        assert result.kernel_mode == kernels
         budgeted = bs_files(tmp_path)
         reference = unbudgeted(
             workload, algorithm, plan["buckets"], plan["resident_buckets"]
@@ -102,9 +109,10 @@ class TestByteIdentity:
 KILLED = 77
 
 
-def _die_after(calls_allowed, spec):
-    """Child process: run ``spec``'s kernel and hard-exit at bucket write
-    number ``calls_allowed + 1`` — no cleanup runs, as in a real crash."""
+def _die_after(calls_allowed, spec, kernels):
+    """Child process: run ``spec``'s kernel from ``KERNELS[kernels]`` and
+    hard-exit at bucket write number ``calls_allowed + 1`` — no cleanup
+    runs, as in a real crash."""
     real_write = BucketedRFile.write_buckets
     calls = []
 
@@ -115,7 +123,7 @@ def _die_after(calls_allowed, spec):
         return real_write(self, data, counts)
 
     BucketedRFile.write_buckets = dying
-    getattr(workers, spec.kernel)(spec)
+    getattr(KERNELS[kernels], spec.kernel)(spec)
     os._exit(0)
 
 
@@ -124,13 +132,11 @@ class TestCrash:
     def uniform(self):
         return paper_workload(0.25)
 
-    def spec(self, workload, root, kernel, kernel_mode):
+    def spec(self, workload, root, kernel):
         """A fresh store holding ``workload`` and partition 0's task."""
         store = Store(root, workload.disks)
         store.materialize(workload)
-        plan = JoinPlan(
-            spill_threshold=1024, batch_records=256, kernel_mode=kernel_mode
-        )
+        plan = JoinPlan(spill_threshold=1024, batch_records=256)
         return store, TaskSpec(
             str(store.root), workload.disks, 0, workload.s_objects_total,
             workload.spec.r_bytes, kernel=kernel, plan=plan,
@@ -146,11 +152,11 @@ class TestCrash:
         self, uniform, kernel, crash_mode, retry_mode, tmp_path
     ):
         disks = uniform.disks
-        store, spec = self.spec(uniform, tmp_path / "db", kernel, crash_mode)
+        store, spec = self.spec(uniform, tmp_path / "db", kernel)
         child = multiprocessing.get_context("spawn").Process(
             # Every flush writes all four targets: death strikes at the
             # first write of the third flush.
-            target=_die_after, args=(2 * disks, spec),
+            target=_die_after, args=(2 * disks, spec, crash_mode),
         )
         child.start()
         child.join(60)
@@ -162,14 +168,9 @@ class TestCrash:
         assert store.cleanup_orphans() >= disks
         assert not list(store.root.rglob("*.seg.tmp"))
 
-        retry = dataclasses.replace(
-            spec, plan=dataclasses.replace(spec.plan, kernel_mode=retry_mode)
-        )
-        getattr(workers, kernel)(retry)
-        clean_store, clean = self.spec(
-            uniform, tmp_path / "clean", kernel, crash_mode
-        )
-        getattr(workers, kernel)(clean)
+        getattr(KERNELS[retry_mode], kernel)(spec)
+        clean_store, clean = self.spec(uniform, tmp_path / "clean", kernel)
+        getattr(KERNELS[crash_mode], kernel)(clean)
         assert bs_files(store.root) == bs_files(clean_store.root)
 
 

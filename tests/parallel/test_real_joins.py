@@ -80,7 +80,8 @@ class TestInlineExecution:
         """The zero-pickle protocol: a worker's return value is a
         (count, checksum, path) triple, never a list of pairs."""
         from repro.parallel.engine.task import TaskSpec
-        from repro.parallel.workers import PairResult, nested_loops_pass0
+        from repro.parallel.engine.task import PairResult
+        from repro.parallel.vectorized import nested_loops_pass0
         from repro.storage.store import Store
 
         root = str(tmp_path / "db")

@@ -28,7 +28,7 @@ from repro.parallel.engine.task import (
     task_slot,
 )
 from repro.parallel.faults import flip_payload_bit
-from repro.parallel.workers import grace_partition, grace_probe
+from repro.parallel.vectorized import grace_partition, grace_probe
 from repro.storage.relation import BucketedRFile
 from repro.storage.segment import StorageError
 from repro.storage.store import Store
@@ -233,20 +233,23 @@ class TestBitIdentity:
         assert not rebalance["off"]
         assert sum(r["splits"] for r in rebalance["on"].values()) > 0
 
-    def test_scalar_matches_vector_when_sharded(self, workload, tmp_path):
-        identities = set()
-        for kernels in ("vector", "scalar"):
+    def test_scalar_matches_vector_when_sharded(
+        self, workload, tmp_path, scalar_kernels
+    ):
+        def identity(name):
             result = run_real_join(
                 "sort-merge",
                 workload,
-                str(tmp_path / kernels),
+                str(tmp_path / name),
                 use_processes=False,
                 collect_pairs=False,
-                kernels=kernels,
                 rebalance="on",
             )
-            identities.add((result.pair_count, result.checksum))
-        assert len(identities) == 1
+            return result.pair_count, result.checksum
+
+        with scalar_kernels():
+            scalar = identity("scalar")
+        assert identity("vector") == scalar
 
     def test_auto_shards_only_the_hot_stage(self, workload, tmp_path):
         result = run_real_join(

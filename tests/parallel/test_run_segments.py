@@ -6,12 +6,12 @@ segment: consecutive ``irun``-record extents, only the last short, with
 must not break:
 
 * the payload is the stable sort of every ``irun`` chunk of the task's
-  inbound stream, and both kernel modes write the same bytes, sharded or
-  not;
+  inbound stream, and the vector kernels write the per-record oracle's
+  bytes, sharded or not;
 * a join creates exactly one RUN segment per sort-run task, whatever the
   budget;
 * a cutter killed after several runs leaves only its ``.seg.tmp``, and
-  its retry — in the other kernel mode — writes the clean run's bytes;
+  its retry — by the other implementation — writes the clean run's bytes;
 * the key samples a cutter returns shard the merge exactly as sampling
   the published runs would, so the driver opens no run;
 * a join checkpoints every barrier but the last, and a manifest from the
@@ -28,7 +28,7 @@ import pytest
 np = pytest.importorskip("numpy")
 
 from repro.governor import JoinPlan
-from repro.parallel import FaultPlan, run_real_join, workers
+from repro.parallel import FaultPlan, run_real_join, vectorized
 from repro.parallel.engine.checkpoint import (
     CheckpointWriter,
     load_manifest,
@@ -49,8 +49,12 @@ from repro.storage.relation import RRelationFile, SortedRunsFile
 from repro.storage.segment import PAGE_SIZE, MappedSegment
 from repro.storage.store import Store
 from repro.workload import WorkloadSpec, generate_workload
+from tests.parallel import scalar_oracle
 
 IRUN = 1000
+
+#: The two implementations of every kernel, by the names the ids use.
+KERNELS = {"vector": vectorized, "scalar": scalar_oracle}
 
 
 def paper_workload(scale, distribution="uniform", seed=11):
@@ -106,18 +110,19 @@ def cut_tasks(result, disks):
 class TestLayout:
     @pytest.mark.parametrize("rebalance", ["auto", "on"])
     def test_payload_is_the_sorted_inbound_chunks_in_both_modes(
-        self, hot, rebalance, tmp_path
+        self, hot, rebalance, tmp_path, scalar_kernels
     ):
-        stores = {}
-        for kernels in ("vector", "scalar"):
-            root = tmp_path / kernels
-            result = run_real_join(
-                "sort-merge", hot, str(root), use_processes=False,
+        def join(name):
+            return run_real_join(
+                "sort-merge", hot, str(tmp_path / name), use_processes=False,
                 collect_pairs=False, collect_metrics=False, keep_store=True,
-                irun=IRUN, kernels=kernels, rebalance=rebalance,
+                irun=IRUN, rebalance=rebalance,
             )
-            assert result.kernel_mode == kernels
-            stores[kernels] = root
+
+        with scalar_kernels():
+            join("scalar")
+        result = join("vector")
+        stores = {name: tmp_path / name for name in KERNELS}
         assert run_files(stores["vector"]) == run_files(stores["scalar"])
         store = Store(stores["vector"], hot.disks)
         segments = 0
@@ -169,9 +174,10 @@ class TestFileCount:
 KILLED = 77
 
 
-def _die_after(runs_allowed, spec):
-    """Child process: run ``spec``'s cutter and hard-exit at run number
-    ``runs_allowed + 1`` — no cleanup runs, as in a real crash."""
+def _die_after(runs_allowed, spec, kernels):
+    """Child process: run ``spec``'s cutter from ``KERNELS[kernels]`` and
+    hard-exit at run number ``runs_allowed + 1`` — no cleanup runs, as in
+    a real crash."""
     real_append = SortedRunsFile.append_run
     calls = []
 
@@ -182,15 +188,15 @@ def _die_after(runs_allowed, spec):
         return real_append(self, data)
 
     SortedRunsFile.append_run = dying
-    workers.sort_merge_runs(spec)
+    KERNELS[kernels].sort_merge_runs(spec)
     os._exit(0)
 
 
-def partitioned_store(workload, root, kernel_mode="vector", irun=256):
+def partitioned_store(workload, root, kernels="vector", irun=256):
     """A store at the partition barrier, and each partition's cutter spec."""
     store = Store(root, workload.disks)
     store.materialize(workload)
-    plan = JoinPlan(irun=irun, kernel_mode=kernel_mode)
+    plan = JoinPlan(irun=irun)
     specs = [
         TaskSpec(
             str(store.root), workload.disks, i, workload.s_objects_total,
@@ -199,7 +205,7 @@ def partitioned_store(workload, root, kernel_mode="vector", irun=256):
         for i in range(workload.disks)
     ]
     for spec in specs:
-        workers.sort_merge_partition(spec)
+        KERNELS[kernels].sort_merge_partition(spec)
     return store, specs
 
 
@@ -212,7 +218,7 @@ class TestCrash:
     ):
         store, specs = partitioned_store(hot, tmp_path / "db", crash_mode)
         child = multiprocessing.get_context("spawn").Process(
-            target=_die_after, args=(2, specs[0]),
+            target=_die_after, args=(2, specs[0], crash_mode),
         )
         child.start()
         child.join(60)
@@ -222,15 +228,11 @@ class TestCrash:
         assert store.cleanup_orphans() == 1
         assert not list(store.root.rglob("*.seg.tmp"))
 
-        retry = dataclasses.replace(
-            specs[0],
-            plan=dataclasses.replace(specs[0].plan, kernel_mode=retry_mode),
-        )
-        workers.sort_merge_runs(retry)
+        KERNELS[retry_mode].sort_merge_runs(specs[0])
         clean_store, clean = partitioned_store(
             hot, tmp_path / "clean", crash_mode
         )
-        workers.sort_merge_runs(clean[0])
+        KERNELS[crash_mode].sort_merge_runs(clean[0])
         assert run_files(store.root) == run_files(clean_store.root)
 
 
@@ -250,14 +252,14 @@ def published_samples(store, partition):
 
 
 class TestSampling:
-    @pytest.mark.parametrize("kernel_mode", ["vector", "scalar"])
+    @pytest.mark.parametrize("kernels", ["vector", "scalar"])
     def test_returned_samples_shard_like_the_published_runs(
-        self, hot, kernel_mode, tmp_path
+        self, hot, kernels, tmp_path
     ):
         # irun 64: partition 0 cuts well over KEY_SAMPLE_RUNS runs, so
         # the run selection (not only the per-run positions) is pinned.
         store, specs = partitioned_store(
-            hot, tmp_path / "db", kernel_mode, irun=64
+            hot, tmp_path / "db", kernels, irun=64
         )
         inbound = sum(
             MappedSegment.record_count(store.path(0, rs_name(0, c)))
@@ -268,7 +270,7 @@ class TestSampling:
             dataclasses.replace(specs[0], shard=shard)
             for shard in _record_shards(inbound, 3)
         ] + specs[1:]
-        cuts = [workers.sort_merge_runs(unit) for unit in units]
+        cuts = [KERNELS[kernels].sort_merge_runs(unit) for unit in units]
         keys = gather_run_keys(
             [unit.partition for unit in units], cuts, hot.disks
         )

@@ -1,11 +1,12 @@
-"""Scalar-vs-vector kernel equivalence: the vectorized kernels are a pure
-performance substitution.
+"""Oracle-vs-vector kernel equivalence: the numpy kernels compute exactly
+what a per-record transcription computes.
 
 Every configuration here runs the same join twice — once with the numpy
-stage kernels, once with the per-record scalar kernels — and asserts the
-outputs are indistinguishable: identical pair counts, identical order-
-independent checksums, identical per-pass record counts and checksums,
-and (for the default plans) byte-identical segment files on disk.
+stage kernels, once with the per-record oracle kernels
+(``tests/parallel/scalar_oracle.py``) — and asserts the outputs are
+indistinguishable: identical pair counts, identical order-independent
+checksums, identical per-pass record counts and checksums, and (for the
+default plans) byte-identical segment files on disk.
 """
 
 import filecmp
@@ -48,20 +49,24 @@ def workload():
     )
 
 
-def run_pair(workload, algorithm, tmp_path, **kwargs):
-    """The same join under both kernel modes; returns (scalar, vector)."""
-    results = {}
-    for mode in ("scalar", "vector"):
-        results[mode] = run_real_join(
-            algorithm, workload, str(tmp_path / mode), use_processes=False,
-            kernels=mode, **kwargs,
-        )
-    return results["scalar"], results["vector"]
+@pytest.fixture
+def run_pair(scalar_kernels):
+    def run(workload, algorithm, tmp_path, **kwargs):
+        """The same join on both implementations; returns (scalar, vector)."""
+        def join(name):
+            return run_real_join(
+                algorithm, workload, str(tmp_path / name),
+                use_processes=False, **kwargs,
+            )
+
+        with scalar_kernels():
+            scalar = join("scalar")
+        return scalar, join("vector")
+
+    return run
 
 
 def assert_equivalent(scalar, vector):
-    assert scalar.kernel_mode == "scalar"
-    assert vector.kernel_mode == "vector"
     assert vector.pair_count == scalar.pair_count
     assert vector.checksum == scalar.checksum
     assert vector.pass_counts == scalar.pass_counts
@@ -126,7 +131,7 @@ class TestKernelEquivalence:
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     @pytest.mark.parametrize("plan_kwargs", RUNGS)
     def test_rung_equivalence(
-        self, workload, algorithm, plan_kwargs, tmp_path
+        self, workload, algorithm, plan_kwargs, tmp_path, run_pair
     ):
         scalar, vector = run_pair(
             workload, algorithm, tmp_path, **plan_kwargs
@@ -136,12 +141,12 @@ class TestKernelEquivalence:
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     @pytest.mark.parametrize("plan_kwargs", RUNGS)
     def test_storage_counters_mode_invariant(
-        self, workload, algorithm, plan_kwargs, tmp_path
+        self, workload, algorithm, plan_kwargs, tmp_path, run_pair
     ):
         """The kernels move the same records through the same segments:
         every read and write counter, per segment kind, is the same in
-        both modes (DESIGN.md's claim that ``storage.*`` is
-        mode-invariant)."""
+        both implementations (DESIGN.md's claim that ``storage.*`` counts
+        what the algorithm moves, not how a kernel codes it)."""
         scalar, vector = run_pair(
             workload, algorithm, tmp_path, collect_metrics=True,
             collect_pairs=False, **plan_kwargs,
@@ -151,7 +156,9 @@ class TestKernelEquivalence:
         assert storage_traffic(vector) == traffic
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
-    def test_segment_bytes_identical(self, workload, algorithm, tmp_path):
+    def test_segment_bytes_identical(
+        self, workload, algorithm, tmp_path, run_pair
+    ):
         """The kept stores are bit-identical, file by file: same segment
         names, same bytes — headers, bucket directories, pair blocks."""
         scalar, vector = run_pair(
@@ -169,39 +176,38 @@ class TestKernelEquivalence:
         for rel in s_files:
             assert filecmp.cmp(
                 s_root / rel, v_root / rel, shallow=False
-            ), f"{algorithm}: {rel} differs between kernel modes"
+            ), f"{algorithm}: {rel} differs from the oracle's"
 
     def test_tight_memory_budget_degrades_identically(
-        self, workload, tmp_path
+        self, workload, tmp_path, run_pair
     ):
-        """Under a budget that forces the ladder down to the scalar rung,
-        the degraded vector run converges to scalar-kernel output."""
+        """Under a budget that drives the ladder to its floor, both
+        implementations take the same rungs to the same plan and answer
+        the same."""
         scalar, vector = run_pair(
             workload, "grace", tmp_path,
             mem_budget=64 * 1024, on_pressure="degrade",
         )
-        assert vector.pair_count == scalar.pair_count
-        assert vector.checksum == scalar.checksum
-        # The budget drove both plans to the floor; the vector plan then
-        # took one more rung — the kernel flip — and finished scalar.
-        assert vector.kernel_mode == "scalar"
-        assert (
-            vector.governor["degradations_total"]
-            == scalar.governor["degradations_total"] + 1
-        )
+        assert_equivalent(scalar, vector)
+        assert vector.governor["plan"] == scalar.governor["plan"]
+        assert vector.governor["rungs"] == scalar.governor["rungs"]
+        assert vector.governor["degradations_total"] > 0
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
-    def test_crash_recovery_equivalence(self, workload, algorithm, tmp_path):
+    def test_crash_recovery_equivalence(
+        self, workload, algorithm, tmp_path, scalar_kernels
+    ):
         """A crash in every pass plus retries leaves vector output equal
-        to a clean scalar run: retried vector passes overwrite torn state
-        exactly like the scalar kernels do."""
-        clean = run_real_join(
-            algorithm, workload, str(tmp_path / "clean"),
-            use_processes=False, kernels="scalar",
-        )
+        to a clean oracle run: retried vector passes overwrite torn state
+        exactly like the per-record kernels do."""
+        with scalar_kernels():
+            clean = run_real_join(
+                algorithm, workload, str(tmp_path / "clean"),
+                use_processes=False,
+            )
         recovered = run_real_join(
             algorithm, workload, str(tmp_path / "faulted"),
-            use_processes=False, kernels="vector",
+            use_processes=False,
             fault_plan=FaultPlan.crash_every_pass(algorithm), retries=2,
         )
         assert recovered.retries_total > 0

@@ -311,7 +311,7 @@ class FlakyServer(threading.Thread):
             "checksum": 99,
             "wall_ms": 1.0,
             "request_ms": 1.0,
-            "kernel_mode": "scalar",
+            "kernel_mode": "vector",
         })
         conn.close()
         self._listener.close()

@@ -15,7 +15,7 @@ import time
 
 import pytest
 
-from repro.obs.export import validate_stats_document
+from repro.obs.export import SCHEMA_VERSION, validate_stats_document
 from repro.parallel.faults import flip_payload_bit
 from repro.parallel.runner import REAL_ALGORITHMS, run_real_join
 from repro.service import (
@@ -399,14 +399,14 @@ def test_startup_scrub_deletes_corrupt_segments_and_evicts_the_store(tmp_path):
 
 # ------------------------------------------------------ stats doc & shutdown
 
-def test_stats_document_is_valid_v5_with_latency(make_service):
+def test_stats_document_is_valid_with_latency(make_service):
     service = make_service()
     with JoinServiceClient(service.config.socket_path) as client:
         client.join("grace", **join_args())
         client.join("sort-merge", **join_args())
         document = client.stats()
     validate_stats_document(document)
-    assert document["schema_version"] == 5
+    assert document["schema_version"] == SCHEMA_VERSION
     assert document["meta"]["backend"] == "join-service"
     section = document["service"]
     assert section["requests_total"] == 2
@@ -588,7 +588,7 @@ def test_cli_stream_pairs_exits_nonzero_when_delivery_disagrees(
     block = b"".join(PAIR_RECORD.pack(*pair) for pair in pairs)
     result = {
         "kind": "result", "request_id": "x", "tenant": "default",
-        "algorithm": "grace", "wall_ms": 1.0, "kernel_mode": "scalar",
+        "algorithm": "grace", "wall_ms": 1.0, "kernel_mode": "vector",
         "streamed_pairs": 3,
         # The daemon claims a third pair the stream never carried.
         "pair_count": 3, "checksum": pair_checksum(pairs + [(9, 9, 9, 9)]),
