@@ -145,13 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
              "passes are replayed instead of recomputed, and the output "
              "is bit-identical to an uninterrupted run",
     )
-    join.add_argument(
-        "--rebalance", choices=("off", "auto", "on"), default="auto",
-        help="real-backend per-partition size rebalancing: shard "
-             "oversized partitions into parallel sub-tasks when skewed "
-             "(auto, the default), always (on), or never (off); join "
-             "output is bit-identical in every mode",
-    )
 
     model = sub.add_parser("model", help="print an analytical prediction")
     _common_workload_args(model)
@@ -481,7 +474,6 @@ def _cmd_join(args) -> int:
                     disk_budget=disk_budget,
                     on_pressure=args.on_pressure,
                     governor=governor,
-                    rebalance=args.rebalance,
                 )
             except ResourceExhausted as error:
                 # Classified exhaustion is an orderly refusal, not a crash:

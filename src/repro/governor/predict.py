@@ -77,14 +77,6 @@ FIT_MARGIN = 0.75
 #: *binding*: shrinking one of them alone cannot pay.
 RUNG_MIN_GAIN = 0.10
 
-#: Mirror of :data:`repro.parallel.engine.rebalance.REBALANCE_RATIO`
-#: (not imported — that module pulls in the storage layer).  With
-#: rebalancing active the executor splits any partition whose share
-#: exceeds this multiple of the mean into proportional shards, so the
-#: worst *task* the shardable stage kinds run is capped near
-#: ``mean x ratio`` no matter how skewed the partition-level split is.
-REBALANCE_SKEW_CAP = 1.5
-
 
 def _pass_plan(algorithm: str):
     """The registered PassPlan for ``algorithm`` (lazy, cycle-free)."""
@@ -115,11 +107,6 @@ class JoinPlan:
     #: scan instead of spilled.  Clamped to ``buckets - 1`` so at least
     #: one bucket always flows through the probe pass.
     resident_buckets: int = 4
-    #: Per-partition size rebalancing in the executor: ``"off"`` (never
-    #: shard), ``"auto"`` (shard when the partition-size ratio crosses
-    #: the executor's threshold), ``"on"`` (force-shard every non-empty
-    #: partition of the shardable stages — the bit-identity proof mode).
-    rebalance: str = "auto"
 
     def effective_resident_buckets(self) -> int:
         return max(0, min(self.resident_buckets, self.buckets - 1))
@@ -132,7 +119,6 @@ class JoinPlan:
             "tsize": self.tsize,
             "spill_threshold": self.spill_threshold,
             "resident_buckets": self.resident_buckets,
-            "rebalance": self.rebalance,
         }
 
     def degraded(
@@ -162,14 +148,6 @@ class JoinPlan:
                 return self._with_batch(self.batch_records // 2)
             return self
         pass_plan = _pass_plan(algorithm)
-        if self.rebalance == "off" and any(
-            stage.rebalance is not None for stage in pass_plan.stages
-        ):
-            # Free rung: splitting a skew-bloated partition into shards
-            # caps the worst task's inbound (and so its retained buffer)
-            # without shrinking any knob.  Never fires for default plans,
-            # which already start at "auto".
-            return replace(self, rebalance="auto")
         if len(binding) > 1 and self.batch_records > MIN_BATCH_RECORDS:
             return self._with_batch(self.batch_records // 2)
         for stage in sorted(
@@ -383,18 +361,6 @@ def predict_footprint(
     # Worst-partition inbound for the redistribution algorithms: the
     # barrier makes the most-skewed partition gate every pass.
     inbound = max(1.0, geometry.rs_i * relations.skew)
-    # With rebalancing active the executor shards any partition whose
-    # inbound exceeds REBALANCE_SKEW_CAP x the mean, so the worst *task*
-    # of the shardable record/key stages sees a capped share.  Disk
-    # totals and run counts are unchanged — sharding moves work, not
-    # bytes.  Probe stages keep the raw skew: bucket shards bound task
-    # *counts*, but the single worst bucket's table is indivisible.
-    skew_eff = (
-        min(relations.skew, REBALANCE_SKEW_CAP)
-        if plan.rebalance != "off"
-        else relations.skew
-    )
-    inbound_balanced = max(1.0, geometry.rs_i * skew_eff)
     batch = max(1, min(plan.batch_records, math.ceil(r_i)))
     irun_eff = max(1, min(plan.irun, math.ceil(inbound)))
     per_pass: Dict[str, float] = {}
@@ -456,7 +422,7 @@ def predict_footprint(
             n_runs = max(1, math.ceil(inbound / irun_eff))
             # Run building holds at most irun + one trailing batch before
             # a flush.
-            per_pass[stage.label] = min(inbound_balanced, irun_eff + batch) * r
+            per_pass[stage.label] = min(inbound, irun_eff + batch) * r
             spill_bytes += disks * (
                 _segment_bytes(inbound, r) + (n_runs - 1) * PAGE_SIZE
             )
@@ -466,9 +432,7 @@ def predict_footprint(
             # re-batched output plus its dereferenced S objects.  The
             # merged stream re-batches against *inbound* (which skew can
             # push past r_i), so its batch clamp must use inbound.
-            merge_batch = max(
-                1, min(plan.batch_records, math.ceil(inbound_balanced))
-            )
+            merge_batch = max(1, min(plan.batch_records, math.ceil(inbound)))
             per_pass[stage.label] = merge_batch * (r + s)
             n_runs = int(details.get("merge_runs", 1.0))
             # Without a budget to bound it, every run is open at once.

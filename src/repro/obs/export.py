@@ -33,10 +33,7 @@ from repro.obs.registry import MetricsRegistry, parse_metric_key
 #: per-tenant admission counts, the startup orphan sweep) plus the
 #: ``service.*`` counter namespace; join-run documents are otherwise
 #: unchanged from v3.  Still within v4 (optional, so old documents stay
-#: valid): real-backend ``per_pass`` entries of rebalance-capable stages
-#: may carry a ``rebalance`` block (the executor's per-partition
-#: sharding decision), per-worker ids may be shard slots (``"2s1"``),
-#: and ``meta.skew`` reports the workload's measured partition skew.
+#: valid): ``meta.skew`` reports the workload's measured partition skew.
 #: Version 5 adds two durability sections to real-backend totals:
 #: ``totals.integrity`` (segments fully scrubbed, scrub failures, and
 #: payload-checksum verification counts from the ``storage.integrity.*``
@@ -46,7 +43,10 @@ from repro.obs.registry import MetricsRegistry, parse_metric_key
 #: optional — the simulator and the service document carry neither.
 #: Version 6 drops ``meta.kernel_mode`` and ``governor.plan.kernel_mode``:
 #: there is one kernel implementation, so neither could vary.
-SCHEMA_VERSION = 6
+#: Version 7 drops the per-pass task-split block and its plan knob: every
+#: stage runs one task per partition, so ``per_worker`` ids are the
+#: partitions ``0..disks-1``.
+SCHEMA_VERSION = 7
 DOCUMENT_KIND = "repro-join-stats"
 
 #: Spill segment kinds — temporaries redistributed between partitions, as
@@ -143,8 +143,6 @@ def schema_problems(document: object) -> List[str]:
             # Optional: the real backend stamps each pass with its stage
             # kind; the simulator has no stage taxonomy.
             problems.append(f"per_pass[{label!r}].kind must be a string")
-        if isinstance(entry, dict) and "rebalance" in entry:
-            problems.extend(_rebalance_problems(label, entry["rebalance"]))
     for label, workers in document["per_worker"].items():
         if label not in document["per_pass"]:
             problems.append(f"per_worker[{label!r}] has no matching per_pass entry")
@@ -165,26 +163,6 @@ def schema_problems(document: object) -> List[str]:
     for i, record in enumerate(document["spans"]):
         if not isinstance(record, dict) or "name" not in record or "ms" not in record:
             problems.append(f"spans[{i}] needs name and ms fields")
-    return problems
-
-
-def _rebalance_problems(label: str, rebalance: object) -> List[str]:
-    """Schema problems in an optional per-pass ``rebalance`` block.
-
-    Present only on real-backend passes of rebalance-capable stages run
-    with rebalancing enabled; records the executor's sharding decision
-    (even a zero-split one, so the measured ratio is always reported).
-    """
-    if not isinstance(rebalance, Mapping):
-        return [f"per_pass[{label!r}].rebalance must be an object"]
-    problems: List[str] = []
-    if not isinstance(rebalance.get("axis"), str):
-        problems.append(f"per_pass[{label!r}].rebalance.axis must be a string")
-    for field in ("splits", "tasks", "moved_records", "pre_ratio", "post_ratio"):
-        if not isinstance(rebalance.get(field), (int, float)):
-            problems.append(
-                f"per_pass[{label!r}].rebalance.{field} must be a number"
-            )
     return problems
 
 
@@ -416,7 +394,6 @@ def build_real_stats_document(result, workload=None) -> dict:
     driver_metrics = getattr(result, "driver_metrics", None)
 
     pass_kinds = getattr(result, "pass_kinds", None) or {}
-    rebalance = getattr(result, "rebalance", None) or {}
     per_pass: Dict[str, dict] = {}
     per_worker: Dict[str, dict] = {}
     all_parts: List[Mapping] = []
@@ -424,26 +401,19 @@ def build_real_stats_document(result, workload=None) -> dict:
         snapshots = worker_metrics.get(label, {})
         pass_registry = MetricsRegistry.merged(snapshots.values())
         all_parts.extend(snapshots.values())
-        # Worker slots mix int partitions with "2s1" shard strings on
-        # rebalanced passes, so ordering must go through str.
         per_pass[label] = {
             "wall_ms": wall_ms,
             "records": result.pass_counts.get(label),
             "checksum": result.pass_checksums.get(label),
-            "workers": sorted(snapshots, key=str),
+            "workers": sorted(snapshots),
             "counters": dict(pass_registry.counters),
             **(
                 {"kind": pass_kinds[label]} if label in pass_kinds else {}
             ),
-            **(
-                {"rebalance": rebalance[label]} if label in rebalance else {}
-            ),
         }
         per_worker[label] = {
             str(slot): _worker_summary(snapshot)
-            for slot, snapshot in sorted(
-                snapshots.items(), key=lambda item: str(item[0])
-            )
+            for slot, snapshot in sorted(snapshots.items())
         }
 
     totals_registry = MetricsRegistry.merged(all_parts)

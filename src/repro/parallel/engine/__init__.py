@@ -36,7 +36,6 @@ from repro.parallel.engine.task import (
     register_kernel,
     resolve_kernel,
     run_name,
-    run_paths,
     run_task,
 )
 
@@ -65,6 +64,5 @@ __all__ = [
     "register_plan",
     "resolve_kernel",
     "run_name",
-    "run_paths",
     "run_task",
 ]

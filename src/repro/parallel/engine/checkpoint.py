@@ -23,10 +23,9 @@ surviving work reusable instead of discarding it:
   to work) and replays the completed stages' outcomes, restarting from
   the first incomplete stage;
 * the manifest carries the *exact* plan knobs and degradation count the
-  recorded stages ran under — and the sort-run tasks' key samples — so
-  the resumed run re-derives every rebalance/degradation decision
-  deterministically and its output is bit-identical to an uninterrupted
-  run.
+  recorded stages ran under, so the resumed run re-derives every
+  degradation decision deterministically and its output is bit-identical
+  to an uninterrupted run.
 
 A manifest only ever describes work under one ``(algorithm, workload,
 plan)`` identity and one manifest version; a mismatch of either (a
@@ -124,10 +123,8 @@ class CheckpointWriter:
         checksum: Optional[int],
         totals: Dict[str, int],
         pair_files: Sequence[PairResult],
-        rebalance: Optional[dict],
         plan: dict,
         runtime_degradations: int,
-        run_keys: Optional[list] = None,
     ) -> None:
         """Record one completed stage barrier and publish the manifest."""
         artifacts = []
@@ -154,9 +151,7 @@ class CheckpointWriter:
                     }
                     for result in pair_files
                 ],
-                "rebalance": rebalance,
                 "artifacts": artifacts,
-                "run_keys": run_keys,
             }
         )
         document = {

@@ -70,18 +70,12 @@ from repro.parallel.engine.checkpoint import (
     validate_manifest,
     workload_signature,
 )
-from repro.parallel.engine.rebalance import (
-    RunKeys,
-    gather_run_keys,
-    plan_stage_rebalance,
-)
 from repro.parallel.engine.stages import PassPlan, Stage
 from repro.parallel.engine.task import (
     CHECKSUM_MOD,
     PairResult,
     StageOutput,
     TaskSpec,
-    run_paths,
     run_task,
 )
 from repro.parallel.faults import FaultPlan, InjectedHang, RetryPolicy
@@ -109,12 +103,9 @@ class ExecutionOutcome:
     pass_counts: Dict[str, int] = field(default_factory=dict)
     pass_checksums: Dict[str, int] = field(default_factory=dict)
     pass_kinds: Dict[str, str] = field(default_factory=dict)
-    worker_metrics: Dict[str, Dict[object, dict]] = field(default_factory=dict)
+    worker_metrics: Dict[str, Dict[int, dict]] = field(default_factory=dict)
     driver_metrics: Optional[dict] = None
     recovery: Dict[str, object] = field(default_factory=dict)
-    #: Per-stage rebalance decisions (axis, splits, moved records,
-    #: pre/post max-partition ratio) for the run's *final* round.
-    rebalance: Dict[str, dict] = field(default_factory=dict)
     runtime_degradations: int = 0
     #: One ``totals.governor.rungs`` record per runtime degradation this
     #: driver took, and the footprint predicted for the plan the last of
@@ -142,32 +133,18 @@ def plan_stage_units(
     spec: WorkloadSpec,
     stage: Stage,
     plan: JoinPlan,
-    outcome: "ExecutionOutcome",
     *,
     worker_mem_budget: Optional[int] = None,
     disk_budget: Optional[int] = None,
     metrics: bool = False,
-    run_keys: Optional[List[RunKeys]] = None,
 ) -> List[TaskSpec]:
-    """One :class:`TaskSpec` per task of ``stage`` — the only place built.
-
-    The default is one unit per partition.  For a rebalance-capable
-    stage under a plan whose ``rebalance`` mode allows it, the inbound
-    sizes are measured (header/directory reads of the previous barrier's
-    published artifacts, or — for the merge — ``run_keys``, what the
-    sort-run tasks returned) and oversized partitions split into shard
-    units along the stage's axis; the decision lands in
-    ``outcome.rebalance[stage.label]``.
-    """
-    disks = store.disks
-    decision = plan_stage_rebalance(
-        store, stage, disks, plan.rebalance, plan.buckets, run_keys=run_keys
-    )
-    units: List[TaskSpec] = []
-    for partition in range(disks):
-        unit = TaskSpec(
+    """One :class:`TaskSpec` per partition of ``stage`` — the only place
+    built.  As in the paper's Rproc_i model, the most-skewed partition's
+    task gates the pass."""
+    return [
+        TaskSpec(
             store_root=str(store.root),
-            disks=disks,
+            disks=store.disks,
             partition=partition,
             s_objects=spec.s_objects,
             r_bytes=spec.r_bytes,
@@ -177,21 +154,8 @@ def plan_stage_units(
             disk_budget=disk_budget,
             metrics=metrics,
         )
-        shards = decision.shards[partition] if decision is not None else None
-        if not shards:
-            units.append(unit)
-            continue
-        if stage.kind == "sort-run":
-            # Sharded run cutters must not sweep stale runs themselves —
-            # a late-starting shard would delete a sibling's freshly
-            # published run.  The driver clears the partition's stale
-            # runs once, before any shard is dispatched.
-            for stale in run_paths(store, partition):
-                stale.unlink(missing_ok=True)
-        units.extend(replace(unit, shard=shard) for shard in shards)
-    if decision is not None:
-        outcome.rebalance[stage.label] = decision.report()
-    return units
+        for partition in range(store.disks)
+    ]
 
 
 def execute_plan(
@@ -305,23 +269,13 @@ def execute_plan(
     checked_rules: set = set()
     # Stage labels replayed from the checkpoint manifest this round.
     replayed: set = set()
-    # What the sort-run tasks returned for the merge's key-range planning.
-    run_keys: List[RunKeys] = []
     # Dispatches so far per (kernel, partition) — the fault plan's attempt
     # coordinate.  Deliberately outlives reset_round: a one-shot injected
     # fault must not re-fire in the degraded round.
     attempts: Dict[tuple, int] = {}
 
     def arm(unit: TaskSpec) -> TaskSpec:
-        """Stamp one dispatch with its attempt number and matching fault.
-
-        When the rebalancer split a partition, only shard 0 counts and
-        carries the fault: coordinates are ``(task, partition, attempt)``
-        and must fire exactly once per attempt however the work was
-        sliced.
-        """
-        if unit.shard is not None and unit.shard.index:
-            return unit
+        """Stamp one dispatch with its attempt number and matching fault."""
         key = (unit.kernel, unit.partition)
         attempt = attempts.get(key, 0)
         attempts[key] = attempt + 1
@@ -372,11 +326,10 @@ def execute_plan(
         if checkpointed:
             checkpoint.begin_stage(store)
         units = plan_stage_units(
-            store, workload.spec, stage, current, outcome,
+            store, workload.spec, stage, current,
             worker_mem_budget=worker_mem_budget,
             disk_budget=disk_budget,
             metrics=collect_metrics,
-            run_keys=run_keys,
         )
         with span("stage", algo=algorithm, label=stage.label, kind=stage.kind):
             returned = _dispatch_stage(
@@ -384,11 +337,6 @@ def execute_plan(
                 policy, algorithm, recovery,
             )
         results = [result for result, _snapshot in returned]
-        if stage.kind == "sort-run":
-            run_keys[:] = gather_run_keys(
-                [unit.partition for unit in units], results, disks
-            )
-            results = [cut.moved for cut in results]
         if collect_metrics:
             outcome.worker_metrics[stage.label] = {
                 unit.slot: snapshot
@@ -438,10 +386,8 @@ def execute_plan(
             checksum=outcome.pass_checksums.get(stage.label),
             totals=stage_totals[stage.label],
             pair_files=stage_pairs,
-            rebalance=outcome.rebalance.get(stage.label),
             plan=current.as_dict(),
             runtime_degradations=outcome.runtime_degradations,
-            run_keys=list(run_keys) if stage.kind == "sort-run" else None,
         )
 
     def reset_round() -> None:
@@ -456,12 +402,10 @@ def execute_plan(
         outcome.pass_checksums.clear()
         outcome.pass_kinds.clear()
         outcome.worker_metrics.clear()
-        outcome.rebalance.clear()
         pair_results.clear()
         stage_totals.clear()
         checked_rules.clear()
         replayed.clear()
-        run_keys.clear()
         # The manifest describes temps this reset is about to delete; a
         # crash between here and the next barrier must find no manifest.
         checkpoint.reset()
@@ -496,13 +440,6 @@ def execute_plan(
                 outcome.pass_kinds[label] = record["kind"]
                 if record.get("checksum") is not None:
                     outcome.pass_checksums[label] = int(record["checksum"])
-                if record.get("rebalance"):
-                    outcome.rebalance[label] = record["rebalance"]
-                if record.get("run_keys") is not None:
-                    run_keys[:] = [
-                        RunKeys(int(records), [int(key) for key in samples])
-                        for records, samples in record["run_keys"]
-                    ]
                 stage_totals[label] = {
                     key: int(value)
                     for key, value in record["totals"].items()
@@ -644,10 +581,9 @@ def _dispatch_stage(
     """Dispatch one stage's units (tasks), retrying failed ones.
 
     ``units`` is the spec list from :func:`plan_stage_units` — one per
-    partition, or one per shard where the rebalancer split a partition;
-    ``arm`` stamps each dispatch of a unit with its attempt number and
-    fault.  Returns each unit's ``(kernel_result, registry_snapshot)``
-    from the attempt that finished.  Every task gets ``1 +
+    partition; ``arm`` stamps each dispatch of a unit with its attempt
+    number and fault.  Returns each unit's ``(kernel_result,
+    registry_snapshot)`` from the attempt that finished.  Every task gets ``1 +
     policy.retries`` attempts (plus one optional inline-fallback attempt
     in the parent).  Between rounds the dispatcher backs off
     exponentially.  Retrying is safe because kernel outputs are only

@@ -39,7 +39,6 @@ NESTED_LOOPS = register_plan(PassPlan(
             label="pass1",
             kernel="nested_loops_pass1",
             emits="pairs",
-            rebalance="records",
         ),
     ),
     conservation=(
@@ -62,13 +61,11 @@ SORT_MERGE = register_plan(PassPlan(
             label="sort-runs",
             kernel="sort_merge_runs",
             emits="moved",
-            rebalance="records",
         ),
         MergeStage(
             label="merge-join",
             kernel="sort_merge_merge_join",
             emits="pairs",
-            rebalance="keys",
         ),
     ),
     conservation=(
@@ -99,7 +96,6 @@ GRACE = register_plan(PassPlan(
             label="probe",
             kernel="grace_probe",
             emits="pairs",
-            rebalance="buckets",
         ),
     ),
     conservation=(
@@ -126,7 +122,6 @@ HYBRID_HASH = register_plan(PassPlan(
             label="probe",
             kernel="grace_probe",
             emits="pairs",
-            rebalance="buckets",
         ),
     ),
     conservation=(

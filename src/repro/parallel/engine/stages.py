@@ -39,13 +39,6 @@ from typing import ClassVar, Dict, Optional, Tuple, Union
 #: PairResult; ``"both"`` — a (moved, PairResult) StageOutput.
 EMIT_KINDS = ("moved", "pairs", "both")
 
-#: Axes the executor's rebalancer can split a stage's work along.
-#: ``"records"`` — positional record ranges over the stage's inbound
-#: files; ``"keys"`` — sorted-pointer key ranges (equal-depth over a
-#: sampled key CDF); ``"buckets"`` — contiguous hash-bucket ranges
-#: (equal-depth over the exact per-bucket histogram).
-REBALANCE_AXES = ("records", "keys", "buckets")
-
 
 class PassPlanError(ValueError):
     """Raised for malformed pass plans or stage wiring."""
@@ -66,11 +59,6 @@ class Stage:
     label: str
     kernel: str
     emits: str
-    #: The axis the executor may split this stage's per-partition work
-    #: along when the inbound sizes are skewed (None — not splittable;
-    #: the stage's kernel must understand the attached
-    #: :class:`~repro.parallel.engine.task.Shard` for its axis).
-    rebalance: Optional[str] = None
     #: The kernel retains hash-bucket groups in memory across its scan
     #: (Grace/hybrid partitioning), so the governor's ``spill_threshold``
     #: knob applies.
@@ -85,11 +73,6 @@ class Stage:
             raise PassPlanError(
                 f"stage {self.label!r} emits {self.emits!r}; "
                 f"choices: {EMIT_KINDS}"
-            )
-        if self.rebalance is not None and self.rebalance not in REBALANCE_AXES:
-            raise PassPlanError(
-                f"stage {self.label!r} rebalances along "
-                f"{self.rebalance!r}; choices: {REBALANCE_AXES}"
             )
 
 
@@ -121,12 +104,7 @@ class PartitionStage(Stage):
 
 @dataclass(frozen=True)
 class SortRunStage(Stage):
-    """Cut one partition's inbound records into sorted runs on disk.
-
-    Its kernel returns a :class:`~repro.parallel.engine.task.RunCut`:
-    the ``moved`` count plus each run's key samples, which the executor
-    keeps for the merge stage's key-range planning.
-    """
+    """Cut one partition's inbound records into sorted runs on disk."""
 
     kind: ClassVar[str] = "sort-run"
 

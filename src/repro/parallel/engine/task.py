@@ -15,8 +15,8 @@ lives here exactly once:
   pickles intact through the pool);
 * :class:`PairSink` / :class:`PairResult` — streaming pair output into a
   mapped segment, returning only ``(count, checksum, path)``;
-* the stage-owned artifact naming scheme (:func:`pairs_name`, :func:`run_name` / :func:`run_paths` /
-  :func:`sort_run_spans`, :func:`merge_run_name` /
+* the stage-owned artifact naming scheme (:func:`pairs_name`,
+  :func:`run_name` / :func:`sort_run_spans`, :func:`merge_run_name` /
   :func:`sweep_merge_runs`, :func:`bucket_spill_name` /
   :func:`bucket_spill_paths`) — so producers and consumers of spill files
   agree on names through one module instead of duplicated string logic.
@@ -50,34 +50,12 @@ from repro.governor.watchdog import (
     rss_high_water_bytes,
 )
 from repro.parallel.faults import FaultSpec, fire_fault
-from repro.storage.relation import PairsFile, RRelationFile
+from repro.storage.relation import PairsFile
 from repro.storage.segment import MappedSegment
 from repro.storage.store import Store
 
 BATCH_RECORDS = 4096
 CHECKSUM_MOD = 1 << 61
-
-
-# ---------------------------------------------------------------- sharding
-
-class Shard(NamedTuple):
-    """One slice of a rebalanced task's input, attached by the executor.
-
-    ``index``/``count`` place the shard among its siblings for the same
-    partition; ``lo``/``hi`` bound the half-open input range along the
-    stage's declared axis (record positions, sorted pointer keys, or
-    bucket numbers — the kernel knows which).
-    """
-
-    index: int
-    count: int
-    lo: int
-    hi: int
-
-
-def task_slot(partition: int, shard: Shard | None) -> int | str:
-    """The metrics/label slot for a task: partition, or partition+shard."""
-    return partition if shard is None else f"{partition}s{shard.index}"
 
 
 # ---------------------------------------------------------------- the task
@@ -103,8 +81,6 @@ class TaskSpec:
     #: the lowered plan, which is how every knob changes under workers
     #: that forked long before the run.
     plan: JoinPlan = JoinPlan()
-    #: The slice of this partition's input, when the rebalancer split it.
-    shard: Optional[Shard] = None
     worker_mem_budget: Optional[int] = None
     disk_budget: Optional[int] = None
     #: Collect a task-local metrics registry and return its snapshot.
@@ -115,8 +91,8 @@ class TaskSpec:
     fault: Optional[FaultSpec] = None
 
     @property
-    def slot(self) -> int | str:
-        return task_slot(self.partition, self.shard)
+    def slot(self) -> int:
+        return self.partition
 
     def open_store(self) -> Store:
         return Store(self.store_root, self.disks)
@@ -246,18 +222,6 @@ class StageOutput(NamedTuple):
     pairs: PairResult
 
 
-class RunCut(NamedTuple):
-    """Return value of a sort-run task: what the merge stage plans from.
-
-    ``samples`` holds, per run in cut order, the keys at
-    :func:`~repro.parallel.engine.rebalance.key_sample_positions` — the
-    records the driver would otherwise open the runs to read.
-    """
-
-    moved: int
-    samples: List[List[int]]
-
-
 class PairSink:
     """Stream joined pairs into one mapped segment, checksumming as we go.
 
@@ -330,16 +294,9 @@ class PairSink:
 
 # -------------------------------------------------- artifact naming scheme
 
-def pairs_name(label: str, partition: int, shard: Shard | None = None) -> str:
-    """The PAIRS segment written by one worker of one pass.
-
-    Shard tasks publish disjoint segments (``_s<k>`` suffix) so sibling
-    shards of one partition never race on a name; the executor collects
-    every segment, and the order-independent checksum makes the union
-    bit-identical to the unsharded single segment.
-    """
-    base = f"PAIRS_{label}_{partition}"
-    return base if shard is None else f"{base}_s{shard.index}"
+def pairs_name(label: str, partition: int) -> str:
+    """The PAIRS segment written by one worker of one pass."""
+    return f"PAIRS_{label}_{partition}"
 
 
 def rs_name(target: int, contributor: int) -> str:
@@ -352,93 +309,42 @@ def nl_spill_name(owner: int, partner: int) -> str:
     return f"RP{owner}_{partner}"
 
 
-def run_name(partition: int, shard: Shard | None = None) -> str:
+def run_name(partition: int) -> str:
     """The one segment a sort-run task writes: all of its sorted runs.
 
-    ``RUN<i>`` when the partition is cut whole, ``RUN<i>_s<k>`` per shard
-    when the rebalancer split it.  Runs are extents inside the segment
-    (:class:`~repro.storage.relation.SortedRunsFile`), not files.
+    Runs are extents inside the segment
+    (:class:`~repro.storage.relation.SortedRunsFile`), not files; their
+    cut order is the partition's inbound order — the order the merge
+    breaks ties in.
     """
-    base = f"RUN{partition}"
-    return base if shard is None else f"{base}_s{shard.index}"
+    return f"RUN{partition}"
 
 
-def run_paths(store: Store, partition: int) -> List[Path]:
-    """Every published run segment of ``partition``, in shard order.
+def sort_run_spans(store: Store, spec: TaskSpec) -> List[Tuple[Path, int]]:
+    """The ``(RS file, records)`` pairs one sort-run task cuts.
 
-    Shard order, then each segment's extents in cut order, is the
-    partition's inbound order — the order the merge breaks ties in.
-    """
-    base = run_name(partition)
-    ranked = []
-    for path in store.disk_dir(partition).glob(f"{base}*.seg"):
-        tail = path.name[len(base):-len(".seg")]
-        if not tail:
-            ranked.append((-1, path))
-        elif tail.startswith("_s") and tail[2:].isdigit():
-            ranked.append((int(tail[2:]), path))
-    return [path for _rank, path in sorted(ranked)]
-
-
-def clear_stale_runs(store: Store, partition: int, shard: Shard | None) -> None:
-    """Delete the run segments a sort-run task's siblings do not write.
-
-    The merge finds runs by listing, so a previous attempt's or plan's
-    segments (or torn-write garbage at a final path) must go before a
-    cutter publishes.  A whole-partition cutter owns every name; a shard
-    owns only the unsharded name — the driver clears the rest once,
-    before any shard is dispatched, so no shard deletes a sibling's.
-    """
-    if shard is None:
-        for stale in run_paths(store, partition):
-            stale.unlink(missing_ok=True)
-    else:
-        store.path(partition, run_name(partition)).unlink(missing_ok=True)
-
-
-def sort_run_spans(store: Store, spec: TaskSpec) -> List[Tuple[Path, int, int]]:
-    """The ``(RS file, start, stop)`` ranges one sort-run task cuts.
-
-    The partition's inbound stream is its RS files in contributor order;
-    a records-axis shard keeps its ``[lo, hi)`` slice of that stream.
+    The partition's inbound stream is its RS files in contributor order.
     Sizes come from header reads; the cutter maps only what it reads.
     """
-    i, shard = spec.partition, spec.shard
-    lo = 0 if shard is None else shard.lo
-    hi = None if shard is None else shard.hi
+    i = spec.partition
     spans = []
-    base = 0
     for contributor in range(spec.disks):
         path = store.path(i, rs_name(i, contributor))
-        count = MappedSegment.record_count(path)
-        start = max(0, lo - base)
-        stop = count if hi is None else min(count, hi - base)
-        base += count
-        if shard is None or start < stop:
-            spans.append((path, start, stop))
+        spans.append((path, MappedSegment.record_count(path)))
     return spans
 
 
-def _merge_run_prefix(partition: int, shard: Shard | None) -> str:
-    base = f"MRG{partition}"
-    return f"{base}_" if shard is None else f"{base}s{shard.index}_"
-
-
-def merge_run_name(
-    partition: int, shard: Shard | None, level: int, index: int
-) -> str:
+def merge_run_name(partition: int, level: int, index: int) -> str:
     """One intermediate run of the bounded-fan-in merge.
 
     One file per merged group, holding one run.  Its own family, never
-    a ``RUN`` name, so :func:`run_paths` (and through it the sort-run
-    stage's checkpointed artifacts) cannot mistake a merge task's scratch
-    for a sort-run segment.  Key-range shards of one partition merge
-    concurrently, so each shard owns a sub-family.
+    a ``RUN`` name, so the sort-run stage's checkpointed artifacts cannot
+    be mistaken for a merge task's scratch.
     """
-    return f"{_merge_run_prefix(partition, shard)}{level}_{index}"
+    return f"MRG{partition}_{level}_{index}"
 
 
-def sweep_merge_runs(store: Store, partition: int, shard: Shard | None) -> None:
+def sweep_merge_runs(store: Store, partition: int) -> None:
     """Delete every published intermediate run of one merge task.
 
     Called by the task before it merges (a killed attempt's leftovers)
@@ -446,8 +352,7 @@ def sweep_merge_runs(store: Store, partition: int, shard: Shard | None) -> None:
     task that wrote them.  Unpublished ``.seg.tmp`` files are discarded
     by their writer, or by the driver's orphan sweep if it died.
     """
-    prefix = _merge_run_prefix(partition, shard)
-    for path in store.disk_dir(partition).glob(f"{prefix}*.seg"):
+    for path in store.disk_dir(partition).glob(f"MRG{partition}_*.seg"):
         path.unlink(missing_ok=True)
 
 
@@ -462,24 +367,3 @@ def bucket_spill_paths(
     """One contributor's spill file for ``partition``, if it wrote one."""
     path = store.path(partition, bucket_spill_name(partition, contributor))
     return [path] if path.exists() else []
-
-
-# ----------------------------------------------------------- run utilities
-
-def run_lower_bound(
-    rel: RRelationFile, key: int, lo: int = 0, hi: int | None = None
-) -> int:
-    """Index of the first record in sorted ``[lo, hi)`` with ``sptr >= key``.
-
-    Binary search over the mapped records of one run extent — O(log n)
-    point reads — so a key-range shard starts reading at its own range
-    instead of scanning (and discarding) the prefix owned by lower shards.
-    """
-    hi = len(rel) if hi is None else hi
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if rel.get(mid).sptr < key:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo

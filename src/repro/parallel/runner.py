@@ -37,7 +37,6 @@ from repro.parallel.engine.executor import (
     RealJoinError,
     execute_plan,
 )
-from repro.parallel.engine.rebalance import validate_rebalance_mode
 from repro.parallel.engine.stages import algorithms as registered_algorithms
 from repro.parallel.engine.stages import plan_for
 from repro.parallel.faults import FaultPlan, RetryPolicy
@@ -90,11 +89,6 @@ class RealJoinResult:
     #: order-preserving bucket function) when the plan's partition stage
     #: buckets, None otherwise.
     partitioner: Optional[str] = None
-    #: Per-stage rebalance decisions from the executor's final round:
-    #: stage label -> {axis, splits, tasks, moved_records, pre_ratio,
-    #: post_ratio}.  Empty when the plan ran with ``rebalance="off"`` or
-    #: no stage is rebalance-capable.
-    rebalance: Dict[str, dict] = field(default_factory=dict)
     #: Checkpoint-resume accounting (stats ``totals.resume``): whether a
     #: manifest was replayed, passes skipped, manifest age, and the
     #: reason a requested resume was declined.
@@ -136,7 +130,6 @@ def run_real_join(
     reuse_store: bool = False,
     tenant: Optional[str] = None,
     priority: int = 0,
-    rebalance: str = "auto",
     resume: bool = False,
 ) -> RealJoinResult:
     """Execute one pointer-based join on real mmap-backed files.
@@ -179,13 +172,6 @@ def run_real_join(
     partition stage's deepest memory rung shrinks it to zero, at which
     point hybrid degenerates to grace.
 
-    ``rebalance`` selects per-partition size rebalancing in the executor:
-    ``"auto"`` (the default) shards a stage's oversized partitions into
-    parallel sub-tasks only when the partition-size ratio crosses the
-    executor's threshold, ``"on"`` force-shards every non-empty partition
-    of the shardable stages, ``"off"`` never shards.  Join output is
-    bit-identical in every mode.
-
     ``reuse_store`` promises ``store_root`` already holds this exact
     workload (a warm store a previous ``keep_store=True`` run left
     behind) and skips re-materializing R/S — the join-service daemon's
@@ -219,7 +205,6 @@ def run_real_join(
             f"resident_buckets must satisfy 0 <= resident < buckets: "
             f"{resident_buckets} vs {buckets} buckets"
         )
-    validate_rebalance_mode(rebalance)
     pass_plan = plan_for(algorithm)
     policy = RetryPolicy(
         retries=retries,
@@ -238,7 +223,6 @@ def run_real_join(
         buckets=buckets,
         tsize=tsize,
         resident_buckets=resident_buckets,
-        rebalance=rebalance,
     )
     governed = (
         mem_budget is not None or disk_budget is not None or governor is not None
@@ -388,7 +372,6 @@ def run_real_join(
             if any(stage.buffered for stage in pass_plan.stages)
             else None
         ),
-        rebalance=dict(outcome.rebalance),
         resume=dict(outcome.resume),
         integrity=dict(outcome.integrity),
     )

@@ -54,24 +54,19 @@ import numpy as np
 from repro.governor.predict import merge_fanin
 from repro.governor.watchdog import active_meter
 from repro.obs.registry import active as _metrics
-from repro.parallel.engine.rebalance import key_sample_positions
 from repro.parallel.engine.task import (
     PairResult,
     PairSink,
-    RunCut,
     StageOutput,
     TaskSpec,
     bucket_spill_name,
     bucket_spill_paths,
-    clear_stale_runs,
     merge_run_name,
     nl_spill_name,
     pairs_name,
     register_kernel,
     rs_name,
-    run_lower_bound,
     run_name,
-    run_paths,
     sort_run_spans,
     sweep_merge_runs,
 )
@@ -192,37 +187,25 @@ def nested_loops_pass0(spec: TaskSpec) -> PairResult:
 
 @register_kernel
 def nested_loops_pass1(spec: TaskSpec) -> PairResult:
-    """Phases t = 1..D-1: join RP_i,offset(i,t) against that S partition.
-
-    Rebalance axis ``records``: ``spec.shard`` restricts the kernel to
-    the record range ``[lo, hi)`` of the phase spill files concatenated
-    in phase order — every shard walks the same file list with the same
-    global indexing, so the shard union is exactly the unsharded scan.
-    """
-    disks, i, shard = spec.disks, spec.partition, spec.shard
+    """Phases t = 1..D-1: join RP_i,offset(i,t) against that S partition."""
+    disks, i = spec.disks, spec.partition
     batch_records = spec.plan.batch_records
     store = spec.open_store()
     pmap = spec.pointer_map()
     meter = active_meter()
     partners = [_phase_partner(i, t, disks) for t in range(1, disks)]
     spill_paths = [store.path(i, nl_spill_name(i, j)) for j in partners]
-    counts = [MappedSegment.record_count(path) for path in spill_paths]
-    total = sum(counts)
-    lo, hi = (0, total) if shard is None else (shard.lo, min(shard.hi, total))
-    sink = PairSink(store.path(i, pairs_name("p1", i, shard)), hi - lo)
-    base = 0
+    sink = PairSink(
+        store.path(i, pairs_name("p1", i)),
+        sum(MappedSegment.record_count(path) for path in spill_paths),
+    )
     try:
-        for j, path, count in zip(partners, spill_paths, counts):
-            start = max(0, lo - base)
-            stop = min(count, hi - base)
-            base += count
-            if shard is not None and start >= stop:
-                continue
+        for j, path in zip(partners, spill_paths):
             with RRelationFile.open(path) as spill, store.open_s(j) as s_rel:
                 r_bytes = spill.segment.layout.record_bytes
                 s_bytes = s_rel.segment.layout.record_bytes
                 for rid, sptr, payload in spill.iter_column_batches(
-                    batch_records, start, stop
+                    batch_records
                 ):
                     charged = len(rid) * (r_bytes + s_bytes)
                     meter.charge(charged, "nested-loops spill batch")
@@ -281,34 +264,30 @@ def sort_merge_partition(spec: TaskSpec) -> int:
 
 
 @register_kernel
-def sort_merge_runs(spec: TaskSpec) -> RunCut:
+def sort_merge_runs(spec: TaskSpec) -> int:
     """Cut one partition's inbound RS files into sorted runs on disk.
 
     Inbound records are copied whole into one run buffer of ``irun``
     slots; each full buffer — the next contiguous ``irun`` records of the
     inbound stream — is appended in stable ``sptr`` order as the next
-    extent of this task's one RUN segment (only the last is short), and
-    its keys at :func:`key_sample_positions` go back to the driver, which
-    plans key-range shards without opening a run.  The meter holds
-    exactly the buffered records, so a shrunken ``irun`` directly lowers
-    this stage's high-water mark at the cost of more runs (and, under a
-    budget, more passes) for the merge stage.
+    extent of this task's one RUN segment (only the last is short).  The
+    meter holds exactly the buffered records, so a shrunken ``irun``
+    directly lowers this stage's high-water mark at the cost of more runs
+    (and, under a budget, more passes) for the merge stage.
     """
-    i, shard, record_bytes = spec.partition, spec.shard, spec.r_bytes
+    i, record_bytes = spec.partition, spec.r_bytes
     batch_records = spec.plan.batch_records
     store = spec.open_store()
     meter = active_meter()
     irun = max(1, spec.plan.irun)
-    clear_stale_runs(store, i, shard)
     spans = sort_run_spans(store, spec)
-    total = sum(stop - start for _path, start, stop in spans)
+    total = sum(count for _path, count in spans)
     out = SortedRunsFile.create(
-        store.path(i, run_name(i, shard)), max(1, total), irun,
+        store.path(i, run_name(i)), max(1, total), irun,
         record_bytes, overwrite=True,
     )
     run = np.empty(min(irun, total), dtype=(np.void, record_bytes))
     fields = RecordLayout(record_bytes).np_dtype
-    samples: List[List[int]] = []
     fill = inbound = 0
 
     def flush_run() -> None:
@@ -316,19 +295,14 @@ def sort_merge_runs(spec: TaskSpec) -> RunCut:
         if not fill:
             return
         records = run[:fill]
-        keys = records.view(fields)["f1"]
-        order = _stable_order(keys)
-        out.append_run(records[order])
-        samples.append(keys[order[key_sample_positions(fill)]].tolist())
+        out.append_run(records[_stable_order(records.view(fields)["f1"])])
         meter.release(fill * record_bytes)
         fill = 0
 
     try:
-        for path, start, stop in spans:
+        for path, _count in spans:
             with RRelationFile.open(path) as rel:
-                for records in rel.iter_record_batches(
-                    batch_records, start, stop
-                ):
+                for records in rel.iter_record_batches(batch_records):
                     inbound += len(records)
                     meter.charge(
                         len(records) * record_bytes, "sort-run buffer"
@@ -345,7 +319,7 @@ def sort_merge_runs(spec: TaskSpec) -> RunCut:
         out.abort()
         raise
     out.close()
-    return RunCut(inbound, samples)
+    return inbound
 
 
 class Run(NamedTuple):
@@ -364,15 +338,13 @@ def _segment_runs(rel: RRelationFile) -> List[Run]:
 
 
 def open_runs(store: Store, partition: int, opened: ExitStack) -> List[Run]:
-    """Open each of a partition's RUN segments once, into ``opened``;
-    return every run they hold, in inbound order."""
-    return [
-        run
-        for path in run_paths(store, partition)
-        for run in _segment_runs(
-            opened.enter_context(SortedRunsFile.open(path))
+    """Open a partition's RUN segment into ``opened``; return every run it
+    holds, in inbound order."""
+    return _segment_runs(
+        opened.enter_context(
+            SortedRunsFile.open(store.path(partition, run_name(partition)))
         )
-    ]
+    )
 
 
 class _RunCursor:
@@ -382,30 +354,13 @@ class _RunCursor:
     the previous one is spent; the run is read with
     :meth:`RRelationFile.read_columns` so memory stays bounded by the
     chunk size, not the run length.
-
-    With a key range ``[klo, khi)`` (the ``keys`` rebalance axis) each
-    loaded chunk is masked to the range; because runs are sptr-sorted,
-    once a chunk's tail reaches ``khi`` the rest of the run is out of
-    range and the cursor reports exhausted.
     """
 
-    def __init__(
-        self,
-        run: Run,
-        klo: int | None = None,
-        khi: int | None = None,
-    ) -> None:
+    def __init__(self, run: Run) -> None:
         self.rel = run.rel
         self.pos = run.lo  # records loaded so far end here
         self.end = run.hi
-        self.klo = klo
-        self.khi = khi
-        self.range_done = False  # key range exhausted before run end
         self.rid = self.sptr = self.payload = None
-        if klo is not None:
-            # Seek past lower shards' records instead of reading and
-            # masking them away chunk by chunk.
-            self.pos = run_lower_bound(run.rel, klo, run.lo, run.hi)
 
     @property
     def buffered(self) -> int:
@@ -413,34 +368,19 @@ class _RunCursor:
 
     @property
     def file_exhausted(self) -> bool:
-        return self.range_done or self.pos >= self.end
+        return self.pos >= self.end
 
-    def load(self, chunk_records: int, meter, record_bytes: int) -> int:
-        delivered = 0
-        while not delivered and not self.file_exhausted:
-            n = min(chunk_records, self.end - self.pos)
-            rid, sptr, payload = self.rel.read_columns(self.pos, n)
-            self.pos += n
-            metrics = _metrics()
-            if metrics.enabled:
-                kind = self.rel.segment.kind
-                metrics.count("storage.read.batches", 1, kind=kind)
-                metrics.count("storage.read.records", n, kind=kind)
-                metrics.count("storage.read.bytes", n * record_bytes, kind=kind)
-            if self.klo is not None:
-                if int(sptr[-1]) >= self.khi:
-                    self.range_done = True
-                keep = (sptr >= np.uint64(self.klo)) & (
-                    sptr < np.uint64(self.khi)
-                )
-                if not keep.all():
-                    rid, sptr, payload = rid[keep], sptr[keep], payload[keep]
-                if not len(rid):
-                    continue
-            self.rid, self.sptr, self.payload = rid, sptr, payload
-            meter.charge(len(rid) * record_bytes, "merge run chunk")
-            delivered = len(rid)
-        return delivered
+    def load(self, chunk_records: int, meter, record_bytes: int) -> None:
+        n = min(chunk_records, self.end - self.pos)
+        self.rid, self.sptr, self.payload = self.rel.read_columns(self.pos, n)
+        self.pos += n
+        metrics = _metrics()
+        if metrics.enabled:
+            kind = self.rel.segment.kind
+            metrics.count("storage.read.batches", 1, kind=kind)
+            metrics.count("storage.read.records", n, kind=kind)
+            metrics.count("storage.read.bytes", n * record_bytes, kind=kind)
+        meter.charge(n * record_bytes, "merge run chunk")
 
     def take(self, n: int) -> tuple:
         out = (self.rid[:n], self.sptr[:n], self.payload[:n])
@@ -467,10 +407,6 @@ def sort_merge_merge_join(spec: TaskSpec) -> PairResult:
     holding it streams its tied prefix alone (:func:`_merge_runs`), so a
     hot key never pulls its whole tie group into memory.
 
-    Rebalance axis ``keys``: ``spec.shard`` carries an sptr key range
-    ``[lo, hi)``.  Each shard merges *all* runs clipped to its range; the
-    ranges tile the key space, so the shard union is the full merge.
-
     Under a memory budget the fan-in is bounded
     (:func:`~repro.governor.predict.merge_fanin`): while more runs remain
     than may be open at once, every ``fanin`` *consecutive* runs are
@@ -481,14 +417,14 @@ def sort_merge_merge_join(spec: TaskSpec) -> PairResult:
     read; intermediates are deleted once merged and swept however the
     task ends.
     """
-    i, shard = spec.partition, spec.shard
+    i = spec.partition
     store = spec.open_store()
-    sweep_merge_runs(store, i, shard)
+    sweep_merge_runs(store, i)
     try:
         with ExitStack() as opened:
             runs = open_runs(store, i, opened)
             sink = PairSink(
-                store.path(i, pairs_name("sm", i, shard)),
+                store.path(i, pairs_name("sm", i)),
                 sum(run.hi - run.lo for run in runs),
             )
             try:
@@ -499,7 +435,7 @@ def sort_merge_merge_join(spec: TaskSpec) -> PairResult:
                 sink.abort()
                 raise
     finally:
-        sweep_merge_runs(store, i, shard)
+        sweep_merge_runs(store, i)
 
 
 def _merge_join(spec, store, opened, runs, s_rel, sink) -> None:
@@ -508,11 +444,10 @@ def _merge_join(spec, store, opened, runs, s_rel, sink) -> None:
     Intermediates are opened into ``opened`` (the task's one exit stack)
     and closed and deleted as soon as the next level has merged them.
     """
-    i, shard, record_bytes = spec.partition, spec.shard, spec.r_bytes
+    i, record_bytes = spec.partition, spec.r_bytes
     batch_records = spec.plan.batch_records
     pmap = spec.pointer_map()
     meter = active_meter()
-    klo, khi = (None, None) if shard is None else (shard.lo, shard.hi)
     s_bytes = s_rel.segment.layout.record_bytes
     batch_cost = record_bytes + s_bytes
     fanin = merge_fanin(
@@ -526,10 +461,8 @@ def _merge_join(spec, store, opened, runs, s_rel, sink) -> None:
             if len(group) == 1:
                 merged.extend(group)  # the odd run out rides along
                 continue
-            out = store.path(i, merge_run_name(i, shard, level, len(merged)))
-            _merge_group(
-                out, group, klo, khi, batch_records, record_bytes, meter
-            )
+            out = store.path(i, merge_run_name(i, level, len(merged)))
+            _merge_group(out, group, batch_records, record_bytes, meter)
             for run in group:
                 if not isinstance(run.rel, SortedRunsFile):
                     run.rel.close()  # an intermediate, now merged
@@ -544,7 +477,7 @@ def _merge_join(spec, store, opened, runs, s_rel, sink) -> None:
         sid, value = s_rel.dereference_columns(pmap.offset_array(sptr))
         sink.emit_arrays(rid, sid, payload, value)
 
-    if shard is None and len(runs) == 1:
+    if len(runs) == 1:
         run = runs[0]
         for rid, sptr, payload in run.rel.iter_column_batches(
             batch_records, run.lo, run.hi
@@ -554,7 +487,7 @@ def _merge_join(spec, store, opened, runs, s_rel, sink) -> None:
             meter.release(len(rid) * batch_cost)
     elif runs:
         _merge_runs(
-            [_RunCursor(run, klo, khi) for run in runs],
+            [_RunCursor(run) for run in runs],
             batch_records, record_bytes, s_bytes, meter, emit,
         )
 
@@ -562,8 +495,6 @@ def _merge_join(spec, store, opened, runs, s_rel, sink) -> None:
 def _merge_group(
     out_path,
     group: List[Run],
-    klo: int | None,
-    khi: int | None,
     batch_records: int,
     record_bytes: int,
     meter,
@@ -576,7 +507,7 @@ def _merge_group(
     )
     try:
         _merge_runs(
-            [_RunCursor(run, klo, khi) for run in group],
+            [_RunCursor(run) for run in group],
             batch_records, record_bytes, 0, meter, out.append_columns,
         )
     except BaseException:
@@ -913,20 +844,14 @@ def grace_probe(spec: TaskSpec) -> PairResult:
     The paper's ``TSIZE`` chain table is one :func:`_group` by refining
     chain: chains fill in inbound order and flatten in chain order, which
     is exactly the stably-sorted-by-chain permutation.
-
-    Rebalance axis ``buckets``: ``spec.shard`` restricts the probe to the
-    contiguous bucket range ``[lo, hi)``; buckets are independent units
-    of work, so the shard union probes exactly the unsharded sequence.
     """
-    disks, i, shard = spec.disks, spec.partition, spec.shard
+    disks, i = spec.disks, spec.partition
     buckets, tsize = spec.plan.buckets, spec.plan.tsize
     batch_records = spec.plan.batch_records
     store = spec.open_store()
     pmap = spec.pointer_map()
     meter = active_meter()
     part_size = pmap.partition_size(i)
-    bucket_lo = 0 if shard is None else shard.lo
-    bucket_hi = buckets if shard is None else min(shard.hi, buckets)
     inbound: List[BucketedRFile] = []
     for contributor in range(disks):
         for path in bucket_spill_paths(store, i, contributor):
@@ -934,10 +859,10 @@ def grace_probe(spec: TaskSpec) -> PairResult:
     capacity = sum(len(rel) for rel in inbound)
     sink = None
     try:
-        sink = PairSink(store.path(i, pairs_name("probe", i, shard)), capacity)
+        sink = PairSink(store.path(i, pairs_name("probe", i)), capacity)
         with store.open_s(i) as s_rel:
             s_bytes = s_rel.segment.layout.record_bytes
-            for bucket in range(bucket_lo, bucket_hi):
+            for bucket in range(buckets):
                 chunks: List[tuple] = []
                 bucket_charged = 0
                 for rel in inbound:

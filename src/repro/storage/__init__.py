@@ -1,6 +1,5 @@
 """Real mmap-backed single-level store (the µDatabase substrate)."""
 
-from repro.storage.btree import MAX_KEYS, BTreeError, PersistentBTree
 from repro.storage.layout import LayoutError, RecordLayout
 from repro.storage.relation import (
     PAIR_RECORD_BYTES,
@@ -24,13 +23,10 @@ from repro.storage.segment import (
 from repro.storage.store import Store
 
 __all__ = [
-    "BTreeError",
     "LayoutError",
-    "MAX_KEYS",
     "MappedSegment",
     "PAIR_RECORD_BYTES",
     "PairsFile",
-    "PersistentBTree",
     "RRelationFile",
     "RecordLayout",
     "SRelationFile",

@@ -21,7 +21,6 @@ from repro.storage.segment import (
     META_CAPACITY,
     MappedSegment,
     StorageError,
-    _read_header,
 )
 
 DEFAULT_BATCH_RECORDS = 4096
@@ -105,8 +104,8 @@ class RRelationFile(_RelationFile):
     ) -> Iterator[List[RObject]]:
         """Iterate objects in decoded batches (the workers' inner shape).
 
-        ``start``/``stop`` bound the record range (a rebalance shard's
-        slice); defaults cover the whole relation.
+        ``start``/``stop`` bound the record range (one sorted run's
+        extent); defaults cover the whole relation.
         """
         unpack = self.segment.layout.unpack_r_batch
         for view in self.segment.iter_batches(batch_records, start, stop):
@@ -137,10 +136,7 @@ class RRelationFile(_RelationFile):
                 view.release()
 
     def iter_record_batches(
-        self,
-        batch_records: int = DEFAULT_BATCH_RECORDS,
-        start: int = 0,
-        stop: int | None = None,
+        self, batch_records: int = DEFAULT_BATCH_RECORDS
     ) -> Iterator[_np.ndarray]:
         """Iterate whole records: owned ``(n,)`` arrays of ``V<record_bytes>``.
 
@@ -150,11 +146,10 @@ class RRelationFile(_RelationFile):
         the structured ``np_dtype`` would not — numpy copies only its named
         fields.  ``batch.view(layout.np_dtype)`` reads the header fields.
         Each batch is one copy out of the mapping, made before the yield,
-        so no view outlives the step.  ``start``/``stop`` as in
-        :meth:`iter_object_batches`.
+        so no view outlives the step.
         """
         item = _np.dtype((_np.void, self.segment.layout.record_bytes))
-        for view in self.segment.iter_batches(batch_records, start, stop):
+        for view in self.segment.iter_batches(batch_records):
             with view:
                 batch = _np.frombuffer(view, dtype=item).copy()
             yield batch
@@ -434,17 +429,6 @@ class BucketedRFile(_RelationFile):
             segment.close()
             raise
         return cls(segment, directory)
-
-    @staticmethod
-    def bucket_counts(path: str | os.PathLike) -> List[int]:
-        """Per-bucket record counts from the header page, without mapping.
-
-        The bucketed twin of :meth:`MappedSegment.record_count`: one page
-        read, header sanity, no payload verification — for sizing work
-        from a published spill whose readers verify it themselves.
-        """
-        meta = _read_header(path).meta
-        return [count for _start, count in _directory_of(meta, path)]
 
     @property
     def buckets(self) -> int:

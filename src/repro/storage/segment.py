@@ -706,8 +706,8 @@ class MappedSegment:
     ) -> Iterator[memoryview]:
         """Views covering records ``[start, stop)``, ``batch_records`` at a time.
 
-        Defaults cover every written record; a narrower window is the
-        executor rebalancer's record-range shard shape.
+        Defaults cover every written record; a narrower window is one
+        sorted run's extent.
         """
         if batch_records <= 0:
             raise StorageError(f"batch size must be positive: {batch_records}")

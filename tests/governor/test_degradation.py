@@ -9,7 +9,7 @@ escaping ``run_real_join``.
 
 import pytest
 
-from repro.joins import verify_pairs
+from repro.joins import expected_checksum, verify_pairs
 from repro.obs.export import schema_problems
 from repro.parallel import FaultPlan, run_real_join
 from repro.governor import (
@@ -126,6 +126,30 @@ class TestBitIdenticalUnderPressure:
         assert result.pair_count == baseline.pair_count
         assert result.checksum == baseline.checksum
         assert result.degradations_total >= 1
+
+
+class TestSkewedGovernedRun:
+    def test_governed_run_degrades_and_stays_correct(self, tmp_path):
+        """Half of R points into a quarter of S: the hot partition's task
+        sets every pass's footprint, and the ladder shrinks the plan until
+        it fits without changing the answer."""
+        hot = generate_workload(
+            WorkloadSpec(
+                r_objects=4_000, s_objects=4_000, seed=13,
+                distribution="partition_hot",
+                distribution_args={"hot_fraction": 0.5, "hot_span": 0.25},
+            ),
+            disks=4,
+        )
+        result = run_real_join(
+            "grace", hot, str(tmp_path / "db"), use_processes=False,
+            collect_pairs=False, mem_budget=400_000, on_pressure="degrade",
+            max_degradations=16,
+        )
+        assert result.checksum == expected_checksum(hot)
+        assert result.degradations_total >= 1
+        observed = result.governor["observed"]["worker_mem_high_water_bytes"]
+        assert observed <= result.governor["budgets"]["worker_mem_budget_bytes"]
 
 
 class TestClassifiedRefusals:

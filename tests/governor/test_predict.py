@@ -6,8 +6,10 @@ mark never exceeds the model's prediction, and the prediction is not
 uselessly loose — within ``TOLERANCE``× of what was observed.
 """
 
+import numpy as np
 import pytest
 
+from repro.core.pointer import PointerMap
 from repro.governor import JoinPlan, fit_plan, predict, predict_footprint
 from repro.governor.predict import (
     FIT_MARGIN,
@@ -39,6 +41,17 @@ MEMORY_FRACTIONS = [("generous", 1 << 16), ("tight", 32 * 1024)]
 def workload():
     return generate_workload(
         WorkloadSpec(r_objects=R_OBJECTS, s_objects=R_OBJECTS, seed=7),
+        disks=2,
+    )
+
+
+@pytest.fixture(scope="module")
+def hot_workload():
+    return generate_workload(
+        WorkloadSpec(
+            r_objects=R_OBJECTS, s_objects=R_OBJECTS, seed=7,
+            distribution="partition_hot",
+        ),
         disks=2,
     )
 
@@ -267,6 +280,42 @@ class TestPredictedVsObserved:
         # Looseness bound: nor over-predict into uselessness.
         assert predicted <= TOLERANCE * max(observed, PAGE_SIZE), (
             algorithm, label, observed, predicted
+        )
+
+    @pytest.mark.parametrize("algorithm", sorted(REAL_ALGORITHMS))
+    @pytest.mark.parametrize("label,mem_budget", MEMORY_FRACTIONS)
+    def test_observed_within_tolerance_on_partition_hot(
+        self, hot_workload, algorithm, label, mem_budget, tmp_path
+    ):
+        """The same bounds where one partition holds most of R: the model
+        prices the measured skew raw, because the hot partition's task
+        holds that partition's whole inbound."""
+        self.test_observed_within_tolerance(
+            hot_workload, algorithm, label, mem_budget, tmp_path
+        )
+
+    def test_sort_run_price_holds_the_hottest_partition(self):
+        """One task cuts each partition, so with a run heap larger than
+        every partition the sort-run price is the hottest partition's
+        whole inbound — the measured skew priced raw, not capped."""
+        hot = generate_workload(
+            WorkloadSpec(
+                r_objects=2_000, s_objects=2_000, seed=7,
+                distribution="partition_hot",
+            ),
+            disks=4,
+        )
+        _rid, sptr, _payload = hot.r_flat()
+        parts, _offs = PointerMap(
+            s_objects=hot.s_objects_total, partitions=hot.disks
+        ).locate_array(sptr)
+        hottest = int(np.bincount(parts, minlength=hot.disks).max())
+        assert hottest > 1.5 * hot.r_objects_total / hot.disks
+        estimate = predict_footprint(
+            "sort-merge", hot, JoinPlan(irun=1 << 20), None
+        )
+        assert estimate.per_pass_mem_bytes["sort-runs"] >= (
+            hottest * hot.spec.r_bytes
         )
 
     @pytest.mark.parametrize("algorithm", sorted(REAL_ALGORITHMS))

@@ -24,19 +24,15 @@ from repro.core.records import RObject
 from repro.joins.grace import order_preserving_bucket, refining_chain
 from repro.parallel import vectorized
 from repro.parallel.engine import task as engine_task
-from repro.parallel.engine.rebalance import key_sample_positions
 from repro.parallel.engine.task import (
     PairResult,
     PairSink,
-    RunCut,
     StageOutput,
     TaskSpec,
     bucket_spill_paths,
-    clear_stale_runs,
     nl_spill_name,
     pairs_name,
     rs_name,
-    run_lower_bound,
     run_name,
     sort_run_spans,
 )
@@ -133,39 +129,24 @@ def nested_loops_pass0(spec: TaskSpec) -> PairResult:
 
 
 def nested_loops_pass1(spec: TaskSpec) -> PairResult:
-    """Phases t = 1..D-1: join RP_i,offset(i,t) against that S partition.
-
-    Rebalance axis ``records``: ``spec.shard`` restricts the
-    kernel to the record range ``[lo, hi)`` of the phase spill files
-    concatenated in phase order — every shard walks the same file list
-    with the same global indexing, so the shard union is exactly the
-    unsharded scan.
-    """
-    disks, i, shard = spec.disks, spec.partition, spec.shard
+    """Phases t = 1..D-1: join RP_i,offset(i,t) against that S partition."""
+    disks, i = spec.disks, spec.partition
     batch_records = spec.plan.batch_records
     store = spec.open_store()
     pmap = spec.pointer_map()
     meter = active_meter()
     partners = [_phase_partner(i, t, disks) for t in range(1, disks)]
     spill_paths = [store.path(i, nl_spill_name(i, j)) for j in partners]
-    counts = [MappedSegment.record_count(path) for path in spill_paths]
-    total = sum(counts)
-    lo, hi = (0, total) if shard is None else (shard.lo, min(shard.hi, total))
-    sink = PairSink(store.path(i, pairs_name("p1", i, shard)), hi - lo)
-    base = 0
+    sink = PairSink(
+        store.path(i, pairs_name("p1", i)),
+        sum(MappedSegment.record_count(path) for path in spill_paths),
+    )
     try:
-        for j, path, count in zip(partners, spill_paths, counts):
-            start = max(0, lo - base)
-            stop = min(count, hi - base)
-            base += count
-            if shard is not None and start >= stop:
-                continue
+        for j, path in zip(partners, spill_paths):
             with RRelationFile.open(path) as spill, store.open_s(j) as s_rel:
                 r_bytes = spill.segment.layout.record_bytes
                 s_bytes = s_rel.segment.layout.record_bytes
-                for batch in spill.iter_object_batches(
-                    batch_records, start, stop
-                ):
+                for batch in spill.iter_object_batches(batch_records):
                     charged = len(batch) * (r_bytes + s_bytes)
                     meter.charge(charged, "nested-loops spill batch")
                     offsets = pmap.offset_many([obj[1] for obj in batch])
@@ -217,32 +198,28 @@ def sort_merge_partition(spec: TaskSpec) -> int:
     return moved
 
 
-def sort_merge_runs(spec: TaskSpec) -> RunCut:
+def sort_merge_runs(spec: TaskSpec) -> int:
     """Cut one partition's inbound RS files into sorted runs on disk.
 
     The runs are consecutive ``irun``-record extents of the task's one
-    RUN segment (only the last is short), and each run's keys at
-    :func:`key_sample_positions` return with the result so the driver
-    can plan key-range shards without opening a run.  The meter's charge
+    RUN segment (only the last is short).  The meter's charge
     always equals len(buffer) * record_bytes: extends charge, flushes
     release exactly what they wrote — so a shrunken ``irun`` directly
     lowers this stage's high-water mark at the cost of more runs (and,
     under a budget, more passes) for the merge stage.
     """
-    i, shard, record_bytes = spec.partition, spec.shard, spec.r_bytes
+    i, record_bytes = spec.partition, spec.r_bytes
     batch_records = spec.plan.batch_records
     store = spec.open_store()
     meter = active_meter()
     irun = max(1, spec.plan.irun)
-    clear_stale_runs(store, i, shard)
     spans = sort_run_spans(store, spec)
     out = SortedRunsFile.create(
-        store.path(i, run_name(i, shard)),
-        max(1, sum(stop - start for _path, start, stop in spans)),
+        store.path(i, run_name(i)),
+        max(1, sum(count for _path, count in spans)),
         irun, record_bytes, overwrite=True,
     )
     buffer: List[RObject] = []
-    samples: List[List[int]] = []
     inbound = 0
 
     def flush_run() -> None:
@@ -250,18 +227,13 @@ def sort_merge_runs(spec: TaskSpec) -> RunCut:
             return
         buffer.sort(key=lambda obj: obj.sptr)
         out.append_run(out.segment.layout.pack_r_batch(buffer))
-        samples.append(
-            [buffer[k].sptr for k in key_sample_positions(len(buffer))]
-        )
         meter.release(len(buffer) * record_bytes)
         buffer.clear()
 
     try:
-        for path, start, stop in spans:
+        for path, _count in spans:
             with RRelationFile.open(path) as rel:
-                for batch in rel.iter_object_batches(
-                    batch_records, start, stop
-                ):
+                for batch in rel.iter_object_batches(batch_records):
                     inbound += len(batch)
                     meter.charge(len(batch) * record_bytes, "sort-run buffer")
                     buffer.extend(batch)
@@ -275,23 +247,14 @@ def sort_merge_runs(spec: TaskSpec) -> RunCut:
         out.abort()
         raise
     out.close()
-    return RunCut(inbound, samples)
+    return inbound
 
 
-def _run_stream(run, batch_records: int, klo=None, khi=None):
-    """Stream one run extent's objects, clipped to ``sptr in [klo, khi)``.
-
-    A key-range shard binary-seeks to its range start inside the extent
-    and stops at the first record past it, so its cost is proportional
-    to its own range — never to the prefix owned by lower shards.
-    """
+def _run_stream(run, batch_records: int):
+    """Stream one run extent's objects."""
     rel, lo, hi = run
-    start = lo if klo is None else run_lower_bound(rel, klo, lo, hi)
-    for batch in rel.iter_object_batches(batch_records, start, hi):
-        for obj in batch:
-            if khi is not None and obj.sptr >= khi:
-                return
-            yield obj
+    for batch in rel.iter_object_batches(batch_records, lo, hi):
+        yield from batch
 
 
 def sort_merge_merge_join(spec: TaskSpec) -> PairResult:
@@ -301,30 +264,22 @@ def sort_merge_merge_join(spec: TaskSpec) -> PairResult:
     stream.  A single run needs no heap: its records are already in sptr
     order — the common case whenever a partition's inbound fits one
     initial run.
-
-    Rebalance axis ``keys``: ``spec.shard`` carries an sptr
-    key range ``[lo, hi)``.  Each shard merges *all* runs clipped to its
-    range; the ranges tile the key space, so the shard union is the full
-    merge (runs are sorted, so clipping preserves merge order).
     """
-    i, shard, record_bytes = spec.partition, spec.shard, spec.r_bytes
+    i, record_bytes = spec.partition, spec.r_bytes
     batch_records = spec.plan.batch_records
     store = spec.open_store()
     pmap = spec.pointer_map()
     meter = active_meter()
-    klo, khi = (None, None) if shard is None else (shard.lo, shard.hi)
     with ExitStack() as opened:
         runs = vectorized.open_runs(store, i, opened)
         sink = PairSink(
-            store.path(i, pairs_name("sm", i, shard)),
+            store.path(i, pairs_name("sm", i)),
             sum(run.hi - run.lo for run in runs),
         )
         try:
             with store.open_s(i) as s_rel:
                 batch_cost = record_bytes + s_rel.segment.layout.record_bytes
-                streams = [
-                    _run_stream(run, batch_records, klo, khi) for run in runs
-                ]
+                streams = [_run_stream(run, batch_records) for run in runs]
                 merged = (
                     streams[0]
                     if len(streams) == 1
@@ -516,22 +471,14 @@ def hybrid_hash_partition(spec: TaskSpec) -> StageOutput:
 
 
 def grace_probe(spec: TaskSpec) -> PairResult:
-    """Probe passes for one partition: bucket table, ordered S access.
-
-    Rebalance axis ``buckets``: ``spec.shard`` restricts the
-    probe to the contiguous bucket range ``[lo, hi)``.  Buckets are
-    independent units of work, so the shard union probes exactly the
-    unsharded bucket sequence.
-    """
-    disks, i, shard = spec.disks, spec.partition, spec.shard
+    """Probe passes for one partition: bucket table, ordered S access."""
+    disks, i = spec.disks, spec.partition
     buckets, tsize = spec.plan.buckets, spec.plan.tsize
     batch_records = spec.plan.batch_records
     store = spec.open_store()
     pmap = spec.pointer_map()
     meter = active_meter()
     part_size = pmap.partition_size(i)
-    bucket_lo = 0 if shard is None else shard.lo
-    bucket_hi = buckets if shard is None else min(shard.hi, buckets)
     inbound: List[BucketedRFile] = []
     for contributor in range(disks):
         for path in bucket_spill_paths(store, i, contributor):
@@ -539,10 +486,10 @@ def grace_probe(spec: TaskSpec) -> PairResult:
     capacity = sum(len(rel) for rel in inbound)
     sink = None
     try:
-        sink = PairSink(store.path(i, pairs_name("probe", i, shard)), capacity)
+        sink = PairSink(store.path(i, pairs_name("probe", i)), capacity)
         with store.open_s(i) as s_rel:
             s_bytes = s_rel.segment.layout.record_bytes
-            for bucket in range(bucket_lo, bucket_hi):
+            for bucket in range(buckets):
                 table: List[List[RObject]] = [[] for _ in range(tsize)]
                 bucket_charged = 0
                 for rel in inbound:

@@ -31,7 +31,7 @@ from repro.governor.watchdog import (
     deactivate_meter,
 )
 from repro.parallel import FaultPlan, run_real_join, vectorized
-from repro.parallel.engine.task import Shard, TaskSpec, run_name, run_paths
+from repro.parallel.engine.task import TaskSpec, run_name
 from repro.storage.relation import SortedRunsFile, read_pairs
 from repro.storage.store import Store
 from repro.workload import WorkloadSpec, generate_workload
@@ -53,10 +53,10 @@ def merge_scratch(root) -> list:
     return sorted(str(p.relative_to(root)) for p in root.rglob("MRG*"))
 
 
-def merge_segments(segments, keys, irun, fanin, chunk):
-    """Write ``segments`` (per sort-run task, a list of sorted ``(rid,
-    sptr, payload)`` runs) as RUN segments, run the merge kernel on them
-    under a ``fanin``-run budget with ``chunk``-record batches, and return
+def merge_runs(runs, keys, irun, fanin, chunk):
+    """Write ``runs`` (sorted ``(rid, sptr, payload)`` column triples) as
+    one sort-run task's RUN segment, run the merge kernel on it under a
+    ``fanin``-run budget with ``chunk``-record batches, and return
     ``(emitted pairs, the meter's high-water bytes)``."""
     # One disk, ``keys`` S objects: every run draws its pointers from the
     # same handful of keys, so ties span runs, segments and passes.
@@ -66,20 +66,14 @@ def merge_segments(segments, keys, irun, fanin, chunk):
     with tempfile.TemporaryDirectory() as root:
         store = Store(root, 1)
         store.materialize(workload)
-        for index, runs in enumerate(segments):
-            shard = (
-                None if len(segments) == 1
-                else Shard(index, len(segments), 0, 0)
-            )
-            rel = SortedRunsFile.create(
-                store.path(0, run_name(0, shard)),
-                max(1, sum(len(run[0]) for run in runs)), irun, R_BYTES,
-            )
-            for run in runs:
-                rel.append_run(rel.segment.layout.pack_columns(*run))
-            rel.close()
-        before = [path.read_bytes() for path in run_paths(store, 0)]
-        assert len(before) == len(segments)
+        path = store.path(0, run_name(0))
+        rel = SortedRunsFile.create(
+            path, max(1, sum(len(run[0]) for run in runs)), irun, R_BYTES
+        )
+        for run in runs:
+            rel.append_run(rel.segment.layout.pack_columns(*run))
+        rel.close()
+        before = path.read_bytes()
         meter = activate_meter(MemoryMeter())
         try:
             result = vectorized.sort_merge_merge_join(
@@ -94,8 +88,8 @@ def merge_segments(segments, keys, irun, fanin, chunk):
             deactivate_meter()
         emitted = read_pairs(result.path)
         assert result.count == len(emitted)
-        # The sort-run stage's segments are read, never rewritten.
-        assert [p.read_bytes() for p in run_paths(store, 0)] == before
+        # The sort-run stage's segment is read, never rewritten.
+        assert path.read_bytes() == before
         assert merge_scratch(store.root) == []
     return emitted, meter.high_water_bytes
 
@@ -115,7 +109,7 @@ def assert_one_stable_sort(emitted, runs):
 class TestMergeProperty:
     @settings(max_examples=60, deadline=None)
     @given(
-        lengths=st.lists(st.integers(0, 30), min_size=1, max_size=3),
+        length=st.integers(0, 90),
         irun=st.integers(1, 12),
         keys=st.integers(1, 8),
         fanin=st.integers(2, 8),
@@ -123,27 +117,20 @@ class TestMergeProperty:
         seed=st.integers(0, 2**16),
     )
     def test_multi_pass_merge_is_one_stable_sort(
-        self, lengths, irun, keys, fanin, chunk, seed
+        self, length, irun, keys, fanin, chunk, seed
     ):
         rng = np.random.default_rng(seed)
-        # One RUN segment per sort-run task (a shard each when there are
-        # several), cut into ``irun``-record sorted extents.
-        segments = []
-        next_rid = 0
-        for length in lengths:
-            runs = []
-            for lo in range(0, length, irun):
-                n = min(irun, length - lo)
-                sptr = np.sort(rng.integers(0, keys, n).astype(np.uint64))
-                rid = np.arange(next_rid, next_rid + n, dtype=np.uint64)
-                payload = rng.integers(0, 2**32, n).astype(np.uint64)
-                next_rid += n
-                runs.append((rid, sptr, payload))
-            segments.append(runs)
-        emitted, _ = merge_segments(segments, keys, irun, fanin, chunk)
-        assert_one_stable_sort(
-            emitted, [run for segment in segments for run in segment]
-        )
+        # One sort-run task's RUN segment, cut into ``irun``-record sorted
+        # extents (only the last short).
+        runs = []
+        for lo in range(0, length, irun):
+            n = min(irun, length - lo)
+            sptr = np.sort(rng.integers(0, keys, n).astype(np.uint64))
+            rid = np.arange(lo, lo + n, dtype=np.uint64)
+            payload = rng.integers(0, 2**32, n).astype(np.uint64)
+            runs.append((rid, sptr, payload))
+        emitted, _ = merge_runs(runs, keys, irun, fanin, chunk)
+        assert_one_stable_sort(emitted, runs)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -174,9 +161,7 @@ class TestMergeProperty:
             rid = np.arange(index * irun, (index + 1) * irun, dtype=np.uint64)
             payload = rng.integers(0, 2**32, irun).astype(np.uint64)
             runs.append((rid, sptr, payload))
-        emitted, high_water = merge_segments(
-            [runs], keys, irun, fanin, chunk
-        )
+        emitted, high_water = merge_runs(runs, keys, irun, fanin, chunk)
         assert_one_stable_sort(emitted, runs)
         assert high_water <= (
             min(len(runs), fanin) * chunk * R_BYTES

@@ -155,34 +155,48 @@ def test_manifest_for_another_algorithm_is_declined(workload, tmp_path):
     assert resumed.checksum == baseline.checksum
 
 
+def _split_build(document):
+    """What the build that split hot partitions into several tasks wrote:
+    a ``rebalance`` knob in the plan, key samples in the sort-run record."""
+    document["plan"]["rebalance"] = "auto"
+    for record in document["stages"]:
+        record["rebalance"] = None
+        record["run_keys"] = (
+            [[1, [0]]] * DISKS if record["label"] == "sort-runs" else None
+        )
+
+
 @pytest.mark.parametrize(
-    "edit, knob",
+    "algorithm, edit, knob",
     [
         # What the build before the partitioner cut recorded.
-        (lambda plan: plan.update(partitioner=None), "partitioner"),
-        (lambda plan: plan.pop("tsize"), "tsize"),
+        ("grace", lambda doc: doc["plan"].update(partitioner=None),
+         "partitioner"),
+        ("grace", lambda doc: doc["plan"].pop("tsize"), "tsize"),
         # What a build that still had the kernel_mode knob recorded.
-        (lambda plan: plan.update(kernel_mode="vector"), "kernel_mode"),
+        ("grace", lambda doc: doc["plan"].update(kernel_mode="vector"),
+         "kernel_mode"),
+        ("sort-merge", _split_build, "rebalance"),
     ],
-    ids=["extra-knob", "missing-knob", "kernel-mode-knob"],
+    ids=["extra-knob", "missing-knob", "kernel-mode-knob", "rebalance-knob"],
 )
 def test_manifest_from_another_build_is_declined(
-    edit, knob, workload, tmp_path
+    algorithm, edit, knob, workload, tmp_path
 ):
     """A manifest whose plan is not exactly this build's JoinPlan knobs
     (the daemon resumes journaled requests across an upgrade) costs a
     fresh run, never a crash."""
     baseline = run_real_join(
-        "grace", workload, str(tmp_path / "baseline"),
+        algorithm, workload, str(tmp_path / "baseline"),
         use_processes=False, collect_pairs=False,
     )
     store = tmp_path / "crashed"
-    run_to_crash("grace", workload, store)
+    run_to_crash(algorithm, workload, store)
     document = json.loads(manifest_path(store).read_text())
-    edit(document["plan"])
+    edit(document)
     manifest_path(store).write_text(json.dumps(document))
     resumed = run_real_join(
-        "grace", workload, str(store),
+        algorithm, workload, str(store),
         use_processes=False, keep_store=True, collect_pairs=False,
         resume=True,
     )

@@ -35,7 +35,7 @@ from repro.parallel.engine.stages import (
     algorithms,
     plan_for,
 )
-from repro.parallel.engine.task import Shard, TaskSpec
+from repro.parallel.engine.task import TaskSpec
 from repro.workload import WorkloadSpec, generate_workload
 from tests.conftest import store_tree_problems
 from tests.parallel import scalar_oracle
@@ -182,8 +182,7 @@ class TestTaskSpecCarrier:
         spec = TaskSpec(
             "/tmp/db", 2, 1, 300, 128,
             kernel="grace_partition",
-            plan=JoinPlan(batch_records=64, rebalance="on"),
-            shard=Shard(index=1, count=2, lo=10, hi=20),
+            plan=JoinPlan(batch_records=64),
             worker_mem_budget=1 << 20,
             disk_budget=1 << 30,
             metrics=True,
@@ -193,7 +192,7 @@ class TestTaskSpecCarrier:
         with multiprocessing.get_context("spawn").Pool(1) as pool:
             echoed = pool.apply(pickle.loads, (pickle.dumps(spec),))
         assert echoed == spec
-        assert echoed.slot == "1s1"
+        assert echoed.slot == 1
         assert len(pickle.dumps(spec)) < 1024
 
 
@@ -341,6 +340,14 @@ class TestFaultFiresOncePerCoordinate:
         assert result.checksum == expected_checksum(workload)
         assert self.fired(dispatched) == ["crash"]
         assert result.retries_total == 1
+        # One task per partition: the retry is the partition's attempt 1,
+        # and only attempt 0 carried the fault.
+        probes = [
+            (spec.slot, spec.attempt, spec.fault is not None)
+            for spec in dispatched
+            if spec.kernel == "grace_probe" and spec.partition == 0
+        ]
+        assert probes == [(0, 0, True), (0, 1, False)]
 
     def test_across_inline_fallback(self, workload, dispatched, tmp_path):
         # Threads stand in for pool workers: same dispatch path, and the
@@ -370,22 +377,3 @@ class TestFaultFiresOncePerCoordinate:
         assert self.fired(dispatched) == ["crash", "mem-pressure"]
         assert result.retries_total == 1
         assert result.degradations_total == 1
-
-    def test_across_shards(self, workload, dispatched, tmp_path):
-        result = run_real_join(
-            "grace", workload, str(tmp_path / "db"), use_processes=False,
-            rebalance="on",
-            fault_plan=FaultPlan.single("crash", "grace_probe", 0),
-        )
-        assert result.checksum == expected_checksum(workload)
-        assert result.rebalance["probe"]["splits"] >= 1
-        assert self.fired(dispatched) == ["crash"]
-        assert result.retries_total == 1
-        # Only shard 0 counts attempts and carries the fault, so slicing
-        # the partition does not shift the plan's attempt coordinates.
-        probes = [
-            (spec.slot, spec.attempt) for spec in dispatched
-            if spec.kernel == "grace_probe" and spec.partition == 0
-        ]
-        assert probes[:2] == [("0s0", 0), ("0s1", 0)]
-        assert ("0s0", 1) in probes and ("0s1", 1) not in probes

@@ -12,7 +12,9 @@ front to back at every flush.  These tests pin what that buys:
   ``.seg.tmp`` files, which the orphan sweep removes, and its retry — by
   either implementation — writes the clean run's bytes;
 * a partition pass creates exactly one file per non-empty (target,
-  contributor) pair, whatever the budget.
+  contributor) pair, whatever the budget;
+* a spill that rots after the partition barrier is refused by the probe
+  that maps it, and the clean partitions still join.
 """
 
 import dataclasses
@@ -26,8 +28,10 @@ np = pytest.importorskip("numpy")
 
 from repro.governor import JoinPlan
 from repro.parallel import run_real_join, vectorized
-from repro.parallel.engine.task import TaskSpec
+from repro.parallel.engine.task import TaskSpec, bucket_spill_paths
+from repro.parallel.faults import flip_payload_bit
 from repro.storage.relation import BucketedRFile
+from repro.storage.segment import StorageError
 from repro.storage.store import Store
 from repro.workload import WorkloadSpec, generate_workload
 from tests.parallel import scalar_oracle
@@ -221,3 +225,39 @@ class TestFileCount:
         assert partition["counters"]["storage.map.new{kind=BS}"] == (
             non_empty_pairs(paper, plan)
         )
+
+
+class TestRottedSpill:
+    @pytest.fixture()
+    def partitioned(self, tmp_path):
+        """A store at the partition barrier: every BS spill published."""
+        workload = generate_workload(
+            WorkloadSpec(
+                r_objects=2_000, s_objects=2_000, seed=13,
+                distribution="partition_hot",
+                distribution_args={"hot_fraction": 0.5, "hot_span": 0.25},
+            ),
+            disks=4,
+        )
+        store = Store(tmp_path / "db", workload.disks)
+        store.materialize(workload)
+        specs = [
+            TaskSpec(
+                str(store.root), workload.disks, i,
+                workload.spec.s_objects, workload.spec.r_bytes,
+            )
+            for i in range(workload.disks)
+        ]
+        assert sum(vectorized.grace_partition(spec) for spec in specs) == 2_000
+        return store, specs
+
+    def test_spill_rotted_after_the_barrier_is_refused_by_its_probe(
+        self, partitioned
+    ):
+        store, specs = partitioned
+        flip_payload_bit(bucket_spill_paths(store, 1, 0)[0], record=0, bit=3)
+        with pytest.raises(StorageError, match="checksum mismatch"):
+            vectorized.grace_probe(specs[1])
+        assert not list(store.root.glob("disk1/PAIRS*"))
+        # Clean partitions still join.
+        assert vectorized.grace_probe(specs[0]).count > 0

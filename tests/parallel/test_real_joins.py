@@ -1,9 +1,13 @@
 """Tests for the real-mmap parallel join backend."""
 
+import dataclasses
+from contextlib import nullcontext
+
 import pytest
 
-from repro.joins import verify_pairs
+from repro.joins import expected_checksum, verify_pairs
 from repro.parallel import RealJoinError, run_real_join
+from repro.parallel.engine.stages import plan_for
 from repro.workload import WorkloadSpec, generate_workload
 
 
@@ -155,3 +159,71 @@ class TestProcessExecution:
             # close a pool it did not create
             assert pool.map(abs, [-1, -2]) == [1, 2]
         assert first.pair_count == second.pair_count == 800
+
+
+ALGORITHMS = ("nested-loops", "sort-merge", "grace", "hybrid-hash")
+
+
+def skewed(distribution, scale=0.25, seed=13):
+    return generate_workload(
+        dataclasses.replace(
+            WorkloadSpec.paper_validation(scale=scale, seed=seed),
+            distribution=distribution,
+        ),
+        disks=4,
+    )
+
+
+@pytest.fixture(scope="module", params=["zipf", "partition_hot"])
+def skewed_workload(request):
+    return skewed(request.param, scale=0.05)
+
+
+class TestSkewedWorkloads:
+    @pytest.mark.parametrize("kernels", ["vector", "scalar"])
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_skewed_workloads_match_the_oracle(
+        self, skewed_workload, algorithm, kernels, tmp_path, scalar_kernels
+    ):
+        """A hot partition or a hot key changes how long a pass takes,
+        never its answer — from the production kernels and the per-record
+        oracle alike."""
+        with scalar_kernels() if kernels == "scalar" else nullcontext():
+            result = run_real_join(
+                algorithm, skewed_workload, str(tmp_path / "db"),
+                use_processes=False,
+            )
+        assert result.checksum == expected_checksum(skewed_workload)
+        assert verify_pairs(skewed_workload, result.pairs) == (
+            skewed_workload.r_objects_total
+        )
+
+
+class TestOneTaskPerPartition:
+    @pytest.fixture(scope="class")
+    def hot(self):
+        return skewed("partition_hot")
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_every_stage_dispatches_one_task_per_partition(
+        self, hot, algorithm, tmp_path
+    ):
+        """The paper's Rproc_i model: however skewed the partitions, each
+        pass runs one task per partition and the hottest one gates it."""
+        assert hot.measured_skew() > 1.5
+        result = run_real_join(
+            algorithm, hot, str(tmp_path / "db"), use_processes=False,
+            collect_pairs=False,
+        )
+        assert result.checksum == expected_checksum(hot)
+        document = result.stats_document(hot)
+        partitions = list(range(hot.disks))
+        assert document["per_pass"]
+        for label, entry in document["per_pass"].items():
+            assert entry["workers"] == partitions, label
+            kernel = plan_for(algorithm).stage(label).kernel
+            tasks = entry["counters"][f"worker.tasks{{task={kernel}}}"]
+            assert tasks == hot.disks, label
+            assert list(document["per_worker"][label]) == [
+                str(partition) for partition in partitions
+            ], label

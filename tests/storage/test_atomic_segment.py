@@ -19,7 +19,6 @@ from repro.storage.segment import (
     StorageError,
     tmp_segment_path,
 )
-from repro.storage.relation import BucketedRFile
 from repro.storage.store import Store
 
 
@@ -129,8 +128,6 @@ class TestTornSegmentRejection:
             MappedSegment.open(path)
         with pytest.raises(StorageError, match="torn"):
             MappedSegment.record_count(path)
-        with pytest.raises(StorageError, match="torn"):
-            BucketedRFile.bucket_counts(path)
 
     def test_truncated_data_area_rejected(self, tmp_path):
         path = tmp_path / "torn.seg"
@@ -154,8 +151,6 @@ class TestTornSegmentRejection:
             MappedSegment.open(path)
         with pytest.raises(StorageError, match="not a segment"):
             MappedSegment.record_count(path)
-        with pytest.raises(StorageError, match="not a segment"):
-            BucketedRFile.bucket_counts(path)
 
     def test_garbage_record_bytes_rejected(self, tmp_path):
         path = tmp_path / "torn.seg"

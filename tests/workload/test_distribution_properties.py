@@ -1,5 +1,5 @@
 """Property tests for the pointer distributions and the generator's
-distribution-aware shuffle (satellites of the rebalancing work)."""
+distribution-aware shuffle."""
 
 import random
 from collections import Counter
