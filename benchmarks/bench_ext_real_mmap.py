@@ -41,7 +41,6 @@ from repro.joins import verify_pairs
 from repro.joins.reference import expected_checksum
 from repro.parallel import run_real_join
 from repro.storage import (
-    RRelationFile,
     timed_delete_map,
     timed_new_map,
     timed_open_map,
@@ -86,30 +85,6 @@ def _append_bench_run(entry: dict) -> None:
     BENCH_PATH.write_text(
         json.dumps({"schema_version": 2, "runs": runs}, indent=2) + "\n"
     )
-
-
-def _record_path_microbench(workload, root: Path) -> dict:
-    """Per-record (scalar get) vs batched (iter_objects) read of one R file."""
-    objects = [obj for part in workload.r_partitions for obj in part]
-    path = root / "micro.seg"
-    rel = RRelationFile.create(path, len(objects), workload.spec.r_bytes)
-    try:
-        rel.append_many(objects)
-        start = time.perf_counter()
-        scalar = [rel.get(i) for i in range(len(rel))]
-        scalar_ms = (time.perf_counter() - start) * 1000.0
-        start = time.perf_counter()
-        batched = list(rel.iter_objects())
-        batched_ms = (time.perf_counter() - start) * 1000.0
-    finally:
-        rel.close()
-    assert scalar == batched
-    return {
-        "records": len(objects),
-        "per_record_ms": scalar_ms,
-        "batched_ms": batched_ms,
-        "speedup": scalar_ms / batched_ms if batched_ms else None,
-    }
 
 
 def test_ext_real_mmap_joins(benchmark, record, record_stats):
@@ -240,9 +215,6 @@ def test_ext_real_mmap_joins(benchmark, record, record_stats):
     )
     record("ext_real_mmap", text)
 
-    with tempfile.TemporaryDirectory() as root:
-        micro = _record_path_microbench(workload, Path(root))
-
     _append_bench_run({
         "kind": "metrics-overhead",
         "timestamp": time.time(),
@@ -252,7 +224,6 @@ def test_ext_real_mmap_joins(benchmark, record, record_stats):
             "s_objects": workload.s_objects_total,
             "disks": workload.disks,
         },
-        "storage_read_path": micro,
         "metrics_rounds": ROUNDS,
         "algorithms": {
             name: {

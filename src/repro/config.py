@@ -110,17 +110,6 @@ def env_enabled(name: str, default: bool = True) -> bool:
     return raw.lower() not in _OFF_VALUES
 
 
-def env_int(name: str, default: int) -> int:
-    """The knob as an int, falling back to ``default`` on unset/garbage."""
-    raw = env_value(name)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        return default
-
-
 def env_float(name: str, default: float) -> float:
     """The knob as a float, falling back to ``default`` on unset/garbage."""
     raw = env_value(name)

@@ -4,7 +4,7 @@ S is partitioned across the ``D`` disks into equal-sized partitions
 ``S1 ... SD`` (paper section 4), and "the containing partition for an
 object of S can be computed, in time ``map``, from a pointer to that
 object".  :class:`PointerMap` is that computation: global S index to
-``(partition, offset)`` and back.
+``(partition, offset)``, one pointer at a time or over a u64 array.
 
 When ``|S|`` does not divide evenly, the first ``|S| mod D`` partitions
 hold one extra object, keeping partition sizes within one of each other.
@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
-
 import numpy as _np
 
 
@@ -72,56 +70,6 @@ class PointerMap:
         partition = self.partition_of(sptr)
         return partition, sptr - self.partition_start(partition)
 
-    # ------------------------------------------------------------- batches
-    #
-    # The scalar methods above pay property lookups and range checks per
-    # call, which dominates the real backend's redistribution passes.  The
-    # batch forms hoist the partition geometry into locals, validate the
-    # whole batch with one min/max, and run the arithmetic in a single
-    # comprehension.
-
-    def locate_many(self, sptrs: Sequence[int]) -> list[tuple[int, int]]:
-        """(partition, offset) for a whole batch of global pointers."""
-        if not sptrs:
-            return []
-        if min(sptrs) < 0 or max(sptrs) >= self.s_objects:
-            raise PointerError(
-                f"pointer outside [0, {self.s_objects}) in batch"
-            )
-        base, rem = self._base, self._remainder
-        boundary = (base + 1) * rem
-        out: list[tuple[int, int]] = []
-        append = out.append
-        for sptr in sptrs:
-            if sptr < boundary:
-                partition = sptr // (base + 1)
-                append((partition, sptr - partition * (base + 1)))
-            else:
-                spill = sptr - boundary
-                local = spill // base if base else 0
-                append((rem + local, spill - local * base))
-        return out
-
-    def offset_many(self, sptrs: Sequence[int]) -> list[int]:
-        """Local offsets for a whole batch of global pointers."""
-        if not sptrs:
-            return []
-        if min(sptrs) < 0 or max(sptrs) >= self.s_objects:
-            raise PointerError(
-                f"pointer outside [0, {self.s_objects}) in batch"
-            )
-        base, rem = self._base, self._remainder
-        boundary = (base + 1) * rem
-        out: list[int] = []
-        append = out.append
-        for sptr in sptrs:
-            if sptr < boundary:
-                append(sptr % (base + 1))
-            else:
-                spill = sptr - boundary
-                append(spill % base if base else spill)
-        return out
-
     # ------------------------------------------------------------- arrays
     #
     # The vectorized kernel path: same geometry over whole u64 arrays.  A
@@ -147,15 +95,6 @@ class PointerMap:
     def offset_array(self, sptrs):
         """Local offsets (u64 array) for a batch of pointers."""
         return self.locate_array(sptrs)[1]
-
-    def global_index(self, partition: int, offset: int) -> int:
-        """Inverse of :meth:`locate`."""
-        if not 0 <= offset < self.partition_size(partition):
-            raise PointerError(
-                f"offset {offset} outside partition {partition} "
-                f"(size {self.partition_size(partition)})"
-            )
-        return self.partition_start(partition) + offset
 
     def _check_partition(self, partition: int) -> None:
         if not 0 <= partition < self.partitions:

@@ -38,7 +38,6 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 import numpy as _np
 
 from repro.core.pointer import PointerMap
-from repro.core.records import RObject
 from repro.governor.errors import ResourceExhausted, classify_os_error
 from repro.governor.predict import JoinPlan
 from repro.obs.registry import MetricsRegistry, activate, active, deactivate
@@ -238,27 +237,10 @@ class PairSink:
         self.count = 0
         self.checksum = 0
 
-    def emit_joined(self, r_objects: List[RObject], s_objects: List) -> None:
-        """Join matched R/S batches positionally and stream the pairs."""
-        pairs = [
-            (r[0], s[0], r[2], s[1])
-            for r, s in zip(r_objects, s_objects)
-        ]
-        if not pairs:
-            return
-        self._file.append_many(pairs)
-        active().count("worker.pairs", len(pairs))
-        self.count += len(pairs)
-        self.checksum = (
-            self.checksum
-            + sum(p[0] * 1_000_003 + p[1] * 7919 + p[3] for p in pairs)
-        ) % CHECKSUM_MOD
-
     def emit_arrays(self, rid, sid, r_payload, s_value) -> None:
         """Join matched column arrays positionally and stream the pairs.
 
-        The vector-kernel counterpart of :meth:`emit_joined`: one
-        ``(n, 4)`` u64 block is written into the mapped segment in a
+        One ``(n, 4)`` u64 block is written into the mapped segment in a
         single append, and the checksum mix runs as wrapping u64
         arithmetic — exact, because ``CHECKSUM_MOD`` divides ``2**64``.
         """

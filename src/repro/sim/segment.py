@@ -14,7 +14,7 @@ areas, and the Grace buckets (``BSi,j``).
 
 from __future__ import annotations
 
-from typing import Any, Iterator, List, Optional
+from typing import Any, List
 
 from repro.sim.disk import SimDisk
 from repro.sim.errors import SegmentError
@@ -99,11 +99,6 @@ class SimSegment:
     def mark_all_initialized(self) -> None:
         """Declare every page as having real on-disk content."""
         self.initialized_pages.update(range(self.n_pages))
-
-    def iter_objects(self, start: int = 0, stop: Optional[int] = None) -> Iterator[Any]:
-        """Cost-free iteration over stored objects (tests and verification)."""
-        stop = self.capacity_objects if stop is None else stop
-        return iter(self._data[start:stop])
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -9,9 +9,6 @@ from repro.storage.relation import (
     SortedRunsFile,
     iter_pairs_file,
     read_pair_block,
-    read_pairs,
-    write_r_partition,
-    write_s_partition,
 )
 from repro.storage.segment import (
     MappedSegment,
@@ -35,10 +32,7 @@ __all__ = [
     "Store",
     "iter_pairs_file",
     "read_pair_block",
-    "read_pairs",
     "timed_delete_map",
     "timed_new_map",
     "timed_open_map",
-    "write_r_partition",
-    "write_s_partition",
 ]

@@ -1,10 +1,12 @@
 """Typed relations over mapped segments.
 
-All three relation types expose the scalar record API plus the batched
-path (:meth:`iter_objects` / :meth:`append_many`) that decodes and encodes
-whole blocks of the mapping at a time — the per-record ``bytes()`` copies
-and method dispatch of the scalar path dominate the real backend's join
-cost, so the workers use batches exclusively.
+Every relation moves records a block at a time, in stored form: whole
+records (``iter_record_batches``) for kernels that only route them, u64
+header columns (``iter_column_batches``, ``read_columns``,
+``dereference_columns``) for kernels that compute on them, and packed
+blocks (``append_columns``, ``write_buckets``, ``append_packed``) out.
+Only :func:`iter_pairs_file`, which the benchmark's layer probe reads,
+decodes records into Python objects.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Iterator, List, Sequence, Tuple
 
 import numpy as _np
 
-from repro.core.records import JoinedPair, JoinedPairs, RObject, SObject
+from repro.core.records import JoinedPair
 from repro.obs.registry import active as _metrics
 from repro.storage.segment import (
     META_CAPACITY,
@@ -73,47 +75,6 @@ class RRelationFile(_RelationFile):
     def open(cls, path: str | os.PathLike) -> "RRelationFile":
         return cls(MappedSegment.open(path))
 
-    def append(self, obj: RObject) -> int:
-        return self.segment.append_record(self.segment.layout.pack_r(obj))
-
-    def append_many(self, objects: Sequence[RObject]) -> int:
-        """Append a whole batch in one packed slice write."""
-        return self.segment.append_batch(
-            self.segment.layout.pack_r_batch(objects)
-        )
-
-    def get(self, index: int) -> RObject:
-        return self.segment.layout.unpack_r(self.segment.read_record(index))
-
-    def iter_objects(
-        self, batch_records: int = DEFAULT_BATCH_RECORDS
-    ) -> Iterator[RObject]:
-        """Iterate all objects, decoding block-at-a-time from the mapping."""
-        unpack = self.segment.layout.iter_unpack_r
-        for view in self.segment.iter_batches(batch_records):
-            try:
-                yield from unpack(view)
-            finally:
-                view.release()
-
-    def iter_object_batches(
-        self,
-        batch_records: int = DEFAULT_BATCH_RECORDS,
-        start: int = 0,
-        stop: int | None = None,
-    ) -> Iterator[List[RObject]]:
-        """Iterate objects in decoded batches (the workers' inner shape).
-
-        ``start``/``stop`` bound the record range (one sorted run's
-        extent); defaults cover the whole relation.
-        """
-        unpack = self.segment.layout.unpack_r_batch
-        for view in self.segment.iter_batches(batch_records, start, stop):
-            try:
-                yield unpack(view)
-            finally:
-                view.release()
-
     def iter_column_batches(
         self,
         batch_records: int = DEFAULT_BATCH_RECORDS,
@@ -125,8 +86,8 @@ class RRelationFile(_RelationFile):
         The vectorized kernels' inner shape: one dtype view per mapped
         batch, three compact column copies out, view released before the
         next step — so the mapping never holds an exported buffer.
-        ``start``/``stop`` bound the record range as in
-        :meth:`iter_object_batches`.
+        ``start``/``stop`` bound the record range (one sorted run's
+        extent); defaults cover the whole relation.
         """
         decode = self.segment.layout.decode_columns
         for view in self.segment.iter_batches(batch_records, start, stop):
@@ -167,9 +128,6 @@ class RRelationFile(_RelationFile):
             return self.segment.layout.decode_columns(view)
         finally:
             view.release()
-
-    def __iter__(self) -> Iterator[RObject]:
-        return self.iter_objects()
 
 
 _IRUN = struct.Struct("<Q")
@@ -252,58 +210,12 @@ class SRelationFile(_RelationFile):
     def open(cls, path: str | os.PathLike) -> "SRelationFile":
         return cls(MappedSegment.open(path))
 
-    def append(self, obj: SObject) -> int:
-        return self.segment.append_record(self.segment.layout.pack_s(obj))
-
-    def append_many(self, objects: Sequence[SObject]) -> int:
-        return self.segment.append_batch(
-            self.segment.layout.pack_s_batch(objects)
-        )
-
-    def dereference(self, offset: int) -> SObject:
-        """Follow a virtual pointer's local offset: one mapped read."""
-        return self.segment.layout.unpack_s(self.segment.read_record(offset))
-
-    def dereference_many(self, offsets: Sequence[int]) -> List[SObject]:
-        """Follow a batch of pointer offsets over one zero-copy view.
-
-        One bounds check for the whole batch, one exported buffer, and a
-        C-level ``unpack_from`` per record — no per-record slicing.
-        """
-        if not offsets:
-            return []
-        count = len(self.segment)
-        if min(offsets) < 0 or max(offsets) >= count:
-            raise StorageError(
-                f"pointer offset outside [0, {count}) in "
-                f"{self.segment.path.name}"
-            )
-        metrics = _metrics()
-        if metrics.enabled:
-            kind = self.segment.kind
-            metrics.count("storage.deref.batches", 1, kind=kind)
-            metrics.count("storage.deref.records", len(offsets), kind=kind)
-            metrics.count(
-                "storage.deref.bytes",
-                len(offsets) * self.segment.layout.record_bytes,
-                kind=kind,
-            )
-        view = self.segment.read_batch(0, count)
-        try:
-            unpack_from = self.segment.layout.header_struct.unpack_from
-            stride = self.segment.layout.record_bytes
-            make = SObject._make
-            return [make(unpack_from(view, off * stride)) for off in offsets]
-        finally:
-            view.release()
-
     def dereference_columns(self, offsets) -> Tuple:
-        """Vectorized :meth:`dereference_many`: gather (sid, value) columns.
+        """Follow a batch of pointer offsets: gather (sid, value) columns.
 
-        One dtype view over the whole written area, two fancy-indexed
-        field gathers (8 bytes per record per field — the payload column
-        is not materialized), and the same deref metrics as the scalar
-        path.
+        One bounds check for the whole batch, one dtype view over the
+        whole written area, and two fancy-indexed field gathers (8 bytes
+        per record per field — the payload column is not materialized).
         """
         if len(offsets) == 0:
             empty = _np.empty(0, dtype=_np.uint64)
@@ -333,19 +245,6 @@ class SRelationFile(_RelationFile):
         finally:
             view.release()
         return sid, value
-
-    def iter_objects(
-        self, batch_records: int = DEFAULT_BATCH_RECORDS
-    ) -> Iterator[SObject]:
-        unpack = self.segment.layout.iter_unpack_s
-        for view in self.segment.iter_batches(batch_records):
-            try:
-                yield from unpack(view)
-            finally:
-                view.release()
-
-    def __iter__(self) -> Iterator[SObject]:
-        return self.iter_objects()
 
 
 # ------------------------------------------------------------ bucketed files
@@ -505,30 +404,6 @@ class BucketedRFile(_RelationFile):
         finally:
             view.release()
 
-    def iter_bucket_batches(
-        self, bucket: int, batch_records: int = DEFAULT_BATCH_RECORDS
-    ) -> Iterator[List[RObject]]:
-        """Decode one bucket's records in batches (zero-copy slices)."""
-        start, count = self._directory[bucket]
-        unpack = self.segment.layout.unpack_r_batch
-        for lo in range(start, start + count, batch_records):
-            n = min(batch_records, start + count - lo)
-            metrics = _metrics()
-            if metrics.enabled:
-                kind = self.segment.kind
-                metrics.count("storage.read.batches", 1, kind=kind)
-                metrics.count("storage.read.records", n, kind=kind)
-                metrics.count(
-                    "storage.read.bytes",
-                    n * self.segment.layout.record_bytes,
-                    kind=kind,
-                )
-            view = self.segment.read_batch(lo, n)
-            try:
-                yield unpack(view)
-            finally:
-                view.release()
-
     def close(self) -> None:
         """Publish; a writer first proves every extent exactly full.
 
@@ -593,16 +468,6 @@ class PairsFile(_RelationFile):
             raise StorageError(f"{path} is not a pairs file")
         return relation
 
-    def append_many(self, pairs: Sequence[tuple]) -> int:
-        """Append packed (rid, sid, r_payload, s_value) tuples."""
-        buffer = bytearray(len(pairs) * PAIR_RECORD_BYTES)
-        pack_into = _PAIR.pack_into
-        offset = 0
-        for rid, sid, r_payload, s_value in pairs:
-            pack_into(buffer, offset, rid, sid, r_payload, s_value)
-            offset += PAIR_RECORD_BYTES
-        return self.segment.append_batch(buffer)
-
     def append_packed(self, data) -> int:
         """Append an already-packed block of pair records in one write.
 
@@ -614,15 +479,16 @@ class PairsFile(_RelationFile):
     def iter_pairs(
         self, batch_records: int = DEFAULT_BATCH_RECORDS
     ) -> Iterator[JoinedPair]:
+        """Decode the pairs as objects, ``batch_records`` per mapped view.
+
+        Only :func:`iter_pairs_file` calls this.
+        """
         make = JoinedPair._make
         for view in self.segment.iter_batches(batch_records):
             try:
                 yield from map(make, _PAIR.iter_unpack(view))
             finally:
                 view.release()
-
-    def __iter__(self) -> Iterator[JoinedPair]:
-        return self.iter_pairs()
 
 
 def iter_pairs_file(
@@ -631,8 +497,9 @@ def iter_pairs_file(
     """Stream one worker's pairs file as objects (bounded memory).
 
     The generator owns the mapping for its lifetime and decodes
-    ``batch_records`` pairs per step.  The engine's own collection boxes
-    nothing — it uses :func:`read_pair_block`.
+    ``batch_records`` pairs per step.  Only the benchmark's layer probe
+    (``bench/layers.py``) reads pairs this way; the engine's collection
+    and the daemon's stream box nothing — they copy packed blocks.
     """
     with PairsFile.open(path) as relation:
         yield from relation.iter_pairs(batch_records)
@@ -655,11 +522,6 @@ def read_pair_block(path: str | os.PathLike) -> _np.ndarray:
     return block
 
 
-def read_pairs(path: str | os.PathLike) -> JoinedPairs:
-    """One worker's pairs file as a columnar sequence of ``JoinedPair``."""
-    return JoinedPairs(read_pair_block(path))
-
-
 # ---------------------------------------------------------- partition files
 
 def write_columns(
@@ -667,9 +529,9 @@ def write_columns(
 ) -> None:
     """Materialize one partition from its three u64 header columns.
 
-    One ``pack_columns`` into the stored record format and one append —
-    byte-identical to ``pack_batch`` of the same tuples — published by the
-    segment's usual close (streamed CRC footer, atomic rename).
+    One ``pack_columns`` into the stored record format and one append,
+    published by the segment's usual close (streamed CRC footer, atomic
+    rename).
     """
     segment = MappedSegment.create(path, max(1, len(a)), record_bytes)
     try:
@@ -678,29 +540,3 @@ def write_columns(
         segment.discard()
         raise
     segment.close()
-
-
-def write_r_partition(
-    path: str | os.PathLike, objects: List[RObject], record_bytes: int = 128
-) -> None:
-    """Write an R partition file from objects (the scalar packer)."""
-    relation = RRelationFile.create(path, max(1, len(objects)), record_bytes)
-    try:
-        relation.append_many(objects)
-    except BaseException:
-        relation.abort()
-        raise
-    relation.close()
-
-
-def write_s_partition(
-    path: str | os.PathLike, objects: List[SObject], record_bytes: int = 128
-) -> None:
-    """Write an S partition file from objects (objects at their offsets)."""
-    relation = SRelationFile.create(path, max(1, len(objects)), record_bytes)
-    try:
-        relation.append_many(objects)
-    except BaseException:
-        relation.abort()
-        raise
-    relation.close()

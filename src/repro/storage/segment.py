@@ -2,9 +2,10 @@
 
 This is the µDatabase idea on Python's :mod:`mmap`: a segment is one file,
 mapped into the address space, holding a header page plus a fixed-size
-record area.  Reads and writes are plain slice operations on the mapping —
-no explicit ``read``/``write`` calls — so the OS pager performs all I/O,
-exactly the environment the paper studies.
+record area.  Reads are plain slices of the mapping — no explicit ``read``
+calls — so the OS pager performs all read I/O, exactly the environment the
+paper studies.  Writes move whole blocks of records with ``pwrite``, which
+skips the first-write fault a store through a fresh mapping would take.
 
 The three mapping operations mirror the paper's cost model:
 
@@ -33,7 +34,7 @@ failure path), and ``open`` rejects torn files outright (bad magic, a
 header count beyond capacity, or a file shorter than its header claims).
 The rename protocol alone covers process-crash recovery, which is the
 real backend's fault model; pass ``durable=True`` to additionally
-msync+fsync before the rename when power-failure durability is needed —
+fsync before the rename when power-failure durability is needed —
 it is off by default because closing hundreds of temporary spill files
 per join must not pay a synchronous writeback each.
 """
@@ -87,13 +88,29 @@ META_CAPACITY = PAGE_SIZE - HEADER.size - _META_LEN.size - _FOOTER.size
 #: an explicit in-process override via :func:`configure_integrity`.
 _INTEGRITY: dict = {"write": None, "verify": None}
 
-#: Payload-verification memo: (dev, ino, mtime_ns, size) -> verified crc.
-#: A pool worker re-opens the same R/S/spill segments task after task;
-#: re-hashing an unchanged file every time would turn the <5%% verify
-#: overhead into a full extra read per task.  Any write updates mtime/
-#: size, so a stale entry can never satisfy a changed file.
+#: Payload-verification memo: :func:`_memo_key` -> verified crc.  A pool
+#: worker re-opens the same R/S/spill segments task after task; re-hashing
+#: an unchanged file every time would turn the <5%% verify overhead into a
+#: full extra read per task.
 _VERIFIED_CACHE: dict = {}
 _VERIFIED_CACHE_MAX = 8192
+
+
+def _memo_key(fd: int) -> tuple:
+    """The verified-file memo's key for the file behind ``fd``.
+
+    Any write bumps mtime and ctime.  mtime alone can be set back
+    (``os.utime``) over rotted bytes; ctime cannot be set from user
+    space, so a stale entry never satisfies a changed file.
+    """
+    st = os.fstat(fd)
+    return (st.st_dev, st.st_ino, st.st_mtime_ns, st.st_ctime_ns, st.st_size)
+
+
+def _remember_verified(fd: int, crc: int) -> None:
+    if len(_VERIFIED_CACHE) >= _VERIFIED_CACHE_MAX:
+        _VERIFIED_CACHE.clear()
+    _VERIFIED_CACHE[_memo_key(fd)] = crc
 
 
 def configure_integrity(
@@ -146,9 +163,7 @@ def _verify_payload(
     kind: str,
 ) -> None:
     """Prove the payload matches its stored checksum (memoized per file)."""
-    st = os.fstat(fd)
-    key = (st.st_dev, st.st_ino, st.st_mtime_ns, st.st_size)
-    if _VERIFIED_CACHE.get(key) == stored_crc:
+    if _VERIFIED_CACHE.get(_memo_key(fd)) == stored_crc:
         _metrics().count("storage.integrity.cached", 1, kind=kind)
         return
     crc = _payload_crc(fd, count, record_bytes)
@@ -157,9 +172,7 @@ def _verify_payload(
             f"{path} payload checksum mismatch (stored 0x{stored_crc:08x}, "
             f"computed 0x{crc:08x} over {count} records)"
         )
-    if len(_VERIFIED_CACHE) >= _VERIFIED_CACHE_MAX:
-        _VERIFIED_CACHE.clear()
-    _VERIFIED_CACHE[key] = stored_crc
+    _remember_verified(fd, stored_crc)
     _metrics().count("storage.integrity.verify", 1, kind=kind)
 
 
@@ -206,12 +219,7 @@ def scrub_segment(path: str | os.PathLike) -> str:
                 )
             # A scrubbed file is a freshly-proven file: prime the memo so
             # the next open() of the unchanged bytes is free.
-            st = os.fstat(fd)
-            if len(_VERIFIED_CACHE) >= _VERIFIED_CACHE_MAX:
-                _VERIFIED_CACHE.clear()
-            _VERIFIED_CACHE[
-                (st.st_dev, st.st_ino, st.st_mtime_ns, st.st_size)
-            ] = stored_crc
+            _remember_verified(fd, stored_crc)
     except FileNotFoundError:
         raise StorageError(f"no segment file at {path}") from None
     _metrics().count("storage.integrity.scrub", 1, kind=kind)
@@ -487,13 +495,13 @@ class MappedSegment:
         the ``.tmp`` backing file is atomically renamed to the final path,
         so readers only ever see complete segments.
 
-        No ``msync`` here by default: dirty mapped pages survive
-        ``munmap`` in the unified page cache, so readers that re-open the
-        file see every write, and a *process* crash after the rename
-        cannot tear the data.  Segments created with ``durable=True``
-        additionally msync+fsync before the rename for power-failure
-        safety — closing hundreds of temporary spill files per join must
-        not pay a synchronous writeback each, so that is opt-in.
+        No ``fsync`` here by default: every write is a ``pwrite`` into
+        the unified page cache, so readers that re-open the file see it,
+        and a *process* crash after the rename cannot tear the data.
+        Segments created with ``durable=True`` additionally fsync before
+        the rename for power-failure safety — closing hundreds of
+        temporary spill files per join must not pay a synchronous
+        writeback each, so that is opt-in.
         """
         if self._closed:
             return
@@ -502,32 +510,25 @@ class MappedSegment:
         if self._dirty and _integrity_on("write"):
             stamped = self._write_footer()
         if self._pending and self._durable:
-            if self._map is not None:
-                self._map.flush()
             os.fsync(self._file.fileno())
         if self._map is not None:
             self._map.close()
-        if stamped is not None:
-            # The bytes behind this fd were hashed as they were written;
-            # prime the verified-file memo so a same-process re-open is
-            # free.  os.replace below preserves dev/ino/mtime/size, so
-            # the key survives the publish; if the kernel later bumps
-            # mtime for writeback of mapped pages the entry simply never
-            # hits again and the reader re-verifies — the memo can relax
-            # a check, never skip a needed one for changed bytes.
-            st = os.fstat(self._file.fileno())
-            if len(_VERIFIED_CACHE) >= _VERIFIED_CACHE_MAX:
-                _VERIFIED_CACHE.clear()
-            _VERIFIED_CACHE[
-                (st.st_dev, st.st_ino, st.st_mtime_ns, st.st_size)
-            ] = stamped
-        self._file.close()
-        self._closed = True
         if self._mapped_bytes:
             _meter().unmap_bytes(self._mapped_bytes)
-        if self._pending:
-            os.replace(self._backing, self.path)
-            self._pending = False
+        try:
+            if self._pending:
+                os.replace(self._backing, self.path)
+                self._pending = False
+            if stamped is not None:
+                # The bytes behind this fd were hashed as they were
+                # written; prime the verified-file memo so a same-process
+                # re-open is free.  Primed after the publish, through the
+                # still-open fd: the rename bumps ctime, which the key
+                # holds.
+                _remember_verified(self._file.fileno(), stamped)
+        finally:
+            self._file.close()
+            self._closed = True
 
     def discard(self) -> None:
         """Close *without* publishing (idempotent, the failure path).
@@ -595,62 +596,14 @@ class MappedSegment:
     def __len__(self) -> int:
         return self._count
 
-    def read_record(self, index: int) -> bytes:
-        """Slice one record out of the mapping (an implicit page fault)."""
-        self._check_open()
-        if not 0 <= index < self._count:
-            raise StorageError(
-                f"record {index} outside [0, {self._count}) in {self.path.name}"
-            )
-        start = PAGE_SIZE + self.layout.offset_of(index)
-        return bytes(
-            self._mapping()[start : start + self.layout.record_bytes]
-        )
-
-    def write_record(self, index: int, data: bytes) -> None:
-        """Write one record in place.
-
-        ``index`` must fall inside the written prefix or name the next free
-        slot (``index == len(self)``): a jump past the count would leave
-        uninitialized garbage records that :meth:`iter_records` would then
-        happily yield.
-        """
-        self._check_open()
-        if not 0 <= index < self.capacity:
-            raise StorageError(
-                f"record {index} outside capacity {self.capacity} in {self.path.name}"
-            )
-        if index > self._count:
-            raise StorageError(
-                f"sparse write at {index} would leave a gap of "
-                f"{index - self._count} garbage records in {self.path.name} "
-                f"(count is {self._count})"
-            )
-        if len(data) != self.layout.record_bytes:
-            raise StorageError(
-                f"record must be exactly {self.layout.record_bytes} bytes "
-                f"(got {len(data)})"
-            )
-        start = PAGE_SIZE + self.layout.offset_of(index)
-        self._mapping()[start : start + self.layout.record_bytes] = data
-        self._dirty = True
-        if self._stream_crc is not None:
-            if index == self._stream_count:
-                self._stream_crc = zlib.crc32(data, self._stream_crc)
-                self._stream_count += 1
-            else:
-                self._stream_crc = None
-        if index >= self._count:
-            self._count = index + 1
-
     def reserve(self, count: int) -> None:
         """Extend the record count to ``count``, declaring the zero-filled
         records in between valid.
 
-        Fixed-slot structures (the B-tree's node table) address records out
-        of append order; they reserve their slots explicitly instead of
-        relying on sparse writes, which are rejected because the garbage
-        gap they leave would be yielded by :meth:`iter_records`.
+        A writer that lays a segment out first (a bucketed spill file's
+        extents) reserves its whole count, then fills it in place with
+        :meth:`write_batch`; a write past the count is rejected, because
+        the gap it left would be read back as records.
         """
         self._check_open()
         if count > self.capacity:
@@ -664,25 +617,14 @@ class MappedSegment:
             self._count = count
             self._dirty = True
 
-    def append_record(self, data: bytes) -> int:
-        """Append one record; returns its index."""
-        if self._count >= self.capacity:
-            raise StorageError(f"segment {self.path.name} is full")
-        index = self._count
-        self.write_record(index, data)
-        return index
-
-    def iter_records(self) -> Iterator[bytes]:
-        for index in range(self._count):
-            yield self.read_record(index)
-
     # ------------------------------------------------------------- batches
     #
-    # Block-at-a-time access: a batch is a memoryview straight into the
-    # mapping — zero copies — which the layout's iter_unpack/pack_into
-    # primitives then stride over.  Callers must release (or drop) the
-    # views before closing the segment, since a mapping with exported
-    # buffers cannot be unmapped.
+    # Block-at-a-time access, the only record access there is: a read is
+    # a memoryview straight into the mapping — zero copies — that callers
+    # view as numpy records; a write is one pwrite of whole packed records
+    # through ``_write_at``, which also extends the streaming CRC.
+    # Callers must release (or drop) the views before closing the
+    # segment, since a mapping with exported buffers cannot be unmapped.
 
     def read_batch(self, start: int, count: int) -> memoryview:
         """A zero-copy view of ``count`` records beginning at ``start``."""

@@ -19,7 +19,7 @@ except ImportError:  # pragma: no cover
 
 from repro.governor.budget import store_usage_bytes
 from repro.storage.relation import RRelationFile, SRelationFile, write_columns
-from repro.storage.segment import MappedSegment, StorageError, scrub_segment
+from repro.storage.segment import StorageError, scrub_segment
 from repro.workload.generator import Workload
 
 
@@ -77,15 +77,6 @@ class Store:
         return SRelationFile.open(self.path(disk, "S"))
 
     # ---------------------------------------------------------- temporaries
-
-    def create_temp(self, disk: int, name: str, capacity: int, record_bytes: int) -> Path:
-        path = self.path(disk, name)
-        segment = MappedSegment.create(path, capacity, record_bytes)
-        segment.close()
-        return path
-
-    def delete_temp(self, disk: int, name: str) -> None:
-        MappedSegment.delete(self.path(disk, name))
 
     def temp_paths(self, disk: int) -> List[Path]:
         reserved = {"R.seg", "S.seg"}

@@ -1,5 +1,6 @@
 """Tests for virtual-pointer arithmetic."""
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -55,7 +56,7 @@ class TestRoundTrips:
         partition, offset = pmap.locate(sptr)
         assert 0 <= partition < partitions
         assert 0 <= offset < pmap.partition_size(partition)
-        assert pmap.global_index(partition, offset) == sptr
+        assert pmap.partition_start(partition) + offset == sptr
 
     @given(
         s_objects=st.integers(min_value=1, max_value=2000),
@@ -78,11 +79,6 @@ class TestValidation:
         with pytest.raises(PointerError):
             pmap.partition_of(-1)
 
-    def test_offset_out_of_range(self):
-        pmap = PointerMap(s_objects=10, partitions=2)
-        with pytest.raises(PointerError):
-            pmap.global_index(0, 5)
-
     def test_bad_construction(self):
         with pytest.raises(PointerError):
             PointerMap(s_objects=0, partitions=1)
@@ -102,8 +98,10 @@ class TestBatchArithmetic:
     )
     def test_locate_many_matches_scalar(self, s_objects, partitions):
         pmap = PointerMap(s_objects=s_objects, partitions=partitions)
-        sptrs = list(range(s_objects))
-        assert pmap.locate_many(sptrs) == [pmap.locate(p) for p in sptrs]
+        parts, offs = pmap.locate_array(np.arange(s_objects, dtype=np.uint64))
+        assert list(zip(parts.tolist(), offs.tolist())) == [
+            pmap.locate(p) for p in range(s_objects)
+        ]
 
     @given(
         s_objects=st.integers(min_value=1, max_value=500),
@@ -111,17 +109,18 @@ class TestBatchArithmetic:
     )
     def test_offset_many_matches_scalar(self, s_objects, partitions):
         pmap = PointerMap(s_objects=s_objects, partitions=partitions)
-        sptrs = list(range(s_objects))
-        assert pmap.offset_many(sptrs) == [pmap.offset_of(p) for p in sptrs]
+        offs = pmap.offset_array(np.arange(s_objects, dtype=np.uint64))
+        assert offs.tolist() == [pmap.offset_of(p) for p in range(s_objects)]
 
     def test_empty_batches(self):
         pmap = PointerMap(s_objects=10, partitions=3)
-        assert pmap.locate_many([]) == []
-        assert pmap.offset_many([]) == []
+        empty = np.empty(0, dtype=np.uint64)
+        assert [len(a) for a in pmap.locate_array(empty)] == [0, 0]
+        assert len(pmap.offset_array(empty)) == 0
 
     def test_batch_out_of_range_rejected(self):
         pmap = PointerMap(s_objects=10, partitions=3)
         with pytest.raises(PointerError):
-            pmap.locate_many([0, 10])
+            pmap.locate_array(np.asarray([0, 10], dtype=np.uint64))
         with pytest.raises(PointerError):
-            pmap.offset_many([-1, 3])
+            pmap.offset_array(np.asarray([3, 11], dtype=np.uint64))

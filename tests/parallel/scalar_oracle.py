@@ -5,6 +5,9 @@ One plain-Python implementation of each of the eight stage kernels in
 ``RObject`` batches, ``dict.setdefault`` grouping, ``list.sort``,
 ``heapq.merge`` — so the vector kernels' record order, meter charges and
 artifact bytes can be checked against an independent transcription.
+The kernels read and write storage through the per-object readers and the
+reference packer below: ``struct`` over the segment's block reads and
+appends, never the numpy gathers they check.  Storage tests use them too.
 
 Nothing here is registered.  :func:`scalar_kernels` swaps these
 functions into the engine's kernel registry for the duration of a
@@ -15,16 +18,20 @@ through the same executor, governor and checkpoint paths as production.
 from __future__ import annotations
 
 import heapq
+import struct
 from contextlib import ExitStack, contextmanager
 from typing import Dict, Iterable, Iterator, List, Tuple
 
 from repro.governor.watchdog import active_meter
 
-from repro.core.records import RObject
+from repro.core.records import JoinedPair, RObject, SObject
 from repro.joins.grace import order_preserving_bucket, refining_chain
+from repro.obs.registry import active
 from repro.parallel import vectorized
 from repro.parallel.engine import task as engine_task
 from repro.parallel.engine.task import (
+    BATCH_RECORDS,
+    CHECKSUM_MOD,
     PairResult,
     PairSink,
     StageOutput,
@@ -36,8 +43,13 @@ from repro.parallel.engine.task import (
     run_name,
     sort_run_spans,
 )
-from repro.storage.relation import BucketedRFile, RRelationFile, SortedRunsFile
-from repro.storage.segment import MappedSegment
+from repro.storage.relation import (
+    BucketedRFile,
+    PairsFile,
+    RRelationFile,
+    SortedRunsFile,
+)
+from repro.storage.segment import MappedSegment, StorageError
 
 
 @contextmanager
@@ -68,6 +80,99 @@ def rebatch(iterable: Iterable, size: int) -> Iterator[List]:
         yield batch
 
 
+# -------------------------------------------------------- per-object storage
+
+_FIELDS = struct.Struct("<QQQ")
+_PAIR = struct.Struct("<QQQQ")
+
+
+def pack_records(objects: Iterable[tuple], record_bytes: int = 128) -> bytes:
+    """The reference packer: three u64 fields, then zero padding."""
+    pad = bytes(record_bytes - _FIELDS.size)
+    return b"".join(_FIELDS.pack(*obj) + pad for obj in objects)
+
+
+def append_objects(rel, objects: List[tuple]) -> int:
+    """Append decoded records to a relation in one block write."""
+    segment = rel.segment
+    return segment.append_batch(
+        pack_records(objects, segment.layout.record_bytes)
+    )
+
+
+def iter_object_batches(
+    rel, batch_records: int = BATCH_RECORDS, start: int = 0, stop=None,
+    make=RObject._make,
+) -> Iterator[List]:
+    """Records ``[start, stop)`` decoded ``batch_records`` at a time."""
+    segment = rel.segment
+    record = struct.Struct(
+        f"<QQQ{segment.layout.record_bytes - _FIELDS.size}x"
+    )
+    for view in segment.iter_batches(batch_records, start, stop):
+        with view:
+            yield list(map(make, record.iter_unpack(view)))
+
+
+def read_objects(rel, make=RObject._make) -> List:
+    """Every record of a relation, decoded."""
+    return [obj for batch in iter_object_batches(rel, make=make)
+            for obj in batch]
+
+
+def iter_bucket_batches(rel: BucketedRFile, bucket: int, batch_records: int):
+    """One bucket's extent of a bucketed spill file, decoded in batches."""
+    start, count = rel._directory[bucket]
+    return iter_object_batches(rel, batch_records, start, start + count)
+
+
+def dereference_many(s_rel, offsets: List[int]) -> List[SObject]:
+    """Follow local pointer offsets: one ``unpack_from`` each."""
+    segment = s_rel.segment
+    count = len(segment)
+    if offsets and (min(offsets) < 0 or max(offsets) >= count):
+        raise StorageError(
+            f"pointer offset outside [0, {count}) in {segment.path.name}"
+        )
+    stride = segment.layout.record_bytes
+    with segment.read_batch(0, count) as view:
+        return [SObject._make(_FIELDS.unpack_from(view, off * stride))
+                for off in offsets]
+
+
+def pack_pairs(pairs: Iterable[tuple]) -> bytes:
+    """The reference pair packer: (rid, sid, r_payload, s_value) u64s."""
+    return b"".join(_PAIR.pack(*pair) for pair in pairs)
+
+
+def read_pairs(path) -> List[JoinedPair]:
+    """One PAIRS segment's pairs, decoded in file order."""
+    out: List[JoinedPair] = []
+    with PairsFile.open(path) as pairs:
+        for view in pairs.segment.iter_batches():
+            with view:
+                out.extend(map(JoinedPair._make, _PAIR.iter_unpack(view)))
+    return out
+
+
+class ScalarPairSink(PairSink):
+    """A :class:`PairSink` fed decoded R/S batches, packed by ``struct``."""
+
+    def emit_joined(self, r_objects: List, s_objects: List) -> None:
+        """Join matched R/S batches positionally and stream the pairs."""
+        pairs = [(r[0], s[0], r[2], s[1])
+                 for r, s in zip(r_objects, s_objects)]
+        if not pairs:
+            return
+        self._file.append_packed(pack_pairs(pairs))
+        active().count("worker.pairs", len(pairs))
+        self.count += len(pairs)
+        self.checksum = (
+            self.checksum
+            + sum(p[0] * 1_000_003 + p[1] * 7919 + p[3] for p in pairs)
+        ) % CHECKSUM_MOD
+
+
 def _phase_partner(i: int, t: int, disks: int) -> int:
     return (i + t) % disks
 
@@ -87,7 +192,7 @@ def nested_loops_pass0(spec: TaskSpec) -> PairResult:
     meter = active_meter()
     with store.open_r(i) as r_rel, store.open_s(i) as s_rel:
         s_bytes = s_rel.segment.layout.record_bytes
-        sink = PairSink(store.path(i, pairs_name("p0", i)), len(r_rel))
+        sink = ScalarPairSink(store.path(i, pairs_name("p0", i)), len(r_rel))
         spill = {
             j: RRelationFile.create(
                 store.path(i, nl_spill_name(i, j)), max(1, len(r_rel)),
@@ -97,10 +202,10 @@ def nested_loops_pass0(spec: TaskSpec) -> PairResult:
             if j != i
         }
         try:
-            for batch in r_rel.iter_object_batches(batch_records):
+            for batch in iter_object_batches(r_rel, batch_records):
                 charged = len(batch) * record_bytes
                 meter.charge(charged, "nested-loops R batch")
-                located = pmap.locate_many([obj[1] for obj in batch])
+                located = [pmap.locate(obj[1]) for obj in batch]
                 local_r: List[RObject] = []
                 local_offsets: List[int] = []
                 remote: Dict[int, List[RObject]] = {}
@@ -114,9 +219,11 @@ def nested_loops_pass0(spec: TaskSpec) -> PairResult:
                     len(local_offsets) * s_bytes, "dereferenced S batch"
                 )
                 charged += len(local_offsets) * s_bytes
-                sink.emit_joined(local_r, s_rel.dereference_many(local_offsets))
+                sink.emit_joined(
+                    local_r, dereference_many(s_rel, local_offsets)
+                )
                 for target, objects in remote.items():
-                    spill[target].append_many(objects)
+                    append_objects(spill[target], objects)
                 meter.release(charged)
             for rel in spill.values():
                 rel.close()
@@ -137,7 +244,7 @@ def nested_loops_pass1(spec: TaskSpec) -> PairResult:
     meter = active_meter()
     partners = [_phase_partner(i, t, disks) for t in range(1, disks)]
     spill_paths = [store.path(i, nl_spill_name(i, j)) for j in partners]
-    sink = PairSink(
+    sink = ScalarPairSink(
         store.path(i, pairs_name("p1", i)),
         sum(MappedSegment.record_count(path) for path in spill_paths),
     )
@@ -146,11 +253,11 @@ def nested_loops_pass1(spec: TaskSpec) -> PairResult:
             with RRelationFile.open(path) as spill, store.open_s(j) as s_rel:
                 r_bytes = spill.segment.layout.record_bytes
                 s_bytes = s_rel.segment.layout.record_bytes
-                for batch in spill.iter_object_batches(batch_records):
+                for batch in iter_object_batches(spill, batch_records):
                     charged = len(batch) * (r_bytes + s_bytes)
                     meter.charge(charged, "nested-loops spill batch")
-                    offsets = pmap.offset_many([obj[1] for obj in batch])
-                    sink.emit_joined(batch, s_rel.dereference_many(offsets))
+                    offsets = [pmap.offset_of(obj[1]) for obj in batch]
+                    sink.emit_joined(batch, dereference_many(s_rel, offsets))
                     meter.release(charged)
         return sink.close()
     except BaseException:
@@ -177,16 +284,16 @@ def sort_merge_partition(spec: TaskSpec) -> int:
         }
         moved = 0
         try:
-            for batch in r_rel.iter_object_batches(batch_records):
+            for batch in iter_object_batches(r_rel, batch_records):
                 meter.charge(
                     len(batch) * record_bytes, "sort-merge partition batch"
                 )
-                located = pmap.locate_many([obj[1] for obj in batch])
+                located = [pmap.locate(obj[1]) for obj in batch]
                 buckets: Dict[int, List[RObject]] = {}
                 for obj, (target, _offset) in zip(batch, located):
                     buckets.setdefault(target, []).append(obj)
                 for target, objects in buckets.items():
-                    outputs[target].append_many(objects)
+                    append_objects(outputs[target], objects)
                     moved += len(objects)
                 meter.release(len(batch) * record_bytes)
             for rel in outputs.values():
@@ -226,14 +333,14 @@ def sort_merge_runs(spec: TaskSpec) -> int:
         if not buffer:
             return
         buffer.sort(key=lambda obj: obj.sptr)
-        out.append_run(out.segment.layout.pack_r_batch(buffer))
+        out.append_run(pack_records(buffer, record_bytes))
         meter.release(len(buffer) * record_bytes)
         buffer.clear()
 
     try:
         for path, _count in spans:
             with RRelationFile.open(path) as rel:
-                for batch in rel.iter_object_batches(batch_records):
+                for batch in iter_object_batches(rel, batch_records):
                     inbound += len(batch)
                     meter.charge(len(batch) * record_bytes, "sort-run buffer")
                     buffer.extend(batch)
@@ -253,7 +360,7 @@ def sort_merge_runs(spec: TaskSpec) -> int:
 def _run_stream(run, batch_records: int):
     """Stream one run extent's objects."""
     rel, lo, hi = run
-    for batch in rel.iter_object_batches(batch_records, lo, hi):
+    for batch in iter_object_batches(rel, batch_records, lo, hi):
         yield from batch
 
 
@@ -272,7 +379,7 @@ def sort_merge_merge_join(spec: TaskSpec) -> PairResult:
     meter = active_meter()
     with ExitStack() as opened:
         runs = vectorized.open_runs(store, i, opened)
-        sink = PairSink(
+        sink = ScalarPairSink(
             store.path(i, pairs_name("sm", i)),
             sum(run.hi - run.lo for run in runs),
         )
@@ -287,8 +394,8 @@ def sort_merge_merge_join(spec: TaskSpec) -> PairResult:
                 )
                 for batch in rebatch(merged, batch_records):
                     meter.charge(len(batch) * batch_cost, "merge batch")
-                    offsets = pmap.offset_many([obj[1] for obj in batch])
-                    sink.emit_joined(batch, s_rel.dereference_many(offsets))
+                    offsets = [pmap.offset_of(obj[1]) for obj in batch]
+                    sink.emit_joined(batch, dereference_many(s_rel, offsets))
                     meter.release(len(batch) * batch_cost)
             return sink.close()
         except BaseException:
@@ -318,7 +425,7 @@ def _spill_bucket_groups(
         ]
         spills.write(
             target,
-            spills.record_layout.pack_r_batch(objects),
+            pack_records(objects, spills.record_layout.record_bytes),
             [len(bucket_groups.get(bucket, ())) for bucket in range(buckets)],
         )
         flushed += len(objects)
@@ -362,10 +469,10 @@ def grace_partition(spec: TaskSpec) -> int:
     with store.open_r(i) as r_rel:
         spills = vectorized.BucketSpills(spec, store, r_rel)
         try:
-            for batch in r_rel.iter_object_batches(batch_records):
+            for batch in iter_object_batches(r_rel, batch_records):
                 meter.charge(len(batch) * record_bytes, "grace bucket groups")
                 retained += len(batch)
-                located = pmap.locate_many([obj[1] for obj in batch])
+                located = [pmap.locate(obj[1]) for obj in batch]
                 for obj, (target, offset) in zip(batch, located):
                     bucket = order_preserving_bucket(
                         offset, part_sizes[target], buckets
@@ -424,11 +531,11 @@ def hybrid_hash_partition(spec: TaskSpec) -> StageOutput:
 
     with store.open_r(i) as r_rel:
         spills = vectorized.BucketSpills(spec, store, r_rel, resident)
-        sink = PairSink(store.path(i, pairs_name("hh", i)), len(r_rel))
+        sink = ScalarPairSink(store.path(i, pairs_name("hh", i)), len(r_rel))
         try:
-            for batch in r_rel.iter_object_batches(batch_records):
+            for batch in iter_object_batches(r_rel, batch_records):
                 meter.charge(len(batch) * record_bytes, "hybrid bucket groups")
-                located = pmap.locate_many([obj[1] for obj in batch])
+                located = [pmap.locate(obj[1]) for obj in batch]
                 by_target: Dict[int, Tuple[List[RObject], List[int]]] = {}
                 resident_count = 0
                 for obj, (target, offset) in zip(batch, located):
@@ -452,7 +559,7 @@ def hybrid_hash_partition(spec: TaskSpec) -> StageOutput:
                     s_bytes = s_rel.segment.layout.record_bytes
                     charged = len(objs) * s_bytes
                     meter.charge(charged, "resident S batch")
-                    sink.emit_joined(objs, s_rel.dereference_many(offsets))
+                    sink.emit_joined(objs, dereference_many(s_rel, offsets))
                     meter.release(charged)
                 meter.release(resident_count * record_bytes)
                 if spill_threshold is not None and retained >= spill_threshold:
@@ -486,7 +593,7 @@ def grace_probe(spec: TaskSpec) -> PairResult:
     capacity = sum(len(rel) for rel in inbound)
     sink = None
     try:
-        sink = PairSink(store.path(i, pairs_name("probe", i)), capacity)
+        sink = ScalarPairSink(store.path(i, pairs_name("probe", i)), capacity)
         with store.open_s(i) as s_rel:
             s_bytes = s_rel.segment.layout.record_bytes
             for bucket in range(buckets):
@@ -494,12 +601,14 @@ def grace_probe(spec: TaskSpec) -> PairResult:
                 bucket_charged = 0
                 for rel in inbound:
                     r_bytes = rel.segment.layout.record_bytes
-                    for batch in rel.iter_bucket_batches(bucket, batch_records):
+                    for batch in iter_bucket_batches(
+                        rel, bucket, batch_records
+                    ):
                         meter.charge(
                             len(batch) * r_bytes, "grace probe bucket"
                         )
                         bucket_charged += len(batch) * r_bytes
-                        offsets = pmap.offset_many([obj[1] for obj in batch])
+                        offsets = [pmap.offset_of(obj[1]) for obj in batch]
                         for obj, offset in zip(batch, offsets):
                             chain = refining_chain(
                                 offset, part_size, buckets, tsize
@@ -515,8 +624,8 @@ def grace_probe(spec: TaskSpec) -> PairResult:
                 ]
                 for chunk in rebatch(ordered, batch_records):
                     meter.charge(len(chunk) * s_bytes, "dereferenced S batch")
-                    offsets = pmap.offset_many([obj[1] for obj in chunk])
-                    sink.emit_joined(chunk, s_rel.dereference_many(offsets))
+                    offsets = [pmap.offset_of(obj[1]) for obj in chunk]
+                    sink.emit_joined(chunk, dereference_many(s_rel, offsets))
                     meter.release(len(chunk) * s_bytes)
                 meter.release(bucket_charged)
         return sink.close()

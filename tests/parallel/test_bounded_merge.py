@@ -32,10 +32,11 @@ from repro.governor.watchdog import (
 )
 from repro.parallel import FaultPlan, run_real_join, vectorized
 from repro.parallel.engine.task import TaskSpec, run_name
-from repro.storage.relation import SortedRunsFile, read_pairs
+from repro.storage.relation import SortedRunsFile
 from repro.storage.store import Store
 from repro.workload import WorkloadSpec, generate_workload
 from tests.conftest import store_tree_problems
+from tests.parallel.scalar_oracle import read_pairs
 
 R_BYTES = S_BYTES = 128
 

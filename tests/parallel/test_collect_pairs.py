@@ -2,7 +2,7 @@
 
 ``RealJoinResult.pairs`` is one ``JoinedPairs`` block filled from the
 published PAIRS segments — the same pairs, in the same order, that the
-per-object ``iter_pairs_file`` would decode, at 32 bytes a pair.
+oracle's per-object ``read_pairs`` decodes, at 32 bytes a pair.
 """
 
 import dataclasses
@@ -15,9 +15,10 @@ import pytest
 from repro.core.records import JoinedPairs
 from repro.joins import verify_pairs
 from repro.parallel import REAL_ALGORITHMS, run_real_join
-from repro.storage import PAIR_RECORD_BYTES, iter_pairs_file
+from repro.storage import PAIR_RECORD_BYTES
 from repro.workload import WorkloadSpec, generate_workload
 from repro.workload.generator import RColumns
+from tests.parallel.scalar_oracle import read_pairs
 
 ALGORITHMS = sorted(REAL_ALGORITHMS)
 
@@ -44,7 +45,7 @@ def test_pairs_are_the_published_segments_in_file_order(
     assert list(result.pairs) == [
         pair
         for pair_file in result.pair_files
-        for pair in iter_pairs_file(pair_file.path)
+        for pair in read_pairs(pair_file.path)
     ]
 
 

@@ -28,9 +28,9 @@ from repro.service import (
 from repro.service.journal import RequestJournal
 from repro.service.protocol import PAIR_RECORD, recv_frame, send_frame
 from repro.service.server import sweep_service_root
-from repro.storage.relation import read_pairs
 from repro.storage.segment import MappedSegment
 from repro.workload.generator import WorkloadSpec, generate_workload
+from tests.parallel.scalar_oracle import read_pairs
 
 SCALE = 0.01  # -> 1,024 objects after the service's max(64, 102_400 * scale)
 SEED = 23
@@ -120,7 +120,7 @@ def test_streamed_blocks_are_the_published_segments_pair_for_pair(
     make_service, monkeypatch, algorithm
 ):
     """The wire carries the PAIRS segments' own records: what the client
-    unpacks equals ``read_pairs`` of the same files, in the same order."""
+    unpacks equals the oracle's ``read_pairs`` of the same files, in the same order."""
     import repro.service.server as server_module
 
     real_run = run_real_join
@@ -331,7 +331,7 @@ def _publish_segment(path, records=3):
     path.parent.mkdir(parents=True, exist_ok=True)
     with MappedSegment.create(path, capacity=max(records, 1)) as seg:
         for i in range(records):
-            seg.append_record(bytes([i % 251]) * seg.layout.record_bytes)
+            seg.append_batch(bytes([i % 251]) * seg.layout.record_bytes)
     return path
 
 

@@ -40,16 +40,17 @@ class TestAtomicPublish:
     def test_close_publishes_written_records(self, tmp_path):
         path = tmp_path / "A.seg"
         segment = MappedSegment.create(path, 4)
-        segment.append_record(RECORD)
+        segment.append_batch(RECORD)
         segment.close()
         with MappedSegment.open(path) as reopened:
             assert len(reopened) == 1
-            assert reopened.read_record(0) == RECORD
+            with reopened.read_batch(0, 1) as view:
+                assert bytes(view) == RECORD
 
     def test_discard_publishes_nothing(self, tmp_path):
         path = tmp_path / "A.seg"
         segment = MappedSegment.create(path, 4)
-        segment.append_record(RECORD)
+        segment.append_batch(RECORD)
         segment.discard()
         assert not path.exists()
         assert not tmp_segment_path(path).exists()
@@ -59,7 +60,7 @@ class TestAtomicPublish:
         path = tmp_path / "A.seg"
         with pytest.raises(RuntimeError, match="mid-pass death"):
             with MappedSegment.create(path, 4) as segment:
-                segment.append_record(RECORD)
+                segment.append_batch(RECORD)
                 raise RuntimeError("mid-pass death")
         assert not path.exists()
         assert not tmp_segment_path(path).exists()
@@ -67,7 +68,7 @@ class TestAtomicPublish:
     def test_clean_with_exit_publishes(self, tmp_path):
         path = tmp_path / "A.seg"
         with MappedSegment.create(path, 4) as segment:
-            segment.append_record(RECORD)
+            segment.append_batch(RECORD)
         assert path.exists()
 
     def test_overwrite_false_rejects_existing(self, tmp_path):
@@ -79,11 +80,11 @@ class TestAtomicPublish:
     def test_overwrite_replaces_only_at_close(self, tmp_path):
         path = tmp_path / "A.seg"
         first = MappedSegment.create(path, 4)
-        first.append_record(RECORD)
+        first.append_batch(RECORD)
         first.close()
         second = MappedSegment.create(path, 4, overwrite=True)
-        second.append_record(RECORD)
-        second.append_record(RECORD)
+        second.append_batch(RECORD)
+        second.append_batch(RECORD)
         # Old contents stay readable until the new segment publishes.
         assert MappedSegment.record_count(path) == 1
         second.close()
@@ -92,11 +93,11 @@ class TestAtomicPublish:
     def test_overwrite_discard_keeps_old_contents(self, tmp_path):
         path = tmp_path / "A.seg"
         first = MappedSegment.create(path, 4)
-        first.append_record(RECORD)
+        first.append_batch(RECORD)
         first.close()
         retry = MappedSegment.create(path, 4, overwrite=True)
-        retry.append_record(RECORD)
-        retry.append_record(RECORD)
+        retry.append_batch(RECORD)
+        retry.append_batch(RECORD)
         retry.discard()
         assert MappedSegment.record_count(path) == 1
 
@@ -104,13 +105,13 @@ class TestAtomicPublish:
         path = tmp_path / "A.seg"
         tmp_segment_path(path).write_bytes(b"garbage from a dead writer")
         with MappedSegment.create(path, 4) as segment:
-            segment.append_record(RECORD)
+            segment.append_batch(RECORD)
         assert MappedSegment.record_count(path) == 1
 
     def test_durable_close_still_publishes(self, tmp_path):
         path = tmp_path / "A.seg"
         segment = MappedSegment.create(path, 4, durable=True)
-        segment.append_record(RECORD)
+        segment.append_batch(RECORD)
         segment.close()
         assert MappedSegment.record_count(path) == 1
 
@@ -161,16 +162,17 @@ class TestTornSegmentRejection:
     def test_intact_segment_still_accepted(self, tmp_path):
         path = tmp_path / "ok.seg"
         with MappedSegment.create(path, 4) as segment:
-            segment.append_record(RECORD)
+            segment.append_batch(RECORD)
         with MappedSegment.open(path) as reopened:
-            assert reopened.read_record(0) == RECORD
+            with reopened.read_batch(0, 1) as view:
+                assert bytes(view) == RECORD
 
 
 class TestOrphanCleanup:
     def test_cleanup_removes_only_tmp_files(self, tmp_path):
         store = Store(tmp_path / "db", 2)
         with MappedSegment.create(store.path(0, "R"), 4) as segment:
-            segment.append_record(RECORD)
+            segment.append_batch(RECORD)
         orphan = tmp_segment_path(store.path(1, "RP0"))
         orphan.write_bytes(b"dead writer output")
         assert store.cleanup_orphans() == 1

@@ -2,75 +2,91 @@
 
 import pytest
 
-from repro.core.records import JoinedPair, RObject, SObject
+import numpy as np
+
+from repro.core.records import JoinedPair, JoinedPairs, RObject, SObject
 from repro.storage.layout import RecordLayout
 from repro.storage.relation import (
     BucketedRFile,
     PairsFile,
     RRelationFile,
     SRelationFile,
-    read_pairs,
+    read_pair_block,
 )
 from repro.storage.segment import MappedSegment, META_CAPACITY, StorageError
+from tests.parallel.scalar_oracle import (
+    append_objects,
+    dereference_many,
+    iter_bucket_batches,
+    iter_object_batches,
+    pack_pairs,
+    pack_records,
+    read_objects,
+    read_pairs,
+)
+
+
+def decode(layout, buffer, make=RObject._make):
+    """Records decoded by the layout's columns, as tuples."""
+    return [make(map(int, t)) for t in zip(*layout.decode_columns(buffer))]
 
 
 class TestLayoutBatches:
     def test_record_struct_spans_whole_record(self):
         layout = RecordLayout(128)
-        assert layout.record_struct.size == 128
+        assert layout.np_dtype.itemsize == 128
 
     def test_pack_unpack_r_batch_roundtrip(self):
         layout = RecordLayout(128)
         objs = [RObject(i, i * 7, i * 11) for i in range(50)]
-        buffer = layout.pack_r_batch(objs)
+        buffer = layout.pack_columns(*np.asarray(objs, dtype=np.uint64).T)
         assert len(buffer) == 50 * 128
-        assert layout.unpack_r_batch(buffer) == objs
+        assert decode(layout, buffer) == objs
 
     def test_pack_unpack_s_batch_roundtrip(self):
         layout = RecordLayout(64)
         objs = [SObject(i, i + 1, i + 2) for i in range(17)]
-        assert layout.unpack_s_batch(layout.pack_s_batch(objs)) == objs
+        buffer = pack_records(objs, 64)
+        assert decode(layout, buffer, SObject._make) == objs
 
     def test_batch_matches_scalar_encoding(self):
         layout = RecordLayout(128)
         objs = [RObject(3, 4, 5), RObject(6, 7, 8)]
-        batch = bytes(layout.pack_r_batch(objs))
-        scalar = b"".join(layout.pack_r(obj) for obj in objs)
-        assert batch == scalar
+        cols = np.asarray(objs, dtype=np.uint64).T
+        batch = bytes(layout.pack_columns(*cols))
+        assert batch == pack_records(objs, 128)
 
     def test_minimal_record_size_batch(self):
         layout = RecordLayout(24)  # header only, zero padding
         objs = [RObject(1, 2, 3)]
-        assert layout.unpack_r_batch(layout.pack_r_batch(objs)) == objs
+        assert decode(layout, pack_records(objs, 24)) == objs
 
 
 class TestSegmentBatches:
     def _fill(self, seg, n):
-        layout = seg.layout
-        seg.append_batch(layout.pack_r_batch([RObject(i, i, i) for i in range(n)]))
+        seg.append_batch(pack_records([RObject(i, i, i) for i in range(n)]))
 
     def test_append_batch_then_read_batch(self, tmp_path):
         with MappedSegment.create(tmp_path / "a.seg", capacity=10) as seg:
             self._fill(seg, 10)
             view = seg.read_batch(2, 3)
             try:
-                decoded = seg.layout.unpack_r_batch(view)
+                decoded = decode(seg.layout, view)
             finally:
                 view.release()
             assert decoded == [RObject(i, i, i) for i in (2, 3, 4)]
 
     def test_append_batch_returns_start_index(self, tmp_path):
         with MappedSegment.create(tmp_path / "a.seg", capacity=8) as seg:
-            layout = seg.layout
-            assert seg.append_batch(layout.pack_r_batch([RObject(0, 0, 0)])) == 0
+            assert seg.append_batch(pack_records([RObject(0, 0, 0)])) == 0
             assert seg.append_batch(
-                layout.pack_r_batch([RObject(1, 1, 1), RObject(2, 2, 2)])
+                pack_records([RObject(1, 1, 1), RObject(2, 2, 2)])
             ) == 1
             assert len(seg) == 3
 
     def test_append_batch_overflow_rejected(self, tmp_path):
         with MappedSegment.create(tmp_path / "a.seg", capacity=2) as seg:
-            blob = seg.layout.pack_r_batch([RObject(i, i, i) for i in range(3)])
+            blob = pack_records([RObject(i, i, i) for i in range(3)])
             with pytest.raises(StorageError):
                 seg.append_batch(blob)
             assert len(seg) == 0
@@ -96,7 +112,7 @@ class TestSegmentBatches:
             self._fill(seg, 10)
             decoded = []
             for view in seg.iter_batches(3):
-                decoded.extend(seg.layout.unpack_r_batch(view))
+                decoded.extend(decode(seg.layout, view))
                 view.release()
             assert decoded == [RObject(i, i, i) for i in range(10)]
 
@@ -106,7 +122,7 @@ class TestSegmentBatches:
             self._fill(seg, 5)
         with MappedSegment.open(path) as seg:
             view = seg.read_batch(0, 5)
-            assert seg.layout.unpack_r_batch(view)[4] == RObject(4, 4, 4)
+            assert decode(seg.layout, view)[4] == RObject(4, 4, 4)
             view.release()
 
     def test_record_count_reads_header_without_mapping(self, tmp_path):
@@ -141,47 +157,64 @@ class TestSegmentMeta:
     def test_meta_does_not_clobber_records(self, tmp_path):
         with MappedSegment.create(tmp_path / "a.seg", capacity=2) as seg:
             record = bytes(range(128)) * 1
-            seg.append_record(record)
+            seg.append_batch(record)
             seg.write_meta(b"m" * META_CAPACITY)
-            assert seg.read_record(0) == record
+            with seg.read_batch(0, 1) as view:
+                assert bytes(view) == record
 
 
 class TestRelationBatches:
     def test_append_many_then_iter_objects(self, tmp_path):
         objs = [RObject(i, i * 2, i * 3) for i in range(100)]
         with RRelationFile.create(tmp_path / "r.seg", 100) as rel:
-            rel.append_many(objs)
-            assert list(rel.iter_objects(batch_records=7)) == objs
-            assert [b for b in rel.iter_object_batches(30)][0] == objs[:30]
+            append_objects(rel, objs)
+            got = [
+                RObject(*map(int, t))
+                for cols in rel.iter_column_batches(batch_records=7)
+                for t in zip(*cols)
+            ]
+            assert got == objs
+            assert next(iter_object_batches(rel, 30)) == objs[:30]
 
     def test_batched_iter_matches_scalar_gets(self, tmp_path):
         objs = [RObject(i, 99 - i, i) for i in range(25)]
         with RRelationFile.create(tmp_path / "r.seg", 25) as rel:
-            rel.append_many(objs)
-            assert [rel.get(i) for i in range(25)] == list(rel.iter_objects())
+            append_objects(rel, objs)
+            rid, sptr, payload = rel.read_columns(0, 25)
+            assert read_objects(rel) == [
+                RObject(*map(int, t)) for t in zip(rid, sptr, payload)
+            ]
 
     def test_dereference_many(self, tmp_path):
         objs = [SObject(i, i * 10, i) for i in range(40)]
         with SRelationFile.create(tmp_path / "s.seg", 40) as rel:
-            rel.append_many(objs)
+            append_objects(rel, objs)
             offsets = [5, 0, 39, 5, 17]
-            assert rel.dereference_many(offsets) == [objs[o] for o in offsets]
-            assert rel.dereference_many([]) == []
+            sid, value = rel.dereference_columns(
+                np.asarray(offsets, dtype=np.uint64)
+            )
+            assert list(zip(sid.tolist(), value.tolist())) == [
+                (objs[o].sid, objs[o].value) for o in offsets
+            ]
+            assert dereference_many(rel, offsets) == [objs[o] for o in offsets]
+            empty = rel.dereference_columns(np.empty(0, dtype=np.uint64))
+            assert [len(col) for col in empty] == [0, 0]
 
     def test_dereference_many_out_of_range_rejected(self, tmp_path):
         with SRelationFile.create(tmp_path / "s.seg", 4) as rel:
-            rel.append_many([SObject(0, 0, 0)])
+            append_objects(rel, [SObject(0, 0, 0)])
             with pytest.raises(StorageError):
-                rel.dereference_many([0, 1])
+                rel.dereference_columns(np.asarray([0, 1], dtype=np.uint64))
             with pytest.raises(StorageError):
-                rel.dereference_many([-1])
+                dereference_many(rel, [-1])
 
     def test_segment_closable_after_batch_iteration(self, tmp_path):
         """Views must not leak: a closed-over mapping with exported
         buffers cannot be unmapped."""
         rel = RRelationFile.create(tmp_path / "r.seg", 10)
-        rel.append_many([RObject(i, i, i) for i in range(10)])
-        list(rel.iter_objects(batch_records=3))
+        append_objects(rel, [RObject(i, i, i) for i in range(10)])
+        list(rel.iter_column_batches(batch_records=3))
+        list(rel.iter_record_batches(batch_records=3))
         rel.close()  # BufferError here would mean a leaked view
 
 
@@ -190,14 +223,15 @@ class TestPairsFile:
         pairs = [JoinedPair(i, i + 1, i + 2, i + 3) for i in range(30)]
         path = tmp_path / "p.seg"
         with PairsFile.create(path, 30) as pf:
-            pf.append_many(pairs)
+            pf.append_packed(pack_pairs(pairs))
+        assert list(JoinedPairs(read_pair_block(path))) == pairs
         assert read_pairs(path) == pairs
 
     def test_pairs_accepts_plain_tuples(self, tmp_path):
         path = tmp_path / "p.seg"
         with PairsFile.create(path, 2) as pf:
-            pf.append_many([(1, 2, 3, 4), (5, 6, 7, 8)])
-        loaded = read_pairs(path)
+            pf.append_packed(pack_pairs([(1, 2, 3, 4), (5, 6, 7, 8)]))
+        loaded = list(JoinedPairs(read_pair_block(path)))
         assert loaded == [JoinedPair(1, 2, 3, 4), JoinedPair(5, 6, 7, 8)]
         assert all(isinstance(p, JoinedPair) for p in loaded)
 
@@ -208,8 +242,8 @@ class TestPairsFile:
             PairsFile.open(path)
 
     def test_iter_pairs_file_streams_batched(self, tmp_path):
-        """The generator form: same pairs as read_pairs, never the whole
-        file materialized at once."""
+        """The generator form: same pairs as the whole-file read, never
+        the whole file materialized at once."""
         import types
 
         from repro.storage import iter_pairs_file
@@ -217,20 +251,20 @@ class TestPairsFile:
         pairs = [JoinedPair(i, i + 1, i + 2, i + 3) for i in range(100)]
         path = tmp_path / "p.seg"
         with PairsFile.create(path, 100) as pf:
-            pf.append_many(pairs)
+            pf.append_packed(pack_pairs(pairs))
         stream = iter_pairs_file(path, batch_records=7)
         assert isinstance(stream, types.GeneratorType)
         assert list(stream) == pairs
         # Odd batch sizes must not drop the tail.
         assert list(iter_pairs_file(path, batch_records=33)) == pairs
         # The whole-file form reads the segment in one step, same pairs.
-        assert read_pairs(path) == pairs
+        assert list(JoinedPairs(read_pair_block(path))) == pairs
 
 
 def write_groups(writer, groups, buckets):
     """One ``write_buckets`` call carrying ``groups`` (bucket -> objects)."""
     writer.write_buckets(
-        RecordLayout(128).pack_r_batch(
+        pack_records(
             [obj for bucket in sorted(groups) for obj in groups[bucket]]
         ),
         [len(groups.get(bucket, ())) for bucket in range(buckets)],
@@ -262,7 +296,7 @@ class TestBucketedRFile:
                 expected = groups.get(bucket, [])
                 got = [
                     obj
-                    for batch in reader.iter_bucket_batches(bucket, 2)
+                    for batch in iter_bucket_batches(reader, bucket, 2)
                     for obj in batch
                 ]
                 assert got == expected
@@ -310,7 +344,7 @@ class TestBucketedRFile:
     def test_write_batch_outside_reserved_count_rejected(self, tmp_path):
         segment = MappedSegment.create(tmp_path / "r.seg", 4, 128)
         segment.reserve(2)
-        records = RecordLayout(128).pack_r_batch([RObject(1, 1, 1)] * 2)
+        records = pack_records([RObject(1, 1, 1)] * 2)
         try:
             segment.write_batch(0, records)  # exactly the reserved slots
             for index in (-1, 1, 2):

@@ -6,17 +6,18 @@ import pytest
 
 from repro.joins import expected_checksum
 from repro.parallel import run_real_join
-from repro.storage.relation import write_r_partition, write_s_partition
+from repro.storage.relation import RRelationFile
 from repro.storage.store import Store
 from repro.workload import WorkloadSpec, generate_workload
+from tests.parallel.scalar_oracle import append_objects
 
 DISKS = 3
 
 
 @pytest.mark.parametrize("record_bytes", [32, 128, 256])
 def test_byte_identical_to_the_scalar_packer(record_bytes, tmp_path):
-    """Whole files — header, ``pack_batch`` payload, CRC footer — match
-    what the per-object writer publishes for the same tuples."""
+    """Whole files — header, payload, CRC footer — match what the
+    oracle's reference packer publishes for the same tuples."""
     workload = generate_workload(
         WorkloadSpec(r_objects=1000, s_objects=700, r_bytes=record_bytes,
                      s_bytes=record_bytes, distribution="zipf", seed=5),
@@ -26,10 +27,12 @@ def test_byte_identical_to_the_scalar_packer(record_bytes, tmp_path):
     store.materialize(workload)
     reference = Store(tmp_path / "objects", DISKS)
     for i in range(DISKS):
-        write_r_partition(
-            reference.path(i, "R"), workload.r_partitions[i], record_bytes)
-        write_s_partition(
-            reference.path(i, "S"), workload.s_partition(i), record_bytes)
+        for name, objects in (("R", workload.r_partitions[i]),
+                              ("S", workload.s_partition(i))):
+            with RRelationFile.create(reference.path(i, name),
+                                      max(1, len(objects)),
+                                      record_bytes) as rel:
+                append_objects(rel, objects)
         for name in ("R", "S"):
             assert store.path(i, name).read_bytes() \
                 == reference.path(i, name).read_bytes()

@@ -1,41 +1,45 @@
 """Tests for typed relation files and the store directory."""
 
+import numpy as np
 import pytest
 
 from repro.core.records import RObject, SObject
-from repro.storage.relation import (
-    RRelationFile,
-    SRelationFile,
-    write_r_partition,
-    write_s_partition,
-)
-from repro.storage.segment import StorageError
+from repro.storage.relation import RRelationFile, SRelationFile, write_columns
+from repro.storage.segment import MappedSegment, StorageError
 from repro.storage.store import Store
 from repro.workload import WorkloadSpec, generate_workload
+from tests.parallel.scalar_oracle import read_objects
+
+
+def write_objects(path, objs):
+    """One partition file from decoded records, via the column writer."""
+    write_columns(path, *np.asarray(objs, dtype=np.uint64).reshape(-1, 3).T)
 
 
 class TestRelationFiles:
     def test_r_roundtrip(self, tmp_path):
         objs = [RObject(i, i * 2, i * 3) for i in range(20)]
         path = tmp_path / "r.seg"
-        write_r_partition(path, objs)
+        write_objects(path, objs)
         with RRelationFile.open(path) as rel:
             assert len(rel) == 20
-            assert list(rel) == objs
-            assert rel.get(7) == objs[7]
+            assert read_objects(rel) == objs
+            rid, sptr, payload = rel.read_columns(7, 1)
+            assert (int(rid[0]), int(sptr[0]), int(payload[0])) == objs[7]
 
     def test_s_dereference(self, tmp_path):
         objs = [SObject(i, i * 10, 0) for i in range(16)]
         path = tmp_path / "s.seg"
-        write_s_partition(path, objs)
+        write_objects(path, objs)
         with SRelationFile.open(path) as rel:
-            assert rel.dereference(5).value == 50
+            _sid, value = rel.dereference_columns(np.asarray([5], np.uint64))
+            assert value.tolist() == [50]
 
     def test_empty_partition_files(self, tmp_path):
-        write_r_partition(tmp_path / "r.seg", [])
+        write_objects(tmp_path / "r.seg", [])
         with RRelationFile.open(tmp_path / "r.seg") as rel:
             assert len(rel) == 0
-            assert list(rel) == []
+            assert read_objects(rel) == []
 
 
 class TestStore:
@@ -54,9 +58,10 @@ class TestStore:
         store = Store(tmp_path / "db", disks=3)
         store.materialize(workload)
         with store.open_r(0) as r_rel:
-            assert list(r_rel) == workload.r_partitions[0]
+            assert read_objects(r_rel) == workload.r_partitions[0]
         with store.open_s(1) as s_rel:
-            assert list(s_rel) == workload.s_partition(1)
+            assert read_objects(s_rel, SObject._make) \
+                == workload.s_partition(1)
 
     def test_disk_count_mismatch_rejected(self, tmp_path, workload):
         store = Store(tmp_path / "db", disks=2)
@@ -66,7 +71,7 @@ class TestStore:
     def test_temp_lifecycle(self, tmp_path, workload):
         store = Store(tmp_path / "db", disks=3)
         store.materialize(workload)
-        store.create_temp(0, "RP0", capacity=10, record_bytes=128)
+        MappedSegment.create(store.path(0, "RP0"), capacity=10).close()
         assert len(store.temp_paths(0)) == 1
         store.cleanup_temps()
         assert store.temp_paths(0) == []

@@ -1,5 +1,6 @@
 """Tests for the real mmap-backed segments."""
 
+import numpy as np
 import pytest
 
 from repro.storage.layout import LayoutError, RecordLayout
@@ -10,57 +11,58 @@ from repro.storage.segment import (
     timed_new_map,
     timed_open_map,
 )
+from tests.parallel.scalar_oracle import pack_records
+
+
+RECORD = bytes(range(128))
+
+
+def read(seg, index, count=1):
+    """Copy ``count`` records at ``index`` out of the mapping."""
+    with seg.read_batch(index, count) as view:
+        return bytes(view)
 
 
 class TestRecordLayout:
     def test_r_roundtrip(self):
-        from repro.core.records import RObject
-
         layout = RecordLayout(128)
-        obj = RObject(rid=7, sptr=42, payload=99)
-        assert layout.unpack_r(layout.pack_r(obj)) == obj
+        cols = [np.asarray([7], dtype=np.uint64),
+                np.asarray([42], dtype=np.uint64),
+                np.asarray([99], dtype=np.uint64)]
+        decoded = layout.decode_columns(layout.pack_columns(*cols))
+        assert [int(col[0]) for col in decoded] == [7, 42, 99]
 
     def test_s_roundtrip(self):
-        from repro.core.records import SObject
-
-        layout = RecordLayout(128)
-        obj = SObject(sid=3, value=12, payload=5)
-        assert layout.unpack_s(layout.pack_s(obj)) == obj
+        layout = RecordLayout(64)
+        packed = layout.pack_columns([3], [12], [5])
+        assert bytes(packed) == pack_records([(3, 12, 5)], 64)
+        assert [int(c[0]) for c in layout.decode_columns(packed)] == [3, 12, 5]
 
     def test_record_is_exactly_sized(self):
-        from repro.core.records import RObject
-
         layout = RecordLayout(128)
-        assert len(layout.pack_r(RObject(1, 2, 3))) == 128
+        assert len(layout.pack_columns([1], [2], [3])) == 128
+        assert layout.np_dtype.itemsize == 128
 
     def test_rejects_too_small_record(self):
         with pytest.raises(LayoutError):
             RecordLayout(8)
-
-    def test_offset_of(self):
-        layout = RecordLayout(128)
-        assert layout.offset_of(3) == 384
-        with pytest.raises(LayoutError):
-            layout.offset_of(-1)
 
 
 class TestMappedSegment:
     def test_create_write_read(self, tmp_path):
         path = tmp_path / "a.seg"
         with MappedSegment.create(path, capacity=10) as seg:
-            record = b"x" * 128
-            idx = seg.append_record(record)
+            idx = seg.append_batch(b"x" * 128)
             assert idx == 0
-            assert seg.read_record(0) == record
+            assert read(seg, 0) == b"x" * 128
 
     def test_data_persists_across_reopen(self, tmp_path):
         path = tmp_path / "a.seg"
-        record = bytes(range(128))
         with MappedSegment.create(path, capacity=4) as seg:
-            seg.append_record(record)
+            seg.append_batch(RECORD)
         with MappedSegment.open(path) as seg:
             assert len(seg) == 1
-            assert seg.read_record(0) == record
+            assert read(seg, 0) == RECORD
 
     def test_create_over_existing_rejected(self, tmp_path):
         path = tmp_path / "a.seg"
@@ -80,40 +82,42 @@ class TestMappedSegment:
 
     def test_append_beyond_capacity_rejected(self, tmp_path):
         with MappedSegment.create(tmp_path / "a.seg", capacity=1) as seg:
-            seg.append_record(b"x" * 128)
+            seg.append_batch(b"x" * 128)
             with pytest.raises(StorageError):
-                seg.append_record(b"y" * 128)
+                seg.append_batch(b"y" * 128)
 
     def test_wrong_record_size_rejected(self, tmp_path):
         with MappedSegment.create(tmp_path / "a.seg", capacity=2) as seg:
+            seg.reserve(1)
             with pytest.raises(StorageError):
-                seg.write_record(0, b"short")
+                seg.write_batch(0, b"short")
 
     def test_read_unwritten_rejected(self, tmp_path):
         with MappedSegment.create(tmp_path / "a.seg", capacity=2) as seg:
             with pytest.raises(StorageError):
-                seg.read_record(0)
+                seg.read_batch(0, 1)
 
     def test_write_at_next_slot_extends_count(self, tmp_path):
         with MappedSegment.create(tmp_path / "a.seg", capacity=8) as seg:
-            seg.write_record(0, b"z" * 128)
-            seg.write_record(1, b"y" * 128)
+            assert seg.append_batch(b"z" * 128) == 0
+            assert seg.append_batch(b"y" * 128) == 1
             assert len(seg) == 2
 
     def test_sparse_write_past_count_rejected(self, tmp_path):
         """A write that jumps past the count would leave garbage records
-        that iter_records would then yield — rejected outright."""
+        that a reader would then decode — rejected outright."""
         with MappedSegment.create(tmp_path / "a.seg", capacity=8) as seg:
             with pytest.raises(StorageError):
-                seg.write_record(5, b"z" * 128)
+                seg.write_batch(5, b"z" * 128)
             assert len(seg) == 0
 
     def test_reserve_declares_slots_valid(self, tmp_path):
         with MappedSegment.create(tmp_path / "a.seg", capacity=8) as seg:
             seg.reserve(6)
-            seg.write_record(5, b"z" * 128)
+            seg.write_batch(5, b"z" * 128)
             assert len(seg) == 6
-            assert seg.read_record(3) == b"\x00" * 128
+            assert read(seg, 3) == b"\x00" * 128
+            assert read(seg, 5) == b"z" * 128
 
     def test_reserve_beyond_capacity_rejected(self, tmp_path):
         with MappedSegment.create(tmp_path / "a.seg", capacity=4) as seg:
@@ -122,7 +126,7 @@ class TestMappedSegment:
 
     def test_reserve_never_shrinks(self, tmp_path):
         with MappedSegment.create(tmp_path / "a.seg", capacity=4) as seg:
-            seg.append_record(b"x" * 128)
+            seg.append_batch(b"x" * 128)
             seg.reserve(0)
             assert len(seg) == 1
 
@@ -130,7 +134,9 @@ class TestMappedSegment:
         seg = MappedSegment.create(tmp_path / "a.seg", capacity=1)
         seg.close()
         with pytest.raises(StorageError):
-            seg.read_record(0)
+            seg.read_batch(0, 0)
+        with pytest.raises(StorageError):
+            seg.append_batch(RECORD)
 
     def test_close_idempotent(self, tmp_path):
         seg = MappedSegment.create(tmp_path / "a.seg", capacity=1)
@@ -149,9 +155,12 @@ class TestMappedSegment:
 
     def test_iter_records(self, tmp_path):
         with MappedSegment.create(tmp_path / "a.seg", capacity=3) as seg:
-            for i in range(3):
-                seg.append_record(bytes([i]) * 128)
-            assert [r[0] for r in seg.iter_records()] == [0, 1, 2]
+            seg.append_batch(b"".join(bytes([i]) * 128 for i in range(3)))
+            firsts = []
+            for view in seg.iter_batches(1):
+                with view:
+                    firsts.append(view[0])
+            assert firsts == [0, 1, 2]
 
     def test_zero_capacity_segment(self, tmp_path):
         with MappedSegment.create(tmp_path / "a.seg", capacity=0) as seg:

@@ -39,11 +39,7 @@ class TestCleanupOrphansLiveWriterGuard:
         store = Store(str(tmp_path), disks=2)
         path = store.path(0, "PUB0")
         segment = MappedSegment.create(str(path), capacity=4)
-        from repro.core.records import RObject
-
-        segment.append_record(
-            segment.layout.pack_r(RObject(rid=1, sptr=2, payload=3))
-        )
+        segment.append_batch(segment.layout.pack_columns([1], [2], [3]))
         segment.close()
         assert path.exists()
         store.cleanup_orphans()

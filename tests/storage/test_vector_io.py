@@ -1,6 +1,6 @@
-"""Unit equivalence of the columnar storage primitives against their
-scalar counterparts: the byte- and value-level contracts the vectorized
-kernels build on."""
+"""Unit equivalence of the columnar storage primitives against the
+oracle's per-object readers and reference packer: the byte- and
+value-level contracts the vectorized kernels build on."""
 
 import pytest
 
@@ -15,6 +15,14 @@ from repro.storage.relation import (
     SRelationFile,
 )
 from repro.core.records import RObject, SObject
+from tests.parallel.scalar_oracle import (
+    ScalarPairSink,
+    append_objects,
+    dereference_many,
+    iter_bucket_batches,
+    pack_records,
+    read_objects,
+)
 
 RECORDS = [(i * 7 + 1, (i * 13) % 97, i * 31 + 5) for i in range(97)]
 
@@ -28,10 +36,10 @@ class TestLayoutColumns:
     def test_pack_columns_matches_pack_batch(self, layout):
         cols = np.asarray(RECORDS, dtype=np.uint64)
         packed = layout.pack_columns(cols[:, 0], cols[:, 1], cols[:, 2])
-        assert bytes(packed) == bytes(layout.pack_batch(RECORDS))
+        assert bytes(packed) == pack_records(RECORDS, layout.record_bytes)
 
     def test_decode_columns_round_trips(self, layout):
-        blob = bytes(layout.pack_batch(RECORDS))
+        blob = pack_records(RECORDS, layout.record_bytes)
         a, b, c = layout.decode_columns(blob)
         assert list(zip(a.tolist(), b.tolist(), c.tolist())) == RECORDS
 
@@ -43,7 +51,7 @@ class TestLayoutColumns:
         """Regression: a 1-element strided field view counts as
         contiguous, so a non-copying decode would keep the mapped buffer
         exported and make the segment unclosable."""
-        blob = bytearray(layout.pack_batch(RECORDS[:1]))
+        blob = bytearray(pack_records(RECORDS[:1], layout.record_bytes))
         with memoryview(blob) as view:
             a, b, c = layout.decode_columns(view)
         # The view is released; the columns must still be readable.
@@ -58,13 +66,13 @@ class TestPointerColumns:
     def test_locate_array_matches_locate_many(self, pmap):
         sptrs = np.arange(1021, dtype=np.uint64)
         parts, offs = pmap.locate_array(sptrs)
-        expected = pmap.locate_many(range(1021))
+        expected = [pmap.locate(p) for p in range(1021)]
         assert list(zip(parts.tolist(), offs.tolist())) == expected
 
     def test_offset_array_matches_offset_many(self, pmap):
         sptrs = np.arange(0, 1021, 3, dtype=np.uint64)
         offs = pmap.offset_array(sptrs)
-        assert offs.tolist() == pmap.offset_many(range(0, 1021, 3))
+        assert offs.tolist() == [pmap.offset_of(p) for p in range(0, 1021, 3)]
 
 
 class TestRelationColumns:
@@ -73,14 +81,14 @@ class TestRelationColumns:
         cols = np.asarray(RECORDS, dtype=np.uint64)
         rel.append_columns(cols[:, 0], cols[:, 1], cols[:, 2])
         objs = [RObject(*r) for r in RECORDS]
-        assert list(rel.iter_objects()) == objs
+        assert read_objects(rel) == objs
         a, b, c = rel.read_columns(0, len(RECORDS))
         assert list(zip(a.tolist(), b.tolist(), c.tolist())) == RECORDS
         rel.close()
 
     def test_iter_column_batches_covers_all_records(self, tmp_path):
         rel = RRelationFile.create(tmp_path / "r.seg", len(RECORDS), 128)
-        rel.append_many([RObject(*r) for r in RECORDS])
+        append_objects(rel, RECORDS)
         got = []
         for a, b, c in rel.iter_column_batches(batch_records=16):
             got.extend(zip(a.tolist(), b.tolist(), c.tolist()))
@@ -89,10 +97,10 @@ class TestRelationColumns:
 
     def test_dereference_columns_matches_dereference_many(self, tmp_path):
         rel = SRelationFile.create(tmp_path / "s.seg", 64, 128)
-        rel.append_many([SObject(i + 1, i * 3, i) for i in range(64)])
+        append_objects(rel, [SObject(i + 1, i * 3, i) for i in range(64)])
         offsets = np.asarray([5, 0, 63, 17, 17, 2], dtype=np.uint64)
         sid, value = rel.dereference_columns(offsets)
-        expected = rel.dereference_many([int(o) for o in offsets])
+        expected = dereference_many(rel, [int(o) for o in offsets])
         assert [
             (int(s), int(v)) for s, v in zip(sid, value)
         ] == [(o.sid, o.value) for o in expected]
@@ -118,7 +126,7 @@ class TestRelationColumns:
                 for b, objs in by_bucket.items()
             }
             pieces.write_buckets(
-                layout.pack_r_batch([o for b in range(buckets) for o in flush[b]]),
+                pack_records([o for b in range(buckets) for o in flush[b]]),
                 [len(flush[b]) for b in range(buckets)],
             )
         pieces.close()
@@ -147,9 +155,7 @@ class TestRelationColumns:
             tmp_path / "b.seg", [len(groups[b]) for b in range(buckets)]
         )
         rel.write_buckets(
-            RecordLayout(128).pack_r_batch(
-                [o for b in range(buckets) for o in groups[b]]
-            ),
+            pack_records([o for b in range(buckets) for o in groups[b]]),
             [len(groups[b]) for b in range(buckets)],
         )
         for b in range(buckets):
@@ -157,7 +163,9 @@ class TestRelationColumns:
             assert [
                 RObject(*t)
                 for t in zip(rid.tolist(), sptr.tolist(), payload.tolist())
-            ] == groups[b]
+            ] == groups[b] == [
+                o for batch in iter_bucket_batches(rel, b, 7) for o in batch
+            ]
         rel.close()
 
 
@@ -166,7 +174,7 @@ class TestPairSinkArrays:
         rows = [
             (i, (i * 5) % 23, i + 100, i * 9 + 1) for i in range(41)
         ]
-        scalar = PairSink(tmp_path / "scalar.seg", len(rows))
+        scalar = ScalarPairSink(tmp_path / "scalar.seg", len(rows))
         scalar.emit_joined(
             [RObject(rid, 0, rp) for rid, _, rp, _ in rows],
             [SObject(sid, sv, 0) for _, sid, _, sv in rows],

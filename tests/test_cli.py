@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -99,3 +101,15 @@ class TestCommands:
         ) == 0
         text = open(out_path).read()
         assert "Figure 5c" in text
+
+    def test_instrumented_join_stats_validate(self, tmp_path):
+        """An instrumented real join writes a stats document the
+        validator accepts; an unknown schema version is rejected."""
+        path = tmp_path / "stats.json"
+        assert main(["join", "grace", "--real", "--scale", "0.02",
+                     "--stats-out", str(path)]) == 0
+        assert main(["stats", "validate", str(path)]) == 0
+        document = json.loads(path.read_text())
+        document["schema_version"] = 99
+        path.write_text(json.dumps(document))
+        assert main(["stats", "validate", str(path)]) == 1
