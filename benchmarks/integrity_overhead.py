@@ -15,7 +15,12 @@ is exactly where the CRC cost lives.
 The gate exists to keep integrity *cheap enough to leave on*: a CRC
 implementation regression (chunking gone wrong, the verified-cache
 dropping hits) shows up here as an aggregate overhead far beyond the
-single digits.
+single digits.  The report names the CRC-32 engine the run hashed with.
+
+It runs inline, in one process, so the verified-file memo serves every
+re-open of a segment this process wrote: it prices the write-side CRC
+and scrub-free opens, not the cross-process verification a pool pays
+(``bench/run.py``'s ``cpu_s`` on ``warm_hot`` shows that).
 """
 
 import json
@@ -75,6 +80,7 @@ def main() -> int:
     )
     totals = {"off": 0.0, "on": 0.0}
     report = {
+        "crc_engine": segment_module.CRC_ENGINE,
         "scale": SCALE,
         "rounds": ROUNDS,
         "max_overhead": MAX_OVERHEAD,
@@ -107,7 +113,10 @@ def main() -> int:
 
     aggregate = totals["on"] / totals["off"] - 1.0
     report["aggregate_overhead"] = aggregate
-    print(f"{'aggregate':>14}: {aggregate:+.1%} (budget {MAX_OVERHEAD:.0%})")
+    print(
+        f"{'aggregate':>14}: {aggregate:+.1%} (budget {MAX_OVERHEAD:.0%}, "
+        f"{segment_module.CRC_ENGINE} CRC-32)"
+    )
     if aggregate > MAX_OVERHEAD:
         failures.append(
             f"checksum verification costs {aggregate:.1%} aggregate wall "

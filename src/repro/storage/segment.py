@@ -41,6 +41,7 @@ per join must not pay a synchronous writeback each.
 
 from __future__ import annotations
 
+import ctypes
 import mmap
 import os
 import struct
@@ -67,10 +68,10 @@ HEADER = struct.Struct("<8sQQQ")  # magic, record_bytes, capacity, count
 PAGE_SIZE = mmap.PAGESIZE
 _META_LEN = struct.Struct("<Q")
 
-# Integrity footer: a per-payload CRC32C-style checksum (zlib's C-speed
-# CRC-32; the tag records which algorithm produced it so a future build
-# with a true CRC32C extension stays self-describing) written into the
-# *end* of the header page at close() and verified on open().  The torn-
+# Integrity footer: a per-payload CRC-32 (IEEE polynomial, zlib's value;
+# the tag records which algorithm produced it so a future build with
+# another checksum stays self-describing) written into the *end* of the
+# header page at close() and verified on open().  The torn-
 # header rejection of `_header_problem` catches writers that died mid-
 # publish; the footer extends that to silent payload corruption — a
 # flipped bit in a cold segment, a partial page lost by a dying disk.
@@ -79,6 +80,37 @@ _FOOTER = struct.Struct("<8s4sQQ")  # magic, algo tag, crc, count at crc
 FOOTER_OFFSET = PAGE_SIZE - _FOOTER.size
 _CRC_ALGO = b"crc2"  # zlib.crc32 (IEEE polynomial)
 _CRC_CHUNK = 1 << 20
+
+
+def _load_crc32():
+    """The CRC-32 engine: libdeflate's kernel where the system library
+    loads, zlib's otherwise.
+
+    Both compute the IEEE CRC-32 with zlib's seed convention, so either
+    engine reads and writes the same footers.  ctypes can take the
+    address only of a writable, non-empty buffer: read-only and empty
+    buffers stay on zlib.
+    """
+    try:
+        kernel = ctypes.CDLL("libdeflate.so.0").libdeflate_crc32
+    except (OSError, AttributeError):
+        return "zlib", zlib.crc32
+    kernel.restype = ctypes.c_uint32
+    kernel.argtypes = (ctypes.c_uint32, ctypes.c_void_p, ctypes.c_size_t)
+    address, cell = ctypes.addressof, ctypes.c_char.from_buffer
+
+    def libdeflate_crc32(data, crc: int = 0) -> int:
+        view = memoryview(data)
+        if view.readonly or not view.nbytes:
+            return zlib.crc32(view, crc)
+        start = cell(view)  # holds the buffer export across the call
+        return kernel(crc, address(start), view.nbytes)
+
+    return "libdeflate", libdeflate_crc32
+
+
+#: Which engine ``crc32`` resolved to: ``"libdeflate"`` or ``"zlib"``.
+CRC_ENGINE, crc32 = _load_crc32()
 
 META_CAPACITY = PAGE_SIZE - HEADER.size - _META_LEN.size - _FOOTER.size
 
@@ -134,17 +166,19 @@ def _integrity_on(switch: str) -> bool:
 
 
 def _payload_crc(fd: int, count: int, record_bytes: int) -> int:
-    """CRC over the written payload bytes, chunked pread (no mapping)."""
+    """CRC over the written payload bytes, chunked pread (no mapping)
+    into one buffer reused for every chunk."""
     crc = 0
     offset = PAGE_SIZE
     remaining = count * record_bytes
+    buffer = memoryview(bytearray(min(_CRC_CHUNK, remaining)))
     while remaining:
-        chunk = os.pread(fd, min(_CRC_CHUNK, remaining), offset)
-        if not chunk:  # short file — the count check reports it precisely
+        got = os.preadv(fd, [buffer[:remaining]], offset)
+        if not got:  # short file — the count check reports it precisely
             break
-        crc = zlib.crc32(chunk, crc)
-        offset += len(chunk)
-        remaining -= len(chunk)
+        crc = crc32(buffer[:got], crc)
+        offset += got
+        remaining -= got
     return crc
 
 
@@ -716,7 +750,7 @@ class MappedSegment:
         self._dirty = True
         if self._stream_crc is not None:
             if index == self._stream_count:
-                self._stream_crc = zlib.crc32(data, self._stream_crc)
+                self._stream_crc = crc32(data, self._stream_crc)
                 self._stream_count = index + count
             elif index < self._stream_count:
                 self._stream_crc = None  # rewrote streamed bytes
