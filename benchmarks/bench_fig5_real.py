@@ -14,7 +14,8 @@ numbers are of the *host*.  Every run is checked against the oracle.
 
 Sort-merge reports, per budget, the RUN segments one join creates
 (``storage.map.new{kind=RUN}``: one per sort-run task, its runs are
-extents), and grace and hybrid hash the bucket-spill files
+extents) and the MRG segments (``storage.map.new{kind=MRG}``: one per
+merge level per merge task), and grace and hybrid hash the bucket-spill files
 (``storage.map.new{kind=BS}``) — both from one extra metered join — and
 the urn model's ``grace_premature_replacements`` — the paper's
 explanation of the Grace low-memory knee — beside their walls.
@@ -92,6 +93,9 @@ def _sweep(workload, root: str, pool) -> dict:
             cells[(kind, algorithm, budget)] = counters.get(
                 f"storage.map.new{{kind={kind}}}", 0
             )
+            cells[("MRG", algorithm, budget)] = counters.get(
+                "storage.map.new{kind=MRG}", 0
+            )
     return cells
 
 
@@ -123,6 +127,7 @@ def _rows(cells) -> list:
             "fanin": int(details.get("merge_fanin", 0)) or "-",
             "passes": int(details.get("merge_passes", 0)) or "-",
             "RUN": cells[("RUN", "sort-merge", budget)],
+            "MRG": cells[("MRG", "sort-merge", budget)],
             "rungs": governor.get("degradations_total", "-"),
             "runtime": max(
                 (result.governor or {}).get("runtime_degradations", 0)
@@ -146,6 +151,10 @@ def _check_curve(rows) -> None:
     # One run segment per sort-run task and one spill file per (target,
     # contributor), whatever the budget.
     assert len({row["RUN"] for row in rows}) == 1, [r["RUN"] for r in rows]
+    # One MRG segment per merge level per merge task.
+    for row in rows:
+        levels = row["passes"] - 1 if row["passes"] != "-" else 0
+        assert row["MRG"] <= row["RUN"] * levels, row
     for algorithm in BUCKETED:
         assert len({row[f"{algorithm} BS"] for row in rows}) == 1, algorithm
     for wider, tighter in zip(rows, rows[1:]):
@@ -168,14 +177,14 @@ def _check_curve(rows) -> None:
 def _render(title: str, rows) -> str:
     headers = [
         "budget", "sort-merge ms", "batch", "irun", "runs", "fanin",
-        "passes", "RUN", "rungs", "NL ms", "grace ms", "BS", "urn",
+        "passes", "RUN", "MRG", "rungs", "NL ms", "grace ms", "BS", "urn",
         "hybrid ms", "BS", "urn",
     ]
     table = format_table(headers, [
         [
             row["budget"], row["wall_ms"], row["batch"], row["irun"],
             row["runs"], row["fanin"], row["passes"], row["RUN"],
-            row["rungs"], row["nested-loops"],
+            row["MRG"], row["rungs"], row["nested-loops"],
             *(row[f"{a}{suffix}"] for a in BUCKETED
               for suffix in ("", " BS", " urn")),
         ]
@@ -209,8 +218,9 @@ def test_fig5_real(benchmark, record):
         f"{REPS} interleaved reps; runs / fanin / passes are the merge "
         "stage's,\nrungs the ladder rungs admission took; steps within "
         f"{STEP_TOLERANCE:.0%} count as level.\nRUN = sorted-run segments "
-        "created per join (storage.map.new{kind=RUN}); BS = bucket-spill "
-        "files\n(storage.map.new{kind=BS}); urn = the urn model's "
+        "created per join (storage.map.new{kind=RUN}); MRG = merge-level "
+        "segments\n(storage.map.new{kind=MRG}); BS = bucket-spill files "
+        "(storage.map.new{kind=BS}); urn = the urn model's "
         "grace_premature_replacements for the admitted plan.",
         _render("inline (driver process runs every task)", inline),
         _render(f"shared pool of {POOL_WORKERS} spawned workers", pooled),

@@ -16,10 +16,10 @@ lives here exactly once:
 * :class:`PairSink` / :class:`PairResult` — streaming pair output into a
   mapped segment, returning only ``(count, checksum, path)``;
 * the stage-owned artifact naming scheme (:func:`pairs_name`,
-  :func:`run_name` / :func:`sort_run_spans`, :func:`merge_run_name` /
-  :func:`sweep_merge_runs`, :func:`bucket_spill_name` /
-  :func:`bucket_spill_paths`) — so producers and consumers of spill files
-  agree on names through one module instead of duplicated string logic.
+  :func:`run_name` / :func:`sort_run_spans`, :func:`merge_run_name` (one
+  segment per merge level) / :func:`sweep_merge_runs`,
+  :func:`bucket_spill_name` / :func:`bucket_spill_paths`) — so producers
+  and consumers of spill files agree on names through one module.
 
 Kernels are plain functions registered by name
 (:func:`register_kernel`, which returns them unchanged, so tests call
@@ -316,23 +316,22 @@ def sort_run_spans(store: Store, spec: TaskSpec) -> List[Tuple[Path, int]]:
     return spans
 
 
-def merge_run_name(partition: int, level: int, index: int) -> str:
-    """One intermediate run of the bounded-fan-in merge.
+def merge_run_name(partition: int, level: int) -> str:
+    """One level of the bounded-fan-in merge, a RUN-format segment.
 
-    One file per merged group, holding one run.  Its own family, never
-    a ``RUN`` name, so the sort-run stage's checkpointed artifacts cannot
-    be mistaken for a merge task's scratch.
+    Its own family, never a ``RUN`` name, so the sort-run stage's
+    checkpointed artifacts cannot be mistaken for a merge task's scratch.
     """
-    return f"MRG{partition}_{level}_{index}"
+    return f"MRG{partition}_{level}"
 
 
 def sweep_merge_runs(store: Store, partition: int) -> None:
-    """Delete every published intermediate run of one merge task.
+    """Delete every published merge level of one merge task.
 
     Called by the task before it merges (a killed attempt's leftovers)
-    and when it ends, however it ends: intermediates never outlive the
-    task that wrote them.  Unpublished ``.seg.tmp`` files are discarded
-    by their writer, or by the driver's orphan sweep if it died.
+    and when it ends, however it ends: levels never outlive the task
+    that wrote them.  Unpublished ``.seg.tmp`` files are discarded by
+    their writer, or by the driver's orphan sweep if it died.
     """
     for path in store.disk_dir(partition).glob(f"MRG{partition}_*.seg"):
         path.unlink(missing_ok=True)

@@ -72,7 +72,7 @@ from repro.parallel.engine.task import (
 )
 from repro.storage.layout import RecordLayout
 from repro.storage.relation import BucketedRFile, RRelationFile, SortedRunsFile
-from repro.storage.segment import MappedSegment
+from repro.storage.segment import MappedSegment, StorageError
 from repro.storage.store import Store
 
 __all__ = [
@@ -323,28 +323,20 @@ def sort_merge_runs(spec: TaskSpec) -> int:
 
 
 class Run(NamedTuple):
-    """One sorted run: records ``[lo, hi)`` of an open relation."""
+    """One sorted run: records ``[lo, hi)`` of an open run segment."""
 
-    rel: RRelationFile
+    rel: SortedRunsFile
     lo: int
     hi: int
-
-
-def _segment_runs(rel: RRelationFile) -> List[Run]:
-    """A run file's runs: a sort-run segment's extents, or one MRG run."""
-    if isinstance(rel, SortedRunsFile):
-        return [Run(rel, lo, hi) for lo, hi in rel.extents()]
-    return [Run(rel, 0, len(rel))]
 
 
 def open_runs(store: Store, partition: int, opened: ExitStack) -> List[Run]:
     """Open a partition's RUN segment into ``opened``; return every run it
     holds, in inbound order."""
-    return _segment_runs(
-        opened.enter_context(
-            SortedRunsFile.open(store.path(partition, run_name(partition)))
-        )
+    rel = opened.enter_context(
+        SortedRunsFile.open(store.path(partition, run_name(partition)))
     )
+    return [Run(rel, lo, hi) for lo, hi in rel.extents()]
 
 
 class _RunCursor:
@@ -410,12 +402,12 @@ def sort_merge_merge_join(spec: TaskSpec) -> PairResult:
     Under a memory budget the fan-in is bounded
     (:func:`~repro.governor.predict.merge_fanin`): while more runs remain
     than may be open at once, every ``fanin`` *consecutive* runs are
-    merged into one intermediate run — the paper's multi-pass merge
+    merged into one run of the next level — the paper's multi-pass merge
     (§6.2).  Each merge is stable with ties going to the earlier run, and
     groups are consecutive, so the final pass sees the records in exactly
-    the single-pass order.  The sort-run stage's segments are only ever
-    read; intermediates are deleted once merged and swept however the
-    task ends.
+    the single-pass order.  The sort-run stage's segment is only ever
+    read; each level is one ``MRG`` segment, deleted once merged and
+    swept however the task ends.
     """
     i = spec.partition
     store = spec.open_store()
@@ -441,8 +433,8 @@ def sort_merge_merge_join(spec: TaskSpec) -> PairResult:
 def _merge_join(spec, store, opened, runs, s_rel, sink) -> None:
     """The merge task's body: bounded-fan-in levels, then the final pass.
 
-    Intermediates are opened into ``opened`` (the task's one exit stack)
-    and closed and deleted as soon as the next level has merged them.
+    Each level is opened into ``opened`` (the task's one exit stack), and
+    closed and deleted as soon as the next level is published.
     """
     i, record_bytes = spec.partition, spec.r_bytes
     batch_records = spec.plan.batch_records
@@ -455,22 +447,29 @@ def _merge_join(spec, store, opened, runs, s_rel, sink) -> None:
     )
     level = 0
     while fanin is not None and len(runs) > fanin:
-        merged: List[Run] = []
-        for lo in range(0, len(runs), fanin):
-            group = runs[lo:lo + fanin]
-            if len(group) == 1:
-                merged.extend(group)  # the odd run out rides along
-                continue
-            out = store.path(i, merge_run_name(i, level, len(merged)))
-            _merge_group(out, group, batch_records, record_bytes, meter)
-            for run in group:
-                if not isinstance(run.rel, SortedRunsFile):
-                    run.rel.close()  # an intermediate, now merged
-                    run.rel.segment.path.unlink()
-            merged.extend(
-                _segment_runs(opened.enter_context(RRelationFile.open(out)))
-            )
-        runs = merged
+        # Every group, a one-run rider too, becomes one extent of the
+        # level: ``fanin`` consecutive source extents, so one stride.
+        source = runs[0].rel
+        path = store.path(i, merge_run_name(i, level))
+        with SortedRunsFile.create(
+            path, max(1, len(source)), source.irun * fanin, record_bytes,
+            overwrite=True,
+        ) as out:
+            for lo in range(0, len(runs), fanin):
+                group = runs[lo:lo + fanin]
+                _merge_runs(
+                    [_RunCursor(run) for run in group],
+                    batch_records, record_bytes, 0, meter, out.append_columns,
+                )
+                if len(out) != group[-1].hi:
+                    raise StorageError(
+                        f"{path.name} breaks its {out.irun}-record extents"
+                    )
+        if level:
+            source.close()  # the level just merged
+            source.segment.path.unlink()
+        rel = opened.enter_context(SortedRunsFile.open(path))
+        runs = [Run(rel, lo, hi) for lo, hi in rel.extents()]
         level += 1
 
     def emit(rid, sptr, payload) -> None:
@@ -490,30 +489,6 @@ def _merge_join(spec, store, opened, runs, s_rel, sink) -> None:
             [_RunCursor(run) for run in runs],
             batch_records, record_bytes, s_bytes, meter, emit,
         )
-
-
-def _merge_group(
-    out_path,
-    group: List[Run],
-    batch_records: int,
-    record_bytes: int,
-    meter,
-) -> None:
-    """Merge ``group``'s runs into one published run at ``out_path``."""
-    out = RRelationFile.create(
-        out_path,
-        max(1, sum(run.hi - run.lo for run in group)),
-        record_bytes, overwrite=True,
-    )
-    try:
-        _merge_runs(
-            [_RunCursor(run) for run in group],
-            batch_records, record_bytes, 0, meter, out.append_columns,
-        )
-    except BaseException:
-        out.abort()
-        raise
-    out.close()
 
 
 def _merge_runs(

@@ -134,14 +134,16 @@ _IRUN = struct.Struct("<Q")
 
 
 class SortedRunsFile(RRelationFile):
-    """One sort-run task's sorted runs, back to back in one segment.
+    """One sort-run task's (or one merge level's) sorted runs, back to
+    back in one segment.
 
     Run ``k`` is records ``[k * irun, min((k + 1) * irun, n))``: every run
     but the last holds exactly ``irun`` records, so the whole run
     directory is one number, kept in the header page's meta blob.  The
     cutter appends its runs in cut order (:meth:`append_run`) and
-    publishes once; the merge opens the segment once and reads each run
-    as an extent (:meth:`extents`).
+    publishes once; a merge level appends each merged group as it is
+    merged.  The merge opens the segment once and reads each run as an
+    extent (:meth:`extents`).
     """
 
     def __init__(self, segment: MappedSegment, irun: int) -> None:

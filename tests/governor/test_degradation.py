@@ -7,8 +7,11 @@ or refuses with a classified error — never a raw OSError / MemoryError
 escaping ``run_real_join``.
 """
 
+import dataclasses
+
 import pytest
 
+from repro.governor.predict import JoinPlan, fit_plan
 from repro.joins import expected_checksum, verify_pairs
 from repro.obs.export import schema_problems
 from repro.parallel import FaultPlan, run_real_join
@@ -150,6 +153,47 @@ class TestSkewedGovernedRun:
         assert result.degradations_total >= 1
         observed = result.governor["observed"]["worker_mem_high_water_bytes"]
         assert observed <= result.governor["budgets"]["worker_mem_budget_bytes"]
+
+
+class TestPredictedDiskAdmitsTheMerge:
+    """Each merge level holds the whole inbound, and the level just merged
+    is deleted only once the next is published, so two levels sit on disk
+    together: ``predict_footprint``'s level term is the real peak."""
+
+    @pytest.mark.parametrize(
+        "budget", [1 << 20, 256 << 10], ids=["1MiB", "256KiB"]
+    )
+    @pytest.mark.parametrize("distribution", ["uniform", "partition_hot"])
+    def test_predicted_disk_bytes_suffice(
+        self, distribution, budget, tmp_path
+    ):
+        paper = generate_workload(
+            dataclasses.replace(
+                WorkloadSpec.paper_validation(scale=0.25, seed=11),
+                distribution=distribution,
+            ),
+            disks=4,
+        )
+        _plan, _steps, predicted = fit_plan(
+            "sort-merge", paper, JoinPlan(), budget // paper.disks
+        )
+        assert predicted.details["merge_passes"] >= 2
+        result = run_real_join(
+            "sort-merge", paper, str(tmp_path / "db"), use_processes=False,
+            collect_pairs=False, mem_budget=budget,
+            disk_budget=int(predicted.disk_bytes), on_pressure="degrade",
+        )
+        assert result.governor["resource_errors"].get("disk", 0) == 0
+        assert result.degradations_total == result.governor[
+            "admission_degradations"
+        ]
+        unbudgeted = run_real_join(
+            "sort-merge", paper, str(tmp_path / "plain"),
+            use_processes=False, collect_pairs=False,
+        )
+        assert result.pair_count == unbudgeted.pair_count
+        assert result.checksum == unbudgeted.checksum
+        assert result.pass_checksums == unbudgeted.pass_checksums
 
 
 class TestClassifiedRefusals:

@@ -9,13 +9,14 @@ the same merge as opening every run at once:
   stream must equal one stable sort of the concatenated runs; and
 * engine-level runs under a budget that forces at least two merge passes,
   bit-identical to the unbudgeted run and to the per-record oracle, leaving
-  no intermediate behind on success, on a crash, under memory pressure,
-  or when a merge dies half way.
+  no merge level behind on success, on a crash, under memory pressure,
+  or when a merge dies half way; each level is one RUN-format segment.
 """
 
 import dataclasses
 import math
 import tempfile
+from pathlib import Path
 
 import pytest
 
@@ -30,6 +31,7 @@ from repro.governor.watchdog import (
     activate_meter,
     deactivate_meter,
 )
+from repro.obs.registry import active
 from repro.parallel import FaultPlan, run_real_join, vectorized
 from repro.parallel.engine.task import TaskSpec, run_name
 from repro.storage.relation import SortedRunsFile
@@ -50,7 +52,7 @@ def budget_for(fanin: int, chunk: int) -> int:
 
 
 def merge_scratch(root) -> list:
-    """Intermediate merge runs (published or not) left under a store."""
+    """Merge levels (published or not) left under a store."""
     return sorted(str(p.relative_to(root)) for p in root.rglob("MRG*"))
 
 
@@ -171,6 +173,7 @@ class TestMergeProperty:
 
 
 SCALE, BUDGET = 0.25, 1 << 20  # the bench's warm_budget shape, a quarter size
+TWO_LEVELS = 256 << 10  # three merge passes: levels 0 and 1, then the join
 
 
 @pytest.fixture(scope="module")
@@ -207,10 +210,10 @@ def zipf_unbudgeted(zipf, tmp_path_factory):
     )
 
 
-def budgeted(workload, root, **kwargs):
+def budgeted(workload, root, budget=BUDGET, **kwargs):
     return run_real_join(
         "sort-merge", workload, str(root), use_processes=False,
-        collect_pairs=False, keep_store=True, mem_budget=BUDGET,
+        collect_pairs=False, keep_store=True, mem_budget=budget,
         on_pressure="degrade", **kwargs,
     )
 
@@ -306,22 +309,105 @@ class TestBudgetedEngine:
     def test_merge_dying_half_way_leaves_nothing_and_retries(
         self, workload, unbudgeted, tmp_path, monkeypatch
     ):
-        """Kill the first attempt after it has published intermediates:
-        its sweep must take them, and the retry must find the sort runs
-        intact."""
-        merge_group = vectorized._merge_group
+        """Kill the first attempt after it has published level 0 and while
+        it writes level 1: its sweep must take the level, and the retry
+        must find the sort runs intact."""
+        root = tmp_path / "db"
+        merge_runs = vectorized._merge_runs
+        sweep = vectorized.sweep_merge_runs
         calls = []
 
-        def dying(out_path, *args):
-            calls.append(out_path.name)
-            if len(calls) == 2:
-                assert merge_scratch(tmp_path / "db")  # one is published
-                raise RuntimeError("injected: merge died between groups")
-            return merge_group(out_path, *args)
+        def dying(cursors, *args):
+            if cursors[0].rel.segment.path.name == "MRG0_0.seg":
+                calls.append(len(cursors))
+                if len(calls) == 2:  # level 1's first group is written
+                    assert merge_scratch(root) == [
+                        "disk0/MRG0_0.seg", "disk0/MRG0_1.seg.tmp"
+                    ]
+                    raise RuntimeError("injected: merge died in level 1")
+            return merge_runs(cursors, *args)
 
-        monkeypatch.setattr(vectorized, "_merge_group", dying)
-        result = budgeted(workload, tmp_path / "db", retries=1)
+        def swept(store, partition):
+            sweep(store, partition)
+            assert merge_scratch(root) == []  # killed attempt's included
+
+        monkeypatch.setattr(vectorized, "_merge_runs", dying)
+        monkeypatch.setattr(vectorized, "sweep_merge_runs", swept)
+        result = budgeted(workload, root, budget=TWO_LEVELS, retries=1)
+        assert result.governor["predicted"]["details"]["merge_passes"] == 3
         assert result.retries_total == 1
         assert len(calls) > 2
         assert_same_answer(result, unbudgeted)
-        assert_store_clean(tmp_path / "db")
+        assert_store_clean(root)
+
+
+#: Budgets whose merge tasks write one level with and without a one-run
+#: rider (7 and 13 runs at fan-in 4), and two levels (25-26 runs).
+LAYOUTS = {"1MiB": 1 << 20, "512KiB-rider": 512 << 10, "256KiB": TWO_LEVELS}
+
+
+def has_rider(runs: int, fanin: int) -> bool:
+    """Whether some level's last group is a single run."""
+    while runs > fanin:
+        if runs % fanin == 1:
+            return True
+        runs = -(-runs // fanin)
+    return False
+
+
+class TestLevelLayout:
+    """Each bounded-fan-in level is one RUN-format ``MRG`` segment."""
+
+    @pytest.mark.parametrize("budget", LAYOUTS.values(), ids=LAYOUTS.keys())
+    def test_one_segment_per_level(
+        self, workload, unbudgeted, budget, tmp_path, monkeypatch
+    ):
+        root = tmp_path / "db"
+        levels = {}  # (partition, level) -> what was published
+        real_open = SortedRunsFile.open.__func__
+
+        def observed_open(cls, path):
+            rel = real_open(cls, path)
+            name = Path(path).stem
+            if name.startswith("MRG"):
+                # A level is opened once, as soon as it is published; the
+                # level it merged is gone by then.
+                partition, level = map(int, name[3:].split("_"))
+                assert merge_scratch(root) == [f"disk{partition}/{name}.seg"]
+                written = active().counter_value(
+                    "storage.write.records", kind="MRG"
+                )
+                levels[partition, level] = (rel.irun, rel.extents(), written)
+            return rel
+
+        monkeypatch.setattr(SortedRunsFile, "open", classmethod(observed_open))
+        result = budgeted(workload, root, budget=budget)
+        assert_same_answer(result, unbudgeted)
+        assert_store_clean(root)
+        details = result.governor["predicted"]["details"]
+        fanin = int(details["merge_fanin"])
+        passes = int(details["merge_passes"])
+        store = Store(root, workload.disks)
+        riders = []
+        for i in range(workload.disks):
+            with SortedRunsFile.open(store.path(i, run_name(i))) as cut:
+                irun, runs, inbound = cut.irun, len(cut.extents()), len(cut)
+            riders.append(has_rider(runs, fanin))
+            counters = result.worker_metrics["merge-join"][i]["counters"]
+            assert counters["storage.map.new{kind=MRG}"] == passes - 1
+            assert counters["storage.write.records{kind=MRG}"] == (
+                (passes - 1) * inbound
+            )
+            for level in range(passes - 1):
+                stride, extents, written = levels[i, level]
+                runs = -(-runs // fanin)
+                assert stride == irun * fanin ** (level + 1)
+                assert len(extents) == runs
+                assert [hi - lo for lo, hi in extents[:-1]] == (
+                    [stride] * (runs - 1)
+                )
+                assert extents[-1][1] == inbound
+                # Every level rewrites the whole inbound, rider included.
+                assert written == (level + 1) * inbound
+        assert len(levels) == workload.disks * (passes - 1)
+        assert any(riders) == (budget != 1 << 20)

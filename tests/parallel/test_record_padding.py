@@ -8,7 +8,7 @@ This walks the stores the four plans leave behind, under the vector
 kernels and the per-record oracle and a budget that forces in-place bucket-spill flushes and a multi-pass
 sort-merge merge, and checks the padding of every record-layout segment
 — R and S partitions, RS, nested-loops spills, sorted runs, merge
-intermediates and bucket spills.
+levels and bucket spills.
 """
 
 from contextlib import nullcontext
@@ -18,7 +18,8 @@ import pytest
 
 np = pytest.importorskip("numpy")
 
-from repro.parallel import run_real_join, vectorized
+from repro.parallel import run_real_join
+from repro.storage.relation import SortedRunsFile
 from repro.storage.segment import PAGE_SIZE, MappedSegment, segment_kind
 from repro.workload import WorkloadSpec, generate_workload
 
@@ -59,16 +60,18 @@ def test_every_stored_record_is_zero_padded(
     record_bytes = workload.spec.r_bytes
     root = tmp_path / "db"
     merged = []
-    merge_group = vectorized._merge_group
+    real_open = SortedRunsFile.open.__func__
 
-    def checked_merge_group(out_path, *args):
-        # Merge intermediates are deleted before the merge task returns,
-        # so they are checked as they are published.
-        merge_group(out_path, *args)
-        assert padding_problems(out_path, record_bytes) == [], out_path.name
-        merged.append(out_path.name)
+    def checked_open(cls, path):
+        # Merge levels are deleted before the merge task returns, so each
+        # is checked as the merge opens it, right after publishing it.
+        path = Path(path)
+        if segment_kind(path.name) == "MRG":
+            assert padding_problems(path, record_bytes) == [], path.name
+            merged.append(path.name)
+        return real_open(cls, path)
 
-    monkeypatch.setattr(vectorized, "_merge_group", checked_merge_group)
+    monkeypatch.setattr(SortedRunsFile, "open", classmethod(checked_open))
     with scalar_kernels() if kernels == "scalar" else nullcontext():
         run_real_join(
             algorithm, workload, str(root), use_processes=False,
@@ -82,6 +85,6 @@ def test_every_stored_record_is_zero_padded(
             kinds.add(kind)
             assert padding_problems(path, record_bytes) == [], path.name
     assert kinds >= {"R", "S"} | SPILLS[algorithm]
-    # The budget drives the vector merge through intermediate runs; the
+    # The budget drives the vector merge through merge levels; the
     # oracle's heap merges every run at once.
     assert bool(merged) == (algorithm == "sort-merge" and kernels == "vector")
