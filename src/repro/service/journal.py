@@ -21,6 +21,14 @@ crashes:
 Failed requests are *forgotten* (the entry is deleted): an error frame
 is not a result worth replaying, and a retry should re-execute from
 scratch rather than be served last time's failure.
+
+One daemon owns a ``--root`` (``sweep_service_root`` assumes the same),
+so the directory is scanned once, when the journal is opened: stale
+``*.json.tmp`` files are deleted, ``running`` ids are noted for
+:meth:`RequestJournal.interrupted`, and the ``done`` ids become an
+in-memory index, oldest ``finished_at`` first.  From then on a request
+costs the daemon's one idempotency read (:meth:`RequestJournal.get`)
+plus two writes, whatever the journal's size.
 """
 
 from __future__ import annotations
@@ -28,9 +36,11 @@ from __future__ import annotations
 import json
 import os
 import re
+import threading
 import time
+from collections import OrderedDict
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 JOURNAL_DIR = "journal"
 
@@ -56,6 +66,26 @@ class RequestJournal:
     def __init__(self, root: str | Path) -> None:
         self.dir = Path(root) / JOURNAL_DIR
         self.dir.mkdir(parents=True, exist_ok=True)
+        # Request threads finish and forget concurrently.
+        self._lock = threading.Lock()
+        # No writer is live before the daemon accepts: a tmp is what a
+        # crash between write and rename left behind.
+        for tmp in self.dir.glob("*.json.tmp"):
+            tmp.unlink(missing_ok=True)
+        done = []
+        self._running: List[str] = []
+        for path in sorted(self.dir.glob("*.json")):
+            entry = self.get(path.stem)
+            if entry is None:
+                continue
+            if entry["state"] == "done":
+                done.append((entry.get("finished_at", 0.0), path.stem))
+            else:
+                self._running.append(path.stem)
+        #: Done ids, oldest ``finished_at`` first.
+        self._done: OrderedDict[str, None] = OrderedDict.fromkeys(
+            rid for _, rid in sorted(done)
+        )
 
     def path(self, request_id: str) -> Path:
         return self.dir / f"{request_id}.json"
@@ -66,27 +96,41 @@ class RequestJournal:
         tmp.write_text(json.dumps(entry, indent=1))
         os.replace(tmp, target)
 
-    def begin(self, request_id: str, record: dict) -> None:
-        """Journal an accepted request before any work starts."""
-        self._write(request_id, {
+    def begin(self, request_id: str, record: dict) -> dict:
+        """Journal an accepted request before any work starts; the entry
+        returned is what :meth:`finish` completes."""
+        entry = {
             "state": "running",
             "started_at": time.time(),
             "request": record,
-        })
-
-    def finish(self, request_id: str, result_frame: dict) -> None:
-        """Flip an entry to ``done``, caching the frame a retry replays."""
-        entry = self.get(request_id) or {"request": {}}
-        entry.update(
-            state="done",
-            finished_at=time.time(),
-            result=result_frame,
-        )
+        }
         self._write(request_id, entry)
-        self._prune_done()
+        return entry
+
+    def finish(self, request_id: str, entry: dict, result_frame: dict) -> None:
+        """Flip ``entry`` (from :meth:`begin`) to ``done``, caching the
+        frame a retry replays, then drop the oldest ``done`` entries
+        beyond the kept count."""
+        self._write(request_id, dict(
+            entry, state="done", finished_at=time.time(), result=result_frame,
+        ))
+        with self._lock:
+            self._done.pop(request_id, None)
+            self._done[request_id] = None
+            pruned = [
+                self._done.popitem(last=False)[0]
+                for _ in range(len(self._done) - DONE_ENTRIES_KEPT)
+            ]
+        for old_id in pruned:
+            self._unlink(old_id)
 
     def forget(self, request_id: str) -> None:
         """Drop an entry (failed request — nothing worth replaying)."""
+        with self._lock:
+            self._done.pop(request_id, None)
+        self._unlink(request_id)
+
+    def _unlink(self, request_id: str) -> None:
         target = self.path(request_id)
         target.unlink(missing_ok=True)
         target.with_name(target.name + ".tmp").unlink(missing_ok=True)
@@ -103,36 +147,12 @@ class RequestJournal:
             return None
         return entry
 
-    def entries(self) -> Dict[str, dict]:
-        """Every readable entry, keyed by request id."""
-        found: Dict[str, dict] = {}
-        for path in sorted(self.dir.glob("*.json")):
-            entry = self.get(path.stem)
-            if entry is not None:
-                found[path.stem] = entry
-        return found
-
     def interrupted(self) -> List[str]:
-        """Request ids still ``running`` — in flight when a daemon died.
+        """Request ids ``running`` when the journal was opened — in flight
+        when a daemon died.
 
-        Called at startup (before the socket accepts anything), when no
-        request can legitimately be running; each id names a join whose
-        store may hold a resumable checkpoint manifest.
+        The daemon opens its journal at startup, before the socket accepts
+        anything, when no request can legitimately be running; each id
+        names a join whose store may hold a resumable checkpoint manifest.
         """
-        return [
-            request_id
-            for request_id, entry in self.entries().items()
-            if entry.get("state") == "running"
-        ]
-
-    def _prune_done(self) -> None:
-        done = [
-            (entry.get("finished_at", 0.0), request_id)
-            for request_id, entry in self.entries().items()
-            if entry.get("state") == "done"
-        ]
-        if len(done) <= DONE_ENTRIES_KEPT:
-            return
-        done.sort()
-        for _, request_id in done[: len(done) - DONE_ENTRIES_KEPT]:
-            self.forget(request_id)
+        return list(self._running)

@@ -99,7 +99,8 @@ def sweep_service_root(root: str | Path) -> Dict[str, int]:
     that is the daemon's cache, not debris.  Checkpoint manifests
     (``checkpoint.json``) and the request journal directory are
     deliberately untouched: they are the state a restarted daemon
-    resumes interrupted requests from.
+    resumes interrupted requests from (opening the journal clears its
+    own stale tmps).
     """
     root = Path(root)
     counts = {
@@ -498,7 +499,7 @@ class JoinService:
             send_frame(conn, frame)
 
         if self._journal is not None:
-            self._journal.begin(request_id, {
+            pending = self._journal.begin(request_id, {
                 "algorithm": algorithm,
                 "tenant": policy.name,
                 "spec_args": spec_args,
@@ -520,7 +521,7 @@ class JoinService:
                         # Cache the terminal frame for idempotent replay —
                         # minus the stats document, which describes *this*
                         # execution, not the request's answer.
-                        self._journal.finish(request_id, {
+                        self._journal.finish(request_id, pending, {
                             key: value for key, value in frame.items()
                             if key != "stats_document"
                         })

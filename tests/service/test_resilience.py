@@ -7,6 +7,9 @@ The failure-model contract (docs/serving.md):
 * one whose first attempt died with a previous daemon **resumes** from
   the store's pass-level checkpoint;
 * a concurrent duplicate id is refused with a classified error;
+* the journal keeps the newest ``DONE_ENTRIES_KEPT`` completed entries
+  (a late retry of a pruned id re-executes), and finishing a request
+  reads no journal entry, whatever the journal's size;
 * an oversized or corrupt frame gets ``bad-frame``, a corrupt published
   segment gets ``corrupt-data`` — never garbage pairs;
 * SIGTERM drains: in-flight requests still deliver their terminal frame
@@ -20,6 +23,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import random
 import signal
 import socket
 import struct
@@ -40,7 +44,11 @@ from repro.service import (
     JoinServiceClient,
     ServiceConfig,
 )
-from repro.service.journal import RequestJournal, valid_request_id
+from repro.service.journal import (
+    DONE_ENTRIES_KEPT,
+    RequestJournal,
+    valid_request_id,
+)
 from repro.service.protocol import MAX_FRAME_BYTES, recv_frame, send_frame
 from repro.workload.generator import WorkloadSpec, generate_workload
 
@@ -221,6 +229,141 @@ def test_interrupted_request_resumes_after_daemon_restart(tmp_path):
         assert resumed_total == 1
     finally:
         service.close()
+
+
+# ------------------------------------------------- journal pruning and cost
+
+def finish_all(journal, request_ids):
+    for request_id in request_ids:
+        entry = journal.begin(request_id, {"algorithm": "grace"})
+        journal.finish(
+            request_id, entry, {"kind": "result", "id": request_id}
+        )
+
+
+def done_ids(journal):
+    """Every readable ``done`` entry on disk, by a fresh directory scan."""
+    return {
+        path.stem for path in journal.dir.glob("*.json")
+        if (journal.get(path.stem) or {}).get("state") == "done"
+    }
+
+
+def test_journal_keeps_the_newest_done_entries(tmp_path):
+    journal = RequestJournal(tmp_path)
+    ids = [f"req-{n:03d}" for n in range(DONE_ENTRIES_KEPT + 44)]
+    finish_all(journal, ids)
+    assert done_ids(journal) == set(ids[44:])
+    for request_id in ids[44:]:
+        assert journal.get(request_id)["result"]["id"] == request_id
+    for request_id in ids[:44]:
+        assert journal.get(request_id) is None
+    assert not list(journal.dir.glob("*.tmp"))
+
+
+def test_reopened_journal_prunes_oldest_finished_first(tmp_path):
+    """The startup scan orders the done index by ``finished_at``, not by
+    name, and leaves ``running`` entries to :meth:`interrupted`."""
+    order = list(range(300))
+    random.Random(SEED).shuffle(order)
+    planted = RequestJournal(tmp_path)
+    for rank, n in enumerate(order):
+        planted.path(f"old-{n:03d}").write_text(json.dumps({
+            "state": "done", "finished_at": 1000.0 + rank,
+            "request": {}, "result": {"kind": "result"},
+        }))
+    planted.begin("zombie-a", {"algorithm": "grace"})
+    planted.begin("zombie-b", {"algorithm": "sort-merge"})
+
+    journal = RequestJournal(tmp_path)
+    assert sorted(journal.interrupted()) == ["zombie-a", "zombie-b"]
+    finish_all(journal, ["fresh"])
+    newest = {f"old-{n:03d}" for n in order[300 - (DONE_ENTRIES_KEPT - 1):]}
+    assert done_ids(journal) == newest | {"fresh"}
+    assert journal.get("zombie-a")["state"] == "running"
+    assert journal.get("zombie-b")["state"] == "running"
+
+
+def test_concurrent_finishes_keep_exactly_the_bound(tmp_path):
+    journal = RequestJournal(tmp_path)
+    errors = []
+
+    def drive(worker):
+        try:
+            finish_all(journal, [f"w{worker}-{n}" for n in range(40)])
+        except Exception as error:  # surfaced by the assert below
+            errors.append(error)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=drive, args=(w,)) for w in range(8)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors, errors
+    assert len(done_ids(journal)) == DONE_ENTRIES_KEPT
+    assert len(list(journal.dir.glob("*.json"))) == DONE_ENTRIES_KEPT
+    assert not list(journal.dir.glob("*.tmp"))
+
+
+def test_finish_reads_no_entry_whatever_the_journal_size(
+    tmp_path, monkeypatch
+):
+    journal = RequestJournal(tmp_path)
+    finish_all(journal, [f"old-{n}" for n in range(DONE_ENTRIES_KEPT)])
+    reads = []
+    real_get, real_read_text = RequestJournal.get, Path.read_text
+
+    def counting_get(self, request_id):
+        reads.append(request_id)
+        return real_get(self, request_id)
+
+    def counting_read_text(self, *args, **kwargs):
+        reads.append(self)
+        return real_read_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(RequestJournal, "get", counting_get)
+    monkeypatch.setattr(Path, "read_text", counting_read_text)
+    finish_all(journal, [f"new-{n}" for n in range(50)])
+    monkeypatch.undo()
+    assert reads == []
+    assert len(done_ids(journal)) == DONE_ENTRIES_KEPT
+
+
+def test_late_retry_of_a_pruned_id_re_executes(make_service, monkeypatch):
+    import repro.service.journal as journal_module
+
+    monkeypatch.setattr(journal_module, "DONE_ENTRIES_KEPT", 4)
+    service = make_service()
+    with JoinServiceClient(service.config.socket_path) as client:
+        first = [
+            client.join("grace", request_id=f"req-{n}", **join_args())
+            for n in range(6)
+        ]
+        newest = client.join("grace", request_id="req-5", **join_args())
+        oldest = client.join("grace", request_id="req-0", **join_args())
+    assert newest.replayed is True
+    assert oldest.replayed is False
+    assert oldest.checksum == first[0].checksum
+    assert service.stats_document()["service"]["requests_total"] == 7
+
+
+def test_startup_deletes_stale_journal_tmps(tmp_path, make_service):
+    journal = RequestJournal(tmp_path / "svc-root")
+    finish_all(journal, ["req-a", "req-b"])
+    stale = journal.dir / "req-crashed.json.tmp"
+    stale.write_text('{"state": "runn')  # torn before its rename
+    make_service()
+    assert not stale.exists()
+    assert done_ids(journal) == {"req-a", "req-b"}
+    assert journal.get("req-a")["result"]["id"] == "req-a"
 
 
 # ----------------------------------------------------- corruption never served
