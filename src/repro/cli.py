@@ -38,7 +38,7 @@ from repro.harness.figures import all_figures, figure_1a, figure_1b, figure_5a, 
 from repro.harness.report import format_table, shape_summary
 from repro.joins import JoinEnvironment, make_algorithm, verify_pairs
 from repro.model import MemoryParameters
-from repro.parallel.engine.stages import algorithms as real_algorithms
+from repro.parallel.engine.plans import algorithms as real_algorithms
 from repro.workload import (
     DISTRIBUTIONS,
     DistributionError,
@@ -741,8 +741,7 @@ def _cmd_scrub(args) -> int:
     report = Store(root, disks).scrub(remove=args.remove)
     print(
         f"scrubbed {root} ({disks} disks): {report['scanned']} segments, "
-        f"{report['verified']} verified, {report['legacy']} legacy "
-        f"(no checksum footer), {len(report['failed'])} failed"
+        f"{report['verified']} verified, {len(report['failed'])} failed"
     )
     for failure in report["failed"]:
         print(f"  CORRUPT {failure['path']}: {failure['problem']}")

@@ -256,7 +256,7 @@ class ResourceGovernor:
     def note_degraded(self, tenant: Optional[str], rounds: int = 1) -> None:
         """Attribute ``rounds`` plan degradations to ``tenant``.
 
-        The governor only sees admissions; the executor's degradation
+        The governor only sees admissions; the driver's degradation
         loop reports back through the caller (the service daemon) so the
         per-tenant counts land in one place.
         """

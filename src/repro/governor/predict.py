@@ -16,7 +16,7 @@ Johnson–Kotz urn model of Grace bucket thrashing (:mod:`repro.model.urn`)
   ``MappedSegment.create`` claims via truncate.
 
 Both numbers are functions of the algorithm's declarative pass plan, not
-of the algorithm's name: :func:`predict_footprint` walks the registered
+of the algorithm's name: :func:`predict_footprint` walks the
 :class:`~repro.parallel.engine.stages.PassPlan` and prices each stage by
 its *kind* (scan-join, partition, sort-run, merge, probe), and
 :meth:`JoinPlan.degraded` picks ladder rungs by which stage kinds the
@@ -79,13 +79,13 @@ RUNG_MIN_GAIN = 0.10
 
 
 def _pass_plan(algorithm: str):
-    """The registered PassPlan for ``algorithm`` (lazy, cycle-free)."""
-    from repro.parallel.engine.stages import plan_for
+    """The PassPlan for ``algorithm`` (lazy, cycle-free)."""
+    from repro.parallel.engine.plans import plan_for
 
     plan = plan_for(algorithm)
     if plan is None:
         raise ValueError(
-            f"unknown algorithm {algorithm!r}: no registered pass plan"
+            f"unknown algorithm {algorithm!r}: no pass plan"
         )
     return plan
 
@@ -133,7 +133,7 @@ class JoinPlan:
         ``binding`` holds the labels of the stages to shrink first — those
         whose footprint sets the predicted high-water mark
         (:func:`fit_plan`) or whose worker just ran out of memory (the
-        executor) — so a rung is only taken where it lowers the mark;
+        driver) — so a rung is only taken where it lowers the mark;
         when several stages bind at once, the rung is the one knob they
         share, ``batch_records``.  Without a binding stage, or once it
         sits at its floor, stages are tried in plan order, so repeated
@@ -340,8 +340,8 @@ def predict_footprint(
     ``relation_parameters()`` (which carries the *measured* skew, so a
     skewed pointer distribution inflates the worst partition exactly the
     way the paper's analyses do).  The estimate is assembled stage by
-    stage from the algorithm's registered pass plan, so its ``per_pass``
-    labels match the executor's.
+    stage from the algorithm's pass plan, so its ``per_pass``
+    labels match the driver's.
     """
     pass_plan = _pass_plan(algorithm)
     relations = workload.relation_parameters()
@@ -511,7 +511,7 @@ def descend(
     ``None`` at the ladder's floor.  The record is the
     ``totals.governor.rungs`` entry: which knob moved, from what to what,
     and the predicted high-water mark after it.  Admission
-    (:func:`fit_plan`) and the executor's runtime degradation both
+    (:func:`fit_plan`) and the driver's runtime degradation both
     descend through here, so every plan a run visits is priced once.
     """
     lowered = plan.degraded(algorithm, resource, binding)

@@ -1,12 +1,13 @@
 """Real-mmap parallel join backend (multiprocessing over mapped files).
 
-Algorithms are declarative pass plans (:mod:`repro.parallel.engine`)
-executed by one generic engine; :mod:`repro.parallel.vectorized` holds
-the per-partition stage kernels and :mod:`repro.parallel.runner` the
-admission/governance facade.
+Algorithms are declarative pass plans, one entry each in the plan table
+(:mod:`repro.parallel.engine.plans`); :mod:`repro.parallel.vectorized`
+holds the per-partition stage kernels, and :mod:`repro.parallel.runner`
+the one driver, :func:`run_real_join`, which admits a plan and runs it.
 """
 
-from repro.parallel.engine.stages import PassPlan, PassPlanError, plan_for
+from repro.parallel.engine.plans import plan_for
+from repro.parallel.engine.stages import PassPlan, PassPlanError
 from repro.parallel.engine.task import PairResult
 from repro.parallel.faults import (
     ALGORITHM_TASKS,

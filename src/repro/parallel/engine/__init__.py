@@ -1,11 +1,11 @@
 """Pass-pipeline execution engine for the real-mmap backend.
 
-Algorithms are declarative :class:`PassPlan` DAGs of typed stages; one
-generic executor (:mod:`repro.parallel.engine.executor`) runs them all.
-This package deliberately does *not* import the executor here — the
-governor imports plans/stages for footprint prediction, and pulling the
-executor (multiprocessing, storage) along with them would re-create the
-import cycles the split exists to avoid.
+Algorithms are declarative :class:`PassPlan` chains of typed stages,
+one entry each in the :data:`PLANS` table; one driver
+(:func:`repro.parallel.run_real_join`) runs them all.  The driver lives
+outside this package on purpose — the governor imports plans/stages for
+footprint prediction, and pulling the driver (multiprocessing, storage)
+along with them would re-create the import cycles the split avoids.
 """
 
 from repro.parallel.engine.stages import (
@@ -18,11 +18,8 @@ from repro.parallel.engine.stages import (
     ScanJoinStage,
     SortRunStage,
     Stage,
-    algorithms,
-    plan_for,
-    register_plan,
 )
-from repro.parallel.engine import plans  # noqa: F401  (registers built-ins)
+from repro.parallel.engine.plans import PLANS, algorithms, plan_for
 from repro.parallel.engine.task import (
     BATCH_RECORDS,
     CHECKSUM_MOD,
@@ -44,6 +41,7 @@ __all__ = [
     "CHECKSUM_MOD",
     "ConservationRule",
     "MergeStage",
+    "PLANS",
     "PairResult",
     "PairSink",
     "PartitionStage",
@@ -61,7 +59,6 @@ __all__ = [
     "pairs_name",
     "plan_for",
     "register_kernel",
-    "register_plan",
     "resolve_kernel",
     "run_name",
     "run_task",

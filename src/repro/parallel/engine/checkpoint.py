@@ -1,11 +1,11 @@
-"""Crash-safe pass-level checkpoints for the plan executor.
+"""Crash-safe pass-level checkpoints for the join driver.
 
 The paper's whole premise is that join intermediates live in memory-
 mapped files — which means after a process crash the OS has usually
 already persisted every *completed* pass.  This module makes that
 surviving work reusable instead of discarding it:
 
-* after each stage barrier but the last the executor records the
+* after each stage barrier but the last the driver records the
   stage's published artifacts — path, record count and footer CRC, all
   from one header-page read per new segment — into a manifest
   (``checkpoint.json`` in the store root, compact JSON), written with
@@ -17,7 +17,7 @@ surviving work reusable instead of discarding it:
   nothing: the run's end deletes the manifest with no work in between,
   so a crash there costs only the final pass, which is all a record
   would have saved;
-* ``execute_plan(resume=True)`` validates the manifest against the
+* ``run_real_join(resume=True)`` validates the manifest against the
   on-disk segments (full payload scrub, not just existence — a bit
   flipped while the driver was dead must send the producing stage back
   to work) and replays the completed stages' outcomes, restarting from
@@ -204,7 +204,7 @@ def load_manifest(root: str | os.PathLike) -> Optional[dict]:
 
 @dataclasses.dataclass
 class ResumeState:
-    """What a validated manifest lets the executor skip."""
+    """What a validated manifest lets the driver skip."""
 
     records: List[dict]
     plan: JoinPlan

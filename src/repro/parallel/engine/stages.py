@@ -1,4 +1,4 @@
-"""Typed stages, declarative pass plans, and the algorithm registry.
+"""Typed stages and declarative pass plans.
 
 A join algorithm on the real-mmap backend is a :class:`PassPlan`: a short
 DAG (here, a linear chain — the paper's algorithms are all pass-barriered)
@@ -16,15 +16,15 @@ physical operators:
 * :class:`MergeStage` — multi-way merge runs and join against S;
 * :class:`ProbeStage` — per-bucket hash-table probe against S.
 
-The executor (:mod:`repro.parallel.engine.executor`) never looks at the
+The driver (:mod:`repro.parallel.runner`) never looks at the
 algorithm name: it walks the stages, hands each worker one
 :class:`~repro.parallel.engine.task.TaskSpec` naming the stage's kernel,
 and enforces the plan's :class:`ConservationRule` set.  The governor's footprint model
 (:mod:`repro.governor.predict`) walks the same stages, so prediction and
 the degradation ladder extend to a new algorithm automatically when its
-plan is registered.
+plan joins the table in :mod:`repro.parallel.engine.plans`.
 
-This module is import-light on purpose — dataclasses and the registry
+This module and the plan table are import-light on purpose — dataclasses
 only, no storage or multiprocessing — so the governor can import plans
 without cycles.
 """
@@ -32,7 +32,7 @@ without cycles.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar, Dict, Optional, Tuple, Union
+from typing import ClassVar, Tuple, Union
 
 #: How a stage's per-partition worker return value is interpreted.
 #: ``"moved"`` — an int count of redistributed records; ``"pairs"`` — a
@@ -130,7 +130,7 @@ class ConservationRule:
     ``produced`` sums the named fields of the named stages' outcomes
     (field ``"moved"``, ``"pairs"`` or ``"total"`` = moved + pairs);
     ``expected`` is either the literal ``"input"`` (the workload's total R
-    objects) or another ``(label, field)`` reference.  The executor checks
+    objects) or another ``(label, field)`` reference.  The driver checks
     a rule as soon as every stage it references has completed, so a
     corrupted redistribution fails before the next pass wastes work on it.
     """
@@ -186,34 +186,3 @@ class PassPlan:
         """Kernel names in pass order (the fault plan's coordinates)."""
         return tuple(stage.kernel for stage in self.stages)
 
-
-# ------------------------------------------------------------- the registry
-
-_PLANS: Dict[str, PassPlan] = {}
-
-
-def register_plan(plan: PassPlan) -> PassPlan:
-    """Register one algorithm's plan; the single point of extension."""
-    if plan.algorithm in _PLANS:
-        raise PassPlanError(f"algorithm {plan.algorithm!r} already registered")
-    _PLANS[plan.algorithm] = plan
-    return plan
-
-
-def plan_for(algorithm: str) -> Optional[PassPlan]:
-    """The registered plan for ``algorithm``, or None."""
-    _ensure_builtin_plans()
-    return _PLANS.get(algorithm)
-
-
-def algorithms() -> Tuple[str, ...]:
-    """Every registered algorithm, in registration order."""
-    _ensure_builtin_plans()
-    return tuple(_PLANS)
-
-
-def _ensure_builtin_plans() -> None:
-    # Self-healing registry: importing this module alone (e.g. from the
-    # governor) must still see the built-in plans.
-    if not _PLANS:
-        from repro.parallel.engine import plans  # noqa: F401  (registers)

@@ -7,7 +7,7 @@ lives here exactly once:
   Run state travels in the task; observations return in the result; the
   store holds data and the checkpoint, nothing else;
 * :func:`run_task` — the module-level (hence picklable) wrapper the
-  executor dispatches to the pool.  It fires the fault the spec carries,
+  driver dispatches to the pool.  It fires the fault the spec carries,
   activates the memory meter and a task-local metrics registry, returns
   the registry's snapshot beside the kernel's result, and classifies any
   raw ``OSError``/``MemoryError`` escaping a kernel into the governor's
@@ -63,7 +63,7 @@ CHECKSUM_MOD = 1 << 61
 class TaskSpec:
     """Everything one worker task is told — the whole of its run state.
 
-    The executor builds one per task (``plan_stage_units``) and ships it
+    The driver builds one per task (``plan_stage_units``) and ships it
     as the pool payload; a kernel called directly (tests) needs only the
     five store coordinates, every knob defaulting to the ungoverned
     :class:`~repro.governor.predict.JoinPlan`.
@@ -138,7 +138,7 @@ def run_task(spec: TaskSpec) -> Tuple[object, Optional[dict]]:
     classification boundary: any raw ``OSError``/``MemoryError`` that
     escapes a kernel — a real ``ENOSPC`` out of an ``ftruncate``, an
     injected ``disk-full``, an allocator failure — leaves here as a
-    classified :class:`ResourceExhausted` subtype, so the executor can
+    classified :class:`ResourceExhausted` subtype, so the driver can
     tell "this join needs a smaller plan" apart from "the code is
     broken".  The snapshot is ``None`` unless ``spec.metrics``.
     """

@@ -1,52 +1,107 @@
-"""Driver for the real-mmap parallel joins.
+"""The one driver of the real-mmap parallel joins.
 
-:func:`run_real_join` is a thin facade over the pass-pipeline engine:
-it validates the request, resolves the algorithm's declarative
-:class:`~repro.parallel.engine.stages.PassPlan` from the engine
-registry, performs *admission* — the analytical model predicts the
-footprint (:func:`~repro.governor.predict.predict_footprint`), an
+:func:`run_real_join` validates the request, takes the algorithm's
+declarative :class:`~repro.parallel.engine.stages.PassPlan` from the
+plan table, and performs *admission* — the analytical model predicts
+the footprint (:func:`~repro.governor.predict.predict_footprint`), an
 over-budget plan is pre-degraded to fit
 (:func:`~repro.governor.predict.fit_plan`) or rejected, and an optional
 shared :class:`~repro.governor.ResourceGovernor` bounds how many joins
-run at once — then hands the admitted plan to one generic executor
-(:func:`~repro.parallel.engine.executor.execute_plan`), which owns task
-fan-out, retry/backoff/inline-fallback recovery, runtime degradation,
-metrics harvest, conservation checks, pair collection and artifact
-sweeping for **every** algorithm through the same path.
+run at once.  It then runs the admitted plan as one :class:`_JoinRun`,
+which owns everything from "touch the store" to "the store is swept"
+for **every** algorithm through the same path:
 
-Every governance decision lands in ``RealJoinResult.governor`` (the
-stats document's ``totals.governor`` section), and
-:meth:`RealJoinResult.stats_document` renders the run as the versioned
-JSON stats document of ``docs/metrics_schema.md``.
+* store lifecycle — orphan sweep, checkpoint resume or workload
+  materialization, final orphan sweep/destroy;
+* task fan-out — the paper's Rproc_i model: one
+  :class:`~repro.parallel.engine.task.TaskSpec` per partition per stage,
+  carrying the whole of the task's run state (plan, budgets, metrics
+  flag, the attempt's fault), dispatched to a
+  :class:`multiprocessing.Pool` (or inline), with a barrier after each
+  stage;
+* recovery — each partition's task gets ``1 + retries`` attempts with
+  exponential backoff, then an optional inline run in the parent.
+  Retries are safe because every kernel publishes its outputs
+  atomically (tmp-write / rename) and re-creates them with
+  ``overwrite=True``.  A task that misses its ``task_timeout`` leaves an
+  abandoned worker behind, so a pool the run owns is then terminated
+  rather than joined;
+* governance — a classified :class:`ResourceExhausted` out of a worker
+  is deterministic under the same plan, so it is never retried: the
+  round is drained, and under ``on_pressure="degrade"`` the run descends
+  one rung of the plan's ladder, clears the round's temps (stages are
+  idempotent) and re-executes;
+* observability — per-stage spans, driver counters, the registry
+  snapshot each task returns, disk high-water sampling;
+* invariants — the plan's :class:`ConservationRule` set, each rule
+  checked the moment every stage it references has completed.
+
+The run fills one :class:`RealJoinResult` in place.  Every governance
+decision lands in ``RealJoinResult.governor`` (the stats document's
+``totals.governor`` section), and :meth:`RealJoinResult.stats_document`
+renders the run as the versioned JSON stats document of
+``docs/metrics_schema.md``.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import multiprocessing.pool
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass, field, replace
+from typing import Dict, List, Optional, Sequence
+
+import numpy as np
 
 from repro.core.records import JoinedPairs
-from repro.governor.errors import DiskExhausted, MemoryExhausted
+from repro.governor import predict
+from repro.governor.budget import store_usage_bytes
+from repro.governor.errors import DiskExhausted, MemoryExhausted, ResourceExhausted
 from repro.governor.governor import ResourceGovernor
-from repro.governor.predict import JoinPlan, fit_plan, predict_footprint
-from repro.obs.export import build_real_stats_document
-from repro.parallel.engine import task as engine_task
-from repro.parallel.engine.executor import (
-    RealJoinError,
-    execute_plan,
+from repro.governor.predict import (
+    FootprintEstimate,
+    JoinPlan,
+    fit_plan,
+    predict_footprint,
 )
-from repro.parallel.engine.stages import algorithms as registered_algorithms
-from repro.parallel.engine.stages import plan_for
-from repro.parallel.faults import FaultPlan, RetryPolicy
+from repro.governor.watchdog import MemoryMeter, activate_meter, deactivate_meter
+from repro.obs.export import build_real_stats_document
+from repro.obs.registry import MetricsRegistry, activate, active, deactivate
+from repro.obs.spans import span
+from repro.parallel.engine import task as engine_task
+from repro.parallel.engine.checkpoint import (
+    CheckpointWriter,
+    discard_manifest,
+    load_manifest,
+    validate_manifest,
+    workload_signature,
+)
+from repro.parallel.engine.plans import PLANS, algorithms
+from repro.parallel.engine.stages import PassPlan, Stage
+from repro.parallel.engine.task import (
+    CHECKSUM_MOD,
+    PairResult,
+    StageOutput,
+    TaskSpec,
+    run_task,
+)
+from repro.parallel.faults import FaultPlan, InjectedHang, RetryPolicy
+from repro.storage.relation import read_pair_block
+from repro.storage.store import Store
 from repro.workload.generator import Workload
 
-#: Derived from the engine's plan registry: registering a PassPlan is the
-#: single step that adds an algorithm here, to the CLI, and to the tests.
-REAL_ALGORITHMS = registered_algorithms()
+#: Read from the plan table: adding a PassPlan there is the single step
+#: that adds an algorithm here, to the CLI, and to the tests.
+REAL_ALGORITHMS = algorithms()
 
 ON_PRESSURE_MODES = ("degrade", "queue", "fail")
+
+#: Backoff between retry rounds never sleeps longer than this.
+_BACKOFF_CAP_S = 2.0
+
+
+class RealJoinError(RuntimeError):
+    """Raised when the real backend cannot run a join."""
 
 
 @dataclass
@@ -63,7 +118,7 @@ class RealJoinResult:
     #: Paths outlive the run only under ``keep_store=True``; the join
     #: service streams client deliveries straight from these mapped
     #: segments instead of asking for ``pairs``.
-    pair_files: List = field(default_factory=list)
+    pair_files: List[PairResult] = field(default_factory=list)
     pass_wall_ms: Dict[str, float] = field(default_factory=dict)
     pass_counts: Dict[str, int] = field(default_factory=dict)
     pass_checksums: Dict[str, int] = field(default_factory=dict)
@@ -155,7 +210,7 @@ def run_real_join(
     mode requires a ``task_timeout``.
 
     ``fault_plan`` is a deterministic
-    :class:`~repro.parallel.faults.FaultPlan`: the executor attaches the
+    :class:`~repro.parallel.faults.FaultPlan`: the driver attaches the
     matching spec to the task it dispatches at each chosen ``(task,
     partition, attempt)`` coordinate, which then crashes, hangs, tears
     its output, or hits resource pressure on cue.
@@ -180,16 +235,16 @@ def run_real_join(
     and into its per-tenant accounting; both are inert without a
     governor.
 
-    ``resume`` asks the executor to validate the store's checkpoint
-    manifest (full payload scrub of every recorded artifact) and replay
-    the completed passes a dead driver left behind, restarting from the
-    first incomplete stage; an invalid or missing manifest silently
-    falls back to a fresh run.  The resumed run is bit-identical to an
-    uninterrupted one.  ``RealJoinResult.resume`` records what happened.
+    ``resume`` validates the store's checkpoint manifest (full payload
+    scrub of every recorded artifact) and replays the completed passes a
+    dead driver left behind, restarting from the first incomplete stage;
+    an invalid or missing manifest silently falls back to a fresh run.
+    The resumed run is bit-identical to an uninterrupted one.
+    ``RealJoinResult.resume`` records what happened.
     """
-    if algorithm not in REAL_ALGORITHMS:
+    if algorithm not in PLANS:
         raise RealJoinError(
-            f"unknown algorithm {algorithm!r}; choices: {sorted(REAL_ALGORITHMS)}"
+            f"unknown algorithm {algorithm!r}; choices: {sorted(PLANS)}"
         )
     if on_pressure not in ON_PRESSURE_MODES:
         raise RealJoinError(
@@ -205,14 +260,6 @@ def run_real_join(
             f"resident_buckets must satisfy 0 <= resident < buckets: "
             f"{resident_buckets} vs {buckets} buckets"
         )
-    pass_plan = plan_for(algorithm)
-    policy = RetryPolicy(
-        retries=retries,
-        task_timeout=task_timeout,
-        backoff_s=backoff_s,
-        fallback_inline=fallback_inline,
-    )
-    disks = workload.disks
     plan = JoinPlan(
         batch_records=(
             batch_records
@@ -227,7 +274,7 @@ def run_real_join(
     governed = (
         mem_budget is not None or disk_budget is not None or governor is not None
     )
-    worker_budget = mem_budget // disks if mem_budget is not None else None
+    worker_budget = mem_budget // workload.disks if mem_budget is not None else None
 
     # ------------------------------------------------------------ admission
     # The model speaks first: predict the plan's footprint, shrink it to
@@ -275,106 +322,647 @@ def run_real_join(
         if ticket.decision == "queued":
             admission = "queued"
 
+    run = _JoinRun(
+        pass_plan=PLANS[algorithm],
+        workload=workload,
+        store_root=store_root,
+        plan=plan,
+        use_processes=use_processes,
+        pool=pool,
+        collect_metrics=collect_metrics,
+        collect_pairs=collect_pairs,
+        keep_store=keep_store,
+        policy=RetryPolicy(
+            retries=retries,
+            task_timeout=task_timeout,
+            backoff_s=backoff_s,
+            fallback_inline=fallback_inline,
+        ),
+        fault_plan=fault_plan,
+        on_pressure=on_pressure,
+        max_degradations=max_degradations,
+        governed=governed,
+        worker_mem_budget=worker_budget,
+        disk_budget=disk_budget,
+        materialize=not reuse_store,
+        resume=resume,
+        rungs=rungs,
+        predicted=predicted,
+    )
     started = time.perf_counter()
     try:
-        outcome = execute_plan(
-            pass_plan,
-            workload,
-            store_root,
-            plan,
-            use_processes=use_processes,
-            pool=pool,
-            collect_metrics=collect_metrics,
-            collect_pairs=collect_pairs,
-            keep_store=keep_store,
-            policy=policy,
-            fault_plan=fault_plan,
-            on_pressure=on_pressure,
-            max_degradations=max_degradations,
-            governed=governed,
-            worker_mem_budget=worker_budget,
-            disk_budget=disk_budget,
-            materialize=not reuse_store,
-            resume=resume,
-        )
+        run.execute()
     finally:
         if ticket is not None:
             ticket.release()
-    wall_ms = (time.perf_counter() - started) * 1000.0
-
-    governor_doc: Optional[dict] = None
+    result = run.result
+    result.wall_ms = (time.perf_counter() - started) * 1000.0
+    result.degradations_total = (
+        admission_degradations + run.runtime_degradations
+    )
     if governed:
-        # Report the prediction for the plan that actually produced the
-        # result: the executor priced it if the plan changed mid-run, and
-        # a resumed run inherits its manifest's degraded plan unpriced.
-        if outcome.predicted is not None:
-            predicted = outcome.predicted
-        elif outcome.runtime_degradations:
-            predicted = predict_footprint(
-                algorithm, workload, outcome.plan, worker_budget
-            )
-        governor_doc = {
+        result.governor = {
             "admission": admission,
             "on_pressure": on_pressure,
             "queued_ms": ticket.queued_ms if ticket is not None else 0.0,
             "admission_degradations": admission_degradations,
-            "runtime_degradations": outcome.runtime_degradations,
-            "degradations_total": (
-                admission_degradations + outcome.runtime_degradations
-            ),
-            "rungs": rungs + outcome.rungs,
-            "resource_errors": dict(outcome.resource_errors),
+            "runtime_degradations": run.runtime_degradations,
+            "degradations_total": result.degradations_total,
+            "rungs": run.rungs,
+            "resource_errors": run.resource_errors,
             "budgets": {
                 "mem_budget_bytes": mem_budget,
                 "worker_mem_budget_bytes": worker_budget,
                 "disk_budget_bytes": disk_budget,
             },
-            "plan": outcome.plan.as_dict(),
-            "predicted": predicted.as_dict(),
+            "plan": run.plan.as_dict(),
+            # The prediction for the plan that produced the result; a
+            # resumed run inherits its manifest's degraded plan unpriced.
+            "predicted": (
+                run.predicted
+                or predict_footprint(algorithm, workload, run.plan, worker_budget)
+            ).as_dict(),
             "observed": {
-                "worker_mem_high_water_bytes": _max_worker_gauge(
-                    outcome.worker_metrics, "worker.mem_high_water_bytes"
-                ),
-                "worker_mapped_peak_bytes": _max_worker_gauge(
-                    outcome.worker_metrics, "worker.mapped_peak_bytes"
-                ),
-                "worker_rss_max_bytes": _max_worker_gauge(
-                    outcome.worker_metrics, "worker.rss_max_bytes"
-                ),
-                "disk_peak_bytes": outcome.disk_peak_bytes,
+                **{
+                    f"worker_{gauge}_bytes": _max_worker_gauge(
+                        result.worker_metrics, f"worker.{gauge}_bytes"
+                    )
+                    for gauge in ("mem_high_water", "mapped_peak", "rss_max")
+                },
+                "disk_peak_bytes": run.disk_peak_bytes,
             },
         }
+    return result
 
-    return RealJoinResult(
-        algorithm=algorithm,
-        pair_count=outcome.pair_count,
-        checksum=outcome.checksum,
-        wall_ms=wall_ms,
-        pairs=outcome.pairs,
-        pair_files=outcome.pair_files,
-        pass_wall_ms=outcome.pass_wall_ms,
-        pass_counts=outcome.pass_counts,
-        pass_checksums=outcome.pass_checksums,
-        pass_kinds=outcome.pass_kinds,
-        used_processes=use_processes,
-        worker_metrics=outcome.worker_metrics,
-        driver_metrics=outcome.driver_metrics,
-        metrics_enabled=collect_metrics,
-        retries_total=outcome.recovery["retries"],
-        timeouts_total=outcome.recovery["timeouts"],
-        inline_fallbacks=outcome.recovery["inline_fallbacks"],
-        degradations_total=(
-            admission_degradations + outcome.runtime_degradations
-        ),
-        governor=governor_doc,
-        partitioner=(
-            "hash"
-            if any(stage.buffered for stage in pass_plan.stages)
+
+@dataclass(eq=False)
+class _JoinRun:
+    """One admitted join: every stage of ``pass_plan``, across all
+    partitions, from "touch the store" to "the store is swept".
+
+    ``plan`` arrives already fitted to its budget; the run descends the
+    ladder further only when a runtime :class:`ResourceExhausted` proves
+    the admission estimate optimistic.  ``rungs`` and ``predicted`` are
+    admission's: runtime rungs are appended to the one list, and each
+    descent replaces the prediction.
+
+    ``materialize=False`` promises the store already holds this exact
+    workload's R/S partitions (a *warm* store kept by a previous
+    ``keep_store=True`` run) and skips rewriting them.  Stale temps from
+    the previous run are cleared so glob-driven consumers (run files,
+    spill chunks) never see another plan's artifacts.
+    """
+
+    pass_plan: PassPlan
+    workload: Workload
+    store_root: str
+    plan: JoinPlan
+    use_processes: bool
+    pool: Optional[multiprocessing.pool.Pool]
+    collect_metrics: bool
+    collect_pairs: bool
+    keep_store: bool
+    policy: RetryPolicy
+    fault_plan: Optional[FaultPlan]
+    on_pressure: str
+    max_degradations: int
+    governed: bool
+    worker_mem_budget: Optional[int]
+    disk_budget: Optional[int]
+    materialize: bool
+    resume: bool
+    rungs: List[dict]
+    predicted: Optional[FootprintEstimate]
+    runtime_degradations: int = 0
+    resource_errors: Dict[str, int] = field(default_factory=dict)
+    disk_peak_bytes: int = 0
+    owns_pool: bool = False
+    pool_dirty: bool = False
+    # Per-round stage outcomes feeding the conservation rules:
+    # label -> {"moved": int, "pairs": int, "total": int}.
+    stage_totals: Dict[str, Dict[str, int]] = field(default_factory=dict)
+    checked_rules: set = field(default_factory=set)
+    # Stage labels replayed from the checkpoint manifest this round.
+    replayed: set = field(default_factory=set)
+    # Dispatches so far per (kernel, partition) — the fault plan's
+    # attempt coordinate.  Deliberately outlives reset_round: a one-shot
+    # injected fault must not re-fire in the degraded round.
+    attempts: Dict[tuple, int] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        self.algorithm = self.pass_plan.algorithm
+        self.result = RealJoinResult(
+            algorithm=self.algorithm,
+            pair_count=0,
+            checksum=0,
+            wall_ms=0.0,
+            used_processes=self.use_processes,
+            metrics_enabled=self.collect_metrics,
+            partitioner=(
+                "hash"
+                if any(stage.buffered for stage in self.pass_plan.stages)
+                else None
+            ),
+        )
+
+    def execute(self) -> None:
+        """Run the plan to completion and fill ``self.result``."""
+        workload, result = self.workload, self.result
+        # clean_orphans: this is the driver, the one place where no
+        # sibling writer can be mid-publish, so stale *.seg.tmp from a
+        # previous dead run are safe to sweep (live tmps are
+        # flock-protected regardless).
+        self.store = store = Store(
+            self.store_root, workload.disks, clean_orphans=True
+        )
+        resume_state = self.resolve_resume()
+        driver_registry: Optional[MetricsRegistry] = None
+        driver_meter: Optional[MemoryMeter] = None
+        try:
+            if self.collect_metrics:
+                driver_registry = activate(MetricsRegistry())
+            if self.disk_budget is not None:
+                # The driver creates segments too (materialize); the meter
+                # is what disk_preflight consults, so arm one for this thread.
+                driver_meter = activate_meter(
+                    MemoryMeter(None, self.disk_budget, self.store_root)
+                )
+            if resume_state is not None:
+                self.replay(resume_state)
+            else:
+                self.prepare_store()
+            self.sample_disk()
+            if self.pool is None and self.use_processes and workload.disks > 1:
+                self.owns_pool = True
+                self.pool = multiprocessing.Pool(processes=workload.disks)
+            elif not self.use_processes:
+                self.pool = None
+            self.run_rounds()
+            # A completed run needs no resume; a surviving manifest on a
+            # warm store would wrongly skip the *next* join's passes.
+            discard_manifest(self.store_root)
+            if self.collect_pairs:
+                result.pairs = self.read_pairs()
+        finally:
+            if driver_meter is not None:
+                deactivate_meter()
+            if driver_registry is not None:
+                deactivate()
+            if self.owns_pool and self.pool is not None:
+                if self.pool_dirty:
+                    # Abandoned (hung or crashed mid-task) workers would
+                    # block close()+join() forever; this pool is ours.
+                    self.pool.terminate()
+                else:
+                    self.pool.close()
+                self.pool.join()
+            # Only after the pool is gone is no worker left that could
+            # still be writing a .tmp; whatever remains unpublished is an
+            # orphan.
+            store.cleanup_orphans()
+            if not self.keep_store:
+                store.destroy()
+        result.pair_count = sum(pairs.count for pairs in result.pair_files)
+        result.checksum = (
+            sum(pairs.checksum for pairs in result.pair_files) % CHECKSUM_MOD
+        )
+        result.driver_metrics = (
+            driver_registry.snapshot() if driver_registry is not None else None
+        )
+
+    # ------------------------------------------------------------ phases
+
+    def resolve_resume(self):
+        """Resolve a resume request against the store's manifest.
+
+        Runs before anything is (re)materialized: a valid manifest proves
+        the store warm and hands back the completed stages; anything less
+        falls back to a fresh run — resume is an optimization, never a
+        risk.  Returns the validated state, or None for a fresh run.
+        """
+        signature = workload_signature(self.workload)
+        state = None
+        problem: Optional[str] = None
+        scrub_failures = 0
+        if self.resume:
+            manifest = load_manifest(self.store_root)
+            if manifest is None:
+                problem = "no checkpoint manifest in the store"
+            else:
+                state, problem, scrub_failures = validate_manifest(
+                    manifest, self.store, self.algorithm, signature,
+                    [stage.label for stage in self.pass_plan.stages],
+                )
+        if state is None:
+            # Fresh run (or declined resume): a stale manifest must not
+            # describe the new run's artifacts.
+            discard_manifest(self.store_root)
+        else:
+            # The recorded stages ran under the manifest's (possibly
+            # degraded) plan; resuming under the caller's knobs instead
+            # would break bit-identity with the uninterrupted run.
+            self.plan = state.plan
+            self.runtime_degradations = state.runtime_degradations
+            if state.runtime_degradations:
+                self.predicted = None
+        resumed = state is not None
+        self.result.integrity = {
+            "segments_scrubbed": state.segments_scrubbed if resumed else 0,
+            "scrub_failures": scrub_failures,
+        }
+        self.result.resume = {
+            "requested": self.resume,
+            "resumed": resumed,
+            "passes_skipped": len(state.records) if resumed else 0,
+            "manifest_age_s": state.manifest_age_s if resumed else None,
+            "reason": problem,
+        }
+        self.checkpoint = CheckpointWriter(
+            self.store_root, self.algorithm, signature,
+            replayed=state.records if resumed else None,
+        )
+        return state
+
+    def replay(self, state) -> None:
+        """Take the completed stages' outcomes from the manifest.
+
+        The manifest's scrub already proved R/S and every recorded
+        artifact byte-good; only the temps it does *not* record are
+        cleared — partial outputs of the incomplete stage a glob-driven
+        consumer would otherwise double-count.
+        """
+        store, result = self.store, self.result
+        for disk in range(store.disks):
+            for path in store.temp_paths(disk):
+                rel = str(path.relative_to(store.root))
+                if rel not in state.recorded_paths:
+                    path.unlink(missing_ok=True)
+        for record in state.records:
+            label = record["label"]
+            self.replayed.add(label)
+            result.pass_wall_ms[label] = float(record["wall_ms"])
+            result.pass_counts[label] = int(record["count"])
+            result.pass_kinds[label] = record["kind"]
+            if record.get("checksum") is not None:
+                result.pass_checksums[label] = int(record["checksum"])
+            self.stage_totals[label] = {
+                key: int(value) for key, value in record["totals"].items()
+            }
+            result.pair_files.extend(
+                PairResult(
+                    int(entry["count"]),
+                    int(entry["checksum"]),
+                    str(store.root / entry["path"]),
+                )
+                for entry in record["pair_files"]
+            )
+        self.check_conservation()
+
+    def prepare_store(self) -> None:
+        """Materialize R/S, or prove a promised warm store holds them."""
+        store = self.store
+        if self.materialize or self.resume:
+            if self.resume:
+                # A declined resume leaves a store nothing proved good —
+                # possibly the very corruption that declined it.  Rebuild
+                # R/S and start from zero temps; recomputation is the
+                # price of not serving a rotten byte.
+                store.cleanup_temps()
+                for disk in range(store.disks):
+                    for name in ("R", "S"):
+                        store.path(disk, name).unlink(missing_ok=True)
+            store.materialize(self.workload)
+            return
+        for disk in range(store.disks):
+            for name in ("R", "S"):
+                if not store.path(disk, name).exists():
+                    raise RealJoinError(
+                        f"reuse_store=True but {store.path(disk, name)} "
+                        "is missing — the store is not warm"
+                    )
+        store.cleanup_temps()
+
+    def run_rounds(self) -> None:
+        """Run every stage, descending one rung per governed failure."""
+        while True:
+            try:
+                for stage in self.pass_plan.stages:
+                    if stage.label not in self.replayed:
+                        self.run_stage(stage)
+                return
+            except ResourceExhausted as error:
+                self.resource_errors[error.resource] = (
+                    self.resource_errors.get(error.resource, 0) + 1
+                )
+                active().count(
+                    "runner.resource_errors_total", 1,
+                    algo=self.algorithm, resource=error.resource,
+                )
+                if (
+                    self.on_pressure != "degrade"
+                    or self.runtime_degradations >= self.max_degradations
+                ):
+                    raise
+                # The stage that ran out is the one to shrink: whatever
+                # the model predicted, it is the stage that binds.
+                step = predict.descend(
+                    self.algorithm, self.workload, self.plan,
+                    self.worker_mem_budget, (stage.label,), error.resource,
+                )
+                if step is None:
+                    raise
+                self.plan, self.predicted, rung = step
+                self.rungs.append(rung)
+                self.runtime_degradations += 1
+                active().count(
+                    "runner.degradations_total", 1, algo=self.algorithm
+                )
+                self.reset_round()
+
+    def read_pairs(self) -> JoinedPairs:
+        """Stored form, file order: each PAIRS segment's packed block is
+        copied into its slice of the one whole-output allocation."""
+        pair_files = self.result.pair_files
+        block = np.empty(
+            (sum(pairs.count for pairs in pair_files), 4), dtype="<u8"
+        )
+        filled = 0
+        for pairs in pair_files:
+            part = read_pair_block(pairs.path)
+            if len(part) != pairs.count:
+                raise RealJoinError(
+                    f"{pairs.path} holds {len(part)} pairs; its worker "
+                    f"reported {pairs.count}"
+                )
+            block[filled : filled + len(part)] = part
+            filled += len(part)
+        return JoinedPairs(block)
+
+    # ------------------------------------------------------------ stages
+
+    def arm(self, unit: TaskSpec) -> TaskSpec:
+        """Stamp one dispatch with its attempt number and matching fault."""
+        key = (unit.kernel, unit.partition)
+        attempt = self.attempts.get(key, 0)
+        self.attempts[key] = attempt + 1
+        fault = (
+            self.fault_plan.spec_for(unit.kernel, unit.partition, attempt)
+            if self.fault_plan is not None
             else None
-        ),
-        resume=dict(outcome.resume),
-        integrity=dict(outcome.integrity),
-    )
+        )
+        return replace(unit, attempt=attempt, fault=fault)
+
+    def sample_disk(self) -> None:
+        if self.governed:
+            self.disk_peak_bytes = max(
+                self.disk_peak_bytes, store_usage_bytes(self.store_root)
+            )
+
+    def conserved(self, ref) -> int:
+        label, fld = ref
+        return self.stage_totals[label][fld]
+
+    def check_conservation(self) -> None:
+        """Fire every rule whose referenced stages have all completed."""
+        for rule in self.pass_plan.conservation:
+            if rule.what in self.checked_rules:
+                continue
+            refs = list(rule.produced)
+            if isinstance(rule.expected, tuple):
+                refs.append(rule.expected)
+            if any(label not in self.stage_totals for label, _ in refs):
+                continue
+            produced = sum(self.conserved(ref) for ref in rule.produced)
+            expected = (
+                self.workload.r_objects_total
+                if rule.expected == "input"
+                else self.conserved(rule.expected)
+            )
+            self.checked_rules.add(rule.what)
+            if produced != expected:
+                raise RealJoinError(
+                    f"{self.algorithm}: {rule.what} not conserved "
+                    f"({produced} produced, {expected} expected)"
+                )
+
+    def plan_stage_units(self, stage: Stage) -> List[TaskSpec]:
+        """One :class:`TaskSpec` per partition of ``stage`` — the only
+        place one is built.  As in the paper's Rproc_i model, the
+        most-skewed partition's task gates the pass."""
+        store, spec = self.store, self.workload.spec
+        return [
+            TaskSpec(
+                store_root=str(store.root),
+                disks=store.disks,
+                partition=partition,
+                s_objects=spec.s_objects,
+                r_bytes=spec.r_bytes,
+                kernel=stage.kernel,
+                plan=self.plan,
+                worker_mem_budget=self.worker_mem_budget,
+                disk_budget=self.disk_budget,
+                metrics=self.collect_metrics,
+            )
+            for partition in range(store.disks)
+        ]
+
+    def run_stage(self, stage: Stage) -> None:
+        result = self.result
+        # The last barrier is followed only by the manifest's deletion,
+        # so it is not checkpointed: no snapshot, no artifact reads.
+        checkpointed = stage is not self.pass_plan.stages[-1]
+        if checkpointed:
+            self.checkpoint.begin_stage(self.store)
+        units = self.plan_stage_units(stage)
+        with span(
+            "stage", algo=self.algorithm, label=stage.label, kind=stage.kind
+        ):
+            returned = self.dispatch_stage(stage, units)
+        results = [outcome for outcome, _snapshot in returned]
+        if self.collect_metrics:
+            result.worker_metrics[stage.label] = {
+                unit.slot: snapshot
+                for unit, (_outcome, snapshot) in zip(units, returned)
+            }
+        self.sample_disk()
+        if stage.emits == "both":
+            outputs = [StageOutput(*outcome) for outcome in results]
+            moved = sum(output.moved for output in outputs)
+            stage_pairs = [output.pairs for output in outputs]
+        else:
+            moved = sum(results) if stage.emits == "moved" else 0
+            stage_pairs = list(results) if stage.emits == "pairs" else []
+        pairs_count = sum(pairs.count for pairs in stage_pairs)
+        totals = self.stage_totals[stage.label] = {
+            "moved": moved,
+            "pairs": pairs_count,
+            "total": moved + pairs_count,
+        }
+        result.pass_kinds[stage.label] = stage.kind
+        result.pass_counts[stage.label] = totals[
+            "total" if stage.emits == "both" else stage.emits
+        ]
+        if stage_pairs:
+            result.pass_checksums[stage.label] = (
+                sum(pairs.checksum for pairs in stage_pairs) % CHECKSUM_MOD
+            )
+            result.pair_files.extend(stage_pairs)
+        self.check_conservation()
+        if not checkpointed:
+            return
+        # The stage barrier held and its invariants passed: checkpoint
+        # the published artifacts so a crash from here on costs only the
+        # passes that have not run yet.
+        self.checkpoint.record_stage(
+            self.store,
+            label=stage.label,
+            kind=stage.kind,
+            wall_ms=result.pass_wall_ms[stage.label],
+            count=result.pass_counts[stage.label],
+            checksum=result.pass_checksums.get(stage.label),
+            totals=totals,
+            pair_files=stage_pairs,
+            plan=self.plan.as_dict(),
+            runtime_degradations=self.runtime_degradations,
+        )
+
+    def reset_round(self) -> None:
+        """Wipe one failed round's partial state so the next is pristine.
+
+        Temps (spills, runs, chunks, pairs) are re-created from R/S, so
+        clearing them keeps a re-planned round from double-counting stale
+        files written under the previous plan's knobs.
+        """
+        result = self.result
+        result.pass_wall_ms.clear()
+        result.pass_counts.clear()
+        result.pass_checksums.clear()
+        result.pass_kinds.clear()
+        result.worker_metrics.clear()
+        result.pair_files.clear()
+        self.stage_totals.clear()
+        self.checked_rules.clear()
+        self.replayed.clear()
+        # The manifest describes temps this reset is about to delete; a
+        # crash between here and the next barrier must find no manifest.
+        self.checkpoint.reset()
+        self.store.cleanup_temps()
+        self.store.cleanup_orphans()
+
+    # ---------------------------------------------------------- dispatch
+
+    def dispatch_stage(self, stage: Stage, units: Sequence[TaskSpec]) -> list:
+        """Dispatch one stage's units (tasks), retrying failed ones.
+
+        Returns each unit's ``(kernel_result, registry_snapshot)`` from
+        the attempt that finished.  Every task gets ``1 + retries``
+        attempts (plus one optional inline-fallback attempt in the
+        parent), with exponential backoff between rounds.
+
+        Classified :class:`ResourceExhausted` failures are *not* retried
+        — under the same plan the same budget trips deterministically —
+        they propagate to :meth:`run_rounds` instead.
+        """
+        policy, result = self.policy, self.result
+        started = time.perf_counter()
+        outcomes: list = [None] * len(units)
+        pending = list(range(len(units)))
+        errors: List[BaseException] = []
+        labels = {"algo": self.algorithm, "pass": stage.label}
+        for attempt in range(policy.retries + 1):
+            if not pending:
+                break
+            if attempt:
+                result.retries_total += len(pending)
+                active().count("runner.retries_total", len(pending), **labels)
+                time.sleep(
+                    min(policy.backoff_s * (2 ** (attempt - 1)), _BACKOFF_CAP_S)
+                )
+            pending = self.run_round(
+                self.pool, units, pending, outcomes, errors, labels
+            )
+        if pending and self.pool is not None and policy.fallback_inline:
+            # Graceful degradation: the pool could not finish these tasks
+            # within budget (it may be unrecoverable); run them in-process.
+            result.inline_fallbacks += len(pending)
+            active().count(
+                "runner.inline_fallbacks_total", len(pending), **labels
+            )
+            pending = self.run_round(
+                None, units, pending, outcomes, errors, labels
+            )
+        if pending:
+            slots = [units[idx].slot for idx in pending]
+            raise RealJoinError(
+                f"{self.algorithm} {stage.label}: tasks {slots} failed "
+                f"{stage.kernel} after {policy.retries + 1} attempt(s)"
+            ) from (errors[-1] if errors else None)
+        result.pass_wall_ms[stage.label] = (
+            time.perf_counter() - started
+        ) * 1000.0
+        return outcomes
+
+    def run_round(
+        self,
+        pool,
+        units: Sequence[TaskSpec],
+        indices: List[int],
+        outcomes: list,
+        errors: List[BaseException],
+        labels: Dict[str, str],
+    ) -> List[int]:
+        """Run one attempt for each pending task; return the still-failing set.
+
+        A :class:`ResourceExhausted` ends the round: inline it raises at
+        once; in pool mode the remaining futures are *drained first* (so
+        no sibling task of this round is still running when the run
+        re-plans and re-dispatches — an abandoned attempt publishing over
+        its replacement would corrupt the degraded round) and the first
+        classified error is then raised.
+        """
+        result = self.result
+        still: List[int] = []
+        resource_error: Optional[ResourceExhausted] = None
+        futures = {
+            idx: pool.apply_async(run_task, (self.arm(units[idx]),))
+            for idx in indices
+        } if pool is not None else {}
+        for idx in indices:
+            try:
+                if pool is None:
+                    outcomes[idx] = run_task(self.arm(units[idx]))
+                else:
+                    outcomes[idx] = futures[idx].get(self.policy.task_timeout)
+                continue
+            except multiprocessing.TimeoutError:
+                # The worker died mid-task (its result will never arrive)
+                # or is hung; either way the pool now holds an abandoned
+                # task, so it can no longer be join()ed safely.
+                self.pool_dirty = timed_out = True
+                failure: BaseException = TimeoutError(
+                    f"{units[idx].kernel} task {units[idx].slot} "
+                    f"exceeded {self.policy.task_timeout}s"
+                )
+            except ResourceExhausted as error:
+                if pool is None:
+                    raise
+                resource_error = resource_error or error
+                continue
+            except Exception as error:
+                # Inline, an injected hang stands in for a task timeout,
+                # so the timeout/retry path is testable without processes.
+                timed_out = pool is None and isinstance(error, InjectedHang)
+                failure = error
+            if timed_out:
+                result.timeouts_total += 1
+                active().count("runner.timeouts_total", 1, **labels)
+            else:
+                active().count("runner.worker_failures_total", 1, **labels)
+            errors.append(failure)
+            still.append(idx)
+        if resource_error is not None:
+            raise resource_error
+        return still
 
 
 def _max_worker_gauge(

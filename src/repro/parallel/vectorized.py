@@ -3,7 +3,7 @@
 Each kernel is one partition's share of one :class:`~repro.parallel.
 engine.stages.Stage`, operating purely on memory-mapped segment files,
 and is registered by name (:func:`~repro.parallel.engine.task.
-register_kernel`) so the executor can dispatch it through a
+register_kernel`) so the driver can dispatch it through a
 :mod:`multiprocessing` pool — CPython's GIL rules out thread parallelism
 for this workload, so, like the paper's Rproc/Sproc design, parallelism
 is process-level, one worker per partition.  Kernels are *thin*: fault
@@ -680,49 +680,7 @@ def grace_partition(spec: TaskSpec) -> int:
     bounding the pass at threshold + one batch.  The files are
     byte-identical either way.
     """
-    disks, i, record_bytes = spec.disks, spec.partition, spec.r_bytes
-    buckets = spec.plan.buckets
-    spill_threshold = spec.plan.spill_threshold
-    batch_records = spec.plan.batch_records
-    store = spec.open_store()
-    pmap = spec.pointer_map()
-    meter = active_meter()
-    part_sizes = np.asarray(
-        [pmap.partition_size(j) for j in range(disks)], dtype=np.uint64
-    )
-    grouped: Dict[int, List[tuple]] = {}
-    moved = 0
-    retained = 0
-
-    def flush_groups() -> int:
-        nonlocal retained
-        flushed = _flush_bucket_chunks(spills, grouped, buckets)
-        meter.release(retained * record_bytes)
-        retained = 0
-        return flushed
-
-    with store.open_r(i) as r_rel:
-        spills = BucketSpills(spec, store, r_rel)
-        try:
-            for rid, sptr, payload in r_rel.iter_column_batches(batch_records):
-                meter.charge(len(rid) * record_bytes, "grace bucket groups")
-                retained += len(rid)
-                parts, offs = pmap.locate_array(sptr)
-                bucket = _hash_buckets(part_sizes, buckets, parts, offs)
-                order, bounds, targets = _group(parts, disks)
-                for target in targets:
-                    rows = order[bounds[target]:bounds[target + 1]]
-                    grouped.setdefault(target, []).append(
-                        (rid[rows], sptr[rows], payload[rows], bucket[rows])
-                    )
-                if spill_threshold is not None and retained >= spill_threshold:
-                    moved += flush_groups()
-            moved += flush_groups()
-            spills.close()
-        except BaseException:
-            spills.abort()
-            raise
-    return moved
+    return _hash_partition(spec, resident=0, join_resident=False)[0]
 
 
 @register_kernel
@@ -737,9 +695,20 @@ def hybrid_hash_partition(spec: TaskSpec) -> StageOutput:
     ``resident == 0`` this is grace partitioning, the partition stage's
     deepest memory rung.
     """
+    return StageOutput(*_hash_partition(
+        spec, spec.plan.effective_resident_buckets(), join_resident=True
+    ))
+
+
+def _hash_partition(spec: TaskSpec, resident: int, join_resident: bool):
+    """The one hash-partition scan: ``(moved, PairResult or None)``.
+
+    Rows whose bucket is below ``resident`` are joined into this
+    partition's ``PAIRS_hh`` segment, which exists iff ``join_resident``;
+    every other row is grouped by target and bucket and spilled.
+    """
     disks, i, record_bytes = spec.disks, spec.partition, spec.r_bytes
     buckets = spec.plan.buckets
-    resident = spec.plan.effective_resident_buckets()
     spill_threshold = spec.plan.spill_threshold
     batch_records = spec.plan.batch_records
     store = spec.open_store()
@@ -767,10 +736,13 @@ def hybrid_hash_partition(spec: TaskSpec) -> StageOutput:
 
     with store.open_r(i) as r_rel:
         spills = BucketSpills(spec, store, r_rel, resident)
-        sink = PairSink(store.path(i, pairs_name("hh", i)), len(r_rel))
+        sink = (
+            PairSink(store.path(i, pairs_name("hh", i)), len(r_rel))
+            if join_resident else None
+        )
         try:
             for rid, sptr, payload in r_rel.iter_column_batches(batch_records):
-                meter.charge(len(rid) * record_bytes, "hybrid bucket groups")
+                meter.charge(len(rid) * record_bytes, "hash bucket groups")
                 parts, offs = pmap.locate_array(sptr)
                 bucket = _hash_buckets(part_sizes, buckets, parts, offs)
                 # Key 2·target + spilled: one grouping splits resident
@@ -801,15 +773,16 @@ def hybrid_hash_partition(spec: TaskSpec) -> StageOutput:
                     moved += flush_groups()
             moved += flush_groups()
             spills.close()
-            result = sink.close()
+            pairs = sink.close() if sink is not None else None
         except BaseException:
             spills.abort()
-            sink.abort()
+            if sink is not None:
+                sink.abort()
             raise
         finally:
             for rel in s_rels.values():
                 rel.close()
-    return StageOutput(moved, result)
+    return moved, pairs
 
 
 @register_kernel

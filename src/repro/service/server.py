@@ -63,8 +63,7 @@ from repro.governor.errors import ResourceExhausted
 from repro.governor.governor import ResourceGovernor
 from repro.obs.export import build_service_stats_document
 from repro.obs.registry import MetricsRegistry
-from repro.parallel.engine.executor import RealJoinError
-from repro.parallel.runner import REAL_ALGORITHMS, run_real_join
+from repro.parallel.runner import REAL_ALGORITHMS, RealJoinError, run_real_join
 from repro.service.journal import RequestJournal, valid_request_id
 from repro.service.protocol import (
     PAIR_RECORD,

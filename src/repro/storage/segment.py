@@ -183,7 +183,7 @@ def _payload_crc(fd: int, count: int, record_bytes: int) -> int:
 
 
 def _parse_footer(buffer, offset: int = FOOTER_OFFSET) -> Optional[Tuple[int, int]]:
-    """The stored (crc, count), or None for pre-checksum segments."""
+    """The stored (crc, count), or None where no footer parses."""
     if len(buffer) < offset + _FOOTER.size:
         return None
     magic, _algo, crc, count = _FOOTER.unpack_from(buffer, offset)
@@ -215,9 +215,10 @@ def scrub_segment(path: str | os.PathLike) -> str:
 
     Unlike the open-time check this never consults the verified-file
     memo — a scrub exists to catch corruption that happened *since* the
-    segment was last trusted.  Returns ``"verified"``, or ``"legacy"``
-    for a structurally-sound pre-checksum segment; raises
-    :class:`StorageError` with the precise problem otherwise.
+    segment was last trusted.  Returns ``"verified"``; raises
+    :class:`StorageError` with the precise problem otherwise — including
+    a segment without a parseable footer, since a clobbered footer byte
+    must not turn verification off.
     """
     path = Path(path)
     kind = segment_kind(path.name)
@@ -235,8 +236,7 @@ def scrub_segment(path: str | os.PathLike) -> str:
             file_obj.seek(FOOTER_OFFSET)
             stored = _parse_footer(file_obj.read(_FOOTER.size), 0)
             if stored is None:
-                _metrics().count("storage.integrity.scrub", 1, kind=kind)
-                return "legacy"
+                raise StorageError(f"{path} has no integrity footer")
             stored_crc, stored_count = stored
             if stored_count != count:
                 raise StorageError(
@@ -462,16 +462,22 @@ class MappedSegment:
                 layout = RecordLayout(record_bytes)
             except Exception:
                 problem = f"declares an unusable record size {record_bytes}"
+        verify = _integrity_on("verify")
         if problem is None:
             stored = _parse_footer(mapping)
-            if stored is not None:
+            if stored is None:
+                if verify:
+                    # Only a verify-off writer closes without a footer; a
+                    # verifying reader cannot tell that from a clobbered one.
+                    problem = "has no integrity footer"
+            else:
                 stored_crc, stored_count = stored
                 if stored_count != count:
                     problem = (
                         f"is corrupt: integrity footer covers {stored_count} "
                         f"records but the header claims {count}"
                     )
-                elif _integrity_on("verify"):
+                elif verify:
                     try:
                         _verify_payload(
                             path, file_obj.fileno(), count, record_bytes,

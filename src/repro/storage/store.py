@@ -116,25 +116,23 @@ class Store:
         never finished, scrub proves the published ones still hold the
         bytes they were closed with.  Returns a report::
 
-            {"scanned": int, "verified": int, "legacy": int,
+            {"scanned": int, "verified": int,
              "failed": [{"path": str, "problem": str}, ...],
              "removed": [str, ...]}
 
-        ``legacy`` counts structurally-sound segments written before the
-        checksum footer existed (nothing to verify against).  With
+        A segment without an integrity footer fails.  With
         ``remove=True`` failing segments are deleted — the warm-cache
         policy: a corrupt cached artifact is strictly worse than a cold
         one, because a recompute is correct and a corrupt serve is not.
         """
         report: dict = {
-            "scanned": 0, "verified": 0, "legacy": 0,
-            "failed": [], "removed": [],
+            "scanned": 0, "verified": 0, "failed": [], "removed": [],
         }
         for disk in range(self.disks):
             for path in sorted(self.disk_dir(disk).glob("*.seg")):
                 report["scanned"] += 1
                 try:
-                    status = scrub_segment(path)
+                    scrub_segment(path)
                 except StorageError as error:
                     report["failed"].append(
                         {"path": str(path), "problem": str(error)}
@@ -143,7 +141,7 @@ class Store:
                         path.unlink(missing_ok=True)
                         report["removed"].append(str(path))
                     continue
-                report[status] += 1
+                report["verified"] += 1
         return report
 
     def usage_bytes(self) -> int:

@@ -76,3 +76,16 @@ def store_tree_problems(root) -> list:
         if not is_segment and parts != ("checkpoint.json",):
             problems.append("/".join(parts))
     return sorted(problems)
+
+
+def clobber_footer(path) -> None:
+    """Rot a closed segment the way one bad sector would: one byte of the
+    integrity footer's magic and two payload bytes of record 0."""
+    from repro.storage.segment import FOOTER_OFFSET, PAGE_SIZE
+
+    with open(path, "r+b") as file_obj:
+        for offset, width in ((FOOTER_OFFSET, 1), (PAGE_SIZE + 8, 2)):
+            file_obj.seek(offset)
+            old = file_obj.read(width)
+            file_obj.seek(offset)
+            file_obj.write(bytes(b ^ 0xFF for b in old))

@@ -18,7 +18,7 @@ from repro.parallel.engine.checkpoint import (
     load_manifest,
     manifest_path,
 )
-from repro.parallel.engine.executor import RealJoinError
+from repro.parallel import RealJoinError
 from repro.parallel.faults import (
     ALGORITHM_TASKS,
     FaultPlan,

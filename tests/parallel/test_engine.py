@@ -27,13 +27,12 @@ from repro.parallel import (
     run_real_join,
 )
 from repro.parallel.engine import task as engine_task
+from repro.parallel.engine.plans import algorithms, plan_for
 from repro.parallel.engine.stages import (
     ConservationRule,
     PassPlan,
     PassPlanError,
     ScanJoinStage,
-    algorithms,
-    plan_for,
 )
 from repro.parallel.engine.task import TaskSpec
 from repro.workload import WorkloadSpec, generate_workload
@@ -62,12 +61,6 @@ class TestPlanRegistry:
         assert set(ALGORITHM_TASKS) == set(algorithms())
         for algorithm, tasks in ALGORITHM_TASKS.items():
             assert tasks == plan_for(algorithm).tasks()
-
-    def test_duplicate_registration_rejected(self):
-        from repro.parallel.engine.stages import register_plan
-
-        with pytest.raises(PassPlanError, match="already registered"):
-            register_plan(PassPlan("nested-loops", (_stage(),)))
 
 
 class TestPlanValidation:
@@ -377,3 +370,69 @@ class TestFaultFiresOncePerCoordinate:
         assert self.fired(dispatched) == ["crash", "mem-pressure"]
         assert result.retries_total == 1
         assert result.degradations_total == 1
+
+
+class TestDriverPaths:
+    """Driver branches no algorithm test reaches on its own."""
+
+    @pytest.fixture(scope="class")
+    def workload(self):
+        return generate_workload(
+            WorkloadSpec(r_objects=300, s_objects=300, seed=7), disks=2
+        )
+
+    def test_reuse_store_names_the_missing_segment(self, workload, tmp_path):
+        root = tmp_path / "db"
+        run_real_join(
+            "grace", workload, str(root), use_processes=False,
+            keep_store=True, collect_pairs=False,
+        )
+        missing = root / "disk1" / "S.seg"
+        missing.unlink()
+        with pytest.raises(RealJoinError, match="not warm") as info:
+            run_real_join(
+                "grace", workload, str(root), use_processes=False,
+                reuse_store=True, collect_pairs=False,
+            )
+        assert str(missing) in str(info.value)
+
+    def test_reuse_store_on_an_empty_root(self, workload, tmp_path):
+        root = tmp_path / "db"
+        with pytest.raises(RealJoinError) as info:
+            run_real_join(
+                "nested-loops", workload, str(root), use_processes=False,
+                reuse_store=True,
+            )
+        assert str(root / "disk0" / "R.seg") in str(info.value)
+
+    def test_degradation_cap_reraises_the_classified_error(
+        self, workload, tmp_path, monkeypatch
+    ):
+        """Pressure in every round: exactly ``max_degradations`` runtime
+        rungs are taken, then the round's MemoryExhausted surfaces and
+        the store is destroyed."""
+        from repro.governor import predict
+        from repro.governor.errors import MemoryExhausted
+
+        descents = []
+        descend = predict.descend
+
+        def counting(*args, **kwargs):
+            step = descend(*args, **kwargs)
+            descents.append(step)
+            return step
+
+        monkeypatch.setattr(predict, "descend", counting)
+        every_round = FaultPlan([
+            FaultSpec("mem-pressure", "sort_merge_merge_join", 0, attempt=a)
+            for a in range(10)
+        ])
+        root = tmp_path / "db"
+        with pytest.raises(MemoryExhausted, match="injected memory pressure"):
+            run_real_join(
+                "sort-merge", workload, str(root), use_processes=False,
+                mem_budget=1 << 30, max_degradations=2,
+                fault_plan=every_round,
+            )
+        assert len(descents) == 2 and all(descents)
+        assert not root.exists()

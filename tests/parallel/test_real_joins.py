@@ -7,7 +7,7 @@ import pytest
 
 from repro.joins import expected_checksum, verify_pairs
 from repro.parallel import RealJoinError, run_real_join
-from repro.parallel.engine.stages import plan_for
+from repro.parallel.engine.plans import plan_for
 from repro.workload import WorkloadSpec, generate_workload
 
 

@@ -30,8 +30,8 @@ from repro.parallel.engine.checkpoint import (
     CheckpointWriter,
     manifest_path,
 )
-from repro.parallel.engine.executor import RealJoinError
-from repro.parallel.engine.stages import plan_for
+from repro.parallel import RealJoinError
+from repro.parallel.engine.plans import plan_for
 from repro.parallel.engine.task import TaskSpec, rs_name, run_name
 from repro.storage.layout import RecordLayout
 from repro.storage.relation import RRelationFile, SortedRunsFile

@@ -35,7 +35,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.parallel.engine.executor import RealJoinError
+from repro.parallel import RealJoinError
 from repro.parallel.faults import ALGORITHM_TASKS, FaultPlan, flip_payload_bit
 from repro.parallel.runner import run_real_join
 from repro.service import (

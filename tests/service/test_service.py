@@ -30,6 +30,7 @@ from repro.service.protocol import PAIR_RECORD, recv_frame, send_frame
 from repro.service.server import sweep_service_root
 from repro.storage.segment import MappedSegment
 from repro.workload.generator import WorkloadSpec, generate_workload
+from tests.conftest import clobber_footer
 from tests.parallel.scalar_oracle import read_pairs
 
 SCALE = 0.01  # -> 1,024 objects after the service's max(64, 102_400 * scale)
@@ -395,6 +396,28 @@ def test_startup_scrub_deletes_corrupt_segments_and_evicts_the_store(tmp_path):
     assert not intact_sibling.exists()  # half a warm store is no store
     assert not corrupt_temp.exists()
     assert survivor.exists()
+
+
+def test_restart_over_a_clobbered_footer_recomputes(make_service, tmp_path):
+    """A warm segment whose footer no longer parses is corrupt, not a
+    footerless survivor: the restarted daemon deletes it and serves the
+    next request from a rebuilt store."""
+    service = make_service()
+    with JoinServiceClient(service.config.socket_path) as client:
+        first = client.join("sort-merge", **join_args())
+    service.close()
+    root = tmp_path / "svc-root"
+    [victim] = root.glob("stores/*/disk0/R.seg")
+    clobber_footer(victim)
+
+    restarted = make_service()
+    assert restarted.startup_sweep["corrupt"] == 1
+    assert not victim.exists()
+    with JoinServiceClient(restarted.config.socket_path) as client:
+        again = client.join("sort-merge", **join_args())
+    assert (again.pair_count, again.checksum) == (
+        first.pair_count, first.checksum
+    )
 
 
 # ------------------------------------------------------ stats doc & shutdown

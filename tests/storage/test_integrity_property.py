@@ -32,6 +32,8 @@ from repro.storage.segment import (
     _verify_payload,
     scrub_segment,
 )
+from repro.storage.store import Store
+from tests.conftest import clobber_footer
 
 RECORD_BYTES = 128
 CHUNK_RECORDS = segment._CRC_CHUNK // RECORD_BYTES
@@ -294,3 +296,32 @@ def test_payload_crc_past_the_end_hashes_what_is_there(tmp_path):
                     )
     finally:
         os.close(fd)
+
+
+def test_clobbered_footer_is_refused_at_open(tmp_path):
+    """A footer that no longer parses does not turn verification off:
+    the rotten payload behind it is never served."""
+    path = tmp_path / "RUN0.seg"
+    publish(path, [bytes([i]) * RECORD_BYTES for i in range(3)])
+    clobber_footer(path)
+    with pytest.raises(StorageError, match="no integrity footer"):
+        MappedSegment.open(path)
+    # Only a verify-off reader (the integrity-off baseline) maps it.
+    segment.configure_integrity(verify=False)
+    try:
+        with MappedSegment.open(path) as seg:
+            assert len(seg) == 3
+    finally:
+        segment.configure_integrity()
+
+
+def test_clobbered_footer_fails_the_scrub(tmp_path):
+    path = tmp_path / "disk0" / "RUN0.seg"
+    path.parent.mkdir()
+    publish(path, [bytes([i]) * RECORD_BYTES for i in range(3)])
+    clobber_footer(path)
+    with pytest.raises(StorageError, match="no integrity footer"):
+        scrub_segment(path)
+    report = Store(tmp_path, 1).scrub()
+    assert report["verified"] == 0
+    assert [failure["path"] for failure in report["failed"]] == [str(path)]
