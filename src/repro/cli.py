@@ -28,6 +28,7 @@ import sys
 import tempfile
 from typing import Optional, Sequence
 
+from repro.governor.budget import ON_PRESSURE_MODES, parse_size
 from repro.harness.calibrate import (
     calibrated_machine_parameters,
     measure_disk_curves,
@@ -127,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
              "resource governor (meaningful with --on-pressure=queue/fail)",
     )
     join.add_argument(
-        "--on-pressure", choices=("degrade", "queue", "fail"),
+        "--on-pressure", choices=ON_PRESSURE_MODES,
         default="degrade",
         help="what resource pressure does: degrade the plan down the "
              "ladder (default), queue for admission without re-planning, "
@@ -380,25 +381,6 @@ def _workload(args):
     return generate_workload(spec, args.disks)
 
 
-_SIZE_SUFFIXES = {"K": 1 << 10, "M": 1 << 20, "G": 1 << 30}
-
-
-def parse_size(text: str) -> int:
-    """``"256K"`` → 262144.  Bare numbers are bytes; suffixes K/M/G."""
-    raw = text.strip().upper()
-    multiplier = 1
-    if raw and raw[-1] in _SIZE_SUFFIXES:
-        multiplier = _SIZE_SUFFIXES[raw[-1]]
-        raw = raw[:-1]
-    try:
-        value = int(raw) * multiplier
-    except ValueError:
-        raise ValueError(f"invalid size {text!r} (expected e.g. 4096, 256K, 2M)")
-    if value <= 0:
-        raise ValueError(f"size must be positive: {text!r}")
-    return value
-
-
 def _cmd_figures(args) -> int:
     if args.figure:
         print(FIGURE_BUILDERS[args.figure](args).render())
@@ -639,17 +621,10 @@ def _cmd_crossover(args) -> int:
 
 
 def _cmd_workload(args) -> int:
-    from repro.workload import WorkloadSpec, load_workload, save_workload
+    from repro.workload import load_workload, save_workload
 
     if args.action == "save":
-        spec = WorkloadSpec(
-            r_objects=max(64, int(102_400 * args.scale)),
-            s_objects=max(64, int(102_400 * args.scale)),
-            distribution=args.distribution,
-            distribution_args=args.distribution_args,
-            seed=args.seed,
-        )
-        workload = generate_workload(spec, args.disks)
+        workload = _workload(args)
         save_workload(workload, args.path)
         print(
             f"saved {workload.r_objects_total:,} R-objects / "

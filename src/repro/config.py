@@ -61,12 +61,6 @@ KNOBS: Dict[str, Knob] = {
             description="workload scale factor for the benchmark suites",
         ),
         Knob(
-            name="bench_skew_repeats",
-            env="REPRO_BENCH_SKEW_REPEATS",
-            default=None,
-            description="repeat count for the skew-matrix bench timings",
-        ),
-        Knob(
             name="smoke_out",
             env="REPRO_SMOKE_OUT",
             default=None,

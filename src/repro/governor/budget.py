@@ -14,6 +14,9 @@ with no separate reservation ledger to keep consistent.
 *before* the ``ftruncate`` that would otherwise die with a raw ``ENOSPC``
 mid-write, and raises the classified
 :class:`~repro.governor.errors.DiskExhausted` instead.
+
+Budgets are written in one size grammar (:func:`parse_size`) and meet
+pressure in one of :data:`ON_PRESSURE_MODES`, wherever they are set.
 """
 
 from __future__ import annotations
@@ -23,6 +26,33 @@ from pathlib import Path
 
 from repro.governor.errors import DiskExhausted
 from repro.governor.watchdog import active_meter
+
+#: What resource pressure does to a join: lower the plan down the ladder,
+#: queue for admission without re-planning, or fail with a classified error.
+ON_PRESSURE_MODES = ("degrade", "queue", "fail")
+
+_SIZE_SUFFIXES = {"K": 1 << 10, "M": 1 << 20, "G": 1 << 30}
+
+
+def parse_size(text: str) -> int:
+    """``"256K"`` → 262144.  Bare numbers are bytes; suffixes K/M/G.
+
+    The one size grammar budgets are written in, on the command line and
+    in tenant configs alike; raises :class:`ValueError` on anything else.
+    """
+    raw = text.strip().upper()
+    multiplier = 1
+    if raw and raw[-1] in _SIZE_SUFFIXES:
+        multiplier = _SIZE_SUFFIXES[raw[-1]]
+        raw = raw[:-1]
+    try:
+        value = int(raw) * multiplier
+    except ValueError:
+        raise ValueError(f"invalid size {text!r} (expected e.g. 4096, 256K, 2M)")
+    if value <= 0:
+        raise ValueError(f"size must be positive: {text!r}")
+    return value
+
 
 #: Suffixes of the files whose sizes constitute the store's disk usage
 #: (segments and their unpublished tmp siblings; anything else is noise).

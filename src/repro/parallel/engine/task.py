@@ -89,10 +89,6 @@ class TaskSpec:
     attempt: int = 0
     fault: Optional[FaultSpec] = None
 
-    @property
-    def slot(self) -> int:
-        return self.partition
-
     def open_store(self) -> Store:
         return Store(self.store_root, self.disks)
 
@@ -176,16 +172,16 @@ def _governed(func: Callable, spec: TaskSpec):
     try:
         if not spec.metrics:
             return func(spec), None
-        task, slot = spec.kernel, spec.slot
+        task, partition = spec.kernel, spec.partition
         registry = activate(MetricsRegistry())
         started = time.perf_counter()
         try:
-            with span("task", task=task, worker=slot):
+            with span("task", task=task, worker=partition):
                 result = func(spec)
         finally:
             deactivate()
         wall_ms = (time.perf_counter() - started) * 1000.0
-        labels = {"task": task, "worker": slot}
+        labels = {"task": task, "worker": partition}
         registry.gauge("worker.wall_ms", wall_ms, **labels)
         registry.gauge(
             "worker.mem_high_water_bytes",
@@ -253,7 +249,6 @@ class PairSink:
         block[:, 2] = r_payload
         block[:, 3] = s_value
         self._file.append_packed(memoryview(block).cast("B"))
-        active().count("worker.pairs", n)
         self.count += n
         mix = (
             rid * _np.uint64(1_000_003)
@@ -267,6 +262,8 @@ class PairSink:
     def close(self) -> PairResult:
         """Publish the segment (atomic rename) and report its totals."""
         self._file.close()
+        if self.count:
+            active().count("worker.pairs", self.count)
         return PairResult(self.count, self.checksum, str(self.path))
 
     def abort(self) -> None:

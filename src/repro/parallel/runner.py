@@ -55,7 +55,7 @@ import numpy as np
 
 from repro.core.records import JoinedPairs
 from repro.governor import predict
-from repro.governor.budget import store_usage_bytes
+from repro.governor.budget import ON_PRESSURE_MODES, store_usage_bytes
 from repro.governor.errors import DiskExhausted, MemoryExhausted, ResourceExhausted
 from repro.governor.governor import ResourceGovernor
 from repro.governor.predict import (
@@ -93,8 +93,6 @@ from repro.workload.generator import Workload
 #: Read from the plan table: adding a PassPlan there is the single step
 #: that adds an algorithm here, to the CLI, and to the tests.
 REAL_ALGORITHMS = algorithms()
-
-ON_PRESSURE_MODES = ("degrade", "queue", "fail")
 
 #: Backoff between retry rounds never sleeps longer than this.
 _BACKOFF_CAP_S = 2.0
@@ -781,7 +779,7 @@ class _JoinRun:
         results = [outcome for outcome, _snapshot in returned]
         if self.collect_metrics:
             result.worker_metrics[stage.label] = {
-                unit.slot: snapshot
+                unit.partition: snapshot
                 for unit, (_outcome, snapshot) in zip(units, returned)
             }
         self.sample_disk()
@@ -892,9 +890,9 @@ class _JoinRun:
                 None, units, pending, outcomes, errors, labels
             )
         if pending:
-            slots = [units[idx].slot for idx in pending]
+            partitions = [units[idx].partition for idx in pending]
             raise RealJoinError(
-                f"{self.algorithm} {stage.label}: tasks {slots} failed "
+                f"{self.algorithm} {stage.label}: tasks {partitions} failed "
                 f"{stage.kernel} after {policy.retries + 1} attempt(s)"
             ) from (errors[-1] if errors else None)
         result.pass_wall_ms[stage.label] = (
@@ -940,7 +938,7 @@ class _JoinRun:
                 # task, so it can no longer be join()ed safely.
                 self.pool_dirty = timed_out = True
                 failure: BaseException = TimeoutError(
-                    f"{units[idx].kernel} task {units[idx].slot} "
+                    f"{units[idx].kernel} task {units[idx].partition} "
                     f"exceeded {self.policy.task_timeout}s"
                 )
             except ResourceExhausted as error:

@@ -53,7 +53,6 @@ import numpy as np
 
 from repro.governor.predict import merge_fanin
 from repro.governor.watchdog import active_meter
-from repro.obs.registry import active as _metrics
 from repro.parallel.engine.task import (
     PairResult,
     PairSink,
@@ -366,12 +365,6 @@ class _RunCursor:
         n = min(chunk_records, self.end - self.pos)
         self.rid, self.sptr, self.payload = self.rel.read_columns(self.pos, n)
         self.pos += n
-        metrics = _metrics()
-        if metrics.enabled:
-            kind = self.rel.segment.kind
-            metrics.count("storage.read.batches", 1, kind=kind)
-            metrics.count("storage.read.records", n, kind=kind)
-            metrics.count("storage.read.bytes", n * record_bytes, kind=kind)
         meter.charge(n * record_bytes, "merge run chunk")
 
     def take(self, n: int) -> tuple:

@@ -55,7 +55,7 @@ import threading
 import time
 from concurrent.futures import Future
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, List, Optional
 
@@ -75,6 +75,7 @@ from repro.service.tenants import TenantConfig, TenantError, TenantPolicy
 from repro.storage.relation import PairsFile
 from repro.storage.segment import StorageError, scrub_segment
 from repro.storage.store import Store, _tmp_writer_alive
+from repro.workload.distributions import DistributionError, sampler
 from repro.workload.generator import Workload, WorkloadSpec, generate_workload
 
 
@@ -474,7 +475,6 @@ class JoinService:
             "tenant": policy.name,
             "algorithm": algorithm,
         })
-        workload, signature = self._workload_for(spec_args)
         with self._metrics_lock:
             self._active_requests += 1
             self.registry.gauge(
@@ -504,6 +504,7 @@ class JoinService:
                 "spec_args": spec_args,
             })
         try:
+            workload, signature = self._workload_for(spec_args)
             with self._lease_store(signature, spec_args["disks"]) as entry:
                 result, reused = self._execute(
                     algorithm, workload, entry, policy, priority,
@@ -588,6 +589,10 @@ class JoinService:
         distribution = request.get("distribution", "uniform")
         if not isinstance(distribution, str):
             raise ServiceError("distribution must be a string")
+        try:
+            sampler(distribution)
+        except DistributionError as error:
+            raise ServiceError(str(error)) from None
         deadline_s = request.get("deadline_s")
         if deadline_s is not None and (
             not isinstance(deadline_s, (int, float))
@@ -608,6 +613,10 @@ class JoinService:
     def _workload_for(self, spec_args: dict):
         """The cached workload for a request, generated at most once.
 
+        ``spec_args`` (the journaled request fields) name the cache entry;
+        a miss generates the paper's validation workload at that scale and
+        seed with the named distribution, as ``repro join`` does.
+
         Single-flight per signature: the first request to name a workload
         generates it; any request arriving meanwhile waits for that result
         and shares the instance, not a copy it burned a core (and the
@@ -623,12 +632,11 @@ class JoinService:
                 future = self._caches.workloads[signature] = Future()
         if first:
             try:
-                objects = max(64, int(102_400 * spec_args["scale"]))
-                spec = WorkloadSpec(
-                    r_objects=objects,
-                    s_objects=objects,
+                spec = replace(
+                    WorkloadSpec.paper_validation(
+                        spec_args["scale"], spec_args["seed"]
+                    ),
                     distribution=spec_args["distribution"],
-                    seed=spec_args["seed"],
                 )
                 future.set_result(generate_workload(spec, spec_args["disks"]))
             except BaseException as error:

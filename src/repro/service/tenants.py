@@ -35,9 +35,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Mapping, Optional
 
-ON_PRESSURE_MODES = ("degrade", "queue", "fail")
-
-_SIZE_SUFFIXES = {"K": 1 << 10, "M": 1 << 20, "G": 1 << 30}
+from repro.governor.budget import ON_PRESSURE_MODES, parse_size
 
 
 class TenantError(ValueError):
@@ -53,17 +51,10 @@ def parse_budget(value: object, field: str) -> Optional[int]:
     if isinstance(value, int):
         size = value
     elif isinstance(value, str):
-        raw = value.strip().upper()
-        multiplier = 1
-        if raw and raw[-1] in _SIZE_SUFFIXES:
-            multiplier = _SIZE_SUFFIXES[raw[-1]]
-            raw = raw[:-1]
         try:
-            size = int(raw) * multiplier
-        except ValueError:
-            raise TenantError(
-                f"{field}: invalid size {value!r} (expected e.g. 4096, 256K, 2M)"
-            )
+            size = parse_size(value)
+        except ValueError as error:
+            raise TenantError(f"{field}: {error}") from None
     else:
         raise TenantError(
             f"{field}: expected bytes or a size string, got "

@@ -18,7 +18,6 @@ from typing import Iterator, List, Sequence, Tuple
 import numpy as _np
 
 from repro.core.records import JoinedPair
-from repro.obs.registry import active as _metrics
 from repro.storage.segment import (
     META_CAPACITY,
     MappedSegment,
@@ -39,6 +38,18 @@ class _RelationFile:
 
     def close(self) -> None:
         self.segment.close()
+
+    def read_columns(self, start: int, count: int) -> Tuple:
+        """Decode ``count`` records at ``start`` into u64 column copies
+        (one read batch, unless ``count`` is zero)."""
+        view = self.segment.read_batch(start, count)
+        try:
+            columns = self.segment.layout.decode_columns(view)
+        finally:
+            view.release()
+        if count:
+            self.segment.tally("read", count)
+        return columns
 
     def abort(self) -> None:
         """Release the relation without publishing it (idempotent).
@@ -120,14 +131,6 @@ class RRelationFile(_RelationFile):
         return self.segment.append_batch(
             self.segment.layout.pack_columns(rid, sptr, payload)
         )
-
-    def read_columns(self, start: int, count: int) -> Tuple:
-        """Decode ``count`` records at ``start`` into u64 column copies."""
-        view = self.segment.read_batch(start, count)
-        try:
-            return self.segment.layout.decode_columns(view)
-        finally:
-            view.release()
 
 
 _IRUN = struct.Struct("<Q")
@@ -228,16 +231,7 @@ class SRelationFile(_RelationFile):
                 f"pointer offset outside [0, {count}) in "
                 f"{self.segment.path.name}"
             )
-        metrics = _metrics()
-        if metrics.enabled:
-            kind = self.segment.kind
-            metrics.count("storage.deref.batches", 1, kind=kind)
-            metrics.count("storage.deref.records", len(offsets), kind=kind)
-            metrics.count(
-                "storage.deref.bytes",
-                len(offsets) * self.segment.layout.record_bytes,
-                kind=kind,
-            )
+        self.segment.tally("deref", len(offsets))
         view = self.segment.read_batch(0, count)
         try:
             arr = _np.frombuffer(view, dtype=self.segment.layout.np_dtype)
@@ -389,22 +383,7 @@ class BucketedRFile(_RelationFile):
 
     def read_bucket_columns(self, bucket: int) -> Tuple:
         """One bucket's records as (rid, sptr, payload) u64 column copies."""
-        start, count = self._directory[bucket]
-        metrics = _metrics()
-        if metrics.enabled and count:
-            kind = self.segment.kind
-            metrics.count("storage.read.batches", 1, kind=kind)
-            metrics.count("storage.read.records", count, kind=kind)
-            metrics.count(
-                "storage.read.bytes",
-                count * self.segment.layout.record_bytes,
-                kind=kind,
-            )
-        view = self.segment.read_batch(start, count)
-        try:
-            return self.segment.layout.decode_columns(view)
-        finally:
-            view.release()
+        return self.read_columns(*self._directory[bucket])
 
     def close(self) -> None:
         """Publish; a writer first proves every extent exactly full.

@@ -17,12 +17,16 @@ The three mapping operations mirror the paper's cost model:
 All three are also exposed as timed helpers so the real backend can measure
 its own Figure 1(b).
 
-Every mapping operation and every batched read/write additionally records
-into the active :mod:`repro.obs` registry (labelled by segment *kind* — the
-leading alphabetic run of the file name, so ``RP0_1.seg`` counts under
-``RP``).  When no registry is active the calls hit the shared no-op
-``NullRegistry``; counting happens at batch granularity, so even enabled
-runs pay nanoseconds per record.
+Every mapping operation additionally records into the active
+:mod:`repro.obs` registry (labelled by segment *kind* — the leading
+alphabetic run of the file name, so ``RP0_1.seg`` counts under ``RP``).
+Block traffic — reads, writes and pointer dereferences — is tallied per
+batch on the segment itself (:meth:`MappedSegment.tally`) and reported
+once, when the segment is closed or discarded, as the
+``storage.{read,write,deref}.{batches,records,bytes}`` counters: a
+segment costs the registry a handful of calls however many batches it
+moved.  When no registry is active the calls hit the shared no-op
+``NullRegistry``.
 
 Segment creation is *atomic with respect to process crashes*: ``create``
 writes to a ``<name>.seg.tmp`` sibling and ``close`` renames it into
@@ -348,6 +352,9 @@ class MappedSegment:
         self._mapped_bytes = len(mapping) if mapping is not None else 0
         if self._mapped_bytes:
             _meter().map_bytes(self._mapped_bytes)
+        # Block traffic per op, [batches, records]: counted by tally(),
+        # reported once by close()/discard().
+        self._traffic = {"read": [0, 0], "write": [0, 0], "deref": [0, 0]}
 
     def _mapping(self) -> mmap.mmap:
         """The mapping, materialized on first read for created segments."""
@@ -545,6 +552,7 @@ class MappedSegment:
         """
         if self._closed:
             return
+        self._report_traffic()
         self._write_count()
         stamped = None
         if self._dirty and _integrity_on("write"):
@@ -580,6 +588,7 @@ class MappedSegment:
         """
         if self._closed:
             return
+        self._report_traffic()
         if self._map is not None:
             self._map.close()
         self._file.close()
@@ -697,15 +706,7 @@ class MappedSegment:
         start = max(0, start)
         for start in range(start, stop, batch_records):
             count = min(batch_records, stop - start)
-            metrics = _metrics()
-            if metrics.enabled:
-                metrics.count("storage.read.batches", 1, kind=self.kind)
-                metrics.count("storage.read.records", count, kind=self.kind)
-                metrics.count(
-                    "storage.read.bytes",
-                    count * self.layout.record_bytes,
-                    kind=self.kind,
-                )
+            self.tally("read", count)
             yield self.read_batch(start, count)
 
     def append_batch(self, data: bytes | bytearray | memoryview) -> int:
@@ -760,14 +761,39 @@ class MappedSegment:
                 self._stream_count = index + count
             elif index < self._stream_count:
                 self._stream_crc = None  # rewrote streamed bytes
-        metrics = _metrics()
-        if metrics.enabled:
-            metrics.count("storage.write.batches", 1, kind=self.kind)
-            metrics.count("storage.write.records", count, kind=self.kind)
-            metrics.count("storage.write.bytes", len(data), kind=self.kind)
+        self.tally("write", count)
         return count
 
+    def tally(self, op: str, records: int) -> None:
+        """Count one batch of ``records`` moved by ``op`` — ``"read"``,
+        ``"write"`` or ``"deref"`` — into the segment's traffic tally."""
+        counts = self._traffic[op]
+        counts[0] += 1
+        counts[1] += records
+
     # ------------------------------------------------------------ internal
+
+    def _report_traffic(self) -> None:
+        """Hand the traffic tally to the active registry, then zero it.
+
+        Each op that moved a batch reports ``storage.<op>.batches``,
+        ``.records`` and ``.bytes`` (records × record size) under this
+        segment's kind — the values per-batch counting would sum to.
+        """
+        traffic = self._traffic
+        self._traffic = {op: [0, 0] for op in traffic}
+        metrics = _metrics()
+        if not metrics.enabled:
+            return
+        for op, (batches, records) in traffic.items():
+            if batches:
+                metrics.count(f"storage.{op}.batches", batches, kind=self.kind)
+                metrics.count(f"storage.{op}.records", records, kind=self.kind)
+                metrics.count(
+                    f"storage.{op}.bytes",
+                    records * self.layout.record_bytes,
+                    kind=self.kind,
+                )
 
     def _write_count(self) -> None:
         if not self._file.closed and self._count != self._disk_count:

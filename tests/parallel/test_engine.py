@@ -185,7 +185,7 @@ class TestTaskSpecCarrier:
         with multiprocessing.get_context("spawn").Pool(1) as pool:
             echoed = pool.apply(pickle.loads, (pickle.dumps(spec),))
         assert echoed == spec
-        assert echoed.slot == 1
+        assert echoed.partition == 1
         assert len(pickle.dumps(spec)) < 1024
 
 
@@ -336,7 +336,7 @@ class TestFaultFiresOncePerCoordinate:
         # One task per partition: the retry is the partition's attempt 1,
         # and only attempt 0 carried the fault.
         probes = [
-            (spec.slot, spec.attempt, spec.fault is not None)
+            (spec.partition, spec.attempt, spec.fault is not None)
             for spec in dispatched
             if spec.kernel == "grace_probe" and spec.partition == 0
         ]

@@ -15,6 +15,7 @@ import time
 
 import pytest
 
+from repro.joins.reference import expected_checksum
 from repro.obs.export import SCHEMA_VERSION, validate_stats_document
 from repro.parallel.faults import flip_payload_bit
 from repro.parallel.runner import REAL_ALGORITHMS, run_real_join
@@ -323,6 +324,25 @@ def test_unknown_algorithm_is_a_bad_request(make_service):
         with pytest.raises(ClientError) as excinfo:
             client.join("quantum-join", **join_args())
         assert excinfo.value.code == "bad-request"
+
+
+def test_unknown_distribution_is_a_bad_request_and_frees_its_id(make_service):
+    """A bad distribution name is refused before ``accepted``, so the id
+    is never pinned in flight: a corrected retry under it is served."""
+    service = make_service()
+    with JoinServiceClient(service.config.socket_path) as client:
+        with pytest.raises(ClientError) as excinfo:
+            client.join("grace", distribution="nope", request_id="req-1",
+                        retries=0, **join_args())
+        assert excinfo.value.code == "bad-request"
+    with JoinServiceClient(service.config.socket_path) as client:
+        reply = client.join("grace", request_id="req-1", retries=0,
+                            **join_args())
+    workload = generate_workload(
+        WorkloadSpec.paper_validation(SCALE, SEED), DISKS
+    )
+    assert reply.pair_count == workload.r_objects_total
+    assert reply.checksum == expected_checksum(workload)
 
 
 # ------------------------------------------------------------ startup sweep
