@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, List, NamedTuple, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from repro.core.pointer import PointerMap
 from repro.core.records import RObject, SObject
 from repro.model.parameters import RelationParameters
 from repro.workload.distributions import sampler
+from repro.workload.draws import WordStream
 
 
 @dataclass(frozen=True)
@@ -176,7 +177,11 @@ def generate_workload(spec: WorkloadSpec, disks: int) -> Workload:
     The draw order from ``random.Random(spec.seed)`` is part of the format
     (a seed names the same objects on every version): S's value then
     payload per object, the sampler's pointers, one payload per pointer,
-    then the shuffle.
+    then the shuffle.  The draws are not made one call at a time: each
+    stage reads the same Mersenne Twister words from the same
+    ``random.Random`` in bulk and applies the per-call rules to them with
+    numpy (:mod:`repro.workload.draws`), so the arrays are the ones the
+    per-call draws made.
 
     Draws stream straight into their arrays and every intermediate is
     dropped as soon as its array exists, so the peak stays near the size
@@ -187,43 +192,26 @@ def generate_workload(spec: WorkloadSpec, disks: int) -> Workload:
     if disks <= 0:
         raise ValueError("disks must be positive")
     rng = random.Random(spec.seed)
-    randrange = rng.randrange
-
-    s_fields = np.fromiter(
-        (
-            randrange(bound)
-            for _ in range(spec.s_objects)
-            for bound in (1_000_000, 1 << 30)
-        ),
-        dtype=np.uint64,
-        count=2 * spec.s_objects,
-    )
-    s_value, s_payload = s_fields[0::2].copy(), s_fields[1::2].copy()
-    del s_fields
+    with WordStream(rng) as words:
+        s_value, s_payload = words.alternating(1_000_000, 1 << 30, spec.s_objects)
 
     sample = sampler(spec.distribution)
-    pointers: Sequence[int] = sample(
-        rng, spec.r_objects, spec.s_objects, **spec.distribution_args
-    )
-    count = len(pointers)
-    sptr = np.array(pointers, dtype=np.uint64)
-    del pointers
-    payload = np.fromiter(
-        (randrange(1 << 30) for _ in range(count)), dtype=np.uint64, count=count
-    )
+    sptr = sample(rng, spec.r_objects, spec.s_objects, **spec.distribution_args)
+    count = len(sptr)
     # Shuffle before splitting so positional partitioning is random
     # assignment, matching the paper's "randomly distributed" premise —
     # unless the sampler declares that R's order is part of the
     # distribution (clustered runs would be destroyed by a shuffle).
-    # Shuffling an index list draws exactly what shuffling the objects did.
-    if getattr(sample, "order_matters", False):
-        rid = np.arange(count, dtype=np.uint64)
-    else:
-        order = list(range(count))
-        rng.shuffle(order)
-        rid = np.array(order, dtype=np.uint64)
-        del order
-        sptr, payload = sptr[rid], payload[rid]
+    # Shuffling an index array draws exactly what shuffling the objects did.
+    with WordStream(rng) as words:
+        payload = words.randbelow(1 << 30, count)
+        if getattr(sample, "order_matters", False):
+            rid = np.arange(count, dtype=np.uint64)
+        else:
+            order = words.shuffled(count)
+            sptr, payload = sptr[order], payload[order]
+            rid = order.astype(np.uint64)
+            del order
 
     return Workload(
         spec=spec,

@@ -113,3 +113,45 @@ class TestCommands:
         document["schema_version"] = 99
         path.write_text(json.dumps(document))
         assert main(["stats", "validate", str(path)]) == 1
+
+
+class TestDistributionArgValues:
+    """A bad distribution argument *value* is a usage error, caught before
+    any workload or store exists — not a traceback from the sampler."""
+
+    @pytest.mark.parametrize(
+        "distribution, arg, message",
+        [
+            ("clustered", "run_length=2.5", "run_length"),
+            ("clustered", "run_length=0", "run_length"),
+            ("zipf", "theta=inf", "zipf exponent"),
+            ("zipf", "theta=-1", "zipf exponent"),
+            ("partition_hot", "hot_fraction=nan", "hot_fraction"),
+            ("partition_hot", "hot_span=0", "hot_span"),
+        ],
+    )
+    def test_rejected_before_store(
+        self, distribution, arg, message, tmp_path, capsys
+    ):
+        store = tmp_path / "store"
+        with pytest.raises(SystemExit) as exit_info:
+            main([
+                "join", "grace", "--real", "--scale", "0.01",
+                "--distribution", distribution, "--dist-arg", arg,
+                "--store", str(store),
+            ])
+        assert exit_info.value.code == 2
+        assert not store.exists()
+        assert message in capsys.readouterr().err
+
+    def test_run_length_must_not_be_bool(self):
+        from repro.workload import DistributionError, validate_distribution_args
+
+        with pytest.raises(DistributionError, match="run_length"):
+            validate_distribution_args("clustered", {"run_length": True})
+
+    def test_good_values_still_run(self, capsys):
+        assert main([
+            "join", "grace", "--real", "--scale", "0.01",
+            "--distribution", "clustered", "--dist-arg", "run_length=7",
+        ]) == 0
