@@ -123,11 +123,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="real-backend disk budget for the whole store (suffixes K/M/G)",
     )
     join.add_argument(
-        "--max-concurrent", type=int, default=None, metavar="N",
-        help="admit at most N concurrent joins through a process-local "
-             "resource governor (meaningful with --on-pressure=queue/fail)",
-    )
-    join.add_argument(
         "--on-pressure", choices=ON_PRESSURE_MODES,
         default="degrade",
         help="what resource pressure does: degrade the plan down the "
@@ -350,6 +345,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             args.distribution_args = _distribution_args(args)
         except DistributionError as error:
             parser.error(str(error))
+    if args.command == "join":
+        if args.retries < 0:
+            parser.error(f"--retries cannot be negative: {args.retries}")
+        if args.task_timeout is not None and not args.task_timeout > 0:
+            parser.error(
+                f"--task-timeout must be positive: {args.task_timeout}"
+            )
     handler = {
         "figures": _cmd_figures,
         "join": _cmd_join,
@@ -412,7 +414,7 @@ def _cmd_join(args) -> int:
                 file=sys.stderr,
             )
             return 2
-        from repro.governor import ResourceExhausted, ResourceGovernor
+        from repro.governor import ResourceExhausted
 
         fault_plan = None
         if args.fault_plan:
@@ -429,10 +431,6 @@ def _cmd_join(args) -> int:
         except ValueError as error:
             print(f"invalid budget: {error}", file=sys.stderr)
             return 2
-        governor = (
-            ResourceGovernor(max_concurrent=args.max_concurrent)
-            if args.max_concurrent is not None else None
-        )
         if args.resume and not args.store:
             print(
                 "--resume needs --store: the checkpoint manifest lives in "
@@ -455,7 +453,6 @@ def _cmd_join(args) -> int:
                     mem_budget=mem_budget,
                     disk_budget=disk_budget,
                     on_pressure=args.on_pressure,
-                    governor=governor,
                 )
             except ResourceExhausted as error:
                 # Classified exhaustion is an orderly refusal, not a crash:
@@ -777,9 +774,7 @@ def _cmd_serve(args) -> int:
         f"join service on {args.socket} "
         f"(root {args.root}, {args.disks} disks, "
         f"{args.max_concurrent} concurrent, queue {args.queue_limit}); "
-        f"startup sweep removed {sweep['seg_tmp']} tmp segments, "
-        f"{sweep['sidecars']} sidecars, "
-        f"{sweep['control_files']} control files; "
+        f"startup sweep removed {sweep['seg_tmp']} tmp segments; "
         f"scrub verified {sweep['scrubbed']} warm segments, "
         f"removed {sweep['corrupt']} corrupt, evicted {sweep['evicted']}",
         flush=True,

@@ -20,7 +20,6 @@ from repro.parallel.faults import (
     InjectedHang,
     InjectedMemPressure,
     InjectedTornWrite,
-    RetryPolicy,
 )
 from repro.parallel import vectorized  # noqa: F401  (registers the kernels)
 from repro.parallel.runner import (
@@ -49,7 +48,6 @@ __all__ = [
     "REAL_ALGORITHMS",
     "RealJoinError",
     "RealJoinResult",
-    "RetryPolicy",
     "plan_for",
     "run_real_join",
 ]

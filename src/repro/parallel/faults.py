@@ -1,4 +1,4 @@
-"""Deterministic fault injection and retry policy for the real-mmap backend.
+"""Deterministic fault injection for the real-mmap backend.
 
 The paper's runs assume every Rproc finishes its pass; production does not
 get that luxury.  This module makes every failure mode of a per-partition
@@ -266,31 +266,6 @@ class FaultPlan:
                 for task in ALGORITHM_TASKS[algorithm]
             ]
         )
-
-
-@dataclass
-class RetryPolicy:
-    """How the runner dispatches, times out and retries worker tasks."""
-
-    #: Extra attempts per task after the first (0 = fail fast).
-    retries: int = 2
-    #: Seconds a pool task may run before it is declared dead/hung and
-    #: retried.  ``None`` disables the watchdog (a crashed pool worker is
-    #: then only detected if the pool itself reports it).
-    task_timeout: Optional[float] = None
-    #: Base of the exponential backoff between retry rounds.
-    backoff_s: float = 0.05
-    #: When pool attempts are exhausted, run the still-failing tasks in
-    #: the parent process as a last resort (graceful degradation).
-    fallback_inline: bool = True
-
-    def __post_init__(self) -> None:
-        if self.retries < 0:
-            raise FaultPlanError(f"retries cannot be negative: {self.retries}")
-        if self.task_timeout is not None and self.task_timeout <= 0:
-            raise FaultPlanError(
-                f"task_timeout must be positive: {self.task_timeout}"
-            )
 
 
 # ------------------------------------------------------------ worker hooks

@@ -20,7 +20,7 @@ for **every** algorithm through the same path:
   :class:`multiprocessing.Pool` (or inline), with a barrier after each
   stage;
 * recovery — each partition's task gets ``1 + retries`` attempts with
-  exponential backoff, then an optional inline run in the parent.
+  exponential backoff, then, in a pool, one inline run in the parent.
   Retries are safe because every kernel publishes its outputs
   atomically (tmp-write / rename) and re-creates them with
   ``overwrite=True``.  A task that misses its ``task_timeout`` leaves an
@@ -85,7 +85,7 @@ from repro.parallel.engine.task import (
     TaskSpec,
     run_task,
 )
-from repro.parallel.faults import FaultPlan, InjectedHang, RetryPolicy
+from repro.parallel.faults import FaultPlan, InjectedHang
 from repro.storage.relation import read_pair_block
 from repro.storage.store import Store
 from repro.workload.generator import Workload
@@ -94,8 +94,14 @@ from repro.workload.generator import Workload
 #: that adds an algorithm here, to the CLI, and to the tests.
 REAL_ALGORITHMS = algorithms()
 
-#: Backoff between retry rounds never sleeps longer than this.
+#: Backoff before retry round ``k`` sleeps ``_BACKOFF_S * 2**(k-1)``
+#: seconds, never longer than ``_BACKOFF_CAP_S``.
+_BACKOFF_S = 0.05
 _BACKOFF_CAP_S = 2.0
+
+#: Runtime ladder descents a degrading run may take before the round's
+#: classified error surfaces.
+MAX_DEGRADATIONS = 8
 
 
 class RealJoinError(RuntimeError):
@@ -169,15 +175,12 @@ def run_real_join(
     collect_metrics: bool = True,
     retries: int = 2,
     task_timeout: Optional[float] = None,
-    backoff_s: float = 0.05,
-    fallback_inline: bool = True,
     fault_plan: Optional[FaultPlan] = None,
     mem_budget: Optional[int] = None,
     disk_budget: Optional[int] = None,
     on_pressure: str = "degrade",
     governor: Optional[ResourceGovernor] = None,
     deadline_s: Optional[float] = None,
-    max_degradations: int = 8,
     batch_records: Optional[int] = None,
     resident_buckets: int = 4,
     reuse_store: bool = False,
@@ -198,14 +201,12 @@ def run_real_join(
     u64 array, ``.columns`` — a sequence of ``JoinedPair`` that boxes a pair
     only when one is indexed or iterated.
 
-    ``retries`` / ``task_timeout`` / ``backoff_s`` / ``fallback_inline``
-    configure the :class:`~repro.parallel.faults.RetryPolicy`: each
-    partition's task gets ``1 + retries`` pool attempts, a task that
-    exceeds ``task_timeout`` seconds is declared dead and retried, and —
-    if pool attempts are exhausted and ``fallback_inline`` is set — the
-    failing partitions run once more in the parent process.  A crashed
-    pool worker never delivers its result, so crash *detection* in pool
-    mode requires a ``task_timeout``.
+    Each partition's task gets ``1 + retries`` attempts, with an
+    exponential backoff between rounds; a pool task that exceeds
+    ``task_timeout`` seconds is declared dead and retried, and partitions
+    that exhaust their pool attempts run once more in the parent process.
+    A crashed pool worker never delivers its result, so crash *detection*
+    in pool mode requires a ``task_timeout``.
 
     ``fault_plan`` is a deterministic
     :class:`~repro.parallel.faults.FaultPlan`: the driver attaches the
@@ -217,7 +218,7 @@ def run_real_join(
     ``disk_budget`` (whole store) arm the governor; ``on_pressure``
     decides what an over-budget prediction or a runtime
     :class:`~repro.governor.errors.ResourceExhausted` does — ``degrade``
-    re-plans down the ladder (up to ``max_degradations`` rounds),
+    re-plans down the ladder (up to ``MAX_DEGRADATIONS`` rounds),
     ``queue``/``fail`` raise the classified error.
 
     ``resident_buckets`` (hybrid hash only) is how many buckets stay
@@ -249,6 +250,10 @@ def run_real_join(
             f"unknown on_pressure mode {on_pressure!r}; "
             f"choices: {sorted(ON_PRESSURE_MODES)}"
         )
+    if retries < 0:
+        raise RealJoinError(f"retries cannot be negative: {retries}")
+    if task_timeout is not None and not task_timeout > 0:
+        raise RealJoinError(f"task_timeout must be positive: {task_timeout}")
     if mem_budget is not None and mem_budget <= 0:
         raise RealJoinError(f"mem_budget must be positive: {mem_budget}")
     if disk_budget is not None and disk_budget <= 0:
@@ -330,15 +335,10 @@ def run_real_join(
         collect_metrics=collect_metrics,
         collect_pairs=collect_pairs,
         keep_store=keep_store,
-        policy=RetryPolicy(
-            retries=retries,
-            task_timeout=task_timeout,
-            backoff_s=backoff_s,
-            fallback_inline=fallback_inline,
-        ),
+        retries=retries,
+        task_timeout=task_timeout,
         fault_plan=fault_plan,
         on_pressure=on_pressure,
-        max_degradations=max_degradations,
         governed=governed,
         worker_mem_budget=worker_budget,
         disk_budget=disk_budget,
@@ -420,10 +420,10 @@ class _JoinRun:
     collect_metrics: bool
     collect_pairs: bool
     keep_store: bool
-    policy: RetryPolicy
+    retries: int
+    task_timeout: Optional[float]
     fault_plan: Optional[FaultPlan]
     on_pressure: str
-    max_degradations: int
     governed: bool
     worker_mem_budget: Optional[int]
     disk_budget: Optional[int]
@@ -658,7 +658,7 @@ class _JoinRun:
                 )
                 if (
                     self.on_pressure != "degrade"
-                    or self.runtime_degradations >= self.max_degradations
+                    or self.runtime_degradations >= MAX_DEGRADATIONS
                 ):
                     raise
                 # The stage that ran out is the one to shrink: whatever
@@ -854,32 +854,32 @@ class _JoinRun:
 
         Returns each unit's ``(kernel_result, registry_snapshot)`` from
         the attempt that finished.  Every task gets ``1 + retries``
-        attempts (plus one optional inline-fallback attempt in the
+        attempts (plus, in a pool, one inline-fallback attempt in the
         parent), with exponential backoff between rounds.
 
         Classified :class:`ResourceExhausted` failures are *not* retried
         — under the same plan the same budget trips deterministically —
         they propagate to :meth:`run_rounds` instead.
         """
-        policy, result = self.policy, self.result
+        result = self.result
         started = time.perf_counter()
         outcomes: list = [None] * len(units)
         pending = list(range(len(units)))
         errors: List[BaseException] = []
         labels = {"algo": self.algorithm, "pass": stage.label}
-        for attempt in range(policy.retries + 1):
+        for attempt in range(self.retries + 1):
             if not pending:
                 break
             if attempt:
                 result.retries_total += len(pending)
                 active().count("runner.retries_total", len(pending), **labels)
                 time.sleep(
-                    min(policy.backoff_s * (2 ** (attempt - 1)), _BACKOFF_CAP_S)
+                    min(_BACKOFF_S * (2 ** (attempt - 1)), _BACKOFF_CAP_S)
                 )
             pending = self.run_round(
                 self.pool, units, pending, outcomes, errors, labels
             )
-        if pending and self.pool is not None and policy.fallback_inline:
+        if pending and self.pool is not None:
             # Graceful degradation: the pool could not finish these tasks
             # within budget (it may be unrecoverable); run them in-process.
             result.inline_fallbacks += len(pending)
@@ -893,7 +893,7 @@ class _JoinRun:
             partitions = [units[idx].partition for idx in pending]
             raise RealJoinError(
                 f"{self.algorithm} {stage.label}: tasks {partitions} failed "
-                f"{stage.kernel} after {policy.retries + 1} attempt(s)"
+                f"{stage.kernel} after {self.retries + 1} attempt(s)"
             ) from (errors[-1] if errors else None)
         result.pass_wall_ms[stage.label] = (
             time.perf_counter() - started
@@ -930,7 +930,7 @@ class _JoinRun:
                 if pool is None:
                     outcomes[idx] = run_task(self.arm(units[idx]))
                 else:
-                    outcomes[idx] = futures[idx].get(self.policy.task_timeout)
+                    outcomes[idx] = futures[idx].get(self.task_timeout)
                 continue
             except multiprocessing.TimeoutError:
                 # The worker died mid-task (its result will never arrive)
@@ -939,7 +939,7 @@ class _JoinRun:
                 self.pool_dirty = timed_out = True
                 failure: BaseException = TimeoutError(
                     f"{units[idx].kernel} task {units[idx].partition} "
-                    f"exceeded {self.policy.task_timeout}s"
+                    f"exceeded {self.task_timeout}s"
                 )
             except ResourceExhausted as error:
                 if pool is None:

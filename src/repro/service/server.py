@@ -23,10 +23,9 @@ undecoded as frame attachments — never materialized whole on either side.
 
 On startup — before the socket accepts anything — the daemon sweeps the
 whole service root for orphans of dead predecessors: unpublished
-``*.seg.tmp`` segments (flock-probed, so a live writer's tmp survives),
-metrics sidecars/markers, fault plans and budget files.  A join run
-sweeps its own store, but only *inside* a run; a daemon that crashed
-mid-request leaves debris no future run would touch, hence the
+``*.seg.tmp`` segments (flock-probed, so a live writer's tmp survives).
+A join run sweeps its own store, but only *inside* a run; a daemon that
+crashed mid-request leaves debris no future run would touch, hence the
 service-level sweep (:func:`sweep_service_root`), logged into the stats
 document's ``service.startup_sweep``.
 
@@ -88,10 +87,9 @@ def sweep_service_root(root: str | Path) -> Dict[str, int]:
 
     Returns what was removed or verified, by category: ``seg_tmp``
     (unpublished segments whose writer no longer holds its create-time
-    flock), ``sidecars`` and ``control_files`` (run-state files only a
-    pre-upgrade daemon wrote — see below), ``scrubbed`` (published segments whose payload
-    checksum was fully verified), ``corrupt`` (segments that failed the
-    scrub — deleted), and ``evicted`` (intact base segments dropped
+    flock), ``scrubbed`` (published segments whose payload checksum was
+    fully verified), ``corrupt`` (segments that failed the scrub —
+    deleted), and ``evicted`` (intact base segments dropped
     because a sibling R/S in the same store rotted: half a warm store is
     not a warm store, and a later materialize must find neither half).
 
@@ -103,10 +101,7 @@ def sweep_service_root(root: str | Path) -> Dict[str, int]:
     own stale tmps).
     """
     root = Path(root)
-    counts = {
-        "seg_tmp": 0, "sidecars": 0, "control_files": 0,
-        "scrubbed": 0, "corrupt": 0, "evicted": 0,
-    }
+    counts = {"seg_tmp": 0, "scrubbed": 0, "corrupt": 0, "evicted": 0}
     if not root.exists():
         return counts
     for path in root.rglob("*.seg.tmp"):
@@ -114,21 +109,6 @@ def sweep_service_root(root: str | Path) -> Dict[str, int]:
             continue
         path.unlink(missing_ok=True)
         counts["seg_tmp"] += 1
-    # Retired names from here to the scrub: nothing writes sidecars or
-    # control files any more (run state travels in the task), but a
-    # --root last served by an older daemon may hold them.
-    for path in root.rglob("metrics_*.json"):
-        if path.parent.name == "journal":
-            continue  # journal entries are durable state, not debris
-        path.unlink(missing_ok=True)
-        counts["sidecars"] += 1
-    for name in (
-        "metrics.on", "kernels.mode", "faults.json", "governor.json",
-        "partitioner.json", "fault_attempt_*",
-    ):
-        for path in root.rglob(name):
-            path.unlink(missing_ok=True)
-            counts["control_files"] += 1
     # Scrub what survived the sweep: the warm cache is only warm if its
     # bytes still match the checksums they were published with.
     rotten_bases: set = set()
@@ -209,9 +189,6 @@ class JoinService:
         self._cache_lock = threading.Lock()
         self._caches = _Caches()
         self._pool: Optional[multiprocessing.pool.Pool] = None
-        self._pool_cond = threading.Condition()
-        self._pool_users = 0
-        self._pool_recycles = 0
         self._listener: Optional[socket.socket] = None
         self._accept_thread: Optional[threading.Thread] = None
         self._conn_threads: List[threading.Thread] = []
@@ -316,11 +293,10 @@ class JoinService:
         for thread in list(self._conn_threads):
             thread.join(timeout=30)
         self._conn_threads.clear()
-        with self._pool_cond:
-            if self._pool is not None:
-                self._pool.terminate()
-                self._pool.join()
-                self._pool = None
+        pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.terminate()
+            pool.join()
         Path(self.config.socket_path).unlink(missing_ok=True)
 
     @property
@@ -544,7 +520,6 @@ class JoinService:
             if self._journal is not None:
                 self._journal.forget(request_id)
             self._count("service.failed_total", tenant=policy.name)
-            self._recycle_pool()
             finish(_error("failed", str(error), request_id=request_id))
         except StorageError as error:
             # Integrity machinery caught corruption mid-request; the
@@ -696,68 +671,35 @@ class JoinService:
                 deadline_s if effective_deadline is None
                 else min(effective_deadline, deadline_s)
             )
-        with self._borrow_pool() as pool:
-            result = run_real_join(
-                algorithm,
-                workload,
-                str(entry.path),
-                use_processes=self.config.use_processes,
-                pool=pool,
-                keep_store=True,
-                reuse_store=reused,
-                resume=resume,
-                collect_pairs=False,
-                collect_metrics=self.config.collect_metrics,
-                mem_budget=policy.mem_budget_bytes,
-                disk_budget=policy.disk_budget_bytes,
-                on_pressure=policy.on_pressure,
-                governor=self.governor,
-                deadline_s=effective_deadline,
-                tenant=policy.name,
-                priority=priority,
-            )
+        result = run_real_join(
+            algorithm,
+            workload,
+            str(entry.path),
+            use_processes=self.config.use_processes,
+            pool=self._borrow_pool(),
+            keep_store=True,
+            reuse_store=reused,
+            resume=resume,
+            collect_pairs=False,
+            collect_metrics=self.config.collect_metrics,
+            mem_budget=policy.mem_budget_bytes,
+            disk_budget=policy.disk_budget_bytes,
+            on_pressure=policy.on_pressure,
+            governor=self.governor,
+            deadline_s=effective_deadline,
+            tenant=policy.name,
+            priority=priority,
+        )
         entry.materialized = True
-        if result.timeouts_total:
-            # A timed-out task leaves the shared pool with an abandoned
-            # worker; retire it before the next request inherits the mess.
-            self._recycle_pool()
         return result, reused
 
-    @contextmanager
-    def _borrow_pool(self):
+    def _borrow_pool(self) -> Optional[multiprocessing.pool.Pool]:
+        """The shared pool (None when inline); refused once closed."""
         if not self.config.use_processes:
-            yield None
-            return
-        with self._pool_cond:
-            while self._pool is None and not self._shutdown.is_set():
-                self._pool_cond.wait(timeout=1)
-            if self._pool is None:
-                raise RealJoinError("service is shutting down")
-            pool = self._pool
-            self._pool_users += 1
-        try:
-            yield pool
-        finally:
-            with self._pool_cond:
-                self._pool_users -= 1
-                self._pool_cond.notify_all()
-
-    def _recycle_pool(self) -> None:
-        """Replace the shared pool once no request is borrowing it."""
-        if not self.config.use_processes or self._shutdown.is_set():
-            return
-        with self._pool_cond:
-            dirty, self._pool = self._pool, None
-            while self._pool_users > 0:
-                self._pool_cond.wait(timeout=1)
-            if dirty is not None:
-                dirty.terminate()
-                dirty.join()
-            workers = self.config.pool_workers or self.config.disks
-            self._pool = multiprocessing.Pool(processes=workers)
-            self._pool_recycles += 1
-            self._pool_cond.notify_all()
-        self._count("service.pool_recycles_total")
+            return None
+        if self._pool is None:
+            raise RealJoinError("service is shutting down")
+        return self._pool
 
     def _stream_result(self, conn, request, request_id, policy,
                        result, entry, reused: bool) -> dict:
@@ -902,7 +844,6 @@ class JoinService:
                 "max_concurrent": self.config.max_concurrent,
                 "queue_limit": self.config.queue_limit,
                 "use_processes": self.config.use_processes,
-                "pool_recycles": self._pool_recycles,
                 "strict_tenants": self.tenants.strict,
             },
         )

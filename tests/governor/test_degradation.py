@@ -147,7 +147,6 @@ class TestSkewedGovernedRun:
         result = run_real_join(
             "grace", hot, str(tmp_path / "db"), use_processes=False,
             collect_pairs=False, mem_budget=400_000, on_pressure="degrade",
-            max_degradations=16,
         )
         assert result.checksum == expected_checksum(hot)
         assert result.degradations_total >= 1
@@ -252,6 +251,29 @@ class TestClassifiedRefusals:
                 on_pressure="degrade",
             )
         assert not (tmp_path / "db").exists()
+
+    @pytest.mark.parametrize(
+        "bad", [{"retries": -1}, {"task_timeout": 0}], ids=["retries", "timeout"]
+    )
+    def test_invalid_retry_settings_hold_no_slot(self, workload, bad, tmp_path):
+        """Refused with the other argument checks, before admission: the
+        shared governor's one slot stays free for the next join."""
+        from repro.governor import ResourceGovernor
+        from repro.parallel import RealJoinError
+
+        governor = ResourceGovernor(max_concurrent=1, queue_limit=0)
+        with pytest.raises(RealJoinError):
+            run_real_join(
+                "grace", workload, str(tmp_path / "bad"), use_processes=False,
+                governor=governor, **bad,
+            )
+        assert governor.snapshot()["running"] == 0
+        assert not (tmp_path / "bad").exists()
+        result = run_real_join(
+            "grace", workload, str(tmp_path / "db"), use_processes=False,
+            collect_pairs=False, governor=governor, on_pressure="fail",
+        )
+        assert result.governor["admission"] == "admitted"
 
     def test_invalid_on_pressure_rejected(self, workload, tmp_path):
         from repro.parallel import RealJoinError

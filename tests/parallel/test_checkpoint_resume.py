@@ -59,7 +59,6 @@ def run_to_crash(algorithm, workload, root) -> None:
             keep_store=True,
             collect_pairs=False,
             retries=0,
-            fallback_inline=False,
             fault_plan=crash_last_pass(algorithm),
         )
 

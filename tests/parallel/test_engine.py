@@ -408,11 +408,12 @@ class TestDriverPaths:
     def test_degradation_cap_reraises_the_classified_error(
         self, workload, tmp_path, monkeypatch
     ):
-        """Pressure in every round: exactly ``max_degradations`` runtime
+        """Pressure in every round: exactly ``MAX_DEGRADATIONS`` runtime
         rungs are taken, then the round's MemoryExhausted surfaces and
         the store is destroyed."""
         from repro.governor import predict
         from repro.governor.errors import MemoryExhausted
+        from repro.parallel.runner import MAX_DEGRADATIONS
 
         descents = []
         descend = predict.descend
@@ -425,14 +426,13 @@ class TestDriverPaths:
         monkeypatch.setattr(predict, "descend", counting)
         every_round = FaultPlan([
             FaultSpec("mem-pressure", "sort_merge_merge_join", 0, attempt=a)
-            for a in range(10)
+            for a in range(MAX_DEGRADATIONS + 2)
         ])
         root = tmp_path / "db"
         with pytest.raises(MemoryExhausted, match="injected memory pressure"):
             run_real_join(
                 "sort-merge", workload, str(root), use_processes=False,
-                mem_budget=1 << 30, max_degradations=2,
-                fault_plan=every_round,
+                mem_budget=1 << 30, fault_plan=every_round,
             )
-        assert len(descents) == 2 and all(descents)
+        assert len(descents) == MAX_DEGRADATIONS and all(descents)
         assert not root.exists()

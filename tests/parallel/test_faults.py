@@ -22,7 +22,6 @@ from repro.parallel.faults import (
     FaultPlan,
     FaultPlanError,
     FaultSpec,
-    RetryPolicy,
 )
 from repro.workload import WorkloadSpec, generate_workload
 from tests.conftest import store_tree_problems
@@ -123,11 +122,15 @@ class TestFaultPlan:
         with pytest.raises(FaultPlanError, match="unknown algorithm"):
             FaultPlan.crash_every_pass("hash-loops")
 
-    def test_retry_policy_validation(self):
-        with pytest.raises(FaultPlanError):
-            RetryPolicy(retries=-1)
-        with pytest.raises(FaultPlanError):
-            RetryPolicy(task_timeout=0)
+    def test_retry_policy_validation(self, workload, tmp_path):
+        root = tmp_path / "db"
+        for bad in ({"retries": -1}, {"task_timeout": 0},
+                    {"task_timeout": float("nan")}):
+            with pytest.raises(RealJoinError):
+                run_real_join(
+                    "grace", workload, str(root), use_processes=False, **bad
+                )
+        assert not root.exists()
 
 
 class TestInlineRecoveryMatrix:

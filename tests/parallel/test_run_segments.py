@@ -239,7 +239,7 @@ class TestManifests:
             run_real_join(
                 "sort-merge", workload, str(root), use_processes=False,
                 keep_store=True, collect_pairs=False, retries=0,
-                fallback_inline=False, fault_plan=faults, **kwargs,
+                fault_plan=faults, **kwargs,
             )
 
     def test_per_run_file_manifest_is_declined(self, hot, tmp_path):

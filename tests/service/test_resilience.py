@@ -171,6 +171,34 @@ def test_failed_requests_are_forgotten_not_replayed(make_service, monkeypatch):
     assert journal.get("req-fail") is None
 
 
+def test_failed_request_keeps_the_shared_pool(make_service, monkeypatch):
+    """A join failure reaches the daemon only after every task of its
+    round was collected, so the shared pool holds nothing abandoned: it
+    stays, and the next request runs on it."""
+    import repro.service.server as server_module
+
+    real_join = server_module.run_real_join
+    calls = []
+
+    def fail_once(*args, **kwargs):
+        calls.append(kwargs["pool"])
+        if len(calls) == 1:
+            raise server_module.RealJoinError("injected execution failure")
+        return real_join(*args, **kwargs)
+
+    monkeypatch.setattr(server_module, "run_real_join", fail_once)
+    service = make_service(use_processes=True, pool_workers=2)
+    pool = service._pool
+    with JoinServiceClient(service.config.socket_path) as client:
+        with pytest.raises(ClientError) as excinfo:
+            client.join("grace", request_id="req-fail", **join_args())
+        assert excinfo.value.code == "failed"
+        reply = client.join("grace", request_id="req-next", **join_args())
+    assert reply.pair_count == service_workload().r_objects_total
+    assert service._pool is pool
+    assert calls == [pool, pool]
+
+
 # -------------------------------------------------------- daemon-side resume
 
 def crash_last_pass(algorithm: str) -> FaultPlan:
@@ -194,7 +222,7 @@ def test_interrupted_request_resumes_after_daemon_restart(tmp_path):
         run_real_join(
             "grace", workload, str(store),
             use_processes=False, keep_store=True, collect_pairs=False,
-            retries=0, fallback_inline=False,
+            retries=0,
             fault_plan=crash_last_pass("grace"),
         )
     assert (store / "checkpoint.json").exists()

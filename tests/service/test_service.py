@@ -362,10 +362,6 @@ def test_startup_sweep_removes_orphans_but_keeps_warm_segments(tmp_path):
     store.mkdir(parents=True)
     _publish_segment(store / "R.seg")  # intact: the daemon's warm cache
     (store / "RP_3.seg.tmp").write_bytes(b"dead writer's tmp")
-    (store / "metrics_probe_0.json").write_text("{}")
-    (root / "stores" / "wl-dead" / "faults.json").write_text("{}")
-    (root / "stores" / "wl-dead" / "metrics.on").write_text("")
-    (root / "stores" / "wl-dead" / "fault_attempt_scan_0").write_text("2")
     # Durable recovery state must ride out the sweep untouched.
     (root / "stores" / "wl-dead" / "checkpoint.json").write_text("{}")
     journal_dir = root / "journal"
@@ -381,12 +377,10 @@ def test_startup_sweep_removes_orphans_but_keeps_warm_segments(tmp_path):
     service.start()
     try:
         assert service.startup_sweep == {
-            "seg_tmp": 1, "sidecars": 1, "control_files": 3,
-            "scrubbed": 1, "corrupt": 0, "evicted": 0,
+            "seg_tmp": 1, "scrubbed": 1, "corrupt": 0, "evicted": 0,
         }
         assert (store / "R.seg").exists()  # the daemon's cache survives
         assert not (store / "RP_3.seg.tmp").exists()
-        assert not (store / "metrics_probe_0.json").exists()
         assert (root / "stores" / "wl-dead" / "checkpoint.json").exists()
         assert (journal_dir / "req-1.json").exists()
         # The sweep is logged into the stats document.

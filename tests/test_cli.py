@@ -155,3 +155,40 @@ class TestDistributionArgValues:
             "join", "grace", "--real", "--scale", "0.01",
             "--distribution", "clustered", "--dist-arg", "run_length=7",
         ]) == 0
+
+
+class TestJoinUsageErrors:
+    """Retry settings and flags ``repro join`` does not take are usage
+    errors, refused before any workload is generated."""
+
+    @pytest.fixture(autouse=True)
+    def no_generation(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the workload was generated")
+
+        monkeypatch.setattr("repro.cli.generate_workload", refuse)
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--retries", "-1"], "--retries"),
+            (["--task-timeout", "0"], "--task-timeout"),
+            (["--task-timeout", "-2"], "--task-timeout"),
+        ],
+    )
+    def test_bad_retry_settings_exit_2(self, flags, message, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["join", "grace", "--real", "--scale", "0.01", *flags])
+        assert exit_info.value.code == 2
+        assert message in capsys.readouterr().err
+
+    def test_join_takes_no_max_concurrent(self, capsys):
+        """One join in a fresh process is always admitted at once, so a
+        concurrency cap there could never queue or refuse anything."""
+        with pytest.raises(SystemExit) as exit_info:
+            main([
+                "join", "grace", "--real", "--scale", "0.01",
+                "--max-concurrent", "1",
+            ])
+        assert exit_info.value.code == 2
+        assert "--max-concurrent" in capsys.readouterr().err
