@@ -35,7 +35,6 @@ from pathlib import Path
 
 from conftest import RESULTS_DIR, bench_scale
 
-from repro import config
 from repro.harness.report import format_table
 from repro.joins import verify_pairs
 from repro.joins.reference import expected_checksum
@@ -284,7 +283,7 @@ def _measure(workload, algorithm, rounds) -> dict:
 def test_ext_real_mmap_kernel_scales(record):
     """The stage kernels' pairs/sec at first-class paper scales."""
     scales = list(KERNEL_SCALES)
-    full = config.env_flag("bench_full")
+    full = os.environ.get("REPRO_BENCH_FULL", "").strip() == "1"
     if full:
         scales.append(FULL_SCALE)
 

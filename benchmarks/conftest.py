@@ -12,11 +12,11 @@ value to override the defaults globally.
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 import pytest
 
-from repro import config
 from repro.harness.calibrate import calibrated_machine_parameters
 from repro.sim import SimConfig
 
@@ -25,7 +25,11 @@ RESULTS_DIR = Path(__file__).parent / "results"
 
 def bench_scale(default: float) -> float:
     """The workload scale for a bench: env override or the bench default."""
-    return config.env_float("bench_scale", default)
+    raw = os.environ.get("REPRO_BENCH_SCALE", "").strip()
+    try:
+        return float(raw) if raw else default
+    except ValueError:
+        return default
 
 
 @pytest.fixture(scope="session")

@@ -346,12 +346,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         except DistributionError as error:
             parser.error(str(error))
     if args.command == "join":
-        if args.retries < 0:
-            parser.error(f"--retries cannot be negative: {args.retries}")
-        if args.task_timeout is not None and not args.task_timeout > 0:
-            parser.error(
-                f"--task-timeout must be positive: {args.task_timeout}"
-            )
+        _check_join_args(parser, args)
     handler = {
         "figures": _cmd_figures,
         "join": _cmd_join,
@@ -368,6 +363,36 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "client": _cmd_client,
     }[args.command]
     return handler(args)
+
+
+def _check_join_args(parser, args) -> None:
+    """Refuse ``repro join``'s usage errors before any workload is
+    generated, parsing the fault plan and budgets in place."""
+    if args.retries < 0:
+        parser.error(f"--retries cannot be negative: {args.retries}")
+    if args.task_timeout is not None and not args.task_timeout > 0:
+        parser.error(f"--task-timeout must be positive: {args.task_timeout}")
+    if args.resume and not args.real:
+        parser.error("--resume only applies to the real backend (--real)")
+    if args.resume and not args.store:
+        parser.error(
+            "--resume needs --store: the checkpoint manifest lives in "
+            "the store a previous run kept"
+        )
+    try:
+        args.mem_budget = parse_size(args.mem_budget) if args.mem_budget else None
+        args.disk_budget = (
+            parse_size(args.disk_budget) if args.disk_budget else None
+        )
+    except ValueError as error:
+        parser.error(f"invalid budget: {error}")
+    if args.fault_plan:
+        from repro.parallel import FaultPlan, FaultPlanError
+
+        try:
+            args.fault_plan = FaultPlan.parse(args.fault_plan)
+        except (FaultPlanError, OSError) as error:
+            parser.error(f"invalid --fault-plan: {error}")
 
 
 def _workload(args):
@@ -394,18 +419,9 @@ def _cmd_figures(args) -> int:
 
 
 def _cmd_join(args) -> int:
-    if args.resume and not args.real:
-        print("--resume only applies to the real backend (--real)",
-              file=sys.stderr)
-        return 2
     workload = _workload(args)
     if args.real:
-        from repro.parallel import (
-            REAL_ALGORITHMS,
-            FaultPlan,
-            FaultPlanError,
-            run_real_join,
-        )
+        from repro.parallel import REAL_ALGORITHMS, run_real_join
 
         if args.algorithm not in REAL_ALGORITHMS:
             print(
@@ -416,28 +432,6 @@ def _cmd_join(args) -> int:
             return 2
         from repro.governor import ResourceExhausted
 
-        fault_plan = None
-        if args.fault_plan:
-            try:
-                fault_plan = FaultPlan.parse(args.fault_plan)
-            except (FaultPlanError, OSError) as error:
-                print(f"invalid --fault-plan: {error}", file=sys.stderr)
-                return 2
-        try:
-            mem_budget = parse_size(args.mem_budget) if args.mem_budget else None
-            disk_budget = (
-                parse_size(args.disk_budget) if args.disk_budget else None
-            )
-        except ValueError as error:
-            print(f"invalid budget: {error}", file=sys.stderr)
-            return 2
-        if args.resume and not args.store:
-            print(
-                "--resume needs --store: the checkpoint manifest lives in "
-                "the store a previous run kept",
-                file=sys.stderr,
-            )
-            return 2
         with contextlib.ExitStack() as stack:
             root = args.store or stack.enter_context(
                 tempfile.TemporaryDirectory()
@@ -449,9 +443,9 @@ def _cmd_join(args) -> int:
                     resume=args.resume,
                     retries=args.retries,
                     task_timeout=args.task_timeout,
-                    fault_plan=fault_plan,
-                    mem_budget=mem_budget,
-                    disk_budget=disk_budget,
+                    fault_plan=args.fault_plan,
+                    mem_budget=args.mem_budget,
+                    disk_budget=args.disk_budget,
                     on_pressure=args.on_pressure,
                 )
             except ResourceExhausted as error:
@@ -695,18 +689,13 @@ def _cmd_stats(args) -> int:
 def _cmd_scrub(args) -> int:
     from pathlib import Path
 
-    from repro.storage.store import Store
+    from repro.storage.store import Store, disk_count
 
     root = Path(args.store)
     if not root.is_dir():
         print(f"not a store directory: {root}", file=sys.stderr)
         return 2
-    disks = args.disks
-    if disks is None:
-        disks = sum(
-            1 for p in root.glob("disk*")
-            if p.is_dir() and p.name[4:].isdigit()
-        )
+    disks = args.disks if args.disks is not None else disk_count(root)
     if disks < 1:
         print(f"no disk* directories under {root}", file=sys.stderr)
         return 2

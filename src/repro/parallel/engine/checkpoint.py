@@ -298,9 +298,7 @@ def validate_manifest(
                 stage_problem = f"artifact failed scrub: {error}"
                 break
             header = _read_header(path)
-            if artifact.get("crc") is not None and (
-                header.crc != artifact["crc"]
-            ):
+            if header.crc != artifact.get("crc"):
                 failures += 1
                 stage_problem = (
                     f"{rel} does not match the checksum the manifest "

@@ -69,6 +69,9 @@ ALGORITHM_TASKS: Dict[str, tuple] = {
     "hybrid-hash": ("hybrid_hash_partition", "grace_probe"),
 }
 
+#: Every task some plan runs: the only tasks a fault can be pinned to.
+_TASKS = tuple(sorted({t for tasks in ALGORITHM_TASKS.values() for t in tasks}))
+
 # Torn-write victims: the one output file each task is guaranteed to
 # re-create on retry, so the garbage left at its *final* path exercises
 # the overwrite-on-retry path as well as the tmp-orphan path.  The
@@ -170,6 +173,11 @@ class FaultSpec:
             raise FaultPlanError(
                 f"unknown fault kind {self.kind!r}; choices: {FAULT_KINDS}"
             )
+        if self.task not in _TASKS:
+            # A task no plan runs would parse and then never fire.
+            raise FaultPlanError(
+                f"unknown task {self.task!r}; choices: {_TASKS}"
+            )
         if self.partition < 0 or self.attempt < 0:
             raise FaultPlanError(
                 f"partition and attempt must be non-negative in {self}"
@@ -187,15 +195,15 @@ class FaultSpec:
     @classmethod
     def from_dict(cls, data: dict) -> "FaultSpec":
         try:
-            return cls(
-                kind=data["kind"],
-                task=data["task"],
-                partition=int(data["partition"]),
-                attempt=int(data.get("attempt", 0)),
-                hang_s=float(data.get("hang_s", 3600.0)),
-            )
-        except (KeyError, TypeError) as error:
-            raise FaultPlanError(f"malformed fault spec {data!r}: {error}")
+            kind, task = data["kind"], data["task"]
+            partition = int(data["partition"])
+            attempt = int(data.get("attempt", 0))
+            hang_s = float(data.get("hang_s", 3600.0))
+        except (KeyError, TypeError, ValueError) as error:
+            raise FaultPlanError(
+                f"malformed fault spec {data!r}: {error}"
+            ) from None
+        return cls(kind, task, partition, attempt, hang_s)
 
 
 @dataclass

@@ -72,8 +72,8 @@ from repro.service.protocol import (
 )
 from repro.service.tenants import TenantConfig, TenantError, TenantPolicy
 from repro.storage.relation import PairsFile
-from repro.storage.segment import StorageError, scrub_segment
-from repro.storage.store import Store, _tmp_writer_alive
+from repro.storage.segment import StorageError
+from repro.storage.store import Store, disk_count
 from repro.workload.distributions import DistributionError, sampler
 from repro.workload.generator import Workload, WorkloadSpec, generate_workload
 
@@ -102,33 +102,25 @@ def sweep_service_root(root: str | Path) -> Dict[str, int]:
     """
     root = Path(root)
     counts = {"seg_tmp": 0, "scrubbed": 0, "corrupt": 0, "evicted": 0}
-    if not root.exists():
-        return counts
-    for path in root.rglob("*.seg.tmp"):
-        if _tmp_writer_alive(path):
+    for store_dir in sorted({disk.parent for disk in root.rglob("disk*")}):
+        disks = disk_count(store_dir)
+        if not disks:
             continue
-        path.unlink(missing_ok=True)
-        counts["seg_tmp"] += 1
-    # Scrub what survived the sweep: the warm cache is only warm if its
-    # bytes still match the checksums they were published with.
-    rotten_bases: set = set()
-    for path in sorted(root.rglob("*.seg")):
-        try:
-            scrub_segment(path)
-            counts["scrubbed"] += 1
-        except StorageError:
-            path.unlink(missing_ok=True)
-            counts["corrupt"] += 1
-            if path.name in ("R.seg", "S.seg"):
-                # disk<i>/R.seg — two parents up is the store directory.
-                rotten_bases.add(path.parent.parent)
-    for store_dir in rotten_bases:
-        for base in store_dir.glob("disk*/R.seg"):
-            base.unlink(missing_ok=True)
-            counts["evicted"] += 1
-        for base in store_dir.glob("disk*/S.seg"):
-            base.unlink(missing_ok=True)
-            counts["evicted"] += 1
+        store = Store(store_dir, disks)
+        counts["seg_tmp"] += store.cleanup_orphans()
+        # Scrub what survived the sweep: the warm cache is only warm if
+        # its bytes still match the checksums they were published with.
+        report = store.scrub(remove=True)
+        counts["scrubbed"] += report["verified"]
+        counts["corrupt"] += len(report["removed"])
+        if any(Path(path).name in ("R.seg", "S.seg")
+               for path in report["removed"]):
+            for disk in range(disks):
+                for name in ("R", "S"):
+                    base = store.path(disk, name)
+                    if base.exists():
+                        base.unlink()
+                        counts["evicted"] += 1
     return counts
 
 
@@ -795,9 +787,7 @@ class JoinService:
         for pair_file in result.pair_files:
             Path(pair_file.path).unlink(missing_ok=True)
         try:
-            disks = sum(
-                1 for p in entry.path.glob("disk*") if p.is_dir()
-            )
+            disks = disk_count(entry.path)
             if disks:
                 Store(entry.path, disks).cleanup_temps()
         except OSError:

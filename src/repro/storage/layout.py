@@ -15,7 +15,8 @@ from typing import Tuple
 
 import numpy as _np
 
-_HEADER_BYTES = 24  # three u64 header fields
+#: The smallest usable record: its three u64 header fields.
+HEADER_BYTES = 24
 
 
 class LayoutError(ValueError):
@@ -36,9 +37,9 @@ class RecordLayout:
     record_bytes: int = 128
 
     def __post_init__(self) -> None:
-        if self.record_bytes < _HEADER_BYTES:
+        if self.record_bytes < HEADER_BYTES:
             raise LayoutError(
-                f"record_bytes must be at least {_HEADER_BYTES} "
+                f"record_bytes must be at least {HEADER_BYTES} "
                 f"(got {self.record_bytes})"
             )
         # Structured dtype spanning the whole record: the three u64 header

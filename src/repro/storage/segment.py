@@ -34,8 +34,9 @@ place, so a reader can only ever open a fully written segment — a writer
 that dies mid-pass leaves an orphan ``.tmp`` file that
 :meth:`~repro.storage.store.Store.cleanup_orphans` sweeps, never a
 half-written ``.seg``.  ``discard`` closes *without* publishing (the
-failure path), and ``open`` rejects torn files outright (bad magic, a
-header count beyond capacity, or a file shorter than its header claims).
+failure path), and every reader rejects torn files outright (bad magic,
+a header count beyond capacity, or a file shorter than its header
+claims) through one header-page check, :func:`_check_header_page`.
 The rename protocol alone covers process-crash recovery, which is the
 real backend's fault model; pass ``durable=True`` to additionally
 fsync before the rename when power-failure durability is needed —
@@ -59,13 +60,11 @@ try:  # pragma: no cover - POSIX-only; the flock guard degrades gracefully
 except ImportError:  # pragma: no cover
     _fcntl = None
 
-from repro import config
-
 from repro.governor.budget import disk_preflight
 from repro.governor.errors import classify_os_error
 from repro.governor.watchdog import active_meter as _meter
 from repro.obs.registry import active as _metrics
-from repro.storage.layout import RecordLayout
+from repro.storage.layout import HEADER_BYTES, RecordLayout
 
 MAGIC = b"UDBSEG1\x00"
 HEADER = struct.Struct("<8sQQQ")  # magic, record_bytes, capacity, count
@@ -76,7 +75,7 @@ _META_LEN = struct.Struct("<Q")
 # the tag records which algorithm produced it so a future build with
 # another checksum stays self-describing) written into the *end* of the
 # header page at close() and verified on open().  The torn-
-# header rejection of `_header_problem` catches writers that died mid-
+# header rejection of `_check_header_page` catches writers that died mid-
 # publish; the footer extends that to silent payload corruption — a
 # flipped bit in a cold segment, a partial page lost by a dying disk.
 INTEGRITY_MAGIC = b"UDBCRC1\x00"
@@ -118,12 +117,6 @@ CRC_ENGINE, crc32 = _load_crc32()
 
 META_CAPACITY = PAGE_SIZE - HEADER.size - _META_LEN.size - _FOOTER.size
 
-#: Process-wide integrity switches.  ``None`` defers to the environment
-#: (``REPRO_INTEGRITY=off`` disables both — the bench harness's baseline
-#: knob, env-based so forked pool workers inherit it); anything else is
-#: an explicit in-process override via :func:`configure_integrity`.
-_INTEGRITY: dict = {"write": None, "verify": None}
-
 #: Payload-verification memo: :func:`_memo_key` -> verified crc.  A pool
 #: worker re-opens the same R/S/spill segments task after task; re-hashing
 #: an unchanged file every time would turn the <5%% verify overhead into a
@@ -149,26 +142,6 @@ def _remember_verified(fd: int, crc: int) -> None:
     _VERIFIED_CACHE[_memo_key(fd)] = crc
 
 
-def configure_integrity(
-    write: Optional[bool] = None, verify: Optional[bool] = None
-) -> None:
-    """Override checksum writing/verification process-wide.
-
-    Pass ``None`` to leave a switch on its environment-driven default.
-    The bench harness uses this (plus ``REPRO_INTEGRITY=off`` for forked
-    workers) to measure the checksum layer's overhead against a baseline.
-    """
-    _INTEGRITY["write"] = write
-    _INTEGRITY["verify"] = verify
-
-
-def _integrity_on(switch: str) -> bool:
-    override = _INTEGRITY[switch]
-    if override is not None:
-        return override
-    return config.env_enabled("integrity")
-
-
 def _payload_crc(fd: int, count: int, record_bytes: int) -> int:
     """CRC over the written payload bytes, chunked pread (no mapping)
     into one buffer reused for every chunk."""
@@ -186,14 +159,18 @@ def _payload_crc(fd: int, count: int, record_bytes: int) -> int:
     return crc
 
 
-def _parse_footer(buffer, offset: int = FOOTER_OFFSET) -> Optional[Tuple[int, int]]:
-    """The stored (crc, count), or None where no footer parses."""
-    if len(buffer) < offset + _FOOTER.size:
-        return None
-    magic, _algo, crc, count = _FOOTER.unpack_from(buffer, offset)
-    if magic != INTEGRITY_MAGIC:
-        return None
-    return crc, count
+def _check_payload(
+    path: Path, fd: int, count: int, record_bytes: int, stored_crc: int
+) -> None:
+    """Hash the payload and refuse it unless it matches ``stored_crc``;
+    a matching file primes the verified-file memo."""
+    crc = _payload_crc(fd, count, record_bytes)
+    if crc != stored_crc:
+        raise StorageError(
+            f"{path} payload checksum mismatch (stored 0x{stored_crc:08x}, "
+            f"computed 0x{crc:08x} over {count} records)"
+        )
+    _remember_verified(fd, stored_crc)
 
 
 def _verify_payload(
@@ -204,13 +181,7 @@ def _verify_payload(
     if _VERIFIED_CACHE.get(_memo_key(fd)) == stored_crc:
         _metrics().count("storage.integrity.cached", 1, kind=kind)
         return
-    crc = _payload_crc(fd, count, record_bytes)
-    if crc != stored_crc:
-        raise StorageError(
-            f"{path} payload checksum mismatch (stored 0x{stored_crc:08x}, "
-            f"computed 0x{crc:08x} over {count} records)"
-        )
-    _remember_verified(fd, stored_crc)
+    _check_payload(path, fd, count, record_bytes, stored_crc)
     _metrics().count("storage.integrity.verify", 1, kind=kind)
 
 
@@ -225,42 +196,22 @@ def scrub_segment(path: str | os.PathLike) -> str:
     must not turn verification off.
     """
     path = Path(path)
-    kind = segment_kind(path.name)
     try:
         with open(path, "rb") as file_obj:
-            header = file_obj.read(HEADER.size)
-            if len(header) < HEADER.size:
-                raise StorageError(f"{path} is not a segment file")
-            magic, record_bytes, capacity, count = HEADER.unpack_from(header)
-            problem = _header_problem(
-                magic, record_bytes, capacity, count, os.fstat(file_obj.fileno()).st_size
-            )
-            if problem is not None:
-                raise StorageError(f"{path} {problem}")
-            file_obj.seek(FOOTER_OFFSET)
-            stored = _parse_footer(file_obj.read(_FOOTER.size), 0)
-            if stored is None:
-                raise StorageError(f"{path} has no integrity footer")
-            stored_crc, stored_count = stored
-            if stored_count != count:
-                raise StorageError(
-                    f"{path} is corrupt: integrity footer covers "
-                    f"{stored_count} records but the header claims {count}"
-                )
             fd = file_obj.fileno()
-            crc = _payload_crc(fd, count, record_bytes)
-            if crc != stored_crc:
-                raise StorageError(
-                    f"{path} payload checksum mismatch (stored "
-                    f"0x{stored_crc:08x}, computed 0x{crc:08x} over "
-                    f"{count} records)"
-                )
-            # A scrubbed file is a freshly-proven file: prime the memo so
-            # the next open() of the unchanged bytes is free.
-            _remember_verified(fd, stored_crc)
+            header = _check_header_page(
+                path, os.pread(fd, PAGE_SIZE, 0), os.fstat(fd).st_size
+            )
+            # A scrubbed file is a freshly-proven file: priming the memo
+            # makes the next open() of the unchanged bytes free.
+            _check_payload(
+                path, fd, header.count, header.record_bytes, header.crc
+            )
     except FileNotFoundError:
         raise StorageError(f"no segment file at {path}") from None
-    _metrics().count("storage.integrity.scrub", 1, kind=kind)
+    _metrics().count(
+        "storage.integrity.scrub", 1, kind=segment_kind(path.name)
+    )
     return "verified"
 
 
@@ -456,49 +407,20 @@ class MappedSegment:
         except Exception:
             file_obj.close()
             raise
-        if len(mapping) < HEADER.size:
+        try:
+            header = _check_header_page(path, mapping, len(mapping))
+            _verify_payload(
+                path, file_obj.fileno(), header.count, header.record_bytes,
+                header.crc, segment_kind(path.name),
+            )
+        except StorageError:
             mapping.close()
             file_obj.close()
-            raise StorageError(f"{path} is not a segment file")
-        magic, record_bytes, capacity, count = HEADER.unpack_from(mapping)
-        problem = _header_problem(
-            magic, record_bytes, capacity, count, len(mapping)
+            raise
+        segment = cls(
+            path, file_obj, mapping, RecordLayout(header.record_bytes),
+            header.capacity, header.count,
         )
-        if problem is None:
-            try:
-                layout = RecordLayout(record_bytes)
-            except Exception:
-                problem = f"declares an unusable record size {record_bytes}"
-        verify = _integrity_on("verify")
-        if problem is None:
-            stored = _parse_footer(mapping)
-            if stored is None:
-                if verify:
-                    # Only a verify-off writer closes without a footer; a
-                    # verifying reader cannot tell that from a clobbered one.
-                    problem = "has no integrity footer"
-            else:
-                stored_crc, stored_count = stored
-                if stored_count != count:
-                    problem = (
-                        f"is corrupt: integrity footer covers {stored_count} "
-                        f"records but the header claims {count}"
-                    )
-                elif verify:
-                    try:
-                        _verify_payload(
-                            path, file_obj.fileno(), count, record_bytes,
-                            stored_crc, segment_kind(path.name),
-                        )
-                    except StorageError:
-                        mapping.close()
-                        file_obj.close()
-                        raise
-        if problem is not None:
-            mapping.close()
-            file_obj.close()
-            raise StorageError(f"{path} {problem}")
-        segment = cls(path, file_obj, mapping, layout, capacity, count)
         metrics = _metrics()
         if metrics.enabled:
             metrics.count("storage.map.open", 1, kind=segment.kind)
@@ -531,7 +453,7 @@ class MappedSegment:
     def flush(self) -> None:
         self._check_open()
         self._write_count()
-        if self._dirty and _integrity_on("write"):
+        if self._dirty:
             self._write_footer()
         if self._map is not None:
             self._map.flush()
@@ -555,7 +477,7 @@ class MappedSegment:
         self._report_traffic()
         self._write_count()
         stamped = None
-        if self._dirty and _integrity_on("write"):
+        if self._dirty:
             stamped = self._write_footer()
         if self._pending and self._durable:
             os.fsync(self._file.fileno())
@@ -840,79 +762,82 @@ def _round_up(value: int, multiple: int) -> int:
     return -(-value // multiple) * multiple
 
 
-def _header_problem(
-    magic: bytes, record_bytes: int, capacity: int, count: int,
-    file_bytes: int,
-) -> Optional[str]:
-    """Why a segment header cannot be trusted, or None if it can.
+class SegmentHeader(NamedTuple):
+    """What a trusted header page says about a published segment."""
 
-    A writer that died mid-pass can leave a file whose header disagrees
-    with its data area; accepting it would surface garbage records, so
-    open/record_count reject torn segments outright and the caller
-    re-creates them (worker passes are idempotent).
+    record_bytes: int
+    capacity: int
+    count: int
+    #: The integrity footer's payload CRC.
+    crc: int
+    #: The application blob (filled by :func:`_read_header` only).
+    meta: bytes = b""
+
+
+def _check_header_page(path: Path, page, file_bytes: int) -> SegmentHeader:
+    """The header page of a segment ``file_bytes`` long, checked.
+
+    The one check every reader applies before trusting a segment:
+    :meth:`MappedSegment.open` passes its mapping, :func:`scrub_segment`
+    and :func:`_read_header` a page they read.  A writer that died
+    mid-pass can leave a file whose header disagrees with its data area,
+    and a bad sector can clobber the footer; accepting either would
+    surface garbage records, so the file is refused outright and the
+    caller re-creates it (worker passes are idempotent).  A file without
+    a parseable footer is refused too: one clobbered footer byte must not
+    turn payload verification off.
     """
+    if len(page) < HEADER.size:
+        raise StorageError(f"{path} is not a segment file")
+    magic, record_bytes, capacity, count = HEADER.unpack_from(page)
     if magic != MAGIC:
-        return "is not a segment file"
-    if record_bytes <= 0:
-        return f"declares an unusable record size {record_bytes}"
-    if count > capacity:
-        return (
+        problem = "is not a segment file"
+    elif record_bytes < HEADER_BYTES:
+        problem = f"declares an unusable record size {record_bytes}"
+    elif count > capacity:
+        problem = (
             f"is torn: header claims {count} records but capacity is "
             f"{capacity}"
         )
-    if file_bytes < PAGE_SIZE + capacity * record_bytes:
-        return (
+    elif file_bytes < PAGE_SIZE + capacity * record_bytes:
+        problem = (
             f"is torn: {file_bytes} bytes on disk cannot hold the "
             f"declared {capacity}-record data area"
         )
-    return None
-
-
-class SegmentHeader(NamedTuple):
-    """What one header-page read says about a published segment."""
-
-    count: int
-    meta: bytes
-    #: The integrity footer's payload CRC (None: written without one).
-    crc: Optional[int]
+    else:
+        footer, _algo, crc, covered = _FOOTER.unpack_from(page, FOOTER_OFFSET)
+        if footer != INTEGRITY_MAGIC:
+            problem = "has no integrity footer"
+        elif covered != count:
+            problem = (
+                f"is corrupt: integrity footer covers {covered} records "
+                f"but the header claims {count}"
+            )
+        else:
+            return SegmentHeader(record_bytes, capacity, count, crc)
+    raise StorageError(f"{path} {problem}")
 
 
 def _read_header(path: str | os.PathLike) -> SegmentHeader:
-    """Count, meta blob and footer CRC of a segment, without mapping it.
+    """A segment's checked header page and meta blob, without mapping it.
 
-    Applies the header and footer-count sanity of :meth:`MappedSegment.
-    open` but never touches the payload: callers size work from what a
-    publisher wrote into the header page, and whoever later maps the
-    segment verifies its bytes.
+    Never touches the payload: callers size work from what a publisher
+    wrote into the header page, and whoever later maps the segment
+    verifies its bytes.
     """
     path = Path(path)
     try:
         with open(path, "rb") as file_obj:
-            page = file_obj.read(PAGE_SIZE)
-            file_bytes = os.fstat(file_obj.fileno()).st_size
+            fd = file_obj.fileno()
+            page = os.pread(fd, PAGE_SIZE, 0)
+            header = _check_header_page(path, page, os.fstat(fd).st_size)
     except FileNotFoundError:
         raise StorageError(f"no segment file at {path}") from None
-    if len(page) < HEADER.size:
-        raise StorageError(f"{path} is not a segment file")
-    magic, record_bytes, capacity, count = HEADER.unpack_from(page)
-    problem = _header_problem(magic, record_bytes, capacity, count, file_bytes)
-    if problem is not None:
-        raise StorageError(f"{path} {problem}")
-    stored = _parse_footer(page)
-    if stored is not None and stored[1] != count:
-        raise StorageError(
-            f"{path} is corrupt: integrity footer covers {stored[1]} "
-            f"records but the header claims {count}"
-        )
     (length,) = _META_LEN.unpack_from(page, HEADER.size)
     if length > META_CAPACITY:
         raise StorageError(f"corrupt meta length {length} in {path.name}")
     start = HEADER.size + _META_LEN.size
-    return SegmentHeader(
-        count,
-        page[start : start + length],
-        stored[0] if stored is not None else None,
-    )
+    return header._replace(meta=page[start : start + length])
 
 
 # ------------------------------------------------------- timed map helpers

@@ -153,6 +153,15 @@ class Store:
         shutil.rmtree(self.root, ignore_errors=True)
 
 
+def disk_count(root: str | Path) -> int:
+    """How many ``disk<i>`` directories the store directory ``root``
+    holds: the ``disks`` it was laid out with (0 for no store)."""
+    return sum(
+        1 for path in Path(root).glob("disk*")
+        if path.is_dir() and path.name[4:].isdigit()
+    )
+
+
 def _tmp_writer_alive(path: Path) -> bool:
     """Whether some live process still holds the create-time flock."""
     if _fcntl is None:

@@ -9,11 +9,11 @@ forces a conscious update: regenerate with ``REPRO_REGEN_GOLDEN=1``.
 """
 
 import json
+import os
 from pathlib import Path
 
 import pytest
 
-from repro import config
 from repro.model import (
     MachineParameters,
     MemoryParameters,
@@ -96,7 +96,7 @@ class TestRealDocument:
 
     def test_shape_matches_golden(self, real_document):
         shape = document_shape(real_document)
-        if config.env_flag("regen_golden"):
+        if os.environ.get("REPRO_REGEN_GOLDEN") == "1":
             GOLDEN.write_text(
                 json.dumps(shape, indent=2, sort_keys=True) + "\n"
             )

@@ -10,6 +10,7 @@ data behind.
 """
 
 import itertools
+import json
 
 import pytest
 
@@ -106,6 +107,26 @@ class TestFaultPlan:
     def test_negative_coordinates_rejected(self):
         with pytest.raises(FaultPlanError, match="non-negative"):
             FaultSpec("crash", "grace_probe", -1)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("partition", "x"), ("attempt", "second"), ("hang_s", "long")],
+    )
+    def test_non_numeric_coordinates_rejected(self, field, value):
+        spec = {"kind": "hang", "task": "grace_probe", "partition": 0,
+                field: value}
+        with pytest.raises(FaultPlanError, match="malformed fault spec"):
+            FaultPlan.from_json(json.dumps({"faults": [spec]}))
+
+    def test_unknown_task_rejected(self):
+        """A task no plan runs would parse, then never fire."""
+        with pytest.raises(FaultPlanError, match="unknown task 'nope'"):
+            FaultPlan.from_json(
+                '{"faults": [{"kind": "crash", "task": "nope",'
+                ' "partition": 0}]}'
+            )
+        with pytest.raises(FaultPlanError, match="unknown task"):
+            FaultSpec("crash", "grace_prob", 0)
 
     def test_malformed_json_rejected(self):
         with pytest.raises(FaultPlanError):

@@ -21,6 +21,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.parallel.engine.checkpoint import CheckpointWriter
 from repro.parallel.faults import flip_payload_bit, truncate_payload
 from repro.storage import segment
 from repro.storage.segment import (
@@ -306,13 +307,36 @@ def test_clobbered_footer_is_refused_at_open(tmp_path):
     clobber_footer(path)
     with pytest.raises(StorageError, match="no integrity footer"):
         MappedSegment.open(path)
-    # Only a verify-off reader (the integrity-off baseline) maps it.
-    segment.configure_integrity(verify=False)
-    try:
-        with MappedSegment.open(path) as seg:
-            assert len(seg) == 3
-    finally:
-        segment.configure_integrity()
+
+
+def record_stage(path):
+    """A checkpoint barrier of a stage that published ``path`` (in
+    ``<root>/disk0``): with no ``begin_stage`` snapshot, every temp
+    segment in the store is new."""
+    store = Store(path.parent.parent, 1)
+    writer = CheckpointWriter(store.root, "sort-merge", "signature")
+    writer.record_stage(
+        store, label="runs", kind="runs", wall_ms=1.0, count=3,
+        checksum=None, totals={}, pair_files=[], plan={},
+        runtime_degradations=0,
+    )
+
+
+@pytest.mark.parametrize(
+    "reader",
+    [MappedSegment.open, scrub_segment, MappedSegment.record_count,
+     record_stage],
+    ids=["open", "scrub", "record_count", "checkpoint_barrier"],
+)
+def test_clobbered_footer_is_refused_by_every_reader(tmp_path, reader):
+    """Every reader of a header page applies the same check: a segment
+    whose footer no longer parses is refused, never sized or recorded."""
+    path = tmp_path / "disk0" / "RUN0.seg"
+    path.parent.mkdir()
+    publish(path, [bytes([i]) * RECORD_BYTES for i in range(3)])
+    clobber_footer(path)
+    with pytest.raises(StorageError, match="no integrity footer"):
+        reader(path)
 
 
 def test_clobbered_footer_fails_the_scrub(tmp_path):

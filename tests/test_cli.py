@@ -158,8 +158,9 @@ class TestDistributionArgValues:
 
 
 class TestJoinUsageErrors:
-    """Retry settings and flags ``repro join`` does not take are usage
-    errors, refused before any workload is generated."""
+    """Bad retry settings, fault plans and budgets, ``--resume`` without
+    ``--store``, and flags ``repro join`` does not take are usage errors,
+    refused before any workload is generated."""
 
     @pytest.fixture(autouse=True)
     def no_generation(self, monkeypatch):
@@ -177,6 +178,29 @@ class TestJoinUsageErrors:
         ],
     )
     def test_bad_retry_settings_exit_2(self, flags, message, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["join", "grace", "--real", "--scale", "0.01", *flags])
+        assert exit_info.value.code == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--fault-plan", "{not json"], "invalid --fault-plan"),
+            (["--fault-plan", json.dumps({"faults": [
+                {"kind": "crash", "task": "grace_probe", "partition": "x"}
+            ]})], "invalid --fault-plan"),
+            (["--fault-plan", json.dumps({"faults": [
+                {"kind": "crash", "task": "nope", "partition": 0}
+            ]})], "unknown task"),
+            (["--mem-budget", "lots"], "invalid budget"),
+            (["--disk-budget", "0"], "invalid budget"),
+            (["--resume"], "--resume needs --store"),
+        ],
+        ids=["fault-plan-json", "fault-plan-partition", "fault-plan-task",
+             "mem-budget", "disk-budget", "resume-without-store"],
+    )
+    def test_bad_run_settings_exit_2(self, flags, message, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main(["join", "grace", "--real", "--scale", "0.01", *flags])
         assert exit_info.value.code == 2
