@@ -387,10 +387,12 @@ def _check_join_args(parser, args) -> None:
     except ValueError as error:
         parser.error(f"invalid budget: {error}")
     if args.fault_plan:
-        from repro.parallel import FaultPlan, FaultPlanError
+        from repro.parallel import ALGORITHM_TASKS, FaultPlan, FaultPlanError
 
         try:
             args.fault_plan = FaultPlan.parse(args.fault_plan)
+            if args.real and args.algorithm in ALGORITHM_TASKS:
+                args.fault_plan.check(args.algorithm, args.disks)
         except (FaultPlanError, OSError) as error:
             parser.error(f"invalid --fault-plan: {error}")
 

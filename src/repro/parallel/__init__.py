@@ -15,11 +15,9 @@ from repro.parallel.faults import (
     FaultPlanError,
     FaultSpec,
     InjectedCrash,
-    InjectedDiskFull,
     InjectedFault,
     InjectedHang,
     InjectedMemPressure,
-    InjectedTornWrite,
 )
 from repro.parallel import vectorized  # noqa: F401  (registers the kernels)
 from repro.parallel.runner import (
@@ -36,11 +34,9 @@ __all__ = [
     "FaultPlanError",
     "FaultSpec",
     "InjectedCrash",
-    "InjectedDiskFull",
     "InjectedFault",
     "InjectedHang",
     "InjectedMemPressure",
-    "InjectedTornWrite",
     "ON_PRESSURE_MODES",
     "PairResult",
     "PassPlan",

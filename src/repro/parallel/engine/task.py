@@ -8,6 +8,7 @@ lives here exactly once:
   store holds data and the checkpoint, nothing else;
 * :func:`run_task` — the module-level (hence picklable) wrapper the
   driver dispatches to the pool.  It fires the fault the spec carries,
+  at entry or armed at the storage fault point around the kernel call,
   activates the memory meter and a task-local metrics registry, returns
   the registry's snapshot beside the kernel's result, and classifies any
   raw ``OSError``/``MemoryError`` escaping a kernel into the governor's
@@ -32,6 +33,7 @@ from __future__ import annotations
 import importlib
 import time
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
@@ -48,9 +50,9 @@ from repro.governor.watchdog import (
     deactivate_meter,
     rss_high_water_bytes,
 )
-from repro.parallel.faults import FaultSpec, fire_fault
+from repro.parallel.faults import STORAGE_SITES, FaultSpec, fire_fault, strike
 from repro.storage.relation import PairsFile
-from repro.storage.segment import MappedSegment
+from repro.storage.segment import MappedSegment, arm_fault, disarm_fault
 from repro.storage.store import Store
 
 BATCH_RECORDS = 4096
@@ -155,12 +157,15 @@ def run_task(spec: TaskSpec) -> Tuple[object, Optional[dict]]:
 def _governed(func: Callable, spec: TaskSpec):
     """Run one kernel under the budgets/metrics its spec arms, if any.
 
-    The fault fires first — before any registry or file handle is
-    acquired — because a real crash would also strike before the task
-    produced anything.
+    A ``crash``, ``hang`` or ``mem-pressure`` fault fires first, before
+    any registry or file handle is acquired; a storage fault is armed
+    around the kernel call (:func:`_faulted`).
     """
-    if spec.fault is not None:
-        fire_fault(spec.fault, spec.store_root)
+    fault = spec.fault
+    if fault is not None:
+        if fault.kind not in STORAGE_SITES:
+            fire_fault(fault)  # never returns
+        func = partial(_faulted, func)
     governed = (
         spec.worker_mem_budget is not None or spec.disk_budget is not None
     )
@@ -198,6 +203,22 @@ def _governed(func: Callable, spec: TaskSpec):
         return result, registry.snapshot()
     finally:
         deactivate_meter()
+
+
+def _faulted(func: Callable, spec: TaskSpec):
+    """Call ``func`` with the spec's storage fault armed for this thread.
+
+    The fault strikes the kernel's own segments at its site; a kernel
+    that returns without reaching it takes the fault at exit instead.
+    """
+    arm_fault(partial(strike, spec.fault))
+    try:
+        result = func(spec)
+    finally:
+        unreached = disarm_fault()
+    if unreached:
+        fire_fault(spec.fault)
+    return result
 
 
 # -------------------------------------------------------------- pair output

@@ -4,23 +4,24 @@ The paper's runs assume every Rproc finishes its pass; production does not
 get that luxury.  This module makes every failure mode of a per-partition
 worker *reproducible*:
 
-* a :class:`FaultSpec` names one fault — ``crash`` (the process dies
-  mid-task), ``hang`` (the process stops making progress) or ``torn-write``
-  (a partially written output segment is left behind at the moment of
-  death) — pinned to a ``(task, partition, attempt)`` coordinate;
+* a :class:`FaultSpec` names one fault of a :data:`FAULT_KINDS` kind,
+  pinned to a ``(task, partition, attempt)`` coordinate;
 * a :class:`FaultPlan` is a set of specs held by the driver, which counts
   every dispatch of a ``(task, partition)`` and attaches the one spec
   matching that attempt to the task it sends — the count lives in the
   driver, so it survives the very process deaths it is instrumenting;
-* :func:`fire_fault`, called by the task wrapper at task entry, fires the
-  spec the task arrived with.
+* the task wrapper (:mod:`repro.parallel.engine.task`) fires ``crash``,
+  ``hang`` and ``mem-pressure`` at task entry; it arms the storage kinds
+  at the storage layer's fault point around the kernel call, where they
+  strike the task's own segments (:data:`STORAGE_SITES`, :func:`strike`)
+  — or fire at task exit if the kernel never reaches them.
 
 Recovery is safe because passes are idempotent: a worker's outputs become
 visible only through the storage layer's atomic tmp-write/rename protocol
 (:mod:`repro.storage.segment`), so a retried attempt simply re-creates and
 atomically replaces whatever the dead attempt left behind.
 
-In a pool worker (a daemonic process) a ``crash`` is a real ``os._exit``;
+In a pool worker (a daemonic process) a crash is a real ``os._exit``;
 inline (``use_processes=False``) the same spec raises
 :class:`InjectedCrash` instead, so the whole failure matrix is testable
 without killing the test runner.  A ``hang`` sleeps and then *exits* —
@@ -29,18 +30,23 @@ never completes — so an abandoned task can never race its own retry.
 
 from __future__ import annotations
 
+import errno
 import json
+import math
 import multiprocessing
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
-
-import errno as _errno
+from typing import Dict, List, Optional
 
 from repro.governor.errors import MemoryExhausted
-from repro.storage.segment import HEADER, MAGIC, PAGE_SIZE, MappedSegment
+from repro.storage.segment import (
+    PAGE_SIZE,
+    MappedSegment,
+    _read_header,
+    disarm_fault,
+)
 
 #: ``crash``/``hang``/``torn-write`` exercise the PR-3 recovery layer;
 #: ``disk-full`` and ``mem-pressure`` exercise the governor — they raise
@@ -53,6 +59,17 @@ FAULT_KINDS = (
     "crash", "hang", "torn-write", "disk-full", "mem-pressure",
     "bit-flip", "truncate-payload",
 )
+
+#: The storage kinds and the fault-point site each strikes at: the task's
+#: first payload write (a raw ``ENOSPC``), its first publish before the
+#: rename (a crash), or right after the rename of its first published
+#: segment holding records (rot the file, then crash).
+STORAGE_SITES: Dict[str, str] = {
+    "disk-full": "write",
+    "torn-write": "publish",
+    "bit-flip": "published",
+    "truncate-payload": "published",
+}
 
 #: Worker task names per algorithm, in pass order — the coordinates a
 #: fault plan pins to, and the basis of "kill one worker in every pass".
@@ -72,28 +89,8 @@ ALGORITHM_TASKS: Dict[str, tuple] = {
 #: Every task some plan runs: the only tasks a fault can be pinned to.
 _TASKS = tuple(sorted({t for tasks in ALGORITHM_TASKS.values() for t in tasks}))
 
-# Torn-write victims: the one output file each task is guaranteed to
-# re-create on retry, so the garbage left at its *final* path exercises
-# the overwrite-on-retry path as well as the tmp-orphan path.  The
-# bucketed partition passes only create a BS file for targets that
-# records hash to, so they get a tmp-only tear (None) — hybrid's pairs
-# sink would be a valid victim but its name depends on the pairs label,
-# and the tmp-orphan path is the interesting one there anyway.
-_TORN_VICTIMS: Dict[str, Optional[str]] = {
-    "nested_loops_pass0": "PAIRS_p0_{i}",
-    "nested_loops_pass1": "PAIRS_p1_{i}",
-    "sort_merge_partition": "RS{i}_from{i}",
-    "sort_merge_runs": "RUN{i}",
-    "sort_merge_merge_join": "PAIRS_sm_{i}",
-    "grace_partition": None,
-    "hybrid_hash_partition": "PAIRS_hh_{i}",
-    "grace_probe": "PAIRS_probe_{i}",
-}
-
 _EXIT_CRASH = 23
 _EXIT_HANG = 24
-_EXIT_TORN = 25
-_EXIT_CORRUPT = 26
 
 
 class FaultPlanError(ValueError):
@@ -114,37 +111,6 @@ class InjectedHang(InjectedFault):
     The dispatcher treats this exactly like a task timeout, so the
     timeout/retry path is testable without real wall-clock waits.
     """
-
-
-class InjectedTornWrite(InjectedFault):
-    """Inline stand-in for a crash that leaves a torn output segment."""
-
-
-class InjectedCorruption(InjectedFault):
-    """Inline stand-in for a crash that leaves a *silently corrupt*
-    published segment — structurally valid header, rotten payload."""
-
-
-class InjectedDiskFull(InjectedFault, OSError):
-    """An ``ENOSPC`` exactly as the OS would raise it mid-``ftruncate``.
-
-    Deliberately a *raw* ``OSError`` — the worker boundary must prove it
-    classifies OS-level disk exhaustion into
-    :class:`~repro.governor.errors.DiskExhausted`; injecting an already-
-    classified error would test nothing.
-    """
-
-    def __init__(self, task: str, partition: int) -> None:
-        super().__init__(
-            f"injected disk-full in {task} partition {partition}"
-        )
-        # Multiple inheritance leaves OSError's errno unset; classification
-        # routes on it, so set it the way a real ENOSPC would carry it.
-        self.errno = _errno.ENOSPC
-        self._coords = (task, partition)
-
-    def __reduce__(self):
-        return (self.__class__, self._coords)
 
 
 class InjectedMemPressure(InjectedFault, MemoryExhausted):
@@ -182,15 +148,14 @@ class FaultSpec:
             raise FaultPlanError(
                 f"partition and attempt must be non-negative in {self}"
             )
+        if not (math.isfinite(self.hang_s) and self.hang_s > 0):
+            # time.sleep refuses these, turning the hang into a failure.
+            raise FaultPlanError(
+                f"hang_s must be a finite number of seconds above 0 in {self}"
+            )
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "task": self.task,
-            "partition": self.partition,
-            "attempt": self.attempt,
-            "hang_s": self.hang_s,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "FaultSpec":
@@ -215,14 +180,24 @@ class FaultPlan:
     def spec_for(
         self, task: str, partition: int, attempt: int
     ) -> Optional[FaultSpec]:
+        point = (task, partition, attempt)
         for spec in self.faults:
-            if (
-                spec.task == task
-                and spec.partition == partition
-                and spec.attempt == attempt
-            ):
+            if (spec.task, spec.partition, spec.attempt) == point:
                 return spec
         return None
+
+    def check(self, algorithm: str, disks: int) -> None:
+        """Refuse a spec ``algorithm`` on ``disks`` disks never reaches:
+        it would run clean and inject nothing."""
+        for spec in self.faults:
+            if (
+                spec.task not in ALGORITHM_TASKS[algorithm]
+                or spec.partition >= disks
+            ):
+                raise FaultPlanError(
+                    f"{algorithm} on {disks} disks never runs {spec.task} "
+                    f"partition {spec.partition}"
+                )
 
     # -------------------------------------------------------- serialization
 
@@ -278,29 +253,6 @@ class FaultPlan:
 
 # ------------------------------------------------------------ worker hooks
 
-def _disk_path(root: str, partition: int, name: str) -> Path:
-    # Mirrors Store.path without constructing a Store (no mkdir side effects).
-    return Path(root) / f"disk{partition}" / f"{name}.seg"
-
-
-def _write_torn_segment(path: Path) -> None:
-    """A segment whose header claims more records than it can hold — the
-    signature of a writer that died between extending the file and
-    finishing its data.  ``MappedSegment.open`` must reject it."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(HEADER.pack(MAGIC, 128, 4, 977) + b"torn segment")
-
-
-def _read_payload_header(file_obj, path: Path) -> tuple:
-    header = file_obj.read(HEADER.size)
-    if len(header) < HEADER.size:
-        raise FaultPlanError(f"{path} is not a segment file")
-    magic, record_bytes, capacity, count = HEADER.unpack_from(header)
-    if magic != MAGIC or count <= 0:
-        raise FaultPlanError(f"{path} has no published records to corrupt")
-    return record_bytes, capacity, count
-
-
 def flip_payload_bit(
     path: str | os.PathLike, record: int = 0, bit: int = 0
 ) -> None:
@@ -311,14 +263,14 @@ def flip_payload_bit(
     catchable only by the payload CRC.  The chaos harness's offline
     corruption primitive; also what the ``bit-flip`` fault kind fires.
     """
-    path = Path(path)
+    header = _read_header(path)
+    if not header.count:
+        raise FaultPlanError(f"{path} has no published records to corrupt")
+    offset = PAGE_SIZE + (record % header.count) * header.record_bytes
     with open(path, "r+b") as file_obj:
-        record_bytes, _capacity, count = _read_payload_header(file_obj, path)
-        offset = PAGE_SIZE + (record % count) * record_bytes
-        file_obj.seek(offset)
-        byte = file_obj.read(1)
-        file_obj.seek(offset)
-        file_obj.write(bytes([byte[0] ^ (1 << (bit % 8))]))
+        fd = file_obj.fileno()
+        byte = os.pread(fd, 1, offset)[0] ^ (1 << (bit % 8))
+        os.pwrite(fd, bytes([byte]), offset)
 
 
 def truncate_payload(path: str | os.PathLike) -> None:
@@ -329,83 +281,63 @@ def truncate_payload(path: str | os.PathLike) -> None:
     shortened file fails the storage layer's declared-size check on the
     next ``open``/``record_count``/scrub.
     """
-    path = Path(path)
-    with open(path, "r+b") as file_obj:
-        record_bytes, capacity, _count = _read_payload_header(file_obj, path)
-        file_obj.truncate(PAGE_SIZE + capacity * record_bytes // 2)
+    header = _read_header(path)
+    os.truncate(path, PAGE_SIZE + header.capacity * header.record_bytes // 2)
 
 
-def _write_corrupt_segment(path: Path, kind: str) -> None:
-    """Publish a small *valid* segment at ``path``, then corrupt it the
-    way ``kind`` names — exactly the artifact a scrub must catch."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    segment = MappedSegment.create(path, 4, 32, overwrite=True)
-    try:
-        segment.append_batch(bytes(range(128)))
-    except BaseException:
-        segment.discard()
-        raise
-    segment.close()
-    if kind == "bit-flip":
-        flip_payload_bit(path)
-    else:
-        truncate_payload(path)
+def fire_fault(
+    spec: FaultSpec, segment: Optional[MappedSegment] = None
+) -> None:
+    """Fire ``spec`` now (never returns normally).
 
-
-def fire_fault(spec: FaultSpec, root: str) -> None:
-    """Fire ``spec`` against the store at ``root`` (never returns normally)."""
-    task, partition = spec.task, spec.partition
+    ``crash``, ``hang`` and ``mem-pressure`` fire at task entry; a storage
+    kind fires from :func:`strike`, naming the ``segment`` it struck, or at
+    task exit when the kernel never reached its site.
+    """
+    where = f"{spec.task} partition {spec.partition}"
     in_pool = multiprocessing.current_process().daemon
     if spec.kind == "disk-full":
-        # Raised (not exited) in both modes: resource pressure is an error
-        # the worker boundary classifies and the runner degrades on.  The
-        # raw OSError pickles back through the pool like any task failure.
-        raise InjectedDiskFull(task, partition)
+        # A raw OSError, exactly as pwrite raises it: the kernel's abort
+        # path and the worker boundary's classification must handle it.
+        raise OSError(
+            errno.ENOSPC, f"injected disk-full in {where}",
+            None if segment is None else str(segment.path),
+        )
     if spec.kind == "mem-pressure":
         raise InjectedMemPressure(
-            f"injected memory pressure in {task} partition {partition}",
+            f"injected memory pressure in {where}",
             requested=1 << 20,
             limit=1 << 20,
             used=1 << 20,
         )
-    if spec.kind == "crash":
-        if in_pool:
-            os._exit(_EXIT_CRASH)
-        raise InjectedCrash(f"injected crash in {task} partition {partition}")
     if spec.kind == "hang":
         if in_pool:
             # Sleep, then die without completing: an abandoned task must
             # never wake up and race the retry that replaced it.
             time.sleep(spec.hang_s)
             os._exit(_EXIT_HANG)
-        raise InjectedHang(f"injected hang in {task} partition {partition}")
-    if spec.kind in ("bit-flip", "truncate-payload"):
-        # Silent corruption: a *published, structurally valid* victim
-        # whose payload rotted after the atomic rename.  The retry must
-        # overwrite it — and until it does, any reader must refuse it.
-        victim = _TORN_VICTIMS.get(task)
-        if victim is not None:
-            final = _disk_path(root, partition, victim.format(i=partition))
-            _write_corrupt_segment(final, spec.kind)
-        else:
-            tmp = _disk_path(root, partition, f"BS{partition}_from{partition}")
-            _write_torn_segment(tmp.with_name(tmp.name + ".tmp"))
-        if in_pool:
-            os._exit(_EXIT_CORRUPT)
-        raise InjectedCorruption(
-            f"injected {spec.kind} in {task} partition {partition}"
-        )
-    # torn-write: leave partial output where the retry must overwrite it.
-    victim = _TORN_VICTIMS.get(task)
-    if victim is not None:
-        final = _disk_path(root, partition, victim.format(i=partition))
-        _write_torn_segment(final)
-        _write_torn_segment(final.with_name(final.name + ".tmp"))
-    else:
-        tmp = _disk_path(root, partition, f"BS{partition}_from{partition}")
-        _write_torn_segment(tmp.with_name(tmp.name + ".tmp"))
+        raise InjectedHang(f"injected hang in {where}")
+    # crash, and the crash that ends torn-write, bit-flip, truncate-payload
     if in_pool:
-        os._exit(_EXIT_TORN)
-    raise InjectedTornWrite(
-        f"injected torn write in {task} partition {partition}"
-    )
+        os._exit(_EXIT_CRASH)
+    raise InjectedCrash(f"injected {spec.kind} in {where}")
+
+
+def strike(spec: FaultSpec, site: str, segment: MappedSegment) -> None:
+    """The storage fault point's callback for an armed storage ``spec``.
+
+    Strikes once, at the first ``site`` matching its kind (a rot needs a
+    segment holding records to rot): disarms the point, rots the
+    published file for ``bit-flip`` / ``truncate-payload``, and fires.
+    """
+    if site != STORAGE_SITES[spec.kind] or (
+        site == "published" and not len(segment)
+    ):
+        return
+    disarm_fault()
+    if spec.kind == "bit-flip":
+        flip_payload_bit(segment.path)
+    elif spec.kind == "truncate-payload":
+        truncate_payload(segment.path)
+    fire_fault(spec, segment)
+

@@ -85,7 +85,7 @@ from repro.parallel.engine.task import (
     TaskSpec,
     run_task,
 )
-from repro.parallel.faults import FaultPlan, InjectedHang
+from repro.parallel.faults import FaultPlan, FaultPlanError, InjectedHang
 from repro.storage.relation import read_pair_block
 from repro.storage.store import Store
 from repro.workload.generator import Workload
@@ -258,6 +258,11 @@ def run_real_join(
         raise RealJoinError(f"mem_budget must be positive: {mem_budget}")
     if disk_budget is not None and disk_budget <= 0:
         raise RealJoinError(f"disk_budget must be positive: {disk_budget}")
+    if fault_plan is not None:
+        try:
+            fault_plan.check(algorithm, workload.disks)
+        except FaultPlanError as error:
+            raise RealJoinError(f"fault plan cannot fire: {error}") from None
     if algorithm == "hybrid-hash" and not 0 <= resident_buckets < buckets:
         raise RealJoinError(
             f"resident_buckets must satisfy 0 <= resident < buckets: "

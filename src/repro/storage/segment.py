@@ -50,6 +50,7 @@ import ctypes
 import mmap
 import os
 import struct
+import threading
 import time
 import zlib
 from pathlib import Path
@@ -217,6 +218,35 @@ def scrub_segment(path: str | os.PathLike) -> str:
 
 class StorageError(RuntimeError):
     """Raised for storage layer failures."""
+
+
+# The storage fault point: ``None`` when disarmed, else the callable
+# :func:`arm_fault` built.  A payload write (``_write_at``) and a created
+# segment's publish (``close``) call it as ``fault(site, segment)`` —
+# sites ``"write"``, ``"publish"`` (footer stamped, not yet renamed) and
+# ``"published"`` (renamed).  Disarmed, a site costs one global read.
+_armed_fault = None
+
+
+def arm_fault(strike) -> None:
+    """Arm the fault point with ``strike(site, segment)``, struck only
+    from the calling thread: a fault injected into one task never
+    strikes another thread's storage."""
+    global _armed_fault
+    owner = threading.get_ident()
+
+    def fault(site: str, segment: "MappedSegment") -> None:
+        if threading.get_ident() == owner:
+            strike(site, segment)
+
+    _armed_fault = fault
+
+
+def disarm_fault() -> bool:
+    """Disarm the fault point; ``True`` if it was armed, never struck."""
+    global _armed_fault
+    armed, _armed_fault = _armed_fault, None
+    return armed is not None
 
 
 def _pwrite_all(fd: int, data, offset: int) -> None:
@@ -487,8 +517,15 @@ class MappedSegment:
             _meter().unmap_bytes(self._mapped_bytes)
         try:
             if self._pending:
+                fault = _armed_fault
+                if fault is not None:
+                    fault("publish", self)
                 os.replace(self._backing, self.path)
                 self._pending = False
+                if fault is not None:
+                    # Before the memo is primed: a fault that rots the
+                    # published bytes must not leave them trusted.
+                    fault("published", self)
             if stamped is not None:
                 # The bytes behind this fd were hashed as they were
                 # written; prime the verified-file memo so a same-process
@@ -674,6 +711,9 @@ class MappedSegment:
             )
         if not count:
             return 0
+        fault = _armed_fault
+        if fault is not None:
+            fault("write", self)
         lo = PAGE_SIZE + index * self.layout.record_bytes
         _pwrite_all(self._file.fileno(), data, lo)
         self._dirty = True

@@ -1,29 +1,43 @@
 """Fault injection and crash recovery for the real-mmap backend.
 
 The acceptance matrix of the recovery layer: for every algorithm x pass,
-inject one crash, one hang, and one torn write, and require the recovered
-run to be bit-identical to a fault-free run — same pair count, same
-checksum, same per-pass record counts — while still verifying against the
-workload's ground-truth oracle.  Plus the failure-budget contract: when
-retries are exhausted the run must raise and leave nothing but published
-data behind.
+inject every fault kind, and require the recovered run to be
+bit-identical to a fault-free run — same pair count, same checksum, same
+per-pass record counts — while still verifying against the workload's
+ground-truth oracle.  The storage kinds strike the task's own segments,
+which the kernel-level tests inspect.  Plus the failure-budget contract:
+when retries are exhausted the run must raise and leave nothing but
+published data behind.
 """
 
+import errno
 import itertools
 import json
 
 import pytest
 
+from repro.governor.errors import DiskExhausted
 from repro.joins import verify_pairs
 from repro.obs.export import schema_problems
 from repro.parallel import RealJoinError, run_real_join
+from repro.parallel.engine.task import TaskSpec, register_kernel, run_task
 from repro.parallel.faults import (
     ALGORITHM_TASKS,
     FAULT_KINDS,
     FaultPlan,
     FaultPlanError,
     FaultSpec,
+    InjectedCrash,
 )
+from repro.storage.segment import (
+    PAGE_SIZE,
+    MappedSegment,
+    StorageError,
+    _read_header,
+    scrub_segment,
+    tmp_segment_path,
+)
+from repro.storage.store import Store
 from repro.workload import WorkloadSpec, generate_workload
 from tests.conftest import store_tree_problems
 
@@ -118,6 +132,17 @@ class TestFaultPlan:
         with pytest.raises(FaultPlanError, match="malformed fault spec"):
             FaultPlan.from_json(json.dumps({"faults": [spec]}))
 
+    @pytest.mark.parametrize("hang_s", [-1.0, 0.0, float("nan"),
+                                        float("inf")])
+    def test_hang_that_cannot_sleep_rejected(self, hang_s):
+        """time.sleep refuses these, so the hang would fail at once."""
+        with pytest.raises(FaultPlanError, match="hang_s"):
+            FaultSpec("hang", "grace_probe", 0, hang_s=hang_s)
+        spec = {"kind": "hang", "task": "grace_probe", "partition": 0,
+                "hang_s": hang_s}
+        with pytest.raises(FaultPlanError, match="hang_s"):
+            FaultPlan.from_json(json.dumps({"faults": [spec]}))
+
     def test_unknown_task_rejected(self):
         """A task no plan runs would parse, then never fire."""
         with pytest.raises(FaultPlanError, match="unknown task 'nope'"):
@@ -146,7 +171,13 @@ class TestFaultPlan:
     def test_retry_policy_validation(self, workload, tmp_path):
         root = tmp_path / "db"
         for bad in ({"retries": -1}, {"task_timeout": 0},
-                    {"task_timeout": float("nan")}):
+                    {"task_timeout": float("nan")},
+                    # Faults grace on 2 disks never reaches: they would
+                    # run clean and inject nothing.
+                    {"fault_plan": FaultPlan.single(
+                        "crash", "nested_loops_pass0", 0)},
+                    {"fault_plan": FaultPlan.single(
+                        "crash", "grace_probe", 2)}):
             with pytest.raises(RealJoinError):
                 run_real_join(
                     "grace", workload, str(root), use_processes=False, **bad
@@ -222,6 +253,123 @@ class TestInlineRecoveryMatrix:
         )
         assert (root / "disk0" / "R.seg").exists()
         assert_no_run_artifacts(root)
+
+
+@register_kernel
+def publishes_one_empty_segment(spec: TaskSpec) -> str:
+    """A kernel that writes no payload and publishes one empty segment."""
+    path = spec.open_store().path(0, "EMPTY")
+    MappedSegment.create(path, 1, overwrite=True).close()
+    return "returned"
+
+
+class TestStorageFaultsStrikeTheTasksSegments:
+    """The storage kinds strike the task's own segments through the
+    storage fault point, inline, one task at a time: the damage left
+    behind is the file the task itself was writing."""
+
+    @pytest.fixture
+    def store(self, workload, tmp_path):
+        store = Store(str(tmp_path / "db"), workload.disks)
+        store.materialize(workload)
+        return store
+
+    @staticmethod
+    def run(workload, store, kernel, kind=None, partition=0, task=None):
+        """Run one task through the task wrapper, ``kind`` pinned to it."""
+        fault = FaultSpec(kind, task or kernel, partition) if kind else None
+        return run_task(TaskSpec(
+            str(store.root), workload.disks, partition,
+            workload.spec.s_objects, workload.spec.r_bytes, kernel=kernel,
+            fault=fault,
+        ))
+
+    def test_disk_full_is_a_raw_enospc_from_the_first_payload_write(
+        self, workload, store
+    ):
+        with pytest.raises(DiskExhausted) as raised:
+            self.run(workload, store, "nested_loops_pass0", "disk-full")
+        cause = raised.value.__cause__
+        assert type(cause) is OSError and cause.errno == errno.ENOSPC
+        # The write that failed was to one of the task's own segments,
+        # and the kernel's abort discarded every segment it had created.
+        assert cause.filename in {
+            str(store.path(0, "PAIRS_p0_0")), str(store.path(0, "RP0_1")),
+        }
+        assert list(store.root.rglob("*.seg.tmp")) == []
+        assert not store.path(0, "RP0_1").exists()
+        assert not store.path(0, "PAIRS_p0_0").exists()
+
+    def test_torn_write_leaves_the_first_publish_unrenamed(
+        self, workload, store
+    ):
+        final = store.path(0, "RP0_1")
+        tmp = tmp_segment_path(final)
+        with pytest.raises(InjectedCrash):
+            self.run(workload, store, "nested_loops_pass0", "torn-write")
+        assert not final.exists()
+        # The orphan is the task's real spill, footer stamped: byte for
+        # byte the file a clean attempt publishes.
+        header = _read_header(tmp)
+        assert header.record_bytes == workload.spec.r_bytes
+        assert header.count > 0
+        assert scrub_segment(tmp) == "verified"
+        torn = tmp.read_bytes()
+        self.run(workload, store, "nested_loops_pass0")
+        assert final.read_bytes() == torn
+        assert not tmp.exists()
+
+    def test_bit_flip_rots_the_published_pairs_output(self, workload, store):
+        for partition in range(workload.disks):
+            self.run(workload, store, "nested_loops_pass0",
+                     partition=partition)
+        pairs = store.path(0, "PAIRS_p1_0")
+        with pytest.raises(InjectedCrash):
+            self.run(workload, store, "nested_loops_pass1", "bit-flip")
+        rotten = pairs.read_bytes()
+        with pytest.raises(StorageError, match="checksum mismatch"):
+            scrub_segment(pairs)
+        result = self.run(workload, store, "nested_loops_pass1")[0]
+        clean = pairs.read_bytes()
+        assert _read_header(pairs).count == result.count > 0
+        # One bit of the first pair record differs; nothing else does.
+        diffs = [i for i, (a, b) in enumerate(zip(rotten, clean)) if a != b]
+        assert len(rotten) == len(clean) and diffs == [PAGE_SIZE]
+        assert rotten[PAGE_SIZE] ^ clean[PAGE_SIZE] == 1
+
+    def test_truncate_payload_cuts_the_published_spill(
+        self, workload, store
+    ):
+        spill = store.path(0, "RS0_from0")
+        with pytest.raises(InjectedCrash):
+            self.run(workload, store, "sort_merge_partition",
+                     "truncate-payload")
+        with pytest.raises(StorageError, match="torn"):
+            scrub_segment(spill)
+        cut = spill.stat().st_size
+        # The other contributor outputs were discarded, not published.
+        assert not store.path(1, "RS1_from0").exists()
+        assert list(store.root.rglob("*.seg.tmp")) == []
+        self.run(workload, store, "sort_merge_partition")
+        header = _read_header(spill)
+        assert header.record_bytes == workload.spec.r_bytes
+        assert cut == PAGE_SIZE + header.capacity * header.record_bytes // 2
+
+    @pytest.mark.parametrize("kind, raised", [
+        ("disk-full", DiskExhausted), ("bit-flip", InjectedCrash),
+    ])
+    def test_unreached_fault_fires_at_task_exit(
+        self, workload, store, kind, raised
+    ):
+        """No payload write for disk-full, no published record to rot
+        for bit-flip: the fault still fires, when the kernel returns."""
+        assert self.run(
+            workload, store, "publishes_one_empty_segment"
+        ) == ("returned", None)
+        with pytest.raises(raised):
+            self.run(workload, store, "publishes_one_empty_segment", kind,
+                     task="grace_probe")
+        assert scrub_segment(store.path(0, "EMPTY")) == "verified"
 
 
 class TestRetryExhaustion:

@@ -6,8 +6,9 @@ worker pool:
 
 * ``crash`` — the worker process dies mid-task; only the task timeout
   notices, and the retry recomputes the partition;
-* ``bit-flip`` — the worker publishes a silently corrupt PAIRS segment
-  and dies; the retry overwrites it before anything reads it.
+* ``bit-flip`` — the worker publishes its real ``PAIRS_probe`` segment,
+  a payload bit of it flips right after the rename, and the worker
+  dies; the retry overwrites it before anything reads it.
 
 Each cell runs the commands a user would:
 ``repro join PLAN --real --scale 0.02 --stats-out ...`` once clean, and

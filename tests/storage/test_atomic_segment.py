@@ -7,16 +7,22 @@ path, and open()/record_count() must reject any file a dead writer could
 have left half-written.
 """
 
+import errno
 import os
+import threading
 
 import pytest
 
+from repro.governor.errors import DiskExhausted
+from repro.storage import segment as segment_module
 from repro.storage.segment import (
     HEADER,
     MAGIC,
     PAGE_SIZE,
     MappedSegment,
     StorageError,
+    arm_fault,
+    disarm_fault,
     tmp_segment_path,
 )
 from repro.storage.store import Store
@@ -114,6 +120,63 @@ class TestAtomicPublish:
         segment.append_batch(RECORD)
         segment.close()
         assert MappedSegment.record_count(path) == 1
+
+
+class TestCreateTimeDiskFull:
+    def test_enospc_in_create_is_classified_and_leaves_nothing(
+        self, tmp_path, monkeypatch
+    ):
+        """A raw ENOSPC out of the header write: ``create`` closes its
+        file, removes its tmp and raises the classified error."""
+        opened = []
+
+        def recording_open(*args, **kwargs):
+            opened.append(open(*args, **kwargs))
+            return opened[-1]
+
+        def disk_full(fd, data, offset):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(segment_module, "open", recording_open,
+                            raising=False)
+        monkeypatch.setattr(segment_module, "_pwrite_all", disk_full)
+        path = tmp_path / "A.seg"
+        with pytest.raises(DiskExhausted, match="A.seg"):
+            MappedSegment.create(path, 4)
+        assert [f.closed for f in opened] == [True]
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestFaultPoint:
+    def test_strikes_writes_and_publishes_of_the_arming_thread_only(
+        self, tmp_path
+    ):
+        seen = []
+        arm_fault(lambda site, segment: seen.append((site, segment.path)))
+        try:
+            other = threading.Thread(
+                target=lambda: self.write_and_publish(tmp_path / "B.seg")
+            )
+            other.start()
+            other.join()
+            assert seen == []
+            self.write_and_publish(tmp_path / "A.seg")
+        finally:
+            assert disarm_fault() is True
+        assert disarm_fault() is False
+        path = tmp_path / "A.seg"
+        assert seen == [("write", path), ("publish", path),
+                        ("published", path)]
+        self.write_and_publish(tmp_path / "C.seg")
+        assert len(seen) == 3
+
+    @staticmethod
+    def write_and_publish(path):
+        segment = MappedSegment.create(path, 4)
+        segment.append_batch(RECORD)
+        segment.append_batch(b"")  # an empty batch writes nothing
+        segment.close()
+        MappedSegment.open(path).close()  # an opened segment publishes nothing
 
 
 class TestTornSegmentRejection:

@@ -193,11 +193,26 @@ class TestJoinUsageErrors:
             (["--fault-plan", json.dumps({"faults": [
                 {"kind": "crash", "task": "nope", "partition": 0}
             ]})], "unknown task"),
+            (["--fault-plan", json.dumps({"faults": [
+                {"kind": "crash", "task": "nested_loops_pass0",
+                 "partition": 0}
+            ]})], "never runs nested_loops_pass0 partition 0"),
+            (["--fault-plan", json.dumps({"faults": [
+                {"kind": "crash", "task": "grace_probe", "partition": 9}
+            ]})], "4 disks never runs grace_probe partition 9"),
+            (["--fault-plan", json.dumps({"faults": [
+                {"kind": "hang", "task": "grace_probe", "partition": 0,
+                 "hang_s": -1}
+            ]})], "hang_s"),
+            (["--fault-plan", '{"faults": [{"kind": "hang", "task": '
+              '"grace_probe", "partition": 0, "hang_s": NaN}]}'], "hang_s"),
             (["--mem-budget", "lots"], "invalid budget"),
             (["--disk-budget", "0"], "invalid budget"),
             (["--resume"], "--resume needs --store"),
         ],
         ids=["fault-plan-json", "fault-plan-partition", "fault-plan-task",
+             "fault-plan-task-not-in-plan", "fault-plan-partition-off-disks",
+             "fault-plan-negative-hang", "fault-plan-nan-hang",
              "mem-budget", "disk-budget", "resume-without-store"],
     )
     def test_bad_run_settings_exit_2(self, flags, message, capsys):
