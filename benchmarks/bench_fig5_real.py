@@ -19,6 +19,11 @@ merge level per merge task), and grace and hybrid hash the bucket-spill files
 (``storage.map.new{kind=BS}``) — both from one extra metered join — and
 the urn model's ``grace_premature_replacements`` — the paper's
 explanation of the Grace low-memory knee — beside their walls.
+
+Every plan also reports ``µs/batch``, the per-batch constant a budget
+adds: (wall − unbudgeted wall) / (storage batches − unbudgeted batches),
+the batches summed over ``storage.{read,write,deref}.batches`` of the same
+metered join.
 """
 
 import multiprocessing
@@ -40,12 +45,17 @@ BUCKETED = ("grace", "hybrid-hash")
 #: The spill segments each plan's metered join counts: one per task or
 #: (target, contributor), whatever the budget.
 SPILL_FILES = {"sort-merge": "RUN", "grace": "BS", "hybrid-hash": "BS"}
+#: The counters whose sum is a join's storage batches.
+BATCH_COUNTERS = tuple(
+    f"storage.{op}.batches" for op in ("read", "write", "deref")
+)
 REPS = 5
 POOL_WORKERS = 2
 
 #: Adjacent budget rows whose median walls differ by less than this share
 #: count as level: this host's run-to-run spread on a ~100 ms join.  A
-#: rise beyond it is a *step* and must come with more runs or passes.
+#: rise beyond it is a *step* and must come with more runs or passes, or
+#: with smaller batches or runs (the per-batch constant).
 STEP_TOLERANCE = 0.25
 #: The bench's 4 MiB row may cost at most this multiple of unbudgeted.
 BUDGETED_CEILING = 3.0
@@ -84,23 +94,38 @@ def _sweep(workload, root: str, pool) -> dict:
                 )
     options["collect_metrics"] = True
     for budget in BUDGETS:
-        for algorithm, kind in SPILL_FILES.items():
+        for algorithm in ("sort-merge",) + CONTEXT:
             result = run_real_join(
                 algorithm, workload, root, reuse_store=True,
                 mem_budget=budget, on_pressure="degrade", **options,
             )
             counters = result.stats_document(workload)["totals"]["counters"]
-            cells[(kind, algorithm, budget)] = counters.get(
-                f"storage.map.new{{kind={kind}}}", 0
+            cells[("batches", algorithm, budget)] = sum(
+                value for name, value in counters.items()
+                if name.startswith(BATCH_COUNTERS)
             )
-            cells[("MRG", algorithm, budget)] = counters.get(
-                "storage.map.new{kind=MRG}", 0
-            )
+            for kind in (SPILL_FILES.get(algorithm), "MRG"):
+                if kind is not None:
+                    cells[(kind, algorithm, budget)] = counters.get(
+                        f"storage.map.new{{kind={kind}}}", 0
+                    )
     return cells
 
 
 def _wall(cells, algorithm, budget) -> float:
     return statistics.median(wall for wall, _ in cells[(algorithm, budget)])
+
+
+def _us_per_batch(cells, algorithm, budget):
+    """What each storage batch a budget adds costs, in µs of wall."""
+    extra = (
+        cells[("batches", algorithm, budget)]
+        - cells[("batches", algorithm, None)]
+    )
+    if budget is None or extra <= 0:
+        return "-"
+    extra_ms = _wall(cells, algorithm, budget) - _wall(cells, algorithm, None)
+    return round(extra_ms * 1e3 / extra, 1)
 
 
 def _urn(cells, algorithm, budget):
@@ -134,6 +159,10 @@ def _rows(cells) -> list:
                 for _, result in cells[("sort-merge", budget)]
             ),
             **{a: _wall(cells, a, budget) for a in CONTEXT},
+            **{
+                f"{a} µs/batch": _us_per_batch(cells, a, budget)
+                for a in ("sort-merge",) + CONTEXT
+            },
             **{f"{a} BS": cells[("BS", a, budget)] for a in BUCKETED},
             **{f"{a} urn": _urn(cells, a, budget) for a in BUCKETED},
         })
@@ -162,8 +191,9 @@ def _check_curve(rows) -> None:
         assert tighter["wall_ms"] >= (1 - STEP_TOLERANCE) * wider["wall_ms"], (
             wider, tighter
         )
-        # ... and a real step up is the algorithm's: more runs or passes
-        # (the unbudgeted row opens every run at once: one pass).
+        # ... and a real step up is the algorithm's: more runs or passes,
+        # or smaller batches or runs, each batch paying its constant (the
+        # unbudgeted row opens every run at once: one pass).
         if (
             wider is not unbudgeted
             and tighter["wall_ms"] > (1 + STEP_TOLERANCE) * wider["wall_ms"]
@@ -171,22 +201,26 @@ def _check_curve(rows) -> None:
             assert (
                 tighter["runs"] > wider["runs"]
                 or tighter["passes"] > wider["passes"]
+                or tighter["batch"] < wider["batch"]
+                or tighter["irun"] < wider["irun"]
             ), (wider, tighter)
 
 
 def _render(title: str, rows) -> str:
     headers = [
         "budget", "sort-merge ms", "batch", "irun", "runs", "fanin",
-        "passes", "RUN", "MRG", "rungs", "NL ms", "grace ms", "BS", "urn",
-        "hybrid ms", "BS", "urn",
+        "passes", "RUN", "MRG", "rungs", "µs/batch", "NL ms", "µs/batch",
+        "grace ms", "µs/batch", "BS", "urn", "hybrid ms", "µs/batch", "BS",
+        "urn",
     ]
     table = format_table(headers, [
         [
             row["budget"], row["wall_ms"], row["batch"], row["irun"],
             row["runs"], row["fanin"], row["passes"], row["RUN"],
-            row["MRG"], row["rungs"], row["nested-loops"],
+            row["MRG"], row["rungs"], row["sort-merge µs/batch"],
+            row["nested-loops"], row["nested-loops µs/batch"],
             *(row[f"{a}{suffix}"] for a in BUCKETED
-              for suffix in ("", " BS", " urn")),
+              for suffix in ("", " µs/batch", " BS", " urn")),
         ]
         for row in rows
     ])
@@ -221,7 +255,9 @@ def test_fig5_real(benchmark, record):
         "created per join (storage.map.new{kind=RUN}); MRG = merge-level "
         "segments\n(storage.map.new{kind=MRG}); BS = bucket-spill files "
         "(storage.map.new{kind=BS}); urn = the urn model's "
-        "grace_premature_replacements for the admitted plan.",
+        "grace_premature_replacements for the admitted plan.\nµs/batch = "
+        "(wall - unbudgeted wall) / (storage read+write+deref batches - "
+        "unbudgeted batches), the plan to its left.",
         _render("inline (driver process runs every task)", inline),
         _render(f"shared pool of {POOL_WORKERS} spawned workers", pooled),
     ]))

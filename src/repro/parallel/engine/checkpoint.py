@@ -54,10 +54,41 @@ from repro.storage.store import Store
 
 MANIFEST_NAME = "checkpoint.json"
 MANIFEST_VERSION = 2
+#: The store's workload descriptor: which workload its R/S partitions hold.
+DESCRIPTOR_NAME = "workload.json"
 
 
 def manifest_path(root: str | os.PathLike) -> Path:
     return Path(root) / MANIFEST_NAME
+
+
+def _publish_json(target: Path, document: dict) -> None:
+    """Same publish protocol as a segment: a crash mid-write leaves the
+    previous document intact, never a torn JSON."""
+    tmp = target.with_name(target.name + ".tmp")
+    tmp.write_text(json.dumps(document, separators=(",", ":")))
+    os.replace(tmp, target)
+
+
+def publish_descriptor(root: str | os.PathLike, signature: str) -> None:
+    """Name the workload a fresh materialize just wrote into ``root``."""
+    _publish_json(Path(root) / DESCRIPTOR_NAME, {"signature": signature})
+
+
+def described_signature(root: str | os.PathLike) -> Optional[str]:
+    """The workload signature a store's descriptor names.
+
+    None when the store has none (a store written by an older build);
+    ``""`` when the descriptor cannot be read, which names no workload.
+    """
+    try:
+        text = (Path(root) / DESCRIPTOR_NAME).read_text()
+    except FileNotFoundError:
+        return None
+    try:
+        return str(json.loads(text)["signature"])
+    except (ValueError, TypeError, KeyError):
+        return ""
 
 
 def workload_signature(workload) -> str:
@@ -163,12 +194,7 @@ class CheckpointWriter:
             "written_at": time.time(),
             "stages": self._records,
         }
-        # Same publish protocol as a segment: a crash mid-write leaves
-        # the previous manifest intact, never a torn JSON.
-        target = manifest_path(self._root)
-        tmp = target.with_name(target.name + ".tmp")
-        tmp.write_text(json.dumps(document, separators=(",", ":")))
-        os.replace(tmp, target)
+        _publish_json(manifest_path(self._root), document)
 
     def reset(self) -> None:
         """Drop all records and the manifest (a degradation round resets

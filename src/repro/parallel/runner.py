@@ -71,8 +71,10 @@ from repro.obs.spans import span
 from repro.parallel.engine import task as engine_task
 from repro.parallel.engine.checkpoint import (
     CheckpointWriter,
+    described_signature,
     discard_manifest,
     load_manifest,
+    publish_descriptor,
     validate_manifest,
     workload_signature,
 )
@@ -622,8 +624,14 @@ class _JoinRun:
         self.check_conservation()
 
     def prepare_store(self) -> None:
-        """Materialize R/S, or prove a promised warm store holds them."""
+        """Materialize R/S, or prove a promised warm store holds them.
+
+        A fresh materialize publishes the store's descriptor once R/S are
+        written; a reused store whose descriptor names another workload is
+        refused (one without a descriptor, from an older build, is not).
+        """
         store = self.store
+        signature = workload_signature(self.workload)
         if self.materialize or self.resume:
             if self.resume:
                 # A declined resume leaves a store nothing proved good —
@@ -635,6 +643,7 @@ class _JoinRun:
                     for name in ("R", "S"):
                         store.path(disk, name).unlink(missing_ok=True)
             store.materialize(self.workload)
+            publish_descriptor(store.root, signature)
             return
         for disk in range(store.disks):
             for name in ("R", "S"):
@@ -643,6 +652,13 @@ class _JoinRun:
                         f"reuse_store=True but {store.path(disk, name)} "
                         "is missing — the store is not warm"
                     )
+        described = described_signature(store.root)
+        if described not in (None, signature):
+            raise RealJoinError(
+                f"reuse_store=True but {store.root} holds another "
+                f"workload (descriptor {described or 'unreadable'}, "
+                f"this workload {signature})"
+            )
         store.cleanup_temps()
 
     def run_rounds(self) -> None:

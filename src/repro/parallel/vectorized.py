@@ -14,7 +14,8 @@ records.  What a kernel preserves is observable and pinned by tests:
 * **record order**: grouping keeps encounter order within a group and
   visits groups by first appearance, the stable orders match
   ``list.sort(key=...)``, and the chunked k-way merge reproduces
-  ``heapq.merge`` stability (earlier run wins ties);
+  ``heapq.merge`` stability (earlier run wins ties) with one take rule
+  that empties a run's chunk every round (:func:`_merge_runs`);
 * **meter charges**: ``record_bytes``-denominated amounts at the points
   :func:`~repro.governor.predict.predict_footprint` prices;
 * **artifact layout**: spill/run/bucket files have fixed names,
@@ -145,16 +146,16 @@ def nested_loops_pass0(spec: TaskSpec) -> PairResult:
     with store.open_r(i) as r_rel, store.open_s(i) as s_rel:
         fields = r_rel.segment.layout.np_dtype
         s_bytes = s_rel.segment.layout.record_bytes
-        sink = PairSink(store.path(i, pairs_name("p0", i)), len(r_rel))
-        spill = {
-            j: RRelationFile.create(
-                store.path(i, nl_spill_name(i, j)), max(1, len(r_rel)),
-                record_bytes, overwrite=True,
-            )
-            for j in range(disks)
-            if j != i
-        }
+        sink = None
+        spill: Dict[int, RRelationFile] = {}
         try:
+            sink = PairSink(store.path(i, pairs_name("p0", i)), len(r_rel))
+            for j in range(disks):
+                if j != i:
+                    spill[j] = RRelationFile.create(
+                        store.path(i, nl_spill_name(i, j)),
+                        max(1, len(r_rel)), record_bytes, overwrite=True,
+                    )
             for records in r_rel.iter_record_batches(batch_records):
                 charged = len(records) * record_bytes
                 meter.charge(charged, "nested-loops R batch")
@@ -180,7 +181,8 @@ def nested_loops_pass0(spec: TaskSpec) -> PairResult:
         except BaseException:
             for rel in spill.values():
                 rel.abort()
-            sink.abort()
+            if sink is not None:
+                sink.abort()
             raise
 
 
@@ -231,15 +233,14 @@ def sort_merge_partition(spec: TaskSpec) -> int:
     meter = active_meter()
     with store.open_r(i) as r_rel:
         fields = r_rel.segment.layout.np_dtype
-        outputs = {
-            j: RRelationFile.create(
-                store.path(j, rs_name(j, i)), max(1, len(r_rel)),
-                record_bytes, overwrite=True,
-            )
-            for j in range(disks)
-        }
+        outputs: Dict[int, RRelationFile] = {}
         moved = 0
         try:
+            for j in range(disks):
+                outputs[j] = RRelationFile.create(
+                    store.path(j, rs_name(j, i)), max(1, len(r_rel)),
+                    record_bytes, overwrite=True,
+                )
             for records in r_rel.iter_record_batches(batch_records):
                 meter.charge(
                     len(records) * record_bytes, "sort-merge partition batch"
@@ -383,14 +384,15 @@ def sort_merge_merge_join(spec: TaskSpec) -> PairResult:
     """Merge one partition's sorted runs and join against sequential S_i.
 
     Each RUN segment is opened once; its runs are extents, one cursor
-    each.  Multi-run merge is chunked k-way: each round computes the
-    *bound* — the smallest last-buffered key among runs with unread data
-    — and everything strictly below it is provably complete in the
-    buffers, so one stable sort of those slices (concatenated in run
-    order) reproduces ``heapq.merge``'s output order exactly, ties
-    included.  When every buffered key ties the bound, the earliest run
-    holding it streams its tied prefix alone (:func:`_merge_runs`), so a
-    hot key never pulls its whole tie group into memory.
+    each, and every merge — a lone run's too — is chunked k-way
+    (:func:`_merge_runs`).  Each round computes the *bound*, the smallest
+    last-buffered key among runs with unread data.  The runs up to and
+    including the first whose chunk ends at the bound take their keys
+    ``<= bound``, the runs after it their keys ``< bound``: one stable sort
+    of those slices (concatenated in run order) reproduces
+    ``heapq.merge``'s output order exactly, ties included, and empties at
+    least one chunk, so a hot key never pulls its whole tie group into
+    memory.
 
     Under a memory budget the fan-in is bounded
     (:func:`~repro.governor.predict.merge_fanin`): while more runs remain
@@ -434,7 +436,6 @@ def _merge_join(spec, store, opened, runs, s_rel, sink) -> None:
     pmap = spec.pointer_map()
     meter = active_meter()
     s_bytes = s_rel.segment.layout.record_bytes
-    batch_cost = record_bytes + s_bytes
     fanin = merge_fanin(
         spec.worker_mem_budget, batch_records, record_bytes, s_bytes
     )
@@ -469,19 +470,10 @@ def _merge_join(spec, store, opened, runs, s_rel, sink) -> None:
         sid, value = s_rel.dereference_columns(pmap.offset_array(sptr))
         sink.emit_arrays(rid, sid, payload, value)
 
-    if len(runs) == 1:
-        run = runs[0]
-        for rid, sptr, payload in run.rel.iter_column_batches(
-            batch_records, run.lo, run.hi
-        ):
-            meter.charge(len(rid) * batch_cost, "merge batch")
-            emit(rid, sptr, payload)
-            meter.release(len(rid) * batch_cost)
-    elif runs:
-        _merge_runs(
-            [_RunCursor(run) for run in runs],
-            batch_records, record_bytes, s_bytes, meter, emit,
-        )
+    _merge_runs(
+        [_RunCursor(run) for run in runs],
+        batch_records, record_bytes, s_bytes, meter, emit,
+    )
 
 
 def _merge_runs(
@@ -492,39 +484,39 @@ def _merge_runs(
     meter,
     emit,
 ) -> None:
-    """Drain the run cursors in global key order, emitting block-at-a-time."""
+    """Drain the run cursors in global key order, emitting block-at-a-time.
+
+    Each round loads every spent cursor's next chunk.  The *bound* is the
+    smallest last-buffered key among runs with unread data, so every key
+    below it is complete in the buffers.  ``heapq.merge`` hands a tie to
+    the earlier run, so the runs up to and including the first whose chunk
+    ends at the bound take their keys ``<= bound`` — that run its whole
+    chunk — and the runs after it only keys ``< bound``.  One stable sort
+    of the taken slices, concatenated in run order, is the merge's next
+    stretch.  Every round empties at least one chunk, so a hot key's tie
+    group passes one chunk at a time, never all at once.
+    """
     while True:
         for cursor in cursors:
             if not cursor.buffered and not cursor.file_exhausted:
                 cursor.load(batch_records, meter, record_bytes)
         if not any(cursor.buffered for cursor in cursors):
             return
-        bounds = [
-            int(cursor.sptr[-1])
-            for cursor in cursors
-            if not cursor.file_exhausted
-        ]
-        bound = min(bounds) if bounds else None
+        # With every run read to its end, every buffered record is taken.
+        bound = min(
+            (int(c.sptr[-1]) for c in cursors if not c.file_exhausted),
+            default=2**64 - 1,
+        )
+        side = "right"
         taken: List[tuple] = []
         for cursor in cursors:
             if not cursor.buffered:
                 continue
-            if bound is None:
-                n = cursor.buffered
-            else:
-                n = int(np.searchsorted(cursor.sptr, bound, side="left"))
+            n = int(cursor.sptr.searchsorted(bound, side=side))
+            if n == cursor.buffered and not cursor.file_exhausted:
+                side = "left"  # its next chunk may still hold the bound
             if n:
                 taken.append(cursor.take(n))
-        if not taken:
-            # Every buffered key ties the bound.  heapq.merge hands a tie
-            # to the earliest run holding it, so that run streams its
-            # tied prefix now and the others wait: a hot key's tie group
-            # passes through one chunk at a time, never all at once.
-            cursor = next(
-                c for c in cursors if c.buffered and int(c.sptr[0]) == bound
-            )
-            tied = int(np.searchsorted(cursor.sptr, bound, side="right"))
-            taken.append(cursor.take(tied))
         rid = np.concatenate([t[0] for t in taken])
         sptr = np.concatenate([t[1] for t in taken])
         payload = np.concatenate([t[2] for t in taken])

@@ -87,21 +87,16 @@ class RRelationFile(_RelationFile):
         return cls(MappedSegment.open(path))
 
     def iter_column_batches(
-        self,
-        batch_records: int = DEFAULT_BATCH_RECORDS,
-        start: int = 0,
-        stop: int | None = None,
+        self, batch_records: int = DEFAULT_BATCH_RECORDS
     ) -> Iterator[Tuple]:
         """Iterate (rid, sptr, payload) u64 column-array batches.
 
         The vectorized kernels' inner shape: one dtype view per mapped
         batch, three compact column copies out, view released before the
         next step — so the mapping never holds an exported buffer.
-        ``start``/``stop`` bound the record range (one sorted run's
-        extent); defaults cover the whole relation.
         """
         decode = self.segment.layout.decode_columns
-        for view in self.segment.iter_batches(batch_records, start, stop):
+        for view in self.segment.iter_batches(batch_records):
             try:
                 yield decode(view)
             finally:

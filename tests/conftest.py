@@ -55,12 +55,13 @@ def memory_factory():
 
 
 def store_tree_problems(root) -> list:
-    """Files under a store root that are neither data nor the checkpoint.
+    """Files under a store root that are neither data, the workload
+    descriptor nor the checkpoint.
 
     The store-root invariant: run state travels in the task and
     observations return in the result, so at any instant a store holds
-    only ``disk*/*.seg[.tmp]`` and — while a run is live —
-    ``checkpoint.json``.
+    only ``disk*/*.seg[.tmp]``, ``workload.json`` (which workload its R/S
+    hold) and — while a run is live — ``checkpoint.json``.
     """
     root = Path(root)
     problems = []
@@ -73,7 +74,9 @@ def store_tree_problems(root) -> list:
             and parts[0].startswith("disk")
             and parts[1].endswith((".seg", ".seg.tmp"))
         )
-        if not is_segment and parts != ("checkpoint.json",):
+        if not is_segment and parts not in (
+            ("checkpoint.json",), ("workload.json",)
+        ):
             problems.append("/".join(parts))
     return sorted(problems)
 

@@ -60,7 +60,8 @@ def merge_runs(runs, keys, irun, fanin, chunk):
     """Write ``runs`` (sorted ``(rid, sptr, payload)`` column triples) as
     one sort-run task's RUN segment, run the merge kernel on it under a
     ``fanin``-run budget with ``chunk``-record batches, and return
-    ``(emitted pairs, the meter's high-water bytes)``."""
+    ``(emitted pairs, the meter's high-water bytes, chunk loads, merge
+    rounds)`` — a round is one stable sort of the taken slices."""
     # One disk, ``keys`` S objects: every run draws its pointers from the
     # same handful of keys, so ties span runs, segments and passes.
     workload = generate_workload(
@@ -77,16 +78,31 @@ def merge_runs(runs, keys, irun, fanin, chunk):
             rel.append_run(rel.segment.layout.pack_columns(*run))
         rel.close()
         before = path.read_bytes()
+        counts = {"loads": 0, "rounds": 0}
+        load = vectorized._RunCursor.load
+        stable_order = vectorized._stable_order
+
+        def counted_load(cursor, *args):
+            counts["loads"] += 1
+            return load(cursor, *args)
+
+        def counted_order(keys):
+            counts["rounds"] += 1
+            return stable_order(keys)
+
         meter = activate_meter(MemoryMeter())
         try:
-            result = vectorized.sort_merge_merge_join(
-                TaskSpec(
-                    store_root=root, disks=1, partition=0, s_objects=keys,
-                    r_bytes=R_BYTES,
-                    plan=JoinPlan(batch_records=chunk),
-                    worker_mem_budget=budget_for(fanin, chunk),
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(vectorized._RunCursor, "load", counted_load)
+                patch.setattr(vectorized, "_stable_order", counted_order)
+                result = vectorized.sort_merge_merge_join(
+                    TaskSpec(
+                        store_root=root, disks=1, partition=0,
+                        s_objects=keys, r_bytes=R_BYTES,
+                        plan=JoinPlan(batch_records=chunk),
+                        worker_mem_budget=budget_for(fanin, chunk),
+                    )
                 )
-            )
         finally:
             deactivate_meter()
         emitted = read_pairs(result.path)
@@ -94,7 +110,7 @@ def merge_runs(runs, keys, irun, fanin, chunk):
         # The sort-run stage's segment is read, never rewritten.
         assert path.read_bytes() == before
         assert merge_scratch(store.root) == []
-    return emitted, meter.high_water_bytes
+    return emitted, meter.high_water_bytes, counts["loads"], counts["rounds"]
 
 
 def assert_one_stable_sort(emitted, runs):
@@ -132,15 +148,16 @@ class TestMergeProperty:
             rid = np.arange(lo, lo + n, dtype=np.uint64)
             payload = rng.integers(0, 2**32, n).astype(np.uint64)
             runs.append((rid, sptr, payload))
-        emitted, _ = merge_runs(runs, keys, irun, fanin, chunk)
+        emitted, _, loads, rounds = merge_runs(runs, keys, irun, fanin, chunk)
         assert_one_stable_sort(emitted, runs)
+        assert rounds <= loads
 
     @settings(max_examples=40, deadline=None)
     @given(
-        hot=st.lists(st.integers(0, 12), min_size=2, max_size=5),
+        hot=st.lists(st.integers(0, 12), min_size=2, max_size=10),
         irun=st.integers(1, 12),
-        fanin=st.integers(2, 4),
-        chunk=st.sampled_from([1, 2, 3]),
+        fanin=st.integers(2, 8),
+        chunk=st.integers(1, 8),
         seed=st.integers(0, 2**16),
     )
     def test_hot_key_tie_group_streams_in_bounded_memory(
@@ -148,8 +165,9 @@ class TestMergeProperty:
     ):
         """A hot key whose tie group spans several runs and outgrows every
         open run's chunk together: the output is still one stable sort,
-        and the merge never holds more than one chunk per open run plus
-        one joined batch."""
+        the merge never holds more than one chunk per open run plus one
+        joined batch, and every round empties at least one chunk, so no
+        round serves only the ties its predecessor left."""
         hot = [min(n, irun) for n in hot]
         assume(sum(hot) > fanin * chunk and sum(1 for n in hot if n) >= 2)
         rng = np.random.default_rng(seed)
@@ -164,12 +182,15 @@ class TestMergeProperty:
             rid = np.arange(index * irun, (index + 1) * irun, dtype=np.uint64)
             payload = rng.integers(0, 2**32, irun).astype(np.uint64)
             runs.append((rid, sptr, payload))
-        emitted, high_water = merge_runs(runs, keys, irun, fanin, chunk)
+        emitted, high_water, loads, rounds = merge_runs(
+            runs, keys, irun, fanin, chunk
+        )
         assert_one_stable_sort(emitted, runs)
         assert high_water <= (
             min(len(runs), fanin) * chunk * R_BYTES
             + chunk * (R_BYTES + S_BYTES)
         )
+        assert rounds <= loads
 
 
 SCALE, BUDGET = 0.25, 1 << 20  # the bench's warm_budget shape, a quarter size

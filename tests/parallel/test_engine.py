@@ -9,6 +9,7 @@ run state, the :class:`TaskSpec`, is all a worker ever needs: nothing
 but data and the checkpoint is ever written under a store root.
 """
 
+import dataclasses
 import multiprocessing
 import multiprocessing.pool
 import pickle
@@ -395,6 +396,40 @@ class TestDriverPaths:
                 reuse_store=True, collect_pairs=False,
             )
         assert str(missing) in str(info.value)
+
+    def test_reuse_store_refuses_another_workloads_store(
+        self, workload, tmp_path
+    ):
+        """A kept store names its workload: the same workload reuses it,
+        another seed of the same size is refused instead of answered
+        from the stored R/S, and a store without a descriptor (an older
+        build's) is reused as before."""
+        root = tmp_path / "db"
+        first = run_real_join(
+            "grace", workload, str(root), use_processes=False,
+            keep_store=True, collect_pairs=False,
+        )
+        assert store_tree_problems(root) == []
+        again = run_real_join(
+            "grace", workload, str(root), use_processes=False,
+            keep_store=True, reuse_store=True, collect_pairs=False,
+        )
+        assert again.checksum == first.checksum
+        other = generate_workload(
+            dataclasses.replace(workload.spec, seed=workload.spec.seed + 1),
+            disks=workload.disks,
+        )
+        with pytest.raises(RealJoinError, match="another workload"):
+            run_real_join(
+                "grace", other, str(root), use_processes=False,
+                keep_store=True, reuse_store=True, collect_pairs=False,
+            )
+        (root / "workload.json").unlink()
+        legacy = run_real_join(
+            "grace", workload, str(root), use_processes=False,
+            reuse_store=True, collect_pairs=False,
+        )
+        assert legacy.checksum == first.checksum
 
     def test_reuse_store_on_an_empty_root(self, workload, tmp_path):
         root = tmp_path / "db"

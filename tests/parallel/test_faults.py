@@ -11,8 +11,10 @@ published data behind.
 """
 
 import errno
+import gc
 import itertools
 import json
+import os
 
 import pytest
 
@@ -354,6 +356,36 @@ class TestStorageFaultsStrikeTheTasksSegments:
         header = _read_header(spill)
         assert header.record_bytes == workload.spec.r_bytes
         assert cut == PAGE_SIZE + header.capacity * header.record_bytes // 2
+
+    @pytest.mark.parametrize(
+        "kernel", ["nested_loops_pass0", "sort_merge_partition"]
+    )
+    def test_enospc_at_a_later_create_discards_the_earlier_outputs(
+        self, workload, store, kernel, monkeypatch
+    ):
+        """The second output's create runs out of space: the first
+        output's ``.tmp`` is discarded by the kernel's abort, not left
+        open and locked until the garbage collector finds it."""
+        create = MappedSegment.create.__func__
+        created = []
+
+        def second_create_fails(cls, path, *args, **kwargs):
+            created.append(path)
+            if len(created) == 2:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), path)
+            return create(cls, path, *args, **kwargs)
+
+        monkeypatch.setattr(
+            MappedSegment, "create", classmethod(second_create_fails)
+        )
+        gc.disable()  # only the kernel may remove the first output
+        try:
+            with pytest.raises(DiskExhausted):
+                self.run(workload, store, kernel)
+            assert len(created) == 2
+            assert list(store.root.rglob("*.seg.tmp")) == []
+        finally:
+            gc.enable()
 
     @pytest.mark.parametrize("kind, raised", [
         ("disk-full", DiskExhausted), ("bit-flip", InjectedCrash),
