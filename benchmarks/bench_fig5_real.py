@@ -23,7 +23,10 @@ explanation of the Grace low-memory knee — beside their walls.
 Every plan also reports ``µs/batch``, the per-batch constant a budget
 adds: (wall − unbudgeted wall) / (storage batches − unbudgeted batches),
 the batches summed over ``storage.{read,write,deref}.batches`` of the same
-metered join.
+metered join, and ``minflt/join``, the minor page faults its tasks took
+(``worker.minflt``, summed over every task of that metered join): pages
+mapped in by reads through the mapping, and fresh pages its buffers
+touched.
 """
 
 import multiprocessing
@@ -104,6 +107,10 @@ def _sweep(workload, root: str, pool) -> dict:
                 value for name, value in counters.items()
                 if name.startswith(BATCH_COUNTERS)
             )
+            cells[("minflt", algorithm, budget)] = int(sum(
+                value for name, value in counters.items()
+                if name.startswith("worker.minflt")
+            ))
             for kind in (SPILL_FILES.get(algorithm), "MRG"):
                 if kind is not None:
                     cells[(kind, algorithm, budget)] = counters.get(
@@ -163,6 +170,10 @@ def _rows(cells) -> list:
                 f"{a} µs/batch": _us_per_batch(cells, a, budget)
                 for a in ("sort-merge",) + CONTEXT
             },
+            **{
+                f"{a} minflt": cells[("minflt", a, budget)]
+                for a in ("sort-merge",) + CONTEXT
+            },
             **{f"{a} BS": cells[("BS", a, budget)] for a in BUCKETED},
             **{f"{a} urn": _urn(cells, a, budget) for a in BUCKETED},
         })
@@ -209,18 +220,21 @@ def _check_curve(rows) -> None:
 def _render(title: str, rows) -> str:
     headers = [
         "budget", "sort-merge ms", "batch", "irun", "runs", "fanin",
-        "passes", "RUN", "MRG", "rungs", "µs/batch", "NL ms", "µs/batch",
-        "grace ms", "µs/batch", "BS", "urn", "hybrid ms", "µs/batch", "BS",
-        "urn",
+        "passes", "RUN", "MRG", "rungs", "µs/batch", "minflt/join",
+        "NL ms", "µs/batch", "minflt/join",
+        "grace ms", "µs/batch", "minflt/join", "BS", "urn",
+        "hybrid ms", "µs/batch", "minflt/join", "BS", "urn",
     ]
     table = format_table(headers, [
         [
             row["budget"], row["wall_ms"], row["batch"], row["irun"],
             row["runs"], row["fanin"], row["passes"], row["RUN"],
             row["MRG"], row["rungs"], row["sort-merge µs/batch"],
+            row["sort-merge minflt"],
             row["nested-loops"], row["nested-loops µs/batch"],
+            row["nested-loops minflt"],
             *(row[f"{a}{suffix}"] for a in BUCKETED
-              for suffix in ("", " µs/batch", " BS", " urn")),
+              for suffix in ("", " µs/batch", " minflt", " BS", " urn")),
         ]
         for row in rows
     ])
@@ -257,7 +271,8 @@ def test_fig5_real(benchmark, record):
         "(storage.map.new{kind=BS}); urn = the urn model's "
         "grace_premature_replacements for the admitted plan.\nµs/batch = "
         "(wall - unbudgeted wall) / (storage read+write+deref batches - "
-        "unbudgeted batches), the plan to its left.",
+        "unbudgeted batches), the plan to its left; minflt/join = its tasks'\n"
+        "minor page faults (worker.minflt) in the metered join.",
         _render("inline (driver process runs every task)", inline),
         _render(f"shared pool of {POOL_WORKERS} spawned workers", pooled),
     ]))

@@ -501,6 +501,18 @@ def _cmd_join(args) -> int:
 
             write_stats_document(args.stats_out, result.stats_document(workload))
             print(f"stats document written to {args.stats_out}")
+        if result.unfired_faults:
+            # A fault plan that injected less than it asked for tested
+            # less than it claims: a usage error, like a plan the check
+            # refuses up front.
+            for spec in result.unfired_faults:
+                print(
+                    f"--fault-plan: no dispatch reached {spec.kind} at "
+                    f"{spec.task} partition {spec.partition} attempt "
+                    f"{spec.attempt}; it injected nothing",
+                    file=sys.stderr,
+                )
+            return 2
         return 0
 
     if args.algorithm not in MODEL_FUNCTIONS:

@@ -33,7 +33,7 @@ precise record-byte meter.
 from __future__ import annotations
 
 import threading
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.governor.errors import MemoryExhausted
 
@@ -52,6 +52,20 @@ def rss_high_water_bytes() -> Optional[int]:
     peak = _resource.getrusage(_resource.RUSAGE_SELF).ru_maxrss
     # ru_maxrss is kilobytes on Linux, bytes on macOS.
     return int(peak) if sys.platform == "darwin" else int(peak) * 1024
+
+
+def thread_page_faults() -> Optional[Tuple[int, int]]:
+    """The calling thread's ``(minor, major)`` page faults so far, where
+    the OS counts per thread (``RUSAGE_THREAD``, Linux).
+
+    Per thread, not per process: an inline task and a daemon connection
+    thread's task are counted apart from whatever else their process runs.
+    """
+    who = getattr(_resource, "RUSAGE_THREAD", None)
+    if who is None:
+        return None
+    usage = _resource.getrusage(who)
+    return usage.ru_minflt, usage.ru_majflt
 
 
 class MemoryMeter:

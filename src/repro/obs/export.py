@@ -130,6 +130,13 @@ def schema_problems(document: object) -> List[str]:
             problems.append("totals.recovery must be an object")
         elif any(not isinstance(v, (int, float)) for v in recovery.values()):
             problems.append("totals.recovery values must be numbers")
+    unfired = totals.get("unfired_faults")
+    if unfired is not None and (
+        not isinstance(unfired, list)
+        or any(not isinstance(spec, dict) for spec in unfired)
+    ):
+        # Optional (real backend): the fault specs no dispatch matched.
+        problems.append("totals.unfired_faults must be a list of objects")
     problems.extend(_governor_problems(totals.get("governor")))
     problems.extend(_integrity_problems(totals.get("integrity")))
     problems.extend(_resume_problems(totals.get("resume")))
@@ -358,6 +365,8 @@ def _worker_summary(snapshot: Mapping) -> dict:
             + by_name.get("storage.write.batches", 0)
         ),
         "pairs": int(by_name.get("worker.pairs", 0)),
+        "minflt": int(by_name.get("worker.minflt", 0)),
+        "majflt": int(by_name.get("worker.majflt", 0)),
         "pages_touched_est": _pages_estimate(bytes_read + bytes_written),
         "counters": dict(registry.counters),
     }
@@ -409,6 +418,17 @@ def build_real_stats_document(result, workload=None) -> dict:
             "counters": dict(pass_registry.counters),
             **(
                 {"kind": pass_kinds[label]} if label in pass_kinds else {}
+            ),
+            # The pass's workers' page faults, summed; absent when the
+            # pass ran without metrics (nothing counted them).
+            **(
+                {
+                    flt: int(sum(
+                        pass_registry.counters_named(f"worker.{flt}").values()
+                    ))
+                    for flt in ("minflt", "majflt")
+                }
+                if snapshots else {}
             ),
         }
         per_worker[label] = {
@@ -478,6 +498,10 @@ def build_real_stats_document(result, workload=None) -> dict:
             },
             "integrity": integrity_doc,
             "resume": resume_doc,
+            "unfired_faults": [
+                spec.to_dict()
+                for spec in getattr(result, "unfired_faults", None) or ()
+            ],
             **({"governor": governor} if governor is not None else {}),
         },
         "per_pass": per_pass,

@@ -49,6 +49,7 @@ from repro.governor.watchdog import (
     activate_meter,
     deactivate_meter,
     rss_high_water_bytes,
+    thread_page_faults,
 )
 from repro.parallel.faults import STORAGE_SITES, FaultSpec, fire_fault, strike
 from repro.storage.relation import PairsFile
@@ -179,6 +180,7 @@ def _governed(func: Callable, spec: TaskSpec):
             return func(spec), None
         task, partition = spec.kernel, spec.partition
         registry = activate(MetricsRegistry())
+        faults = thread_page_faults()
         started = time.perf_counter()
         try:
             with span("task", task=task, worker=partition):
@@ -186,6 +188,12 @@ def _governed(func: Callable, spec: TaskSpec):
         finally:
             deactivate()
         wall_ms = (time.perf_counter() - started) * 1000.0
+        if faults is not None:
+            # This thread's faults while the kernel ran: the refaults a
+            # released page costs show up here.
+            minflt, majflt = thread_page_faults()
+            registry.count("worker.minflt", minflt - faults[0], task=task)
+            registry.count("worker.majflt", majflt - faults[1], task=task)
         labels = {"task": task, "worker": partition}
         registry.gauge("worker.wall_ms", wall_ms, **labels)
         registry.gauge(

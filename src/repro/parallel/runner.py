@@ -87,7 +87,12 @@ from repro.parallel.engine.task import (
     TaskSpec,
     run_task,
 )
-from repro.parallel.faults import FaultPlan, FaultPlanError, InjectedHang
+from repro.parallel.faults import (
+    FaultPlan,
+    FaultPlanError,
+    FaultSpec,
+    InjectedHang,
+)
 from repro.storage.relation import read_pair_block
 from repro.storage.store import Store
 from repro.workload.generator import Workload
@@ -157,6 +162,9 @@ class RealJoinResult:
     #: Integrity accounting (stats ``totals.integrity``): segments fully
     #: scrubbed and scrub failures during resume validation.
     integrity: Dict[str, int] = field(default_factory=dict)
+    #: The fault plan's specs no dispatch matched (stats
+    #: ``totals.unfired_faults``): each injected nothing.
+    unfired_faults: List[FaultSpec] = field(default_factory=list)
 
     def stats_document(self, workload: Optional[Workload] = None) -> dict:
         """Render this run as the versioned JSON stats document."""
@@ -453,6 +461,8 @@ class _JoinRun:
     # attempt coordinate.  Deliberately outlives reset_round: a one-shot
     # injected fault must not re-fire in the degraded round.
     attempts: Dict[tuple, int] = field(default_factory=dict)
+    # The fault plan's specs some dispatch carried.
+    fired: set = field(default_factory=set)
 
     def __post_init__(self) -> None:
         self.algorithm = self.pass_plan.algorithm
@@ -527,6 +537,14 @@ class _JoinRun:
             store.cleanup_orphans()
             if not self.keep_store:
                 store.destroy()
+        if self.fault_plan is not None:
+            # Which attempts a run dispatches depends on retries, the
+            # inline fallback and degradation rounds, so a spec the plan
+            # check let through may still never match: report it.
+            result.unfired_faults = [
+                spec for spec in self.fault_plan.faults
+                if spec not in self.fired
+            ]
         result.pair_count = sum(pairs.count for pairs in result.pair_files)
         result.checksum = (
             sum(pairs.checksum for pairs in result.pair_files) % CHECKSUM_MOD
@@ -729,6 +747,8 @@ class _JoinRun:
             if self.fault_plan is not None
             else None
         )
+        if fault is not None:
+            self.fired.add(fault)
         return replace(unit, attempt=attempt, fault=fault)
 
     def sample_disk(self) -> None:

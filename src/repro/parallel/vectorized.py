@@ -37,6 +37,13 @@ are one fancy-indexed gather (:meth:`SRelationFile.dereference_columns`),
 and pair emission writes one ``(n, 4)`` u64 block per batch
 (:meth:`PairSink.emit_arrays`).
 
+Residency follows the paper's split: the S partition a kernel
+dereferences stays mapped resident for the task, while every sequential
+stream — R scans, spills, sorted runs, bucket reads — releases its pages
+in 2 MiB steps once the records are copied out
+(:class:`~repro.storage.segment.ReadStream`).  A task's resident mapped
+bytes are at most its open streams × 2 MiB plus its S partition.
+
 Join output never crosses a process boundary: every pair-producing
 kernel streams into its own mapped ``PAIRS`` segment and returns only a
 :class:`~repro.parallel.engine.task.PairResult`.  Every kernel is
@@ -345,13 +352,15 @@ class _RunCursor:
     Buffers at most one chunk of undelivered records, loaded only once
     the previous one is spent; the run is read with
     :meth:`RRelationFile.read_columns` so memory stays bounded by the
-    chunk size, not the run length.
+    chunk size, not the run length.  Each cursor releases its run's
+    consumed pages through its own stream, never a neighbour's.
     """
 
     def __init__(self, run: Run) -> None:
         self.rel = run.rel
         self.pos = run.lo  # records loaded so far end here
         self.end = run.hi
+        self.pages = run.rel.segment.stream(run.lo, run.hi)
         self.rid = self.sptr = self.payload = None
 
     @property
@@ -366,6 +375,7 @@ class _RunCursor:
         n = min(chunk_records, self.end - self.pos)
         self.rid, self.sptr, self.payload = self.rel.read_columns(self.pos, n)
         self.pos += n
+        self.pages.consumed(self.pos)
         meter.charge(n * record_bytes, "merge run chunk")
 
     def take(self, n: int) -> tuple:

@@ -7,6 +7,13 @@ header columns (``iter_column_batches``, ``read_columns``,
 blocks (``append_columns``, ``write_buckets``, ``append_packed``) out.
 Only :func:`iter_pairs_file`, which the benchmark's layer probe reads,
 decodes records into Python objects.
+
+Every sequential read gives its consumed mapped pages back as it goes
+(:class:`~repro.storage.segment.ReadStream`): the batch iterators through
+``iter_batches``, a bucketed file's bucket reads through the file's one
+stream, a sorted run's cursor through its own.  Only
+``dereference_columns`` keeps what it touches: S is the partition that
+stays mapped resident.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ from repro.storage.segment import (
     META_CAPACITY,
     MappedSegment,
     StorageError,
+    step_extents,
 )
 
 DEFAULT_BATCH_RECORDS = 4096
@@ -279,6 +287,8 @@ class BucketedRFile(_RelationFile):
         super().__init__(segment)
         self._directory = directory
         self._writer = writer
+        # Readers take buckets in order: one stream over the whole file.
+        self._pages = segment.stream()
         # Next free slot of each bucket's extent (writers only).
         self._cursors = [start for start, _count in directory]
 
@@ -377,8 +387,15 @@ class BucketedRFile(_RelationFile):
         return self._directory[bucket][1]
 
     def read_bucket_columns(self, bucket: int) -> Tuple:
-        """One bucket's records as (rid, sptr, payload) u64 column copies."""
-        return self.read_columns(*self._directory[bucket])
+        """One bucket's records as (rid, sptr, payload) u64 column copies.
+
+        Once copied, the pages behind them are released as the file's
+        read stream passes (buckets are read in ascending order).
+        """
+        start, count = self._directory[bucket]
+        columns = self.read_columns(start, count)
+        self._pages.consumed(start + count)
+        return columns
 
     def close(self) -> None:
         """Publish; a writer first proves every extent exactly full.
@@ -484,17 +501,20 @@ def iter_pairs_file(
 def read_pair_block(path: str | os.PathLike) -> _np.ndarray:
     """One worker's pairs file as an owned ``(n, 4)`` u64 block.
 
-    Opened (header and payload CRC verified) like any reader, read as one
-    batch and copied out: no view of the mapping outlives the call.
+    Opened (header and payload CRC verified) like any reader and copied
+    out ``DEFAULT_BATCH_RECORDS`` pairs at a time, so the pages behind
+    what is copied are released as the read moves on: no view of the
+    mapping outlives the call.
     """
     with PairsFile.open(path) as relation:
         block = _np.empty((len(relation), 4), dtype="<u8")
-        # max(1, …): an empty segment yields no batch; a zero size raises.
-        for view in relation.segment.iter_batches(max(1, len(relation))):
-            try:
-                block[:] = _np.frombuffer(view, dtype="<u8").reshape(-1, 4)
-            finally:
-                view.release()
+        flat = block.reshape(-1)
+        filled = 0
+        for view in relation.segment.iter_batches(DEFAULT_BATCH_RECORDS):
+            with view:
+                words = len(view) // 8
+                flat[filled:filled + words] = _np.frombuffer(view, "<u8")
+            filled += words
     return block
 
 
@@ -505,13 +525,17 @@ def write_columns(
 ) -> None:
     """Materialize one partition from its three u64 header columns.
 
-    One ``pack_columns`` into the stored record format and one append,
-    published by the segment's usual close (streamed CRC footer, atomic
-    rename).
+    Packed into the stored record format and appended 2 MiB at a time,
+    cut at 2 MiB file offsets (:func:`step_extents`), so the scratch is
+    one step, not the partition, and later mapped reads fault no more
+    than after one whole write; published by the segment's usual close
+    (streamed CRC footer, atomic rename).
     """
     segment = MappedSegment.create(path, max(1, len(a)), record_bytes)
+    pack = segment.layout.pack_columns
     try:
-        segment.append_batch(segment.layout.pack_columns(a, b, c))
+        for lo, hi in step_extents(len(a), record_bytes):
+            segment.append_batch(pack(a[lo:hi], b[lo:hi], c[lo:hi]))
     except BaseException:
         segment.discard()
         raise

@@ -120,3 +120,33 @@ def test_rss_high_water_is_plausible():
     if rss is not None:
         # A running Python interpreter holds at least a few MB.
         assert rss > 1 << 20
+
+
+def test_page_faults_are_counted_per_thread():
+    """A thread's faults are its own: touching 256 fresh mappings in one
+    thread adds to its count, not to the thread that waits for it."""
+    import mmap
+
+    from repro.governor.watchdog import thread_page_faults
+
+    if thread_page_faults() is None:
+        pytest.skip("the OS counts no per-thread page faults")
+    counted = {}
+
+    def touch():
+        before = thread_page_faults()[0]
+        for _ in range(256):
+            # One small fresh mapping per touch: no huge page can serve
+            # two of them with one fault.
+            with mmap.mmap(-1, mmap.PAGESIZE) as page:
+                page[0] = 1
+        counted["worker"] = thread_page_faults()[0] - before
+
+    main_before = thread_page_faults()[0]
+    worker = threading.Thread(target=touch)
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive()
+    main_delta = thread_page_faults()[0] - main_before
+    assert counted["worker"] >= 256
+    assert main_delta < 64

@@ -119,6 +119,33 @@ class TestRealDocument:
                 assert summary["wall_ms"] > 0
                 assert summary["pages_touched_est"] >= 0
 
+    def test_page_faults_are_summed_per_pass(self, real_document):
+        """Each task's ``RUSAGE_THREAD`` fault deltas are worker counters;
+        a pass's ``minflt``/``majflt`` are its workers' sum.  Reading
+        through the mapping faults pages in, so the scans count some."""
+        for label, entry in real_document["per_pass"].items():
+            workers = real_document["per_worker"][label].values()
+            for fault in ("minflt", "majflt"):
+                counted = sum(
+                    value for key, value in entry["counters"].items()
+                    if key.startswith(f"worker.{fault}{{")
+                )
+                assert entry[fault] == counted
+                assert entry[fault] == sum(w[fault] for w in workers)
+        assert sum(
+            entry["minflt"] for entry in real_document["per_pass"].values()
+        ) > 0
+
+    def test_no_fault_counters_without_metrics(self, workload, tmp_path):
+        result = run_real_join(
+            "grace", workload, str(tmp_path / "db"), use_processes=False,
+            collect_metrics=False,
+        )
+        document = result.stats_document(workload)
+        assert schema_problems(document) == []
+        for entry in document["per_pass"].values():
+            assert "minflt" not in entry and "majflt" not in entry
+
     def test_segment_section_covers_base_spill_and_output(self, real_document):
         kinds = set(real_document["per_segment"])
         assert {"R", "S", "BS", "PAIRS"} <= kinds

@@ -478,6 +478,33 @@ class TestRecoveryObservability:
         )
 
 
+    def test_a_spec_no_dispatch_reaches_is_reported(self, workload, tmp_path):
+        """Attempt 5 of a task that succeeds first time is never
+        dispatched: the run is clean, and says which spec did nothing."""
+        unreached = FaultSpec("crash", "grace_probe", 0, attempt=5)
+        reached = FaultSpec("crash", "grace_probe", 1)
+        result = run_real_join(
+            "grace", workload, str(tmp_path / "db"), use_processes=False,
+            fault_plan=FaultPlan([unreached, reached]),
+        )
+        assert result.retries_total == 1
+        assert result.unfired_faults == [unreached]
+        document = result.stats_document(workload)
+        assert schema_problems(document) == []
+        assert document["totals"]["unfired_faults"] == [unreached.to_dict()]
+
+    def test_a_plan_that_all_fires_reports_nothing(
+        self, workload, baselines, tmp_path
+    ):
+        result = run_real_join(
+            "sort-merge", workload, str(tmp_path / "db"), use_processes=False,
+            fault_plan=FaultPlan.crash_every_pass("sort-merge"),
+        )
+        assert_matches_baseline(result, baselines["sort-merge"], workload)
+        assert result.unfired_faults == []
+        assert result.stats_document(workload)["totals"]["unfired_faults"] == []
+
+
 class TestProcessRecovery:
     """Real process deaths: the pool-mode dispatch path.
 

@@ -36,6 +36,20 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "pairs verified" in out
 
+    def test_fault_plan_that_never_fires_exits_2(self, capsys):
+        """The join runs clean, then the plan's unreached spec is named:
+        a plan that injected nothing tested nothing."""
+        plan = json.dumps({"faults": [
+            {"kind": "crash", "task": "grace_probe", "partition": 0,
+             "attempt": 5},
+        ]})
+        assert main([
+            "join", "grace", "--real", "--scale", "0.02", "--fault-plan", plan,
+        ]) == 2
+        captured = capsys.readouterr()
+        assert "pairs verified" in captured.out
+        assert "crash at grace_probe partition 0 attempt 5" in captured.err
+
     def test_join_real(self, capsys):
         assert main(["join", "nested-loops", "--scale", "0.01", "--real"]) == 0
         out = capsys.readouterr().out
