@@ -25,9 +25,9 @@ The meter also carries the run's disk budget and the store root it
 applies to, so :func:`repro.governor.budget.disk_preflight` asks the
 active meter instead of looking anything up on disk.
 
-RSS is sampled once per task from ``getrusage`` — a lifetime high-water
-mark per process, reported as a coarse cross-check gauge next to the
-precise record-byte meter.
+RSS is sampled once per task — the process's lifetime high-water mark
+(``VmHWM``, else ``getrusage``), reported as a coarse cross-check gauge
+next to the precise record-byte meter.
 """
 
 from __future__ import annotations
@@ -46,7 +46,19 @@ import sys
 
 
 def rss_high_water_bytes() -> Optional[int]:
-    """This process's lifetime peak RSS in bytes, if the OS reports one."""
+    """This process's lifetime peak RSS in bytes, if the OS reports one.
+
+    ``VmHWM`` from ``/proc/self/status`` where it exists: Linux carries
+    ``ru_maxrss`` across ``exec``, so a spawned worker's would be its
+    driver's peak, not its own.  ``ru_maxrss`` elsewhere.
+    """
+    try:
+        with open("/proc/self/status", "rb") as status:
+            for line in status:
+                if line.startswith(b"VmHWM:"):
+                    return int(line.split()[1]) * 1024
+    except OSError:
+        pass
     if _resource is None:
         return None
     peak = _resource.getrusage(_resource.RUSAGE_SELF).ru_maxrss

@@ -37,12 +37,16 @@ are one fancy-indexed gather (:meth:`SRelationFile.dereference_columns`),
 and pair emission writes one ``(n, 4)`` u64 block per batch
 (:meth:`PairSink.emit_arrays`).
 
-Residency follows the paper's split: the S partition a kernel
-dereferences stays mapped resident for the task, while every sequential
-stream — R scans, spills, sorted runs, bucket reads — releases its pages
-in 2 MiB steps once the records are copied out
-(:class:`~repro.storage.segment.ReadStream`).  A task's resident mapped
-bytes are at most its open streams × 2 MiB plus its S partition.
+Residency follows the paper's split: S stays mapped resident only where
+it is dereferenced at random — nested loops in both passes, hybrid's
+resident buckets — the ``Ylru`` term's buffer.  Every sequential reader
+releases its pages in 2 MiB steps once the records are copied out
+(:class:`~repro.storage.segment.ReadStream`): R scans, spills, sorted
+runs, bucket reads, and S itself where it is read in pointer order — the
+merge-join's final pass behind its last emitted offset, the probe behind
+each bucket's upper bound.  Bucket spills are packed and written one
+2 MiB step at a time.  A task's resident mapped bytes are at most its
+open streams × 2 MiB, plus the S partitions it dereferences at random.
 
 Join output never crosses a process boundary: every pair-producing
 kernel streams into its own mapped ``PAIRS`` segment and returns only a
@@ -79,7 +83,7 @@ from repro.parallel.engine.task import (
 )
 from repro.storage.layout import RecordLayout
 from repro.storage.relation import BucketedRFile, RRelationFile, SortedRunsFile
-from repro.storage.segment import MappedSegment, StorageError
+from repro.storage.segment import MappedSegment, StorageError, step_extents
 from repro.storage.store import Store
 
 __all__ = [
@@ -476,9 +480,15 @@ def _merge_join(spec, store, opened, runs, s_rel, sink) -> None:
         runs = [Run(rel, lo, hi) for lo, hi in rel.extents()]
         level += 1
 
+    # The final pass emits in ascending ``sptr``: no later block
+    # dereferences below a block's last offset, so S is released behind it.
+    s_pages = s_rel.segment.stream()
+
     def emit(rid, sptr, payload) -> None:
-        sid, value = s_rel.dereference_columns(pmap.offset_array(sptr))
+        offs = pmap.offset_array(sptr)
+        sid, value = s_rel.dereference_columns(offs)
         sink.emit_arrays(rid, sid, payload, value)
+        s_pages.consumed(int(offs[-1]))
 
     _merge_runs(
         [_RunCursor(run) for run in runs],
@@ -569,8 +579,9 @@ class BucketSpills:
         )
         self.files: Dict[int, BucketedRFile] = {}
 
-    def write(self, target: int, data, counts) -> None:
-        """Write one target's flushed records, ``counts[b]`` per bucket."""
+    def file(self, target: int, counts) -> BucketedRFile:
+        """One target's file, created at its first flush: laid out from the
+        count scan's extents, or else from that flush's ``counts``."""
         spill = self.files.get(target)
         if spill is None:
             spill = self.files[target] = BucketedRFile.create_laid_out(
@@ -580,7 +591,7 @@ class BucketSpills:
                 counts if self.extents is None else self.extents[target],
                 self.record_layout.record_bytes, overwrite=True,
             )
-        spill.write_buckets(data, counts)
+        return spill
 
     def close(self) -> None:
         """Publish every file (each refuses unless exactly filled)."""
@@ -626,9 +637,15 @@ def _flush_bucket_chunks(
     """Write accumulated per-target column chunks into their spill files.
 
     One :func:`_group` by bucket lays each target's records out in bucket
-    order (encounter order within a bucket preserved) for one
-    :meth:`BucketSpills.write`.
+    order (encounter order within a bucket preserved).  They are packed
+    and written one 2 MiB step at a time (:func:`step_extents`), each
+    step's bucket counts cut from the grouping's bounds: the packed
+    scratch is one step, not the target's whole spill, and the single
+    unbudgeted flush ends its writes at 2 MiB file offsets, as
+    materialize does.
     """
+    pack = spills.record_layout.pack_columns
+    record_bytes = spills.record_layout.record_bytes
     flushed = 0
     for target, chunks in grouped.items():
         rid = np.concatenate([c[0] for c in chunks])
@@ -637,13 +654,13 @@ def _flush_bucket_chunks(
         order, bounds, _ = _group(
             np.concatenate([c[3] for c in chunks]), buckets
         )
-        spills.write(
-            target,
-            spills.record_layout.pack_columns(
-                rid[order], sptr[order], payload[order]
-            ),
-            np.diff(bounds).tolist(),
-        )
+        spill = spills.file(target, np.diff(bounds).tolist())
+        for lo, hi in step_extents(len(order), record_bytes):
+            rows = order[lo:hi]
+            spill.write_buckets(
+                pack(rid[rows], sptr[rows], payload[rows]),
+                np.diff(np.clip(bounds, lo, hi)).tolist(),
+            )
         flushed += len(rid)
     grouped.clear()
     return flushed
@@ -805,6 +822,7 @@ def grace_probe(spec: TaskSpec) -> PairResult:
         sink = PairSink(store.path(i, pairs_name("probe", i)), capacity)
         with store.open_s(i) as s_rel:
             s_bytes = s_rel.segment.layout.record_bytes
+            s_pages = s_rel.segment.stream()
             for bucket in range(buckets):
                 chunks: List[tuple] = []
                 bucket_charged = 0
@@ -832,6 +850,9 @@ def grace_probe(spec: TaskSpec) -> PairResult:
                         sink.emit_arrays(rid[block], sid, payload[block], value)
                         meter.release(len(block) * s_bytes)
                 meter.release(bucket_charged)
+                # Buckets are monotone in offset (:func:`_hash_buckets`):
+                # later ones dereference only at or above this bound.
+                s_pages.consumed((bucket + 1) * part_size // buckets)
         return sink.close()
     except BaseException:
         if sink is not None:

@@ -11,9 +11,9 @@ decodes records into Python objects.
 Every sequential read gives its consumed mapped pages back as it goes
 (:class:`~repro.storage.segment.ReadStream`): the batch iterators through
 ``iter_batches``, a bucketed file's bucket reads through the file's one
-stream, a sorted run's cursor through its own.  Only
-``dereference_columns`` keeps what it touches: S is the partition that
-stays mapped resident.
+stream, a sorted run's cursor through its own.  ``dereference_columns``
+keeps what it touches; a kernel that dereferences S in pointer order
+releases it behind its cursor through a stream of its own.
 """
 
 from __future__ import annotations
@@ -224,6 +224,11 @@ class SRelationFile(_RelationFile):
         One bounds check for the whole batch, one dtype view over the
         whole written area, and two fancy-indexed field gathers (8 bytes
         per record per field — the payload column is not materialized).
+
+        The pages touched stay mapped: a random dereference may come back
+        to any of them.  A caller whose offsets only ascend — the
+        merge-join's final pass, the probe bucket by bucket — releases
+        them behind its cursor with a :meth:`MappedSegment.stream` over S.
         """
         if len(offsets) == 0:
             empty = _np.empty(0, dtype=_np.uint64)

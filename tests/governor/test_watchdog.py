@@ -122,6 +122,38 @@ def test_rss_high_water_is_plausible():
         assert rss > 1 << 20
 
 
+def _own_peak(queue) -> None:
+    queue.put(rss_high_water_bytes())
+
+
+def test_a_spawned_child_reports_its_own_peak():
+    """A spawned child's peak is its own, not the parent's it was
+    exec'ed from.  Catches reading ``ru_maxrss``, which Linux carries
+    across ``exec``: a spawn child of a 229 MiB parent read 228.7 MiB
+    against its own 15.6 MiB ``VmHWM``."""
+    import multiprocessing
+    import sys
+
+    if not sys.platform.startswith("linux"):
+        pytest.skip("only Linux carries ru_maxrss across exec")
+    held = bytearray(96 << 20)
+    held[::4096] = b"\1" * (len(held) // 4096)  # every page resident
+    parent = rss_high_water_bytes()
+    assert parent >= 96 << 20
+    context = multiprocessing.get_context("spawn")
+    queue = context.Queue()
+    child = context.Process(target=_own_peak, args=(queue,))
+    child.start()
+    try:
+        peak = queue.get(timeout=60)
+    finally:
+        child.join(timeout=60)
+    assert not child.is_alive()
+    del held
+    assert peak is not None and peak > 1 << 20
+    assert peak < parent - (64 << 20), (peak, parent)
+
+
 def test_page_faults_are_counted_per_thread():
     """A thread's faults are its own: touching 256 fresh mappings in one
     thread adds to its count, not to the thread that waits for it."""

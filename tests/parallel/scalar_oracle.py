@@ -423,10 +423,11 @@ def _spill_bucket_groups(
             obj for bucket in sorted(bucket_groups)
             for obj in bucket_groups[bucket]
         ]
-        spills.write(
-            target,
-            pack_records(objects, spills.record_layout.record_bytes),
-            [len(bucket_groups.get(bucket, ())) for bucket in range(buckets)],
+        counts = [
+            len(bucket_groups.get(bucket, ())) for bucket in range(buckets)
+        ]
+        spills.file(target, counts).write_buckets(
+            pack_records(objects, spills.record_layout.record_bytes), counts
         )
         flushed += len(objects)
     grouped.clear()

@@ -4,8 +4,12 @@ Every reader that streams a segment — the batch iterators, a bucketed
 file's bucket reads, sorted-run merge cursors, the pair-block read and the
 daemon's pair stream — releases the pages behind records it has copied
 out, in 2 MiB steps, so a 32 MiB scan leaves a few MiB mapped, not 32.
-Residency is read from this process's ``RssFile`` (and, where one page
-matters, its page-map ``present`` bits): Linux only.
+The kernels that dereference S in pointer order — the sort-merge
+merge-join and the grace/hybrid probe — release S behind their cursor
+too; nested loops' random dereferences keep S resident.  Bucket spills
+are packed and written one 2 MiB step at a time.  Residency is read from
+this process's ``RssFile`` (and, where one page matters, its page-map
+``present`` bits): Linux only.
 """
 
 import ctypes
@@ -18,7 +22,14 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro.parallel.engine.task import PairResult
+from repro.governor import JoinPlan
+from repro.parallel import vectorized
+from repro.parallel.engine.task import (
+    PairResult,
+    TaskSpec,
+    bucket_spill_name,
+    pairs_name,
+)
 from repro.parallel.vectorized import Run, _RunCursor
 from repro.service.protocol import recv_frame
 from repro.service.server import JoinService
@@ -28,10 +39,13 @@ from repro.storage.relation import (
     PairsFile,
     RRelationFile,
     SortedRunsFile,
+    SRelationFile,
     read_pair_block,
     write_columns,
 )
 from repro.storage.segment import MappedSegment, step_extents
+from repro.storage.store import Store
+from repro.workload import WorkloadSpec, generate_workload
 
 PAGE = mmap.PAGESIZE
 MIB = 1 << 20
@@ -359,3 +373,170 @@ def test_materialized_partition_reads_back_in_few_faults(tmp_path):
     with MappedSegment.create(whole, RECORDS, RECORD_BYTES) as segment:
         segment.append_batch(segment.layout.pack_columns(rid, sptr, payload))
     assert read_faults(stepped) <= read_faults(whole) + 2
+
+
+# ------------------------------------------------------------------ kernels
+
+#: One disk, so the one S partition is 266,240 × 128 B = 32.5 MiB, and so
+#: is the one R partition.
+KERNEL_SCALE = 2.6
+
+
+@pytest.fixture(scope="module")
+def one_disk(tmp_path_factory):
+    """A one-disk store with the sort-merge runs and grace spills of its
+    one partition already written."""
+    workload = generate_workload(
+        WorkloadSpec.paper_validation(scale=KERNEL_SCALE, seed=3), disks=1
+    )
+    store = Store(str(tmp_path_factory.mktemp("kernels")), 1)
+    store.materialize(workload)
+    with store.open_s(0) as s_rel:
+        assert len(s_rel) * RECORD_BYTES >= 32 * MIB
+    for kernel in ("sort_merge_partition", "sort_merge_runs", "grace_partition"):
+        getattr(vectorized, kernel)(kernel_spec(workload, store, kernel))
+    return SimpleNamespace(workload=workload, store=store)
+
+
+def kernel_spec(workload, store, kernel, plan=JoinPlan()) -> TaskSpec:
+    return TaskSpec(
+        str(store.root), 1, 0, workload.s_objects_total,
+        workload.spec.r_bytes, kernel=kernel, plan=plan,
+    )
+
+
+@pytest.fixture
+def deref_samples(monkeypatch):
+    """RssFile readings taken after every S dereference batch."""
+    taken = []
+    original = SRelationFile.dereference_columns
+
+    def dereference_columns(self, offsets):
+        columns = original(self, offsets)
+        taken.append(rss_file_mib())
+        return columns
+
+    monkeypatch.setattr(SRelationFile, "dereference_columns", dereference_columns)
+    return taken
+
+
+#: Kernel, the label of the PAIRS segment it writes.
+S_READERS = {
+    "sort_merge_merge_join": "sm",
+    "grace_probe": "probe",
+    "nested_loops_pass0": "p0",
+}
+
+
+def run_kernel(one_disk, kernel, samples) -> bytes:
+    """Run one task on the one-disk store; return its PAIRS bytes."""
+    store = one_disk.store
+    samples.append(rss_file_mib())
+    getattr(vectorized, kernel)(kernel_spec(one_disk.workload, store, kernel))
+    return store.path(0, pairs_name(S_READERS[kernel], 0)).read_bytes()
+
+
+@pytest.mark.parametrize("kernel", ["sort_merge_merge_join", "grace_probe"])
+def test_ordered_s_reads_release_behind_their_cursor(
+    kernel, one_disk, deref_samples
+):
+    """The merge-join and the probe dereference S in ascending offset
+    order, so the pages behind their cursor go as they pass: S's growth
+    stays a few MiB where the 32.5 MiB partition was kept resident.
+    Catches: no S release (the whole partition stays mapped), and a
+    probe that releases only after its last bucket."""
+    run_kernel(one_disk, kernel, deref_samples)
+    assert len(deref_samples) > 8
+    assert growth(deref_samples) <= GROWTH_LIMIT_MIB, (kernel, growth(deref_samples))
+
+
+def test_random_dereferences_keep_s_resident(one_disk, deref_samples):
+    """Nested loops dereferences S at random: nothing behind a cursor is
+    done with, so S stays mapped — the paper's ``Ylru`` term assumes it.
+    Catches a release added to ``dereference_columns`` itself."""
+    run_kernel(one_disk, "nested_loops_pass0", deref_samples)
+    assert growth(deref_samples) >= 24, growth(deref_samples)
+
+
+@pytest.mark.parametrize("kernel", sorted(S_READERS))
+def test_kernel_output_is_the_unreleased_output(
+    kernel, one_disk, deref_samples, monkeypatch
+):
+    """With the release monkeypatched away each kernel writes the same
+    pairs, and S stays mapped (the growth the bound above is about).
+    Catches a release that drops file contents rather than this
+    process's mapping (``MADV_REMOVE`` for ``MADV_DONTNEED``)."""
+    released = run_kernel(one_disk, kernel, deref_samples)
+    deref_samples.clear()
+    monkeypatch.setattr(MappedSegment, "_release", lambda self, lo, hi: None)
+    kept = run_kernel(one_disk, kernel, deref_samples)
+    assert growth(deref_samples) >= 24, (kernel, growth(deref_samples))
+    assert released == kept
+
+
+def one_shot_bucket_file(one_disk, path) -> bytes:
+    """The one-disk grace spill packed whole and written in one call."""
+    plan = JoinPlan()
+    with one_disk.store.open_r(0) as r_rel:
+        rid, sptr, payload = r_rel.read_columns(0, len(r_rel))
+    part_size = np.asarray([one_disk.workload.s_objects_total], np.uint64)
+    bucket = vectorized._hash_buckets(
+        part_size, plan.buckets, np.zeros(len(sptr), np.intp), sptr
+    )
+    order = np.argsort(bucket, kind="stable")
+    counts = np.bincount(bucket.astype(np.intp), minlength=plan.buckets)
+    with BucketedRFile.create_laid_out(path, counts.tolist()) as out:
+        out.write_buckets(
+            out.segment.layout.pack_columns(
+                rid[order], sptr[order], payload[order]
+            ),
+            counts.tolist(),
+        )
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("threshold", [None, 50_000], ids=["one-flush", "threshold"])
+def test_stepwise_flush_writes_the_one_shot_file(
+    threshold, one_disk, tmp_path
+):
+    """Packing 2 MiB at a time writes the bytes one whole pack writes,
+    in one flush and in several.  Catches a step's bucket counts taken
+    from the whole flush (a bucket overfills) or from the wrong rows."""
+    store = one_disk.store
+    spill = store.path(0, bucket_spill_name(0, 0))
+    reference = one_shot_bucket_file(one_disk, tmp_path / "BS0_from0.seg")
+    vectorized.grace_partition(kernel_spec(
+        one_disk.workload, store, "grace_partition",
+        JoinPlan(spill_threshold=threshold),
+    ))
+    assert spill.read_bytes() == reference
+
+
+def test_unbudgeted_flush_cuts_its_writes_at_2_mib_offsets(
+    one_disk, monkeypatch
+):
+    """The single end-of-scan flush writes one 2 MiB step at a time, each
+    ending at the last whole record before a 2 MiB file offset, as
+    materialize does.  Catches one write of the whole 32.5 MiB spill."""
+    writes = []
+    original = MappedSegment._write_at
+
+    def spy(self, index, data, limit):
+        count = original(self, index, data, limit)
+        if self.path.name.startswith("BS"):
+            writes.append((index, count))
+        return count
+
+    monkeypatch.setattr(MappedSegment, "_write_at", spy)
+    vectorized.grace_partition(
+        kernel_spec(one_disk.workload, one_disk.store, "grace_partition")
+    )
+    total = one_disk.workload.r_objects_total
+    assert [lo for lo, _n in writes] == [0] + [
+        lo + n for lo, n in writes[:-1]
+    ]
+    assert writes[-1][0] + writes[-1][1] == total
+    assert writes == [(lo, hi - lo) for lo, hi in step_extents(total, RECORD_BYTES)]
+    for k, (lo, n) in enumerate(writes[:-1], start=1):
+        end = PAGE + (lo + n) * RECORD_BYTES
+        assert k * 2 * MIB - RECORD_BYTES < end <= k * 2 * MIB
